@@ -11,8 +11,9 @@ layer :mod:`repro.store`:
    resumes by key and re-executes only the missing tasks.
 3. Batching: grouping a seeds-heavy grid into per-cell batches — one
    graph build, round-cap derivation and engine-topology compilation
-   per cell instead of per seed — beats the per-task dispatch path by
-   ≥ 1.25x at the same worker count, with identical records.
+   per cell instead of per seed — beats running the same tasks as
+   batches of one (:func:`~repro.experiments.runner.execute_task`) by
+   ≥ 1.25x in-process, with identical records.
 4. Store append throughput: the sharded campaign store's batched flush
    policy (``flush_every=64``) sustains ≥ 1.2x the append rate of the
    single-file JSONL store's historical flush-per-record policy.
@@ -28,10 +29,9 @@ import time
 
 from repro.analysis import render_table
 from repro.core.harmonic import completion_bound
-from repro.experiments import ExperimentSpec, SweepRunner
-from repro.experiments.persist import load_records
+from repro.experiments import ExperimentSpec, SweepRunner, execute_task
 from repro.experiments.results import RunResult
-from repro.store import JsonlStore, ShardedStore
+from repro.store import JsonlStore, ShardedStore, open_store
 
 WORKERS = max(2, min(4, os.cpu_count() or 2))
 
@@ -97,7 +97,8 @@ def test_sweep_resume_after_interrupt(
         SweepRunner(
             GRID, workers=WORKERS, results_path=str(results_file)
         ).run()
-        reference = load_records(str(results_file))
+        with open_store(str(results_file), RunResult.from_dict) as store:
+            reference = store.claim_keys()
 
         # Simulate a hard kill mid-run: keep the first half of the
         # records plus a torn final line (a write cut off mid-record).
@@ -145,7 +146,7 @@ def test_sweep_chunked_dispatch_covers_grid(benchmark):
 
 #: A seeds-heavy grid for the batching claim: 2 cells × 25 seeds on a
 #: large graph (clique-bridge n=129), where per-seed graph construction
-#: and topology compilation dominate the per-task path.
+#: and topology compilation dominate batches of one.
 BATCH_GRID = ExperimentSpec(
     name="sweep-batch",
     algorithms=["round_robin", ("harmonic", {"T": 4})],
@@ -162,14 +163,17 @@ def test_sweep_batching_speedup(benchmark, table_out):
     def run_both_modes():
         timings = {}
         records = {}
-        for label, batched in (("per-task", False), ("batched", True)):
-            started = time.perf_counter()
-            result = SweepRunner(
-                BATCH_GRID, workers=WORKERS, batch=batched
-            ).run()
-            timings[label] = time.perf_counter() - started
-            records[label] = result.records
-            assert not result.failures, [r.key for r in result.failures]
+        started = time.perf_counter()
+        records["per-task"] = sorted(
+            (execute_task(t) for t in BATCH_GRID.tasks()),
+            key=lambda r: r.key,
+        )
+        timings["per-task"] = time.perf_counter() - started
+        started = time.perf_counter()
+        result = SweepRunner(BATCH_GRID).run()
+        timings["batched"] = time.perf_counter() - started
+        records["batched"] = result.records
+        assert not result.failures, [r.key for r in result.failures]
         return timings, records
 
     timings, records = benchmark.pedantic(
@@ -187,7 +191,7 @@ def test_sweep_batching_speedup(benchmark, table_out):
                 ["batched", f"{batched:.2f}", f"{speedup:.2f}x"],
             ],
             title=f"Sweep batching: {cells} cells × {seeds} seeds "
-            f"(clique-bridge n=129, fast engine, workers={WORKERS})",
+            f"(clique-bridge n=129, fast engine, in-process)",
         )
     )
     # The acceptance claim: shared per-cell setup pays for itself.

@@ -1,8 +1,8 @@
 """The per-file walker and multi-file driver behind ``repro check``.
 
 One AST traversal per file: the engine maintains the positional state
-rules need (enclosing function/class names, ``try``/``except
-ImportError`` depth, tracked-module alias table) on a shared
+rules need (enclosing function/class names, tracked-module alias
+table) on a shared
 :class:`~repro.check.rules.FileContext` and dispatches each node to
 the rules that declared interest in its class.  Findings then pass
 through the suppression filter (``# repro: noqa(RPR0xx): why`` on the
@@ -52,30 +52,6 @@ def scope_of(path: pathlib.Path) -> Optional[str]:
             nxt = parts[i + 1]
             return nxt[:-3] if nxt.endswith(".py") else nxt
     return None
-
-
-def _is_import_guard(node: ast.Try) -> bool:
-    """Whether a ``try`` body is the import-gating idiom.
-
-    True when any handler catches ``ImportError`` (or its alias
-    ``ModuleNotFoundError``), ``Exception``, or everything.
-    """
-    gate_names = {"ImportError", "ModuleNotFoundError", "Exception"}
-    for handler in node.handlers:
-        if handler.type is None:
-            return True
-        types = (
-            handler.type.elts
-            if isinstance(handler.type, ast.Tuple)
-            else [handler.type]
-        )
-        for t in types:
-            name = t.attr if isinstance(t, ast.Attribute) else (
-                t.id if isinstance(t, ast.Name) else None
-            )
-            if name in gate_names:
-                return True
-    return False
 
 
 class _Walker:
@@ -139,13 +115,6 @@ class _Walker:
             for child in ast.iter_child_nodes(node):
                 self.walk(child)
             ctx.class_stack.pop()
-        elif isinstance(node, ast.Try) and _is_import_guard(node):
-            ctx.guarded_import_depth += 1
-            for stmt in node.body:
-                self.walk(stmt)
-            ctx.guarded_import_depth -= 1
-            for part in (*node.handlers, *node.orelse, *node.finalbody):
-                self.walk(part)
         else:
             for child in ast.iter_child_nodes(node):
                 self.walk(child)

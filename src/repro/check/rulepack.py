@@ -6,9 +6,8 @@ only probe dynamically into a diff-time static check:
 * **RPR001** — randomness must flow through key-derived
   ``random.Random(seed)`` streams, never the ambient module-level
   generator or a seedless ``Random()``.
-* **RPR002** — the runtime package is stdlib-only; NumPy/SciPy imports
-  must be function-local or ``try``-gated with an ``ImportError``
-  handler.
+* **RPR002** — the runtime package is stdlib-only; it imports neither
+  NumPy nor SciPy, gated or not.
 * **RPR003** — engine/search/store paths must not read wall clocks or
   OS entropy (``time.time``, ``datetime.now``, ``os.urandom``,
   ``uuid``, ``secrets`` …); elapsed-time measurement is RPR008's
@@ -123,20 +122,19 @@ class AmbientRandomness(ContractRule):
 
 
 @register_rule
-class UngatedScientificImport(ContractRule):
-    """RPR002: NumPy/SciPy imports must be local or ``try``-gated."""
+class ScientificImport(ContractRule):
+    """RPR002: no NumPy/SciPy imports anywhere in the package."""
 
     code = "RPR002"
-    name = "ungated-scientific-import"
+    name = "scientific-import"
     contract = (
-        "The runtime package is stdlib-only: importing repro must "
-        "succeed on a bare CPython. NumPy/SciPy power optional fast "
-        "paths only, so their imports must be function-local or sit "
-        "in a try: block whose handler catches ImportError."
+        "The runtime package is stdlib-only: importing and running "
+        "repro must succeed on a bare CPython, and no engine, store "
+        "or search path may depend on NumPy or SciPy, gated or not."
     )
     fix = (
-        "Move the import into the function that needs it, or wrap it "
-        "in try/except ImportError with a None/stdlib fallback."
+        "Express the computation with the standard library (Python "
+        "ints as bitmasks, math.fsum, statistics)."
     )
     scopes = None
     interests: Tuple[type, ...] = (ast.Import, ast.ImportFrom)
@@ -145,8 +143,6 @@ class UngatedScientificImport(ContractRule):
         self, node: ast.AST, ctx: FileContext
     ) -> Iterator[Finding]:
         assert isinstance(node, (ast.Import, ast.ImportFrom))
-        if not ctx.at_module_level or ctx.guarded_import_depth:
-            return
         if isinstance(node, ast.Import):
             roots = [alias.name.split(".", 1)[0] for alias in node.names]
         else:
@@ -158,10 +154,8 @@ class UngatedScientificImport(ContractRule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"module-level import of {root} makes the "
-                    "stdlib-only runtime require it; gate it behind "
-                    "try/except ImportError or import inside the "
-                    "function",
+                    f"import of {root} makes the stdlib-only runtime "
+                    "depend on it",
                 )
 
 

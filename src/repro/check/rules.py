@@ -11,8 +11,8 @@ its class — adding a rule never adds a traversal.
 
 Rules never mutate the tree and never see files outside their scope;
 everything position-dependent they need (enclosing function/class,
-import-guard depth, alias table) is maintained by the engine on the
-shared :class:`FileContext`.
+alias table) is maintained by the engine on the shared
+:class:`FileContext`.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ TRACKED_MODULES = (
     "os",
     "uuid",
     "secrets",
-    "numpy",
-    "scipy",
 )
 
 
@@ -63,10 +61,8 @@ class FileContext:
         function_stack: Names of enclosing ``def``/``lambda`` scopes,
             outermost first.
         class_stack: Names of enclosing classes, outermost first.
-        guarded_import_depth: Number of enclosing ``try:`` bodies whose
-            handlers catch ``ImportError`` — the import-gating idiom.
         aliases: Local name → dotted origin for tracked modules, e.g.
-            ``{"np": "numpy", "datetime": "datetime.datetime"}``.
+            ``{"rnd": "random", "datetime": "datetime.datetime"}``.
     """
 
     path: str
@@ -74,13 +70,7 @@ class FileContext:
     lines: List[str]
     function_stack: List[str] = dataclasses.field(default_factory=list)
     class_stack: List[str] = dataclasses.field(default_factory=list)
-    guarded_import_depth: int = 0
     aliases: Dict[str, str] = dataclasses.field(default_factory=dict)
-
-    @property
-    def at_module_level(self) -> bool:
-        """Whether the current node is outside any function."""
-        return not self.function_stack
 
     def in_function(self, name: str) -> bool:
         """Whether any enclosing function is called ``name``."""
@@ -89,7 +79,7 @@ class FileContext:
     def resolve(self, node: ast.AST) -> Optional[str]:
         """The dotted name of an expression, aliases expanded.
 
-        ``np.polyfit`` resolves to ``"numpy.polyfit"`` when ``np`` is
+        ``rnd.shuffle`` resolves to ``"random.shuffle"`` when ``rnd`` is
         a tracked alias; plain names resolve to their origin or
         themselves (so builtin calls like ``set(...)`` resolve to
         ``"set"``).  Returns ``None`` for expressions that are not

@@ -246,7 +246,7 @@ def cmd_sweep(args) -> int:
         # directory; create it up front so events_path resolves the
         # directory form even on a campaign's very first sweep.
         backend = _store_backend(args) or detect_backend(args.results)
-        if backend in ("sharded", "columnar"):
+        if backend == "sharded":
             os.makedirs(args.results, exist_ok=True)
         sink = JsonlTelemetry(events_path(args.results))
 
@@ -255,7 +255,6 @@ def cmd_sweep(args) -> int:
             specs,
             workers=args.workers,
             results_path=args.results,
-            batch=args.batch,
             store=_store_backend(args),
             flush_every=args.flush_every,
         )
@@ -270,10 +269,10 @@ def cmd_sweep(args) -> int:
                 merge_event_files(args.results)
         else:
             result = runner.run()
-    except (ValueError, ImportError) as exc:
+    except ValueError as exc:
         # Bad worker counts, unknown graph/adversary kinds, duplicate
-        # task keys, campaign fingerprint mismatches, a missing NumPy
-        # for --store columnar: user input problems, not crashes.
+        # task keys, campaign fingerprint mismatches: user input
+        # problems, not crashes.
         raise SystemExit(str(exc))
 
     _warn_health(result.health, args.results, "task")
@@ -389,9 +388,8 @@ def cmd_search(args) -> int:
             verify=args.verify,
             store=_store_backend(args),
             flush_every=args.flush_every,
-            evaluator=args.evaluator,
         )
-    except (ValueError, ImportError) as exc:
+    except ValueError as exc:
         raise SystemExit(str(exc))
 
     _warn_health(result.health, args.results, "candidate")
@@ -446,7 +444,7 @@ def cmd_merge(args) -> int:
             args.results, parse=RawRecord, backend=_store_backend(args)
         )
         count = merge_store(source, args.out)
-    except (OSError, ValueError, ImportError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(str(exc))
     _warn_health(source.health, args.results, "record")
     print(
@@ -470,7 +468,7 @@ def cmd_report(args) -> int:
             backend=_store_backend(args),
         )
         report = CampaignReport.from_store(store)
-    except (OSError, ValueError, ImportError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(str(exc))
     _warn_health(store.health, args.results, "record")
     # Perf panel: present only when the campaign ran with --events (a
@@ -556,7 +554,7 @@ def cmd_profile(args) -> int:
             max_rounds=args.max_rounds,
         )
         report = profile_task(spec.tasks()[0])
-    except (ValueError, ImportError) as exc:
+    except ValueError as exc:
         raise SystemExit(str(exc))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -704,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-rounds", type=int, default=None)
     run.add_argument(
         "--engine", choices=list(ENGINE_NAMES), default="reference",
-        help="execution engine (fast = bitmask fast path, vector = "
-        "NumPy lockstep; identical traces)",
+        help="execution engine (fast = bitmask fast path; identical "
+        "traces)",
     )
     run.add_argument(
         "--churn", default="none",
@@ -764,8 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--results", default=None,
         help="results file (JSON lines) or campaign directory "
-        "(sharded/columnar store); existing records are resumed "
-        "rather than re-run",
+        "(sharded store); existing records are resumed rather than "
+        "re-run",
     )
     sweep.add_argument(
         "--store", choices=list(STORE_BACKENDS), default="auto",
@@ -776,28 +774,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--flush-every", type=int, default=None,
         help="flush the result store every N records (default: the "
-        "backend's policy — jsonl 1, sharded 64, columnar 512)",
+        "backend's policy — jsonl 1, sharded 64)",
     )
     sweep.add_argument(
         "--engine", choices=list(ENGINE_NAMES), default=None,
         help="execution engine for every task (overrides the spec "
-        "file's engines axis); vector runs each science cell's whole "
-        "seed list in NumPy lockstep (seed-dependent graph kinds get "
-        "one graph per lane) and silently uses the reference engine "
-        "only when NumPy is missing",
+        "file's engines axis); records are identical either way",
     )
     sweep.add_argument(
         "--events", action="store_true",
         help="write a schema-versioned events.jsonl telemetry stream "
         "beside --results (progress, worker heartbeats, engine "
         "counters; consumed by repro progress and repro report)",
-    )
-    sweep.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="group tasks by science cell so each worker builds the "
-        "cell's graph and compiled engine topology once and runs all "
-        "its seeds against them (--no-batch: per-task dispatch); "
-        "records are identical either way",
     )
     sweep.set_defaults(func=cmd_sweep)
 
@@ -877,16 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--engine", choices=["auto", "reference", "fast"],
         default="auto",
-        help="sandbox evaluation engine: auto picks the fast engine "
+        help="evaluation engine: auto picks the fast engine "
         "(CR4 genomes included; reference forces the baseline)",
-    )
-    search.add_argument(
-        "--evaluator", choices=["sandbox", "lockstep"],
-        default="sandbox",
-        help="population-scoring backend: sandbox runs each candidate "
-        "alone (--workers parallelises), lockstep scores whole "
-        "batches as NumPy vector-engine lanes; scores are identical, "
-        "and --results files resume across backends",
     )
     search.add_argument(
         "--verify", action=argparse.BooleanOptionalAction, default=True,
@@ -914,8 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     merge.add_argument(
         "--results", required=True,
-        help="source store: a campaign directory (sharded/columnar) "
-        "or a JSONL results file",
+        help="source store: a campaign directory (sharded) or a JSONL "
+        "results file",
     )
     merge.add_argument(
         "--out", required=True,
@@ -1009,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="statically check the determinism/eligibility/import "
+        help="statically check the determinism/import/timer "
         "contracts (AST rules RPR001-RPR008, see docs/CHECKS.md)",
     )
     check.add_argument(

@@ -72,9 +72,9 @@ _GRAPHS: Dict[str, GraphFactory] = {
 
 #: Graph kinds whose factory output depends on the ``seed`` argument.
 #: Cells over these kinds cannot share one graph across their seeds, so
-#: the batched sweep path rebuilds per seed — the vector cell still
-#: runs lockstep, with one graph (and compiled topology) per lane
-#: (every other built-in kind ignores the seed and is safely shared).
+#: the batched sweep path rebuilds the graph and its compiled topology
+#: per seed (every other built-in kind ignores the seed and is safely
+#: shared).
 _SEED_DEPENDENT_GRAPHS = {"gnp", "gray-zone"}
 
 _ADVERSARIES: Dict[str, AdversaryFactory] = {

@@ -41,10 +41,9 @@ class RunResult:
         rounds: Rounds executed.
         total_transmissions: Sum of per-round sender counts.
         engine: The engine that actually executed the task
-            (``"reference"`` or ``"fast"``) — informational only, since
-            the engines are trace-equivalent; a task requesting the fast
-            engine records ``"reference"`` when its combination was
-            ineligible and fell back.
+            (``"reference"`` or ``"fast"``; older records may say
+            ``"vector"``) — informational only, since the engines are
+            trace-equivalent.
         churn_kind: The fault-injection kind the task ran under
             (``"none"`` for failure-free runs).  A science axis, not
             bookkeeping: reports keep churn records out of the
@@ -127,36 +126,25 @@ class SweepResult:
         resumed: Tasks whose records were loaded from a results file.
         elapsed: Wall-clock seconds of this invocation (excluded from
             equality: two runs of the same spec compare equal).
-        skipped_lines: Torn or foreign lines the results file held that
-            did not parse as records and were dropped on load (their
-            tasks were re-run).  Bookkeeping like ``elapsed``, excluded
-            from equality; the CLI logs it so damaged results files
-            are visible instead of silently healed.  Kept as a plain
-            int for backward compatibility — it mirrors
-            ``health.skipped_lines``.
-        health: The result store's full
+        health: The result store's
             :class:`~repro.store.base.StoreHealth` damage report
-            (skipped lines plus validator-rejected records), uniform
-            across every backend.
+            (unparsable lines plus validator-rejected records, whose
+            tasks were re-run), uniform across every backend.
+            Bookkeeping like ``elapsed``, excluded from equality; the
+            CLI logs it so damaged results files are visible instead
+            of silently healed.
     """
 
     records: List[RunResult]
     executed: int = 0
     resumed: int = 0
     elapsed: float = field(default=0.0, compare=False)
-    skipped_lines: int = field(default=0, compare=False)
     health: StoreHealth = field(
         default_factory=StoreHealth, compare=False
     )
 
     def __post_init__(self) -> None:
         self.records = sorted(self.records, key=lambda r: r.key)
-        # Keep the legacy counter and the health report coherent no
-        # matter which one the caller supplied.
-        if self.skipped_lines and not self.health.skipped_lines:
-            self.health.skipped_lines = self.skipped_lines
-        elif self.health.skipped_lines and not self.skipped_lines:
-            self.skipped_lines = self.health.skipped_lines
 
     def __len__(self) -> int:
         return len(self.records)

@@ -1,15 +1,15 @@
 """The sweep executor: fan a task grid out over worker processes.
 
-:func:`execute_task` is the per-task unit of work and
-:func:`execute_batch` the per-cell unit — module-level functions taking
-and returning picklable values, so a ``multiprocessing`` pool can run
-them anywhere.  :class:`SweepRunner` expands one or more
+:func:`execute_batch` is the unit of work — a module-level function
+taking and returning picklable values, so a ``multiprocessing`` pool can
+run it anywhere — and :func:`execute_task` is a batch of one.
+:class:`SweepRunner` expands one or more
 :class:`~repro.experiments.spec.ExperimentSpec`\\ s, skips tasks whose
-records already sit in the results file (resume-by-key), and streams the
-remaining work through ``imap_unordered``.  By default pending tasks are
-grouped into one :class:`~repro.experiments.spec.CellBatch` per science
-cell (every axis except the seed), so each worker builds the cell's
-graph, derives its round cap and compiles its engine topology
+records already sit in the results store (resume-by-key), groups the
+remaining tasks into one :class:`~repro.experiments.spec.CellBatch` per
+science cell (every axis except the seed), and streams the batches
+through ``imap_unordered``.  Each worker builds a cell's graph, derives
+its round cap and compiles its engine topology
 (:class:`~repro.sim.fast_engine.CompiledTopology`) once, then runs the
 cell's seeds in a tight loop — amortising setup that otherwise dominates
 seeds-heavy cells (``benchmarks/bench_sweep.py`` measures the win).
@@ -20,25 +20,24 @@ Invariants:
   key, and the final record list is key-sorted, so the same spec
   produces the identical
   :class:`~repro.experiments.results.SweepResult` records for any
-  worker count, chunking, engine choice, batching mode, or resume
+  worker count, chunking, batch split, engine choice, or resume
   history.
-* **Batching is pure scheduling** — batched and per-task execution emit
-  byte-identical records: the per-seed loop inside a batch runs exactly
-  the :func:`execute_task` pipeline, with only graph/cap/topology
-  construction hoisted (and only when the cell's graph kind is
-  seed-independent per
-  :func:`~repro.experiments.registry.graph_seed_dependent`; ``gnp``-like
-  kinds rebuild per seed).  ``tests/test_batching.py`` asserts this.
+* **Batching is pure scheduling** — the per-seed loop inside a batch
+  hoists only graph/cap/topology construction, and only when the
+  cell's graph kind is seed-independent per
+  :func:`~repro.experiments.registry.graph_seed_dependent` (``gnp``-like
+  kinds rebuild per seed), so a record never depends on which batch
+  its task ran in.  ``tests/test_batching.py`` asserts this.
 * **Durable resume** — with ``results_path`` set, each record is
   appended to the sweep's result store (:mod:`repro.store`: a single
-  JSON-lines file by default, a sharded or columnar campaign directory
-  on request) the moment its result reaches the parent process, so an
-  interrupted sweep leaves a valid prefix.  Durability cadence is the
-  store's explicit ``flush_every`` policy (the default JSONL backend
-  flushes every record, the historical behaviour).
-  *Resume* granularity stays per task under batching: pending tasks
-  are filtered by key before batches are planned, so whatever a kill
-  left on disk, re-running executes exactly the missing seeds.
+  JSON-lines file by default, a sharded campaign directory on request)
+  the moment its result reaches the parent process, so an interrupted
+  sweep leaves a valid prefix.  Durability cadence is the store's
+  explicit ``flush_every`` policy (the default JSONL backend flushes
+  every record, the historical behaviour).
+  *Resume* granularity is per task: pending tasks are filtered by key
+  before batches are planned, so whatever a kill left on disk,
+  re-running executes exactly the missing seeds.
   *Durability* granularity is the dispatch unit — a batch's records
   reach the parent together when the batch finishes, so a hard kill
   forfeits (and the resume re-runs) the in-flight batches' completed
@@ -47,18 +46,10 @@ Invariants:
   signature of a hard kill mid-write — by skipping (and counting)
   what does not parse on load and starting the next append on a
   fresh line.
-* **Transparent fast paths** — the shared eligibility truth table
-  (:func:`repro.sim.fast_engine.mask_engine_eligible`) is all-yes:
-  every collision-rule/adversary combination, CR4 real resolvers
-  included, runs on the engine the spec requests.  The one remaining
-  downgrade is ``engine="vector"`` without NumPy, which silently uses
-  the reference engine; either way the trace, and therefore the
-  record, is the same (the engines are proven trace-equivalent).
-  Vector cells run their whole seed list through one
-  :func:`repro.sim.vector_engine.run_lockstep` call instead of a
-  per-seed loop — seed-independent cells share one graph and reach
-  matrix, seed-dependent kinds (``gnp``, ``gray-zone``) hand lockstep
-  one graph per lane — pure scheduling, same records.
+* **Engine transparency** — every collision-rule/adversary combination
+  runs on the engine the task names; the engines are proven
+  trace-equivalent, so the record is the same either way (only its
+  ``engine`` field tells which implementation ran).
 """
 
 from __future__ import annotations
@@ -90,27 +81,13 @@ from repro.experiments.spec import (
     RunTask,
     plan_batches,
 )
-from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import EngineConfig, StartMode, build_engine
-from repro.sim.fast_engine import (
-    CompiledTopology,
-    compile_topology,
-    fast_engine_eligible,
-)
-from repro.sim.trace import ExecutionTrace
+from repro.sim.fast_engine import CompiledTopology, compile_topology
 from repro.store import ResultStore, StoreHealth, open_store
-
-# repro.sim.vector_engine is imported lazily inside the functions that
-# need it: importing it pulls in NumPy, which reference/fast-only
-# sweeps (and every pool worker they spawn) should never pay for.
 
 #: Called after each finished task with (result, done_count, total).
 ProgressCallback = Callable[[RunResult, int, int], None]
-
-#: Max lanes per :func:`repro.sim.vector_engine.run_lockstep` call in
-#: the batched vector path (see `_execute_batch_lockstep`).
-_LOCKSTEP_LANES = 32
 
 
 class _WorkerStats:
@@ -198,19 +175,10 @@ class _ProgressEmitter:
 
 
 def _execute_on(
-    task: RunTask,
-    graph: DualGraph,
-    topology: Optional[CompiledTopology] = None,
-    default_cap: Optional[int] = None,
+    task: RunTask, topology: CompiledTopology, max_rounds: int
 ) -> RunResult:
-    """Run one task against an already-built graph.
-
-    The shared tail of :func:`execute_task` and :func:`execute_batch`:
-    everything downstream of graph construction.  ``topology`` and
-    ``default_cap`` (the cell's derived round limit, used when the task
-    carries no explicit ``max_rounds``) are per-cell reusables the
-    batched path hands in; both default to per-task derivation.
-    """
+    """Run one task on its cell's compiled topology and round cap."""
+    graph = topology.graph
     adversary = build_adversary(
         task.adversary_kind,
         seed=task.derived_seed,
@@ -219,15 +187,7 @@ def _execute_on(
     processes = make_processes(
         task.algorithm, graph.n, **dict(task.algorithm_params)
     )
-    max_rounds = task.max_rounds
-    if max_rounds is None:
-        max_rounds = (
-            default_cap
-            if default_cap is not None
-            else suggested_round_limit(task.algorithm, graph)
-        )
-    rule = CollisionRule[task.collision_rule]
-    engine_name = _route_engine(task.engine, rule, adversary)
+    engine_name = task.runs_on
     # The churn schedule is built from the task's key-derived seed and
     # its *resolved* round cap, so rate-based schedules cover the whole
     # horizon and are reproducible from the spec alone.
@@ -239,7 +199,7 @@ def _execute_on(
         **dict(task.churn_params),
     )
     config = EngineConfig(
-        collision_rule=rule,
+        collision_rule=CollisionRule[task.collision_rule],
         start_mode=StartMode(task.start_mode),
         max_rounds=max_rounds,
         seed=task.derived_seed,
@@ -251,37 +211,6 @@ def _execute_on(
     )
     with current().span("engine_run"):
         trace = engine.run()
-    return _result_from(task, graph, trace, engine_name)
-
-
-def _route_engine(engine_name: str, rule, adversary) -> str:
-    """Downgrade ineligible mask-engine requests to the reference engine.
-
-    Transparent by construction: the engines are proven
-    trace-equivalent, so the record is the same either way (only its
-    ``engine`` field tells which implementation ran).  Eligibility is
-    the shared truth table of
-    :func:`repro.sim.fast_engine.mask_engine_eligible` — all-yes since
-    the CR4 consult paths closed the last gap — so the only downgrade
-    left in practice is a vector request without NumPy.
-    """
-    if engine_name == "fast" and not fast_engine_eligible(rule, adversary):
-        return "reference"
-    if engine_name == "vector":
-        from repro.sim.vector_engine import vector_engine_eligible
-
-        if not vector_engine_eligible(rule, adversary):
-            return "reference"
-    return engine_name
-
-
-def _result_from(
-    task: RunTask,
-    graph: DualGraph,
-    trace: ExecutionTrace,
-    engine_name: str,
-) -> RunResult:
-    """Fold one finished trace into the task's deterministic record."""
     return RunResult(
         key=task.key,
         sweep=task.sweep,
@@ -303,18 +232,11 @@ def _result_from(
 
 
 def execute_task(task: RunTask) -> RunResult:
-    """Run one grid cell seed and return its deterministic record."""
-    telemetry = current()
-    with telemetry.span("graph_build"):
-        graph = build_graph(
-            task.graph_kind,
-            task.n,
-            seed=task.seed,
-            **dict(task.graph_params),
-        )
-    result = _execute_on(task, graph)
-    _heartbeat(telemetry, 1)
-    return result
+    """Run one grid cell seed and return its deterministic record.
+
+    A batch of one: the same pipeline every sweep dispatches.
+    """
+    return execute_batch(CellBatch((task,)))[0]
 
 
 def execute_batch(batch: CellBatch) -> List[RunResult]:
@@ -324,28 +246,16 @@ def execute_batch(batch: CellBatch) -> List[RunResult]:
     (:func:`~repro.experiments.registry.graph_seed_dependent`), the
     graph is built, the round cap derived and the engine topology
     compiled exactly once for the whole batch; seed-dependent kinds
-    (``gnp``, ``gray-zone``) rebuild all three per seed.  Cells that
-    request ``engine="vector"`` run all seeds at once through the
-    lockstep matrix path (:func:`repro.sim.vector_engine.run_lockstep`)
-    — shared cells on one graph, seed-dependent cells with one graph
-    per lane; every other cell runs each seed through the unchanged
-    :func:`execute_task` pipeline.  Either way the returned records are
-    byte-identical to per-task execution (the engines are proven
-    trace-equivalent).
+    (``gnp``, ``gray-zone``) rebuild all three per seed, so a record
+    never depends on the batch its task ran in.
     """
     telemetry = current()
     share = not graph_seed_dependent(batch.tasks[0].graph_kind)
-    if batch.tasks[0].engine == "vector":
-        lockstep = _execute_batch_lockstep(batch, share)
-        if lockstep is not None:
-            _heartbeat(telemetry, len(lockstep))
-            return lockstep
-    graph: Optional[DualGraph] = None
     topology: Optional[CompiledTopology] = None
     default_cap: Optional[int] = None
     results: List[RunResult] = []
     for task in batch.tasks:
-        if graph is None or not share:
+        if topology is None or not share:
             with telemetry.span("graph_build"):
                 graph = build_graph(
                     task.graph_kind,
@@ -356,144 +266,16 @@ def execute_batch(batch: CellBatch) -> List[RunResult]:
             with telemetry.span("topology_compile"):
                 topology = compile_topology(graph)
             default_cap = None
-        if task.max_rounds is None and default_cap is None:
-            default_cap = suggested_round_limit(task.algorithm, graph)
-        results.append(_execute_on(task, graph, topology, default_cap))
-    _heartbeat(telemetry, len(results))
-    return results
-
-
-def _execute_batch_lockstep(
-    batch: CellBatch, share: bool
-) -> Optional[List[RunResult]]:
-    """Run a vector cell's whole seed list in one lockstep call.
-
-    ``share`` says the cell's graph kind is seed-independent: one graph
-    and one compiled topology then serve every lane.  Seed-dependent
-    cells build one graph per task — exactly the graphs
-    :func:`execute_task` would build — and hand lockstep the per-lane
-    sequence, with each task's round cap derived from its own graph.
-
-    Returns ``None`` when NumPy is missing (the caller then takes the
-    per-task path, whose :func:`_route_engine` downgrade produces the
-    identical records on the reference engine) or — defensively — when
-    a seed-dependent kind yields differing node counts across seeds,
-    which lockstep cannot interleave.  Per-seed adversaries, processes
-    and engine seeds are built exactly as :func:`execute_task` would,
-    so the lockstep records match per-task execution byte for byte.
-    """
-    from repro.sim.vector_engine import run_lockstep, vector_engine_eligible
-
-    tasks = batch.tasks
-    rule = CollisionRule[tasks[0].collision_rule]
-    # Probe eligibility with the first task's adversary alone — the
-    # table is shared cell-wide, so one instance decides for all and
-    # an ineligible cell (NumPy missing) builds no throwaway objects.
-    first_adversary = build_adversary(
-        tasks[0].adversary_kind,
-        seed=tasks[0].derived_seed,
-        **dict(tasks[0].adversary_params),
-    )
-    if not vector_engine_eligible(rule, first_adversary):
-        return None
-    telemetry = current()
-    if share:
-        first = tasks[0]
-        with telemetry.span("graph_build"):
-            shared_graph = build_graph(
-                first.graph_kind,
-                first.n,
-                seed=first.seed,
-                **dict(first.graph_params),
-            )
-        graphs = [shared_graph] * len(tasks)
-        with telemetry.span("topology_compile"):
-            topologies = [compile_topology(shared_graph)] * len(tasks)
-    else:
-        with telemetry.span("graph_build"):
-            graphs = [
-                build_graph(
-                    task.graph_kind,
-                    task.n,
-                    seed=task.seed,
-                    **dict(task.graph_params),
-                )
-                for task in tasks
-            ]
-        if len({graph.n for graph in graphs}) != 1:
-            return None  # lanes cannot interleave across node counts
-        with telemetry.span("topology_compile"):
-            topologies = [compile_topology(graph) for graph in graphs]
-    adversaries = [first_adversary] + [
-        build_adversary(
-            task.adversary_kind,
-            seed=task.derived_seed,
-            **dict(task.adversary_params),
-        )
-        for task in tasks[1:]
-    ]
-    default_cap: Optional[int] = None
-    process_lists = []
-    configs = []
-    for task, graph in zip(tasks, graphs):
-        process_lists.append(
-            make_processes(
-                task.algorithm, graph.n, **dict(task.algorithm_params)
-            )
-        )
         max_rounds = task.max_rounds
         if max_rounds is None:
-            if share:
-                if default_cap is None:
-                    default_cap = suggested_round_limit(
-                        task.algorithm, graph
-                    )
-                max_rounds = default_cap
-            else:
-                # Per-task graphs derive per-task caps, matching the
-                # per-task pipeline's derivation from each seed's graph.
-                max_rounds = suggested_round_limit(task.algorithm, graph)
-        configs.append(
-            EngineConfig(
-                collision_rule=rule,
-                start_mode=StartMode(task.start_mode),
-                max_rounds=max_rounds,
-                seed=task.derived_seed,
-                engine="vector",
-                # Per-lane schedules: lockstep shares only the rule,
-                # start mode and recording flag across lanes, so each
-                # lane carries exactly the schedule the per-task
-                # pipeline would build for it.
-                churn=build_churn(
-                    task.churn_kind,
-                    n=graph.n,
-                    rounds=max_rounds,
-                    seed=task.derived_seed,
-                    **dict(task.churn_params),
-                ),
-            )
-        )
-    # Bounded lane blocks: one lockstep call interleaves every lane's
-    # processes and RNG states each round, so very wide cells would
-    # trade all cache locality for matrix width.  Blocks are pure
-    # scheduling — each lane's trace is independent.
-    traces = []
-    with telemetry.span("engine_run"):
-        for lo in range(0, len(tasks), _LOCKSTEP_LANES):
-            hi = lo + _LOCKSTEP_LANES
-            traces.extend(
-                run_lockstep(
-                    graphs[lo:hi],
-                    process_lists[lo:hi],
-                    adversaries[lo:hi],
-                    configs[lo:hi],
-                    topology=topologies[lo:hi],
+            if default_cap is None:
+                default_cap = suggested_round_limit(
+                    task.algorithm, topology.graph
                 )
-            )
-    return [
-        _result_from(task, graph, trace, "vector")
-        for task, graph, trace in zip(tasks, graphs, traces)
-    ]
+            max_rounds = default_cap
+        results.append(_execute_on(task, topology, max_rounds))
+    _heartbeat(telemetry, len(results))
+    return results
 
 
 class SweepRunner:
@@ -506,13 +288,13 @@ class SweepRunner:
             which is also the fallback when only one dispatch unit is
             pending.
         results_path: Optional results location — a JSON-lines file
-            (default backend) or a campaign directory (sharded or
-            columnar backend).  Existing records are loaded and their
+            (default backend) or a campaign directory (sharded
+            backend).  Existing records are loaded and their
             tasks skipped; new records are appended as they finish, so
             interrupting and re-running resumes where the sweep
             stopped.
-        store: Result-store backend name (``"jsonl"``, ``"sharded"``,
-            ``"columnar"``); ``None``/``"auto"`` detects from the
+        store: Result-store backend name (``"jsonl"`` or
+            ``"sharded"``); ``None``/``"auto"`` detects from the
             path (see :func:`repro.store.detect_backend`).  A
             pre-built :class:`~repro.store.base.ResultStore` instance
             is also accepted and used as-is (``results_path`` then
@@ -521,18 +303,12 @@ class SweepRunner:
             store; ``None`` keeps each backend's documented default
             (jsonl flushes every record, exactly the historical
             behaviour).
-        chunksize: Upper bound on dispatch units (tasks, or batches in
-            batched mode) per worker dispatch.  Default: derived so
+        chunksize: Upper bound on dispatch units (cell batches) per
+            worker dispatch.  Default: derived so
             each worker sees several chunks, balancing IPC overhead
             against stragglers; always capped at the per-worker fair
             share so a resumed sweep with few pending units spreads
             across all workers instead of serialising into one chunk.
-        batch: Group pending tasks into one
-            :class:`~repro.experiments.spec.CellBatch` per science cell
-            (default), so workers amortise graph construction, round-cap
-            derivation and engine-topology compilation across the
-            cell's seeds.  ``False`` restores per-task dispatch; the
-            records are identical either way.
     """
 
     def __init__(
@@ -541,7 +317,6 @@ class SweepRunner:
         workers: int = 1,
         results_path: Optional[str] = None,
         chunksize: Optional[int] = None,
-        batch: bool = True,
         store: Union[ResultStore, str, None] = None,
         flush_every: Optional[int] = None,
     ) -> None:
@@ -562,7 +337,6 @@ class SweepRunner:
         self.workers = workers
         self.results_path = results_path
         self.chunksize = chunksize
-        self.batch = batch
         self.store = store
         self.flush_every = flush_every
 
@@ -587,7 +361,7 @@ class SweepRunner:
         Written into manifest-carrying store backends so a campaign
         directory refuses records from a *different* spec instead of
         silently interleaving two campaigns.  Stable across worker
-        counts, batching modes and resume histories by construction.
+        counts, batch splits and resume histories by construction.
         """
         if tasks is None:
             tasks = self.tasks()
@@ -686,12 +460,11 @@ class SweepRunner:
             executed=len(pending),
             resumed=len(done),
             elapsed=elapsed,
-            skipped_lines=health.skipped_lines,
             health=health,
         )
 
     def _dispatch_chunksize(self, n_units: int) -> int:
-        """Dispatch units (tasks or batches) per pool chunk.
+        """Dispatch units (cell batches) per pool chunk.
 
         Derived to give each worker several chunks — large enough to
         amortise pickling, small enough to keep stragglers short.  Both
@@ -731,20 +504,14 @@ class SweepRunner:
     def _execute(self, pending: Sequence[RunTask]):
         """Yield one :class:`RunResult` per pending task.
 
-        Results stream back in completion order (batched mode keeps a
-        sub-batch's seeds contiguous); :meth:`run` re-establishes the
-        canonical key order, so scheduling never leaks into results.
+        Results stream back in completion order (a sub-batch's seeds
+        stay contiguous); :meth:`run` re-establishes the canonical key
+        order, so scheduling never leaks into results.
         """
-        if self.batch:
-            units: Sequence = self._plan_units(pending)
-            run_unit = execute_batch
-        else:
-            units = list(pending)
-            run_unit = execute_task
+        units = self._plan_units(pending)
         if self.workers == 1 or len(units) <= 1:
             for unit in units:
-                out = run_unit(unit)
-                yield from out if self.batch else (out,)
+                yield from execute_batch(unit)
             return
         chunksize = self._dispatch_chunksize(len(units))
         # Prefer fork so runtime register_graph/register_adversary
@@ -766,9 +533,9 @@ class SweepRunner:
             ),
         ) as pool:
             for out in pool.imap_unordered(
-                run_unit, units, chunksize=chunksize
+                execute_batch, units, chunksize=chunksize
             ):
-                yield from out if self.batch else (out,)
+                yield from out
 
 
 def run_sweep(
@@ -776,7 +543,6 @@ def run_sweep(
     workers: int = 1,
     results_path: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
-    batch: bool = True,
     store: Union[ResultStore, str, None] = None,
     flush_every: Optional[int] = None,
 ) -> SweepResult:
@@ -785,7 +551,6 @@ def run_sweep(
         specs,
         workers=workers,
         results_path=results_path,
-        batch=batch,
         store=store,
         flush_every=flush_every,
     ).run(progress=progress)

@@ -43,6 +43,7 @@ shell history alone; the format is documented field by field in
 from __future__ import annotations
 
 import json
+import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -51,6 +52,12 @@ from repro.sim.collision import CollisionRule
 from repro.sim.engine import ENGINE_NAMES, StartMode
 
 Params = Tuple[Tuple[str, Any], ...]
+
+#: Engine names specs still accept although the engine is gone, each
+#: mapped to the engine that now runs its tasks.  Task keys keep the
+#: requested name, so results files written under it stay valid resume
+#: points; the traces are identical by the engines' equivalence.
+RETIRED_ENGINES = {"vector": "fast"}
 
 
 def _freeze_params(params: Optional[Union[dict, Params]]) -> Params:
@@ -247,6 +254,11 @@ class RunTask:
         """
         return zlib.crc32(self.science_key.encode("utf-8"))
 
+    @property
+    def runs_on(self) -> str:
+        """The engine that executes the task (a retired name's stand-in)."""
+        return RETIRED_ENGINES.get(self.engine, self.engine)
+
 
 @dataclass(frozen=True)
 class CellBatch:
@@ -405,6 +417,12 @@ def _coerce_mode(entry) -> str:
 
 def _coerce_engine(entry) -> str:
     value = str(entry).lower()
+    if value in RETIRED_ENGINES:
+        warnings.warn(
+            f"engine {value!r} was removed; its tasks run on the "
+            f"{RETIRED_ENGINES[value]!r} engine (same traces, same keys)"
+        )
+        return value
     if value not in ENGINE_NAMES:
         raise ValueError(
             f"unknown engine {entry!r}; known: {list(ENGINE_NAMES)}"
@@ -444,10 +462,10 @@ class ExperimentSpec:
     proven-bound limit (:func:`repro.core.runner.suggested_round_limit`).
 
     ``engines`` selects the execution engine implementation per task:
-    ``"reference"`` or ``"fast"`` (the bitmask engine, used when the
-    task's collision-rule/adversary combination is eligible and silently
-    downgraded to the reference engine otherwise — results are identical
-    either way).
+    ``"reference"`` or ``"fast"`` (the bitmask engine) — results are
+    identical either way.  The retired name ``"vector"`` is still
+    accepted with a warning and runs on the fast engine
+    (:data:`RETIRED_ENGINES`).
     """
 
     name: str

@@ -84,7 +84,7 @@ def validate_event(obj: object) -> Dict[str, object]:
 def events_path(results: _PathLike) -> Path:
     """The events stream belonging to a campaign at ``results``.
 
-    A campaign *directory* (sharded/columnar store) keeps its stream
+    A campaign *directory* (sharded store) keeps its stream
     inside (``<dir>/events.jsonl``); a results *file* (single JSONL
     store) gets a sidecar (``<file>.events.jsonl``), so one directory
     can hold several campaigns' streams without collision.  A trailing

@@ -19,16 +19,14 @@ rule) cell::
     print(result.best.objective)   # worst stall found, in rounds
 
 Candidates are scored through the standard engines — the fast bitmask
-engine per genome (sandbox backend) or whole populations as
-vector-engine lockstep lanes (``backend="lockstep"``) — fan out over
-worker processes, persist as JSON lines with resume-by-key, and the
-best genome replay-certifies through
+engine per genome by default — fan out over worker processes, persist
+as JSON lines with resume-by-key, and the best genome replay-certifies
+through
 :class:`~repro.adversaries.scripted.ReplayAdversary` — see
 ``docs/SEARCH.md``.
 """
 
 from repro.search.evaluate import (
-    EVALUATOR_BACKENDS,
     CandidateScore,
     EvaluationContext,
     PopulationEvaluator,
@@ -52,7 +50,6 @@ from repro.search.persist import (
     SearchBudget,
     SearchResult,
     genome_fingerprint_validator,
-    load_candidates,
     search_fingerprint,
 )
 from repro.search.searchers import (
@@ -76,7 +73,6 @@ __all__ = [
     "GenomeSpace",
     "GreedyLookaheadSearch",
     "LocalMutationSearch",
-    "EVALUATOR_BACKENDS",
     "PopulationEvaluator",
     "RandomRestartSearch",
     "SearchBudget",
@@ -86,7 +82,6 @@ __all__ = [
     "StrategyGenome",
     "build_searcher",
     "genome_fingerprint_validator",
-    "load_candidates",
     "make_space",
     "search_fingerprint",
     "register_searcher",

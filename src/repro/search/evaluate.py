@@ -6,28 +6,18 @@ engine seed, round cap.  Evaluation mirrors the batched sweep runner's
 per-cell economics: the graph is built and its
 :class:`~repro.sim.fast_engine.CompiledTopology` compiled **once** per
 :class:`EvaluationContext`, then every candidate genome runs against the
-shared pair — on the bitmask fast engine by default (the eligibility
-truth table is all-yes, CR4 genomes included; an explicit
-``settings.engine`` forces one implementation).
+shared pair — on the bitmask fast engine by default (CR4 genomes
+included; ``settings.engine="reference"`` forces the baseline).
 ``benchmarks/bench_search.py`` measures the win over rebuilding per
 candidate.
 
-:class:`PopulationEvaluator` adds the population fan-out, in one of two
-backends:
-
-* ``sandbox`` (default) — each genome runs alone; ``workers > 1``
-  spreads candidates over a process pool whose workers each build the
-  context once (pool initializer) and stream scores back in submission
-  order.
-* ``lockstep`` — the whole batch scores in-process as lanes of
-  :func:`repro.sim.vector_engine.run_lockstep` matrix rounds against
-  the shared topology (requires NumPy; ``workers`` is ignored — the
-  matrix algebra replaces the pool).
-
-Both backends are deterministic and score-identical (the engines are
-trace-equivalent and every lane uses the cell's derived engine seed),
-so resume-by-key files interchange freely between them — the same
-invariant the sweep runner keeps.
+:class:`PopulationEvaluator` adds the population fan-out: each genome
+runs alone, and ``workers > 1`` spreads candidates over a process pool
+whose workers each build the context once (pool initializer) and stream
+scores back in submission order.  Scores are deterministic and
+independent of the worker count (every run uses the cell's derived
+engine seed), so resume-by-key files stay valid across invocations —
+the same invariant the sweep runner keeps.
 
 The objective is **stall**: a completed broadcast scores its completion
 round, and an execution still incomplete at the round cap scores
@@ -49,26 +39,13 @@ from repro.graphs.dualgraph import DualGraph
 from repro.search.genome import StrategyGenome
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import EngineConfig, StartMode, build_engine
-from repro.sim.fast_engine import (
-    CompiledTopology,
-    compile_topology,
-    fast_engine_eligible,
-)
+from repro.sim.fast_engine import CompiledTopology, compile_topology
 from repro.sim.trace import ExecutionTrace
 
 #: Engine preferences accepted by :attr:`SearchSettings.engine`.
-#: ``auto`` takes the fast engine (the eligibility truth table is
-#: all-yes, CR4 genomes included); explicit names force one
-#: implementation.
+#: ``auto`` takes the fast engine (CR4 genomes included); explicit names
+#: force one implementation.
 SEARCH_ENGINES = ("auto", "reference", "fast")
-
-#: Population-scoring backends accepted by :class:`PopulationEvaluator`.
-EVALUATOR_BACKENDS = ("sandbox", "lockstep")
-
-#: Max lanes per :func:`repro.sim.vector_engine.run_lockstep` call in
-#: the lockstep backend — the same cache-locality bound the batched
-#: sweep path uses.
-_LOCKSTEP_LANES = 32
 
 
 @dataclass(frozen=True)
@@ -217,15 +194,6 @@ class EvaluationContext:
             self.graph.n, protect=(self.graph.source,)
         )
 
-    def _route_engine(self, adversary) -> str:
-        if self.settings.engine == "reference":
-            return "reference"
-        if fast_engine_eligible(self.rule, adversary):
-            # Always true today (the truth table is all-yes, CR4 genome
-            # resolvers included); kept as the central routing gate.
-            return "fast"
-        return "reference"
-
     def run_genome(
         self,
         genome: StrategyGenome,
@@ -235,7 +203,11 @@ class EvaluationContext:
         """Run one genome and return its trace and the engine used."""
         adversary = genome.build_adversary()
         if engine is None:
-            engine = self._route_engine(adversary)
+            engine = (
+                "reference"
+                if self.settings.engine == "reference"
+                else "fast"
+            )
         processes = make_processes(
             self.settings.algorithm,
             self.graph.n,
@@ -258,48 +230,6 @@ class EvaluationContext:
         """Score one genome (see the module docstring's objective)."""
         trace, engine = self.run_genome(genome)
         return score_from_trace(genome, trace, self.round_cap, engine)
-
-    def evaluate_lockstep(
-        self, genomes: Sequence[StrategyGenome]
-    ) -> List[CandidateScore]:
-        """Score a genome batch as vector-engine lockstep lanes.
-
-        Every genome becomes one lane of a
-        :func:`repro.sim.vector_engine.run_lockstep` call against the
-        cell's shared graph and topology, in blocks of
-        :data:`_LOCKSTEP_LANES`.  Each lane runs the cell's derived
-        engine seed and round cap — exactly the sandbox configuration —
-        and the engines are trace-equivalent, so the scores match
-        :meth:`evaluate` objective for objective; only the recorded
-        ``engine`` field says ``"vector"``.
-        """
-        from repro.sim.vector_engine import run_lockstep
-
-        scores: List[CandidateScore] = []
-        for lo in range(0, len(genomes), _LOCKSTEP_LANES):
-            block = genomes[lo:lo + _LOCKSTEP_LANES]
-            traces = run_lockstep(
-                self.graph,
-                [
-                    make_processes(
-                        self.settings.algorithm,
-                        self.graph.n,
-                        **dict(self.settings.algorithm_params),
-                    )
-                    for _ in block
-                ],
-                [genome.build_adversary() for genome in block],
-                [
-                    self._config("vector", churn=self._churn_for(genome))
-                    for genome in block
-                ],
-                topology=self.topology,
-            )
-            scores.extend(
-                score_from_trace(genome, trace, self.round_cap, "vector")
-                for genome, trace in zip(block, traces)
-            )
-        return scores
 
 
 def score_from_trace(
@@ -396,18 +326,9 @@ class PopulationEvaluator:
     Args:
         settings: The search cell.
         workers: Worker process count; ``1`` evaluates in-process
-            against a single shared :class:`EvaluationContext`.  Only
-            the sandbox backend uses a pool — lockstep batches lanes
-            in-process (the matrix algebra replaces the fan-out), so
-            ``workers`` is ignored there.
+            against a single shared :class:`EvaluationContext`.
         context: Optional prebuilt in-process context to share (pool
             workers always build their own in the initializer).
-        backend: ``"sandbox"`` (per-genome runs, the default) or
-            ``"lockstep"`` (whole batches as vector-engine lanes; see
-            :meth:`EvaluationContext.evaluate_lockstep`).  Requires
-            NumPy and is incompatible with an explicit
-            ``settings.engine="reference"``; scores are identical
-            either way, so stores resume across backends.
 
     The pool (and the in-process context, unless injected) is created
     lazily on the first :meth:`evaluate` call and reused across
@@ -420,32 +341,11 @@ class PopulationEvaluator:
         settings: SearchSettings,
         workers: int = 1,
         context: Optional[EvaluationContext] = None,
-        backend: str = "sandbox",
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in EVALUATOR_BACKENDS:
-            raise ValueError(
-                f"unknown evaluator backend {backend!r}; "
-                f"known: {list(EVALUATOR_BACKENDS)}"
-            )
-        if backend == "lockstep":
-            from repro.sim.vector_engine import have_numpy
-
-            if not have_numpy():
-                raise ValueError(
-                    "evaluator backend 'lockstep' requires numpy; "
-                    "install it or use backend='sandbox'"
-                )
-            if settings.engine == "reference":
-                raise ValueError(
-                    "evaluator backend 'lockstep' runs the vector "
-                    "engine; engine='reference' conflicts — use "
-                    "backend='sandbox'"
-                )
         self.settings = settings
         self.workers = workers
-        self.backend = backend
         self._ctx = context
         self._pool = None
 
@@ -455,10 +355,6 @@ class PopulationEvaluator:
         """Score a batch, preserving submission order (deterministic)."""
         if not genomes:
             return []
-        if self.backend == "lockstep":
-            if self._ctx is None:
-                self._ctx = EvaluationContext(self.settings)
-            return self._ctx.evaluate_lockstep(genomes)
         if self.workers == 1 or len(genomes) == 1:
             if self._ctx is None:
                 self._ctx = EvaluationContext(self.settings)

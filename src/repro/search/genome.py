@@ -245,8 +245,8 @@ class StrategyGenome:
         (whose ``resolve_cr4`` is the inherited base default — CR4
         collisions resolve to silence without ever consulting it);
         genomes with CR4 genes build a :class:`GenomeCR4Adversary`,
-        whose real resolver the mask engines serve through their
-        consult paths (the eligibility table is all-yes either way).
+        whose real resolver the fast engine serves through its CR4
+        consult path.
         """
         if self.cr4:
             return GenomeCR4Adversary(self)

@@ -95,7 +95,6 @@ def run_search(
     progress: Optional[ProgressCallback] = None,
     store: Optional[str] = None,
     flush_every: Optional[int] = None,
-    evaluator: str = "sandbox",
 ) -> SearchResult:
     """Run one adversary search and return its best candidate.
 
@@ -107,8 +106,7 @@ def run_search(
         seed: Search seed driving candidate generation (the engine seed
             is derived from the cell, independently — two searches with
             different seeds explore differently but score identically).
-        workers: Parallel evaluation processes (sandbox backend only;
-            the lockstep backend scores batches in-process).
+        workers: Parallel evaluation processes.
         results_path: Optional results location — a JSON-lines file or
             a campaign directory; previously persisted candidates are
             resumed by key instead of re-evaluated, and fresh scores
@@ -117,17 +115,10 @@ def run_search(
             :class:`~repro.adversaries.scripted.ReplayAdversary` on the
             reference engine (:attr:`SearchResult.replay_verified`).
         progress: Optional callback after each batch.
-        store: Result-store backend name (``"jsonl"``, ``"sharded"``,
-            ``"columnar"``); ``None``/``"auto"`` detects from the
-            path.
+        store: Result-store backend name (``"jsonl"`` or
+            ``"sharded"``); ``None``/``"auto"`` detects from the path.
         flush_every: Explicit store flush policy (``None``: backend
             default).
-        evaluator: Population-scoring backend —
-            ``"sandbox"`` (per-genome runs, default) or ``"lockstep"``
-            (whole batches as vector-engine lanes; see
-            :class:`~repro.search.evaluate.PopulationEvaluator`).
-            Scores are identical either way, so a results file written
-            under one backend resumes under the other.
     """
     watch = Stopwatch()
     telemetry = current()
@@ -166,7 +157,7 @@ def run_search(
     # build their own context once each in the pool initializer).
     context = EvaluationContext(settings, graph=space.graph)
     evaluator_obj = PopulationEvaluator(
-        settings, workers=workers, context=context, backend=evaluator
+        settings, workers=workers, context=context
     )
     try:
         while ordinal < budget.evaluations:
@@ -236,7 +227,6 @@ def run_search(
         best_ordinal=best_ordinal,
         executed=executed,
         resumed=resumed,
-        skipped_lines=health.issues,
         health=health,
         elapsed=watch.elapsed(),
     )

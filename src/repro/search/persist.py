@@ -17,12 +17,6 @@ hook* :func:`genome_fingerprint_validator`: records whose persisted
 fingerprint are rejected at load time (counted on
 :class:`~repro.store.base.StoreHealth`), before the harness even sees
 them.
-
-This module once carried its own keyed-line loader/appender; those now
-live once in :mod:`repro.store.jsonl`, and the old names
-(:func:`load_candidates`, :data:`append_candidate`,
-:func:`open_for_append`) remain as thin shims so existing imports keep
-working.
 """
 
 from __future__ import annotations
@@ -33,22 +27,13 @@ from typing import Dict, List, Optional
 from repro.search.evaluate import CandidateScore, SearchSettings
 from repro.search.genome import StrategyGenome
 from repro.store.base import StoreHealth
-from repro.store.jsonl import (
-    append_jsonl_line,
-    open_for_append,
-    scan_jsonl,
-)
 
 __all__ = [
-    "CandidateMap",
     "CandidateRecord",
     "SearchBudget",
     "SearchResult",
-    "append_candidate",
     "candidate_key",
     "genome_fingerprint_validator",
-    "load_candidates",
-    "open_for_append",
     "search_fingerprint",
 ]
 
@@ -176,17 +161,6 @@ class CandidateRecord:
         )
 
 
-class CandidateMap(Dict[str, CandidateRecord]):
-    """``key → CandidateRecord`` map that also counts skipped lines."""
-
-    __slots__ = ("skipped",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        """Build the map; ``skipped`` starts at 0."""
-        super().__init__(*args, **kwargs)
-        self.skipped = 0
-
-
 def genome_fingerprint_validator(record: CandidateRecord) -> bool:
     """The search store's distrust check, as a store-level validator.
 
@@ -214,35 +188,6 @@ def search_fingerprint(
     return f"{settings.key}/{searcher}-r{seed}"
 
 
-def load_candidates(path: str) -> CandidateMap:
-    """Read a search results file into a key → record map.
-
-    Thin shim over :func:`repro.store.jsonl.scan_jsonl` (the single
-    keyed-line loader): unparsable lines are skipped and counted,
-    later duplicate keys win (a re-evaluated candidate supersedes its
-    stale predecessor), and internally inconsistent records are
-    rejected by :func:`genome_fingerprint_validator` — rejections are
-    folded into the map's ``skipped`` counter here, matching the
-    historical single-number report.
-    """
-    records = CandidateMap()
-    health = StoreHealth()
-    scan_jsonl(
-        path,
-        CandidateRecord.from_dict,
-        records,
-        health,
-        validator=genome_fingerprint_validator,
-    )
-    records.skipped += health.issues
-    return records
-
-
-#: One candidate per JSON line, flushed on write — the storage layer's
-#: appender works verbatim on any record with ``to_dict()``.
-append_candidate = append_jsonl_line
-
-
 @dataclass
 class SearchResult:
     """The outcome of one :func:`repro.search.harness.run_search` call.
@@ -256,12 +201,10 @@ class SearchResult:
         best_ordinal: Where in the ask sequence the best candidate sat.
         executed: Candidates evaluated by this invocation.
         resumed: Candidates whose scores were reused from disk.
-        skipped_lines: Unparsable or distrusted result-file entries
-            dropped on load (mirrors ``health.issues``; kept as a
-            plain int for backward compatibility).
-        health: The result store's full
-            :class:`~repro.store.base.StoreHealth` damage report,
-            uniform with the sweep side.
+        health: The result store's
+            :class:`~repro.store.base.StoreHealth` damage report
+            (unparsable or distrusted entries dropped on load), uniform
+            with the sweep side.
         elapsed: Wall-clock seconds (excluded from equality).
         replay_verified: ``None`` until
             :func:`repro.search.evaluate.verify_replay` has certified
@@ -275,19 +218,11 @@ class SearchResult:
     best_ordinal: int
     executed: int = 0
     resumed: int = 0
-    skipped_lines: int = 0
     health: StoreHealth = field(
         default_factory=StoreHealth, compare=False
     )
     elapsed: float = field(default=0.0, compare=False)
     replay_verified: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        """Keep the legacy counter and the health report coherent."""
-        if self.skipped_lines and not self.health.issues:
-            self.health.skipped_lines = self.skipped_lines
-        elif self.health.issues and not self.skipped_lines:
-            self.skipped_lines = self.health.issues
 
     def summary(self) -> Dict:
         """A compact JSON-serialisable summary of the search."""
@@ -302,7 +237,8 @@ class SearchResult:
             "best_engine": self.best.engine,
             "executed": self.executed,
             "resumed": self.resumed,
-            "skipped_lines": self.skipped_lines,
+            "skipped_lines": self.health.skipped_lines,
+            "rejected_records": self.health.rejected_records,
             "replay_verified": self.replay_verified,
             "best_genome": self.best.genome.to_dict(),
         }

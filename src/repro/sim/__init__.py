@@ -13,32 +13,12 @@ from repro.sim.fast_engine import (
     CompiledTopology,
     FastBroadcastEngine,
     compile_topology,
-    fast_engine_eligible,
-    mask_engine_eligible,
 )
 from repro.sim.faults import (
     ChurnSchedule,
     generate_churn,
     window_churn,
 )
-
-#: Names re-exported lazily from :mod:`repro.sim.vector_engine` (PEP
-#: 562): importing that module imports NumPy, which reference/fast-only
-#: consumers — every CLI startup and sweep worker spawn — must not pay.
-_VECTOR_EXPORTS = frozenset(
-    {"VectorBroadcastEngine", "run_lockstep", "vector_engine_eligible"}
-)
-
-
-def __getattr__(name):
-    """Resolve the vector-engine exports on first use (lazy NumPy)."""
-    if name in _VECTOR_EXPORTS:
-        from repro.sim import vector_engine
-
-        return getattr(vector_engine, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 from repro.sim.messages import (
     COLLISION,
     Message,
@@ -82,15 +62,10 @@ __all__ = [
     "ScriptedProcess",
     "SilentProcess",
     "StartMode",
-    "VectorBroadcastEngine",
     "build_engine",
     "compile_topology",
-    "fast_engine_eligible",
     "generate_churn",
     "load_trace",
-    "mask_engine_eligible",
-    "run_lockstep",
-    "vector_engine_eligible",
     "received",
     "resolve_reception",
     "run_broadcast",

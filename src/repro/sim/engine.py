@@ -62,7 +62,7 @@ class StartMode(enum.Enum):
 
 
 #: Names accepted by :attr:`EngineConfig.engine` / :func:`build_engine`.
-ENGINE_NAMES = ("reference", "fast", "vector")
+ENGINE_NAMES = ("reference", "fast")
 
 
 @dataclass
@@ -84,12 +84,9 @@ class EngineConfig:
             (memory-heavy; intended for tests and small runs).
         engine: Which execution engine implementation to use:
             ``"reference"`` (this module's :class:`BroadcastEngine`, the
-            semantic ground truth), ``"fast"`` (the bitmask engine in
-            :mod:`repro.sim.fast_engine`) or ``"vector"`` (the NumPy
-            lockstep engine in :mod:`repro.sim.vector_engine`, whose
-            real payoff is running a cell's whole seed list at once via
-            :func:`repro.sim.vector_engine.run_lockstep`).  All three
-            produce bit-identical traces — see
+            semantic ground truth) or ``"fast"`` (the bitmask engine in
+            :mod:`repro.sim.fast_engine`).  Both produce bit-identical
+            traces — see
             ``tests/test_fast_engine_equivalence.py`` and
             ``tests/test_engine_fuzz.py``.
         churn: Optional :class:`~repro.sim.faults.ChurnSchedule` of
@@ -236,8 +233,8 @@ class BroadcastEngine:
         """Add ``node`` to the active set (bookkeeping only, no hook).
 
         Subclasses extend this (and :meth:`_deactivate`) to keep their
-        own active-set representations — the fast engine's bitmask, the
-        vector engine's boolean row — in sync with the base sets.
+        own active-set representations — the fast engine's bitmask — in
+        sync with the base sets.
         """
         self._active.add(node)
         insort(self._active_sorted, node)
@@ -652,10 +649,9 @@ def build_engine(
     """Instantiate the engine selected by ``config.engine``.
 
     ``"reference"`` yields :class:`BroadcastEngine`; ``"fast"`` yields
-    :class:`repro.sim.fast_engine.FastBroadcastEngine`; ``"vector"``
-    yields :class:`repro.sim.vector_engine.VectorBroadcastEngine` (both
-    subclasses whose traces are bit-identical — the three are
-    interchangeable wherever an engine is consumed).  ``topology``
+    :class:`repro.sim.fast_engine.FastBroadcastEngine` (a subclass whose
+    traces are bit-identical — the two are interchangeable wherever an
+    engine is consumed).  ``topology``
     optionally shares one pre-compiled
     :class:`~repro.sim.fast_engine.CompiledTopology` across engines
     built on the same graph.
@@ -670,13 +666,6 @@ def build_engine(
         from repro.sim.fast_engine import FastBroadcastEngine
 
         return FastBroadcastEngine(
-            network, processes, adversary, config, payload,
-            topology=topology,
-        )
-    if config.engine == "vector":
-        from repro.sim.vector_engine import VectorBroadcastEngine
-
-        return VectorBroadcastEngine(
             network, processes, adversary, config, payload,
             topology=topology,
         )

@@ -33,12 +33,11 @@ of per-node message lists:
   engine's exact order) and payload-identity custody tracking (which
   already operates on single delivered messages).
 
-Because the semantics are identical, the engines are interchangeable:
+Because the semantics are identical, the engines are interchangeable
+for every collision rule and adversary:
 :func:`repro.sim.engine.build_engine` dispatches on
-``EngineConfig.engine`` and the experiments layer
-(:func:`repro.experiments.runner.execute_task`) transparently selects
-the fast path whenever :func:`fast_engine_eligible` approves the
-collision-rule/adversary combination.
+``EngineConfig.engine`` and the experiments layer runs whichever engine
+a task names.
 """
 
 from __future__ import annotations
@@ -86,8 +85,6 @@ class CompiledTopology:
         "unreliable_only_seq",
         "bit",
         "reach_mask",
-        "_reach_matrix",
-        "_reach_matrix_sparse",
     )
 
     def __init__(self, graph: DualGraph) -> None:
@@ -104,121 +101,11 @@ class CompiledTopology:
             bit[v] | sum(bit[u] for u in self.reliable_out_seq[v])
             for v in graph.nodes
         ]
-        self._reach_matrix = None
-        self._reach_matrix_sparse = None
-
-    def reach_matrix(self, sparse: bool = False) -> Any:
-        """The reach masks as an ``(n, n)`` ``float32`` matrix.
-
-        ``reach_matrix()[v, u] == 1.0`` iff a transmission from ``v`` is
-        guaranteed to reach ``u`` (``v`` itself plus its reliable
-        out-neighbours) — the matrix form of :attr:`reach_mask`, consumed
-        by the vector engine's whole-matrix arrival algebra
-        (:mod:`repro.sim.vector_engine`).  ``float32`` so the per-round
-        matmuls hit BLAS (NumPy integer matmul is a naive loop); every
-        value the algebra actually reads — arrival counts ≤ n, and
-        sender-index sums only at positions with exactly one arrival
-        (≤ n) — is far below 2²⁴, so the float arithmetic is exact.
-
-        With ``sparse=True`` the same matrix is returned as a SciPy CSR
-        matrix (``scipy.sparse``, an optional dependency gated like
-        NumPy — ``ImportError`` propagates when it is missing).  Row
-        slicing, scalar indexing and ``dense @ csr_rows`` products all
-        yield the same exact values as the dense form, so the vector
-        engine can consume either interchangeably; for large sparse
-        graphs (n ≥ ~10³ at bounded degree) the CSR form keeps the
-        per-round cost proportional to the edges actually present
-        instead of n² (an n=10⁴ dense reach matrix alone is 400 MB).
-
-        Both forms are computed lazily and cached independently, so
-        sweeps that never select the vector engine pay nothing and never
-        import NumPy or SciPy.
-        """
-        if sparse:
-            if self._reach_matrix_sparse is None:
-                import numpy as np
-                from scipy.sparse import csr_matrix
-
-                n = len(self.bit)
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                indices: List[int] = []
-                for v, targets in enumerate(self.reliable_out_seq):
-                    row = sorted({v, *targets})
-                    indices.extend(row)
-                    indptr[v + 1] = len(indices)
-                self._reach_matrix_sparse = csr_matrix(
-                    (
-                        np.ones(len(indices), dtype=np.float32),
-                        np.asarray(indices, dtype=np.int64),
-                        indptr,
-                    ),
-                    shape=(n, n),
-                )
-            return self._reach_matrix_sparse
-        if self._reach_matrix is None:
-            import numpy as np
-
-            n = len(self.bit)
-            matrix = np.zeros((n, n), dtype=np.float32)
-            for v, targets in enumerate(self.reliable_out_seq):
-                matrix[v, v] = 1.0
-                if targets:
-                    matrix[v, list(targets)] = 1.0
-            self._reach_matrix = matrix
-        return self._reach_matrix
 
 
 def compile_topology(graph: DualGraph) -> CompiledTopology:
     """Precompile a graph's engine structures for reuse across runs."""
     return CompiledTopology(graph)
-
-
-def mask_engine_eligible(
-    collision_rule: CollisionRule, adversary: Optional[Adversary] = None
-) -> bool:
-    """The single eligibility truth table behind both mask-algebra gates.
-
-    Both the fast (bitmask) and vector (NumPy lockstep) engines resolve
-    rounds with set algebra, and both carry a differentially-tested
-    consult path for the one case the algebra cannot decide alone — a
-    CR4 collision at a non-sender whose adversary actually implements
-    :meth:`~repro.adversaries.base.Adversary.resolve_cr4`.  The fast
-    engine rebuilds that collision's arrival list inline; the vector
-    engine batches all consult positions per round and resolves them
-    lane by lane in reference order (see
-    :mod:`repro.sim.vector_engine`).  The truth table is therefore
-    all-yes::
-
-        rule    | adversary's resolve_cr4       | fast | vector
-        --------+-------------------------------+------+-------
-        CR1–CR3 | (never consulted)             | yes  | yes
-        CR4     | base default (always silence) | yes  | yes
-        CR4     | overridden (real resolver)    | yes  | yes
-
-    (Historically the last row routed back to the reference engine; the
-    consult paths closed that gap, and ``tests/test_engine_fuzz.py``
-    fuzzes it together with the rest of the table.)  The only remaining
-    downgrade axis is a missing optional dependency:
-    :func:`repro.sim.vector_engine.vector_engine_eligible` additionally
-    requires NumPy to be importable.  The ``collision_rule`` and
-    ``adversary`` arguments are kept so callers keep routing through
-    one central predicate — a future engine variant with a genuine
-    semantic gap would reintroduce its rows here, and every gate and
-    test pins this table rather than its own copy.
-    """
-    del collision_rule, adversary  # every combination is eligible
-    return True
-
-
-def fast_engine_eligible(
-    collision_rule: CollisionRule, adversary: Optional[Adversary] = None
-) -> bool:
-    """Whether the fast engine is the canonical choice for a combination.
-
-    A thin wrapper over :func:`mask_engine_eligible` — see its docstring
-    for the full truth table shared with the vector engine's gate.
-    """
-    return mask_engine_eligible(collision_rule, adversary)
 
 
 def _observes_non_messages(process: Process) -> bool:

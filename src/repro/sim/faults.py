@@ -4,9 +4,9 @@ The paper's adversary controls unreliable *edges* of the dual graph;
 real radio deployments also lose and regain *nodes*.  This module adds
 that axis as data: a :class:`ChurnSchedule` is a frozen, validated
 description of per-round crash and recovery events (plus nodes that
-are down from the start — late joiners), applied identically by all
-three engines (reference, fast bitmask, vector lockstep) at the top of
-each round, before any process decides to send.
+are down from the start — late joiners), applied identically by both
+engines (reference and fast bitmask) at the top of each round, before
+any process decides to send.
 
 Semantics (enforced by the engines and re-checked by
 :func:`repro.sim.validation.validate_execution`):

@@ -1,4 +1,4 @@
-"""Campaign result storage: one protocol, three backends.
+"""Campaign result storage: one protocol, two backends.
 
 The storage seam between run generation (sweeps, searches, the future
 ``repro serve`` daemon) and run consumption (resume, ``repro merge``,
@@ -22,8 +22,6 @@ Backends (see ``docs/STORAGE.md`` for the matrix):
   pre-existing results file resumes through it unchanged.
 * ``sharded`` — :class:`~repro.store.sharded.ShardedStore`: a campaign
   directory of key-hashed JSONL shards plus ``manifest.json``.
-* ``columnar`` — :class:`~repro.store.columnar.ColumnarStore`:
-  compressed npz record blocks (optional, NumPy-gated).
 
 Every backend shares resume-by-key, torn-write damage accounting
 (:class:`~repro.store.base.StoreHealth`), the validator hook, and the
@@ -44,7 +42,6 @@ from repro.store.base import (
     StoreMismatchError,
     ValidatorFn,
 )
-from repro.store.columnar import COLUMNAR_FORMAT, ColumnarStore
 from repro.store.jsonl import (
     JsonlStore,
     append_jsonl_line,
@@ -63,26 +60,19 @@ from repro.store.sharded import (
 )
 
 #: CLI vocabulary for ``--store``; ``auto`` defers to detection.
-STORE_BACKENDS = ("auto", "jsonl", "sharded", "columnar")
+STORE_BACKENDS = ("auto", "jsonl", "sharded")
 
 
 def detect_backend(path: str) -> str:
     """Infer the backend a results path refers to.
 
-    An existing campaign directory answers from its manifest (falling
-    back to ``sharded``, whose shard files are self-describing); a
-    trailing path separator requests a directory-shaped campaign even
-    before it exists; anything else is a single JSONL file — which
-    keeps every historical ``--results foo.jsonl`` invocation meaning
-    exactly what it always has.
+    An existing campaign directory — or a path with a trailing
+    separator, requesting one before it exists — is ``sharded``;
+    anything else is a single JSONL file, which keeps every historical
+    ``--results foo.jsonl`` invocation meaning exactly what it always
+    has.
     """
     if os.path.isdir(path):
-        manifest = read_manifest(path)
-        if manifest and manifest.get("backend") in (
-            "sharded",
-            "columnar",
-        ):
-            return manifest["backend"]
         return "sharded"
     if path.endswith(os.sep) or path.endswith("/"):
         return "sharded"
@@ -102,16 +92,14 @@ def open_store(
     """Open (or create) the result store behind a ``--results`` path.
 
     Args:
-        path: Results file (jsonl) or campaign directory
-            (sharded/columnar).
+        path: Results file (jsonl) or campaign directory (sharded).
         parse: Record codec (document → record with ``.key``).
-        backend: ``"jsonl"`` / ``"sharded"`` / ``"columnar"``; ``None``
-            or ``"auto"`` runs :func:`detect_backend` on the path.
+        backend: ``"jsonl"`` / ``"sharded"``; ``None`` or ``"auto"``
+            runs :func:`detect_backend` on the path.
         validator: Optional load-time validator hook (see
             :class:`~repro.store.base.StoreHealth`).
         flush_every: Explicit flush policy; ``None`` keeps each
-            backend's documented default (jsonl: 1, sharded: 64,
-            columnar: 512).
+            backend's documented default (jsonl: 1, sharded: 64).
         fingerprint: Campaign/spec fingerprint for manifest-carrying
             backends (mismatch on reopen raises
             :class:`StoreMismatchError`).
@@ -138,15 +126,6 @@ def open_store(
             fingerprint=fingerprint,
             **kwargs,
         )
-    if backend == "columnar":
-        kwargs = {} if flush_every is None else {"flush_every": flush_every}
-        return ColumnarStore(
-            path,
-            parse,
-            validator=validator,
-            fingerprint=fingerprint,
-            **kwargs,
-        )
     raise ValueError(
         f"unknown store backend {backend!r}; known: "
         f"{[b for b in STORE_BACKENDS if b != 'auto']}"
@@ -154,8 +133,6 @@ def open_store(
 
 
 __all__ = [
-    "COLUMNAR_FORMAT",
-    "ColumnarStore",
     "JsonlStore",
     "MANIFEST_NAME",
     "ParseFn",

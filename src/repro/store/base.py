@@ -59,12 +59,11 @@ class StoreMismatchError(ValueError):
 class StoreHealth:
     """Load-time damage report, uniform across every backend.
 
-    Replaces the two ad-hoc counters that grew separately on
-    ``SweepResult.skipped_lines`` and the search side: one dataclass,
+    The one damage report of sweeps and searches alike: one dataclass,
     one CLI warning text.
 
     Attributes:
-        skipped_lines: Non-empty lines (or block entries) that did not
+        skipped_lines: Non-empty lines that did not
             parse as records — torn final lines from a hard kill
             mid-write, or foreign/corrupt content.  Their tasks re-run.
         rejected_records: Records that parsed but failed the store's
@@ -142,8 +141,7 @@ class ResultStore(abc.ABC):
     """Abstract base of every campaign result backend.
 
     Concrete stores (:class:`~repro.store.jsonl.JsonlStore`,
-    :class:`~repro.store.sharded.ShardedStore`,
-    :class:`~repro.store.columnar.ColumnarStore`) share the record
+    :class:`~repro.store.sharded.ShardedStore`) share the record
     parsing, validation and health accounting here and differ only in
     layout.  Stores are context managers; :meth:`close` flushes.
     """

@@ -7,10 +7,8 @@ Every results file written before this module existed loads and
 resumes unchanged through :class:`JsonlStore`.
 
 The module-level helpers (:func:`scan_jsonl`, :func:`open_for_append`,
-:func:`append_jsonl_line`) are the loader/appender logic that used to
-live in :mod:`repro.experiments.persist` — that module (and
-``repro.search.persist``) now shim onto these, so there is exactly one
-implementation of torn-line skipping and tail healing.
+:func:`append_jsonl_line`) are the one implementation of torn-line
+skipping and tail healing; the sharded backend reuses them per shard.
 """
 
 from __future__ import annotations

@@ -1,8 +1,15 @@
-"""RPR002 failing fixture: module-level scientific imports."""
+"""RPR002 failing fixture: scientific imports, gated or not."""
 
 import numpy as np
 from scipy import sparse
 
+try:
+    import numpy
+except ImportError:
+    numpy = None
+
 
 def mean(xs):
-    return np.mean(xs) if xs else sparse.eye(0)
+    import scipy.stats
+
+    return np.mean(xs) if xs else sparse.eye(0) or scipy.stats

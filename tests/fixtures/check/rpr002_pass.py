@@ -1,12 +1,12 @@
-"""RPR002 passing fixture: gated and function-local imports."""
+"""RPR002 passing fixture: stdlib numerics and look-alike names."""
 
-try:
-    import numpy as np
-except ImportError:
-    np = None
+import numbers
+import statistics
+from math import fsum
 
 
 def mean(xs):
-    import numpy
+    from . import numpy_compat  # relative import of a local module
 
-    return numpy.mean(xs)
+    assert all(isinstance(x, numbers.Real) for x in xs)
+    return statistics.fmean(xs) if xs else fsum(numpy_compat.ZERO)

@@ -1,10 +1,11 @@
 """Batched sweep execution: equivalence, resume granularity, healing.
 
 The batching contract: grouping tasks into per-cell batches is *pure
-scheduling*.  Batched and per-task sweeps must emit byte-identical
-JSONL records for any worker count, a batch interrupted mid-cell must
-resume with only its missing seeds, and torn-line healing must keep
-working under batch appends.
+scheduling*.  Sweeps must emit byte-identical JSONL records for any
+worker count and batch split — batches of one (:func:`execute_task`)
+included — a batch interrupted mid-cell must resume with only its
+missing seeds, and torn-line healing must keep working under batch
+appends.
 """
 
 import json
@@ -21,7 +22,7 @@ from repro.experiments import (
     plan_batches,
     register_graph,
 )
-from repro.experiments.persist import load_records
+from repro.experiments.results import RunResult
 from repro.graphs import line
 from repro.sim import (
     EngineConfig,
@@ -29,6 +30,9 @@ from repro.sim import (
     compile_topology,
     trace_to_json,
 )
+from repro.store import open_store
+
+
 def grid_spec(**overrides) -> ExperimentSpec:
     """A small multi-cell grid exercising engines and collision rules."""
     base = dict(
@@ -42,6 +46,19 @@ def grid_spec(**overrides) -> ExperimentSpec:
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def load(path):
+    """The results file's key → record map and its load-time health."""
+    with open_store(str(path), RunResult.from_dict) as store:
+        return store.claim_keys(), store.health
+
+
+def per_task_records(spec) -> list:
+    """The spec's records from batches of one, key-sorted."""
+    return sorted(
+        (execute_task(t) for t in spec.tasks()), key=lambda r: r.key
+    )
 
 
 def sorted_lines(path) -> list:
@@ -123,9 +140,8 @@ class TestPlanning:
         # Serial runs keep one batch per cell for maximal amortisation.
         assert len(SweepRunner(spec)._plan_units(spec.tasks())) == 1
         # And the split path still produces the canonical records.
-        assert (
-            SweepRunner(spec, workers=2).run().records
-            == SweepRunner(spec, batch=False).run().records
+        assert SweepRunner(spec, workers=2).run().records == (
+            per_task_records(spec)
         )
 
     def test_mixed_cell_batch_rejected(self):
@@ -143,25 +159,22 @@ class TestBatchExecution:
                 execute_task(t) for t in batch.tasks
             ]
 
-    def test_batched_vs_unbatched_identical_jsonl(self, tmp_path):
+    def test_batch_split_identical_jsonl(self, tmp_path):
         spec = grid_spec()
         files = {}
-        for label, workers, batch in (
-            ("batched-serial", 1, True),
-            ("batched-pool", 2, True),
-            ("pertask-pool", 2, False),
-        ):
-            path = tmp_path / f"{label}.jsonl"
+        for workers in (1, 2):
+            path = tmp_path / f"workers-{workers}.jsonl"
             result = SweepRunner(
-                spec,
-                workers=workers,
-                results_path=str(path),
-                batch=batch,
+                spec, workers=workers, results_path=str(path)
             ).run()
             assert result.executed == spec.size
-            files[label] = sorted_lines(path)
-        assert files["batched-serial"] == files["batched-pool"]
-        assert files["batched-serial"] == files["pertask-pool"]
+            files[workers] = sorted_lines(path)
+        # Batches of one, appended through the same store backend.
+        path = tmp_path / "pertask.jsonl"
+        with open_store(str(path), RunResult.from_dict) as store:
+            for record in per_task_records(spec):
+                store.append(record)
+        assert files[1] == files[2] == sorted_lines(path)
 
     def test_seed_dependent_graph_rebuilt_per_seed(self):
         """gnp cells must not share one graph across their seeds."""
@@ -172,9 +185,8 @@ class TestBatchExecution:
             adversaries=["none"],
             seeds=range(4),
         )
-        batched = SweepRunner(spec, batch=True).run()
-        unbatched = SweepRunner(spec, batch=False).run()
-        assert batched.records == unbatched.records
+        batched = SweepRunner(spec).run()
+        assert batched.records == per_task_records(spec)
         # Different seeds genuinely produce different executions, so a
         # wrongly shared graph could not have survived the comparison.
         assert len({r.completion_round for r in batched.records}) > 1
@@ -184,9 +196,7 @@ class TestBatchExecution:
     ):
         spec = grid_spec()
         path = tmp_path / "results.jsonl"
-        reference = SweepRunner(
-            spec, results_path=str(path), batch=True
-        ).run()
+        reference = SweepRunner(spec, results_path=str(path)).run()
 
         # Simulate a kill mid-cell: drop one full cell plus one seed of
         # another cell (batch flushes are per-record, so a partial cell
@@ -201,20 +211,16 @@ class TestBatchExecution:
         ]
         path.write_text("\n".join(kept) + "\n", encoding="utf-8")
 
-        resumed = SweepRunner(
-            spec, results_path=str(path), batch=True
-        ).run()
+        resumed = SweepRunner(spec, results_path=str(path)).run()
         assert resumed.executed == len(lost)
         assert resumed.resumed == spec.size - len(lost)
         assert resumed.records == reference.records
-        assert len(load_records(str(path))) == spec.size
+        assert len(load(path)[0]) == spec.size
 
     def test_torn_line_healed_under_batch_appends(self, tmp_path):
         spec = grid_spec()
         path = tmp_path / "results.jsonl"
-        reference = SweepRunner(
-            spec, results_path=str(path), batch=True
-        ).run()
+        reference = SweepRunner(spec, results_path=str(path)).run()
 
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text(
@@ -222,18 +228,17 @@ class TestBatchExecution:
             encoding="utf-8",
         )
 
-        resumed = SweepRunner(
-            spec, results_path=str(path), batch=True
-        ).run()
+        resumed = SweepRunner(spec, results_path=str(path)).run()
         assert resumed.executed == 1
-        assert resumed.skipped_lines == 1  # the torn line was counted
+        # The torn line was counted.
+        assert resumed.health.skipped_lines == 1
         assert resumed.records == reference.records
-        healed = load_records(str(path))
+        healed, health = load(path)
         assert len(healed) == spec.size
         # The torn fragment stays behind as its own (unparsable) line —
         # healing only guarantees the next append starts fresh — so it
         # keeps being counted, never silently vanishes.
-        assert healed.skipped == 1
+        assert health.skipped_lines == 1
 
 
 class TestSeedDependenceRegistry:
@@ -261,7 +266,7 @@ class TestSeedDependenceRegistry:
 
 
 class TestCompiledTopology:
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_shared_topology_identical_traces(self, engine, tiny_line):
         from repro.core.runner import make_processes
 
@@ -298,20 +303,6 @@ class TestCompiledTopology:
         assert topology.reach_mask[2] == 0b01110
         assert topology.reliable_out_seq[1] == (0, 2)
 
-    def test_reach_matrix_matches_reach_masks(self, tiny_clique_bridge):
-        """The vector engine's matrix export is the masks, row by row."""
-        np = pytest.importorskip("numpy")
-        topology = compile_topology(tiny_clique_bridge)
-        matrix = topology.reach_matrix()
-        assert matrix is topology.reach_matrix()  # cached
-        n = tiny_clique_bridge.n
-        assert matrix.shape == (n, n)
-        for v in range(n):
-            mask = sum(
-                1 << u for u in np.flatnonzero(matrix[v]).tolist()
-            )
-            assert mask == topology.reach_mask[v], v
-
 
 class TestChunkCap:
     def test_derived_chunksize_spreads_few_pending(self):
@@ -333,7 +324,7 @@ class TestChunkCap:
 
 
 class TestObserverBatching:
-    @pytest.mark.parametrize("engine", ["fast", "vector"])
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_batching_with_observer_processes(self, engine):
         """Cells whose processes observe silence batch identically."""
         spec = ExperimentSpec(
@@ -345,7 +336,4 @@ class TestObserverBatching:
             seeds=range(3),
             max_rounds=64,
         )
-        assert (
-            SweepRunner(spec, batch=True).run().records
-            == SweepRunner(spec, batch=False).run().records
-        )
+        assert SweepRunner(spec).run().records == per_task_records(spec)

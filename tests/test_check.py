@@ -38,7 +38,7 @@ class TestRulePack:
         "code, count",
         [
             ("RPR001", 3),
-            ("RPR002", 2),
+            ("RPR002", 4),
             ("RPR003", 3),
             ("RPR004", 2),
             ("RPR005", 3),
@@ -91,6 +91,57 @@ class TestRulePack:
         )
         findings, _ = check_source(source, "x.py", scope=None)
         assert codes(findings) == ["RPR003"]
+
+
+class TestScientificImport:
+    """RPR002 flags every NumPy/SciPy import, however it is spelled or
+    guarded, and nothing that merely looks like one."""
+
+    @pytest.mark.parametrize(
+        "source, count",
+        [
+            ("import numpy\n", 1),
+            ("import numpy as np\n", 1),
+            ("import numpy.linalg\n", 1),
+            ("from numpy import array\n", 1),
+            ("from numpy.random import default_rng\n", 1),
+            ("import scipy.sparse as sp\n", 1),
+            ("from scipy import sparse\n", 1),
+            ("import numpy, scipy\n", 2),
+            (
+                "try:\n"
+                "    import numpy\n"
+                "except ImportError:\n"
+                "    numpy = None\n",
+                1,
+            ),
+            ("def f():\n    import scipy.stats\n", 1),
+            (
+                "from typing import TYPE_CHECKING\n"
+                "if TYPE_CHECKING:\n"
+                "    import numpy\n",
+                1,
+            ),
+        ],
+    )
+    def test_flagged(self, source, count):
+        findings, _ = check_source(source, "x.py", scope=None)
+        assert codes(findings) == ["RPR002"] * count
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import numbers\n",
+            "import numpy_compat\n",
+            "from scipyish import sparse\n",
+            "from . import numpy\n",
+            "from .numpy import array\n",
+            "x = 'import numpy'\n",
+        ],
+    )
+    def test_clean(self, source):
+        findings, _ = check_source(source, "x.py", scope=None)
+        assert findings == []
 
 
 class TestScoping:

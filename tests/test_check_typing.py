@@ -6,7 +6,7 @@ Two layers:
   contract as mypy's ``disallow_untyped_defs``/
   ``disallow_incomplete_defs`` on the fully-typed packages
   (``repro.check``, ``repro.core``, ``repro.obs``, ``repro.store``)
-  and on the public surfaces of the fast/vector engines.  It runs everywhere,
+  and on the public surface of the fast engine.  It runs everywhere,
   including environments without mypy.
 * The real pinned-mypy run (the CI static-analysis job's command),
   executed when mypy is importable and skipped otherwise; marked
@@ -29,7 +29,6 @@ FULLY_TYPED = [
 ]
 PUBLIC_TYPED = [
     SRC / "repro" / "sim" / "fast_engine.py",
-    SRC / "repro" / "sim" / "vector_engine.py",
 ]
 
 
@@ -126,7 +125,6 @@ def test_mypy_gate_passes():
             "-p", "repro.obs",
             "-p", "repro.store",
             "-m", "repro.sim.fast_engine",
-            "-m", "repro.sim.vector_engine",
         ]
     )
     assert status == 0, f"mypy gate failed:\n{stdout}\n{stderr}"

@@ -162,33 +162,36 @@ class TestSweep:
         second = capsys.readouterr().out
         assert "0 run, 3 resumed" in second
 
-    def test_sweep_no_batch_resumes_batched_results(
+    def test_sweep_retired_vector_engine_resumes(
         self, capsys, tmp_path
     ):
-        """--batch and --no-batch share one results file seamlessly."""
+        """A spec file still naming the removed vector engine warns,
+        runs on the fast engine and resumes its results file."""
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(
             json.dumps(
                 {
-                    "name": "cli-batch",
+                    "name": "cli-vector",
                     "algorithms": ["round_robin"],
                     "graphs": [{"kind": "line", "n": 6}],
+                    "engines": ["vector"],
                     "seeds": [0, 1, 2],
                 }
             )
         )
         results = tmp_path / "results.jsonl"
-        assert main(
-            ["sweep", "--spec", str(spec_file), "--batch",
-             "--results", str(results)]
-        ) == 0
-        assert "3 run, 0 resumed" in capsys.readouterr().out
-
-        assert main(
-            ["sweep", "--spec", str(spec_file), "--no-batch",
-             "--results", str(results)]
-        ) == 0
-        assert "0 run, 3 resumed" in capsys.readouterr().out
+        for expected in ("3 run, 0 resumed", "0 run, 3 resumed"):
+            with pytest.warns(UserWarning, match="'vector' was removed"):
+                assert main(
+                    ["sweep", "--spec", str(spec_file),
+                     "--results", str(results)]
+                ) == 0
+            assert expected in capsys.readouterr().out
+        engines = {
+            json.loads(line)["engine"]
+            for line in results.read_text().splitlines()
+        }
+        assert engines == {"fast"}
 
     def test_sweep_warns_about_unparsable_result_lines(
         self, capsys, tmp_path

@@ -1,4 +1,4 @@
-"""Property-based differential fuzzing of the three execution engines.
+"""Property-based differential fuzzing of the two execution engines.
 
 Hypothesis generates small random dual graphs (a random parent tree
 guarantees source-reachability, plus random extra reliable and
@@ -6,21 +6,16 @@ unreliable edges), algorithms, CR1–CR4, adversaries, start modes and
 round caps, then asserts the determinism contract the example-based
 suites pin pointwise:
 
-* **Trace equality** — reference, fast and vector engines produce
+* **Trace equality** — the reference and fast engines produce
   byte-identical serialized traces (``trace_to_json``) for the same
   inputs, recorded receptions included.
 * **Semantics** — the recorded execution passes the independent
   Section 2.1 checker (``repro.sim.validation``), which shares no code
   with any engine.
-* **Lockstep** — running a whole seed list through one
-  :func:`repro.sim.vector_engine.run_lockstep` call equals running each
-  seed alone on the reference engine — including mixed-lane
-  populations where every lane carries its own graph (seed-dependent
-  ``gnp`` / ``gray-zone`` builds) and its own adversary.
 
 The adversary pool includes the real CR4 resolvers (greedy, pivot,
-random, search genomes), so the batched consult path of the vector
-engine is fuzzed against the reference consult loop directly.
+random, search genomes), so the fast engine's CR4 consult path is
+fuzzed against the reference consult loop directly.
 
 The suite is marked ``fuzz`` and excluded from tier-1 (see
 ``pyproject.toml``); CI runs it in a dedicated job under the pinned,
@@ -34,13 +29,12 @@ import random
 
 import pytest
 
-pytest.importorskip("numpy")
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.runner import make_processes
-from repro.experiments.registry import build_adversary, build_graph
+from repro.experiments.registry import build_adversary
 from repro.graphs.dualgraph import DualGraph
 from repro.search import GenomeSpace
 from repro.sim import (
@@ -49,7 +43,6 @@ from repro.sim import (
     EngineConfig,
     StartMode,
     build_engine,
-    run_lockstep,
     trace_to_json,
     validate_execution,
 )
@@ -84,13 +77,9 @@ ALGORITHMS = (
 )
 #: "pivot" and "genome" carry real, stateful CR4 resolvers; the first
 #: four are the classic pool.  Every kind is rebuildable from (kind,
-#: seed, graph, horizon) alone, so reference and lockstep runs get
-#: independent but identically-behaving instances.
+#: seed, graph, horizon) alone, so every engine's run gets an
+#: independent but identically-behaving instance.
 ADVERSARIES = ("none", "full", "random", "greedy", "pivot", "genome")
-
-#: Seed-dependent registry graph kinds — one distinct graph per seed,
-#: exercising the per-lane-topology lockstep path.
-SEEDED_GRAPH_KINDS = ("gnp", "gray-zone")
 
 
 def make_fuzz_adversary(kind, seed, graph, horizon):
@@ -105,16 +94,14 @@ def make_fuzz_adversary(kind, seed, graph, horizon):
 
 
 @st.composite
-def dual_graphs(draw, n=None):
+def dual_graphs(draw):
     """A small random dual graph, always source-connected.
 
     Node ``v >= 1`` gets a random parent in ``[0, v)`` — those tree
     edges are reliable, so every node is reachable from source 0 — and
     random extra pairs join ``G`` (reliable) or ``G' \\ G`` (unreliable).
-    Pass ``n`` to fix the node count (lockstep lanes must share one).
     """
-    if n is None:
-        n = draw(st.integers(min_value=2, max_value=8))
+    n = draw(st.integers(min_value=2, max_value=8))
     tree = [
         (draw(st.integers(min_value=0, max_value=v - 1)), v)
         for v in range(1, n)
@@ -204,10 +191,10 @@ def run_one(engine, graph, algorithm, adversary_kind, rule, start_mode,
 def test_engines_agree_and_pass_validation(
     graph, algorithm, adversary_kind, rule, start_mode, seed, max_rounds
 ):
-    """reference ≡ fast ≡ vector, byte for byte, and validator-clean."""
+    """reference ≡ fast, byte for byte, and validator-clean."""
     serialized = {}
     reference = None
-    for engine in ("reference", "fast", "vector"):
+    for engine in ("reference", "fast"):
         trace = run_one(
             engine, graph, algorithm, adversary_kind, rule,
             start_mode, seed, max_rounds, record=True,
@@ -216,7 +203,6 @@ def test_engines_agree_and_pass_validation(
         if engine == "reference":
             reference = trace
     assert serialized["fast"] == serialized["reference"]
-    assert serialized["vector"] == serialized["reference"]
     # One validation suffices: the traces are byte-identical.
     assert validate_execution(reference, graph, rule, start_mode) == []
 
@@ -234,13 +220,13 @@ def test_engines_agree_under_churn(
     graph_and_churn, algorithm, adversary_kind, rule, start_mode, seed,
     max_rounds,
 ):
-    """Fault injection preserves the determinism contract: the three
+    """Fault injection preserves the determinism contract: the two
     engines stay byte-identical under random crash/recovery/late-join
     schedules, and the churn-aware validator accepts the trace."""
     graph, churn = graph_and_churn
     serialized = {}
     reference = None
-    for engine in ("reference", "fast", "vector"):
+    for engine in ("reference", "fast"):
         trace = run_one(
             engine, graph, algorithm, adversary_kind, rule,
             start_mode, seed, max_rounds, record=True, churn=churn,
@@ -249,105 +235,9 @@ def test_engines_agree_under_churn(
         if engine == "reference":
             reference = trace
     assert serialized["fast"] == serialized["reference"]
-    assert serialized["vector"] == serialized["reference"]
     assert validate_execution(
         reference, graph, rule, start_mode, churn=churn
     ) == []
-
-
-@given(
-    graph=dual_graphs(),
-    algorithm=st.sampled_from(ALGORITHMS),
-    adversary_kind=st.sampled_from(ADVERSARIES),
-    rule=st.sampled_from(list(CollisionRule)),
-    seeds=st.lists(
-        st.integers(min_value=0, max_value=2**16),
-        min_size=1,
-        max_size=5,
-        unique=True,
-    ),
-    max_rounds=st.integers(min_value=0, max_value=30),
-)
-def test_lockstep_equals_per_seed_reference(
-    graph, algorithm, adversary_kind, rule, seeds, max_rounds
-):
-    """A whole seed list in one lockstep call matches per-seed runs —
-    including CR4 with real resolvers (greedy, pivot, genome), which the
-    vector engine now serves via batched per-round consultations."""
-    configs = [
-        EngineConfig(collision_rule=rule, max_rounds=max_rounds, seed=s)
-        for s in seeds
-    ]
-    traces = run_lockstep(
-        graph,
-        [make_processes(algorithm, graph.n) for _ in seeds],
-        [make_fuzz_adversary(adversary_kind, s, graph, max_rounds)
-         for s in seeds],
-        configs,
-    )
-    for seed, trace in zip(seeds, traces):
-        ref = run_one(
-            "reference", graph, algorithm, adversary_kind, rule,
-            StartMode.ASYNCHRONOUS, seed, max_rounds, record=False,
-        )
-        assert trace_to_json(trace) == trace_to_json(ref), seed
-
-
-@st.composite
-def mixed_lanes(draw):
-    """Lockstep lanes sharing a node count but nothing else: each lane
-    draws its own graph (random fuzz tree or a seed-dependent registry
-    kind) and its own adversary kind."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    n_lanes = draw(st.integers(min_value=1, max_value=4))
-    lanes = []
-    for _ in range(n_lanes):
-        seed = draw(st.integers(min_value=0, max_value=2**16))
-        source = draw(
-            st.sampled_from(("fuzz",) + SEEDED_GRAPH_KINDS)
-        )
-        if source == "fuzz":
-            graph = draw(dual_graphs(n=n))
-        else:
-            graph = build_graph(source, n, seed=seed)
-        adversary_kind = draw(st.sampled_from(ADVERSARIES))
-        lanes.append((graph, adversary_kind, seed))
-    return lanes
-
-
-@given(
-    lanes=mixed_lanes(),
-    algorithm=st.sampled_from(ALGORITHMS),
-    rule=st.sampled_from(list(CollisionRule)),
-    max_rounds=st.integers(min_value=0, max_value=30),
-)
-def test_mixed_lane_lockstep_equals_per_seed_reference(
-    lanes, algorithm, rule, max_rounds
-):
-    """Heterogeneous lockstep — per-lane graphs AND per-lane
-    adversaries in one call — matches per-seed reference runs byte for
-    byte.  This is the population shape the search evaluator and the
-    seed-dependent sweep cells feed the vector engine."""
-    n = lanes[0][0].n
-    configs = [
-        EngineConfig(collision_rule=rule, max_rounds=max_rounds, seed=s)
-        for _, _, s in lanes
-    ]
-    traces = run_lockstep(
-        [graph for graph, _, _ in lanes],
-        [make_processes(algorithm, n) for _ in lanes],
-        [make_fuzz_adversary(kind, s, graph, max_rounds)
-         for graph, kind, s in lanes],
-        configs,
-    )
-    for (graph, kind, seed), config, trace in zip(lanes, configs, traces):
-        ref = build_engine(
-            graph,
-            make_processes(algorithm, n),
-            make_fuzz_adversary(kind, seed, graph, max_rounds),
-            config,
-        ).run()
-        assert trace_to_json(trace) == trace_to_json(ref), (kind, seed)
 
 
 @given(
@@ -360,8 +250,7 @@ def test_gossip_observers_agree(graph, seed):
     from repro.extensions import run_gossip
 
     results = {}
-    for engine in ("reference", "fast", "vector"):
+    for engine in ("reference", "fast"):
         res = run_gossip(graph, seed=seed, engine=engine, max_rounds=60)
         results[engine] = (res.completed, res.rounds, res.rumor_counts)
     assert results["fast"] == results["reference"]
-    assert results["vector"] == results["reference"]

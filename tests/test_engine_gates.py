@@ -1,18 +1,18 @@
-"""Eligibility gates and engine edge cases, fast and vector alike.
+"""Engine routing and engine edge cases.
 
-One truth table (:func:`repro.sim.fast_engine.mask_engine_eligible`)
-decides when a mask engine is the canonical choice.  The table is now
-**all-yes** — every (collision rule, adversary) combination, CR4 real
-resolvers included, runs on the requested mask engine; the only
-downgrade left is a vector request without NumPy.  Both public gates
-must agree with the table, and the sweep layer's routing must follow
-it: every (engine, CR, adversary-resolver, graph-kind) row is pinned
-here, including the seed-dependent graph kinds that now run the vector
-cell's lanes on per-lane graphs instead of falling back per seed.  The
-edge cases — single-seed cells, n=1 graphs, zero-round caps — are the
-places a lockstep implementation is most likely to drift from the
+Every (collision rule, adversary) combination, CR4 real resolvers
+included, runs on the engine a task names: the fast engine's traces
+equal the reference engine's for every (CR, start mode, adversary)
+combination, and every (CR, adversary resolver, graph kind) sweep row
+is pinned against the reference science, together with the retired
+``"vector"`` name's stand-in.  The edge cases — single-seed cells, n=1 graphs, zero-round
+caps — are the places an engine is most likely to drift from the
 reference run loop, so they are pinned here for every engine.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -29,62 +29,28 @@ from repro.experiments.runner import execute_batch, execute_task
 from repro.experiments.spec import plan_batches
 from repro.sim import (
     CollisionRule,
-    fast_engine_eligible,
-    mask_engine_eligible,
+    StartMode,
     trace_to_json,
-    vector_engine_eligible,
+    validate_execution,
 )
-from repro.sim.vector_engine import have_numpy
 
-ENGINES = ("reference", "fast", "vector")
-MASK_RULES = [CollisionRule.CR1, CollisionRule.CR2, CollisionRule.CR3]
+ENGINES = ("reference", "fast")
 
-#: (adversary factory, has a real CR4 resolver) — the truth table's
-#: second axis.  ``None`` stands for the engine-default adversary.
-ADVERSARY_CASES = [
-    (lambda: None, False),
-    (NoDeliveryAdversary, False),
-    (FullDeliveryAdversary, False),
-    (GreedyInterferer, True),
-    (lambda: RandomDeliveryAdversary(0.5, cr4_mode="random"), True),
-    # cr4_mode="silence" still *overrides* resolve_cr4 at the class
-    # level, so the type-based gate must treat it as a real resolver.
-    (lambda: RandomDeliveryAdversary(0.5), True),
-]
-
-
-class TestSharedTruthTable:
-    @pytest.mark.parametrize("make_adv,real_resolver", ADVERSARY_CASES)
-    def test_cr1_to_cr3_always_eligible(self, make_adv, real_resolver):
-        for rule in MASK_RULES:
-            adv = make_adv()
-            assert mask_engine_eligible(rule, adv)
-            assert fast_engine_eligible(rule, adv)
-            assert vector_engine_eligible(rule, adv) == have_numpy()
-
-    @pytest.mark.parametrize("make_adv,real_resolver", ADVERSARY_CASES)
-    def test_cr4_always_eligible(self, make_adv, real_resolver):
-        """CR4 is no longer special: real resolvers (greedy, pivot,
-        random, genome) run on the mask engines too — the fast engine
-        consults them inline and the vector engine batches the
-        consultations per round."""
-        adv = make_adv()
-        assert mask_engine_eligible(CollisionRule.CR4, adv)
-        assert fast_engine_eligible(CollisionRule.CR4, adv)
-        assert vector_engine_eligible(CollisionRule.CR4, adv) == (
-            have_numpy()
-        )
-
-    def test_gates_are_thin_wrappers(self):
-        """The public gates never disagree with the shared table."""
-        for rule in CollisionRule:
-            for make_adv, _ in ADVERSARY_CASES:
-                adv = make_adv()
-                shared = mask_engine_eligible(rule, adv)
-                assert fast_engine_eligible(rule, adv) == shared
-                assert vector_engine_eligible(rule, adv) == (
-                    shared and have_numpy()
-                )
+#: The (collision rule, adversary) table's second axis: one factory per
+#: adversary shape the engines distinguish.  ``None`` stands for the
+#: engine-default adversary; the random adversary appears with both CR4
+#: modes because ``cr4_mode="silence"`` still *overrides* resolve_cr4
+#: at the class level.
+ADVERSARY_CASES = {
+    "default": lambda: None,
+    "no-delivery": NoDeliveryAdversary,
+    "full-delivery": FullDeliveryAdversary,
+    "greedy": GreedyInterferer,
+    "random-cr4-random": lambda: RandomDeliveryAdversary(
+        0.5, seed=3, cr4_mode="random"
+    ),
+    "random-cr4-silence": lambda: RandomDeliveryAdversary(0.5, seed=3),
+}
 
 
 def _one_cell_spec(engine, seeds, collision_rule="CR4",
@@ -105,21 +71,17 @@ def _one_cell_spec(engine, seeds, collision_rule="CR4",
     )
 
 
-def test_repro_sim_does_not_eagerly_import_numpy():
-    """reference/fast-only consumers — CLI startup and every sweep pool
-    worker — must not pay the NumPy import; the vector exports resolve
-    lazily (PEP 562) on first use."""
-    import os
-    import subprocess
-    import sys
-
+def test_repro_never_imports_numpy():
+    """The runtime is stdlib-only: importing every subsystem and
+    running a fast-engine sweep cell loads neither NumPy nor SciPy."""
     code = (
         "import sys\n"
-        "import repro.sim, repro.sim.engine, repro.sim.fast_engine\n"
-        "assert 'numpy' not in sys.modules, 'eager numpy import'\n"
-        "from repro.sim import build_engine, fast_engine_eligible\n"
-        "assert 'numpy' not in sys.modules, 'eager numpy import'\n"
-        "from repro.sim import vector_engine_eligible  # lazy resolve\n"
+        "import repro, repro.cli, repro.search, repro.store\n"
+        "from repro.experiments import ExperimentSpec, run_sweep\n"
+        "run_sweep(ExperimentSpec(name='np', algorithms=['decay'],\n"
+        "    graphs=[('gnp', 12)], adversaries=['greedy'],\n"
+        "    engines=['fast'], seeds=[0, 1]))\n"
+        "assert not {'numpy', 'scipy'} & set(sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -130,10 +92,40 @@ def test_repro_sim_does_not_eagerly_import_numpy():
     assert result.returncode == 0, result.stderr
 
 
+class TestRuleAdversaryTable:
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARY_CASES))
+    @pytest.mark.parametrize("start", list(StartMode))
+    @pytest.mark.parametrize("rule", list(CollisionRule))
+    def test_fast_matches_reference(self, rule, start, adversary):
+        """Every (collision rule, start mode, adversary) combination
+        runs on the fast engine byte-identically to the reference
+        engine, and the recorded execution passes the independent
+        semantics checker."""
+        graph = corpus_graph("clique-bridge", 9, seed=3)
+        traces = {
+            engine: broadcast(
+                graph,
+                "harmonic",
+                adversary=ADVERSARY_CASES[adversary](),
+                seed=3,
+                engine=engine,
+                collision_rule=rule,
+                start_mode=start,
+                max_rounds=60,
+                record_receptions=True,
+            )
+            for engine in ENGINES
+        }
+        assert trace_to_json(traces["fast"]) == trace_to_json(
+            traces["reference"]
+        )
+        assert validate_execution(traces["fast"], graph, rule, start) == []
+
+
 #: (adversary kind, graph kind) rows for the routing table below.
 #: "pivot" carries a real CR4 resolver AND internal round state; "gnp"
-#: and "gray-zone" are the seed-dependent graph kinds that used to
-#: force the vector cell back to per-seed execution.
+#: and "gray-zone" are the seed-dependent graph kinds, rebuilt per seed
+#: inside a batch.
 ROUTING_ROWS = [
     ("none", "line"),
     ("greedy", "line"),
@@ -150,9 +142,8 @@ class TestSweepRouting:
     def test_cr4_stays_on_requested_engine(
         self, engine, adversary, graph_kind
     ):
-        """Every (engine, adversary-resolver, graph-kind) row runs on
-        the requested mask engine and reproduces the reference
-        science — no silent downgrade left in the table."""
+        """Every (adversary-resolver, graph-kind) row runs on the
+        requested engine and reproduces the reference science."""
         task = _one_cell_spec(
             engine, [0], adversary=adversary, graph_kind=graph_kind
         ).tasks()[0]
@@ -167,14 +158,14 @@ class TestSweepRouting:
         assert record.completion_round == ref.completion_round
         assert record.total_transmissions == ref.total_transmissions
 
-    @pytest.mark.parametrize("engine", ENGINES[1:])
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("adversary,graph_kind", ROUTING_ROWS)
     def test_cr4_batch_stays_on_requested_engine(
         self, engine, adversary, graph_kind
     ):
-        """The batched path records the same engine and the same
-        science as the per-task path — including vector cells whose
-        lanes consult real CR4 resolvers or carry per-seed graphs."""
+        """A multi-seed batch records the same engine and the same
+        science as batches of one — including cells that consult real
+        CR4 resolvers or carry per-seed graphs."""
         spec = _one_cell_spec(
             engine, range(3), adversary=adversary, graph_kind=graph_kind
         )
@@ -183,23 +174,34 @@ class TestSweepRouting:
         assert [r.engine for r in records] == [engine] * 3
         assert records == [execute_task(t) for t in batch.tasks]
 
-    @pytest.mark.parametrize("rule", ["CR1", "CR2", "CR3", "CR4"])
-    def test_vector_without_numpy_is_the_only_downgrade(
-        self, rule, monkeypatch
-    ):
-        """When NumPy is unavailable the vector request downgrades to
-        the reference engine for every collision rule — the one row of
-        the table that is environment-, not semantics-, driven."""
-        import repro.sim.vector_engine as vector_mod
-
-        monkeypatch.setattr(
-            vector_mod, "vector_engine_eligible", lambda *a: False
-        )
-        task = _one_cell_spec(
-            "vector", [0], collision_rule=rule, adversary="greedy"
-        ).tasks()[0]
-        record = execute_task(task)
-        assert record.engine == "reference"
+    @pytest.mark.parametrize("adversary,graph_kind", ROUTING_ROWS)
+    def test_retired_vector_name_runs_on_fast(self, adversary, graph_kind):
+        """A spec still naming the removed vector engine warns,
+        keeps its task keys (old results files stay resume points) and
+        records the fast engine with the reference science — on every
+        routing row, per-seed graphs and real CR4 resolvers included."""
+        with pytest.warns(UserWarning, match="'vector' was removed"):
+            spec = _one_cell_spec(
+                "vector", range(2), adversary=adversary,
+                graph_kind=graph_kind,
+            )
+        tasks = spec.tasks()
+        assert all(t.key.endswith("/eng-vector") for t in tasks)
+        records = execute_batch(plan_batches(tasks)[0])
+        assert [r.engine for r in records] == ["fast", "fast"]
+        ref = [
+            execute_task(t)
+            for t in _one_cell_spec(
+                "reference", range(2), adversary=adversary,
+                graph_kind=graph_kind,
+            ).tasks()
+        ]
+        assert [r.completion_round for r in records] == [
+            r.completion_round for r in ref
+        ]
+        assert [r.total_transmissions for r in records] == [
+            r.total_transmissions for r in ref
+        ]
 
 
 #: The registered fault-injection kinds, each with parameters that
@@ -216,7 +218,7 @@ class TestChurnRouting:
     @pytest.mark.parametrize("engine", ENGINES[1:])
     @pytest.mark.parametrize("kind,params", CHURN_ROWS)
     def test_churn_cell_matches_reference(self, engine, kind, params):
-        """Fault-injected cells run on the requested mask engine and
+        """Fault-injected cells run on the requested engine and
         reproduce the reference science, and records carry the churn
         kind as an axis value."""
         task = _one_cell_spec(
@@ -235,12 +237,11 @@ class TestChurnRouting:
         assert record.completion_round == ref.completion_round
         assert record.total_transmissions == ref.total_transmissions
 
-    @pytest.mark.parametrize("engine", ENGINES[1:])
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("kind,params", CHURN_ROWS)
     def test_churn_batch_matches_per_task(self, engine, kind, params):
-        """The batched (lockstep) path applies each lane's own churn
-        schedule: batch records equal per-task records under every
-        registered kind."""
+        """A batch applies each seed's own churn schedule: batch
+        records equal per-task records under every registered kind."""
         spec = _one_cell_spec(
             engine, range(3), collision_rule="CR2", adversary="greedy",
             churns=[(kind, params)],
@@ -264,9 +265,9 @@ class TestChurnRouting:
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("engine", ENGINES[1:])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_single_seed_cell(self, engine):
-        """A one-seed batch (lockstep of one lane) matches per-task."""
+        """A one-seed batch matches per-task."""
         spec = _one_cell_spec(engine, [5], collision_rule="CR3")
         (batch,) = plan_batches(spec.tasks())
         assert len(batch) == 1
@@ -306,7 +307,7 @@ class TestEdgeCases:
         assert solo.num_rounds == 0
         assert solo.completed
 
-    @pytest.mark.parametrize("engine", ENGINES[1:])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_zero_round_cap_through_sweep(self, engine):
         spec = _one_cell_spec(
             engine, range(2), collision_rule="CR3", max_rounds=0

@@ -9,6 +9,7 @@ from repro.experiments import (
     AlgorithmSpec,
     ExperimentSpec,
     GraphSpec,
+    RunResult,
     SweepResult,
     SweepRunner,
     build_adversary,
@@ -18,7 +19,13 @@ from repro.experiments import (
     register_graph,
     run_sweep,
 )
-from repro.experiments.persist import load_records
+from repro.store import open_store
+
+
+def load_records(path):
+    """The results file's key → record map and its load-time health."""
+    with open_store(path, RunResult.from_dict) as store:
+        return store.claim_keys(), store.health
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -253,7 +260,43 @@ class TestSweepRunner:
         resumed = run_sweep(spec, results_path=str(path))
         assert resumed.resumed == spec.size - 2
         assert resumed.executed == 2
-        assert len(load_records(str(path))) == spec.size
+        assert len(load_records(str(path))[0]) == spec.size
+
+    def test_records_of_the_removed_vector_engine_resume(self, tmp_path):
+        """A results file the vector engine wrote (keys ``…/eng-vector``,
+        records stamped ``"engine": "vector"``) stays a resume point."""
+        with pytest.warns(UserWarning, match="'vector' was removed"):
+            spec = tiny_spec(engines=["vector"])
+        path = tmp_path / "results.jsonl"
+        run_sweep(spec, results_path=str(path))
+        lines = [
+            json.dumps({**json.loads(line), "engine": "vector"})
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+
+        resumed = run_sweep(spec, results_path=str(path))
+        assert (resumed.executed, resumed.resumed) == (0, spec.size)
+        assert {r.engine for r in resumed.records} == {"vector"}
+
+    def test_retired_engine_name_beside_its_stand_in(self):
+        """engines=["fast", "vector"] keeps two tasks per science cell
+        under distinct keys; both run on the fast engine and agree."""
+        with pytest.warns(UserWarning, match="'vector' was removed"):
+            spec = tiny_spec(engines=["fast", "vector"])
+        tasks = spec.tasks()
+        assert len({t.key for t in tasks}) == spec.size == 8
+        assert {t.runs_on for t in tasks} == {"fast"}
+        records = run_sweep(spec).records
+        assert {r.engine for r in records} == {"fast"}
+        by_key = {r.key: r for r in records}
+        for key, record in by_key.items():
+            if key.endswith("/eng-vector"):
+                twin = by_key[key.replace("/eng-vector", "/eng-fast")]
+                assert record.completion_round == twin.completion_round
+                assert (
+                    record.total_transmissions == twin.total_transmissions
+                )
 
     def test_changed_round_cap_invalidates_old_records(self, tmp_path):
         """Raising max_rounds must re-run, not resume, capped records."""
@@ -267,9 +310,9 @@ class TestSweepRunner:
         assert not retried.failures
 
     def test_load_records_missing_file(self, tmp_path):
-        loaded = load_records(str(tmp_path / "absent.jsonl"))
+        loaded, health = load_records(str(tmp_path / "absent.jsonl"))
         assert loaded == {}
-        assert loaded.skipped == 0
+        assert health.issues == 0
 
     def test_load_records_counts_torn_and_foreign_lines(self, tmp_path):
         spec = tiny_spec()
@@ -285,12 +328,12 @@ class TestSweepRunner:
         )
         path.write_text(damaged)
 
-        loaded = load_records(str(path))
+        loaded, health = load_records(str(path))
         assert len(loaded) == spec.size - 1  # the torn record is gone
-        assert loaded.skipped == 3
+        assert health.skipped_lines == 3
 
         resumed = run_sweep(spec, results_path=str(path))
-        assert resumed.skipped_lines == 3
+        assert resumed.health.skipped_lines == 3
         assert resumed.executed == 1
 
     def test_progress_callback_sees_every_task(self):

@@ -1,15 +1,14 @@
-"""Differential equivalence: the mask engines vs BroadcastEngine.
+"""Differential equivalence: the fast engine vs BroadcastEngine.
 
-The fast and vector engines' contract (docs/ARCHITECTURE.md) is that
-they are drop-in replacements producing **bit-identical traces** for the
-same (network, processes, adversary, config, seed).  This harness runs
-all three engines seed for seed across algorithms × the shared graph
-corpus × collision rules and asserts full trace equality — round
-records, informed rounds, activation order, completion — plus the
+The fast engine's contract (docs/ARCHITECTURE.md) is that it is a
+drop-in replacement producing **bit-identical traces** for the same
+(network, processes, adversary, config, seed).  This harness runs both
+engines seed for seed across algorithms × the shared graph corpus ×
+collision rules and asserts full trace equality — round records,
+informed rounds, activation order, completion — plus the
 engine-neutrality guarantee at the sweep layer (same records regardless
 of the engines axis).  The property-based companion is
-``tests/test_engine_fuzz.py``; the vector engine's lockstep-specific
-behaviour is covered in ``tests/test_vector_engine.py``.
+``tests/test_engine_fuzz.py``.
 """
 
 import itertools
@@ -20,7 +19,6 @@ from conftest import corpus_graph, scripted_processes
 from repro.adversaries import (
     FullDeliveryAdversary,
     GreedyInterferer,
-    NoDeliveryAdversary,
     RandomDeliveryAdversary,
 )
 from repro.core.runner import broadcast, make_processes
@@ -34,16 +32,14 @@ from repro.sim import (
     EngineConfig,
     FastBroadcastEngine,
     StartMode,
-    VectorBroadcastEngine,
     build_engine,
-    fast_engine_eligible,
     validate_execution,
 )
 
 ALGORITHMS = ["round_robin", "harmonic", "strong_select"]
 GRAPHS = ["line", "gnp", "clique-bridge"]
 MASK_RULES = [CollisionRule.CR1, CollisionRule.CR2, CollisionRule.CR3]
-ENGINES = ("reference", "fast", "vector")
+ENGINES = ("reference", "fast")
 
 
 def assert_traces_identical(ref, other):
@@ -149,9 +145,9 @@ def test_differential_synchronous_start():
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES[1:])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_mask_trace_passes_independent_validation(engine, tiny_gnp):
-    """The mask engines' recorded executions satisfy the Section 2.1
+    """Both engines' recorded executions satisfy the Section 2.1
     semantics checker (which shares no code with any engine)."""
     for rule in MASK_RULES:
         trace = broadcast(
@@ -211,7 +207,6 @@ def test_build_engine_dispatch(tiny_line):
     for name, cls in [
         ("reference", BroadcastEngine),
         ("fast", FastBroadcastEngine),
-        ("vector", VectorBroadcastEngine),
     ]:
         engine = build_engine(
             tiny_line,
@@ -225,19 +220,12 @@ def test_build_engine_dispatch(tiny_line):
             make_processes("round_robin", n),
             config=EngineConfig(engine="warp"),
         )
-
-
-def test_fast_engine_eligibility():
-    """The table is all-yes: CR4 real resolvers take the consult path
-    instead of downgrading (tests/test_engine_gates.py pins every row)."""
-    for rule in MASK_RULES:
-        assert fast_engine_eligible(rule, GreedyInterferer())
-    assert fast_engine_eligible(CollisionRule.CR4, NoDeliveryAdversary())
-    assert fast_engine_eligible(CollisionRule.CR4, None)
-    assert fast_engine_eligible(CollisionRule.CR4, GreedyInterferer())
-    assert fast_engine_eligible(
-        CollisionRule.CR4, RandomDeliveryAdversary(0.5)
-    )
+    with pytest.raises(ValueError, match="unknown engine"):
+        build_engine(
+            tiny_line,
+            make_processes("round_robin", n),
+            config=EngineConfig(engine="vector"),
+        )
 
 
 def test_task_key_and_seed_engine_invariants():
@@ -246,58 +234,50 @@ def test_task_key_and_seed_engine_invariants():
         algorithms=["round_robin"],
         graphs=[("line", 8)],
         collision_rules=["CR3"],
-        engines=["reference", "fast", "vector"],
+        engines=["reference", "fast"],
         seeds=[0],
     )
-    ref_task, fast_task, vector_task = spec.tasks()
+    ref_task, fast_task = spec.tasks()
     assert ref_task.engine == "reference"
     assert fast_task.engine == "fast"
-    assert vector_task.engine == "vector"
     # Reference keys are unchanged from pre-engine sweeps (resume
-    # compatibility); mask-engine keys are namespaced.
+    # compatibility); fast-engine keys are namespaced.
     assert "eng-" not in ref_task.key
     assert fast_task.key == f"{ref_task.key}/eng-fast"
-    assert vector_task.key == f"{ref_task.key}/eng-vector"
     # The seed is derived from the science key: engine-independent.
     assert ref_task.science_key == fast_task.science_key
-    assert ref_task.science_key == vector_task.science_key
     assert ref_task.derived_seed == fast_task.derived_seed
-    assert ref_task.derived_seed == vector_task.derived_seed
 
 
 def test_sweep_records_are_engine_neutral():
-    """engines=[reference, fast, vector] yields identical science."""
+    """engines=[reference, fast] yields identical science."""
     spec = ExperimentSpec(
         name="neutral",
         algorithms=["harmonic", "round_robin"],
         graphs=[("line", 9), ("clique-bridge", 9)],
         adversaries=["greedy"],
         collision_rules=["CR2", "CR4"],
-        engines=["reference", "fast", "vector"],
+        engines=["reference", "fast"],
         seeds=[0, 1],
     )
     result = SweepRunner(spec).run()
     by_key = {r.key: r for r in result.records}
-    for engine in ("fast", "vector"):
-        engine_records = [
-            r for r in result.records if f"eng-{engine}" in r.key
-        ]
-        assert len(engine_records) == spec.size // 3
-        for record in engine_records:
-            ref_record = by_key[record.key.replace(f"/eng-{engine}", "")]
-            assert ref_record.completed == record.completed
-            assert ref_record.completion_round == record.completion_round
-            assert ref_record.rounds == record.rounds
-            assert (
-                ref_record.total_transmissions
-                == record.total_transmissions
-            )
+    fast_records = [r for r in result.records if "eng-fast" in r.key]
+    assert len(fast_records) == spec.size // 2
+    for record in fast_records:
+        ref_record = by_key[record.key.replace("/eng-fast", "")]
+        assert ref_record.completed == record.completed
+        assert ref_record.completion_round == record.completion_round
+        assert ref_record.rounds == record.rounds
+        assert (
+            ref_record.total_transmissions == record.total_transmissions
+        )
 
 
 @pytest.mark.parametrize("engine", ENGINES[1:])
-def test_execute_task_transparent_fallback(engine):
+def test_execute_task_records_requested_engine(engine):
     """Every CR/adversary combination — CR4 with a real resolver
-    included — now records the requested mask engine; the science
+    included — records the requested engine; the science
     still matches the reference record (the consult paths are
     trace-equivalent)."""
     spec = ExperimentSpec(
@@ -330,7 +310,7 @@ def test_execute_task_transparent_fallback(engine):
 
 def test_differential_bulk_cross_product():
     """A broad shallow sweep: every (algorithm, graph, rule) cell of the
-    advertised support matrix at one seed, all three engines."""
+    advertised support matrix at one seed, both engines."""
     for algorithm, graph_kind, rule in itertools.product(
         ALGORITHMS, GRAPHS, MASK_RULES
     ):

@@ -41,7 +41,7 @@ from repro.obs import (
 )
 from repro.sim import CollisionRule
 
-ENGINES = ("reference", "fast", "vector")
+ENGINES = ("reference", "fast")
 
 
 def _identical(ref, other):
@@ -53,7 +53,8 @@ def _identical(ref, other):
         assert r == f, f"round {r.round_number} diverged"
 
 
-def _run(engine, telemetry, churn_kind="none"):
+def _run(engine, telemetry, churn_kind="none",
+         rule=CollisionRule.CR4):
     graph = corpus_graph("clique-bridge", 9, seed=3)
     adversary = build_adversary("greedy", seed=3)
     churn = build_churn(churn_kind, n=9, rounds=60, seed=3)
@@ -64,7 +65,7 @@ def _run(engine, telemetry, churn_kind="none"):
             adversary=adversary,
             seed=3,
             engine=engine,
-            collision_rule=CollisionRule.CR4,
+            collision_rule=rule,
             max_rounds=60,
             churn=churn,
         )
@@ -73,18 +74,15 @@ def _run(engine, telemetry, churn_kind="none"):
 class TestTraceNeutrality:
     """Telemetry observes; it never changes trace bytes."""
 
+    @pytest.mark.parametrize("rule", list(CollisionRule))
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_traces_identical_on_vs_off(self, engine):
-        if engine == "vector":
-            pytest.importorskip("numpy")
-        off = _run(engine, NullTelemetry())
-        on = _run(engine, RecordingTelemetry())
+    def test_traces_identical_on_vs_off(self, engine, rule):
+        off = _run(engine, NullTelemetry(), rule=rule)
+        on = _run(engine, RecordingTelemetry(), rule=rule)
         _identical(off, on)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_traces_identical_under_churn(self, engine):
-        if engine == "vector":
-            pytest.importorskip("numpy")
         off = _run(engine, NullTelemetry(), churn_kind="rate")
         on = _run(engine, RecordingTelemetry(), churn_kind="rate")
         _identical(off, on)

@@ -14,7 +14,7 @@ from repro.search import (
     SearchBudget,
     SearchSettings,
     StrategyGenome,
-    load_candidates,
+    genome_fingerprint_validator,
     make_space,
     register_searcher,
     run_search,
@@ -24,10 +24,21 @@ from repro.search import (
 from repro.search.persist import candidate_key
 from repro.sim.engine import EngineConfig, StartMode, build_engine
 from repro.sim.collision import CollisionRule
+from repro.store import open_store
 
 CELL = SearchSettings(
     algorithm="round_robin", graph_kind="clique-bridge", n=10
 )
+
+
+def load_candidates(path):
+    """A search results file's trusted records and its load health."""
+    with open_store(
+        path,
+        CandidateRecord.from_dict,
+        validator=genome_fingerprint_validator,
+    ) as store:
+        return store.claim_keys(), store.health
 
 
 class TestSearchSettings:
@@ -181,7 +192,7 @@ class TestRunSearch:
             CELL, searcher="random", budget=self.budget(4), seed=5,
             results_path=path,
         )
-        records = load_candidates(path)
+        records, _ = load_candidates(path)
         key = candidate_key(CELL, "random", 5, 0)
         forged = CandidateRecord(
             key=key,
@@ -216,7 +227,7 @@ class TestRunSearch:
             CELL, searcher="random", budget=self.budget(4), seed=5,
             results_path=path,
         )
-        records = load_candidates(path)
+        records, _ = load_candidates(path)
         key0 = candidate_key(CELL, "random", 5, 0)
         key1 = candidate_key(CELL, "random", 5, 1)
         # Internally consistent (fingerprint matches its own genome) so
@@ -252,8 +263,8 @@ class TestRunSearch:
             CELL, searcher="random", budget=self.budget(4), seed=0,
             results_path=str(path),
         )
-        assert result.skipped_lines == 1
-        assert load_candidates(str(path)).skipped == 1
+        assert result.health.skipped_lines == 1
+        assert load_candidates(str(path))[1].skipped_lines == 1
 
     def test_unknown_searcher_rejected(self):
         with pytest.raises(ValueError, match="unknown searcher"):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.adversaries.base import Adversary
 from repro.graphs import line, with_complete_unreliable
 from repro.graphs.constructions import clique_bridge
 from repro.search import (
@@ -12,8 +13,6 @@ from repro.search import (
     GenomeSpace,
     StrategyGenome,
 )
-from repro.sim.collision import CollisionRule
-from repro.sim.fast_engine import fast_engine_eligible
 from repro.sim.messages import Message
 
 
@@ -69,10 +68,11 @@ class TestStrategyGenome:
         ).build_adversary()
         assert type(plain) is GenomeAdversary
         assert type(genes) is GenomeCR4Adversary
-        # Both stay mask-engine eligible: the gene-free adversary takes
-        # the silence shortcut, the gene-bearing one the consult path.
-        assert fast_engine_eligible(CollisionRule.CR4, plain)
-        assert fast_engine_eligible(CollisionRule.CR4, genes)
+        # The gene-free adversary keeps the base resolver (the fast
+        # engine's CR4 silence shortcut); the gene-bearing one overrides
+        # it and takes the consult path.
+        assert type(plain).resolve_cr4 is Adversary.resolve_cr4
+        assert type(genes).resolve_cr4 is not Adversary.resolve_cr4
 
 
 class TestGenomeCR4Adversary:

@@ -21,6 +21,7 @@ from repro.experiments.results import RunResult
 from repro.store import (
     JsonlStore,
     RawRecord,
+    STORE_BACKENDS,
     ShardedStore,
     StoreHealth,
     StoreMismatchError,
@@ -84,12 +85,10 @@ def make_record(i: int, completion: int = None, sends: int = 0) -> RunResult:
     )
 
 
-BACKENDS = ["jsonl", "sharded", "columnar"]
+BACKENDS = ["jsonl", "sharded"]
 
 
 def open_backend(backend, tmp_path, name="store", **kwargs):
-    if backend == "columnar":
-        pytest.importorskip("numpy")
     path = str(tmp_path / (name if backend != "jsonl" else name + ".jsonl"))
     return open_store(path, RunResult.from_dict, backend=backend, **kwargs)
 
@@ -178,8 +177,6 @@ class TestSweepDifferential:
         claims = {}
         summaries = {}
         for backend in BACKENDS:
-            if backend == "columnar":
-                pytest.importorskip("numpy")
             path = str(
                 tmp_path / ("camp-" + backend)
                 if backend != "jsonl"
@@ -198,12 +195,9 @@ class TestSweepDifferential:
             }
             store.close()
         assert summaries["jsonl"] == summaries["sharded"]
-        assert summaries["jsonl"] == summaries["columnar"]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_interrupt_resumes_only_missing(self, backend, tmp_path):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
         spec = tiny_spec(seeds=range(3))
         path = str(
             tmp_path / "camp.jsonl"
@@ -364,6 +358,19 @@ class TestFingerprints:
         with ShardedStore(root, RunResult.from_dict) as store:
             store.append(make_record(0))
         assert detect_backend(root) == "sharded"
+
+    def test_columnar_campaign_refused(self, tmp_path):
+        """The removed columnar backend's directories fail loudly."""
+        root = tmp_path / "camp"
+        root.mkdir()
+        (root / "manifest.json").write_text(
+            json.dumps(
+                {"backend": "columnar", "format": "repro-store/columnar-v1"}
+            )
+        )
+        with pytest.raises(ValueError, match="columnar-v1"):
+            open_store(str(root), RunResult.from_dict)
+        assert "columnar" not in STORE_BACKENDS
 
 
 class TestFlushPolicy:
