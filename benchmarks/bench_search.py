@@ -2,7 +2,7 @@
 
 The search harness evaluates whole genome batches against one shared
 :class:`repro.search.evaluate.EvaluationContext` — one graph build and
-one :class:`~repro.sim.fast_engine.CompiledTopology` compile for the
+one :class:`~repro.sim.topology.CompiledTopology` compile for the
 entire population, with the fast engine taking every mask-eligible
 candidate.  The naive alternative (what a straight-line implementation
 would do) rebuilds the graph, recompiles the topology and constructs a

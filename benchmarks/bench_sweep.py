@@ -131,17 +131,34 @@ def test_sweep_resume_after_interrupt(
     assert len(resumed.records) == GRID.size
 
 
+#: 64 cheap cells (2 algorithms × 8 sizes × 2 adversaries × 2 rules) ×
+#: 2 seeds: at least 16 dispatch units per worker for up to 4 workers,
+#: so the runner's derived chunk size exceeds 1.
+CHUNK_GRID = ExperimentSpec(
+    name="chunk-grid",
+    algorithms=["round_robin", ("harmonic", {"T": 2})],
+    graphs=[("line", n) for n in range(6, 14)],
+    adversaries=["greedy", "random"],
+    collision_rules=["CR1", "CR4"],
+    seeds=range(2),
+)
+
+
 def test_sweep_chunked_dispatch_covers_grid(benchmark):
-    """Chunked ``imap_unordered`` neither drops nor duplicates tasks."""
+    """Chunked ``imap_unordered`` (the runner's derived chunk size,
+    here above 1) neither drops nor duplicates tasks."""
+    runner = SweepRunner(CHUNK_GRID, workers=WORKERS)
+    units = runner._plan_units(list(CHUNK_GRID.tasks()))
+    assert runner._dispatch_chunksize(len(units)) > 1
 
     def run():
-        result = SweepRunner(GRID, workers=WORKERS, chunksize=3).run()
+        result = SweepRunner(CHUNK_GRID, workers=WORKERS).run()
         return [r.key for r in result.records]
 
     keys = benchmark.pedantic(run, rounds=1, iterations=1)
-    expected = sorted(t.key for t in GRID.tasks())
+    expected = sorted(t.key for t in CHUNK_GRID.tasks())
     assert keys == expected
-    assert len(set(keys)) == GRID.size
+    assert len(set(keys)) == CHUNK_GRID.size
 
 
 #: A seeds-heavy grid for the batching claim: 2 cells × 25 seeds on a

@@ -46,9 +46,9 @@ THEOREM2_GRAPHS = ("clique-bridge",)
 #: Deterministic algorithms Theorem 2's worst-case argument covers.
 DETERMINISTIC_ALGORITHMS = ("round_robin", "strong_select")
 
-#: Matches the ``[T=4]`` parameter segment a task key embeds for the
-#: Harmonic plateau length (RunResult does not carry params directly).
-_T_PARAM = re.compile(r"harmonic\[.*?T=(\d+)")
+#: Matches the ``harmonic(T=4)`` parameter segment a task key embeds for
+#: the Harmonic plateau length (RunResult does not carry params directly).
+_T_PARAM = re.compile(r"/harmonic\([^)]*?\bT=(\d+)")
 
 
 @dataclass
@@ -68,6 +68,9 @@ class CellAggregate:
         default_factory=RunningSummary
     )
     harmonic_T: Optional[int] = None
+    #: Set when the cell's Harmonic records disagree on ``T`` (the cell
+    #: key carries no params): no single Theorem 18 bound applies.
+    harmonic_T_mixed: bool = False
 
     def add(self, record) -> None:
         """Fold one :class:`~repro.experiments.results.RunResult` in."""
@@ -77,10 +80,13 @@ class CellAggregate:
         else:
             self.capped += 1
         self.transmissions.add(record.total_transmissions)
-        if self.harmonic_T is None and record.algorithm == "harmonic":
+        if record.algorithm == "harmonic":
             match = _T_PARAM.search(record.key)
-            if match:
-                self.harmonic_T = int(match.group(1))
+            T = int(match.group(1)) if match else None
+            if self.records == 1:
+                self.harmonic_T = T
+            elif T != self.harmonic_T:
+                self.harmonic_T_mixed = True
 
 
 #: The grouping key of one campaign-table row.
@@ -248,6 +254,8 @@ class CampaignReport:
         for key in sorted(self.cells):
             sweep, algorithm, graph, n, cr = key
             cell = self.cells[key]
+            if cell.harmonic_T_mixed:
+                continue
             reference = paper_reference(
                 algorithm, graph, n, harmonic_T=cell.harmonic_T
             )

@@ -19,7 +19,10 @@ Everything the CLI can do is a thin layer over the library API; the CLI
 exists so experiments are reproducible from shell history alone.  Sweeps
 go through :mod:`repro.experiments`: they fan out over worker processes,
 and with ``--results`` they persist each run as a JSON line and resume
-by key after an interruption.
+by key after an interruption.  The flush cadence is the store backend's
+own (jsonl: every record, sharded: every 64); ``--seeds`` is the sweep's
+seed axis, and ``repro search --engine`` names ``fast`` or
+``reference``.
 """
 
 from __future__ import annotations
@@ -256,7 +259,6 @@ def cmd_sweep(args) -> int:
             workers=args.workers,
             results_path=args.results,
             store=_store_backend(args),
-            flush_every=args.flush_every,
         )
         if sink is not None:
             from repro.obs import merge_event_files, use
@@ -387,7 +389,6 @@ def cmd_search(args) -> int:
             results_path=args.results,
             verify=args.verify,
             store=_store_backend(args),
-            flush_every=args.flush_every,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -739,8 +740,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true")
     run.set_defaults(func=cmd_run)
 
+    # No prefix matching: ``--seed`` must not silently mean ``--seeds``.
     sweep = sub.add_parser(
-        "sweep", help="run an experiment grid (optionally in parallel)"
+        "sweep",
+        help="run an experiment grid (optionally in parallel)",
+        allow_abbrev=False,
     )
     sweep.add_argument(
         "--spec", default=None,
@@ -753,7 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p", type=float, default=0.5)
     sweep.add_argument("--sizes", default="16,32,64")
     sweep.add_argument("--seeds", default="0,1,2")
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--max-rounds", type=int, default=None)
     sweep.add_argument(
         "--workers", type=int, default=1,
@@ -770,11 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-store backend behind --results (auto: a "
         "directory is a sharded campaign, a file is JSON lines; "
         "see docs/STORAGE.md)",
-    )
-    sweep.add_argument(
-        "--flush-every", type=int, default=None,
-        help="flush the result store every N records (default: the "
-        "backend's policy — jsonl 1, sharded 64)",
     )
     sweep.add_argument(
         "--engine", choices=list(ENGINE_NAMES), default=None,
@@ -858,15 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
         "docs/STORAGE.md)",
     )
     search.add_argument(
-        "--flush-every", type=int, default=None,
-        help="flush the result store every N records (default: the "
-        "backend's policy)",
-    )
-    search.add_argument(
-        "--engine", choices=["auto", "reference", "fast"],
-        default="auto",
-        help="evaluation engine: auto picks the fast engine "
-        "(CR4 genomes included; reference forces the baseline)",
+        "--engine", choices=list(ENGINE_NAMES), default="fast",
+        help="evaluation engine (CR4 genomes included; reference "
+        "forces the baseline); scores are identical either way",
     )
     search.add_argument(
         "--verify", action=argparse.BooleanOptionalAction, default=True,

@@ -17,7 +17,7 @@ directly for callers that need to customise processes before running.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from repro.adversaries.base import Adversary
 from repro.core.decay import make_decay_processes
@@ -40,6 +40,8 @@ from repro.graphs.dualgraph import DualGraph
 from repro.sim.engine import EngineConfig, build_engine
 from repro.sim.process import Process
 from repro.sim.trace import ExecutionTrace
+
+_T = TypeVar("_T")
 
 #: Factory signature: ``factory(n, **params) -> list of processes``.
 ProcessFactory = Callable[..., List[Process]]
@@ -78,7 +80,30 @@ def make_processes(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; known: {algorithm_names()}"
         ) from None
-    return factory(n, **params)
+    return call_factory(f"algorithm {algorithm!r}", factory, n, **params)
+
+
+def call_factory(
+    what: str, factory: Callable[..., _T], *args: Any, **params: Any
+) -> _T:
+    """Call a registered factory, turning parameters that do not fit it
+    into a ``ValueError`` naming ``what`` (a user-input problem the CLI
+    reports cleanly) instead of a ``TypeError`` traceback.
+
+    A misfit surfaces either at the call itself or one frame down, when
+    a registered wrapper forwards ``**params`` to the function it wraps
+    (``lambda n, seed, **kw: gnp_dual(n, seed=seed, **kw)``), so only a
+    ``TypeError`` raised within those two frames is converted.  One
+    raised deeper is a bug in the factory and propagates unchanged.
+    """
+    try:
+        return factory(*args, **params)
+    except TypeError as exc:
+        tb = exc.__traceback__
+        inner = tb.tb_next if tb is not None else None
+        if inner is not None and inner.tb_next is not None:
+            raise
+        raise ValueError(f"bad parameters for {what}: {exc}") from exc
 
 
 def suggested_round_limit(algorithm: str, network: DualGraph) -> int:

@@ -33,6 +33,7 @@ from repro.adversaries import (
     PivotAdversary,
     RandomDeliveryAdversary,
 )
+from repro.core.runner import call_factory
 from repro.graphs import (
     clique_bridge,
     gnp_dual,
@@ -228,7 +229,7 @@ def build_graph(kind: str, n: int, seed: int = 0, **params) -> DualGraph:
         raise ValueError(
             f"unknown graph kind {kind!r}; known: {graph_kinds()}"
         ) from None
-    return factory(n, seed, **params)
+    return call_factory(f"graph kind {kind!r}", factory, n, seed, **params)
 
 
 def build_adversary(kind: str, seed: int = 0, **params) -> Adversary:
@@ -239,7 +240,7 @@ def build_adversary(kind: str, seed: int = 0, **params) -> Adversary:
         raise ValueError(
             f"unknown adversary kind {kind!r}; known: {adversary_kinds()}"
         ) from None
-    return factory(seed, **params)
+    return call_factory(f"adversary kind {kind!r}", factory, seed, **params)
 
 
 def register_churn(
@@ -268,4 +269,6 @@ def build_churn(
         raise ValueError(
             f"unknown churn kind {kind!r}; known: {churn_kinds()}"
         ) from None
-    return factory(n, rounds, seed, **params)
+    return call_factory(
+        f"churn kind {kind!r}", factory, n, rounds, seed, **params
+    )

@@ -10,7 +10,7 @@ remaining tasks into one :class:`~repro.experiments.spec.CellBatch` per
 science cell (every axis except the seed), and streams the batches
 through ``imap_unordered``.  Each worker builds a cell's graph, derives
 its round cap and compiles its engine topology
-(:class:`~repro.sim.fast_engine.CompiledTopology`) once, then runs the
+(:class:`~repro.sim.topology.CompiledTopology`) once, then runs the
 cell's seeds in a tight loop — amortising setup that otherwise dominates
 seeds-heavy cells (``benchmarks/bench_sweep.py`` measures the win).
 
@@ -32,9 +32,9 @@ Invariants:
   appended to the sweep's result store (:mod:`repro.store`: a single
   JSON-lines file by default, a sharded campaign directory on request)
   the moment its result reaches the parent process, so an interrupted
-  sweep leaves a valid prefix.  Durability cadence is the store's
-  explicit ``flush_every`` policy (the default JSONL backend flushes
-  every record, the historical behaviour).
+  sweep leaves a valid prefix.  Durability cadence is the backend's own
+  policy: the default JSONL backend flushes every record, the sharded
+  backend every 64.
   *Resume* granularity is per task: pending tasks are filtered by key
   before batches are planned, so whatever a kill left on disk,
   re-running executes exactly the missing seeds.
@@ -83,7 +83,7 @@ from repro.experiments.spec import (
 )
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import EngineConfig, StartMode, build_engine
-from repro.sim.fast_engine import CompiledTopology, compile_topology
+from repro.sim.topology import CompiledTopology, compile_topology
 from repro.store import ResultStore, StoreHealth, open_store
 
 #: Called after each finished task with (result, done_count, total).
@@ -295,20 +295,7 @@ class SweepRunner:
             stopped.
         store: Result-store backend name (``"jsonl"`` or
             ``"sharded"``); ``None``/``"auto"`` detects from the
-            path (see :func:`repro.store.detect_backend`).  A
-            pre-built :class:`~repro.store.base.ResultStore` instance
-            is also accepted and used as-is (``results_path`` then
-            being ignored for opening).
-        flush_every: Explicit durability policy forwarded to the
-            store; ``None`` keeps each backend's documented default
-            (jsonl flushes every record, exactly the historical
-            behaviour).
-        chunksize: Upper bound on dispatch units (cell batches) per
-            worker dispatch.  Default: derived so
-            each worker sees several chunks, balancing IPC overhead
-            against stragglers; always capped at the per-worker fair
-            share so a resumed sweep with few pending units spreads
-            across all workers instead of serialising into one chunk.
+            path (see :func:`repro.store.detect_backend`).
     """
 
     def __init__(
@@ -316,9 +303,7 @@ class SweepRunner:
         specs: Union[ExperimentSpec, Sequence[ExperimentSpec]],
         workers: int = 1,
         results_path: Optional[str] = None,
-        chunksize: Optional[int] = None,
-        store: Union[ResultStore, str, None] = None,
-        flush_every: Optional[int] = None,
+        store: Optional[str] = None,
     ) -> None:
         """Validate the configuration and store it (see class docs)."""
         if isinstance(specs, ExperimentSpec):
@@ -328,17 +313,9 @@ class SweepRunner:
             raise ValueError("need at least one spec")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        if flush_every is not None and flush_every < 1:
-            raise ValueError(
-                f"flush_every must be >= 1, got {flush_every}"
-            )
         self.workers = workers
         self.results_path = results_path
-        self.chunksize = chunksize
         self.store = store
-        self.flush_every = flush_every
 
     def tasks(self) -> List[RunTask]:
         """The combined, ordered task list of all specs."""
@@ -386,20 +363,16 @@ class SweepRunner:
     ) -> Optional[ResultStore]:
         """The result store behind ``results_path`` (``None`` if unset).
 
-        A pre-built store instance passed as ``store=`` is returned
-        as-is; a backend name (or ``None`` for auto-detection) opens
-        the path through :func:`repro.store.open_store` with this
-        sweep's spec fingerprint.
+        Opens the path through :func:`repro.store.open_store` with the
+        ``store`` backend (``None``: auto-detection) and this sweep's
+        spec fingerprint.
         """
-        if isinstance(self.store, ResultStore):
-            return self.store
         if not self.results_path:
             return None
         return open_store(
             self.results_path,
             parse=RunResult.from_dict,
             backend=self.store,
-            flush_every=self.flush_every,
             fingerprint=self.fingerprint(tasks),
         )
 
@@ -467,16 +440,13 @@ class SweepRunner:
         """Dispatch units (cell batches) per pool chunk.
 
         Derived to give each worker several chunks — large enough to
-        amortise pickling, small enough to keep stragglers short.  Both
-        the derived value and an explicit ``chunksize`` are capped at
-        the per-worker fair share, so a resumed sweep with only a few
-        pending units (e.g. 9 pending on 2 workers) still spreads
-        across every worker instead of collapsing into one oversized
-        chunk and serialising.
+        amortise pickling, small enough to keep stragglers short.  It is
+        capped at the per-worker fair share, so a resumed sweep with
+        only a few pending units (e.g. 9 pending on 2 workers) still
+        spreads across every worker instead of collapsing into one
+        oversized chunk and serialising.
         """
         fair_share = max(1, n_units // self.workers)
-        if self.chunksize is not None:
-            return min(self.chunksize, fair_share)
         return min(
             max(1, n_units // (self.workers * 8)), fair_share
         )
@@ -543,14 +513,9 @@ def run_sweep(
     workers: int = 1,
     results_path: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
-    store: Union[ResultStore, str, None] = None,
-    flush_every: Optional[int] = None,
+    store: Optional[str] = None,
 ) -> SweepResult:
     """One-call convenience wrapper around :class:`SweepRunner`."""
     return SweepRunner(
-        specs,
-        workers=workers,
-        results_path=results_path,
-        store=store,
-        flush_every=flush_every,
+        specs, workers=workers, results_path=results_path, store=store
     ).run(progress=progress)

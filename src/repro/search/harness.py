@@ -94,7 +94,6 @@ def run_search(
     verify: bool = False,
     progress: Optional[ProgressCallback] = None,
     store: Optional[str] = None,
-    flush_every: Optional[int] = None,
 ) -> SearchResult:
     """Run one adversary search and return its best candidate.
 
@@ -117,8 +116,6 @@ def run_search(
         progress: Optional callback after each batch.
         store: Result-store backend name (``"jsonl"`` or
             ``"sharded"``); ``None``/``"auto"`` detects from the path.
-        flush_every: Explicit store flush policy (``None``: backend
-            default).
     """
     watch = Stopwatch()
     telemetry = current()
@@ -133,7 +130,6 @@ def run_search(
             parse=CandidateRecord.from_dict,
             backend=store,
             validator=genome_fingerprint_validator,
-            flush_every=flush_every,
             fingerprint=search_fingerprint(settings, searcher, seed),
         )
         if results_path

@@ -32,6 +32,8 @@ import abc
 import random
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.adversaries.base import AdversaryView
+from repro.adversaries.interferers import GreedyInterferer
 from repro.core.runner import make_processes, suggested_round_limit
 from repro.lowerbounds.sandbox import SandboxProcess
 from repro.search.evaluate import CandidateScore, SearchSettings
@@ -150,6 +152,7 @@ class GreedyLookaheadSearch(Searcher):
         super().__init__(space, settings)
         self.random_patterns = random_patterns
         self._plan = 0  # proc-assignment plan counter across asks
+        self._interferer = GreedyInterferer()
 
     # ------------------------------------------------------------------
     # Ask/tell
@@ -193,6 +196,7 @@ class GreedyLookaheadSearch(Searcher):
             settings.algorithm, n, **dict(settings.algorithm_params)
         )
         by_uid = {p.uid: p for p in processes}
+        proc_map = dict(enumerate(proc))
         eseed = settings.derived_seed
         sandboxes: Dict[int, SandboxProcess] = {}
         for node in graph.nodes:
@@ -222,7 +226,8 @@ class GreedyLookaheadSearch(Searcher):
                 if msg is not None:
                     senders[node] = msg
             chosen = self._choose_pattern(
-                rnd, senders, sandboxes, informed, active, rule, rng
+                rnd, senders, sandboxes, informed, active, rule, rng,
+                proc_map,
             )
             if chosen:
                 script[rnd] = chosen
@@ -247,11 +252,20 @@ class GreedyLookaheadSearch(Searcher):
         active: set,
         rule: CollisionRule,
         rng: random.Random,
+        proc: Dict[int, int],
     ) -> Dict[int, FrozenSet[int]]:
         graph = self.space.graph
+        view = AdversaryView(
+            round_number=rnd,
+            network=graph,
+            senders=senders,
+            informed=frozenset(informed),
+            active=frozenset(active),
+            proc=proc,
+        )
         candidates = [
             {},
-            _interfere_pattern(graph, senders, informed),
+            self._interferer.choose_deliveries(view),
             {
                 s: graph.unreliable_only_out(s)
                 for s in senders
@@ -369,26 +383,6 @@ def _commit_round(
         sandboxes[node].feed(rnd, reception)
         if node not in informed and sandboxes[node].informed:
             informed.add(node)
-
-
-def _interfere_pattern(
-    graph, senders: Dict[int, Message], informed: set
-) -> Dict[int, FrozenSet[int]]:
-    """The GreedyInterferer move: collide lone reliable receptions."""
-    reliable_arrivals: Dict[int, int] = {}
-    for s in senders:
-        reliable_arrivals[s] = reliable_arrivals.get(s, 0) + 1
-        for t in graph.reliable_out(s):
-            reliable_arrivals[t] = reliable_arrivals.get(t, 0) + 1
-    chosen: Dict[int, set] = {}
-    for u in graph.nodes:
-        if u in informed or reliable_arrivals.get(u, 0) != 1:
-            continue
-        for w in sorted(senders):
-            if u in graph.unreliable_only_out(w):
-                chosen.setdefault(w, set()).add(u)
-                break
-    return {w: frozenset(ts) for w, ts in chosen.items()}
 
 
 def _random_pattern(

@@ -9,11 +9,7 @@ from repro.sim.engine import (
     build_engine,
     run_broadcast,
 )
-from repro.sim.fast_engine import (
-    CompiledTopology,
-    FastBroadcastEngine,
-    compile_topology,
-)
+from repro.sim.fast_engine import FastBroadcastEngine
 from repro.sim.faults import (
     ChurnSchedule,
     generate_churn,
@@ -33,6 +29,7 @@ from repro.sim.process import (
     ScriptedProcess,
     SilentProcess,
 )
+from repro.sim.topology import CompiledTopology, compile_topology
 from repro.sim.recording import (
     load_trace,
     save_trace,

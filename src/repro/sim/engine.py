@@ -36,11 +36,7 @@ from typing import (
     List,
     Optional,
     Sequence,
-    TYPE_CHECKING,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.sim.fast_engine import CompiledTopology
 
 from repro.adversaries.base import Adversary, AdversaryView, NoDeliveryAdversary
 from repro.graphs.dualgraph import DualGraph
@@ -49,6 +45,7 @@ from repro.sim.faults import ChurnSchedule
 from repro.obs.telemetry import current as _current_telemetry
 from repro.sim.messages import Message, Reception, SILENCE
 from repro.sim.process import Process, ProcessContext
+from repro.sim.topology import CompiledTopology, compile_topology
 from repro.sim.trace import ExecutionTrace, RoundRecord
 
 
@@ -118,12 +115,11 @@ class BroadcastEngine:
         payload: The broadcast content handed to the source before round 1
             (must not be ``None``).
         topology: Optional pre-compiled
-            :class:`~repro.sim.fast_engine.CompiledTopology` for
-            ``network``.  When given, the engine reuses its adjacency
-            sequences (and, in the fast engine, its bitmasks) instead of
-            re-deriving them — the batched sweep path compiles one
-            topology per science cell and shares it across every seed.
-            Must have been compiled from this exact ``network`` object.
+            :class:`~repro.sim.topology.CompiledTopology` for
+            ``network``; compiled on construction when omitted.  The
+            batched sweep path compiles one topology per science cell
+            and shares it across every seed.  Must have been compiled
+            from this exact ``network`` object.
     """
 
     def __init__(
@@ -133,7 +129,7 @@ class BroadcastEngine:
         adversary: Optional[Adversary] = None,
         config: Optional[EngineConfig] = None,
         payload: object = "broadcast-message",
-        topology: Optional["CompiledTopology"] = None,
+        topology: Optional[CompiledTopology] = None,
     ) -> None:
         if payload is None:
             raise ValueError("broadcast payload must not be None")
@@ -190,22 +186,15 @@ class BroadcastEngine:
 
         # Hot-path precomputation: the per-round loops index these flat
         # sequences instead of going through DualGraph accessor calls.
-        # A shared CompiledTopology already holds them (one derivation
-        # per sweep cell instead of one per engine).
-        self._topology = topology
-        if topology is not None:
-            self._reliable_out_seq: List[tuple] = topology.reliable_out_seq
-            self._unreliable_only_seq: List[FrozenSet[int]] = (
-                topology.unreliable_only_seq
-            )
-        else:
-            self._reliable_out_seq = [
-                tuple(sorted(network.reliable_out(v)))
-                for v in network.nodes
-            ]
-            self._unreliable_only_seq = [
-                network.unreliable_only_out(v) for v in network.nodes
-            ]
+        # A shared CompiledTopology holds them (one derivation per sweep
+        # cell instead of one per engine); without one, compile it here.
+        if topology is None:
+            topology = compile_topology(network)
+        self._topology: CompiledTopology = topology
+        self._reliable_out_seq: List[tuple] = topology.reliable_out_seq
+        self._unreliable_only_seq: List[FrozenSet[int]] = (
+            topology.unreliable_only_seq
+        )
         self._context_seq: List[ProcessContext] = [
             self._contexts[v] for v in network.nodes
         ]
@@ -559,12 +548,12 @@ class BroadcastEngine:
         self.trace.rounds.append(record)
         return record
 
+    # Both helpers test ``reception.message is not None``: the cheap
+    # attribute-level spelling of Reception.is_message (a MESSAGE
+    # reception always carries a message; the other kinds never do).
     def _carries_payload(self, reception: Reception) -> bool:
-        return (
-            reception.is_message
-            and reception.message is not None
-            and reception.message.payload == self.payload
-        )
+        msg = reception.message
+        return msg is not None and msg.payload == self.payload
 
     def _deliver(
         self, node: int, process: Process, reception: Reception
@@ -572,7 +561,8 @@ class BroadcastEngine:
         # Custody of the broadcast payload is tracked by the trace, not by
         # Process.has_message alone, because processes may exchange
         # payload-free messages (their Process.deliver still runs).
-        if reception.is_message and reception.message.payload != self.payload:
+        msg = reception.message
+        if msg is not None and msg.payload != self.payload:
             # Deliver without transferring payload custody.
             process.on_reception(self._contexts[node], reception)
             return
@@ -644,7 +634,7 @@ def build_engine(
     adversary: Optional[Adversary] = None,
     config: Optional[EngineConfig] = None,
     payload: object = "broadcast-message",
-    topology: Optional["CompiledTopology"] = None,
+    topology: Optional[CompiledTopology] = None,
 ) -> BroadcastEngine:
     """Instantiate the engine selected by ``config.engine``.
 
@@ -653,7 +643,7 @@ def build_engine(
     traces are bit-identical — the two are interchangeable wherever an
     engine is consumed).  ``topology``
     optionally shares one pre-compiled
-    :class:`~repro.sim.fast_engine.CompiledTopology` across engines
+    :class:`~repro.sim.topology.CompiledTopology` across engines
     built on the same graph.
     """
     config = config if config is not None else EngineConfig()

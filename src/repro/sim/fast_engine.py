@@ -42,70 +42,16 @@ a task names.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.adversaries.base import Adversary
-from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.engine import BroadcastEngine
 from repro.sim.messages import COLLISION, Message, Reception, SILENCE, received
 from repro.sim.process import Process, ProcessContext
 from repro.sim.trace import RoundRecord
-
-
-class CompiledTopology:
-    """Reusable per-graph precompilation shared by both engines.
-
-    Everything an engine derives from the :class:`DualGraph` alone —
-    the reference engine's flat adjacency sequences and the fast
-    engine's per-node bit and reach masks — is hoisted here, so a sweep
-    cell that runs many seeds on the same graph pays the derivation
-    once (:func:`repro.experiments.runner.execute_batch`) instead of
-    once per engine construction.
-
-    Instances are immutable after construction and engines only read
-    them, so one compiled topology is safe to share across any number
-    of sequential engine instances.  A topology is bound to the graph
-    object it was compiled from; the engines reject a mismatched pair.
-
-    Attributes:
-        graph: The dual graph this topology was compiled from.
-        reliable_out_seq: Per-node sorted tuple of reliable
-            out-neighbours (indexed by node).
-        unreliable_only_seq: Per-node frozenset of unreliable-only
-            out-neighbours (indexed by node).
-        bit: Per-node single-bit mask ``1 << v``.
-        reach_mask: Per-node self-plus-reliable-out bitmask — who a
-            transmission from ``v`` is guaranteed to reach.
-    """
-
-    __slots__ = (
-        "graph",
-        "reliable_out_seq",
-        "unreliable_only_seq",
-        "bit",
-        "reach_mask",
-    )
-
-    def __init__(self, graph: DualGraph) -> None:
-        self.graph = graph
-        self.reliable_out_seq: List[tuple] = [
-            tuple(sorted(graph.reliable_out(v))) for v in graph.nodes
-        ]
-        self.unreliable_only_seq: List[FrozenSet[int]] = [
-            graph.unreliable_only_out(v) for v in graph.nodes
-        ]
-        bit = [1 << v for v in graph.nodes]
-        self.bit: List[int] = bit
-        self.reach_mask: List[int] = [
-            bit[v] | sum(bit[u] for u in self.reliable_out_seq[v])
-            for v in graph.nodes
-        ]
-
-
-def compile_topology(graph: DualGraph) -> CompiledTopology:
-    """Precompile a graph's engine structures for reuse across runs."""
-    return CompiledTopology(graph)
+# Re-exported so imports of the topology from this module keep working.
+from repro.sim.topology import CompiledTopology, compile_topology  # noqa: F401
 
 
 def _observes_non_messages(process: Process) -> bool:
@@ -134,20 +80,9 @@ class FastBroadcastEngine(BroadcastEngine):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         network = self.network
-        topology = self._topology
-        if topology is not None:
-            bit = topology.bit
-            self._bit: List[int] = bit
-            self._reach_mask: List[int] = topology.reach_mask
-        else:
-            bit = [1 << v for v in network.nodes]
-            self._bit = bit
-            # Per-node reach mask: the sender itself plus its reliable
-            # out-neighbours ("its message reaches ... and v itself").
-            self._reach_mask = [
-                bit[v] | sum(bit[u] for u in self._reliable_out_seq[v])
-                for v in network.nodes
-            ]
+        bit = self._topology.bit
+        self._bit: List[int] = bit
+        self._reach_mask: List[int] = self._topology.reach_mask
         # Nodes whose process observes silence/collision: they keep the
         # reference engine's every-round delivery discipline.
         self._observer_mask = sum(
@@ -187,21 +122,6 @@ class FastBroadcastEngine(BroadcastEngine):
     def _recover_node(self, node: int, rnd: int) -> None:
         super()._recover_node(node, rnd)
         self._crashed_mask &= ~self._bit[node]
-
-    def _deliver(
-        self, node: int, process: Process, reception: Reception
-    ) -> None:
-        # Same semantics as the reference implementation, spelled with
-        # attribute tests instead of property calls (hot path).
-        msg = reception.message
-        if msg is not None and msg.payload != self.payload:
-            process.on_reception(self._contexts[node], reception)
-            return
-        process.deliver(self._contexts[node], reception)
-
-    def _carries_payload(self, reception: Reception) -> bool:
-        msg = reception.message
-        return msg is not None and msg.payload == self.payload
 
     def _active_triples(self) -> List[Tuple[int, Process, ProcessContext]]:
         if self._triples_dirty:
@@ -322,8 +242,8 @@ class FastBroadcastEngine(BroadcastEngine):
         )
 
         if recording:
-            pending = 0
-            candidates = iter(network.nodes)  # every reception is recorded
+            # Every reception is recorded, so every node is visited.
+            pending = (1 << network.n) - 1
         else:
             # Crashed radios hear nothing: their positions never need a
             # visit (they cannot be active, so the observer term is
@@ -331,21 +251,12 @@ class FastBroadcastEngine(BroadcastEngine):
             pending = (
                 reached_once | (active_mask & observer_mask)
             ) & ~crashed_mask
-            candidates = None
 
-        while True:
-            if candidates is not None:
-                node = next(candidates, None)
-                if node is None:
-                    break
-            else:
-                if not pending:
-                    break
-                low = pending & -pending
-                node = low.bit_length() - 1
-                pending ^= low
-
-            b = bit[node]
+        while pending:
+            low = pending & -pending
+            node = low.bit_length() - 1
+            pending ^= low
+            b = low
             if crashed_mask & b:
                 # Crashed radio: arrivals dissolve, recorded as silence,
                 # never consulted for, never woken (reference parity).

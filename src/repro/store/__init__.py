@@ -10,7 +10,7 @@ The storage seam between run generation (sweeps, searches, the future
     with open_store("results/campaign", RunResult.from_dict,
                     backend="sharded") as store:
         done = store.claim_keys()          # resume set
-        store.append(record)               # durable per flush_every
+        store.append(record)               # durable per backend cadence
         for r in store.iter_records():     # streaming analysis
             ...
         print(store.manifest())
@@ -24,8 +24,8 @@ Backends (see ``docs/STORAGE.md`` for the matrix):
   directory of key-hashed JSONL shards plus ``manifest.json``.
 
 Every backend shares resume-by-key, torn-write damage accounting
-(:class:`~repro.store.base.StoreHealth`), the validator hook, and the
-explicit ``flush_every`` durability policy.
+(:class:`~repro.store.base.StoreHealth`), the validator hook, and a
+flush cadence of its own (jsonl: every record, sharded: every 64).
 """
 
 from __future__ import annotations
@@ -84,10 +84,7 @@ def open_store(
     parse: ParseFn,
     backend: Optional[str] = None,
     validator: Optional[ValidatorFn] = None,
-    flush_every: Optional[int] = None,
     fingerprint: Optional[str] = None,
-    shards: Optional[int] = None,
-    fsync: bool = False,
 ) -> ResultStore:
     """Open (or create) the result store behind a ``--results`` path.
 
@@ -98,33 +95,20 @@ def open_store(
             runs :func:`detect_backend` on the path.
         validator: Optional load-time validator hook (see
             :class:`~repro.store.base.StoreHealth`).
-        flush_every: Explicit flush policy; ``None`` keeps each
-            backend's documented default (jsonl: 1, sharded: 64).
         fingerprint: Campaign/spec fingerprint for manifest-carrying
             backends (mismatch on reopen raises
             :class:`StoreMismatchError`).
-        shards: Shard count for a *new* sharded campaign (existing
-            campaigns keep their manifest's count).
-        fsync: fsync-on-flush for the JSONL-shaped backends.
+
+    Each backend keeps its own flush cadence, shard count and fsync
+    policy; callers needing another build the backend class directly.
     """
     if backend in (None, "auto"):
         backend = detect_backend(path)
     if backend == "jsonl":
-        kwargs = {} if flush_every is None else {"flush_every": flush_every}
-        return JsonlStore(
-            path, parse, validator=validator, fsync=fsync, **kwargs
-        )
+        return JsonlStore(path, parse, validator=validator)
     if backend == "sharded":
-        kwargs = {} if flush_every is None else {"flush_every": flush_every}
-        if shards is not None:
-            kwargs["shards"] = shards
         return ShardedStore(
-            path,
-            parse,
-            validator=validator,
-            fsync=fsync,
-            fingerprint=fingerprint,
-            **kwargs,
+            path, parse, validator=validator, fingerprint=fingerprint
         )
     raise ValueError(
         f"unknown store backend {backend!r}; known: "

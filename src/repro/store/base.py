@@ -11,9 +11,9 @@ verbs plus bookkeeping:
 * :meth:`ResultStore.iter_records` — stream records without
   materialising the full list (the analysis path for 10⁶-run
   campaigns).
-* :meth:`ResultStore.flush` — make buffered appends durable; the
-  policy is explicit via ``flush_every`` instead of implicit in the
-  writer.
+* :meth:`ResultStore.flush` — make buffered appends durable; each
+  backend flushes on its own cadence (jsonl: every record, sharded:
+  every 64), and ``close`` flushes the rest.
 * :meth:`ResultStore.manifest` — a JSON-serialisable description of
   what the store holds (backend, shard/block inventory, fingerprint).
 
@@ -173,7 +173,7 @@ class ResultStore(abc.ABC):
 
     @abc.abstractmethod
     def append(self, record: Record) -> None:
-        """Persist one finished record (durability per ``flush_every``)."""
+        """Persist one finished record (durable per backend cadence)."""
 
     @abc.abstractmethod
     def iter_records(self) -> Iterator[Record]:

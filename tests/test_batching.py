@@ -283,6 +283,22 @@ class TestCompiledTopology:
             traces.append(trace_to_json(eng.run()))
         assert traces[0] == traces[1] == traces[2]
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_engine_compiles_topology_when_none_given(
+        self, engine, tiny_line
+    ):
+        from repro.core.runner import make_processes
+
+        eng = build_engine(
+            tiny_line,
+            make_processes("round_robin", tiny_line.n),
+            config=EngineConfig(engine=engine),
+        )
+        assert eng._topology.graph is tiny_line
+        want = compile_topology(tiny_line)
+        assert eng._reliable_out_seq == want.reliable_out_seq
+        assert eng._unreliable_only_seq == want.unreliable_only_seq
+
     def test_mismatched_topology_rejected(self, tiny_line):
         from repro.core.runner import make_processes
 
@@ -312,15 +328,10 @@ class TestChunkCap:
         assert runner._dispatch_chunksize(9) <= 4
         assert runner._dispatch_chunksize(1) == 1
 
-    def test_explicit_chunksize_capped_at_fair_share(self):
-        runner = SweepRunner(grid_spec(), workers=2, chunksize=100)
-        assert runner._dispatch_chunksize(9) == 4
-        # With plenty pending the explicit value is honoured.
-        assert runner._dispatch_chunksize(1000) == 100
-
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            SweepRunner(grid_spec(), chunksize=0)
+    def test_derived_chunksize_with_plenty_pending(self):
+        runner = SweepRunner(grid_spec(), workers=2)
+        # ~8 chunks per worker: 1000 units // (2 workers * 8).
+        assert runner._dispatch_chunksize(1000) == 62
 
 
 class TestObserverBatching:

@@ -29,6 +29,7 @@ FULLY_TYPED = [
 ]
 PUBLIC_TYPED = [
     SRC / "repro" / "sim" / "fast_engine.py",
+    SRC / "repro" / "sim" / "topology.py",
 ]
 
 
@@ -125,6 +126,7 @@ def test_mypy_gate_passes():
             "-p", "repro.obs",
             "-p", "repro.store",
             "-m", "repro.sim.fast_engine",
+            "-m", "repro.sim.topology",
         ]
     )
     assert status == 0, f"mypy gate failed:\n{stdout}\n{stderr}"

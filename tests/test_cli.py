@@ -251,6 +251,37 @@ class TestSweep:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "1"], ["--flush-every", "1"]]
+    )
+    def test_sweep_rejects_removed_flags(self, flag, capsys):
+        # ``--seed`` was never read (``--seeds`` is the grid axis) and
+        # must not abbreviate ``--seeds`` either.
+        with pytest.raises(SystemExit):
+            main(
+                ["sweep", "--graph", "line", "--algorithm", "round_robin",
+                 "--adversary", "none", "--sizes", "4"] + flag
+            )
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_spec_with_unfitting_params_exits_cleanly(
+        self, tmp_path
+    ):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(
+            json.dumps(
+                {
+                    "name": "cli-bad-params",
+                    "algorithms": [["decay", {"bogus": 1}]],
+                    "graphs": [{"kind": "line", "n": 6}],
+                    "churns": ["window"],
+                    "seeds": [0],
+                }
+            )
+        )
+        with pytest.raises(SystemExit, match="bad parameters"):
+            main(["sweep", "--spec", str(spec_file)])
+
     def test_sweep_capped_runs_exit_nonzero(self, capsys):
         rc = main(
             [
@@ -551,3 +582,25 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--flush-every", "1"],
+            ["search", "--engine", "auto"],
+        ],
+    )
+    def test_search_rejects_removed_settings(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_search_engine_defaults_to_fast(self):
+        assert build_parser().parse_args(["search"]).engine == "fast"
+
+
+class TestProfile:
+    def test_window_churn_without_params_exits_cleanly(self):
+        with pytest.raises(
+            SystemExit, match="bad parameters for churn kind 'window'"
+        ):
+            main(["profile", "--churn", "window"])

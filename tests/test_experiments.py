@@ -136,6 +136,47 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown adversary kind"):
             build_adversary("nope")
 
+    def test_unfitting_factory_params_raise_value_error(self):
+        from repro.core.runner import make_processes
+        from repro.experiments import build_churn
+
+        with pytest.raises(ValueError, match="churn kind 'window'"):
+            build_churn("window", n=8, rounds=10)
+        with pytest.raises(ValueError, match="adversary kind 'pivot'"):
+            build_adversary("pivot")
+        with pytest.raises(ValueError, match="graph kind 'gnp'"):
+            build_graph("gnp", 8, bogus=1)
+        with pytest.raises(ValueError, match="algorithm 'decay'.*bogus"):
+            make_processes("decay", 8, bogus=1)
+
+    def test_type_error_inside_a_factory_propagates(self):
+        # A TypeError raised below the factory's own calls is a bug in
+        # the factory, not a parameter misfit: it keeps its traceback.
+        def broken(n):
+            return len(n)
+
+        register_graph(
+            "test-only-broken", lambda n, seed, **kw: broken(n)
+        )
+        with pytest.raises(TypeError, match="has no len"):
+            build_graph("test-only-broken", 5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"churns": ["window"]},
+            {"algorithms": [("decay", {"bogus": 1})]},
+        ],
+        ids=["window-churn-without-params", "unknown-algorithm-param"],
+    )
+    def test_sweep_surfaces_unfitting_params_as_value_error(
+        self, workers, overrides
+    ):
+        spec = tiny_spec(**overrides)
+        with pytest.raises(ValueError, match="bad parameters"):
+            run_sweep(spec, workers=workers)
+
     def test_register_graph_duplicate_rejected(self):
         register_graph(
             "test-only-star", lambda n, seed, **kw: build_graph("line", n)
@@ -226,15 +267,22 @@ class TestSweepRunner:
 
     def test_determinism_across_worker_counts(self):
         """Regression: 1 worker and N workers yield identical records."""
+        # 32 cells: enough dispatch units that the derived chunk size at
+        # 2 workers exceeds 1, so chunked imap_unordered is exercised.
         spec = ExperimentSpec(
             name="det",
             algorithms=["round_robin", ("harmonic", {"T": 2})],
-            graphs=[("line", 8), ("clique-bridge", 9)],
-            adversaries=["greedy"],
-            seeds=range(3),
+            graphs=[("line", 8), ("clique-bridge", 9), ("ring", 6),
+                    ("hard-line", 7)],
+            adversaries=["greedy", "random"],
+            collision_rules=["CR1", "CR4"],
+            seeds=range(2),
         )
+        runner = SweepRunner(spec, workers=2)
+        units = runner._plan_units(list(spec.tasks()))
+        assert runner._dispatch_chunksize(len(units)) > 1
         serial = SweepRunner(spec, workers=1).run()
-        parallel = SweepRunner(spec, workers=2, chunksize=2).run()
+        parallel = runner.run()
         assert serial.records == parallel.records
 
     def test_resume_skips_finished_tasks(self, tmp_path):

@@ -70,6 +70,17 @@ class TestSearchSettings:
                 algorithm="round_robin", graph_kind="line", n=4,
                 engine="warp",
             )
+        with pytest.raises(ValueError, match="engine"):
+            SearchSettings(
+                algorithm="round_robin", graph_kind="line", n=4,
+                engine="auto",
+            )
+
+    def test_engine_defaults_to_fast(self):
+        settings = SearchSettings(
+            algorithm="round_robin", graph_kind="line", n=4
+        )
+        assert settings.engine == "fast"
 
 
 class TestEvaluation:
@@ -354,6 +365,32 @@ class TestGreedyVsTheorem2:
         assert comparison.search_best > comparison.theorem_bound
         assert comparison.search_best >= comparison.scripted_worst
         assert comparison.ratio >= 1.0
+
+    def test_greedy_interference_genome_pinned(self):
+        """The greedy searcher's collision candidate is the
+        GreedyInterferer's own move; a pinned randomized cell whose
+        best genome commits that move must keep its exact genes."""
+        cell = SearchSettings(
+            algorithm="harmonic",
+            graph_kind="clique-bridge",
+            n=9,
+            algorithm_params={"T": 2},
+            seed=1,
+        )
+        result = run_search(
+            cell,
+            searcher="greedy",
+            budget=SearchBudget(evaluations=2, batch_size=2),
+            seed=0,
+        )
+        best = result.best
+        assert (best.objective, result.best_ordinal) == (15, 1)
+        assert best.genome.deliveries == (
+            (2, ((0, (8,)),)),
+            (3, ((2, (8,)),)),
+        )
+        assert best.genome.proc == tuple(reversed(range(9)))
+        assert best.genome.fingerprint == "45b506aa"
 
     def test_greedy_deterministic(self):
         cell = SearchSettings(

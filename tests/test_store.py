@@ -511,3 +511,40 @@ class TestCampaignReport:
         )
         assert "Thm 18" in label
         assert bound > 0
+
+    def test_harmonic_campaign_renders_theorem18_row(self, tmp_path):
+        # Task keys spell the plateau length ``harmonic(T=4)``; the
+        # report must read it back and render the Theorem 18 row.
+        spec = tiny_spec(
+            algorithms=[("harmonic", {"T": 4})],
+            graphs=[("line", 6)],
+            seeds=range(2),
+        )
+        root = str(tmp_path / "camp")
+        run_sweep(spec, results_path=root, store="sharded")
+        with open_store(root, RunResult.from_dict) as store:
+            report = CampaignReport.from_store(store)
+        (cell,) = report.cells.values()
+        assert cell.harmonic_T == 4
+        (row,) = report.reference_rows()
+        assert row[0] == "tiny/harmonic/line:n6/CR4"
+        assert "Thm 18" in row[1]
+        assert "Thm 18" in report.render()
+
+    def test_mixed_plateau_lengths_render_no_theorem18_row(self, tmp_path):
+        # T=2 and T=4 share one report cell (the cell key carries no
+        # params), so no single Theorem 18 bound can be read against it.
+        spec = tiny_spec(
+            algorithms=[("harmonic", {"T": 2}), ("harmonic", {"T": 4})],
+            graphs=[("line", 6)],
+            seeds=range(2),
+        )
+        root = str(tmp_path / "camp")
+        run_sweep(spec, results_path=root, store="sharded")
+        with open_store(root, RunResult.from_dict) as store:
+            report = CampaignReport.from_store(store)
+        (cell,) = report.cells.values()
+        assert cell.records == 4
+        assert cell.harmonic_T_mixed
+        assert report.reference_rows() == []
+        assert "Thm 18" not in report.render()
