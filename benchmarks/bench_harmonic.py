@@ -16,6 +16,7 @@ import math
 from repro import broadcast
 from repro.adversaries import GreedyInterferer
 from repro.analysis import (
+    CampaignReport,
     best_fit,
     busy_round_count,
     front_loaded_pattern,
@@ -67,9 +68,11 @@ def harmonic_rounds(n: int, T: int, seed: int):
 def run_completion_experiment():
     result = SweepRunner(COMPLETION_SPECS, workers=WORKERS).run()
     assert not result.failures, [r.key for r in result.failures]
+    # One report cell per size (each spec is one cell of seeds).
+    cells = CampaignReport.from_records(result.records).ordered()
     return {
-        n: (paper_T(n), group.summarize_completion())
-        for n, group in result.group_by("n").items()
+        cell.n: (cell.harmonic_T, cell.completion.summary())
+        for cell in sorted(cells, key=lambda c: c.n)
     }
 
 

@@ -12,7 +12,7 @@ The separation factor (dual worst case / classical) must grow with n.
 """
 
 from repro import broadcast
-from repro.analysis import render_table
+from repro.analysis import CampaignReport, render_table
 from repro.core import make_round_robin_processes
 from repro.experiments import ExperimentSpec, SweepRunner
 from repro.graphs import clique_bridge
@@ -39,7 +39,10 @@ CLASSICAL_RAND = ExperimentSpec(
 def run_experiment():
     sweep = SweepRunner(CLASSICAL_RAND, workers=WORKERS).run()
     assert not sweep.failures, [r.key for r in sweep.failures]
-    classical_rand_by_n = sweep.summarize_by("n")
+    classical_rand_by_n = {
+        cell.n: cell.completion.summary()
+        for cell in CampaignReport.from_records(sweep.records).ordered()
+    }
 
     rows = []
     factors = []

@@ -15,7 +15,7 @@ Measured rows on constant-diameter networks, both declared as
   grows at least linearly (the Theorem 4 effect), within ``2nT·H(n)``.
 """
 
-from repro.analysis import best_fit, render_table
+from repro.analysis import CampaignReport, best_fit, render_table
 from repro.core.harmonic import completion_bound
 from repro.experiments import ExperimentSpec, SweepRunner
 
@@ -48,11 +48,21 @@ DUAL = ExperimentSpec(
 )
 
 
+def summaries_by_n(records, sweep):
+    """``n → completion summary`` of one sweep's report cells (each
+    sweep here has one cell per size)."""
+    return {
+        cell.n: cell.completion.summary()
+        for cell in CampaignReport.from_records(records).ordered()
+        if cell.sweep == sweep
+    }
+
+
 def run_experiment():
     result = SweepRunner([CLASSICAL, DUAL], workers=WORKERS).run()
     assert not result.failures, [r.key for r in result.failures]
-    classical = result.filter(sweep="table2-classical").summarize_by("n")
-    dual = result.filter(sweep="table2-dual").summarize_by("n")
+    classical = summaries_by_n(result.records, CLASSICAL.name)
+    dual = summaries_by_n(result.records, DUAL.name)
     return classical, dual
 
 
@@ -97,7 +107,7 @@ def test_table2_rows(benchmark, table_out):
 def test_table2_dual_growth_fit(benchmark, table_out):
     def sweep():
         result = SweepRunner(DUAL, workers=WORKERS).run()
-        summaries = result.summarize_by("n")
+        summaries = summaries_by_n(result.records, DUAL.name)
         return [summaries[n].mean for n in NS]
 
     ts = benchmark.pedantic(sweep, rounds=1, iterations=1)

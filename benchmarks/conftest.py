@@ -61,17 +61,15 @@ def emit(text: str) -> None:
 
 
 def emit_sweep(result, title: str) -> None:
-    """Render a :class:`repro.experiments.SweepResult` as a paper-style
-    table (one row per grid group) and emit it to the artifact."""
-    from repro.analysis import render_table
-    from repro.experiments import SweepResult
+    """Render a :class:`repro.experiments.SweepResult` through the
+    campaign report (one row per runner cell, plus any paper-bound
+    rows) and emit it to the artifact."""
+    from repro.analysis import CampaignReport
 
     emit(
-        render_table(
-            SweepResult.TABLE_HEADER,
-            result.table_rows(),
+        CampaignReport.from_records(result.records).render(
             title=f"{title} ({len(result)} runs, "
-            f"{result.failure_count} capped)",
+            f"{len(result.failures)} capped)"
         )
     )
 

@@ -1,20 +1,22 @@
 """Streaming campaign reports: the paper table set from one store.
 
-``repro report`` turns a campaign — any
-:class:`~repro.store.base.ResultStore`, from a laptop-sized JSONL file
-to a 10⁶-run sharded directory — into the paper-reproduction tables
-without ever materialising the record list: records stream off
-:meth:`~repro.store.base.ResultStore.iter_records` into one
-:class:`~repro.analysis.stats.RunningSummary` per science cell
-(Welford mean/variance feeding the Student-t CI machinery), so memory
-is O(cells), not O(runs).
+``CampaignReport`` is the one fold from records to tables: ``repro
+report``, ``repro sweep`` and the benches all render it.  Records
+stream in (off :meth:`~repro.store.base.ResultStore.iter_records` or a
+sweep's record list) without ever being materialised: each lands in
+the aggregate of its *cell* — the record key without its seed
+segment, which is the :attr:`~repro.experiments.spec.RunTask.cell_key`
+of the task that wrote it, so a cell spans every axis and param but
+the seed.  Each aggregate is one
+:class:`~repro.analysis.stats.RunningSummary` per measure (Welford
+mean/variance feeding the Student-t CI machinery), so memory is
+O(cells), not O(runs).
 
-The report has up to three tables:
+The report has up to three tables, every row led by its cell key:
 
-* the **campaign table** — one row per (sweep, algorithm, graph, n,
-  collision rule) cell with completion-round summary, transmission
-  mean and cap-hit count: the empirical side of the paper's Tables 1–2
-  ensemble claims;
+* the **campaign table** — one row per failure-free cell with
+  completion-round summary, transmission mean and cap-hit count: the
+  empirical side of the paper's Tables 1–2 ensemble claims;
 * the **paper-reference table** — rows for which the source paper
   states a bound the cell can be read against: Theorem 2's ``n − 3``
   worst-case lower bound for deterministic algorithms on the
@@ -24,7 +26,7 @@ The report has up to three tables:
   row — the report never invents a comparison; and
 * the **under-churn table** — fault-injected cells
   (``churn_kind != "none"``), rendered only when the campaign has any.
-  Churn records never enter the other two tables: the paper's bounds
+  Churn cells never enter the other two tables: the paper's bounds
   are stated for the failure-free model, so mixing crash/recovery runs
   into them would silently corrupt every comparison.
 """
@@ -33,44 +35,63 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.analysis.stats import RunningSummary
 from repro.analysis.tables import render_table
+from repro.experiments.spec import algorithm_label_of
+from repro.lowerbounds.theorem2 import (
+    DETERMINISTIC_ALGORITHMS,
+    THEOREM2_GRAPHS,
+)
 
-#: Graph kinds on the Theorem-2 comparison surface (the clique-bridge
-#: family; mirrors repro.search.compare.THEOREM2_GRAPHS without
-#: importing the search subsystem into the analysis layer).
-THEOREM2_GRAPHS = ("clique-bridge",)
-
-#: Deterministic algorithms Theorem 2's worst-case argument covers.
-DETERMINISTIC_ALGORITHMS = ("round_robin", "strong_select")
-
-#: Matches the ``harmonic(T=4)`` parameter segment a task key embeds for
-#: the Harmonic plateau length (RunResult does not carry params directly).
-_T_PARAM = re.compile(r"/harmonic\([^)]*?\bT=(\d+)")
+#: The Harmonic plateau length in an algorithm label such as
+#: ``harmonic(T=4)``.
+_PLATEAU = re.compile(r"^harmonic\(.*?\bT=(\d+)")
 
 
 @dataclass
 class CellAggregate:
-    """Streaming per-cell aggregation state.
+    """Streaming aggregation state of one cell.
 
-    One instance per (sweep, algorithm, graph kind, n, collision rule)
-    science cell; every field is either a counter or a
+    The identity fields come from the cell's first record (every record
+    of a cell shares them); the rest is either a counter or a
     :class:`RunningSummary`, so the aggregate never grows with the
     number of runs.
     """
 
+    key: str
+    sweep: str
+    algorithm: str
+    graph_kind: str
+    n: int
+    collision_rule: str
+    churn_kind: str
+    #: The Harmonic plateau length ``T``, read from the cell's own
+    #: algorithm segment (``None`` for other algorithms, or when the
+    #: key does not spell it).
+    harmonic_T: Optional[int] = None
     records: int = 0
     capped: int = 0
     completion: RunningSummary = field(default_factory=RunningSummary)
     transmissions: RunningSummary = field(
         default_factory=RunningSummary
     )
-    harmonic_T: Optional[int] = None
-    #: Set when the cell's Harmonic records disagree on ``T`` (the cell
-    #: key carries no params): no single Theorem 18 bound applies.
-    harmonic_T_mixed: bool = False
+
+    @classmethod
+    def of(cls, key: str, record) -> "CellAggregate":
+        """An empty aggregate for ``record``'s cell ``key``."""
+        match = _PLATEAU.match(algorithm_label_of(key, record.sweep))
+        return cls(
+            key=key,
+            sweep=record.sweep,
+            algorithm=record.algorithm,
+            graph_kind=record.graph_kind,
+            n=record.n,
+            collision_rule=record.collision_rule,
+            churn_kind=record.churn_kind,
+            harmonic_T=int(match.group(1)) if match else None,
+        )
 
     def add(self, record) -> None:
         """Fold one :class:`~repro.experiments.results.RunResult` in."""
@@ -80,32 +101,56 @@ class CellAggregate:
         else:
             self.capped += 1
         self.transmissions.add(record.total_transmissions)
-        if record.algorithm == "harmonic":
-            match = _T_PARAM.search(record.key)
-            T = int(match.group(1)) if match else None
-            if self.records == 1:
-                self.harmonic_T = T
-            elif T != self.harmonic_T:
-                self.harmonic_T_mixed = True
 
+    def row(self) -> List[Any]:
+        """The cell's campaign-table (or under-churn) row."""
+        return [
+            self.key,
+            self.records,
+            self.completion.summary().format()
+            if self.completion.count
+            else "—",
+            f"{self.transmissions.mean:.1f}"
+            if self.transmissions.count
+            else "—",
+            self.capped,
+        ]
 
-#: The grouping key of one campaign-table row.
-CellKey = Tuple[str, str, str, int, str]
-
-#: The grouping key of one under-churn row: a cell key plus the
-#: fault-injection kind that produced the records.
-ChurnCellKey = Tuple[str, str, str, int, str, str]
+    def to_dict(self) -> Dict[str, Any]:
+        """The cell's JSON document."""
+        doc: Dict[str, Any] = {
+            "cell": self.key,
+            "sweep": self.sweep,
+            "algorithm": self.algorithm,
+            "graph_kind": self.graph_kind,
+            "n": self.n,
+            "collision_rule": self.collision_rule,
+            "churn_kind": self.churn_kind,
+            "records": self.records,
+            "capped": self.capped,
+            "mean_transmissions": self.transmissions.mean
+            if self.transmissions.count
+            else None,
+        }
+        if self.completion.count:
+            summary = self.completion.summary()
+            doc["completion"] = {
+                "count": summary.count,
+                "mean": summary.mean,
+                "median": summary.median,
+                "stdev": summary.stdev,
+                "min": summary.minimum,
+                "max": summary.maximum,
+                "ci95_half_width": summary.ci95_half_width,
+            }
+        return doc
 
 
 class CampaignReport:
     """A streaming fold of campaign records into the paper tables."""
 
     CAMPAIGN_HEADER = [
-        "sweep",
-        "algorithm",
-        "graph",
-        "n",
-        "CR",
+        "cell",
         "runs",
         "completion rounds",
         "mean sends",
@@ -119,145 +164,58 @@ class CampaignReport:
         "consistent",
     ]
 
-    CHURN_HEADER = [
-        "sweep",
-        "algorithm",
-        "graph",
-        "n",
-        "CR",
-        "churn",
-        "runs",
-        "completion rounds",
-        "mean sends",
-        "capped",
-    ]
-
     def __init__(self) -> None:
         """Start with no cells and no records."""
-        self.cells: Dict[CellKey, CellAggregate] = {}
-        self.churn_cells: Dict[ChurnCellKey, CellAggregate] = {}
+        self.cells: Dict[str, CellAggregate] = {}
         self.records = 0
 
     def add(self, record) -> None:
-        """Fold one record into its cell's aggregate.
-
-        Fault-injected records (``churn_kind != "none"``) aggregate
-        into their own cells — the campaign and paper-reference tables
-        stay failure-free, so the paper's bounds are only ever read
-        against the model they are stated for.
-        """
-        churn_kind = getattr(record, "churn_kind", "none")
-        if churn_kind != "none":
-            churn_key: ChurnCellKey = (
-                record.sweep,
-                record.algorithm,
-                record.graph_kind,
-                record.n,
-                record.collision_rule,
-                churn_kind,
-            )
-            churn_cell = self.churn_cells.get(churn_key)
-            if churn_cell is None:
-                churn_cell = CellAggregate()
-                self.churn_cells[churn_key] = churn_cell
-            churn_cell.add(record)
-            self.records += 1
-            return
-        key: CellKey = (
-            record.sweep,
-            record.algorithm,
-            record.graph_kind,
-            record.n,
-            record.collision_rule,
-        )
+        """Fold one record into its cell's aggregate."""
+        key = record.cell_key
         cell = self.cells.get(key)
         if cell is None:
-            cell = self.cells[key] = CellAggregate()
+            cell = self.cells[key] = CellAggregate.of(key, record)
         cell.add(record)
         self.records += 1
 
     @classmethod
-    def from_store(cls, store) -> "CampaignReport":
-        """Stream every record of a result store into a report."""
+    def from_records(cls, records: Iterable) -> "CampaignReport":
+        """Fold every record of an iterable into a report."""
         report = cls()
-        for record in store.iter_records():
+        for record in records:
             report.add(record)
         return report
 
-    # ------------------------------------------------------------------
-    # Campaign table
-    # ------------------------------------------------------------------
-    def table_rows(self) -> List[List[Any]]:
-        """One row per science cell, sorted by the grouping key."""
-        rows: List[List[Any]] = []
-        for key in sorted(self.cells):
-            sweep, algorithm, graph, n, cr = key
-            cell = self.cells[key]
-            rows.append(
-                [
-                    sweep,
-                    algorithm,
-                    graph,
-                    n,
-                    cr,
-                    cell.records,
-                    cell.completion.summary().format()
-                    if cell.completion.count
-                    else "—",
-                    f"{cell.transmissions.mean:.1f}"
-                    if cell.transmissions.count
-                    else "—",
-                    cell.capped,
-                ]
-            )
-        return rows
+    @classmethod
+    def from_store(cls, store) -> "CampaignReport":
+        """Stream every record of a result store into a report."""
+        return cls.from_records(store.iter_records())
 
-    # ------------------------------------------------------------------
-    # Under-churn table
-    # ------------------------------------------------------------------
-    def churn_rows(self) -> List[List[Any]]:
-        """One row per fault-injected cell, sorted by the grouping key.
-
-        Empty when the campaign has no churn records, in which case the
-        report renders without the companion table at all.
-        """
-        rows: List[List[Any]] = []
-        for key in sorted(self.churn_cells):
-            sweep, algorithm, graph, n, cr, churn_kind = key
-            cell = self.churn_cells[key]
-            rows.append(
-                [
-                    sweep,
-                    algorithm,
-                    graph,
-                    n,
-                    cr,
-                    churn_kind,
-                    cell.records,
-                    cell.completion.summary().format()
-                    if cell.completion.count
-                    else "—",
-                    f"{cell.transmissions.mean:.1f}"
-                    if cell.transmissions.count
-                    else "—",
-                    cell.capped,
-                ]
-            )
-        return rows
+    def ordered(self, churned: bool = False) -> List[CellAggregate]:
+        """The failure-free (or, with ``churned``, fault-injected)
+        cells in table order: by sweep, algorithm, graph kind and
+        size, then cell key."""
+        return sorted(
+            (
+                cell
+                for cell in self.cells.values()
+                if (cell.churn_kind != "none") == churned
+            ),
+            key=lambda c: (c.sweep, c.algorithm, c.graph_kind, c.n, c.key),
+        )
 
     # ------------------------------------------------------------------
     # Paper-reference table
     # ------------------------------------------------------------------
     def reference_rows(self) -> List[List[Any]]:
-        """Rows reading measured cells against the paper's bounds."""
+        """Rows reading failure-free cells against the paper's bounds."""
         rows: List[List[Any]] = []
-        for key in sorted(self.cells):
-            sweep, algorithm, graph, n, cr = key
-            cell = self.cells[key]
-            if cell.harmonic_T_mixed:
-                continue
+        for cell in self.ordered():
             reference = paper_reference(
-                algorithm, graph, n, harmonic_T=cell.harmonic_T
+                cell.algorithm,
+                cell.graph_kind,
+                cell.n,
+                harmonic_T=cell.harmonic_T,
             )
             if reference is None:
                 continue
@@ -274,7 +232,7 @@ class CampaignReport:
                 shown = f"capped × {cell.capped}"
             rows.append(
                 [
-                    f"{sweep}/{algorithm}/{graph}:n{n}/{cr}",
+                    cell.key,
                     label,
                     shown,
                     "—" if worst is None else check(worst, cell),
@@ -286,13 +244,13 @@ class CampaignReport:
     # Rendering / serialisation
     # ------------------------------------------------------------------
     def render(self, title: str = "campaign report") -> str:
-        """Both tables as one printable block."""
+        """Every non-empty table as one printable block."""
         blocks = [
             render_table(
                 self.CAMPAIGN_HEADER,
-                self.table_rows(),
+                [cell.row() for cell in self.ordered()],
                 title=f"{title}: {self.records} records, "
-                f"{len(self.cells) + len(self.churn_cells)} cells",
+                f"{len(self.cells)} cells",
             )
         ]
         reference = self.reference_rows()
@@ -305,12 +263,12 @@ class CampaignReport:
                     "(Thm 2 / Thm 10 / Thm 18)",
                 )
             )
-        churn = self.churn_rows()
-        if churn:
+        churned = self.ordered(churned=True)
+        if churned:
             blocks.append(
                 render_table(
-                    self.CHURN_HEADER,
-                    churn,
+                    self.CAMPAIGN_HEADER,
+                    [cell.row() for cell in churned],
                     title="under churn (fault-injected cells; "
                     "paper bounds do not apply)",
                 )
@@ -319,66 +277,13 @@ class CampaignReport:
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable form of the full report."""
-        cells = []
-        for key in sorted(self.cells):
-            sweep, algorithm, graph, n, cr = key
-            cell = self.cells[key]
-            doc: Dict[str, Any] = {
-                "sweep": sweep,
-                "algorithm": algorithm,
-                "graph_kind": graph,
-                "n": n,
-                "collision_rule": cr,
-                "records": cell.records,
-                "capped": cell.capped,
-                "mean_transmissions": cell.transmissions.mean
-                if cell.transmissions.count
-                else None,
-            }
-            if cell.completion.count:
-                summary = cell.completion.summary()
-                doc["completion"] = {
-                    "count": summary.count,
-                    "mean": summary.mean,
-                    "median": summary.median,
-                    "stdev": summary.stdev,
-                    "min": summary.minimum,
-                    "max": summary.maximum,
-                    "ci95_half_width": summary.ci95_half_width,
-                }
-            cells.append(doc)
-        out: Dict[str, Any] = {"records": self.records, "cells": cells}
-        if self.churn_cells:
-            churn_docs = []
-            for churn_key in sorted(self.churn_cells):
-                sweep, algorithm, graph, n, cr, churn_kind = churn_key
-                cell = self.churn_cells[churn_key]
-                churn_doc: Dict[str, Any] = {
-                    "sweep": sweep,
-                    "algorithm": algorithm,
-                    "graph_kind": graph,
-                    "n": n,
-                    "collision_rule": cr,
-                    "churn_kind": churn_kind,
-                    "records": cell.records,
-                    "capped": cell.capped,
-                    "mean_transmissions": cell.transmissions.mean
-                    if cell.transmissions.count
-                    else None,
-                }
-                if cell.completion.count:
-                    summary = cell.completion.summary()
-                    churn_doc["completion"] = {
-                        "count": summary.count,
-                        "mean": summary.mean,
-                        "median": summary.median,
-                        "stdev": summary.stdev,
-                        "min": summary.minimum,
-                        "max": summary.maximum,
-                        "ci95_half_width": summary.ci95_half_width,
-                    }
-                churn_docs.append(churn_doc)
-            out["churn_cells"] = churn_docs
+        out: Dict[str, Any] = {
+            "records": self.records,
+            "cells": [cell.to_dict() for cell in self.ordered()],
+        }
+        churned = self.ordered(churned=True)
+        if churned:
+            out["churn_cells"] = [cell.to_dict() for cell in churned]
         return out
 
 

@@ -12,17 +12,14 @@ extensible rule engine:
   (importing :mod:`repro.check` registers them).
 * :mod:`repro.check.engine` — single-pass per-file dispatch,
   suppression handling, and the multi-file driver.
-* :mod:`repro.check.baseline` — grandfathered-finding snapshots.
 * :mod:`repro.check.findings` — the finding/suppression data model.
 * :mod:`repro.check.report` — human and versioned-JSON renderers.
 
-CLI: ``repro check [paths] [--json] [--baseline FILE]`` — see
-docs/CHECKS.md for the rule catalogue and the suppression/baseline
-policy.
+CLI: ``repro check [paths] [--json]`` — see docs/CHECKS.md for the
+rule catalogue and the suppression policy.
 """
 
 from repro.check import rulepack  # noqa: F401  (registers RPR001-006)
-from repro.check.baseline import Baseline
 from repro.check.engine import (
     CheckReport,
     check_file,
@@ -43,7 +40,6 @@ from repro.check.rules import (
     FileContext,
     Rule,
     all_rules,
-    get_rule,
     known_codes,
     register_rule,
     rule_catalogue,
@@ -51,7 +47,6 @@ from repro.check.rules import (
 )
 
 __all__ = [
-    "Baseline",
     "CheckReport",
     "ContractRule",
     "FileContext",
@@ -63,7 +58,6 @@ __all__ = [
     "check_file",
     "check_paths",
     "check_source",
-    "get_rule",
     "iter_python_files",
     "known_codes",
     "register_rule",

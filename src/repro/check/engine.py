@@ -6,7 +6,7 @@ table) on a shared
 :class:`~repro.check.rules.FileContext` and dispatches each node to
 the rules that declared interest in its class.  Findings then pass
 through the suppression filter (``# repro: noqa(RPR0xx): why`` on the
-finding's line) and, in :func:`check_paths`, the optional baseline.
+finding's line).
 
 Everything is deterministic by construction: files are visited in
 sorted order, rules in code order, and findings are sorted before
@@ -21,7 +21,6 @@ import dataclasses
 import pathlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.check.baseline import Baseline
 from repro.check.findings import (
     INVALID_SUPPRESSION,
     PARSE_ERROR,
@@ -239,17 +238,15 @@ class CheckReport:
         files_checked: Number of Python files visited.
         suppressed: Findings silenced by valid justified noqa
             comments.
-        grandfathered: Findings silenced by the baseline file.
     """
 
     findings: Tuple[Finding, ...]
     files_checked: int
     suppressed: int
-    grandfathered: int
 
     @property
     def clean(self) -> bool:
-        """Whether no finding survived suppression + baseline."""
+        """Whether no finding survived suppression."""
         return not self.findings
 
     def counts(self) -> Dict[str, int]:
@@ -287,7 +284,6 @@ def iter_python_files(
 def check_paths(
     paths: Sequence[pathlib.Path],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> CheckReport:
     """Run the rule pack over ``paths`` (files and/or directories)."""
     findings: List[Finding] = []
@@ -297,12 +293,8 @@ def check_paths(
         file_findings, file_suppressed = check_file(file_path, rules)
         findings.extend(file_findings)
         suppressed += file_suppressed
-    grandfathered = 0
-    if baseline is not None:
-        findings, grandfathered = baseline.filter(findings)
     return CheckReport(
         findings=tuple(sorted(findings)),
         files_checked=len(files),
         suppressed=suppressed,
-        grandfathered=grandfathered,
     )

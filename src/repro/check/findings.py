@@ -4,7 +4,7 @@ A :class:`Finding` is one rule violation at one source location.  A
 :class:`Suppression` is one ``# repro: noqa(RPR0xx): why`` comment; the
 justification text after the colon is **required** — a suppression
 without it does not suppress anything and is itself reported (as
-``RPR000``), so every grandfather note in the tree says why the
+``RPR000``), so every suppression in the tree says why the
 contract does not apply at that site.
 
 Suppression comments are discovered with :mod:`tokenize`, so the
@@ -60,16 +60,6 @@ class Finding:
     def render(self) -> str:
         """The one-line ``path:line:col: CODE message`` form."""
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """The identity used by baseline matching.
-
-        Line and column are deliberately excluded so unrelated edits
-        that shift a grandfathered finding do not un-grandfather it;
-        multiple identical findings are handled count-wise by
-        :class:`repro.check.baseline.Baseline`.
-        """
-        return (self.path, self.code, self.message)
 
     def to_dict(self) -> Dict[str, object]:
         """The JSON-report form (schema in docs/CHECKS.md)."""

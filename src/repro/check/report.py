@@ -17,8 +17,7 @@ JSON schema (``"version": 1``)::
         ...
       ],
       "counts": {"RPR001": <int>, ...},
-      "suppressed": <int>,
-      "grandfathered": <int>
+      "suppressed": <int>
     }
 """
 
@@ -37,12 +36,7 @@ REPORT_VERSION = 1
 def render_human(report: CheckReport) -> str:
     """The terminal form: findings, then a one-line summary."""
     lines: List[str] = [f.render() for f in report.findings]
-    silenced = []
-    if report.suppressed:
-        silenced.append(f"{report.suppressed} suppressed")
-    if report.grandfathered:
-        silenced.append(f"{report.grandfathered} grandfathered")
-    tail = f" ({', '.join(silenced)})" if silenced else ""
+    tail = f" ({report.suppressed} suppressed)" if report.suppressed else ""
     if report.clean:
         lines.append(
             f"repro check: {report.files_checked} file(s) clean{tail}"
@@ -64,7 +58,6 @@ def render_json(report: CheckReport) -> str:
         "findings": [f.to_dict() for f in report.findings],
         "counts": report.counts(),
         "suppressed": report.suppressed,
-        "grandfathered": report.grandfathered,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 

@@ -213,15 +213,6 @@ def known_codes() -> Set[str]:
     return set(_RULES) | set(META_CODES)
 
 
-def get_rule(code: str) -> Rule:
-    """The rule registered under ``code``.
-
-    Raises:
-        KeyError: When no rule owns ``code``.
-    """
-    return _RULES[code]
-
-
 def rule_catalogue() -> Dict[str, Dict[str, str]]:
     """``code → {name, contract, fix, scopes}`` for reports and docs."""
     catalogue: Dict[str, Dict[str, str]] = {}

@@ -32,9 +32,9 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.analysis import best_fit, render_table
+from repro.analysis import CampaignReport, best_fit, render_table
 from repro.core.runner import (
     algorithm_names,
     broadcast,
@@ -45,7 +45,6 @@ from repro.sim.faults import REJOIN_POLICIES
 from repro.store import STORE_BACKENDS
 from repro.experiments import (
     ExperimentSpec,
-    SweepResult,
     SweepRunner,
     adversary_descriptions,
     adversary_kinds,
@@ -54,6 +53,7 @@ from repro.experiments import (
     build_graph,
     churn_descriptions,
     churn_kinds,
+    curve_key_of,
     graph_descriptions,
     graph_kinds,
     load_specs,
@@ -201,17 +201,20 @@ def _legacy_spec(args) -> ExperimentSpec:
     )
 
 
-def _print_growth_fits(result: SweepResult) -> None:
-    """Fit completion-round growth per (sweep, algorithm) curve."""
-    for sweep, by_sweep in result.group_by("sweep").items():
-        for alg, group in by_sweep.group_by("algorithm").items():
-            summaries = group.summarize_by("n")
-            if len(summaries) < 2:
-                continue
-            sizes = sorted(summaries)
-            means = [summaries[n].mean for n in sizes]
-            fit = best_fit(sizes, means)
-            print(f"growth fit [{sweep}/{alg}]: {fit.format()}")
+def _print_growth_fits(report: CampaignReport) -> None:
+    """Fit completion-round growth once per curve: cells that differ
+    only in n."""
+    curves: Dict[str, Dict[int, float]] = {}
+    for cell in report.cells.values():
+        if cell.completion.count:
+            curve = curve_key_of(cell.key, cell.graph_kind, cell.n)
+            curves.setdefault(curve, {})[cell.n] = cell.completion.mean
+    for curve, means in sorted(curves.items()):
+        if len(means) < 2:
+            continue
+        sizes = sorted(means)
+        fit = best_fit(sizes, [means[n] for n in sizes])
+        print(f"growth fit [{curve}]: {fit.format()}")
 
 
 def cmd_sweep(args) -> int:
@@ -282,16 +285,15 @@ def cmd_sweep(args) -> int:
         print(
             f"warning: {record.key} hit the round cap", file=sys.stderr
         )
+    report = CampaignReport.from_records(result.records)
     print(
-        render_table(
-            SweepResult.TABLE_HEADER,
-            result.table_rows(),
+        report.render(
             title=f"{title} ({result.executed} run, "
             f"{result.resumed} resumed, {result.elapsed:.1f}s, "
-            f"workers={args.workers})",
+            f"workers={args.workers})"
         )
     )
-    _print_growth_fits(result)
+    _print_growth_fits(report)
     return 0 if not result.failures else 1
 
 
@@ -458,7 +460,6 @@ def cmd_merge(args) -> int:
 
 def cmd_report(args) -> int:
     """Stream a campaign into the paper-reproduction table set."""
-    from repro.analysis.report import CampaignReport
     from repro.experiments import RunResult
     from repro.store import open_store
 
@@ -569,7 +570,6 @@ def cmd_check(args) -> int:
     import pathlib
 
     from repro.check import (
-        Baseline,
         check_paths,
         render_human,
         render_json,
@@ -580,25 +580,10 @@ def cmd_check(args) -> int:
         print(render_rule_list())
         return 0
     paths = [pathlib.Path(p) for p in (args.paths or ["src/repro"])]
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(pathlib.Path(args.baseline))
-        except ValueError as exc:
-            raise SystemExit(str(exc))
     try:
-        report = check_paths(paths, baseline=baseline)
+        report = check_paths(paths)
     except FileNotFoundError as exc:
         raise SystemExit(str(exc))
-    if args.write_baseline:
-        Baseline.from_findings(list(report.findings)).save(
-            pathlib.Path(args.write_baseline)
-        )
-        print(
-            f"wrote baseline {args.write_baseline}: "
-            f"{len(report.findings)} finding(s) grandfathered"
-        )
-        return 0
     print(render_json(report) if args.json else render_human(report))
     return 0 if report.clean else 1
 
@@ -987,15 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "paths", nargs="*",
         help="files or directories to check (default: src/repro)",
-    )
-    check.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON of grandfathered findings to subtract "
-        "(the repo's own policy is an empty baseline)",
-    )
-    check.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="snapshot the current findings into FILE and exit 0",
     )
     check.add_argument(
         "--list-rules", action="store_true",

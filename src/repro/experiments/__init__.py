@@ -4,6 +4,7 @@ The subsystem turns the paper's ensemble claims — statements over grids
 of (graph × algorithm × adversary × seed) configurations — into a
 first-class workload::
 
+    from repro.analysis import CampaignReport
     from repro.experiments import ExperimentSpec, run_sweep
 
     spec = ExperimentSpec(
@@ -14,7 +15,8 @@ first-class workload::
         seeds=range(5),
     )
     result = run_sweep(spec, workers=4, results_path="results/demo.jsonl")
-    print(result.summarize_by("n"))
+    report = CampaignReport.from_records(result.records)
+    print(report.render())  # one row per cell: every axis but the seed
 
 Sweeps fan out over ``multiprocessing``, persist each finished run as a
 JSON line, and resume by key after interruption.  Records are
@@ -52,6 +54,8 @@ from repro.experiments.spec import (
     ExperimentSpec,
     GraphSpec,
     RunTask,
+    cell_key_of,
+    curve_key_of,
     load_specs,
     plan_batches,
 )
@@ -72,8 +76,10 @@ __all__ = [
     "build_adversary",
     "build_churn",
     "build_graph",
+    "cell_key_of",
     "churn_descriptions",
     "churn_kinds",
+    "curve_key_of",
     "execute_batch",
     "execute_task",
     "graph_descriptions",

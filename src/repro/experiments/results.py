@@ -1,12 +1,13 @@
-"""Typed results of sweep runs and their aggregation queries.
+"""Typed results of sweep runs.
 
 A :class:`RunResult` is the deterministic outcome of one
 :class:`~repro.experiments.spec.RunTask` — it deliberately carries no
 wall-clock timing, so the same task always produces the *identical*
 record no matter which worker ran it or whether it was resumed from
 disk.  :class:`SweepResult` holds the ordered record list plus run
-bookkeeping (how many tasks executed vs. were resumed) and the
-aggregation queries the benches and the CLI render from.
+bookkeeping (how many tasks executed vs. were resumed).  Tables come
+from one fold, :class:`repro.analysis.report.CampaignReport`, which
+groups records by their :attr:`RunResult.cell_key`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.stats import Summary, quantile, summarize
+from repro.experiments.spec import cell_key_of
 from repro.store.base import StoreHealth
 
 
@@ -66,6 +67,16 @@ class RunResult:
     total_transmissions: int
     engine: str = "reference"
     churn_kind: str = "none"
+
+    @property
+    def cell_key(self) -> str:
+        """The record's science cell: its key without the seed segment.
+
+        Equal to the :attr:`~repro.experiments.spec.RunTask.cell_key`
+        of the task that wrote the record (derived, not stored, so
+        record bytes do not carry it).
+        """
+        return cell_key_of(self.key)
 
     def to_dict(self) -> Dict[str, Any]:
         """The record as one JSON-lines document (see ``from_dict``)."""
@@ -152,103 +163,7 @@ class SweepResult:
     def __iter__(self):
         return iter(self.records)
 
-    # ------------------------------------------------------------------
-    # Selection
-    # ------------------------------------------------------------------
-    def filter(self, **attrs) -> "SweepResult":
-        """Records whose attributes equal every given value.
-
-        Example: ``result.filter(sweep="dual", algorithm="harmonic")``.
-        """
-        kept = [
-            r
-            for r in self.records
-            if all(getattr(r, k) == v for k, v in attrs.items())
-        ]
-        return SweepResult(kept, elapsed=self.elapsed)
-
-    def group_by(
-        self, attr: str
-    ) -> Dict[Any, "SweepResult"]:
-        """Partition the records by one attribute, in sorted key order."""
-        groups: Dict[Any, List[RunResult]] = {}
-        for r in self.records:
-            groups.setdefault(getattr(r, attr), []).append(r)
-        return {
-            value: SweepResult(records)
-            for value, records in sorted(groups.items())
-        }
-
-    # ------------------------------------------------------------------
-    # Aggregation
-    # ------------------------------------------------------------------
     @property
     def failures(self) -> List[RunResult]:
         """Records whose execution hit the round cap."""
         return [r for r in self.records if not r.completed]
-
-    @property
-    def failure_count(self) -> int:
-        """Number of records that hit the round cap."""
-        return len(self.failures)
-
-    def completion_rounds(self) -> List[int]:
-        """Completion rounds of the completed records."""
-        return [
-            r.completion_round
-            for r in self.records
-            if r.completed and r.completion_round is not None
-        ]
-
-    def summarize_completion(self) -> Summary:
-        """Five-number summary of the completion rounds."""
-        return summarize(self.completion_rounds())
-
-    def completion_quantile(self, q: float) -> float:
-        """The ``q``-quantile of the completion rounds."""
-        return quantile(self.completion_rounds(), q)
-
-    def summarize_by(self, attr: str) -> Dict[Any, Summary]:
-        """Per-group completion summaries, e.g. ``summarize_by("n")``."""
-        return {
-            value: group.summarize_completion()
-            for value, group in self.group_by(attr).items()
-            if group.completion_rounds()
-        }
-
-    # ------------------------------------------------------------------
-    # Rendering
-    # ------------------------------------------------------------------
-    def table_rows(self) -> List[List[Any]]:
-        """Rows for the standard sweep table: one per
-        (sweep, algorithm, graph, n) group, with completion summary and
-        failure count."""
-        groups: Dict[tuple, List[RunResult]] = {}
-        for r in self.records:
-            groups.setdefault(
-                (r.sweep, r.algorithm, r.graph_kind, r.n), []
-            ).append(r)
-        rows: List[List[Any]] = []
-        for (sweep, alg, graph, n), recs in sorted(groups.items()):
-            sub = SweepResult(recs)
-            rounds = sub.completion_rounds()
-            rows.append(
-                [
-                    sweep,
-                    alg,
-                    graph,
-                    n,
-                    summarize(rounds).format() if rounds else "—",
-                    sub.failure_count,
-                ]
-            )
-        return rows
-
-    TABLE_HEADER = [
-        "sweep",
-        "algorithm",
-        "graph",
-        "n",
-        "completion rounds",
-        "capped",
-    ]

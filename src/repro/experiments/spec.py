@@ -43,6 +43,7 @@ shell history alone; the format is documented field by field in
 from __future__ import annotations
 
 import json
+import re
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -176,6 +177,8 @@ class RunTask:
         One builder keeps :attr:`science_key`, :attr:`key` and
         :attr:`cell_key` from drifting apart when a grid axis is added:
         a new axis lands in all of them (or in none) by construction.
+        Only the ``cap`` and ``eng-`` segments may follow the seed;
+        :func:`cell_key_of` relies on that to drop the seed again.
         """
         parts = [
             self.sweep,
@@ -258,6 +261,36 @@ class RunTask:
     def runs_on(self) -> str:
         """The engine that executes the task (a retired name's stand-in)."""
         return RETIRED_ENGINES.get(self.engine, self.engine)
+
+
+#: A key's seed segment: ``/s<seed>``, followed by nothing but the
+#: optional ``/cap<M>`` and ``/eng-<name>`` segments.
+_SEED_SEGMENT = re.compile(r"/s-?\d+(?=(?:/cap\d+)?(?:/eng-[^/]*)?$)")
+
+
+def cell_key_of(key: str) -> str:
+    """The science cell of a task key: the key without its seed segment.
+
+    The result equals :attr:`RunTask.cell_key` of the task that owns
+    ``key``, so records fold into exactly the cells the runner
+    batched.  A key with no seed segment is its own cell.
+    """
+    return _SEED_SEGMENT.sub("", key, count=1)
+
+
+def algorithm_label_of(key: str, sweep: str) -> str:
+    """The algorithm segment of a key or cell key of sweep ``sweep``:
+    the :attr:`AlgorithmSpec.label`, e.g. ``harmonic(T=4)``."""
+    return key[len(sweep) + 1:].split("/", 1)[0]
+
+
+def curve_key_of(cell_key: str, graph_kind: str, n: int) -> str:
+    """The growth curve of a cell: its key without the ``:n<N>`` size.
+
+    Cells sharing a curve key differ only in the network size, so
+    their completion rounds trace one growth curve.
+    """
+    return cell_key.replace(f"/{graph_kind}:n{n}", f"/{graph_kind}", 1)
 
 
 @dataclass(frozen=True)

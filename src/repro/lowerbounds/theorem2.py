@@ -36,6 +36,14 @@ from repro.sim.trace import ExecutionTrace
 #: Factory building the n processes of the algorithm under test.
 AlgorithmFactory = Callable[[int], Sequence[Process]]
 
+#: Graph kinds that realise the clique-bridge family the theorem is
+#: stated on.
+THEOREM2_GRAPHS = ("clique-bridge",)
+
+#: Registered algorithms the theorem covers: the deterministic ones
+#: (the argument fixes every process's behaviour in advance).
+DETERMINISTIC_ALGORITHMS = ("round_robin", "strong_select", "strong_select_ks")
+
 
 class Theorem2Adversary(Adversary):
     """The proof's communication rules on the clique-bridge network.

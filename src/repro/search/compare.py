@@ -21,22 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.round_robin import make_round_robin_processes
-from repro.core.strong_select import make_strong_select_processes
-from repro.lowerbounds.theorem2 import theorem2_lower_bound
+from repro.core.runner import make_processes
+from repro.lowerbounds.theorem2 import (
+    DETERMINISTIC_ALGORITHMS,
+    THEOREM2_GRAPHS,
+    theorem2_lower_bound,
+)
 from repro.search.evaluate import SearchSettings
 from repro.search.persist import SearchResult
-
-#: Deterministic algorithm factories the scripted Theorem-2 driver can
-#: run (the construction is not defined for randomized algorithms).
-DETERMINISTIC_FACTORIES = {
-    "round_robin": make_round_robin_processes,
-    "strong_select": make_strong_select_processes,
-    "strong_select_ks": make_strong_select_processes,
-}
-
-#: Graph kinds that realise the Theorem-2 clique-bridge family.
-THEOREM2_GRAPHS = ("clique-bridge",)
 
 
 @dataclass(frozen=True)
@@ -99,9 +91,11 @@ def theorem2_comparison(result: SearchResult) -> BoundComparison:
     # The clique-bridge factory rounds n up to at least 3.
     n = max(3, settings.n)
     scripted: Optional[int] = None
-    factory = DETERMINISTIC_FACTORIES.get(settings.algorithm)
-    if factory is not None:
-        scripted = theorem2_lower_bound(factory, n).worst_rounds
+    algorithm = settings.algorithm
+    if algorithm in DETERMINISTIC_ALGORITHMS:
+        scripted = theorem2_lower_bound(
+            lambda size: make_processes(algorithm, size), n
+        ).worst_rounds
     best = result.best.objective
     return BoundComparison(
         n=n,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.runner import make_processes, suggested_round_limit
 from repro.experiments.registry import build_graph
@@ -381,11 +381,3 @@ class PopulationEvaluator:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-#: Mapping used by callers that need scores keyed by fingerprint.
-def scores_by_fingerprint(
-    scores: Sequence[CandidateScore],
-) -> Dict[str, CandidateScore]:
-    """Index a score list by each genome's content fingerprint."""
-    return {s.genome.fingerprint: s for s in scores}

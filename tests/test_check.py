@@ -12,9 +12,7 @@ import pathlib
 import pytest
 
 from repro.check import (
-    Baseline,
     ContractRule,
-    Finding,
     check_file,
     check_paths,
     check_source,
@@ -254,52 +252,12 @@ class TestSuppressions:
         assert suppressed == 0
 
 
-class TestBaseline:
-    def test_round_trip_absorbs_grandfathered(self, tmp_path):
-        findings, _ = check_file(FIXTURES / "rpr001_fail.py")
-        baseline = Baseline.from_findings(findings)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        report = check_paths(
-            [FIXTURES / "rpr001_fail.py"],
-            baseline=Baseline.load(path),
-        )
-        assert report.clean
-        assert report.grandfathered == len(findings)
-
-    def test_counts_cap_absorption(self):
-        twin = Finding(
-            path="x.py", line=1, col=1, code="RPR005", message="m"
-        )
-        other = Finding(
-            path="x.py", line=9, col=1, code="RPR005", message="m"
-        )
-        baseline = Baseline.from_findings([twin])
-        kept, absorbed = baseline.filter([twin, other])
-        assert absorbed == 1
-        assert len(kept) == 1
-
-    def test_new_findings_survive_baseline(self, tmp_path):
-        baseline = Baseline.from_findings([])
-        report = check_paths(
-            [FIXTURES / "rpr002_fail.py"], baseline=baseline
-        )
-        assert not report.clean
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{\"version\": 99}")
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-
 class TestSelfCheck:
-    def test_src_repro_is_clean_with_empty_baseline(self):
+    def test_src_repro_is_clean(self):
         # The acceptance contract: the shipped tree carries zero
-        # findings and no grandfathered debt.
-        report = check_paths([SRC_REPRO], baseline=Baseline())
+        # findings.
+        report = check_paths([SRC_REPRO])
         assert report.findings == ()
-        assert report.grandfathered == 0
         assert report.files_checked >= 75
 
     def test_check_paths_is_deterministic(self):
@@ -351,28 +309,14 @@ class TestCli:
         assert doc["clean"] is False
         assert doc["files_checked"] == 1
         assert doc["counts"] == {"RPR004": 2}
+        assert set(doc) == {
+            "version", "files_checked", "clean", "findings", "counts",
+            "suppressed",
+        }
         for finding in doc["findings"]:
             assert set(finding) == {
                 "path", "line", "col", "code", "message",
             }
-
-    def test_write_then_read_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        rc = main(
-            [
-                "check", str(FIXTURES / "rpr005_fail.py"),
-                "--write-baseline", str(baseline),
-            ]
-        )
-        assert rc == 0
-        rc = main(
-            [
-                "check", str(FIXTURES / "rpr005_fail.py"),
-                "--baseline", str(baseline),
-            ]
-        )
-        assert rc == 0
-        assert "grandfathered" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         rc = main(["check", "--list-rules"])
@@ -385,16 +329,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["check", "no/such/dir"])
 
-    def test_bad_baseline_is_an_error(self, tmp_path):
-        bad = tmp_path / "b.json"
-        bad.write_text("not json")
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "check", str(FIXTURES / "rpr001_pass.py"),
-                    "--baseline", str(bad),
-                ]
-            )
+    @pytest.mark.parametrize(
+        "flag", ["--baseline", "--write-baseline"]
+    )
+    def test_baseline_options_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(FIXTURES / "rpr001_pass.py"), flag, "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_default_target_is_src_repro(self, capsys, monkeypatch):
         monkeypatch.chdir(SRC_REPRO.parent.parent)

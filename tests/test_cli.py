@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SPECS = pathlib.Path(__file__).parent.parent / "examples" / "specs"
 
 
 class TestRun:
@@ -161,6 +164,46 @@ class TestSweep:
         ) == 0
         second = capsys.readouterr().out
         assert "0 run, 3 resumed" in second
+
+    def test_sweep_keeps_churn_cells_apart(self, capsys):
+        rc = main(["sweep", "--spec", str(SPECS / "churn_sweep.json")])
+        assert rc == 0
+        rows = {
+            line.split("|")[1].strip(): line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("| churn/round_robin/")
+        }
+        clean = "churn/round_robin/line:n8/greedy/CR2-asynchronous"
+        window = clean + "/churn-window(count=2,length=3,start=4)"
+        assert "| 7.0 ± 0.0 [7.0, 7.0] " in rows[clean]
+        assert "| 15.0 ± 0.0 [15.0, 15.0] " in rows[window]
+
+    def test_growth_fit_per_curve(self, capsys):
+        rc = main(["sweep", "--spec", str(SPECS / "tiny_sweep.json")])
+        assert rc == 0
+        curves = [
+            line.split("[", 1)[1].split("]", 1)[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("growth fit [")
+        ]
+        # Two algorithms × two CRs over the line sizes; the single
+        # clique-bridge size fits no curve.
+        assert len(curves) == 4
+        for curve in curves:
+            assert curve.split("/")[2] == "line"
+
+    def test_sweep_and_report_print_one_table(self, capsys, tmp_path):
+        results = str(tmp_path / "r.jsonl")
+        spec = str(SPECS / "tiny_sweep.json")
+        assert main(["sweep", "--spec", spec, "--results", results]) == 0
+        swept = capsys.readouterr().out
+        assert main(["report", "--results", results]) == 0
+        reported = capsys.readouterr().out
+        # Everything below the title line: campaign and reference
+        # tables, then the sweep's growth fits.
+        tables = reported.split("\n", 1)[1]
+        assert "paper reference bounds" in tables
+        assert swept.split("\n", 1)[1].startswith(tables)
 
     def test_sweep_retired_vector_engine_resumes(
         self, capsys, tmp_path

@@ -14,11 +14,14 @@ from repro.experiments import (
     SweepRunner,
     build_adversary,
     build_graph,
+    cell_key_of,
+    curve_key_of,
     execute_task,
     load_specs,
     register_graph,
     run_sweep,
 )
+from repro.analysis import CampaignReport
 from repro.store import open_store
 
 
@@ -350,7 +353,7 @@ class TestSweepRunner:
         """Raising max_rounds must re-run, not resume, capped records."""
         path = tmp_path / "results.jsonl"
         capped = run_sweep(tiny_spec(max_rounds=1), results_path=str(path))
-        assert capped.failure_count == len(capped)
+        assert len(capped.failures) == len(capped)
 
         retried = run_sweep(tiny_spec(), results_path=str(path))
         assert retried.resumed == 0
@@ -398,38 +401,59 @@ class TestSweepRunner:
 
 
 class TestSweepResult:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_sweep(
-            ExperimentSpec(
-                name="agg",
-                algorithms=["round_robin"],
-                graphs=[("line", 6), ("line", 12)],
-                adversaries=["none"],
-                seeds=range(2),
-            )
-        )
-
-    def test_filter_and_group(self, result):
-        assert len(result.filter(n=6)) == 2
-        assert set(result.group_by("n")) == {6, 12}
-
-    def test_summaries_and_quantiles(self, result):
-        by_n = result.summarize_by("n")
-        # Round robin on a longer line takes more rounds.
-        assert by_n[12].mean > by_n[6].mean
-        assert result.completion_quantile(1.0) == max(
-            result.completion_rounds()
-        )
-
-    def test_table_rows(self, result):
-        rows = result.table_rows()
-        assert len(rows) == 2  # one per (sweep, algorithm, graph, n)
-        assert rows[0][:4] == ["agg", "round_robin", "line", 6]
-        assert all(row[5] == 0 for row in rows)  # nothing capped
-
     def test_failures_surface_in_table(self):
         capped = run_sweep(tiny_spec(max_rounds=1))
-        assert capped.failure_count == capped.records.__len__()
-        assert all(row[4] == "—" for row in capped.table_rows())
+        assert len(capped.failures) == len(capped)
+        report = CampaignReport.from_records(capped.records)
+        rows = [cell.row() for cell in report.ordered()]
+        assert all(row[2] == "—" for row in rows)
+        assert all(row[4] == row[1] for row in rows)  # every run capped
         assert SweepResult(capped.records).failures == capped.failures
+
+
+class TestCellKey:
+    def test_record_cell_key_is_its_task_cell_key(self):
+        # Params on all four entry kinds, a churn kind, a round cap,
+        # two engines and seeds whose segments share a prefix.
+        spec = ExperimentSpec(
+            name="cells",
+            algorithms=[("harmonic", {"T": 2})],
+            graphs=[("gnp", 10, {"p_reliable": 0.5})],
+            adversaries=[("random", {"p": 0.5})],
+            churns=[
+                "none",
+                ("window", {"count": 1, "start": 2, "length": 2}),
+            ],
+            engines=["reference", "fast"],
+            seeds=[1, 12],
+            max_rounds=200,
+        )
+        tasks = {task.key: task for task in spec.tasks()}
+        records = run_sweep(spec).records
+        assert len(records) == spec.size == 8
+        for record in records:
+            assert record.cell_key == tasks[record.key].cell_key
+        assert len({r.cell_key for r in records}) == 4
+
+    @pytest.mark.parametrize(
+        "key, cell",
+        [
+            ("sw/rr/line:n6/none/CR1-asynchronous/s12",
+             "sw/rr/line:n6/none/CR1-asynchronous"),
+            ("sw/rr/line:n6/none/CR1-asynchronous/s-3/cap9/eng-fast",
+             "sw/rr/line:n6/none/CR1-asynchronous/cap9/eng-fast"),
+            # A sweep named like a seed keeps its segment.
+            ("s1/rr/line:n6/none/CR1-asynchronous/s1",
+             "s1/rr/line:n6/none/CR1-asynchronous"),
+            ("k1", "k1"),  # no seed segment: its own cell
+        ],
+    )
+    def test_cell_key_of(self, key, cell):
+        assert cell_key_of(key) == cell
+
+    def test_curve_key_drops_only_the_size(self):
+        cell = "sw/rr/line:n16(w=2)/none/CR1-asynchronous"
+        assert (
+            curve_key_of(cell, "line", 16)
+            == "sw/rr/line(w=2)/none/CR1-asynchronous"
+        )

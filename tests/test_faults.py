@@ -515,10 +515,14 @@ class TestChurnReport:
         report = CampaignReport()
         for record in self.result_set().records:
             report.add(record)
-        assert len(report.cells) == 1
-        assert len(report.churn_cells) == 1
-        (key,) = report.churn_cells
-        assert key[-1] == "window"
+        (clean,) = report.ordered()
+        (churned,) = report.ordered(churned=True)
+        assert clean.churn_kind == "none"
+        assert churned.churn_kind == "window"
+        assert churned.key.startswith(clean.key + "/churn-window(")
+        assert churned.key not in {
+            row[0] for row in report.reference_rows()
+        }
 
     def test_render_appends_churn_table(self):
         report = CampaignReport()
@@ -532,7 +536,7 @@ class TestChurnReport:
         report = CampaignReport()
         for record in run_sweep(spec_with(None)).records:
             report.add(record)
-        assert report.churn_cells == {}
+        assert report.ordered(churned=True) == []
         assert "under churn" not in report.render(title="t")
         assert "churn_cells" not in report.to_dict()
 

@@ -366,6 +366,41 @@ class TestGreedyVsTheorem2:
         assert comparison.search_best >= comparison.scripted_worst
         assert comparison.ratio >= 1.0
 
+    def test_scripted_driver_runs_the_registered_algorithm(
+        self, monkeypatch
+    ):
+        from repro.search import compare
+
+        called = []
+
+        def spy(name, n, **params):
+            called.append(name)
+            return make_processes(name, n, **params)
+
+        monkeypatch.setattr(compare, "make_processes", spy)
+        cell = SearchSettings(
+            algorithm="strong_select_ks", graph_kind="clique-bridge", n=9
+        )
+        result = run_search(
+            cell, searcher="random", budget=SearchBudget(evaluations=2),
+            seed=0,
+        )
+        comparison = theorem2_comparison(result)
+        assert comparison.scripted_worst is not None
+        assert set(called) == {"strong_select_ks"}
+
+    def test_theorem2_scope_is_defined_once(self):
+        from repro.analysis import report
+        from repro.lowerbounds import theorem2
+        from repro.search import compare
+
+        for module in (report, compare):
+            assert module.THEOREM2_GRAPHS is theorem2.THEOREM2_GRAPHS
+            assert (
+                module.DETERMINISTIC_ALGORITHMS
+                is theorem2.DETERMINISTIC_ALGORITHMS
+            )
+
     def test_greedy_interference_genome_pinned(self):
         """The greedy searcher's collision candidate is the
         GreedyInterferer's own move; a pinned randomized cell whose

@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.report import CampaignReport, paper_reference
 from repro.analysis.stats import RunningSummary, summarize
+from repro.core.harmonic import completion_bound
 from repro.experiments import ExperimentSpec, run_sweep
 from repro.experiments.results import RunResult
 from repro.store import (
@@ -456,14 +457,9 @@ class TestCampaignReport:
             by_cell.setdefault(
                 (record.graph_kind, record.graph_n), []
             ).append(record.completion_round)
-        for (
-            sweep,
-            algorithm,
-            graph_kind,
-            n,
-            collision_rule,
-        ), cell in report.cells.items():
-            want = summarize(by_cell[(graph_kind, n)])
+        for key, cell in report.cells.items():
+            assert key == cell.key
+            want = summarize(by_cell[(cell.graph_kind, cell.n)])
             assert_summary_close(cell.completion.summary(), want)
         rendered = report.render(title="t")
         assert "completion rounds" in rendered
@@ -527,13 +523,14 @@ class TestCampaignReport:
         (cell,) = report.cells.values()
         assert cell.harmonic_T == 4
         (row,) = report.reference_rows()
-        assert row[0] == "tiny/harmonic/line:n6/CR4"
+        assert row[0] == cell.key
+        assert row[0].startswith("tiny/harmonic(T=4)/line:n6/none/CR4-")
         assert "Thm 18" in row[1]
         assert "Thm 18" in report.render()
 
-    def test_mixed_plateau_lengths_render_no_theorem18_row(self, tmp_path):
-        # T=2 and T=4 share one report cell (the cell key carries no
-        # params), so no single Theorem 18 bound can be read against it.
+    def test_each_plateau_length_gets_its_own_theorem18_row(self, tmp_path):
+        # T=2 and T=4 are separate cells (the cell key carries params),
+        # each read against the bound of its own T.
         spec = tiny_spec(
             algorithms=[("harmonic", {"T": 2}), ("harmonic", {"T": 4})],
             graphs=[("line", 6)],
@@ -543,8 +540,83 @@ class TestCampaignReport:
         run_sweep(spec, results_path=root, store="sharded")
         with open_store(root, RunResult.from_dict) as store:
             report = CampaignReport.from_store(store)
-        (cell,) = report.cells.values()
-        assert cell.records == 4
-        assert cell.harmonic_T_mixed
-        assert report.reference_rows() == []
-        assert "Thm 18" not in report.render()
+        assert sorted(c.harmonic_T for c in report.cells.values()) == [2, 4]
+        assert all(c.records == 2 for c in report.cells.values())
+        bounds = {row[0]: row[1] for row in report.reference_rows()}
+        for cell in report.cells.values():
+            bound = completion_bound(6, cell.harmonic_T)
+            assert bounds[cell.key] == f"completes ≤ {bound} whp (Thm 18)"
+
+    def test_runner_cells_stay_apart(self):
+        # Three algorithm entries × two adversaries × two start modes
+        # on one graph: 12 runner cells of 4 seeds, never folded.
+        spec = ExperimentSpec(
+            name="cells",
+            algorithms=[
+                "round_robin",
+                ("harmonic", {"T": 2}),
+                ("harmonic", {"T": 8}),
+            ],
+            graphs=[("clique-bridge", 17)],
+            adversaries=["none", "greedy"],
+            start_modes=["synchronous", "asynchronous"],
+            seeds=range(4),
+        )
+        result = run_sweep(spec)
+        report = CampaignReport.from_records(result.records)
+        assert report.records == 48
+        assert len(report.cells) == 12
+        assert all(c.records == 4 for c in report.cells.values())
+        assert set(report.cells) == {t.cell_key for t in spec.tasks()}
+        rows = {row[0]: row for row in report.reference_rows()}
+        harmonic = [
+            c for c in report.cells.values() if c.algorithm == "harmonic"
+        ]
+        assert len(harmonic) == 8
+        for cell in harmonic:
+            bound = completion_bound(17, cell.harmonic_T)
+            assert rows[cell.key][1] == f"completes ≤ {bound} whp (Thm 18)"
+            worst = cell.completion.summary().maximum
+            assert rows[cell.key][2].startswith(f"max {worst:.0f},")
+
+    def test_every_deterministic_algorithm_gets_a_theorem2_row(self):
+        spec = ExperimentSpec(
+            name="thm2",
+            algorithms=["strong_select", "strong_select_ks"],
+            graphs=[("clique-bridge", 17)],
+            adversaries=["greedy"],
+            seeds=range(2),
+        )
+        report = CampaignReport.from_records(run_sweep(spec).records)
+        thm2 = [
+            row[0].split("/")[1]
+            for row in report.reference_rows()
+            if "Thm 2)" in row[1]
+        ]
+        assert thm2 == ["strong_select", "strong_select_ks"]
+
+    def test_to_dict_carries_every_cell_field(self):
+        spec = tiny_spec(
+            graphs=[("line", 6)],
+            churns=["none", ("window", {"count": 1, "start": 2,
+                                        "length": 2})],
+        )
+        doc = CampaignReport.from_records(run_sweep(spec).records).to_dict()
+        assert doc["records"] == spec.size
+        fields = {
+            "cell", "sweep", "algorithm", "graph_kind", "n",
+            "collision_rule", "churn_kind", "records", "capped",
+            "mean_transmissions", "completion",
+        }
+        (cell,) = doc["cells"]
+        (churned,) = doc["churn_cells"]
+        assert set(cell) == set(churned) == fields
+        assert cell["churn_kind"] == "none"
+        assert churned["churn_kind"] == "window"
+        assert churned["cell"] == (
+            cell["cell"] + "/churn-window(count=1,length=2,start=2)"
+        )
+        assert set(cell["completion"]) == {
+            "count", "mean", "median", "stdev", "min", "max",
+            "ci95_half_width",
+        }
