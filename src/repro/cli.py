@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -36,8 +37,10 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis import CampaignReport, best_fit, render_table
 from repro.core.runner import (
+    ALGORITHMS,
     algorithm_names,
     broadcast,
+    make_processes,
     suggested_round_limit,
 )
 from repro.sim.engine import ENGINE_NAMES
@@ -46,29 +49,16 @@ from repro.store import STORE_BACKENDS
 from repro.experiments import (
     ExperimentSpec,
     SweepRunner,
-    adversary_descriptions,
     adversary_kinds,
     build_adversary,
     build_churn,
     build_graph,
-    churn_descriptions,
     churn_kinds,
     curve_key_of,
-    graph_descriptions,
     graph_kinds,
     load_specs,
 )
-
-#: One-liners for ``repro list`` (algorithms have no registry
-#: descriptions; the registered names come from repro.core.runner).
-_ALGORITHM_DESCRIPTIONS = {
-    "strong_select": "deterministic Strong Select (Section 5)",
-    "strong_select_ks": "Strong Select on Kautz singleton SSFs",
-    "harmonic": "randomized Harmonic Broadcast (Section 6)",
-    "round_robin": "uids transmit in fixed rotation",
-    "decay": "classical Decay baseline",
-    "uniform": "transmit each round with probability 1/n",
-}
+from repro.experiments.registry import ADVERSARIES, CHURNS, GRAPHS
 
 
 def _warn_health(health, source: str, noun: str) -> None:
@@ -299,39 +289,24 @@ def cmd_sweep(args) -> int:
 
 def cmd_list(args) -> int:
     """Print every registered kind with its one-line description."""
-    from repro.search import searcher_descriptions
+    from repro.search.searchers import SEARCHERS
 
+    sections = [
+        ("graphs", "graph kinds", GRAPHS),
+        ("adversaries", "adversary kinds", ADVERSARIES),
+        ("churns", "churn kinds (fault injection)", CHURNS),
+        ("algorithms", "algorithms", ALGORITHMS),
+        ("searchers", "searcher kinds (repro search)", SEARCHERS),
+    ]
     if args.json:
-        doc = {
-            "graphs": graph_descriptions(),
-            "adversaries": adversary_descriptions(),
-            "churns": churn_descriptions(),
-            "algorithms": {
-                name: _ALGORITHM_DESCRIPTIONS.get(name, "")
-                for name in algorithm_names()
-            },
-            "searchers": searcher_descriptions(),
-        }
+        doc = {key: reg.descriptions() for key, _, reg in sections}
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    sections = [
-        ("graph kinds", graph_descriptions()),
-        ("adversary kinds", adversary_descriptions()),
-        ("churn kinds (fault injection)", churn_descriptions()),
-        (
-            "algorithms",
-            {
-                name: _ALGORITHM_DESCRIPTIONS.get(name, "")
-                for name in algorithm_names()
-            },
-        ),
-        ("searcher kinds (repro search)", searcher_descriptions()),
-    ]
-    for title, table in sections:
+    for _, title, registry in sections:
         print(
             render_table(
                 ["kind", "description"],
-                [[kind, desc] for kind, desc in sorted(table.items())],
+                [list(row) for row in registry.descriptions().items()],
                 title=title,
             )
         )
@@ -589,27 +564,19 @@ def cmd_check(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    from repro.core import (
-        make_round_robin_processes,
-        make_strong_select_processes,
-    )
     from repro.lowerbounds import (
         theorem2_lower_bound,
         theorem11_lower_bound,
         theorem12_construction,
     )
+    from repro.lowerbounds.theorem2 import DETERMINISTIC_ALGORITHMS
 
-    factories = {
-        "round_robin": make_round_robin_processes,
-        "strong_select": lambda n: make_strong_select_processes(n),
-    }
-    try:
-        factory = factories[args.algorithm]
-    except KeyError:
+    if args.algorithm not in DETERMINISTIC_ALGORITHMS:
         raise SystemExit(
             "lower-bound drivers need a deterministic algorithm: "
-            f"{sorted(factories)}"
+            f"{sorted(DETERMINISTIC_ALGORITHMS)}"
         )
+    factory = functools.partial(make_processes, args.algorithm)
 
     if args.theorem == 2:
         res = theorem2_lower_bound(factory, args.n)

@@ -17,7 +17,17 @@ directly for callers that need to customise processes before running.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.adversaries.base import Adversary
 from repro.core.decay import make_decay_processes
@@ -43,67 +53,122 @@ from repro.sim.trace import ExecutionTrace
 
 _T = TypeVar("_T")
 
-#: Factory signature: ``factory(n, **params) -> list of processes``.
-ProcessFactory = Callable[..., List[Process]]
 
-_REGISTRY: Dict[str, ProcessFactory] = {
-    "strong_select": make_strong_select_processes,
-    "strong_select_ks": lambda n, **kw: make_strong_select_processes(
-        n, ssf_builder=kautz_singleton_ssf, **kw
-    ),
-    "harmonic": make_harmonic_processes,
-    "round_robin": make_round_robin_processes,
-    "decay": make_decay_processes,
-    "uniform": make_uniform_processes,
-}
+class Registry(Generic[_T]):
+    """Named, parameterised factories of one kind of component.
+
+    Every axis of a sweep (algorithms, graphs, adversaries, churns) and
+    every searcher is resolved by name through one instance.  ``what``
+    is the noun the error texts name (``"algorithm"``, ``"graph
+    kind"``, ...), so the unknown-kind, already-registered and
+    bad-parameters messages are formatted here and nowhere else.
+    ``entries`` maps each built-in kind to ``(factory, description)``.
+    """
+
+    def __init__(
+        self,
+        what: str,
+        entries: Mapping[str, Tuple[Callable[..., _T], str]],
+    ) -> None:
+        self.what = what
+        self._factories: Dict[str, Callable[..., _T]] = {}
+        self._descriptions: Dict[str, str] = {}
+        for kind, (factory, description) in entries.items():
+            self.register(kind, factory, description)
+
+    def names(self) -> List[str]:
+        """The registered kinds, sorted."""
+        return sorted(self._factories)
+
+    def descriptions(self) -> Dict[str, str]:
+        """One-line description per registered kind (may be empty)."""
+        return {kind: self._descriptions[kind] for kind in self.names()}
+
+    def register(
+        self, kind: str, factory: Callable[..., _T], description: str = ""
+    ) -> None:
+        """Register ``factory`` under ``kind``.
+
+        ``description`` is the one-liner ``repro list`` prints.  A taken
+        name is rejected and keeps its original factory.
+        """
+        if kind in self._factories:
+            raise ValueError(f"{self.what} {kind!r} already registered")
+        self._factories[kind] = factory
+        self._descriptions[kind] = description
+
+    def build(self, kind: str, *args: Any, **params: Any) -> _T:
+        """Call the factory of ``kind`` with ``args`` and ``params``.
+
+        Parameters that do not fit the factory become a ``ValueError``
+        naming the kind (a user-input problem the CLI reports cleanly)
+        instead of a ``TypeError`` traceback.  A misfit surfaces either
+        at the call itself or one frame down, when a registered wrapper
+        forwards ``**params`` to the function it wraps (``lambda n,
+        seed, **kw: gnp_dual(n, seed=seed, **kw)``), so only a
+        ``TypeError`` raised within those two frames is converted.  One
+        raised deeper is a bug in the factory and propagates unchanged.
+        """
+        try:
+            factory = self._factories[kind]
+        except KeyError:
+            raise ValueError(
+                f"unknown {self.what} {kind!r}; known: {self.names()}"
+            ) from None
+        try:
+            return factory(*args, **params)
+        except TypeError as exc:
+            tb = exc.__traceback__
+            inner = tb.tb_next if tb is not None else None
+            if inner is not None and inner.tb_next is not None:
+                raise
+            raise ValueError(
+                f"bad parameters for {self.what} {kind!r}: {exc}"
+            ) from exc
 
 
-def algorithm_names() -> List[str]:
-    """The registered algorithm names."""
-    return sorted(_REGISTRY)
+#: The algorithms, by name: factories ``factory(n, **params)``
+#: returning the n processes; :func:`make_processes` builds them.
+ALGORITHMS: Registry[List[Process]] = Registry(
+    "algorithm",
+    {
+        "strong_select": (
+            make_strong_select_processes,
+            "deterministic Strong Select (Section 5)",
+        ),
+        "strong_select_ks": (
+            lambda n, **kw: make_strong_select_processes(
+                n, ssf_builder=kautz_singleton_ssf, **kw
+            ),
+            "Strong Select on Kautz singleton SSFs",
+        ),
+        "harmonic": (
+            make_harmonic_processes,
+            "randomized Harmonic Broadcast (Section 6)",
+        ),
+        "round_robin": (
+            make_round_robin_processes,
+            "uids transmit in fixed rotation",
+        ),
+        "decay": (make_decay_processes, "classical Decay baseline"),
+        "uniform": (
+            make_uniform_processes,
+            "transmit each round with probability 1/n",
+        ),
+    },
+)
 
-
-def register_algorithm(name: str, factory: ProcessFactory) -> None:
-    """Register a custom algorithm factory under ``name``."""
-    if name in _REGISTRY:
-        raise ValueError(f"algorithm {name!r} already registered")
-    _REGISTRY[name] = factory
+#: The registered algorithm names.
+algorithm_names = ALGORITHMS.names
+#: Register a custom algorithm ``factory(n, **params)`` under a name.
+register_algorithm = ALGORITHMS.register
 
 
 def make_processes(
     algorithm: str, n: int, **params: Any
 ) -> List[Process]:
     """Instantiate the processes of a registered algorithm."""
-    try:
-        factory = _REGISTRY[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; known: {algorithm_names()}"
-        ) from None
-    return call_factory(f"algorithm {algorithm!r}", factory, n, **params)
-
-
-def call_factory(
-    what: str, factory: Callable[..., _T], *args: Any, **params: Any
-) -> _T:
-    """Call a registered factory, turning parameters that do not fit it
-    into a ``ValueError`` naming ``what`` (a user-input problem the CLI
-    reports cleanly) instead of a ``TypeError`` traceback.
-
-    A misfit surfaces either at the call itself or one frame down, when
-    a registered wrapper forwards ``**params`` to the function it wraps
-    (``lambda n, seed, **kw: gnp_dual(n, seed=seed, **kw)``), so only a
-    ``TypeError`` raised within those two frames is converted.  One
-    raised deeper is a bug in the factory and propagates unchanged.
-    """
-    try:
-        return factory(*args, **params)
-    except TypeError as exc:
-        tb = exc.__traceback__
-        inner = tb.tb_next if tb is not None else None
-        if inner is not None and inner.tb_next is not None:
-            raise
-        raise ValueError(f"bad parameters for {what}: {exc}") from exc
+    return ALGORITHMS.build(algorithm, n, **params)
 
 
 def suggested_round_limit(algorithm: str, network: DualGraph) -> int:

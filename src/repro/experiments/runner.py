@@ -57,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+from multiprocessing.context import BaseContext
 from typing import (
     Callable,
     Dict,
@@ -484,13 +485,7 @@ class SweepRunner:
                 yield from execute_batch(unit)
             return
         chunksize = self._dispatch_chunksize(len(units))
-        # Prefer fork so runtime register_graph/register_adversary
-        # entries reach the workers; spawn platforms (macOS, Windows)
-        # re-import the registries and only see module-level entries.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
+        ctx = pool_context()
         # Spawn-started workers re-import everything and would lose the
         # campaign's sink; the initializer hands them its stream path
         # (fork workers inherit the sink and the initializer no-ops).
@@ -506,6 +501,18 @@ class SweepRunner:
                 execute_batch, units, chunksize=chunksize
             ):
                 yield from out
+
+
+def pool_context() -> BaseContext:
+    """The multiprocessing context every worker pool starts from.
+
+    Prefers fork, so runtime registry entries (``register_graph``,
+    ``register_algorithm``, ...) reach the workers; spawn platforms
+    (macOS, Windows) re-import the registries and only see
+    module-level entries.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 def run_sweep(

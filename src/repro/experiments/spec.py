@@ -368,18 +368,22 @@ def plan_batches(tasks: Sequence[RunTask]) -> List[CellBatch]:
     return [CellBatch(tuple(group)) for group in groups.values()]
 
 
-def _coerce_algorithm(entry) -> AlgorithmSpec:
-    if isinstance(entry, AlgorithmSpec):
+def _coerce_entry(entry, cls, field: str, noun: str):
+    """One named axis entry (algorithm, adversary or churn) as ``cls``.
+
+    Accepts an instance, a bare name, a ``(name, params)`` pair or a
+    spec-file dict keyed by ``field`` (``"name"`` or ``"kind"``) with
+    optional ``"params"``.
+    """
+    if isinstance(entry, cls):
         return entry
     if isinstance(entry, str):
-        return AlgorithmSpec(entry)
+        return cls(entry)
     if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        return AlgorithmSpec(entry[0], _freeze_params(entry[1]))
+        return cls(entry[0], _freeze_params(entry[1]))
     if isinstance(entry, dict):
-        return AlgorithmSpec(
-            entry["name"], _freeze_params(entry.get("params"))
-        )
-    raise TypeError(f"cannot interpret algorithm entry {entry!r}")
+        return cls(entry[field], _freeze_params(entry.get("params")))
+    raise TypeError(f"cannot interpret {noun} entry {entry!r}")
 
 
 def _coerce_graph(entry) -> List[GraphSpec]:
@@ -398,34 +402,6 @@ def _coerce_graph(entry) -> List[GraphSpec]:
             )
         return [GraphSpec(entry["kind"], int(n), params) for n in sizes]
     raise TypeError(f"cannot interpret graph entry {entry!r}")
-
-
-def _coerce_adversary(entry) -> AdversarySpec:
-    if isinstance(entry, AdversarySpec):
-        return entry
-    if isinstance(entry, str):
-        return AdversarySpec(entry)
-    if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        return AdversarySpec(entry[0], _freeze_params(entry[1]))
-    if isinstance(entry, dict):
-        return AdversarySpec(
-            entry["kind"], _freeze_params(entry.get("params"))
-        )
-    raise TypeError(f"cannot interpret adversary entry {entry!r}")
-
-
-def _coerce_churn(entry) -> ChurnSpec:
-    if isinstance(entry, ChurnSpec):
-        return entry
-    if isinstance(entry, str):
-        return ChurnSpec(entry)
-    if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        return ChurnSpec(entry[0], _freeze_params(entry[1]))
-    if isinstance(entry, dict):
-        return ChurnSpec(
-            entry["kind"], _freeze_params(entry.get("params"))
-        )
-    raise TypeError(f"cannot interpret churn entry {entry!r}")
 
 
 def _coerce_rule(entry) -> str:
@@ -516,7 +492,10 @@ class ExperimentSpec:
         object.__setattr__(
             self,
             "algorithms",
-            tuple(_coerce_algorithm(a) for a in self.algorithms),
+            tuple(
+                _coerce_entry(a, AlgorithmSpec, "name", "algorithm")
+                for a in self.algorithms
+            ),
         )
         graphs: List[GraphSpec] = []
         for entry in self.graphs:
@@ -525,7 +504,10 @@ class ExperimentSpec:
         object.__setattr__(
             self,
             "adversaries",
-            tuple(_coerce_adversary(a) for a in self.adversaries),
+            tuple(
+                _coerce_entry(a, AdversarySpec, "kind", "adversary")
+                for a in self.adversaries
+            ),
         )
         object.__setattr__(
             self,
@@ -545,7 +527,10 @@ class ExperimentSpec:
         object.__setattr__(
             self,
             "churns",
-            tuple(_coerce_churn(c) for c in self.churns),
+            tuple(
+                _coerce_entry(c, ChurnSpec, "kind", "churn")
+                for c in self.churns
+            ),
         )
         object.__setattr__(self, "seeds", _coerce_seeds(self.seeds))
         if not (

@@ -27,13 +27,13 @@ maximising the objective searches for worst cases under the cap.
 
 from __future__ import annotations
 
-import multiprocessing
 import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.runner import make_processes, suggested_round_limit
 from repro.experiments.registry import build_graph
+from repro.experiments.runner import pool_context
 from repro.experiments.spec import Params, _fmt_params, _freeze_params
 from repro.graphs.dualgraph import DualGraph
 from repro.search.genome import StrategyGenome
@@ -353,13 +353,7 @@ class PopulationEvaluator:
                 self._ctx = EvaluationContext(self.settings)
             return [self._ctx.evaluate(g) for g in genomes]
         if self._pool is None:
-            # Prefer fork so runtime-registered graph kinds reach the
-            # workers, mirroring the sweep runner's policy.
-            methods = multiprocessing.get_all_start_methods()
-            mp = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = mp.Pool(
+            self._pool = pool_context().Pool(
                 self.workers,
                 initializer=_init_worker,
                 initargs=(self.settings,),

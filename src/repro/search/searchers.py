@@ -30,11 +30,15 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.adversaries.base import AdversaryView
 from repro.adversaries.interferers import GreedyInterferer
-from repro.core.runner import make_processes, suggested_round_limit
+from repro.core.runner import (
+    Registry,
+    make_processes,
+    suggested_round_limit,
+)
 from repro.lowerbounds.sandbox import SandboxProcess
 from repro.search.evaluate import CandidateScore, SearchSettings
 from repro.search.genome import GenomeSpace, StrategyGenome
@@ -403,53 +407,27 @@ def _random_pattern(
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-SearcherFactory = Callable[..., Searcher]
+#: Searcher factories take ``(space, settings, **params)``.
+SEARCHERS: Registry[Searcher] = Registry(
+    "searcher kind",
+    {
+        RandomRestartSearch.kind: (
+            RandomRestartSearch,
+            "independent random genomes (restart baseline)",
+        ),
+        LocalMutationSearch.kind: (
+            LocalMutationSearch,
+            "(1+1) hill climber mutating the incumbent genome",
+        ),
+        GreedyLookaheadSearch.kind: (
+            GreedyLookaheadSearch,
+            "round-by-round construction, sandbox-clone lookahead",
+        ),
+    },
+)
 
-_SEARCHERS: Dict[str, SearcherFactory] = {
-    RandomRestartSearch.kind: RandomRestartSearch,
-    LocalMutationSearch.kind: LocalMutationSearch,
-    GreedyLookaheadSearch.kind: GreedyLookaheadSearch,
-}
-
-_DESCRIPTIONS: Dict[str, str] = {
-    "random": "independent random genomes (restart baseline)",
-    "local": "(1+1) hill climber mutating the incumbent genome",
-    "greedy": "round-by-round construction, sandbox-clone lookahead",
-}
-
-
-def searcher_kinds() -> List[str]:
-    """The registered searcher-kind names."""
-    return sorted(_SEARCHERS)
-
-
-def searcher_descriptions() -> Dict[str, str]:
-    """One-line description per registered searcher kind."""
-    return {kind: _DESCRIPTIONS.get(kind, "") for kind in searcher_kinds()}
-
-
-def register_searcher(
-    kind: str, factory: SearcherFactory, description: str = ""
-) -> None:
-    """Register a searcher factory ``factory(space, settings, **params)``."""
-    if kind in _SEARCHERS:
-        raise ValueError(f"searcher kind {kind!r} already registered")
-    _SEARCHERS[kind] = factory
-    if description:
-        _DESCRIPTIONS[kind] = description
-
-
-def build_searcher(
-    kind: str,
-    space: GenomeSpace,
-    settings: SearchSettings,
-    **params,
-) -> Searcher:
-    """Instantiate a registered searcher kind."""
-    try:
-        factory = _SEARCHERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown searcher kind {kind!r}; known: {searcher_kinds()}"
-        ) from None
-    return factory(space, settings, **params)
+# The registry's methods under their public names.
+searcher_kinds = SEARCHERS.names
+searcher_descriptions = SEARCHERS.descriptions
+register_searcher = SEARCHERS.register
+build_searcher = SEARCHERS.build

@@ -50,8 +50,6 @@ from repro.sim.engine import BroadcastEngine
 from repro.sim.messages import COLLISION, Message, Reception, SILENCE, received
 from repro.sim.process import Process, ProcessContext
 from repro.sim.trace import RoundRecord
-# Re-exported so imports of the topology from this module keep working.
-from repro.sim.topology import CompiledTopology, compile_topology  # noqa: F401
 
 
 def _observes_non_messages(process: Process) -> bool:

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.lowerbounds.theorem2 import DETERMINISTIC_ALGORITHMS
 
 SPECS = pathlib.Path(__file__).parent.parent / "examples" / "specs"
 
@@ -364,8 +365,8 @@ class TestList:
             assert "cli-test-adv" in out
             assert "registered at runtime" in out
         finally:
-            del registry._ADVERSARIES["cli-test-adv"]
-            del registry._ADVERSARY_DESCRIPTIONS["cli-test-adv"]
+            del registry.ADVERSARIES._factories["cli-test-adv"]
+            del registry.ADVERSARIES._descriptions["cli-test-adv"]
 
 
 class TestSearch:
@@ -443,25 +444,34 @@ class TestSearch:
 
 
 class TestLowerBound:
-    def test_theorem2(self, capsys):
-        rc = main(["lowerbound", "--theorem", "2", "--n", "10"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Theorem 2" in out
-        assert "True" in out  # bound holds
-
-    def test_theorem11(self, capsys):
+    @pytest.mark.parametrize("algorithm", DETERMINISTIC_ALGORITHMS)
+    def test_theorem2(self, capsys, algorithm):
         rc = main(
-            ["lowerbound", "--theorem", "11", "--n", "20",
-             "--algorithm", "round_robin"]
+            ["lowerbound", "--theorem", "2", "--n", "10",
+             "--algorithm", algorithm]
         )
         assert rc == 0
-        assert "Theorem 11" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"Theorem 2 vs {algorithm}" in out
+        assert "True" in out  # bound holds
 
-    def test_theorem12(self, capsys):
-        rc = main(["lowerbound", "--theorem", "12", "--n", "17"])
+    @pytest.mark.parametrize("algorithm", DETERMINISTIC_ALGORITHMS)
+    def test_theorem11(self, capsys, algorithm):
+        rc = main(
+            ["lowerbound", "--theorem", "11", "--n", "20",
+             "--algorithm", algorithm]
+        )
         assert rc == 0
-        assert "Theorem 12" in capsys.readouterr().out
+        assert f"Theorem 11 vs {algorithm}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algorithm", DETERMINISTIC_ALGORITHMS)
+    def test_theorem12(self, capsys, algorithm):
+        rc = main(
+            ["lowerbound", "--theorem", "12", "--n", "17",
+             "--algorithm", algorithm]
+        )
+        assert rc == 0
+        assert f"Theorem 12 vs {algorithm}" in capsys.readouterr().out
 
     def test_randomized_algorithm_rejected(self):
         with pytest.raises(SystemExit):

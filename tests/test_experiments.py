@@ -7,6 +7,7 @@ import pytest
 from repro.experiments import (
     AdversarySpec,
     AlgorithmSpec,
+    ChurnSpec,
     ExperimentSpec,
     GraphSpec,
     RunResult,
@@ -58,6 +59,23 @@ class TestSpec:
         assert [g.n for g in spec.graphs] == [8, 16, 32]
         assert spec.adversaries[1].params == (("p", 0.3),)
         assert spec.seeds == (3, 4)
+
+    @pytest.mark.parametrize(
+        "axis, cls, field, noun",
+        [
+            ("algorithms", AlgorithmSpec, "name", "algorithm"),
+            ("adversaries", AdversarySpec, "kind", "adversary"),
+            ("churns", ChurnSpec, "kind", "churn"),
+        ],
+    )
+    def test_named_entry_forms_coerce_alike(self, axis, cls, field, noun):
+        expected = cls("x", (("k", 1),))
+        forms = [expected, ("x", {"k": 1}), {field: "x", "params": {"k": 1}}]
+        for form in forms:
+            assert getattr(tiny_spec(**{axis: [form]}), axis) == (expected,)
+        assert getattr(tiny_spec(**{axis: ["x"]}), axis) == (cls("x"),)
+        with pytest.raises(TypeError, match=f"cannot interpret {noun} entry"):
+            tiny_spec(**{axis: [3]})
 
     def test_grid_size_and_order_stable(self):
         spec = tiny_spec(collision_rules=["CR1", "CR4"])
@@ -210,26 +228,6 @@ class TestRegistry:
         result = run_sweep(spec)
         assert len(result) == 1
         assert result.records[0].adversary_kind == "pivot"
-
-    def test_descriptions_cover_every_kind(self):
-        from repro.experiments import (
-            adversary_descriptions,
-            adversary_kinds,
-            graph_descriptions,
-            graph_kinds,
-        )
-
-        assert set(graph_descriptions()) == set(graph_kinds())
-        assert set(adversary_descriptions()) == set(adversary_kinds())
-        # Every built-in kind carries a one-liner (runtime-registered
-        # test kinds may omit theirs and map to the empty string).
-        missing = [
-            kind
-            for table in (graph_descriptions(), adversary_descriptions())
-            for kind, desc in table.items()
-            if not desc and not kind.startswith("test-")
-        ]
-        assert not missing
 
 
 class TestExecuteTask:
