@@ -13,13 +13,16 @@ failing the CI docs job.  The converse is enforced too: every live
 subcommand must appear in at least one documented command block, so a
 new command cannot ship undocumented.  Relative markdown links are
 checked for existence as a bonus — a renamed doc breaks the build,
-not the reader.
+not the reader.  So is every backticked dotted ``repro.…`` name: its
+longest importable module prefix is imported and the rest resolved by
+``getattr``, so a deleted module, class or function cannot stay cited.
 
 Usage: ``python scripts/check_docs.py`` (exit status 0 = clean).
 """
 
 from __future__ import annotations
 
+import importlib
 import pathlib
 import re
 import sys
@@ -34,6 +37,7 @@ DOC_FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 FENCE = re.compile(r"```[a-z]*\n(.*?)```", re.DOTALL)
 FLAG = re.compile(r"(--[a-z][a-z0-9-]*)")
 LINK = re.compile(r"\[[^\]]*\]\(([^)#]+)(?:#[^)]*)?\)")
+CITED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 
 
 def known_flags() -> dict:
@@ -103,15 +107,43 @@ def check_links(path: pathlib.Path, text: str):
     return problems
 
 
+def resolves(name: str) -> bool:
+    """Import the longest module prefix of ``name``, getattr the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_cited_names(path: pathlib.Path, text: str, cited: set):
+    problems = []
+    for name in sorted(set(CITED.findall(text))):
+        cited.add(name)
+        if not resolves(name):
+            problems.append(f"{path.name}: `{name}` does not resolve")
+    return problems
+
+
 def main() -> int:
     flags_by_sub = known_flags()
     problems = []
     documented = set()
+    cited = set()
     checked = 0
     for path in DOC_FILES:
         text = path.read_text(encoding="utf-8")
         problems += check_commands(path, text, flags_by_sub, documented)
         problems += check_links(path, text)
+        problems += check_cited_names(path, text, cited)
         checked += 1
     for sub in sorted(set(flags_by_sub) - documented):
         problems.append(
@@ -124,7 +156,8 @@ def main() -> int:
         return 1
     print(
         f"docs check: {checked} files, CLI commands and links consistent "
-        f"with repro --help ({', '.join(sorted(flags_by_sub))})"
+        f"with repro --help ({', '.join(sorted(flags_by_sub))}); "
+        f"{len(cited)} cited repro names resolve"
     )
     return 0
 

@@ -16,7 +16,6 @@ from repro.analysis.fitting import (
     fit_power_law,
     growth_ratio_check,
 )
-from repro.analysis.plots import bars, scatter
 from repro.analysis.report import (
     CampaignReport,
     CellAggregate,
@@ -38,9 +37,7 @@ __all__ = [
     "PowerLawFit",
     "RunningSummary",
     "Summary",
-    "bars",
     "best_fit",
-    "scatter",
     "busy_round_count",
     "busy_rounds",
     "fit_power_law",

@@ -42,9 +42,8 @@ class RunResult:
         rounds: Rounds executed.
         total_transmissions: Sum of per-round sender counts.
         engine: The engine that actually executed the task
-            (``"reference"`` or ``"fast"``; older records may say
-            ``"vector"``) — informational only, since the engines are
-            trace-equivalent.
+            (``"reference"`` or ``"fast"``) — informational only, since
+            the engines are trace-equivalent.
         churn_kind: The fault-injection kind the task ran under
             (``"none"`` for failure-free runs).  A science axis, not
             bookkeeping: reports keep churn records out of the

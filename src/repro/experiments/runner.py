@@ -188,7 +188,6 @@ def _execute_on(
     processes = make_processes(
         task.algorithm, graph.n, **dict(task.algorithm_params)
     )
-    engine_name = task.runs_on
     # The churn schedule is built from the task's key-derived seed and
     # its *resolved* round cap, so rate-based schedules cover the whole
     # horizon and are reproducible from the spec alone.
@@ -204,7 +203,7 @@ def _execute_on(
         start_mode=StartMode(task.start_mode),
         max_rounds=max_rounds,
         seed=task.derived_seed,
-        engine=engine_name,
+        engine=task.engine,
         churn=churn,
     )
     engine = build_engine(
@@ -227,7 +226,7 @@ def _execute_on(
         completion_round=trace.completion_round,
         rounds=trace.num_rounds,
         total_transmissions=sum(trace.sender_counts()),
-        engine=engine_name,
+        engine=task.engine,
         churn_kind=task.churn_kind,
     )
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -53,12 +52,6 @@ from repro.sim.collision import CollisionRule
 from repro.sim.engine import ENGINE_NAMES, StartMode
 
 Params = Tuple[Tuple[str, Any], ...]
-
-#: Engine names specs still accept although the engine is gone, each
-#: mapped to the engine that now runs its tasks.  Task keys keep the
-#: requested name, so results files written under it stay valid resume
-#: points; the traces are identical by the engines' equivalence.
-RETIRED_ENGINES = {"vector": "fast"}
 
 
 def _freeze_params(params: Optional[Union[dict, Params]]) -> Params:
@@ -257,11 +250,6 @@ class RunTask:
         """
         return zlib.crc32(self.science_key.encode("utf-8"))
 
-    @property
-    def runs_on(self) -> str:
-        """The engine that executes the task (a retired name's stand-in)."""
-        return RETIRED_ENGINES.get(self.engine, self.engine)
-
 
 #: A key's seed segment: ``/s<seed>``, followed by nothing but the
 #: optional ``/cap<M>`` and ``/eng-<name>`` segments.
@@ -426,12 +414,6 @@ def _coerce_mode(entry) -> str:
 
 def _coerce_engine(entry) -> str:
     value = str(entry).lower()
-    if value in RETIRED_ENGINES:
-        warnings.warn(
-            f"engine {value!r} was removed; its tasks run on the "
-            f"{RETIRED_ENGINES[value]!r} engine (same traces, same keys)"
-        )
-        return value
     if value not in ENGINE_NAMES:
         raise ValueError(
             f"unknown engine {entry!r}; known: {list(ENGINE_NAMES)}"
@@ -472,9 +454,7 @@ class ExperimentSpec:
 
     ``engines`` selects the execution engine implementation per task:
     ``"reference"`` or ``"fast"`` (the bitmask engine) — results are
-    identical either way.  The retired name ``"vector"`` is still
-    accepted with a warning and runs on the fast engine
-    (:data:`RETIRED_ENGINES`).
+    identical either way.
     """
 
     name: str

@@ -221,14 +221,12 @@ class InterferenceEngine:
                         self._activate(v)
                     else:
                         continue
+                # Silence, collisions and payload-free messages are inert
+                # (the Process contract): only the payload is delivered.
                 if rec.is_message and rec.message.payload == self.payload:
                     if self.trace.informed_round[v] is None:
                         self.trace.informed_round[v] = rnd
                         newly_informed.append(v)
-                    proc.deliver(self._contexts[v], rec)
-                elif rec.is_message:
-                    proc.on_reception(self._contexts[v], rec)
-                else:
                     proc.deliver(self._contexts[v], rec)
 
             self.trace.rounds.append(

@@ -100,10 +100,9 @@ class SandboxProcess:
         """Deliver one observation for the given round."""
         self.ctx.round_number = round_number
         msg = reception.message
-        if reception.is_message and msg is not None and msg.payload != self.payload:
-            # A payload-free message: deliver without custody transfer,
-            # mirroring BroadcastEngine._deliver.
-            self.process.on_reception(self.ctx, reception)
+        if msg is not None and msg.payload != self.payload:
+            # A payload-free message is inert and must not transfer
+            # custody, mirroring BroadcastEngine._deliver.
             return
         self.process.deliver(self.ctx, reception)
 

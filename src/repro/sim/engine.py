@@ -558,52 +558,16 @@ class BroadcastEngine:
     def _deliver(
         self, node: int, process: Process, reception: Reception
     ) -> None:
-        # Custody of the broadcast payload is tracked by the trace, not by
-        # Process.has_message alone, because processes may exchange
-        # payload-free messages (their Process.deliver still runs).
+        # A payload-free message is inert (the Process contract) and must
+        # not reach Process.deliver, which would transfer custody.
         msg = reception.message
         if msg is not None and msg.payload != self.payload:
-            # Deliver without transferring payload custody.
-            process.on_reception(self._contexts[node], reception)
             return
         process.deliver(self._contexts[node], reception)
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @property
-    def round_number(self) -> int:
-        """The number of rounds executed so far."""
-        return self._round
-
-    def step(self) -> RoundRecord:
-        """Execute one round (setting up on the first call).
-
-        Public stepping exists for protocols layered on broadcast (e.g.
-        the gossip extension) that need their own termination logic.
-        """
-        if not self._started:
-            self._setup()
-            self._started = True
-        return self._step()
-
-    def run_until(self, predicate, max_rounds: Optional[int] = None
-                  ) -> ExecutionTrace:
-        """Execute rounds until ``predicate(engine)`` holds or a cap hits.
-
-        Args:
-            predicate: Called after every round with the engine; truthy
-                return stops the run.
-            max_rounds: Optional cap (default: the config's).
-        """
-        cap = max_rounds if max_rounds is not None else self.config.max_rounds
-        while self._round < cap:
-            self.step()
-            if predicate(self):
-                break
-        self.trace.completed = self._all_informed()
-        return self.trace
-
     def run(self) -> ExecutionTrace:
         """Execute until broadcast completes or ``max_rounds`` elapse."""
         if not self._started:

@@ -21,12 +21,10 @@ of per-node message lists:
   popcount-style mask tests without ever materialising an arrival list;
   only nodes with exactly one arrival need the actual
   :class:`~repro.sim.messages.Message`.
-* Process classes that leave both ``deliver`` and ``on_reception`` at
-  the :class:`~repro.sim.process.Process` defaults observe non-message
-  receptions as provable no-ops, so the engine only visits *reached*
-  nodes each round instead of every active node.  Classes overriding
-  either hook (e.g. the gossip extension) are tracked in an observer
-  mask and keep the reference engine's full delivery discipline.
+* Non-message receptions are inert by the
+  :class:`~repro.sim.process.Process` contract (``deliver`` is final),
+  so without reception recording the engine visits only the *reached*
+  nodes each round instead of every active node.
 * The per-message reference path is kept for the two places set algebra
   cannot express: CR4 collisions at non-senders (the adversary must be
   consulted with the full arrival list, reconstructed in the reference
@@ -52,20 +50,6 @@ from repro.sim.process import Process, ProcessContext
 from repro.sim.trace import RoundRecord
 
 
-def _observes_non_messages(process: Process) -> bool:
-    """Whether silence/collision deliveries can affect this process.
-
-    ``Process.deliver`` mutates state only for message receptions and the
-    base ``on_reception`` is a no-op, so a process whose class overrides
-    neither hook provably ignores non-message receptions.
-    """
-    cls = type(process)
-    return (
-        cls.on_reception is not Process.on_reception
-        or cls.deliver is not Process.deliver
-    )
-
-
 class FastBroadcastEngine(BroadcastEngine):
     """Bitmask drop-in for :class:`~repro.sim.engine.BroadcastEngine`.
 
@@ -77,17 +61,8 @@ class FastBroadcastEngine(BroadcastEngine):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        network = self.network
-        bit = self._topology.bit
-        self._bit: List[int] = bit
+        self._bit: List[int] = self._topology.bit
         self._reach_mask: List[int] = self._topology.reach_mask
-        # Nodes whose process observes silence/collision: they keep the
-        # reference engine's every-round delivery discipline.
-        self._observer_mask = sum(
-            bit[v]
-            for v in network.nodes
-            if _observes_non_messages(self.process_at[v])
-        )
         # Maintained by the _insert_active/_deactivate overrides;
         # construction precedes _setup(), so no node is active yet.
         self._active_mask = 0
@@ -197,9 +172,8 @@ class FastBroadcastEngine(BroadcastEngine):
 
         # Phase 4: resolution and delivery, ascending node order
         # (matching the reference engine's candidate ordering).  Without
-        # recording, only reached nodes and active observers can change
-        # state: an unreached non-observer hears silence, which its
-        # process provably ignores.
+        # recording, only reached nodes can change state: an unreached
+        # node hears silence, which is inert (the Process contract).
         def cr4(node: int, msgs: List[Message]) -> Optional[Message]:
             return self.adversary.resolve_cr4(view, node, msgs)
 
@@ -232,7 +206,6 @@ class FastBroadcastEngine(BroadcastEngine):
         deliver = self._deliver
         sender_msg = senders.get
         active_mask = self._active_mask
-        observer_mask = self._observer_mask
         cr1 = rule is CollisionRule.CR1
         collision_on_multi = rule.provides_collision_detection
         silence_on_multi = rule is CollisionRule.CR3 or (
@@ -244,11 +217,8 @@ class FastBroadcastEngine(BroadcastEngine):
             pending = (1 << network.n) - 1
         else:
             # Crashed radios hear nothing: their positions never need a
-            # visit (they cannot be active, so the observer term is
-            # already clear of them).
-            pending = (
-                reached_once | (active_mask & observer_mask)
-            ) & ~crashed_mask
+            # visit.
+            pending = reached_once & ~crashed_mask
 
         while pending:
             low = pending & -pending
@@ -325,8 +295,8 @@ class FastBroadcastEngine(BroadcastEngine):
                     self._activate(node)
                 else:
                     continue  # sleeping processes observe nothing
-            elif not is_message and not observer_mask & b:
-                continue  # provably inert delivery
+            elif not is_message:
+                continue  # inert delivery (the Process contract)
             process = process_at[node]
             was_informed = informed_round[node] is not None
             deliver(node, process, reception)

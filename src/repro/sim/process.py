@@ -6,13 +6,16 @@ from a totally ordered set ``I``.  An adversary assigns processes to graph
 nodes via the ``proc`` bijection (Section 2.1); processes never learn which
 node they occupy.
 
-Concretely, subclasses implement two hooks:
+Concretely, subclasses implement one hook,
+:meth:`Process.decide_send` — called at the start of each round for every
+*active* process; returning a :class:`~repro.sim.messages.Message` means
+"transmit this round", returning ``None`` means "listen".
 
-* :meth:`Process.decide_send` — called at the start of each round for every
-  *active* process; returning a :class:`~repro.sim.messages.Message` means
-  "transmit this round", returning ``None`` means "listen".
-* :meth:`Process.on_reception` — called at the end of the round with the
-  process's observation (silence / message / collision notification).
+The end-of-round observation reaches the process only through the final
+:meth:`Process.deliver`, which records custody of the broadcast payload.
+Silence, collision notifications and payload-free messages are inert: no
+process can observe them, so an engine may skip delivering them.  Both
+engines rely on this, and ``Process.__init_subclass__`` enforces it.
 
 Activation follows the paper's two start rules: under *synchronous start*
 all processes are active from round 1; under *asynchronous start* a process
@@ -61,12 +64,28 @@ class Process(abc.ABC):
         on_activate(ctx)                  # once, when the process wakes up
         repeat each round while active:
             decide_send(ctx) -> msg|None
-            on_reception(ctx, reception)
+            deliver(ctx, reception)       # may be skipped unless the
+                                          # reception carries the payload
 
     The broadcast *message* is delivered to the source process before round
     1 via :meth:`on_broadcast_input` (Section 3: "the message arrives at the
     source process prior to the first round").
+
+    :meth:`deliver` is final: a subclass defining it (or the retired
+    ``on_reception`` observer hook) raises :class:`TypeError` when the
+    class is created, so no process can make a silent round observable
+    and thereby tell the two engines apart.
     """
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for hook in ("deliver", "on_reception"):
+            if hook in vars(cls):
+                raise TypeError(
+                    f"{cls.__name__} defines {hook}(): Process.deliver is "
+                    "final and every reception but a message carrying the "
+                    "broadcast payload is inert"
+                )
 
     def __init__(self, uid: int) -> None:
         self._uid = uid
@@ -142,15 +161,15 @@ class Process(abc.ABC):
         self._first_message_round = None
 
     def deliver(self, ctx: ProcessContext, reception: Reception) -> None:
-        """Engine entry point: record message custody, then dispatch.
+        """Engine entry point: record custody of a received message.
 
-        Subclasses should override :meth:`on_reception`, not this method.
+        Engines never pass a payload-free message here (it would transfer
+        custody); silence and collision notifications are no-ops.
         """
         if reception.is_message and not self._has_message:
             self._has_message = True
             self._message = reception.message
             self._first_message_round = ctx.round_number
-        self.on_reception(ctx, reception)
 
     # ------------------------------------------------------------------
     # Subclass responsibilities
@@ -158,9 +177,6 @@ class Process(abc.ABC):
     @abc.abstractmethod
     def decide_send(self, ctx: ProcessContext) -> Optional[Message]:
         """Return the message to transmit this round, or ``None`` to listen."""
-
-    def on_reception(self, ctx: ProcessContext, reception: Reception) -> None:
-        """Observe the end-of-round outcome.  Default: no-op."""
 
     # ------------------------------------------------------------------
     # Helpers for subclasses

@@ -206,37 +206,6 @@ class TestSweep:
         assert "paper reference bounds" in tables
         assert swept.split("\n", 1)[1].startswith(tables)
 
-    def test_sweep_retired_vector_engine_resumes(
-        self, capsys, tmp_path
-    ):
-        """A spec file still naming the removed vector engine warns,
-        runs on the fast engine and resumes its results file."""
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(
-            json.dumps(
-                {
-                    "name": "cli-vector",
-                    "algorithms": ["round_robin"],
-                    "graphs": [{"kind": "line", "n": 6}],
-                    "engines": ["vector"],
-                    "seeds": [0, 1, 2],
-                }
-            )
-        )
-        results = tmp_path / "results.jsonl"
-        for expected in ("3 run, 0 resumed", "0 run, 3 resumed"):
-            with pytest.warns(UserWarning, match="'vector' was removed"):
-                assert main(
-                    ["sweep", "--spec", str(spec_file),
-                     "--results", str(results)]
-                ) == 0
-            assert expected in capsys.readouterr().out
-        engines = {
-            json.loads(line)["engine"]
-            for line in results.read_text().splitlines()
-        }
-        assert engines == {"fast"}
-
     def test_sweep_warns_about_unparsable_result_lines(
         self, capsys, tmp_path
     ):

@@ -256,3 +256,19 @@ class TestPayloadCustody:
         assert trace.rounds[0].receptions[2].is_message
         assert trace.informed_round[2] is None
         assert not trace.completed
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_payload_free_message_transfers_no_custody(self, engine):
+        """A payload-free message is inert: it never reaches
+        Process.deliver, so the receiver does not take custody of it."""
+        procs = [
+            ScriptedProcess(0, []),
+            ScriptedProcess(1, [1], send_without_message=True),
+            ScriptedProcess(2, []),
+        ]
+        run_broadcast(
+            line(3), procs, max_rounds=3,
+            start_mode=StartMode.SYNCHRONOUS, engine=engine,
+        )
+        assert not procs[2].has_message
+        assert procs[2].message is None

@@ -238,19 +238,3 @@ def test_engines_agree_under_churn(
     assert validate_execution(
         reference, graph, rule, start_mode, churn=churn
     ) == []
-
-
-@given(
-    graph=dual_graphs(),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_gossip_observers_agree(graph, seed):
-    """Observer processes (gossip overrides on_reception) keep the full
-    delivery discipline on every engine."""
-    from repro.extensions import run_gossip
-
-    results = {}
-    for engine in ("reference", "fast"):
-        res = run_gossip(graph, seed=seed, engine=engine, max_rounds=60)
-        results[engine] = (res.completed, res.rounds, res.rumor_counts)
-    assert results["fast"] == results["reference"]

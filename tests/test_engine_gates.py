@@ -174,35 +174,6 @@ class TestSweepRouting:
         assert [r.engine for r in records] == [engine] * 3
         assert records == [execute_task(t) for t in batch.tasks]
 
-    @pytest.mark.parametrize("adversary,graph_kind", ROUTING_ROWS)
-    def test_retired_vector_name_runs_on_fast(self, adversary, graph_kind):
-        """A spec still naming the removed vector engine warns,
-        keeps its task keys (old results files stay resume points) and
-        records the fast engine with the reference science — on every
-        routing row, per-seed graphs and real CR4 resolvers included."""
-        with pytest.warns(UserWarning, match="'vector' was removed"):
-            spec = _one_cell_spec(
-                "vector", range(2), adversary=adversary,
-                graph_kind=graph_kind,
-            )
-        tasks = spec.tasks()
-        assert all(t.key.endswith("/eng-vector") for t in tasks)
-        records = execute_batch(plan_batches(tasks)[0])
-        assert [r.engine for r in records] == ["fast", "fast"]
-        ref = [
-            execute_task(t)
-            for t in _one_cell_spec(
-                "reference", range(2), adversary=adversary,
-                graph_kind=graph_kind,
-            ).tasks()
-        ]
-        assert [r.completion_round for r in records] == [
-            r.completion_round for r in ref
-        ]
-        assert [r.total_transmissions for r in records] == [
-            r.total_transmissions for r in ref
-        ]
-
 
 #: The registered fault-injection kinds, each with parameters that
 #: actually take nodes down within the gates cell's horizon.

@@ -98,6 +98,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             tiny_spec(start_modes=["sometimes"])
 
+    @pytest.mark.parametrize("engine", ["warp", "vector"])
+    def test_unknown_engine_rejected(self, engine):
+        """Only live engine names load; the removed vector engine's name
+        is as unknown as a made-up one."""
+        with pytest.raises(ValueError, match="unknown engine"):
+            tiny_spec(engines=[engine])
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             tiny_spec(algorithms=[])
@@ -310,42 +317,6 @@ class TestSweepRunner:
         assert resumed.resumed == spec.size - 2
         assert resumed.executed == 2
         assert len(load_records(str(path))[0]) == spec.size
-
-    def test_records_of_the_removed_vector_engine_resume(self, tmp_path):
-        """A results file the vector engine wrote (keys ``…/eng-vector``,
-        records stamped ``"engine": "vector"``) stays a resume point."""
-        with pytest.warns(UserWarning, match="'vector' was removed"):
-            spec = tiny_spec(engines=["vector"])
-        path = tmp_path / "results.jsonl"
-        run_sweep(spec, results_path=str(path))
-        lines = [
-            json.dumps({**json.loads(line), "engine": "vector"})
-            for line in path.read_text().splitlines()
-        ]
-        path.write_text("\n".join(lines) + "\n")
-
-        resumed = run_sweep(spec, results_path=str(path))
-        assert (resumed.executed, resumed.resumed) == (0, spec.size)
-        assert {r.engine for r in resumed.records} == {"vector"}
-
-    def test_retired_engine_name_beside_its_stand_in(self):
-        """engines=["fast", "vector"] keeps two tasks per science cell
-        under distinct keys; both run on the fast engine and agree."""
-        with pytest.warns(UserWarning, match="'vector' was removed"):
-            spec = tiny_spec(engines=["fast", "vector"])
-        tasks = spec.tasks()
-        assert len({t.key for t in tasks}) == spec.size == 8
-        assert {t.runs_on for t in tasks} == {"fast"}
-        records = run_sweep(spec).records
-        assert {r.engine for r in records} == {"fast"}
-        by_key = {r.key: r for r in records}
-        for key, record in by_key.items():
-            if key.endswith("/eng-vector"):
-                twin = by_key[key.replace("/eng-vector", "/eng-fast")]
-                assert record.completion_round == twin.completion_round
-                assert (
-                    record.total_transmissions == twin.total_transmissions
-                )
 
     def test_changed_round_cap_invalidates_old_records(self, tmp_path):
         """Raising max_rounds must re-run, not resume, capped records."""

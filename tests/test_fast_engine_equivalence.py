@@ -25,7 +25,6 @@ from repro.core.runner import broadcast, make_processes
 from repro.experiments import ExperimentSpec, SweepRunner
 from repro.experiments.registry import build_adversary
 from repro.experiments.runner import execute_task
-from repro.extensions import run_gossip
 from repro.sim import (
     BroadcastEngine,
     CollisionRule,
@@ -186,17 +185,6 @@ def test_payload_free_transmissions_match():
         )
         traces[engine] = sim.run()
     assert_all_identical(traces)
-
-
-@pytest.mark.parametrize("engine", ENGINES[1:])
-def test_gossip_runs_on_mask_engines(engine, tiny_line):
-    """Observer processes (gossip overrides on_reception) keep the full
-    delivery discipline and reach the same result."""
-    ref = run_gossip(tiny_line, seed=3)
-    other = run_gossip(tiny_line, seed=3, engine=engine)
-    assert other.completed and ref.completed
-    assert other.rounds == ref.rounds
-    assert other.rumor_counts == ref.rumor_counts
 
 
 # ----------------------------------------------------------------------

@@ -92,3 +92,16 @@ class TestAbstractness:
     def test_process_is_abstract(self):
         with pytest.raises(TypeError):
             Process(uid=0)  # type: ignore[abstract]
+
+
+class TestDeliverIsFinal:
+    """Receptions other than the payload are inert, so neither engine
+    has to deliver them: a subclass cannot hook into delivery."""
+
+    @pytest.mark.parametrize("hook", ["deliver", "on_reception"])
+    def test_defining_a_reception_hook_fails_at_class_creation(self, hook):
+        def observe(self, ctx, reception):
+            pass
+
+        with pytest.raises(TypeError, match=f"defines {hook}"):
+            type("Observer", (SilentProcess,), {hook: observe})

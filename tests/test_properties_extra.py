@@ -1,5 +1,5 @@
-"""Additional property-based tests: serialization, replay,
-broadcastability, and link-quality invariants."""
+"""Additional property-based tests: serialization, replay and
+broadcastability invariants."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.adversaries import RandomDeliveryAdversary
 from repro.adversaries.scripted import ReplayAdversary
 from repro.core import make_round_robin_processes
-from repro.extensions import LinkQualityEstimator
 from repro.graphs import gnp_dual
 from repro.graphs.broadcastability import (
     broadcast_number,
@@ -102,23 +101,3 @@ def test_broadcast_number_invariants(n, pr, pu, seed):
         assert set(senders) <= informed
         informed |= guaranteed_informed(g, sorted(senders))
     assert informed == set(g.nodes)
-
-
-@given(
-    n=st.integers(min_value=3, max_value=14),
-    seed=st.integers(min_value=0, max_value=100),
-    p=st.floats(min_value=0.1, max_value=0.9),
-)
-@SLOW
-def test_link_quality_reliable_links_never_misjudged(n, seed, p):
-    """A true reliable link always measures delivery ratio 1.0."""
-    g = gnp_dual(n, seed=seed)
-    est = LinkQualityEstimator(g)
-    est.observe(recorded_run(g, seed, p))
-    for u in g.nodes:
-        for v in g.reliable_out(u):
-            stats = est.stats(u, v)
-            if stats.attempts:
-                assert stats.delivery_ratio == 1.0
-    _fp, fn = est.recovered_reliable_set(threshold=1.0, min_attempts=1)
-    assert not fn
