@@ -104,6 +104,26 @@ class TestRun:
         assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--n", "8"],
+        ["sweep", "--graph", "line", "--algorithm", "round_robin",
+         "--sizes", "4", "--seeds", "0"],
+        ["search", "--n", "6", "--budget", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("engine", ["vector", "warp"])
+def test_engine_flag_accepts_only_live_engines(argv, engine, capsys):
+    """``--engine`` offers exactly the live engines on every subcommand
+    that has it; the removed vector engine is an invalid choice."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--engine", engine])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_prints_fit(self, capsys):
         rc = main(

@@ -272,3 +272,25 @@ class TestPayloadCustody:
         )
         assert not procs[2].has_message
         assert procs[2].message is None
+
+    @pytest.mark.parametrize("rule", list(CollisionRule))
+    def test_payload_free_message_is_inert_under_every_rule(self, rule):
+        """Under every collision rule both engines hear the payload-free
+        message at node 2, leave node 2 without custody and agree on
+        every round record."""
+        traces = {}
+        for engine in ("reference", "fast"):
+            procs = [
+                ScriptedProcess(0, []),
+                ScriptedProcess(1, [1, 2], send_without_message=True),
+                ScriptedProcess(2, []),
+            ]
+            traces[engine] = run_broadcast(
+                line(3), procs, FullDeliveryAdversary(), max_rounds=3,
+                start_mode=StartMode.SYNCHRONOUS, collision_rule=rule,
+                record_receptions=True, engine=engine,
+            )
+            assert traces[engine].rounds[0].receptions[2].is_message
+            assert traces[engine].informed_round[2] is None
+            assert not procs[2].has_message
+        assert traces["fast"].rounds == traces["reference"].rounds

@@ -9,6 +9,8 @@ example and bench module so a dangling import fails here too.
 import importlib.util
 import pathlib
 
+import pytest
+
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "examples"
@@ -47,7 +49,15 @@ def test_reproduce_paper_all_claims_pass(capsys):
 def test_every_example_parses():
     for path in sorted(EXAMPLES.glob("*.py")):
         source = path.read_text(encoding="utf-8")
+        compile(source, str(path), "exec")
         assert '"""' in source  # every example carries a docstring
-        load_module(path)
-    for path in sorted(BENCHMARKS.glob("bench_*.py")):
-        load_module(path)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(EXAMPLES.glob("*.py")) + sorted(BENCHMARKS.glob("bench_*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_script_top_level_loads(path):
+    """Each example and bench module imports only names that exist."""
+    load_module(path)

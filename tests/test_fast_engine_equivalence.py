@@ -21,7 +21,7 @@ from repro.adversaries import (
     GreedyInterferer,
     RandomDeliveryAdversary,
 )
-from repro.core.runner import broadcast, make_processes
+from repro.core.runner import algorithm_names, broadcast, make_processes
 from repro.experiments import ExperimentSpec, SweepRunner
 from repro.experiments.registry import build_adversary
 from repro.experiments.runner import execute_task
@@ -36,6 +36,8 @@ from repro.sim import (
 )
 
 ALGORITHMS = ["round_robin", "harmonic", "strong_select"]
+#: Every other registered algorithm; the grid below pins them too.
+OTHER_ALGORITHMS = [a for a in algorithm_names() if a not in ALGORITHMS]
 GRAPHS = ["line", "gnp", "clique-bridge"]
 MASK_RULES = [CollisionRule.CR1, CollisionRule.CR2, CollisionRule.CR3]
 ENGINES = ("reference", "fast")
@@ -84,6 +86,20 @@ def run_engines(algorithm, graph_kind, n, adversary_kind, rule, seed,
 def test_differential_grid(algorithm, graph_kind, rule):
     """3 algorithms × the graph corpus × CR1–CR3, several seeds each."""
     for seed in (0, 1, 7):
+        assert_all_identical(
+            run_engines(algorithm, graph_kind, 17, "greedy", rule, seed)
+        )
+
+
+@pytest.mark.parametrize("algorithm", OTHER_ALGORITHMS)
+@pytest.mark.parametrize("graph_kind", GRAPHS)
+@pytest.mark.parametrize("rule", MASK_RULES)
+def test_differential_grid_other_algorithms(algorithm, graph_kind, rule):
+    """The rest of the algorithm registry × the graph corpus × CR1–CR3:
+    the fast engine's pending mask covers senders and listeners only,
+    so every registered automaton must still see the reference's
+    rounds."""
+    for seed in (0, 5):
         assert_all_identical(
             run_engines(algorithm, graph_kind, 17, "greedy", rule, seed)
         )
@@ -213,6 +229,18 @@ def test_build_engine_dispatch(tiny_line):
             tiny_line,
             make_processes("round_robin", n),
             config=EngineConfig(engine="vector"),
+        )
+
+
+@pytest.mark.parametrize("name", ["vector", "Fast", ""])
+def test_build_engine_rejects_names_it_does_not_run(tiny_line, name):
+    """Only ``reference`` and ``fast`` build: the removed vector
+    engine's name has no alias, and names are not case-folded."""
+    with pytest.raises(ValueError, match="unknown engine"):
+        build_engine(
+            tiny_line,
+            make_processes("round_robin", tiny_line.n),
+            config=EngineConfig(engine=name),
         )
 
 

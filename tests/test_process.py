@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.runner import algorithm_names, make_processes
 from repro.sim.messages import Message, SILENCE, received
 from repro.sim.process import (
     Process,
@@ -105,3 +106,30 @@ class TestDeliverIsFinal:
 
         with pytest.raises(TypeError, match=f"defines {hook}"):
             type("Observer", (SilentProcess,), {hook: observe})
+
+    @pytest.mark.parametrize("hook", ["deliver", "on_reception"])
+    @pytest.mark.parametrize(
+        "base",
+        sorted(
+            {
+                type(p)
+                for name in algorithm_names()
+                for p in make_processes(name, 4)
+            }
+            | {SilentProcess, ScriptedProcess},
+            key=lambda cls: cls.__name__,
+        ),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_subclass_of_a_concrete_process_cannot_hook_delivery(
+        self, base, hook
+    ):
+        """The check is inherited: no shipped automaton can be extended
+        into an observer of receptions either."""
+
+        def observe(self, ctx, reception):
+            pass
+
+        assert base.deliver is Process.deliver
+        with pytest.raises(TypeError, match=f"defines {hook}"):
+            type(f"Observing{base.__name__}", (base,), {hook: observe})
