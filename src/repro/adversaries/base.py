@@ -20,10 +20,22 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from repro.graphs.dualgraph import DualGraph
 from repro.sim.messages import Message
+
+if TYPE_CHECKING:
+    from repro.sim.topology import CompiledTopology
 
 
 @dataclass
@@ -33,6 +45,9 @@ class AdversaryView:
     Attributes:
         round_number: Current 1-based round.
         network: The dual graph (the adversary knows the topology).
+        topology: The engine's compiled form of ``network``: per-node
+            bit, reach and unreliable-only masks for adversaries that
+            plan with set algebra.
         senders: Mapping from sending *node* to the message it transmits
             this round.
         informed: Nodes whose process currently holds the broadcast payload
@@ -47,6 +62,7 @@ class AdversaryView:
 
     round_number: int
     network: DualGraph
+    topology: "CompiledTopology"
     senders: Mapping[int, Message]
     informed: FrozenSet[int]
     active: FrozenSet[int]
@@ -60,7 +76,26 @@ class Adversary(abc.ABC):
     Subclasses typically override :meth:`choose_deliveries`; the other
     hooks have reasonable defaults (identity process assignment, silence
     for CR4 collisions — the weakest resolution for the algorithm).
+
+    ``cr4_always_silent`` is a class fact an engine may act on: the
+    class's :meth:`resolve_cr4` is this base resolver, which answers
+    silence for every collision, so the consult (and the arrival list it
+    needs) can be skipped; the fast engine skips it.  It is inferred at
+    class creation, never declared: ``False`` as soon as any class on
+    the MRO other than this base defines ``resolve_cr4`` (a mixin's
+    resolver counts), so a real resolver is never skipped.  The
+    reference engine ignores it and consults on every CR4 collision.
     """
+
+    cr4_always_silent: bool = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.cr4_always_silent = not any(
+            "resolve_cr4" in vars(klass)
+            for klass in cls.__mro__
+            if klass is not Adversary
+        )
 
     def assign_processes(
         self, network: DualGraph, uids: Sequence[int]

@@ -17,11 +17,10 @@ These adversaries actively try to slow broadcast down:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Optional, Sequence
 
 from repro.adversaries.base import Adversary, AdversaryView
 from repro.graphs.constructions import PivotLayersLayout
-from repro.sim.messages import Message
 
 
 class GreedyInterferer(Adversary):
@@ -30,7 +29,10 @@ class GreedyInterferer(Adversary):
     For each uninformed node ``u`` receiving exactly one reliable arrival,
     the adversary looks for another concurrent sender ``w`` with an
     unreliable edge ``(w, u)`` and schedules it, producing a collision at
-    ``u``.  CR4 collisions resolve to silence.
+    ``u``; among several such ``w`` it takes the lowest node.  The search
+    is set algebra over the view's compiled reach and unreliable-only
+    masks.  CR4 collisions resolve to silence (the inherited base
+    resolver, so ``cr4_always_silent`` holds).
 
     This is the strongest *generic* adversary in the package: it needs no
     knowledge of the algorithm, only of the current round's senders.
@@ -39,34 +41,48 @@ class GreedyInterferer(Adversary):
     def choose_deliveries(
         self, view: AdversaryView
     ) -> Dict[int, FrozenSet[int]]:
-        network = view.network
+        topology = view.topology
+        reach = topology.reach_mask
+        unreliable = topology.unreliable_mask
         senders = sorted(view.senders)
-        # Count reliable arrivals at every node.
-        reliable_arrivals: Dict[int, int] = {}
+        # Bit v of `once` means some sender reliably reaches v (a sender
+        # reaches itself); bit v of `multi` means two or more do.
+        once = multi = 0
         for s in senders:
-            for t in network.reliable_out(s):
-                reliable_arrivals[t] = reliable_arrivals.get(t, 0) + 1
-        for s in senders:
-            # A sender's own message reaches itself.
-            reliable_arrivals[s] = reliable_arrivals.get(s, 0) + 1
-
-        chosen: Dict[int, set] = {}
-        for u in network.nodes:
-            if u in view.informed:
-                continue
-            if reliable_arrivals.get(u, 0) != 1:
-                continue
-            # Find an interfering sender with an unreliable edge to u.
-            for w in senders:
-                if u in network.unreliable_only_out(w):
-                    chosen.setdefault(w, set()).add(u)
-                    break
-        return {w: frozenset(ts) for w, ts in chosen.items()}
-
-    def resolve_cr4(
-        self, view: AdversaryView, node: int, arrivals: List[Message]
-    ) -> Optional[Message]:
-        return None  # silence: the collision conveys nothing
+            m = reach[s]
+            multi |= once & m
+            once |= m
+        # The almost-successful receptions: exactly one reliable arrival
+        # at a node that is still uninformed.
+        open_ = once & ~multi
+        pending = open_
+        informed = view.informed
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            if low.bit_length() - 1 in informed:
+                open_ ^= low
+        # Each open node goes to the first sender, in ascending order,
+        # with an unreliable edge to it.
+        hits_of = []
+        for w in senders:
+            if not open_:
+                break
+            hits = unreliable[w] & open_
+            if hits:
+                open_ ^= hits
+                hits_of.append((hits & -hits, w, hits))
+        # Key order: by each sender's smallest target.
+        hits_of.sort()
+        chosen: Dict[int, FrozenSet[int]] = {}
+        for _, w, hits in hits_of:
+            targets = []
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                targets.append(low.bit_length() - 1)
+            chosen[w] = frozenset(targets)
+        return chosen
 
 
 class PivotAdversary(Adversary):
@@ -128,8 +144,3 @@ class PivotAdversary(Adversary):
                     chosen.setdefault(w, set()).update(targets)
                     break  # one colliding message suffices
         return {w: frozenset(ts) for w, ts in chosen.items()}
-
-    def resolve_cr4(
-        self, view: AdversaryView, node: int, arrivals: List[Message]
-    ) -> Optional[Message]:
-        return None

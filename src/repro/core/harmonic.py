@@ -99,12 +99,17 @@ class HarmonicProcess(Process):
         return self._T
 
     def decide_send(self, ctx: ProcessContext) -> Optional[Message]:
-        if not self.has_message:
+        # The hottest call of a Harmonic run: read the held state
+        # directly, not through the properties (holding the message
+        # implies a first-message round).
+        if not self._has_message:
             return None
-        t_v = self.first_message_round
-        assert t_v is not None
-        T = self.plateau_length(ctx.n)
-        p = sending_probability(ctx.round_number, t_v, T)
+        T = self._T
+        if T is None:
+            T = self.plateau_length(ctx.n)
+        p = sending_probability(
+            ctx.round_number, self._first_message_round, T
+        )
         if p > 0 and ctx.rng.random() < p:
             return self.outgoing(ctx, probability=p)
         return None

@@ -139,28 +139,28 @@ class EvaluationContext:
 
     Instances are cheap to evaluate against and safe to reuse across any
     number of sequential candidate evaluations (the engines only read
-    the compiled topology).  ``graph`` optionally injects an
-    already-built graph for the cell (the harness builds one for the
-    genome space and shares it here) instead of rebuilding.
+    the compiled topology).  ``topology`` optionally injects the cell's
+    already-compiled topology (the harness compiles one for the genome
+    space and shares it here) instead of rebuilding and recompiling.
     """
 
     def __init__(
         self,
         settings: SearchSettings,
-        graph: Optional[DualGraph] = None,
+        topology: Optional[CompiledTopology] = None,
     ) -> None:
         self.settings = settings
-        self.graph: DualGraph = (
-            graph
-            if graph is not None
-            else build_graph(
-                settings.graph_kind,
-                settings.n,
-                seed=settings.seed,
-                **dict(settings.graph_params),
+        if topology is None:
+            topology = compile_topology(
+                build_graph(
+                    settings.graph_kind,
+                    settings.n,
+                    seed=settings.seed,
+                    **dict(settings.graph_params),
+                )
             )
-        )
-        self.topology: CompiledTopology = compile_topology(self.graph)
+        self.topology: CompiledTopology = topology
+        self.graph: DualGraph = topology.graph
         self.rule = CollisionRule[settings.collision_rule]
         cap = settings.max_rounds
         if cap is None:

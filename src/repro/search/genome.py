@@ -34,6 +34,7 @@ from repro.adversaries.base import AdversaryView
 from repro.adversaries.scripted import ScriptedDeliveries
 from repro.graphs.dualgraph import DualGraph
 from repro.sim.messages import Message
+from repro.sim.topology import CompiledTopology, compile_topology
 
 #: ``((round, ((sender, (targets...)), ...)), ...)`` — sorted, deduped.
 DeliveryTable = Tuple[Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]], ...]
@@ -242,8 +243,9 @@ class StrategyGenome:
         """The replayable adversary implementing this strategy.
 
         Genomes without CR4 genes build a :class:`GenomeAdversary`
-        (whose ``resolve_cr4`` is the inherited base default — CR4
-        collisions resolve to silence without ever consulting it);
+        (which inherits the base resolver, so ``cr4_always_silent``
+        holds — the fast engine resolves its CR4 collisions to silence
+        without ever consulting it);
         genomes with CR4 genes build a :class:`GenomeCR4Adversary`,
         whose real resolver the fast engine serves through its CR4
         consult path.
@@ -258,8 +260,9 @@ class GenomeAdversary(ScriptedDeliveries):
 
     Deliveries and the proc assignment are exactly
     :class:`~repro.adversaries.scripted.ScriptedDeliveries` semantics;
-    CR4 collisions resolve to silence (base default), so the mask
-    engines never build arrival lists for instances of this class.
+    CR4 collisions resolve to silence (the base resolver, so
+    ``cr4_always_silent`` holds), so the fast engine never builds arrival
+    lists for instances of this class.
     """
 
     def __init__(self, genome: StrategyGenome) -> None:
@@ -336,6 +339,10 @@ class GenomeSpace:
     #: Legal crash targets: every node except the source.
     _crashable: Tuple[int, ...] = field(init=False)
 
+    #: ``graph`` compiled once; the search harness shares it with the
+    #: evaluation context and the greedy searcher reads its masks.
+    topology: CompiledTopology = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
@@ -347,6 +354,7 @@ class GenomeSpace:
         self._crashable = tuple(
             v for v in self.graph.nodes if v != self.graph.source
         )
+        self.topology = compile_topology(self.graph)
 
     # ------------------------------------------------------------------
     # Sampling

@@ -148,10 +148,11 @@ def run_search(
     resumed = 0
     ordinal = 0
     # One graph build and one topology compile serve the whole search:
-    # the genome space's graph backs the in-process evaluation context
-    # and the final replay certification (pool workers, when used,
-    # build their own context once each in the pool initializer).
-    context = EvaluationContext(settings, graph=space.graph)
+    # the genome space's compiled topology backs the searcher, the
+    # in-process evaluation context and the final replay certification
+    # (pool workers, when used, build their own context once each in
+    # the pool initializer).
+    context = EvaluationContext(settings, topology=space.topology)
     evaluator_obj = PopulationEvaluator(
         settings, workers=workers, context=context
     )

@@ -262,6 +262,7 @@ class GreedyLookaheadSearch(Searcher):
         view = AdversaryView(
             round_number=rnd,
             network=graph,
+            topology=self.space.topology,
             senders=senders,
             informed=frozenset(informed),
             active=frozenset(active),

@@ -382,6 +382,7 @@ class BroadcastEngine:
         return AdversaryView(
             round_number=rnd,
             network=self.network,
+            topology=self._topology,
             senders=senders,
             informed=self._informed_nodes(),
             active=self._active_nodes(),

@@ -26,10 +26,15 @@ of per-node message lists:
   so without reception recording the engine visits only the *reached*
   nodes each round instead of every active node.
 * The per-message reference path is kept for the two places set algebra
-  cannot express: CR4 collisions at non-senders (the adversary must be
-  consulted with the full arrival list, reconstructed in the reference
-  engine's exact order) and payload-identity custody tracking (which
-  already operates on single delivered messages).
+  cannot express: CR4 collisions at non-senders whose adversary has a
+  real resolver (it must be consulted with the full arrival list,
+  reconstructed in the reference engine's exact order) and
+  payload-identity custody tracking (which already operates on single
+  delivered messages).  An adversary whose class keeps the base
+  resolver (:attr:`~repro.adversaries.base.Adversary.cr4_always_silent`,
+  inferred per class) is never consulted: its CR4 collisions at
+  non-senders resolve to silence by mask test, as under CR3.  The
+  reference engine still consults it.
 
 Because the semantics are identical, the engines are interchangeable
 for every collision rule and adversary:
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.adversaries.base import Adversary
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.engine import BroadcastEngine
 from repro.sim.messages import COLLISION, Message, Reception, SILENCE, received
@@ -72,11 +76,6 @@ class FastBroadcastEngine(BroadcastEngine):
         # order; rebuilt lazily after activations.
         self._triples: List[Tuple[int, Process, ProcessContext]] = []
         self._triples_dirty = True
-        # CR4 with the base-class resolver is always silence; detected
-        # once so the hot loop never builds arrival lists for it.
-        self._cr4_default_silence = (
-            type(self.adversary).resolve_cr4 is Adversary.resolve_cr4
-        )
 
     def _insert_active(self, node: int) -> None:
         self._active_mask |= self._bit[node]
@@ -208,8 +207,11 @@ class FastBroadcastEngine(BroadcastEngine):
         active_mask = self._active_mask
         cr1 = rule is CollisionRule.CR1
         collision_on_multi = rule.provides_collision_detection
+        # CR4 silence is read off the adversary's class, where it is
+        # inferred; no instance attribute can skip a real resolver.
         silence_on_multi = rule is CollisionRule.CR3 or (
-            rule is CollisionRule.CR4 and self._cr4_default_silence
+            rule is CollisionRule.CR4
+            and type(self.adversary).cr4_always_silent
         )
 
         if recording:
@@ -248,7 +250,7 @@ class FastBroadcastEngine(BroadcastEngine):
                             sender_rec[node] = reception
                 elif collision_on_multi:  # CR1/CR2 non-sender
                     reception = COLLISION
-                elif silence_on_multi:  # CR3, or CR4 default resolver
+                elif silence_on_multi:  # CR3, or CR4 with the base resolver
                     reception = SILENCE
                 else:
                     # CR4 with a real adversary resolver: rebuild the

@@ -7,7 +7,7 @@ share it across runs, and an engine built without one compiles its own.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet, List, Optional
 
 from repro.graphs.dualgraph import DualGraph
 
@@ -24,8 +24,12 @@ class CompiledTopology:
 
     Instances are immutable after construction and engines only read
     them, so one compiled topology is safe to share across any number
-    of sequential engine instances.  A topology is bound to the graph
-    object it was compiled from; the engines reject a mismatched pair.
+    of sequential engine instances.  The one exception is
+    :attr:`unreliable_mask`, derived on first read and then cached:
+    only the greedy adversary reads it, and a workload that recompiles
+    per seed should not pay for it unread.  A topology is bound to the
+    graph object it was compiled from; the engines reject a mismatched
+    pair.
 
     Attributes:
         graph: The dual graph this topology was compiled from.
@@ -36,6 +40,8 @@ class CompiledTopology:
         bit: Per-node single-bit mask ``1 << v``.
         reach_mask: Per-node self-plus-reliable-out bitmask — who a
             transmission from ``v`` is guaranteed to reach.
+        unreliable_mask: Per-node bitmask of unreliable-only
+            out-neighbours (lazy, see above).
     """
 
     __slots__ = (
@@ -44,6 +50,7 @@ class CompiledTopology:
         "unreliable_only_seq",
         "bit",
         "reach_mask",
+        "_unreliable_mask",
     )
 
     def __init__(self, graph: DualGraph) -> None:
@@ -60,6 +67,20 @@ class CompiledTopology:
             bit[v] | sum(bit[u] for u in self.reliable_out_seq[v])
             for v in graph.nodes
         ]
+        self._unreliable_mask: Optional[List[int]] = None
+
+    @property
+    def unreliable_mask(self) -> List[int]:
+        """Per-node bitmask of unreliable-only out-neighbours — who an
+        adversary may additionally reach from ``v`` (built on first
+        read, then cached)."""
+        if self._unreliable_mask is None:
+            bit = self.bit
+            self._unreliable_mask = [
+                sum(bit[u] for u in targets)
+                for targets in self.unreliable_only_seq
+            ]
+        return self._unreliable_mask
 
 
 def compile_topology(graph: DualGraph) -> CompiledTopology:

@@ -1,24 +1,46 @@
 """Unit tests for the adversary implementations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import corpus_graph
 from repro.adversaries import (
+    FixedAssignmentAdversary,
     FlappingLinkAdversary,
     FullDeliveryAdversary,
     GreedyInterferer,
     NoDeliveryAdversary,
     PivotAdversary,
     RandomDeliveryAdversary,
+    ReplayAdversary,
 )
 from repro.adversaries.base import AdversaryView
-from repro.graphs import line, pivot_layers, with_complete_unreliable
-from repro.sim import Message, ScriptedProcess, run_broadcast
+from repro.core.runner import broadcast
+from repro.experiments.registry import ADVERSARIES, build_adversary
+from repro.graphs import (
+    DualGraph,
+    line,
+    pivot_layers,
+    with_complete_unreliable,
+)
+from repro.interference.reduction import InterferenceSimulationAdversary
+from repro.obs import RecordingTelemetry, use
+from repro.search.genome import GenomeCR4Adversary
+from repro.sim import (
+    CollisionRule,
+    Message,
+    ScriptedProcess,
+    compile_topology,
+    run_broadcast,
+)
 
 
 def view_for(network, senders, informed=frozenset([0]), rnd=1):
     return AdversaryView(
         round_number=rnd,
         network=network,
+        topology=compile_topology(network),
         senders=senders,
         informed=frozenset(informed),
         active=frozenset(network.nodes),
@@ -185,6 +207,176 @@ class TestGreedyInterferer:
         )
         assert not attacked.completed or (
             attacked.completion_round >= base.completion_round
+        )
+
+
+def set_based_greedy(view):
+    """The greedy interferer's set-probe search, kept as the oracle for
+    the mask algebra of :meth:`GreedyInterferer.choose_deliveries`."""
+    network = view.network
+    senders = sorted(view.senders)
+    reliable_arrivals = {}
+    for s in senders:
+        for t in network.reliable_out(s):
+            reliable_arrivals[t] = reliable_arrivals.get(t, 0) + 1
+    for s in senders:
+        reliable_arrivals[s] = reliable_arrivals.get(s, 0) + 1
+    chosen = {}
+    for u in network.nodes:
+        if u in view.informed:
+            continue
+        if reliable_arrivals.get(u, 0) != 1:
+            continue
+        for w in senders:
+            if u in network.unreliable_only_out(w):
+                chosen.setdefault(w, set()).add(u)
+                break
+    return {w: frozenset(ts) for w, ts in chosen.items()}
+
+
+@st.composite
+def greedy_views(draw):
+    """A view on a random directed dual graph, with random senders (in
+    random insertion order) and a random informed set."""
+    n = draw(st.integers(min_value=2, max_value=20))
+    tree = [
+        (draw(st.integers(min_value=0, max_value=v - 1)), v)
+        for v in range(1, n)
+    ]
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    extra_reliable = draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+    extra_unreliable = draw(
+        st.sets(st.sampled_from(pairs), max_size=4 * n)
+    )
+    reliable = set(tree) | extra_reliable
+    graph = DualGraph(n, sorted(reliable), sorted(reliable | extra_unreliable))
+    nodes = st.sampled_from(range(n))
+    senders = draw(st.lists(nodes, unique=True))
+    informed = draw(st.sets(nodes))
+    return view_for(graph, {s: msg(s) for s in senders}, informed=informed)
+
+
+@given(view=greedy_views())
+@settings(max_examples=300, deadline=None)
+def test_mask_greedy_matches_set_oracle(view):
+    """Same mapping, same key order, as the set-probe search."""
+    got = GreedyInterferer().choose_deliveries(view)
+    assert list(got.items()) == list(set_based_greedy(view).items())
+
+
+def run_cr4(graph, adversary_factory, max_rounds=60):
+    """Harmonic under CR4 on both engines: each engine's trace and
+    telemetry counters."""
+    traces, counters = {}, {}
+    for engine in ("reference", "fast"):
+        telemetry = RecordingTelemetry()
+        with use(telemetry):
+            traces[engine] = broadcast(
+                graph,
+                "harmonic",
+                adversary=adversary_factory(),
+                seed=0,
+                engine=engine,
+                collision_rule=CollisionRule.CR4,
+                max_rounds=max_rounds,
+            )
+        counters[engine] = telemetry.counters
+    return traces, counters
+
+
+class DeliverLowest:
+    """A real CR4 resolver, for mixing into adversaries that have none."""
+
+    def resolve_cr4(self, view, node, arrivals):
+        return min(arrivals, key=lambda m: m.sender)
+
+
+class TestCR4Silence:
+    """``cr4_always_silent``: inferred per class and honoured."""
+
+    #: Registered kinds whose class defines a real resolver.
+    CONSULTED = {"random"}
+
+    @pytest.mark.parametrize("kind", ADVERSARIES.names())
+    def test_registered_kinds_pin_the_shortcut(self, kind):
+        """Every registered kind at its defaults, on the Theorem 2 cell:
+        a kind keeping the base resolver takes the fast engine's CR4
+        silence shortcut, a kind with a resolver is consulted."""
+        graph = corpus_graph("clique-bridge", 17)
+        params = {"n": graph.n} if kind == "pivot" else {}
+        traces, counters = run_cr4(
+            graph, lambda: build_adversary(kind, seed=0, **params)
+        )
+        fast = counters["fast"]
+        consults = fast.get("engine.cr4_consults", 0)
+        # Every fast-engine consult rebuilds the arrival list in the
+        # reference engine's order, so it counts as a fallback too.
+        assert fast.get("engine.cr4_fallbacks", 0) == consults
+        if kind in self.CONSULTED:
+            assert consults > 0
+        else:
+            assert consults == 0
+        assert traces["fast"].rounds == traces["reference"].rounds
+        # The reference engine consults on every CR4 collision at a
+        # non-sender; only the two unselective kinds meet none here.
+        if kind not in ("none", "full"):
+            assert counters["reference"]["engine.cr4_consults"] > 0
+
+    def test_inferred_per_class(self):
+        for cls in (
+            RandomDeliveryAdversary,
+            FixedAssignmentAdversary,
+            ReplayAdversary,
+            GenomeCR4Adversary,
+            InterferenceSimulationAdversary,
+        ):
+            assert cls.cr4_always_silent is False
+        for cls in (GreedyInterferer, PivotAdversary, NoDeliveryAdversary):
+            assert cls.cr4_always_silent is True
+
+    def test_a_class_body_cannot_declare_silence(self):
+        class Claims(NoDeliveryAdversary):
+            cr4_always_silent = True
+
+            def resolve_cr4(self, view, node, arrivals):
+                return arrivals[0]
+
+        assert Claims.cr4_always_silent is False
+
+    def test_a_mixed_in_resolver_counts(self):
+        class Mixed(DeliverLowest, NoDeliveryAdversary):
+            pass
+
+        assert Mixed.cr4_always_silent is False
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: type(
+                "Resolving", (FixedAssignmentAdversary,),
+                {"resolve_cr4": DeliverLowest.resolve_cr4},
+            )({v: v for v in range(17)}, GreedyInterferer()),
+            lambda: type(
+                "Resolving", (RandomDeliveryAdversary,),
+                {"resolve_cr4": DeliverLowest.resolve_cr4},
+            )(0.5),
+            lambda: type(
+                "Resolving", (DeliverLowest, GreedyInterferer), {}
+            )(),
+        ],
+        ids=["fixed-subclass", "random-subclass", "greedy-mixin"],
+    )
+    def test_subclass_resolver_is_consulted_on_both_engines(self, factory):
+        """A resolver defined below a parent whose resolver may answer
+        silence, or mixed in, is consulted by the fast engine as by the
+        reference engine, and the two traces agree."""
+        graph = corpus_graph("clique-bridge", 17)
+        traces, counters = run_cr4(graph, factory)
+        assert type(factory()).cr4_always_silent is False
+        assert counters["fast"]["engine.cr4_consults"] > 0
+        assert traces["fast"].rounds == traces["reference"].rounds
+        assert traces["fast"].informed_round == (
+            traces["reference"].informed_round
         )
 
 

@@ -139,6 +139,9 @@ class TestCollisionSemantics:
             def resolve_cr4(self, view, node, arrivals):
                 return min(arrivals, key=lambda m: m.sender)
 
+        # Defining a resolver withdraws the inherited silence declaration.
+        assert DeliverFirst.cr4_always_silent is False
+
         trace = run_broadcast(
             g, scripted(4), adversary=DeliverFirst(), max_rounds=6,
             collision_rule=CollisionRule.CR4,

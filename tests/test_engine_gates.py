@@ -39,8 +39,9 @@ ENGINES = ("reference", "fast")
 #: The (collision rule, adversary) table's second axis: one factory per
 #: adversary shape the engines distinguish.  ``None`` stands for the
 #: engine-default adversary; the random adversary appears with both CR4
-#: modes because ``cr4_mode="silence"`` still *overrides* resolve_cr4
-#: at the class level.
+#: modes: its class defines a resolver, so both take the fast engine's
+#: consult path, ``cr4_mode="silence"`` answering silence without a draw
+#: and ``cr4_mode="random"`` drawing from the adversary's rng.
 ADVERSARY_CASES = {
     "default": lambda: None,
     "no-delivery": NoDeliveryAdversary,

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.adversaries.base import Adversary
 from repro.graphs import line, with_complete_unreliable
 from repro.graphs.constructions import clique_bridge
 from repro.search import (
@@ -68,11 +67,11 @@ class TestStrategyGenome:
         ).build_adversary()
         assert type(plain) is GenomeAdversary
         assert type(genes) is GenomeCR4Adversary
-        # The gene-free adversary keeps the base resolver (the fast
-        # engine's CR4 silence shortcut); the gene-bearing one overrides
-        # it and takes the consult path.
-        assert type(plain).resolve_cr4 is Adversary.resolve_cr4
-        assert type(genes).resolve_cr4 is not Adversary.resolve_cr4
+        # The gene-free adversary keeps the base resolver and declares
+        # CR4 silence (the fast engine's shortcut); the gene-bearing one
+        # overrides it, is inferred not silent and takes the consult path.
+        assert plain.cr4_always_silent is True
+        assert genes.cr4_always_silent is False
 
 
 class TestGenomeCR4Adversary:
