@@ -21,7 +21,16 @@ unless stated otherwise.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 Edge = Tuple[int, int]
 
@@ -61,8 +70,6 @@ class DualGraph:
         "_reliable_out",
         "_all_out",
         "_unreliable_only_out",
-        "_reliable_in",
-        "_all_in",
         "_distances",
     )
 
@@ -84,24 +91,25 @@ class DualGraph:
         self._name = name or f"dual-graph(n={n})"
         self._undirected = undirected
 
-        reliable = self._normalize(reliable_edges, undirected)
-        if all_edges is None:
-            union = set(reliable)
-        else:
-            union = self._normalize(all_edges, undirected)
-        missing = reliable - union
+        reliable = self._out_sets(reliable_edges, undirected)
+        union = (
+            reliable
+            if all_edges is None
+            else self._out_sets(all_edges, undirected)
+        )
+        missing = [
+            (u, v) for u in range(n) for v in sorted(reliable[u] - union[u])
+        ]
         if missing:
             raise DualGraphError(
                 f"reliable edges must be a subset of all edges; "
-                f"missing from E': {sorted(missing)[:5]}"
+                f"missing from E': {missing[:5]}"
             )
 
-        self._reliable_out = self._adjacency(reliable, outgoing=True)
-        self._all_out = self._adjacency(union, outgoing=True)
-        self._reliable_in = self._adjacency(reliable, outgoing=False)
-        self._all_in = self._adjacency(union, outgoing=False)
+        self._reliable_out = tuple(map(frozenset, reliable))
+        self._all_out = tuple(map(frozenset, union))
         self._unreliable_only_out = tuple(
-            self._all_out[v] - self._reliable_out[v] for v in range(n)
+            a - r for a, r in zip(self._all_out, self._reliable_out)
         )
 
         self._distances = self._bfs_distances(self._reliable_out, source)
@@ -115,30 +123,21 @@ class DualGraph:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _normalize(
+    def _out_sets(
         self, edges: Iterable[Edge], undirected: bool
-    ) -> FrozenSet[Edge]:
-        out = set()
+    ) -> List[Set[int]]:
+        """Per-node out-neighbour sets, validating each edge once."""
+        n = self._n
+        out: List[Set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < self._n and 0 <= v < self._n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise DualGraphError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise DualGraphError(f"self-loop ({u}, {v}) not allowed")
-            out.add((u, v))
+            out[u].add(v)
             if undirected:
-                out.add((v, u))
-        return frozenset(out)
-
-    def _adjacency(
-        self, edges: FrozenSet[Edge], outgoing: bool
-    ) -> Tuple[FrozenSet[int], ...]:
-        adj: List[set] = [set() for _ in range(self._n)]
-        for u, v in edges:
-            if outgoing:
-                adj[u].add(v)
-            else:
-                adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+                out[v].add(u)
+        return out
 
     @staticmethod
     def _bfs_distances(
@@ -211,14 +210,6 @@ class DualGraph:
         """Out-neighbours of ``v`` reachable only via unreliable links."""
         return self._unreliable_only_out[v]
 
-    def reliable_in(self, v: int) -> FrozenSet[int]:
-        """In-neighbours of ``v`` in ``G``."""
-        return self._reliable_in[v]
-
-    def all_in(self, v: int) -> FrozenSet[int]:
-        """In-neighbours of ``v`` in ``G'``."""
-        return self._all_in[v]
-
     def reliable_edges(self) -> FrozenSet[Edge]:
         """All directed edges of ``G``."""
         return frozenset(
@@ -246,11 +237,6 @@ class DualGraph:
         that the source-to-node distance in ``G`` bounds ``k`` from below).
         """
         return max(self.distance_from_source(v) for v in self.nodes)
-
-    def max_in_degree(self) -> int:
-        """Maximum in-degree in ``G'`` (the ``Δ`` of the dynamic-fault
-        algorithm of Clementi et al. discussed in Section 2.2)."""
-        return max(len(self._all_in[v]) for v in self.nodes)
 
     # ------------------------------------------------------------------
     # Derived networks

@@ -63,11 +63,10 @@ def gnp_dual(
             reliable.add((u, v))
         elif rng.random() < p_unreliable:
             unreliable.add((u, v))
-    all_edges = reliable | unreliable
     return DualGraph(
         n,
         reliable,
-        all_edges,
+        itertools.chain(reliable, unreliable),
         source=source,
         undirected=True,
         name=f"gnp-dual(n={n},pr={p_reliable},pu={p_unreliable},seed={seed})",

@@ -7,8 +7,14 @@ from repro.graphs.dualgraph import DualGraph, DualGraphError
 
 class TestConstruction:
     def test_reliable_subset_enforced(self):
-        with pytest.raises(DualGraphError, match="subset"):
-            DualGraph(3, [(0, 1), (1, 2)], [(0, 1)])
+        # Undirected input: the message lists the first five missing
+        # directed edges, both directions of each, sorted.
+        path = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        with pytest.raises(DualGraphError, match="subset") as info:
+            DualGraph(5, path, [(0, 1)], undirected=True)
+        assert str(info.value).endswith(
+            "missing from E': [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4)]"
+        )
 
     def test_reachability_enforced(self):
         with pytest.raises(DualGraphError, match="unreachable"):
@@ -56,24 +62,11 @@ class TestNeighbourhoods:
         assert g.unreliable_only_out(0) == {2}
         assert g.all_out(0) == {1, 2}
 
-    def test_in_neighbourhoods(self):
-        g = DualGraph(3, [(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)])
-        assert g.reliable_in(2) == {1}
-        assert g.all_in(2) == {0, 1}
-
     def test_edge_sets_roundtrip(self):
         edges = {(0, 1), (1, 2), (0, 2)}
         g = DualGraph(3, [(0, 1), (1, 2)], edges)
         assert g.all_edges() == edges
         assert g.reliable_edges() == {(0, 1), (1, 2)}
-
-    def test_max_in_degree(self):
-        g = DualGraph(4, [(0, 1), (0, 2), (0, 3)], name="star-out")
-        assert g.max_in_degree() == 1
-        g2 = DualGraph(
-            3, [(0, 1), (0, 2)], [(0, 1), (0, 2), (1, 2)]
-        )
-        assert g2.max_in_degree() == 2
 
 
 class TestMetrics:
