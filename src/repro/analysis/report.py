@@ -22,8 +22,11 @@ The report has up to three tables, every row led by its cell key:
   worst-case lower bound for deterministic algorithms on the
   clique-bridge family, Theorem 10's ``X = ⌈n/ρ⌉`` Strong Select
   completion guarantee, and Theorem 18's ``2·n·T·H(n)`` w.h.p.
-  Harmonic bound.  Cells outside every stated bound simply have no
-  row — the report never invents a comparison; and
+  Harmonic bound.  Every bound is taken at the built network's size
+  (``graph_n``, which a factory may round from the requested ``n``).
+  Cells outside every stated bound simply have no row — the report
+  never invents a comparison — and a Harmonic plateau shorter than
+  the paper's ``T = ⌈12 ln(n/ε)⌉`` reads "outside Thm 18 scope"; and
 * the **under-churn table** — fault-injected cells
   (``churn_kind != "none"``), rendered only when the campaign has any.
   Churn cells never enter the other two tables: the paper's bounds
@@ -39,6 +42,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.analysis.stats import RunningSummary
 from repro.analysis.tables import render_table
+from repro.core.harmonic import completion_bound, default_T
 from repro.experiments.spec import algorithm_label_of
 from repro.lowerbounds.theorem2 import (
     DETERMINISTIC_ALGORITHMS,
@@ -65,11 +69,14 @@ class CellAggregate:
     algorithm: str
     graph_kind: str
     n: int
+    #: Nodes in the built network (the factory may round ``n``).
+    graph_n: int
     collision_rule: str
     churn_kind: str
     #: The Harmonic plateau length ``T``, read from the cell's own
-    #: algorithm segment (``None`` for other algorithms, or when the
-    #: key does not spell it).
+    #: algorithm segment; a bare ``harmonic`` cell runs the paper's
+    #: ``default_T(graph_n)``.  ``None`` for other algorithms, and for
+    #: Harmonic cells whose params set something else but not ``T``.
     harmonic_T: Optional[int] = None
     records: int = 0
     capped: int = 0
@@ -81,16 +88,24 @@ class CellAggregate:
     @classmethod
     def of(cls, key: str, record) -> "CellAggregate":
         """An empty aggregate for ``record``'s cell ``key``."""
-        match = _PLATEAU.match(algorithm_label_of(key, record.sweep))
+        label = algorithm_label_of(key, record.sweep)
+        match = _PLATEAU.match(label)
+        if match:
+            harmonic_T: Optional[int] = int(match.group(1))
+        elif label == "harmonic":
+            harmonic_T = default_T(record.graph_n)
+        else:
+            harmonic_T = None
         return cls(
             key=key,
             sweep=record.sweep,
             algorithm=record.algorithm,
             graph_kind=record.graph_kind,
             n=record.n,
+            graph_n=record.graph_n,
             collision_rule=record.collision_rule,
             churn_kind=record.churn_kind,
-            harmonic_T=int(match.group(1)) if match else None,
+            harmonic_T=harmonic_T,
         )
 
     def add(self, record) -> None:
@@ -214,7 +229,7 @@ class CampaignReport:
             reference = paper_reference(
                 cell.algorithm,
                 cell.graph_kind,
-                cell.n,
+                cell.graph_n,
                 harmonic_T=cell.harmonic_T,
             )
             if reference is None:
@@ -295,10 +310,11 @@ def paper_reference(
 ):
     """The paper bound a cell can be read against, if one is stated.
 
-    Returns ``None`` when the paper states no bound for the
-    combination, else ``(label, bound_value, check)`` where ``check``
-    maps the measured worst completion round (plus the cell aggregate)
-    to a short verdict string.
+    ``n`` is the number of nodes of the built network.  Returns
+    ``None`` when the paper states no bound for the combination, else
+    ``(label, bound_value, check)`` where ``check`` maps the measured
+    worst completion round (plus the cell aggregate) to a short verdict
+    string.
     """
     if (
         graph_kind in THEOREM2_GRAPHS
@@ -328,11 +344,14 @@ def paper_reference(
             else "VIOLATED",
         )
     if algorithm == "harmonic" and harmonic_T is not None:
-        from repro.core.harmonic import completion_bound
-
         bound = completion_bound(n, harmonic_T)
+        label = f"completes ≤ {bound} whp (Thm 18)"
+        if harmonic_T < default_T(n):
+            # Theorem 18 assumes the paper's plateau length; a shorter
+            # one is outside its hypothesis, so there is no side.
+            return label, bound, lambda worst, cell: "outside Thm 18 scope"
         return (
-            f"completes ≤ {bound} whp (Thm 18)",
+            label,
             bound,
             # A w.h.p. bound tolerates stragglers; report the side.
             lambda worst, cell: "within"

@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.report import CampaignReport, paper_reference
 from repro.analysis.stats import RunningSummary, summarize
-from repro.core.harmonic import completion_bound
+from repro.core.harmonic import completion_bound, default_T
 from repro.experiments import ExperimentSpec, run_sweep
 from repro.experiments.results import RunResult
 from repro.store import (
@@ -502,11 +502,41 @@ class TestCampaignReport:
         assert "Thm 10" in label
         assert check(bound, FakeCell()) == "holds"
         assert check(bound + 1, FakeCell()) == "VIOLATED"
+        # T=3 is below the paper's T = default_T(8) = 53: Theorem 18's
+        # hypothesis does not hold, so the cell is out of its scope.
         label, bound, check = paper_reference(
             "harmonic", "line", 8, harmonic_T=3
         )
         assert "Thm 18" in label
-        assert bound > 0
+        assert bound == completion_bound(8, 3)
+        assert check(1, FakeCell()) == "outside Thm 18 scope"
+        assert check(bound + 1, FakeCell()) == "outside Thm 18 scope"
+        label, bound, check = paper_reference(
+            "harmonic", "line", 8, harmonic_T=default_T(8)
+        )
+        assert bound == completion_bound(8, default_T(8))
+        assert check(bound, FakeCell()) == "within"
+        assert check(bound + 1, FakeCell()) == "exceeded"
+
+    def test_bare_harmonic_is_judged_at_the_built_size(self):
+        # grid n=17 builds a 4 x 4 grid: every bound uses graph_n = 16.
+        # A bare ``harmonic`` cell runs default_T(16) and gets its row;
+        # a cell that sets epsilon but not T gets none.
+        spec = tiny_spec(
+            algorithms=["harmonic", ("harmonic", {"epsilon": 0.2})],
+            graphs=[("grid", 17)],
+        )
+        report = CampaignReport.from_records(run_sweep(spec).records)
+        bare = next(
+            c for c in report.cells.values() if "/harmonic/" in c.key
+        )
+        assert (bare.n, bare.graph_n) == (17, 16)
+        assert bare.harmonic_T == default_T(16)
+        (row,) = report.reference_rows()
+        bound = completion_bound(16, default_T(16))
+        assert row[0] == bare.key
+        assert row[1] == f"completes ≤ {bound} whp (Thm 18)"
+        assert row[3] == "within"
 
     def test_harmonic_campaign_renders_theorem18_row(self, tmp_path):
         # Task keys spell the plateau length ``harmonic(T=4)``; the
