@@ -3,7 +3,7 @@
 The observability layer the sweep/search/engine stack reports through:
 
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` protocol
-  (counters, gauges, spans, events), the cheap :class:`NullTelemetry`
+  (counters, spans, events), the cheap :class:`NullTelemetry`
   default, the in-memory :class:`RecordingTelemetry`, and the
   process-wide :func:`current`/:func:`set_telemetry`/:func:`use`
   installation points.  :class:`Stopwatch` is the sanctioned

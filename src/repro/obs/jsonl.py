@@ -8,7 +8,7 @@ Telemetry` protocol against one append-only JSON-lines stream:
   kill loses at most the line being written — the same torn-line
   posture the result stores take, and the tolerant reader in
   :mod:`repro.obs.events` heals it.
-* **Counters, gauges and spans** aggregate in memory (one dict update
+* **Counters and spans** aggregate in memory (one dict update
   per call — cheap enough for per-round engine counters) and reach the
   file as a single ``stats`` event per :meth:`flush`, as *deltas*:
   each flush resets the aggregates, so consumers sum ``stats`` events
@@ -59,7 +59,6 @@ class JsonlTelemetry:
         self._file: Optional[TextIO] = None
         self._seq = 0
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
         # name -> [count, total seconds]
         self._spans: Dict[str, List[float]] = {}
 
@@ -79,7 +78,6 @@ class JsonlTelemetry:
             self._file = None
             self._seq = 0
             self._counters = {}
-            self._gauges = {}
             self._spans = {}
 
     def _sink(self) -> TextIO:
@@ -101,11 +99,6 @@ class JsonlTelemetry:
         """Add ``value`` to the in-memory counter ``name``."""
         self._fresh()
         self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Overwrite gauge ``name`` with ``value``."""
-        self._fresh()
-        self._gauges[name] = value
 
     def span(self, name: str) -> Span:
         """A live timing span feeding the in-memory aggregates."""
@@ -145,18 +138,16 @@ class JsonlTelemetry:
         bursts of engine work.
         """
         self._fresh()
-        if not (self._counters or self._gauges or self._spans):
+        if not (self._counters or self._spans):
             return
         counters = dict(self._counters)
-        gauges = dict(self._gauges)
         spans = {
             name: {"count": int(stats[0]), "seconds": stats[1]}
             for name, stats in self._spans.items()
         }
         self._counters.clear()
-        self._gauges.clear()
         self._spans.clear()
-        self.event("stats", counters=counters, gauges=gauges, spans=spans)
+        self.event("stats", counters=counters, spans=spans)
 
     def close(self) -> None:
         """Flush the aggregates and close this process's stream file."""

@@ -1,8 +1,8 @@
 """Zero-dependency instrumentation primitives behind :mod:`repro.obs`.
 
 The :class:`Telemetry` protocol is the whole instrumentation surface:
-counters (monotonic tallies), gauges (last-value samples), ``span()``
-timers (``perf_counter``-based phase aggregates) and free-form events.
+counters (monotonic tallies), ``span()`` timers (``perf_counter``-based
+phase aggregates) and free-form events.
 Instrumented code never branches on *which* sink is installed — it asks
 :func:`current` for the process-wide telemetry once (engines capture it
 at construction) and calls through the protocol.
@@ -126,10 +126,6 @@ class Telemetry(Protocol):
         """Add ``value`` to the monotonic counter ``name``."""
         ...  # pragma: no cover - protocol signature
 
-    def gauge(self, name: str, value: float) -> None:
-        """Record ``value`` as the latest sample of gauge ``name``."""
-        ...  # pragma: no cover - protocol signature
-
     def span(self, name: str) -> "Span | _NullSpan":
         """A context manager timing one occurrence of phase ``name``."""
         ...  # pragma: no cover - protocol signature
@@ -139,7 +135,7 @@ class Telemetry(Protocol):
         ...  # pragma: no cover - protocol signature
 
     def flush(self) -> None:
-        """Push aggregated counters/gauges/spans to the sink."""
+        """Push aggregated counters and spans to the sink."""
         ...  # pragma: no cover - protocol signature
 
     def close(self) -> None:
@@ -159,10 +155,6 @@ class NullTelemetry:
 
     def count(self, name: str, value: int = 1) -> None:
         """Discard the counter increment."""
-        return None
-
-    def gauge(self, name: str, value: float) -> None:
-        """Discard the gauge sample."""
         return None
 
     def span(self, name: str) -> _NullSpan:
@@ -209,7 +201,7 @@ class SpanStats:
 class RecordingTelemetry:
     """In-memory sink for tests and ``repro profile``.
 
-    Counters, gauges and span aggregates accumulate in plain dicts;
+    Counters and span aggregates accumulate in plain dicts;
     events append to a list.  Nothing touches the filesystem.
     """
 
@@ -217,17 +209,12 @@ class RecordingTelemetry:
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
         self.spans: Dict[str, SpanStats] = {}
         self.events: List[Dict[str, object]] = []
 
     def count(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the in-memory counter ``name``."""
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Overwrite gauge ``name`` with ``value``."""
-        self.gauges[name] = value
 
     def span(self, name: str) -> Span:
         """A live timing span feeding :attr:`spans`."""

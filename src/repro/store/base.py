@@ -198,19 +198,8 @@ class ResultStore(abc.ABC):
         """Flush and release every file handle (idempotent)."""
 
     # ------------------------------------------------------------------
-    # Shared machinery
+    # Context manager
     # ------------------------------------------------------------------
-    def admit(self, record: Record) -> Optional[Record]:
-        """Apply the validator hook to one loaded record.
-
-        Returns the record when admitted; counts and drops it
-        (``None``) when the validator rejects it.
-        """
-        if self.validator is not None and not self.validator(record):
-            self.health.rejected_records += 1
-            return None
-        return record
-
     def __enter__(self) -> "ResultStore":
         """Context-manager entry: the store itself."""
         return self

@@ -202,7 +202,6 @@ class TestJsonlSink:
         sink.count("engine.rounds", 5)
         sink.flush()
         sink.count("engine.rounds", 7)
-        sink.gauge("queue", 3.0)
         with sink.span("phase"):
             pass
         sink.close()
