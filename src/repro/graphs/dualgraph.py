@@ -21,16 +21,7 @@ unless stated otherwise.
 from __future__ import annotations
 
 from collections import deque
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -125,10 +116,10 @@ class DualGraph:
     # ------------------------------------------------------------------
     def _out_sets(
         self, edges: Iterable[Edge], undirected: bool
-    ) -> List[Set[int]]:
+    ) -> List[set]:
         """Per-node out-neighbour sets, validating each edge once."""
         n = self._n
-        out: List[Set[int]] = [set() for _ in range(n)]
+        out: List[set] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise DualGraphError(f"edge ({u}, {v}) out of range")
