@@ -1,11 +1,12 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the algorithms' design choices.
 
 1. **Participate-once** (Strong Select): the paper's rule bounds the
    window in which stale nodes interfere.  We compare against the
    cycle-forever variant under the greedy interferer.
 2. **Harmonic's T constant**: the analysis needs ``T ≥ 12 ln(n/ε)``; we
    sweep smaller constants and watch the completion tail degrade
-   relative to the bound.
+   relative to the bound.  Each row's Theorem 18 scope comes from the
+   claim in :mod:`repro.analysis.claims` (every swept T is below it).
 3. **Adversary strength ladder**: none → random(p) → greedy → scripted
    worst case, for both algorithms — quantifying how much of the
    slowdown is adversarial scheduling versus mere link noise.
@@ -19,6 +20,7 @@ from repro.adversaries import (
     RandomDeliveryAdversary,
 )
 from repro.analysis import render_table, summarize
+from repro.analysis.claims import THEOREM18, Observation
 from repro.core.harmonic import completion_bound
 from repro.graphs import clique_bridge, gnp_dual
 
@@ -81,9 +83,12 @@ def run_harmonic_T_sweep():
             rounds.append(trace.completion_round)
         summary = summarize(rounds)
         bound = completion_bound(N, T)
+        observation = Observation(
+            "harmonic", "clique-bridge", g.n, summary.maximum, harmonic_T=T
+        )
         rows.append(
-            [T, summary.format(), bound,
-             f"{summary.maximum / bound:.2f}"]
+            [T, summary.format(), bound, f"{summary.maximum / bound:.2f}",
+             THEOREM18.verdict(observation)]
         )
     return rows
 
@@ -93,7 +98,7 @@ def test_ablation_harmonic_T(benchmark, table_out):
     table_out(
         render_table(
             ["T", "completion rounds", "bound 2nT·H(n)",
-             "max/bound ratio"],
+             "max/bound ratio", "Thm 18"],
             rows,
             title=f"Ablation: Harmonic plateau length T (n={N})",
         )

@@ -8,10 +8,9 @@ Three measured claims:
    rounds (Lemma 15) — checked on front-loaded, staggered, and
    trace-extracted patterns.
 3. The ``n log² n`` shape: with the paper's ``T = Θ(log n)`` the
-   completion rounds grow as ``n·polylog(n)``.
+   completion rounds grow as ``n·polylog(n)`` (bare ``harmonic``: the
+   paper's ``T = ⌈12 ln(n/ε)⌉``, inside Theorem 18's scope).
 """
-
-import math
 
 from repro import broadcast
 from repro.adversaries import GreedyInterferer
@@ -23,6 +22,7 @@ from repro.analysis import (
     render_table,
     wakeup_pattern_of,
 )
+from repro.analysis.claims import THEOREM18
 from repro.core.harmonic import busy_round_bound, completion_bound
 from repro.experiments import ExperimentSpec, SweepRunner
 from repro.graphs import clique_bridge
@@ -32,23 +32,14 @@ SEEDS = range(4)
 WORKERS = 2
 
 
-def paper_T(n: int) -> int:
-    """The paper's ``T = Θ(log n)`` with a laptop-sized constant."""
-    return max(1, math.ceil(2 * math.log(n)))
-
-
-#: One grid per size — ``T`` and the Theorem-18 round cap scale with n.
-COMPLETION_SPECS = [
-    ExperimentSpec(
-        name=f"harmonic-n{n}",
-        algorithms=[("harmonic", {"T": paper_T(n)})],
-        graphs=[("clique-bridge", n)],
-        adversaries=["greedy"],
-        seeds=SEEDS,
-        max_rounds=4 * completion_bound(n, paper_T(n)),
-    )
-    for n in NS
-]
+#: One cell per size; the round cap is each task's proven-bound limit.
+COMPLETION_SPEC = ExperimentSpec(
+    name="harmonic",
+    algorithms=["harmonic"],
+    graphs=[("clique-bridge", n) for n in NS],
+    adversaries=["greedy"],
+    seeds=SEEDS,
+)
 
 
 def harmonic_rounds(n: int, T: int, seed: int):
@@ -66,38 +57,37 @@ def harmonic_rounds(n: int, T: int, seed: int):
 
 
 def run_completion_experiment():
-    result = SweepRunner(COMPLETION_SPECS, workers=WORKERS).run()
+    result = SweepRunner(COMPLETION_SPEC, workers=WORKERS).run()
     assert not result.failures, [r.key for r in result.failures]
-    # One report cell per size (each spec is one cell of seeds).
+    # One report cell per size, in size order.
     cells = CampaignReport.from_records(result.records).ordered()
-    return {
-        cell.n: (cell.harmonic_T, cell.completion.summary())
-        for cell in sorted(cells, key=lambda c: c.n)
-    }
+    return {cell.n: cell for cell in cells}
 
 
 def test_harmonic_completion_bound(benchmark, table_out):
     results = benchmark.pedantic(
         run_completion_experiment, rounds=1, iterations=1
     )
-    rows = []
-    for n, (T, summary) in results.items():
-        bound = completion_bound(n, T)
-        rows.append([n, T, summary.format(), bound])
+    rows = [
+        [n, cell.harmonic_T, cell.completion.summary().format(),
+         THEOREM18.bound(cell.observation()),
+         THEOREM18.verdict(cell.observation())]
+        for n, cell in results.items()
+    ]
     table_out(
         render_table(
-            ["n", "T", "completion rounds", "bound 2nT·H(n)"],
+            ["n", "T", "completion rounds", "bound 2nT·H(n)", "Thm 18"],
             rows,
             title="Harmonic Broadcast (measured), greedy interferer, "
             "clique-bridge duals",
         )
     )
-    for n, (T, summary) in results.items():
-        assert summary.maximum <= completion_bound(n, T)
+    for cell in results.values():
+        assert THEOREM18.reproduced(cell.observation()), cell.key
 
     # Shape: n · polylog(n).
     ns = list(results)
-    means = [results[n][1].mean for n in ns]
+    means = [results[n].completion.mean for n in ns]
     fit = best_fit(ns, means)
     table_out(f"harmonic growth (T=Θ(log n)): {fit.format()}")
     assert 0.7 <= fit.exponent <= 1.6

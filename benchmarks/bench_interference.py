@@ -6,6 +6,7 @@ observation-for-observation equivalence and that round bounds carry over.
 """
 
 from repro.analysis import render_table
+from repro.analysis.claims import LEMMA1
 from repro.core import (
     make_harmonic_processes,
     make_round_robin_processes,
@@ -42,7 +43,7 @@ def run_experiment():
                     "yes" if report.equivalent else "NO",
                 ]
             )
-            ok.append(report.equivalent)
+            ok.append(LEMMA1.reproduced(report))
     return rows, ok
 
 
@@ -84,7 +85,7 @@ def test_lemma1_round_bounds_carry_over(benchmark, table_out):
                     n,
                     report.interference_trace.completion_round,
                     round_robin_bound(n, net.graph.source_eccentricity),
-                    report.equivalent,
+                    LEMMA1.reproduced(report),
                 )
             )
         return out

@@ -6,41 +6,43 @@ sweep ``n`` on adversarial constant-eccentricity duals, check measured
 rounds stay within ``X``, and fit the growth shape.  The Kautz–Singleton
 constructive variant (the paper's "Note on Constructive Solutions") is
 measured alongside: the theory predicts only a ``√log n`` penalty.
+Every bound is read through the Theorem 2 and Theorem 10 claims of
+:mod:`repro.analysis.claims`.
 """
+
+import functools
 
 from repro import broadcast
 from repro.adversaries import GreedyInterferer
 from repro.analysis import best_fit, render_table
-from repro.core.ssf import kautz_singleton_ssf
-from repro.core.strong_select import (
-    build_schedule,
-    make_strong_select_processes,
+from repro.analysis.claims import (
+    THEOREM2,
+    THEOREM10,
+    Observation,
+    theorem2_observation,
 )
+from repro.core.runner import make_processes
+from repro.core.strong_select import build_schedule
 from repro.graphs import gnp_dual
 from repro.lowerbounds import theorem2_lower_bound
 
 NS = [16, 32, 64, 128]
 
 
-def strong_select_rounds(n: int, variant: str) -> int:
+def strong_select_worst(n: int, variant: str):
     """Worst case over bridge-identity placements on the clique-bridge
     dual (the Theorem-2 adversary family) — with a friendly identity
     mapping the instance is trivially easy, so the maximum over
     placements is the honest worst-case measurement."""
-    if variant == "strong_select":
-        factory = lambda m: make_strong_select_processes(m)
-    else:
-        factory = lambda m: make_strong_select_processes(
-            m, ssf_builder=kautz_singleton_ssf
-        )
+    factory = functools.partial(make_processes, variant)
     res = theorem2_lower_bound(factory, n, max_rounds=200 * n)
-    return res.worst_rounds
+    return theorem2_observation(variant, res)
 
 
 def run_experiment():
-    existential = {n: strong_select_rounds(n, "strong_select") for n in NS}
+    existential = {n: strong_select_worst(n, "strong_select") for n in NS}
     constructive = {
-        n: strong_select_rounds(n, "strong_select_ks") for n in NS
+        n: strong_select_worst(n, "strong_select_ks") for n in NS
     }
     return existential, constructive
 
@@ -55,8 +57,8 @@ def test_strong_select_bound_and_shape(benchmark, table_out):
         rows.append(
             [
                 n,
-                existential[n],
-                constructive[n],
+                existential[n].worst,
+                constructive[n].worst,
                 sched.round_bound(),
                 sched.s_max,
             ]
@@ -77,17 +79,16 @@ def test_strong_select_bound_and_shape(benchmark, table_out):
     )
 
     for n in NS:
-        assert existential[n] <= build_schedule(n).round_bound()
-        assert constructive[n] <= build_schedule(
-            n, ssf_builder=kautz_singleton_ssf
-        ).round_bound()
-        # Theorem 2 floor: every deterministic algorithm pays > n - 3.
-        assert existential[n] > n - 3
+        # Theorem 10, each variant against the X of its own SSFs.
+        assert THEOREM10.reproduced(existential[n])
+        assert THEOREM10.reproduced(constructive[n])
+        # Theorem 2 floor: every deterministic algorithm pays n - 3.
+        assert THEOREM2.reproduced(existential[n])
     # Constructive variant within a small polylog factor of existential.
     for n in NS:
-        assert constructive[n] <= 8 * existential[n] + 64
+        assert constructive[n].worst <= 8 * existential[n].worst + 64
 
-    fit = best_fit(NS, [existential[n] for n in NS])
+    fit = best_fit(NS, [existential[n].worst for n in NS])
     table_out(f"strong select growth: {fit.format()}")
     # Subquadratic shape on this constant-diameter adversarial family
     # (the n^{3/2}·polylog bound is the ceiling, Ω(n) the floor).
@@ -122,4 +123,6 @@ def test_strong_select_random_duals(benchmark, table_out):
         )
     )
     for n in NS:
-        assert rounds[n] <= build_schedule(n).round_bound()
+        assert THEOREM10.reproduced(
+            Observation("strong_select", "gnp", n, rounds[n])
+        )

@@ -13,14 +13,14 @@ This bench regenerates the measured version of each row on a sweep of
 ``n`` and checks the ordering the table asserts: classical round robin is
 linear on constant-diameter networks; Strong Select on adversarial duals
 stays within its Theorem-10 bound; the Theorem-12 construction certifies
-``≥ (n−1)/4 · (log₂(n−1) − 2)`` rounds.
+``≥ (n−1)/4 · (log₂(n−1) − 2)`` rounds.  Both bounds are read through
+their claims in :mod:`repro.analysis.claims`.
 """
-
-import math
 
 from repro import broadcast
 from repro.adversaries import FixedAssignmentAdversary, GreedyInterferer
 from repro.analysis import best_fit, render_table
+from repro.analysis.claims import THEOREM10, THEOREM12, Observation
 from repro.core import make_round_robin_processes
 from repro.core.strong_select import build_schedule
 from repro.graphs import clique_bridge, line, with_complete_unreliable
@@ -71,18 +71,17 @@ def run_experiment():
     classical = {}
     dual_upper = {}
     dual_lower = {}
-    guarantees = {}
     for n in NS:
         classical[n] = classical_round_robin_rounds(n)
         dual_upper[n] = dual_strong_select_rounds(n)
-        res = theorem12_construction(make_round_robin_processes, n)
-        dual_lower[n] = res.total_rounds
-        guarantees[n] = res.paper_total_guarantee
-    return classical, dual_upper, dual_lower, guarantees
+        dual_lower[n] = theorem12_construction(
+            make_round_robin_processes, n
+        )
+    return classical, dual_upper, dual_lower
 
 
 def test_table1_rows(benchmark, table_out):
-    classical, dual_upper, dual_lower, guarantees = benchmark.pedantic(
+    classical, dual_upper, dual_lower = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
     rows = [
@@ -90,7 +89,8 @@ def test_table1_rows(benchmark, table_out):
             n,
             f"{classical[n]} (O(n): {n})",
             f"{dual_upper[n]} (X={build_schedule(n).round_bound()})",
-            f"{dual_lower[n]} (≥{guarantees[n]:.0f})",
+            f"{dual_lower[n].total_rounds} "
+            f"(≥{dual_lower[n].paper_total_guarantee:.0f})",
         ]
         for n in NS
     ]
@@ -112,11 +112,13 @@ def test_table1_rows(benchmark, table_out):
         # constant-diameter network (within 2n).
         assert classical[n] <= 2 * n
         # Row 2: Strong Select stays within its Theorem-10 bound.
-        assert dual_upper[n] <= build_schedule(n).round_bound()
+        assert THEOREM10.reproduced(
+            Observation("strong_select", "hard-line", n, dual_upper[n])
+        )
         # Row 3: the Theorem-12 witness meets the paper's guarantee.
-        assert dual_lower[n] >= (n - 1) / 4 * (math.log2(n - 1) - 2)
+        assert THEOREM12.reproduced(dual_lower[n])
         # Separation: unreliability costs real rounds.
-        assert dual_lower[n] > classical[n]
+        assert dual_lower[n].total_rounds > classical[n]
 
 
 def test_table1_classical_linear_fit(benchmark, table_out):

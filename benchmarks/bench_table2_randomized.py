@@ -11,19 +11,18 @@ Measured rows on constant-diameter networks, both declared as
 
 * classical: Decay on the clique-bridge classical projection —
   polylogarithmic in ``n``;
-* dual: Harmonic on the same network against the greedy interferer —
-  grows at least linearly (the Theorem 4 effect), within ``2nT·H(n)``.
+* dual: bare Harmonic (the paper's ``T = ⌈12 ln(n/ε)⌉``) on the same
+  network against the greedy interferer — grows at least linearly (the
+  Theorem 4 effect), within Theorem 18's ``2nT·H(n)``.
 """
 
 from repro.analysis import CampaignReport, best_fit, render_table
-from repro.core.harmonic import completion_bound
+from repro.analysis.claims import THEOREM18
 from repro.experiments import ExperimentSpec, SweepRunner
 
 NS = [9, 17, 33, 65]
 SEEDS = range(5)
 WORKERS = 2
-HARMONIC_T = 4  # small plateau so the n-sweep stays laptop-sized; the
-# w.h.p. constant (12 ln(n/ε)) only scales rounds by a constant factor.
 
 CLASSICAL = ExperimentSpec(
     name="table2-classical",
@@ -37,22 +36,19 @@ CLASSICAL = ExperimentSpec(
 
 DUAL = ExperimentSpec(
     name="table2-dual",
-    algorithms=[("harmonic", {"T": HARMONIC_T})],
+    algorithms=["harmonic"],
     graphs=[("clique-bridge", n) for n in NS],
     adversaries=["greedy"],
     collision_rules=["CR4"],
     seeds=SEEDS,
-    # One safe cap for the whole grid: the largest size's Theorem-18
-    # allowance (per-row tightness is asserted below, not enforced here).
-    max_rounds=4 * completion_bound(max(NS), HARMONIC_T),
 )
 
 
-def summaries_by_n(records, sweep):
-    """``n → completion summary`` of one sweep's report cells (each
-    sweep here has one cell per size)."""
+def cells_by_n(records, sweep):
+    """``n → report cell`` of one sweep (each sweep here has one cell
+    per size)."""
     return {
-        cell.n: cell.completion.summary()
+        cell.n: cell
         for cell in CampaignReport.from_records(records).ordered()
         if cell.sweep == sweep
     }
@@ -61,9 +57,8 @@ def summaries_by_n(records, sweep):
 def run_experiment():
     result = SweepRunner([CLASSICAL, DUAL], workers=WORKERS).run()
     assert not result.failures, [r.key for r in result.failures]
-    classical = summaries_by_n(result.records, CLASSICAL.name)
-    dual = summaries_by_n(result.records, DUAL.name)
-    return classical, dual
+    classical = cells_by_n(result.records, CLASSICAL.name)
+    return classical, cells_by_n(result.records, DUAL.name)
 
 
 def test_table2_rows(benchmark, table_out):
@@ -72,9 +67,10 @@ def test_table2_rows(benchmark, table_out):
     rows = [
         [
             n,
-            classical[n].format(),
-            dual[n].format(),
-            completion_bound(n, HARMONIC_T),
+            classical[n].completion.summary().format(),
+            dual[n].completion.summary().format(),
+            dual[n].harmonic_T,
+            THEOREM18.bound(dual[n].observation()),
         ]
         for n in NS
     ]
@@ -84,31 +80,32 @@ def test_table2_rows(benchmark, table_out):
                 "n",
                 "classical rand. (Decay, CR3)",
                 "dual-graph rand. (Harmonic vs greedy, CR4)",
+                "T",
                 "Harmonic bound 2nT·H(n)",
             ],
             rows,
             title="Table 2 (measured): randomized broadcast "
-            f"(diameter-2 networks, T={HARMONIC_T}, {len(list(SEEDS))} seeds)",
+            f"(diameter-2 networks, {len(list(SEEDS))} seeds)",
         )
     )
 
     # Classical stays polylog: far below n for large n.
-    assert classical[65].mean < 65
+    assert classical[65].completion.mean < 65
     # Dual pays the Ω(n) toll: grows roughly linearly and dominates the
     # classical row at every size.
     for n in NS:
-        assert dual[n].mean > classical[n].mean
-    assert dual[65].mean / dual[9].mean > 3.0
+        assert dual[n].completion.mean > classical[n].completion.mean
+    assert dual[65].completion.mean / dual[9].completion.mean > 3.0
     # And stays within the Theorem-18 bound.
-    for n in NS:
-        assert dual[n].maximum <= completion_bound(n, HARMONIC_T)
+    for cell in dual.values():
+        assert THEOREM18.reproduced(cell.observation()), cell.key
 
 
 def test_table2_dual_growth_fit(benchmark, table_out):
     def sweep():
         result = SweepRunner(DUAL, workers=WORKERS).run()
-        summaries = summaries_by_n(result.records, DUAL.name)
-        return [summaries[n].mean for n in NS]
+        cells = cells_by_n(result.records, DUAL.name)
+        return [cells[n].completion.mean for n in NS]
 
     ts = benchmark.pedantic(sweep, rounds=1, iterations=1)
     fit = best_fit(NS, ts)

@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark/experiment harnesses.
 
 Each bench module regenerates one of the paper's tables or bound-carrying
-theorems (see DESIGN.md's experiment index): it runs the workload, prints
-a paper-style table with the measured column next to the paper's bound,
+theorems (the claims of :mod:`repro.analysis.claims`): it runs the
+workload, prints a paper-style table with the measured column next to
+the paper's bound, judges each bound through its claim's verdict,
 asserts the *shape* (who wins, by roughly what factor), and times one
 representative run through pytest-benchmark so ``--benchmark-only``
 reports something meaningful.

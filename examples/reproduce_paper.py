@@ -1,208 +1,35 @@
 #!/usr/bin/env python3
 """One-pass condensed reproduction of every paper claim.
 
-Runs a small-n version of each experiment in DESIGN.md's index and
-prints a single summary table: claim, paper bound, measured value,
-verdict.  The full-size versions live in `benchmarks/` (run with
-``pytest benchmarks/ --benchmark-only -s``); this script is the
-five-minute artifact-evaluation pass.
+A loop over the claims table (:mod:`repro.analysis.claims`, which owns
+every statement, bound and verdict): each claim runs at its condensed
+size and lands in one summary table.  The full-size versions live in
+`benchmarks/` (``pytest benchmarks/ --benchmark-only -s``).
 
 Run:
     python examples/reproduce_paper.py
 """
 
-
-from repro.analysis import render_table
-from repro.core import (
-    completion_bound,
-    make_harmonic_processes,
-    make_round_robin_processes,
-)
-from repro.core.strong_select import build_schedule
-from repro.experiments import ExperimentSpec, SweepRunner
-from repro.graphs import clique_bridge, gnp_dual, pivot_layers
-from repro.graphs.broadcastability import broadcast_number
-from repro.interference import InterferenceNetwork, run_equivalence_check
-from repro.lowerbounds import (
-    theorem2_lower_bound,
-    theorem4_experiment,
-    theorem11_lower_bound,
-    theorem12_construction,
-    verify_with_engine,
-)
-
-#: The engine-backed upper-bound claims, declared as one sweep grid and
-#: executed by a single parallel run (the lower-bound constructions keep
-#: their dedicated drivers below).
-UPPER_BOUND_SPECS = [
-    ExperimentSpec(
-        name="thm10-strong-select",
-        algorithms=["strong_select"],
-        graphs=[("clique-bridge", 33)],
-        adversaries=["greedy"],
-        seeds=[0],
-    ),
-    ExperimentSpec(
-        name="thm18-harmonic",
-        algorithms=[("harmonic", {"T": 6})],
-        graphs=[("clique-bridge", 24)],
-        adversaries=["greedy"],
-        seeds=[1],
-        max_rounds=4 * completion_bound(24, 6),
-    ),
-    ExperimentSpec(
-        name="headline-classical",
-        algorithms=["round_robin"],
-        graphs=[("clique-bridge-classical", 33)],
-        adversaries=["none"],
-        seeds=[0],
-    ),
-]
+from repro.analysis import CLAIMS, render_table
 
 
 def main() -> None:
     rows = []
-
-    # One parallel sweep covers every engine-backed upper-bound claim.
-    sweep = SweepRunner(UPPER_BOUND_SPECS, workers=2).run()
-    by_sweep = {rec.sweep: rec for rec in sweep}
-
-    # --- Section 3: the Theorem-2 network is 2-broadcastable.
-    k = broadcast_number(clique_bridge(10).graph)
-    rows.append(
-        ["clique-bridge is 2-broadcastable (Sec. 3)", "k = 2", f"k = {k}",
-         "PASS" if k == 2 else "FAIL"]
-    )
-
-    # --- Theorem 2: deterministic Ω(n) on 2-broadcastable networks.
-    n = 17
-    t2 = theorem2_lower_bound(make_round_robin_processes, n)
-    rows.append(
-        [
-            f"Theorem 2 (n={n}): det. broadcast > n−3 rounds",
-            f"> {n - 3}",
-            f"{t2.worst_rounds}",
-            "PASS" if t2.bound_holds else "FAIL",
-        ]
-    )
-
-    # --- Theorem 4: randomized success ≤ k/(n−2).
-    n = 10
-    t4 = theorem4_experiment(
-        lambda t: make_harmonic_processes(n, T=2), n, trials=30
-    )
-    ks = list(range(1, n - 2))
-    ok = not t4.violations(ks, slack=0.3)
-    worst_gap = max(
-        t4.adversarial_success_probability(k) - t4.envelope(k) for k in ks
-    )
-    rows.append(
-        [
-            f"Theorem 4 (n={n}): success prob ≤ k/(n−2)",
-            "≤ envelope",
-            f"max excess {worst_gap:+.2f}",
-            "PASS" if ok else "FAIL",
-        ]
-    )
-
-    # --- Theorem 10: Strong Select within X = n/ρ.
-    n = 33
-    sched = build_schedule(n)
-    rec = by_sweep["thm10-strong-select"]
-    rows.append(
-        [
-            f"Theorem 10 (n={n}): Strong Select ≤ X",
-            f"≤ {sched.round_bound()}",
-            f"{rec.completion_round}",
-            "PASS"
-            if rec.completed and rec.completion_round <= sched.round_bound()
-            else "FAIL",
-        ]
-    )
-
-    # --- Theorem 11 shape: pivot layers, engine-replayed.
-    layout = pivot_layers(5, 5)
-    t11 = theorem11_lower_bound(make_round_robin_processes, layout=layout)
-    replay = verify_with_engine(make_round_robin_processes, layout, t11)
-    agree = replay.completion_round == t11.total_rounds
-    rows.append(
-        [
-            f"Theorem 11 (n={layout.graph.n}): superlinear + exact replay",
-            f"> 2n = {2 * layout.graph.n}",
-            f"{t11.total_rounds} (replay {'=' if agree else '≠'})",
-            "PASS"
-            if agree and t11.total_rounds > 2 * layout.graph.n
-            else "FAIL",
-        ]
-    )
-
-    # --- Theorem 12: Ω(n log n) candidate-set construction.
-    n = 33
-    t12 = theorem12_construction(make_round_robin_processes, n)
-    rows.append(
-        [
-            f"Theorem 12 (n={n}): ≥ (n−1)/4·(log₂(n−1)−2) rounds",
-            f"≥ {t12.paper_total_guarantee:.0f}",
-            f"{t12.total_rounds}",
-            "PASS"
-            if t12.total_rounds >= t12.paper_total_guarantee
-            else "FAIL",
-        ]
-    )
-
-    # --- Theorems 18/19: Harmonic within 2nT·H(n).
-    n, T = 24, 6
-    bound = completion_bound(n, T)
-    rec = by_sweep["thm18-harmonic"]
-    rows.append(
-        [
-            f"Theorem 18 (n={n}, T={T}): Harmonic ≤ 2nT·H(n)",
-            f"≤ {bound}",
-            f"{rec.completion_round}",
-            "PASS"
-            if rec.completed and rec.completion_round <= bound
-            else "FAIL",
-        ]
-    )
-
-    # --- Lemma 1: explicit interference ≡ dual-graph simulation.
-    rep = run_equivalence_check(
-        InterferenceNetwork(gnp_dual(14, seed=4)),
-        make_round_robin_processes,
-        max_rounds=2000,
-        seed=2,
-    )
-    rows.append(
-        [
-            "Lemma 1: interference ⊆ dual graphs",
-            "identical observations",
-            "identical" if rep.equivalent else f"diverged {rep.first_divergence}",
-            "PASS" if rep.equivalent else "FAIL",
-        ]
-    )
-
-    # --- Headline separation (Section 1).
-    n = 33
-    classical = by_sweep["headline-classical"].completion_round
-    dual = theorem2_lower_bound(make_round_robin_processes, n).worst_rounds
-    rows.append(
-        [
-            f"Section 1 (n={n}): dual ≫ classical on diameter-2",
-            "separation grows with n",
-            f"{dual} vs {classical} ({dual / classical:.0f}x)",
-            "PASS" if dual > 4 * classical else "FAIL",
-        ]
-    )
-
+    for claim in CLAIMS:
+        evidence, measured = claim.condensed()
+        verdict = "PASS" if claim.reproduced(evidence) else "FAIL"
+        rows.append(
+            [claim.id, claim.statement, claim.bound(evidence), measured, verdict]
+        )
     print(
         render_table(
-            ["claim", "paper bound", "measured", "verdict"],
+            ["id", "claim", "paper bound", "measured", "verdict"],
             rows,
             title="Condensed reproduction summary "
             "(full versions: pytest benchmarks/ --benchmark-only -s)",
         )
     )
-    failures = [r for r in rows if r[3] != "PASS"]
+    failures = [r for r in rows if r[-1] != "PASS"]
     print()
     print(
         f"{len(rows) - len(failures)}/{len(rows)} claims reproduced."

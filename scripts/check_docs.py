@@ -16,6 +16,10 @@ checked for existence as a bonus — a renamed doc breaks the build,
 not the reader.  So is every backticked dotted ``repro.…`` name: its
 longest importable module prefix is imported and the rest resolved by
 ``getattr``, so a deleted module, class or function cannot stay cited.
+The same two checks cover the code: every ``.py`` file under ``src/``,
+``benchmarks/``, ``examples/`` and ``scripts/`` may only cite
+resolvable backticked ``repro.…`` names (the Sphinx ``~repro.…`` form
+included) and ``*.md`` files that exist.
 
 Usage: ``python scripts/check_docs.py`` (exit status 0 = clean).
 """
@@ -33,11 +37,17 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.cli import build_parser  # noqa: E402
 
 DOC_FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+CODE_FILES = [
+    path
+    for top in ("src", "benchmarks", "examples", "scripts")
+    for path in sorted((ROOT / top).rglob("*.py"))
+]
 
 FENCE = re.compile(r"```[a-z]*\n(.*?)```", re.DOTALL)
 FLAG = re.compile(r"(--[a-z][a-z0-9-]*)")
 LINK = re.compile(r"\[[^\]]*\]\(([^)#]+)(?:#[^)]*)?\)")
-CITED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+CITED = re.compile(r"`~?(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+MARKDOWN = re.compile(r"(?<![\w*/.-])((?:[\w-]+/)*[\w-]+\.md)\b")
 
 
 def known_flags() -> dict:
@@ -124,12 +134,24 @@ def resolves(name: str) -> bool:
     return False
 
 
-def check_cited_names(path: pathlib.Path, text: str, cited: set):
+def check_cited_names(label: str, text: str, cited: set):
     problems = []
     for name in sorted(set(CITED.findall(text))):
         cited.add(name)
         if not resolves(name):
-            problems.append(f"{path.name}: `{name}` does not resolve")
+            problems.append(f"{label}: `{name}` does not resolve")
+    return problems
+
+
+def check_markdown_mentions(path: pathlib.Path, text: str):
+    """Every ``*.md`` a code file names exists at the repository root,
+    under ``docs/`` or beside the file."""
+    problems = []
+    for name in sorted(set(MARKDOWN.findall(text))):
+        bases = (ROOT, ROOT / "docs", path.parent)
+        if not any((base / name).exists() for base in bases):
+            rel = path.relative_to(ROOT)
+            problems.append(f"{rel}: cites missing {name}")
     return problems
 
 
@@ -143,8 +165,15 @@ def main() -> int:
         text = path.read_text(encoding="utf-8")
         problems += check_commands(path, text, flags_by_sub, documented)
         problems += check_links(path, text)
-        problems += check_cited_names(path, text, cited)
+        problems += check_cited_names(path.name, text, cited)
         checked += 1
+    code_cited = set()
+    for path in CODE_FILES:
+        text = path.read_text(encoding="utf-8")
+        problems += check_cited_names(
+            str(path.relative_to(ROOT)), text, code_cited
+        )
+        problems += check_markdown_mentions(path, text)
     for sub in sorted(set(flags_by_sub) - documented):
         problems.append(
             f"subcommand `repro {sub}` appears in no documented "
@@ -157,7 +186,9 @@ def main() -> int:
     print(
         f"docs check: {checked} files, CLI commands and links consistent "
         f"with repro --help ({', '.join(sorted(flags_by_sub))}); "
-        f"{len(cited)} cited repro names resolve"
+        f"{len(cited)} cited repro names resolve; {len(CODE_FILES)} code "
+        f"files cite {len(code_cited)} resolvable repro names and only "
+        "existing markdown files"
     )
     return 0
 

@@ -1,5 +1,5 @@
 """Analysis utilities: statistics, complexity fits, busy-round accounting,
-and paper-style table rendering."""
+the table of paper claims, and paper-style table rendering."""
 
 from repro.analysis.density import (
     busy_round_count,
@@ -16,11 +16,8 @@ from repro.analysis.fitting import (
     fit_power_law,
     growth_ratio_check,
 )
-from repro.analysis.report import (
-    CampaignReport,
-    CellAggregate,
-    paper_reference,
-)
+from repro.analysis.claims import CLAIMS
+from repro.analysis.report import CampaignReport, CellAggregate
 from repro.analysis.stats import (
     RunningSummary,
     Summary,
@@ -32,6 +29,7 @@ from repro.analysis.stats import (
 from repro.analysis.tables import render_kv, render_table
 
 __all__ = [
+    "CLAIMS",
     "CampaignReport",
     "CellAggregate",
     "PowerLawFit",
@@ -45,7 +43,6 @@ __all__ = [
     "front_loaded_pattern",
     "growth_ratio_check",
     "is_busy",
-    "paper_reference",
     "probability_mass",
     "quantile",
     "render_kv",

@@ -17,16 +17,11 @@ The report has up to three tables, every row led by its cell key:
 * the **campaign table** — one row per failure-free cell with
   completion-round summary, transmission mean and cap-hit count: the
   empirical side of the paper's Tables 1–2 ensemble claims;
-* the **paper-reference table** — rows for which the source paper
-  states a bound the cell can be read against: Theorem 2's ``n − 3``
-  worst-case lower bound for deterministic algorithms on the
-  clique-bridge family, Theorem 10's ``X = ⌈n/ρ⌉`` Strong Select
-  completion guarantee, and Theorem 18's ``2·n·T·H(n)`` w.h.p.
-  Harmonic bound.  Every bound is taken at the built network's size
-  (``graph_n``, which a factory may round from the requested ``n``).
-  Cells outside every stated bound simply have no row — the report
-  never invents a comparison — and a Harmonic plateau shorter than
-  the paper's ``T = ⌈12 ln(n/ε)⌉`` reads "outside Thm 18 scope"; and
+* the **paper-reference table** — one row per claim of
+  :data:`repro.analysis.claims.CLAIMS` whose scope covers the cell
+  (Theorems 2, 10 and 18; a Strong Select cell on the clique-bridge
+  gets a Theorem 2 and a Theorem 10 row), with the claim's bound label
+  and verdict; a cell no claim covers has no row; and
 * the **under-churn table** — fault-injected cells
   (``churn_kind != "none"``), rendered only when the campaign has any.
   Churn cells never enter the other two tables: the paper's bounds
@@ -40,14 +35,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.analysis.claims import CLAIMS, Observation
 from repro.analysis.stats import RunningSummary
 from repro.analysis.tables import render_table
-from repro.core.harmonic import completion_bound, default_T
+from repro.core.harmonic import default_T
 from repro.experiments.spec import algorithm_label_of
-from repro.lowerbounds.theorem2 import (
-    DETERMINISTIC_ALGORITHMS,
-    THEOREM2_GRAPHS,
-)
 
 #: The Harmonic plateau length in an algorithm label such as
 #: ``harmonic(T=4)``.
@@ -130,6 +122,15 @@ class CellAggregate:
             else "—",
             self.capped,
         ]
+
+    def observation(self) -> Observation:
+        """The cell's worst case, as the paper claims read it."""
+        completion = self.completion
+        worst = completion.summary().maximum if completion.count else None
+        return Observation(
+            self.algorithm, self.graph_kind, self.graph_n, worst,
+            self.capped, self.harmonic_T,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         """The cell's JSON document."""
@@ -223,36 +224,32 @@ class CampaignReport:
     # Paper-reference table
     # ------------------------------------------------------------------
     def reference_rows(self) -> List[List[Any]]:
-        """Rows reading failure-free cells against the paper's bounds."""
+        """One row per failure-free cell and paper claim covering it."""
         rows: List[List[Any]] = []
         for cell in self.ordered():
-            reference = paper_reference(
-                cell.algorithm,
-                cell.graph_kind,
-                cell.graph_n,
-                harmonic_T=cell.harmonic_T,
-            )
-            if reference is None:
+            observation = cell.observation()
+            claims = [c for c in CLAIMS if c.covers(observation)]
+            if not claims:
                 continue
-            label, bound, check = reference
             if cell.completion.count:
                 measured = cell.completion.summary()
-                worst = measured.maximum
                 shown = (
                     f"max {measured.maximum:.0f}, "
                     f"mean {measured.mean:.1f}"
                 )
             else:
-                worst = None
                 shown = f"capped × {cell.capped}"
-            rows.append(
-                [
-                    cell.key,
-                    label,
-                    shown,
-                    "—" if worst is None else check(worst, cell),
-                ]
-            )
+            for claim in claims:
+                rows.append(
+                    [
+                        cell.key,
+                        claim.bound(observation),
+                        shown,
+                        "—"
+                        if observation.worst is None
+                        else claim.verdict(observation),
+                    ]
+                )
         return rows
 
     # ------------------------------------------------------------------
@@ -301,61 +298,3 @@ class CampaignReport:
             out["churn_cells"] = [cell.to_dict() for cell in churned]
         return out
 
-
-def paper_reference(
-    algorithm: str,
-    graph_kind: str,
-    n: int,
-    harmonic_T: Optional[int] = None,
-):
-    """The paper bound a cell can be read against, if one is stated.
-
-    ``n`` is the number of nodes of the built network.  Returns
-    ``None`` when the paper states no bound for the combination, else
-    ``(label, bound_value, check)`` where ``check`` maps the measured
-    worst completion round (plus the cell aggregate) to a short verdict
-    string.
-    """
-    if (
-        graph_kind in THEOREM2_GRAPHS
-        and algorithm in DETERMINISTIC_ALGORITHMS
-    ):
-        bound = max(3, n) - 3
-        return (
-            f"worst case ≥ {bound} (Thm 2)",
-            bound,
-            # Theorem 2 bounds the adversarial worst case; a sweep's
-            # sampled adversaries may or may not realise it, so the
-            # verdict reports which side the measurement landed on
-            # rather than pass/fail.
-            lambda worst, cell: "reached"
-            if worst >= bound or cell.capped
-            else "not reached",
-        )
-    if algorithm == "strong_select":
-        from repro.core.strong_select import build_schedule
-
-        bound = build_schedule(n).round_bound()
-        return (
-            f"completes ≤ {bound} (Thm 10)",
-            bound,
-            lambda worst, cell: "holds"
-            if worst <= bound and not cell.capped
-            else "VIOLATED",
-        )
-    if algorithm == "harmonic" and harmonic_T is not None:
-        bound = completion_bound(n, harmonic_T)
-        label = f"completes ≤ {bound} whp (Thm 18)"
-        if harmonic_T < default_T(n):
-            # Theorem 18 assumes the paper's plateau length; a shorter
-            # one is outside its hypothesis, so there is no side.
-            return label, bound, lambda worst, cell: "outside Thm 18 scope"
-        return (
-            label,
-            bound,
-            # A w.h.p. bound tolerates stragglers; report the side.
-            lambda worst, cell: "within"
-            if worst <= bound
-            else "exceeded",
-        )
-    return None

@@ -14,7 +14,7 @@ w.h.p.  (The asymptotically optimal classical algorithm of Czumaj–Rytter
 [12] is substantially more intricate; Decay is the standard stand-in
 baseline and reproduces the same Table-2 *shape* — polylogarithmic in
 ``n`` for constant diameter, versus ``Ω(n)`` in the dual graph model.
-The substitution is recorded in DESIGN.md.)
+``benchmarks/bench_table2_randomized.py`` records the substitution.)
 
 Decay has no worst-case guarantee against the dual-graph adversary — the
 Theorem 4 experiment demonstrates exactly that.

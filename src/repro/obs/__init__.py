@@ -22,7 +22,7 @@ The observability layer the sweep/search/engine stack reports through:
 
 The layer's contract: telemetry is **off by default** and enabling it
 **never changes trace bytes** — it only observes.  ``tests/test_obs.py``
-holds the differential proof across all three engines and
+holds the differential proof across both engines and
 ``benchmarks/bench_obs.py`` the <=5 % disabled-path overhead bound.
 """
 

@@ -129,7 +129,7 @@ class ProfileReport:
 def profile_task(task: object) -> ProfileReport:
     """Run one experiment task under recording telemetry.
 
-    ``task`` is an :class:`repro.experiments.spec.ExperimentTask`; the
+    ``task`` is a :class:`repro.experiments.spec.RunTask`; the
     import of the runner is deferred so :mod:`repro.obs` stays a leaf
     package (the runner imports telemetry from here).
     """

@@ -390,11 +390,11 @@ class TestGreedyVsTheorem2:
         assert set(called) == {"strong_select_ks"}
 
     def test_theorem2_scope_is_defined_once(self):
-        from repro.analysis import report
+        from repro.analysis import claims
         from repro.lowerbounds import theorem2
         from repro.search import compare
 
-        for module in (report, compare):
+        for module in (claims, compare):
             assert module.THEOREM2_GRAPHS is theorem2.THEOREM2_GRAPHS
             assert (
                 module.DETERMINISTIC_ALGORITHMS

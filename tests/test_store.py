@@ -7,6 +7,7 @@ accounting, the validator hook, RunningSummary equivalence, and the
 streaming ``repro report`` path.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -14,9 +15,11 @@ import random
 
 import pytest
 
-from repro.analysis.report import CampaignReport, paper_reference
+from repro.analysis.claims import CLAIMS, Observation
+from repro.analysis.report import CampaignReport
 from repro.analysis.stats import RunningSummary, summarize
 from repro.core.harmonic import completion_bound, default_T
+from repro.core.strong_select import build_schedule
 from repro.experiments import ExperimentSpec, run_sweep
 from repro.experiments.results import RunResult
 from repro.store import (
@@ -485,38 +488,47 @@ class TestCampaignReport:
         assert_summary_close(cell.completion.summary(), want)
 
     def test_paper_reference_bounds(self):
-        class FakeCell:
-            capped = 0
+        def claim_of(algorithm, graph_kind, n, harmonic_T=None):
+            observation = Observation(
+                algorithm, graph_kind, n, None, harmonic_T=harmonic_T
+            )
+            claims = [c for c in CLAIMS if c.covers(observation)]
+            if not claims:
+                return None
+            (claim,) = claims
+            return (
+                claim.bound(observation),
+                lambda worst: claim.verdict(
+                    dataclasses.replace(observation, worst=worst)
+                ),
+            )
 
-        label, bound, check = paper_reference(
-            "round_robin", "clique-bridge", 9, None
-        )
-        assert "Thm 2" in label
-        assert bound == 9 - 3
-        assert check(6.0, FakeCell()) == "reached"
-        assert check(5.0, FakeCell()) == "not reached"
-        assert paper_reference("round_robin", "line", 8, None) is None
-        label, bound, check = paper_reference(
-            "strong_select", "line", 8, None
-        )
+        label, check = claim_of("round_robin", "clique-bridge", 9)
+        assert label == f"worst case ≥ {9 - 3} (Thm 2)"
+        assert check(6.0) == "reached"
+        assert check(5.0) == "not reached"
+        assert claim_of("round_robin", "line", 8) is None
+        label, check = claim_of("strong_select", "line", 8)
         assert "Thm 10" in label
-        assert check(bound, FakeCell()) == "holds"
-        assert check(bound + 1, FakeCell()) == "VIOLATED"
+        bound = build_schedule(8).round_bound()
+        assert label == f"completes ≤ {bound} (Thm 10)"
+        assert check(bound) == "holds"
+        assert check(bound + 1) == "VIOLATED"
         # T=3 is below the paper's T = default_T(8) = 53: Theorem 18's
         # hypothesis does not hold, so the cell is out of its scope.
-        label, bound, check = paper_reference(
-            "harmonic", "line", 8, harmonic_T=3
-        )
+        label, check = claim_of("harmonic", "line", 8, harmonic_T=3)
         assert "Thm 18" in label
-        assert bound == completion_bound(8, 3)
-        assert check(1, FakeCell()) == "outside Thm 18 scope"
-        assert check(bound + 1, FakeCell()) == "outside Thm 18 scope"
-        label, bound, check = paper_reference(
+        bound = completion_bound(8, 3)
+        assert label == f"completes ≤ {bound} whp (Thm 18)"
+        assert check(1) == "outside Thm 18 scope"
+        assert check(bound + 1) == "outside Thm 18 scope"
+        label, check = claim_of(
             "harmonic", "line", 8, harmonic_T=default_T(8)
         )
-        assert bound == completion_bound(8, default_T(8))
-        assert check(bound, FakeCell()) == "within"
-        assert check(bound + 1, FakeCell()) == "exceeded"
+        bound = completion_bound(8, default_T(8))
+        assert label == f"completes ≤ {bound} whp (Thm 18)"
+        assert check(bound) == "within"
+        assert check(bound + 1) == "exceeded"
 
     def test_bare_harmonic_is_judged_at_the_built_size(self):
         # grid n=17 builds a 4 x 4 grid: every bound uses graph_n = 16.
