@@ -43,7 +43,7 @@ class Observation:
     read a campaign cell or a driver run."""
 
     algorithm: str
-    graph_kind: Optional[str]
+    graph_kind: str
     n: int
     worst: Optional[float]
     capped: int = 0
