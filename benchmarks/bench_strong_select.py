@@ -82,7 +82,7 @@ def test_strong_select_bound_and_shape(benchmark, table_out):
         # Theorem 10, each variant against the X of its own SSFs.
         assert THEOREM10.reproduced(existential[n])
         assert THEOREM10.reproduced(constructive[n])
-        # Theorem 2 floor: every deterministic algorithm pays n - 3.
+        # Theorem 2 floor: every deterministic algorithm pays > n - 3.
         assert THEOREM2.reproduced(existential[n])
     # Constructive variant within a small polylog factor of existential.
     for n in NS:

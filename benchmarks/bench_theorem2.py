@@ -62,7 +62,8 @@ def test_theorem2_lower_bound(benchmark, table_out):
     )
 
     for (name, n), res in results.items():
-        # The theorem's claim: a bridge identity forcing n - 3 rounds.
+        # The theorem's claim: a bridge identity forcing more than n - 3
+        # rounds.
         assert THEOREM2.reproduced(theorem2_observation(name, res)), (
             name,
             n,

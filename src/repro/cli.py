@@ -579,6 +579,8 @@ def cmd_lowerbound(args) -> int:
     factory = functools.partial(make_processes, args.algorithm)
 
     if args.theorem == 2:
+        from repro.analysis.claims import THEOREM2, theorem2_observation
+
         res = theorem2_lower_bound(factory, args.n)
         print(
             render_table(
@@ -588,7 +590,12 @@ def cmd_lowerbound(args) -> int:
                     ["worst-case rounds", res.worst_rounds],
                     ["paper bound (n-3)", res.theorem_bound],
                     ["worst bridge identity", res.worst_bridge_uid],
-                    ["bound holds", res.bound_holds],
+                    [
+                        "bound holds",
+                        THEOREM2.reproduced(
+                            theorem2_observation(args.algorithm, res)
+                        ),
+                    ],
                 ],
                 title=f"Theorem 2 vs {args.algorithm}",
             )

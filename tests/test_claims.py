@@ -9,6 +9,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 from repro.analysis.claims import (
     CLAIMS,
     CLASSICAL_SPEC,
@@ -19,10 +21,12 @@ from repro.analysis.claims import (
     THM18_SPEC,
     Observation,
     observe,
+    theorem2_observation,
 )
 from repro.analysis.report import CampaignReport
 from repro.core.harmonic import default_T
 from repro.experiments import ExperimentSpec, run_sweep
+from repro.lowerbounds.theorem2 import Theorem2Result
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "records.jsonl"
@@ -72,6 +76,16 @@ def test_observation_of_a_capped_cell_has_no_worst_case():
     assert THEOREM2.verdict(
         Observation("round_robin", "clique-bridge", 9, None, capped=1)
     ) == "reached"
+
+
+@pytest.mark.parametrize("worst", [5, 6, 7])
+def test_theorem2_claim_reads_the_driver_strictly(worst):
+    # Theorem 2 asserts more than n - 3 rounds: at n = 9 a worst case of
+    # exactly 6 does not reach it, as the driver's own reading says.
+    result = Theorem2Result(9, {4: worst})
+    observation = theorem2_observation("round_robin", result)
+    assert THEOREM2.reproduced(observation) is result.bound_holds
+    assert result.bound_holds is (worst > 6)
 
 
 def test_reproduce_paper_prints_every_claim_id(capsys):

@@ -504,9 +504,9 @@ class TestCampaignReport:
             )
 
         label, check = claim_of("round_robin", "clique-bridge", 9)
-        assert label == f"worst case ≥ {9 - 3} (Thm 2)"
-        assert check(6.0) == "reached"
-        assert check(5.0) == "not reached"
+        assert label == f"worst case > {9 - 3} (Thm 2)"
+        assert check(7.0) == "reached"
+        assert check(6.0) == "not reached"
         assert claim_of("round_robin", "line", 8) is None
         label, check = claim_of("strong_select", "line", 8)
         assert "Thm 10" in label
