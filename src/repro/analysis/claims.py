@@ -1,10 +1,11 @@
 """The paper's claims in one table: statement, scope, bound, verdict.
 
 One :class:`Claim` per result the condensed reproduction prints, and the
-only place a measurement is read against the paper:
+only place one of them is read against a measurement:
 :meth:`~repro.analysis.report.CampaignReport.reference_rows` emits a row per
 claim whose scope covers a cell, ``examples/reproduce_paper.py`` loops over
-:data:`CLAIMS`, and the paper benches assert :meth:`Claim.reproduced`.
+:data:`CLAIMS`, ``repro lowerbound --theorem 2`` prints Theorem 2's reading,
+and the paper benches assert :meth:`Claim.reproduced`.
 Verdicts call the drivers' own quantities; every bound is taken at the
 built network's size.
 """
