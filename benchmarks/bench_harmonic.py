@@ -22,8 +22,8 @@ from repro.analysis import (
     render_table,
     wakeup_pattern_of,
 )
-from repro.analysis.claims import THEOREM18
-from repro.core.harmonic import busy_round_bound, completion_bound
+from repro.analysis.claims import LEMMA15, THEOREM18
+from repro.core.harmonic import completion_bound
 from repro.experiments import ExperimentSpec, SweepRunner
 from repro.graphs import clique_bridge
 
@@ -106,16 +106,18 @@ def test_harmonic_busy_round_lemma(benchmark, table_out):
                     + [5 * T] * (n - n // 2),
                 }
                 for label, pattern in patterns.items():
-                    count = busy_round_count(pattern, T)
-                    bound = busy_round_bound(n, T)
-                    rows.append([n, T, label, count, bound])
-                    checks.append(count <= bound)
+                    evidence = (n, T, busy_round_count(pattern, T))
+                    rows.append(
+                        [n, T, label, evidence[2], LEMMA15.bound(evidence),
+                         LEMMA15.verdict(evidence)]
+                    )
+                    checks.append(LEMMA15.reproduced(evidence))
         return rows, checks
 
     rows, checks = benchmark.pedantic(run, rounds=1, iterations=1)
     table_out(
         render_table(
-            ["n", "T", "pattern", "busy rounds", "bound nT·H(n)"],
+            ["n", "T", "pattern", "busy rounds", "bound nT·H(n)", "Lemma 15"],
             rows,
             title="Lemma 15 (measured): busy rounds per wake-up pattern",
         )
@@ -127,23 +129,20 @@ def test_harmonic_trace_patterns_respect_lemma15(benchmark, table_out):
     """Wake-up patterns of real executions also satisfy Lemma 15."""
 
     def run():
-        out = []
-        for seed in SEEDS:
-            n, T = 24, 6
-            trace = harmonic_rounds(n, T, seed)
-            pattern = wakeup_pattern_of(trace)
-            out.append(
-                (busy_round_count(pattern, T), busy_round_bound(n, T))
-            )
-        return out
+        n, T = 24, 6
+        return [
+            (n, T, busy_round_count(
+                wakeup_pattern_of(harmonic_rounds(n, T, seed)), T
+            ))
+            for seed in SEEDS
+        ]
 
-    measured = benchmark.pedantic(run, rounds=1, iterations=1)
+    evidence = benchmark.pedantic(run, rounds=1, iterations=1)
     table_out(
         render_table(
-            ["busy rounds (execution)", "bound"],
-            measured,
+            ["busy rounds (execution)", "bound", "Lemma 15"],
+            [(e[2], LEMMA15.bound(e), LEMMA15.verdict(e)) for e in evidence],
             title="Lemma 15 on real execution wake-up patterns",
         )
     )
-    for count, bound in measured:
-        assert count <= bound
+    assert all(LEMMA15.reproduced(e) for e in evidence)

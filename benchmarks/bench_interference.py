@@ -6,7 +6,7 @@ observation-for-observation equivalence and that round bounds carry over.
 """
 
 from repro.analysis import render_table
-from repro.analysis.claims import LEMMA1
+from repro.analysis.claims import LEMMA1, LEMMA1_ROUND_ROBIN
 from repro.core import (
     make_harmonic_processes,
     make_round_robin_processes,
@@ -80,24 +80,25 @@ def test_lemma1_round_bounds_carry_over(benchmark, table_out):
                 max_rounds=round_robin_bound(n, n) + 8,
                 seed=1,
             )
-            out.append(
-                (
-                    n,
-                    report.interference_trace.completion_round,
-                    round_robin_bound(n, net.graph.source_eccentricity),
-                    LEMMA1.reproduced(report),
-                )
-            )
+            out.append((net, report))
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    evidence = benchmark.pedantic(run, rounds=1, iterations=1)
     table_out(
         render_table(
             ["n", "completion (interference)", "dual-graph bound", "equiv"],
-            results,
+            [
+                (
+                    net.n,
+                    report.interference_trace.completion_round,
+                    LEMMA1_ROUND_ROBIN.bound((net, report)),
+                    LEMMA1.reproduced(report),
+                )
+                for net, report in evidence
+            ],
             title="Lemma 1: round bounds carry over",
         )
     )
-    for n, completion, bound, equiv in results:
-        assert equiv
-        assert completion is not None and completion <= bound
+    for net, report in evidence:
+        assert LEMMA1.reproduced(report)
+        assert LEMMA1_ROUND_ROBIN.reproduced((net, report))

@@ -10,16 +10,12 @@ from repro.adversaries.base import (
 )
 from repro.adversaries.interferers import GreedyInterferer, PivotAdversary
 from repro.adversaries.scripted import ReplayAdversary, ScriptedDeliveries
-from repro.adversaries.simple import (
-    FlappingLinkAdversary,
-    RandomDeliveryAdversary,
-)
+from repro.adversaries.simple import RandomDeliveryAdversary
 
 __all__ = [
     "Adversary",
     "AdversaryView",
     "FixedAssignmentAdversary",
-    "FlappingLinkAdversary",
     "FullDeliveryAdversary",
     "GreedyInterferer",
     "NoDeliveryAdversary",

@@ -66,31 +66,3 @@ class RandomDeliveryAdversary(Adversary):
             return None
         return arrivals[choice]
 
-
-class FlappingLinkAdversary(Adversary):
-    """Links alternate between up and down phases of fixed lengths.
-
-    A coarse model of periodic interference (e.g. a co-channel device with
-    a duty cycle): every unreliable link is simultaneously up for
-    ``up_rounds`` rounds, then down for ``down_rounds`` rounds, repeating.
-    Deterministic — useful for reproducible worst-ish cases in tests.
-    """
-
-    def __init__(self, up_rounds: int = 1, down_rounds: int = 1) -> None:
-        if up_rounds < 0 or down_rounds < 0 or up_rounds + down_rounds == 0:
-            raise ValueError("phase lengths must be non-negative, not both 0")
-        self.up_rounds = up_rounds
-        self.down_rounds = down_rounds
-
-    def _is_up(self, round_number: int) -> bool:
-        period = self.up_rounds + self.down_rounds
-        return (round_number - 1) % period < self.up_rounds
-
-    def choose_deliveries(
-        self, view: AdversaryView
-    ) -> Dict[int, FrozenSet[int]]:
-        if not self._is_up(view.round_number):
-            return {}
-        return {
-            v: view.network.unreliable_only_out(v) for v in view.senders
-        }

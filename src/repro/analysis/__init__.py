@@ -4,7 +4,6 @@ the table of paper claims, and paper-style table rendering."""
 from repro.analysis.density import (
     busy_round_count,
     busy_rounds,
-    free_round_prefix_equal_point,
     front_loaded_pattern,
     is_busy,
     probability_mass,
@@ -14,19 +13,16 @@ from repro.analysis.fitting import (
     PowerLawFit,
     best_fit,
     fit_power_law,
-    growth_ratio_check,
 )
 from repro.analysis.claims import CLAIMS
 from repro.analysis.report import CampaignReport, CellAggregate
 from repro.analysis.stats import (
     RunningSummary,
     Summary,
-    quantile,
-    seed_sweep,
     summarize,
     t_critical_95,
 )
-from repro.analysis.tables import render_kv, render_table
+from repro.analysis.tables import render_table
 
 __all__ = [
     "CLAIMS",
@@ -39,15 +35,10 @@ __all__ = [
     "busy_round_count",
     "busy_rounds",
     "fit_power_law",
-    "free_round_prefix_equal_point",
     "front_loaded_pattern",
-    "growth_ratio_check",
     "is_busy",
     "probability_mass",
-    "quantile",
-    "render_kv",
     "render_table",
-    "seed_sweep",
     "summarize",
     "t_critical_95",
     "wakeup_pattern_of",

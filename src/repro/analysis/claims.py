@@ -1,13 +1,19 @@
 """The paper's claims in one table: statement, scope, bound, verdict.
 
-One :class:`Claim` per result the condensed reproduction prints, and the
-only place one of them is read against a measurement:
+One :class:`Claim` per result the reproduction checks, and the only place
+one of them is read against a measurement:
 :meth:`~repro.analysis.report.CampaignReport.reference_rows` emits a row per
 claim whose scope covers a cell, ``examples/reproduce_paper.py`` loops over
 :data:`CLAIMS`, ``repro lowerbound --theorem 2`` prints Theorem 2's reading,
 and the paper benches assert :meth:`Claim.reproduced`.
 Verdicts call the drivers' own quantities; every bound is taken at the
 built network's size.
+
+:data:`CLAIMS` holds the claims the condensed reproduction prints, in
+print order; each has a ``condensed`` producer.  A claim outside it has
+none and is read only by its paper bench: :data:`LEMMA15`
+(``benchmarks/bench_harmonic.py``) and :data:`LEMMA1_ROUND_ROBIN`
+(``benchmarks/bench_interference.py``).
 """
 
 from __future__ import annotations
@@ -16,8 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
-from repro.core import make_harmonic_processes, make_round_robin_processes
-from repro.core.harmonic import completion_bound, default_T
+from repro.core import (
+    make_harmonic_processes,
+    make_round_robin_processes,
+    round_robin_bound,
+)
+from repro.core.harmonic import busy_round_bound, completion_bound, default_T
 from repro.core.ssf import kautz_singleton_ssf
 from repro.core.strong_select import build_schedule
 from repro.experiments import ExperimentSpec, run_sweep
@@ -58,8 +68,9 @@ class Claim:
 
     ``bound`` labels and ``verdict`` judges a piece of evidence; ``holds``
     is the verdict that reproduces the claim.  ``condensed`` measures it at
-    the condensed size as ``(evidence, measured)``, and ``covers`` tells
-    whether a campaign cell falls under it.
+    the condensed size as ``(evidence, measured)`` (``None`` for a claim
+    only a bench reads), and ``covers`` tells whether a campaign cell
+    falls under it.
     """
 
     id: str
@@ -67,7 +78,7 @@ class Claim:
     scope: str
     bound: Callable[[Any], str]
     verdict: Callable[[Any], str]
-    condensed: Callable[[], Tuple[Any, str]]
+    condensed: Optional[Callable[[], Tuple[Any, str]]] = None
     holds: str = "holds"
     covers: Callable[[Observation], bool] = lambda observation: False
 
@@ -198,6 +209,26 @@ def _thm18_verdict(o: Observation) -> str:
     return "exceeded"
 
 
+def _lemma15_bound(evidence) -> int:
+    """Lemma 15's ceiling for ``(n, T, busy rounds)`` evidence."""
+    n, T, _ = evidence
+    return busy_round_bound(n, T)
+
+
+def _carry_over_bound(evidence) -> int:
+    """Round robin's dual-graph bound for an ``(InterferenceNetwork,
+    EquivalenceReport)`` piece of evidence."""
+    network, _ = evidence
+    return round_robin_bound(network.n, network.graph.source_eccentricity)
+
+
+def _carry_over_verdict(evidence) -> str:
+    completion = evidence[1].interference_trace.completion_round
+    return _holds(
+        completion is not None and completion <= _carry_over_bound(evidence)
+    )
+
+
 def _lemma1():
     from repro.interference import InterferenceNetwork, run_equivalence_check
 
@@ -304,7 +335,23 @@ SECTION1 = Claim(
     condensed=_sec1,
 )
 
-#: Every claim, in the order the condensed reproduction prints them.
+LEMMA15 = Claim(
+    "lemma15",
+    "no wake-up pattern induces more than n·T·H(n) busy rounds",
+    "Harmonic's sending probabilities over any wake-up pattern of n nodes",
+    bound=lambda evidence: f"busy rounds ≤ {_lemma15_bound(evidence)} (Lemma 15)",
+    verdict=lambda evidence: _holds(evidence[2] <= _lemma15_bound(evidence)),
+)
+LEMMA1_ROUND_ROBIN = Claim(
+    "lemma1-rr",
+    "round robin keeps its dual-graph n·ecc round bound under explicit "
+    "interference",
+    "round_robin on explicit-interference networks",
+    bound=lambda evidence: f"completes ≤ {_carry_over_bound(evidence)} (Lemma 1)",
+    verdict=_carry_over_verdict,
+)
+
+#: The claims the condensed reproduction prints, in print order.
 CLAIMS: Tuple[Claim, ...] = (
     SECTION3,
     THEOREM2,

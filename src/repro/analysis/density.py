@@ -87,18 +87,3 @@ def wakeup_pattern_of(trace: ExecutionTrace) -> List[int]:
     )
     return rounds
 
-
-def free_round_prefix_equal_point(
-    wakeup_pattern: Sequence[int], T: int, horizon: int
-) -> Optional[int]:
-    """The first round ``τ`` where free rounds in ``[1, τ]`` match busy.
-
-    Theorem 18's argument pivots on this balance point; ``None`` if it
-    does not occur within the horizon.
-    """
-    balance = 0
-    for t in range(1, horizon + 1):
-        balance += 1 if is_busy(wakeup_pattern, t, T) else -1
-        if balance <= 0:
-            return t
-    return None

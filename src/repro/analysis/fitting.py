@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,6 @@ class PowerLawFit:
     log_exponent: float
     coefficient: float
     r_squared: float
-
-    def predict(self, n: float) -> float:
-        """The model's prediction at ``n``."""
-        return (
-            self.coefficient
-            * n**self.exponent
-            * max(1.0, math.log2(n)) ** self.log_exponent
-        )
 
     def format(self) -> str:
         parts = [f"{self.coefficient:.3g} * n^{self.exponent:.3f}"]
@@ -111,17 +103,3 @@ def best_fit(
     fits = [fit_power_law(ns, ts, b) for b in log_exponents]
     return max(fits, key=lambda f: f.r_squared)
 
-
-def growth_ratio_check(
-    ns: Sequence[float],
-    ts: Sequence[float],
-    reference: float,
-    tolerance: float = 0.35,
-) -> Tuple[bool, float]:
-    """Whether the fitted exponent is within ``tolerance`` of ``reference``.
-
-    Returns ``(ok, fitted_exponent)``; a coarse but robust shape check
-    used by integration tests (benchmarks report the full fit).
-    """
-    fit = best_fit(ns, ts)
-    return abs(fit.exponent - reference) <= tolerance, fit.exponent

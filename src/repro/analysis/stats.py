@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, TypeVar
+from typing import Dict, Iterable, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -241,31 +241,3 @@ class RunningSummary:
             ci95_half_width=self.ci95_half_width,
         )
 
-
-def seed_sweep(
-    run: Callable[[int], float],
-    seeds: Sequence[int],
-) -> Summary:
-    """Run a seeded experiment once per seed and summarize the results.
-
-    Args:
-        run: ``run(seed) -> measurement``.
-        seeds: The seeds to sweep.
-    """
-    return summarize(run(seed) for seed in seeds)
-
-
-def quantile(values: Sequence[float], q: float) -> float:
-    """The ``q``-quantile (linear interpolation, ``0 ≤ q ≤ 1``)."""
-    if not values:
-        raise ValueError("cannot take a quantile of an empty sample")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    data = sorted(float(v) for v in values)
-    if len(data) == 1:
-        return data[0]
-    pos = q * (len(data) - 1)
-    lo = int(math.floor(pos))
-    hi = int(math.ceil(pos))
-    frac = pos - lo
-    return data[lo] * (1 - frac) + data[hi] * frac

@@ -7,7 +7,7 @@ every bench prints consistently aligned, copy-pasteable tables.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 
 def render_table(
@@ -50,7 +50,3 @@ def render_table(
     lines.append(sep)
     return "\n".join(lines)
 
-
-def render_kv(pairs: Iterable[Sequence[object]], title: str = "") -> str:
-    """Render key–value pairs as a two-column table."""
-    return render_table(["quantity", "value"], pairs, title=title)

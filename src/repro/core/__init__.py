@@ -27,7 +27,6 @@ from repro.core.ssf import (
     SelectiveFamily,
     find_violation,
     full_family,
-    greedy_ssf,
     kautz_singleton_ssf,
     random_ssf,
     round_robin_family,
@@ -57,7 +56,6 @@ __all__ = [
     "default_s_max",
     "find_violation",
     "full_family",
-    "greedy_ssf",
     "harmonic_number",
     "kautz_singleton_ssf",
     "make_decay_processes",

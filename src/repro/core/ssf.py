@@ -221,45 +221,6 @@ def kautz_singleton_ssf(n: int, k: int) -> SelectiveFamily:
     )
 
 
-def greedy_ssf(n: int, k: int) -> SelectiveFamily:
-    """Exact greedy set-cover construction (exponential; tiny inputs only).
-
-    Enumerates every pair ``(Z, z)`` with ``|Z| ≤ k`` and greedily picks
-    the set covering the most uncovered pairs.  Guaranteed correct, used
-    as a ground-truth oracle in tests.  Practical only for ``n ≤ ~12``.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > 14:
-        raise ValueError("greedy_ssf is exponential; use n <= 14")
-    universe = range(n)
-    pairs = set()
-    for size in range(1, k + 1):
-        for zs in itertools.combinations(universe, size):
-            for z in zs:
-                pairs.add((frozenset(zs), z))
-    candidate_sets = [
-        frozenset(c)
-        for size in range(1, n + 1)
-        for c in itertools.combinations(universe, size)
-    ]
-    chosen: List[FrozenSet[int]] = []
-    uncovered = set(pairs)
-    while uncovered:
-        best = max(
-            candidate_sets,
-            key=lambda f: sum(1 for (zs, z) in uncovered if zs & f == {z}),
-        )
-        newly = {(zs, z) for (zs, z) in uncovered if zs & best == {z}}
-        if not newly:
-            raise RuntimeError("greedy made no progress; should not happen")
-        uncovered -= newly
-        chosen.append(best)
-    return SelectiveFamily(
-        n=n, k=k, sets=tuple(chosen), construction="greedy"
-    )
-
-
 def verify_ssf(
     family: SelectiveFamily,
     exhaustive_limit: int = 2_000_000,

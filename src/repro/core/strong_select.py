@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.ssf import (
     SSFBuilder,
@@ -137,12 +137,6 @@ class StrongSelectSchedule:
         start = ((elapsed + size - 1) // size) * size
         return start, start + size
 
-    def scheduled_set(self, r: int) -> Tuple[int, FrozenSet[int]]:
-        """The (level, set) scheduled in global round ``r``."""
-        s, p = self.level_of_round(r)
-        fam = self.family(s)
-        return s, fam[p % len(fam)]
-
     # ------------------------------------------------------------------
     # Analysis quantities
     # ------------------------------------------------------------------
@@ -165,11 +159,6 @@ class StrongSelectSchedule:
     def round_bound(self) -> int:
         """The guaranteed completion bound ``X = n / ρ`` (Theorem 10)."""
         return math.ceil(self.n / self.density_threshold())
-
-    def iteration_rounds(self, s: int) -> int:
-        """``ℓ'_s``: global rounds spanned by one full ``F_s`` iteration."""
-        per_epoch = 1 << (s - 1)
-        return self.family_size(s) * self.epoch_length // per_epoch
 
 
 def build_schedule(

@@ -16,20 +16,11 @@ from repro.graphs.broadcastability import (
     is_k_broadcastable,
 )
 from repro.graphs.dualgraph import DualGraph, DualGraphError
-from repro.graphs.extra_generators import (
-    caterpillar,
-    complete_binary_tree,
-    hypercube,
-    noisy_dual,
-    random_regular,
-)
 from repro.graphs.generators import (
     clique,
-    directed_layered,
     grid,
     layered,
     line,
-    random_tree,
     ring,
     star,
     with_complete_unreliable,
@@ -41,19 +32,13 @@ __all__ = [
     "DualGraph",
     "DualGraphError",
     "broadcast_number",
-    "caterpillar",
-    "complete_binary_tree",
     "greedy_broadcast_schedule",
     "guaranteed_informed",
-    "hypercube",
     "is_k_broadcastable",
-    "noisy_dual",
-    "random_regular",
     "LayeredPairsLayout",
     "PivotLayersLayout",
     "clique",
     "clique_bridge",
-    "directed_layered",
     "gnp_dual",
     "gray_zone",
     "grid",
@@ -62,7 +47,6 @@ __all__ = [
     "line",
     "pivot_layers",
     "pivot_layers_for_n",
-    "random_tree",
     "ring",
     "star",
     "with_complete_unreliable",

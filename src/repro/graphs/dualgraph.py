@@ -21,7 +21,7 @@ unless stated otherwise.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -248,26 +248,6 @@ class DualGraph:
             self.all_edges(),
             source=self._source,
             name=f"{self._name}|classical-G'",
-        )
-
-    def relabeled(self, mapping: Dict[int, int], name: str = "") -> "DualGraph":
-        """Return an isomorphic copy with nodes renamed by ``mapping``.
-
-        ``mapping`` must be a bijection on ``0..n-1``.  The source moves
-        with the relabeling.
-        """
-        if sorted(mapping) != list(range(self._n)) or sorted(
-            mapping.values()
-        ) != list(range(self._n)):
-            raise DualGraphError("mapping must be a bijection on the nodes")
-        rel = [(mapping[u], mapping[v]) for (u, v) in self.reliable_edges()]
-        alle = [(mapping[u], mapping[v]) for (u, v) in self.all_edges()]
-        return DualGraph(
-            self._n,
-            rel,
-            alle,
-            source=mapping[self._source],
-            name=name or f"{self._name}|relabeled",
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,9 +1,9 @@
 """Standard dual graph topologies.
 
 These generators cover the workloads used throughout the paper's discussion
-and our benchmarks: classical graphs (``G = G'``), their "noisy" dual
-variants, and the usual structural families (lines, rings, cliques, stars,
-grids, layered graphs, random trees).
+and our benchmarks: classical graphs (``G = G'``), their dual variants with
+a complete ``G'``, and the usual structural families (lines, rings, cliques,
+stars, grids, layered graphs).
 
 Every generator returns a validated :class:`~repro.graphs.dualgraph.DualGraph`
 with source node 0 unless documented otherwise.
@@ -12,8 +12,7 @@ with source node 0 unless documented otherwise.
 from __future__ import annotations
 
 import itertools
-import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.graphs.dualgraph import DualGraph, Edge
 
@@ -75,15 +74,6 @@ def grid(rows: int, cols: int) -> DualGraph:
     )
 
 
-def random_tree(n: int, seed: int = 0) -> DualGraph:
-    """A uniform random recursive tree rooted at the source."""
-    rng = random.Random(seed)
-    reliable = [(rng.randrange(v), v) for v in range(1, n)]
-    return DualGraph(
-        n, reliable, undirected=True, name=f"random-tree(n={n},seed={seed})"
-    )
-
-
 def layered(
     layer_sizes: Sequence[int],
     complete_within: bool = True,
@@ -138,41 +128,4 @@ def with_complete_unreliable(graph: DualGraph, name: str = "") -> DualGraph:
         all_edges,
         source=graph.source,
         name=name or f"{graph.name}+complete-G'",
-    )
-
-
-def directed_layered(
-    layer_sizes: Sequence[int],
-    complete_unreliable: bool = False,
-    name: str = "",
-) -> DualGraph:
-    """A directed layered graph: edges point from layer ``k`` to ``k+1``.
-
-    Useful for directed-model experiments where receivers cannot give
-    feedback to senders (the situation exploited by the Theorem-11 bound).
-    """
-    if not layer_sizes or layer_sizes[0] != 1:
-        raise ValueError("layer_sizes must start with a singleton source layer")
-    boundaries = [0]
-    for size in layer_sizes:
-        boundaries.append(boundaries[-1] + size)
-    n = boundaries[-1]
-    layers = [
-        list(range(boundaries[i], boundaries[i + 1]))
-        for i in range(len(layer_sizes))
-    ]
-    reliable: List[Edge] = []
-    for a, b in zip(layers, layers[1:]):
-        reliable.extend(itertools.product(a, b))
-    if complete_unreliable:
-        all_edges: Optional[List[Edge]] = [
-            (u, v) for u in range(n) for v in range(n) if u != v
-        ]
-    else:
-        all_edges = None
-    return DualGraph(
-        n,
-        reliable,
-        all_edges,
-        name=name or f"directed-layered(sizes={list(layer_sizes)})",
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule
@@ -66,16 +66,62 @@ class InterferenceNetwork:
         return self.graph
 
 
+def interference_outcomes(
+    network: InterferenceNetwork,
+    senders: Mapping[int, Message],
+    collision_rule: CollisionRule,
+    cr4_choose_first: bool = False,
+) -> Dict[int, Reception]:
+    """What each node observes in one round of the explicit-interference model.
+
+    Semantics (Section 2.2 + Appendix A): *arrivals* at ``v`` are the
+    messages of all senders with a ``G_I`` edge to ``v`` (plus ``v``'s
+    own if it sends); *receivable* arrivals are those over ``G_T`` edges
+    (plus its own).  A collision requires at least one receivable
+    arrival; interference-only arrivals on their own are undetectable
+    noise, so the node hears ``⊥``.  When a receivable arrival exists,
+    interference arrivals count toward the collision threshold but can
+    never be received.  Under CR4 the resolver may only pick a
+    receivable arrival: ``cr4_choose_first`` picks the lowest-uid one,
+    ``False`` resolves to silence.
+    """
+    arrivals: Dict[int, List[Message]] = {v: [] for v in range(network.n)}
+    receivable: Dict[int, List[Message]] = {v: [] for v in range(network.n)}
+    for s, msg in senders.items():
+        arrivals[s].append(msg)
+        receivable[s].append(msg)
+        for t in network.interference_out(s):
+            arrivals[t].append(msg)
+        for t in network.transmission_out(s):
+            receivable[t].append(msg)
+
+    outcomes: Dict[int, Reception] = {}
+    for v in range(network.n):
+        own = senders.get(v)
+        if own is not None and collision_rule.sender_hears_own_message:
+            outcomes[v] = received(own)
+        elif not receivable[v]:
+            # No decodable signal: silence, regardless of interference.
+            outcomes[v] = SILENCE
+        elif own is not None:  # CR1 sender (its own message is receivable)
+            outcomes[v] = COLLISION if len(arrivals[v]) >= 2 else received(own)
+        elif len(arrivals[v]) == 1:
+            outcomes[v] = received(receivable[v][0])  # the lone arrival
+        elif collision_rule in (CollisionRule.CR1, CollisionRule.CR2):
+            outcomes[v] = COLLISION
+        elif collision_rule is CollisionRule.CR3:
+            outcomes[v] = SILENCE
+        elif cr4_choose_first:  # CR4: silence or one *receivable* message
+            outcomes[v] = received(min(receivable[v], key=lambda m: m.sender))
+        else:
+            outcomes[v] = SILENCE
+    return outcomes
+
+
 class InterferenceEngine:
     """Synchronous-round execution in the explicit-interference model.
 
-    Semantics per node ``v`` each round: *arrivals* are the messages of
-    all senders with a ``G_I`` edge to ``v`` (plus ``v``'s own message if
-    it sends); *receivable* arrivals are those over ``G_T`` edges (plus
-    its own).  The collision rule applies to the arrival count, but a
-    lone arrival is received only when receivable — otherwise silence.
-    Under CR4 the resolver may only pick a receivable arrival.
-
+    Each round's observations come from :func:`interference_outcomes`.
     The model is static, so the only adversarial freedom left is the CR4
     resolution; ``cr4_choose_first`` picks the lowest-uid receivable
     message, ``False`` resolves to silence.
@@ -126,46 +172,6 @@ class InterferenceEngine:
         self._active.add(node)
         self.process_at[node].on_activate(self._contexts[node])
 
-    def _resolve(
-        self,
-        node: int,
-        is_sender: bool,
-        own: Optional[Message],
-        arrivals: List[Message],
-        receivable: List[Message],
-    ) -> Reception:
-        """Resolve one node's observation.
-
-        Semantics (Section 2.2 + Appendix A): a collision requires at
-        least one *transmission-edge* arrival; interference-only arrivals
-        on their own are undetectable noise — the node hears ``⊥``.
-        When at least one transmission arrival exists, interference
-        arrivals count toward the collision threshold but can never be
-        received.
-        """
-        rule = self.collision_rule
-        if is_sender and rule.sender_hears_own_message:
-            assert own is not None
-            return received(own)
-        if not receivable:
-            # No decodable signal: silence, regardless of interference.
-            return SILENCE
-        if is_sender:  # CR1 sender (its own message is receivable)
-            if len(arrivals) >= 2:
-                return COLLISION
-            assert own is not None
-            return received(own)
-        if len(arrivals) == 1:
-            return received(receivable[0])  # the lone arrival is receivable
-        if rule in (CollisionRule.CR1, CollisionRule.CR2):
-            return COLLISION
-        if rule is CollisionRule.CR3:
-            return SILENCE
-        # CR4: silence or one *receivable* message.
-        if self.cr4_choose_first:
-            return received(min(receivable, key=lambda m: m.sender))
-        return SILENCE
-
     def run(self) -> ExecutionTrace:
         source = self.network.source
         sp = self.process_at[source]
@@ -192,28 +198,13 @@ class InterferenceEngine:
             for v in range(self.network.n):
                 self._contexts[v].round_number = rnd
 
-            arrivals: Dict[int, List[Message]] = {
-                v: [] for v in range(self.network.n)
-            }
-            receivable: Dict[int, List[Message]] = {
-                v: [] for v in range(self.network.n)
-            }
-            for s, msg in senders.items():
-                arrivals[s].append(msg)
-                receivable[s].append(msg)
-                for t in self.network.interference_out(s):
-                    arrivals[t].append(msg)
-                for t in self.network.transmission_out(s):
-                    receivable[t].append(msg)
-
+            receptions = interference_outcomes(
+                self.network, senders, self.collision_rule,
+                self.cr4_choose_first,
+            )
             newly_informed: List[int] = []
             newly_active: List[int] = []
-            receptions: Dict[int, Reception] = {}
-            for v in range(self.network.n):
-                rec = self._resolve(
-                    v, v in senders, senders.get(v), arrivals[v], receivable[v]
-                )
-                receptions[v] = rec
+            for v, rec in receptions.items():
                 proc = self.process_at[v]
                 if v not in self._active:
                     if rec.is_message:

@@ -23,10 +23,14 @@ identical seeds and compares the traces observation-for-observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.adversaries.base import Adversary, AdversaryView
-from repro.interference.model import InterferenceEngine, InterferenceNetwork
+from repro.interference.model import (
+    InterferenceEngine,
+    InterferenceNetwork,
+    interference_outcomes,
+)
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import BroadcastEngine, EngineConfig, StartMode
 from repro.sim.messages import Message, Reception, ReceptionKind
@@ -58,65 +62,14 @@ class InterferenceSimulationAdversary(Adversary):
         self._plan_round = -1
 
     # ------------------------------------------------------------------
-    # Interference-model outcome computation
-    # ------------------------------------------------------------------
-    def _interference_outcomes(
-        self, senders: Mapping[int, Message]
-    ) -> Dict[int, Reception]:
-        """What each node observes in the explicit-interference model."""
-        from repro.sim.messages import COLLISION, SILENCE, received
-
-        net = self.network
-        rule = self.collision_rule
-        arrivals: Dict[int, List[Message]] = {
-            v: [] for v in range(net.n)
-        }
-        receivable: Dict[int, List[Message]] = {
-            v: [] for v in range(net.n)
-        }
-        for s, msg in senders.items():
-            arrivals[s].append(msg)
-            receivable[s].append(msg)
-            for t in net.interference_out(s):
-                arrivals[t].append(msg)
-            for t in net.transmission_out(s):
-                receivable[t].append(msg)
-
-        outcomes: Dict[int, Reception] = {}
-        for v in range(net.n):
-            is_sender = v in senders
-            if is_sender and rule.sender_hears_own_message:
-                outcomes[v] = received(senders[v])
-                continue
-            if not receivable[v]:
-                outcomes[v] = SILENCE
-                continue
-            if is_sender:  # CR1 sender
-                outcomes[v] = (
-                    COLLISION if len(arrivals[v]) >= 2 else received(senders[v])
-                )
-                continue
-            if len(arrivals[v]) == 1:
-                outcomes[v] = received(receivable[v][0])
-                continue
-            if rule in (CollisionRule.CR1, CollisionRule.CR2):
-                outcomes[v] = COLLISION
-            elif rule is CollisionRule.CR3:
-                outcomes[v] = SILENCE
-            elif self.cr4_choose_first:
-                outcomes[v] = received(
-                    min(receivable[v], key=lambda m: m.sender)
-                )
-            else:
-                outcomes[v] = SILENCE
-        return outcomes
-
-    # ------------------------------------------------------------------
     # Adversary interface
     # ------------------------------------------------------------------
     def _plan(self, view: AdversaryView) -> Dict[int, Reception]:
         if view.round_number != self._plan_round:
-            self._round_plan = self._interference_outcomes(view.senders)
+            self._round_plan = interference_outcomes(
+                self.network, view.senders, self.collision_rule,
+                self.cr4_choose_first,
+            )
             self._plan_round = view.round_number
         return self._round_plan
 

@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Union
 
-from repro.obs.events import EVENT_SCHEMA_VERSION
+from repro.obs.events import make_event
 from repro.obs.telemetry import Span
 
 
@@ -117,13 +117,8 @@ class JsonlTelemetry:
     def event(self, kind: str, **fields: object) -> None:
         """Write one event line and flush it to disk immediately."""
         self._fresh()
-        record: Dict[str, object] = dict(fields)
-        record.update(
-            v=EVENT_SCHEMA_VERSION,
-            kind=kind,
-            ts=time.time(),
-            pid=self._state_pid,
-            seq=self._seq,
+        record = make_event(
+            kind, time.time(), self._state_pid, self._seq, fields
         )
         self._seq += 1
         sink = self._sink()

@@ -34,11 +34,18 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.runner import make_processes, suggested_round_limit
 from repro.experiments.registry import build_graph
 from repro.experiments.runner import pool_context
-from repro.experiments.spec import Params, _fmt_params, _freeze_params
+from repro.experiments.spec import (
+    Params,
+    _coerce_engine,
+    _coerce_mode,
+    _coerce_rule,
+    _fmt_params,
+    _freeze_params,
+)
 from repro.graphs.dualgraph import DualGraph
 from repro.search.genome import StrategyGenome
 from repro.sim.collision import CollisionRule
-from repro.sim.engine import ENGINE_NAMES, EngineConfig, StartMode, build_engine
+from repro.sim.engine import EngineConfig, StartMode, build_engine
 from repro.sim.topology import CompiledTopology, compile_topology
 from repro.sim.trace import ExecutionTrace
 
@@ -75,17 +82,11 @@ class SearchSettings:
         object.__setattr__(
             self, "graph_params", _freeze_params(self.graph_params)
         )
-        if self.collision_rule not in CollisionRule.__members__:
-            raise ValueError(
-                f"unknown collision rule {self.collision_rule!r}; known: "
-                f"{list(CollisionRule.__members__)}"
-            )
-        StartMode(self.start_mode)  # raises ValueError on unknown modes
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                f"known: {list(ENGINE_NAMES)}"
-            )
+        object.__setattr__(
+            self, "collision_rule", _coerce_rule(self.collision_rule)
+        )
+        object.__setattr__(self, "start_mode", _coerce_mode(self.start_mode))
+        object.__setattr__(self, "engine", _coerce_engine(self.engine))
 
     @property
     def key(self) -> str:
@@ -110,6 +111,16 @@ class SearchSettings:
     def derived_seed(self) -> int:
         """The engine seed, derived from the cell key like sweep tasks."""
         return zlib.crc32(self.key.encode("utf-8"))
+
+    def round_cap(self, graph: DualGraph) -> int:
+        """The cell's round cap on its built ``graph``.
+
+        ``max_rounds`` when set, else the algorithm's proven-bound limit
+        (:func:`repro.core.runner.suggested_round_limit`).
+        """
+        if self.max_rounds is not None:
+            return self.max_rounds
+        return suggested_round_limit(self.algorithm, graph)
 
 
 @dataclass(frozen=True)
@@ -162,10 +173,7 @@ class EvaluationContext:
         self.topology: CompiledTopology = topology
         self.graph: DualGraph = topology.graph
         self.rule = CollisionRule[settings.collision_rule]
-        cap = settings.max_rounds
-        if cap is None:
-            cap = suggested_round_limit(settings.algorithm, self.graph)
-        self.round_cap: int = cap
+        self.round_cap: int = settings.round_cap(self.graph)
 
     def _config(
         self, engine: str, record: bool = False, churn=None

@@ -48,17 +48,13 @@ from repro.store import StoreHealth, open_store
 ProgressCallback = Callable[[CandidateScore, int, int], None]
 
 
-def make_space(
-    settings: SearchSettings,
-    horizon: Optional[int] = None,
-    cr4_genes: Optional[bool] = None,
-) -> GenomeSpace:
+def make_space(settings: SearchSettings) -> GenomeSpace:
     """The genome space induced by a search cell.
 
-    The horizon defaults to the cell's round cap (every round the
-    engine can execute gets a delivery gene slot); CR4 resolution genes
-    default to on exactly under CR4 — the only rule where they exist;
-    crash genes follow ``settings.churn_genes``.
+    The horizon is the cell's round cap (every round the engine can
+    execute gets a delivery gene slot); CR4 resolution genes are on
+    exactly under CR4 — the only rule where they exist; crash genes
+    follow ``settings.churn_genes``.
     """
     graph = build_graph(
         settings.graph_kind,
@@ -66,20 +62,10 @@ def make_space(
         seed=settings.seed,
         **dict(settings.graph_params),
     )
-    if horizon is None:
-        from repro.core.runner import suggested_round_limit
-
-        horizon = settings.max_rounds
-        if horizon is None:
-            horizon = suggested_round_limit(settings.algorithm, graph)
-    if cr4_genes is None:
-        cr4_genes = (
-            CollisionRule[settings.collision_rule] is CollisionRule.CR4
-        )
     return GenomeSpace(
         graph,
-        horizon=horizon,
-        cr4_genes=cr4_genes,
+        horizon=settings.round_cap(graph),
+        cr4_genes=CollisionRule[settings.collision_rule] is CollisionRule.CR4,
         churn_genes=settings.churn_genes,
     )
 

@@ -34,11 +34,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.adversaries.base import AdversaryView
 from repro.adversaries.interferers import GreedyInterferer
-from repro.core.runner import (
-    Registry,
-    make_processes,
-    suggested_round_limit,
-)
+from repro.core.runner import Registry, make_processes
 from repro.lowerbounds.sandbox import SandboxProcess
 from repro.search.evaluate import CandidateScore, SearchSettings
 from repro.search.genome import GenomeSpace, StrategyGenome
@@ -190,10 +186,7 @@ class GreedyLookaheadSearch(Searcher):
         graph = self.space.graph
         settings = self.settings
         n = graph.n
-        cap = settings.max_rounds
-        if cap is None:
-            cap = suggested_round_limit(settings.algorithm, graph)
-        cap = min(cap, self.space.horizon)
+        cap = min(settings.round_cap(graph), self.space.horizon)
         rule = CollisionRule[settings.collision_rule]
 
         processes = make_processes(

@@ -30,12 +30,7 @@ from repro.sim.process import (
     SilentProcess,
 )
 from repro.sim.topology import CompiledTopology, compile_topology
-from repro.sim.recording import (
-    load_trace,
-    save_trace,
-    trace_from_json,
-    trace_to_json,
-)
+from repro.sim.recording import trace_from_json, trace_to_json
 from repro.sim.trace import ExecutionTrace, RoundRecord
 from repro.sim.validation import validate_execution
 
@@ -62,11 +57,9 @@ __all__ = [
     "build_engine",
     "compile_topology",
     "generate_churn",
-    "load_trace",
     "received",
     "resolve_reception",
     "run_broadcast",
-    "save_trace",
     "trace_from_json",
     "trace_to_json",
     "validate_execution",

@@ -146,13 +146,6 @@ class ChurnSchedule:
                     )
                 state.discard(node)
 
-    @property
-    def is_trivial(self) -> bool:
-        """Whether the schedule contains no events at all."""
-        return not (
-            self.crashes or self.recoveries or self.initial_down
-        )
-
     def nodes_touched(self) -> Tuple[int, ...]:
         """Every node any event of the schedule mentions, sorted."""
         touched = set(self.initial_down)

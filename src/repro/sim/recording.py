@@ -148,14 +148,3 @@ def trace_from_json(text: str) -> ExecutionTrace:
         )
     return trace
 
-
-def save_trace(trace: ExecutionTrace, path: str) -> None:
-    """Write a trace to a JSON file."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(trace_to_json(trace))
-
-
-def load_trace(path: str) -> ExecutionTrace:
-    """Read a trace from a JSON file."""
-    with open(path, "r", encoding="utf-8") as f:
-        return trace_from_json(f.read())

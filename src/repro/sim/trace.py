@@ -96,14 +96,6 @@ class ExecutionTrace:
             return None
         return max((r or 0) for r in self.informed_round.values())
 
-    def informed_by(self, round_number: int) -> FrozenSet[int]:
-        """Nodes informed by the end of the given round."""
-        return frozenset(
-            v
-            for v, r in self.informed_round.items()
-            if r is not None and r <= round_number
-        )
-
     def isolation_rounds(self) -> List[int]:
         """Rounds in which exactly one process transmitted."""
         return [rec.round_number for rec in self.rounds if rec.is_isolation]
@@ -130,13 +122,6 @@ class ExecutionTrace:
             if t is not None and r <= t <= r_prime
         )
         return count / (r_prime - r + 1)
-
-    def first_isolation_of(self, node: int) -> Optional[int]:
-        """First round in which ``node`` transmitted alone, if any."""
-        for rec in self.rounds:
-            if rec.is_isolation and node in rec.senders:
-                return rec.round_number
-        return None
 
     # ------------------------------------------------------------------
     # Serialization (for experiment artifacts)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import corpus_graph
 from repro.adversaries import (
     FixedAssignmentAdversary,
-    FlappingLinkAdversary,
     FullDeliveryAdversary,
     GreedyInterferer,
     NoDeliveryAdversary,
@@ -99,21 +98,6 @@ class TestSimpleAdversaries:
         arrivals = [msg(3), msg(1)]
         assert adv_silence.resolve_cr4(v, 2, arrivals) is None
         assert adv_first.resolve_cr4(v, 2, arrivals).sender == 1
-
-    def test_flapping_phases(self):
-        g = with_complete_unreliable(line(4))
-        adv = FlappingLinkAdversary(up_rounds=2, down_rounds=3)
-        up = adv.choose_deliveries(view_for(g, {0: msg(0)}, rnd=1))
-        assert up  # rounds 1-2 are up
-        down = adv.choose_deliveries(view_for(g, {0: msg(0)}, rnd=3))
-        assert down == {}  # rounds 3-5 are down
-        up_again = adv.choose_deliveries(view_for(g, {0: msg(0)}, rnd=6))
-        assert up_again
-
-    def test_flapping_validation(self):
-        with pytest.raises(ValueError):
-            FlappingLinkAdversary(0, 0)
-
 
 class TestFixedAssignmentAdversary:
     def test_installs_mapping(self):

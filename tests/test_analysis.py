@@ -9,15 +9,10 @@ from repro.analysis import (
     busy_round_count,
     busy_rounds,
     fit_power_law,
-    free_round_prefix_equal_point,
     front_loaded_pattern,
-    growth_ratio_check,
     is_busy,
     probability_mass,
-    quantile,
-    render_kv,
     render_table,
-    seed_sweep,
     summarize,
     wakeup_pattern_of,
 )
@@ -71,20 +66,6 @@ class TestSummaries:
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_seed_sweep(self):
-        s = seed_sweep(lambda seed: float(seed * 2), seeds=range(5))
-        assert s.mean == 4.0
-
-    def test_quantile(self):
-        data = [1, 2, 3, 4]
-        assert quantile(data, 0.0) == 1
-        assert quantile(data, 1.0) == 4
-        assert quantile(data, 0.5) == pytest.approx(2.5)
-        with pytest.raises(ValueError):
-            quantile([], 0.5)
-        with pytest.raises(ValueError):
-            quantile(data, 1.5)
-
     def test_format(self):
         assert "±" in summarize([1, 2, 3]).format()
 
@@ -103,10 +84,6 @@ class TestFitting:
         fit = best_fit(ns, ts)
         assert fit.exponent == pytest.approx(1.0, abs=0.1)
 
-    def test_predict(self):
-        fit = fit_power_law([10, 100], [10, 100])
-        assert fit.predict(1000) == pytest.approx(1000, rel=0.01)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_power_law([10], [10])
@@ -114,13 +91,6 @@ class TestFitting:
             fit_power_law([1, 2], [0, 1])
         with pytest.raises(ValueError):
             fit_power_law([2, 3], [1])
-
-    def test_growth_ratio_check(self):
-        ns = [16, 32, 64, 128]
-        ok, a = growth_ratio_check(ns, [n**1.5 for n in ns], 1.5)
-        assert ok
-        bad, _ = growth_ratio_check(ns, [n**2.5 for n in ns], 1.0)
-        assert not bad
 
     def test_format_contains_exponent(self):
         fit = fit_power_law([10, 100], [10, 100])
@@ -154,13 +124,6 @@ class TestBusyRounds:
         with pytest.raises(ValueError):
             probability_mass([0], 0, 2)
 
-    def test_free_round_balance_point(self):
-        pattern = front_loaded_pattern(3, 1)
-        point = free_round_prefix_equal_point(pattern, 1, horizon=1000)
-        assert point is not None
-        # The balance point must come after the busy prefix.
-        assert point > busy_round_count(pattern, 1)
-
     def test_wakeup_pattern_extraction(self):
         from repro.graphs import line
         from repro.sim import ScriptedProcess, run_broadcast
@@ -189,7 +152,3 @@ class TestTables:
     def test_row_length_validated(self):
         with pytest.raises(ValueError):
             render_table(["a", "b"], [[1]])
-
-    def test_render_kv(self):
-        out = render_kv([["rounds", 12]], title="t")
-        assert "rounds" in out and "12" in out

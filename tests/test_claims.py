@@ -14,6 +14,8 @@ import pytest
 from repro.analysis.claims import (
     CLAIMS,
     CLASSICAL_SPEC,
+    LEMMA1_ROUND_ROBIN,
+    LEMMA15,
     THEOREM2,
     THEOREM10,
     THEOREM18,
@@ -24,8 +26,11 @@ from repro.analysis.claims import (
     theorem2_observation,
 )
 from repro.analysis.report import CampaignReport
-from repro.core.harmonic import default_T
+from repro.core import make_round_robin_processes
+from repro.core.harmonic import busy_round_bound, default_T
 from repro.experiments import ExperimentSpec, run_sweep
+from repro.graphs import line, with_complete_unreliable
+from repro.interference import InterferenceNetwork, run_equivalence_check
 from repro.lowerbounds.theorem2 import Theorem2Result
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -86,6 +91,33 @@ def test_theorem2_claim_reads_the_driver_strictly(worst):
     observation = theorem2_observation("round_robin", result)
     assert THEOREM2.reproduced(observation) is result.bound_holds
     assert result.bound_holds is (worst > 6)
+
+
+def test_bench_only_claims_stay_out_of_the_printed_table():
+    for claim in (LEMMA15, LEMMA1_ROUND_ROBIN):
+        assert claim.condensed is None
+        assert claim not in CLAIMS
+    assert all(claim.condensed is not None for claim in CLAIMS)
+
+
+def test_lemma15_claim_reads_busy_rounds_against_n_t_h_n():
+    bound = busy_round_bound(8, 3)
+    assert LEMMA15.bound((8, 3, 0)) == f"busy rounds ≤ {bound} (Lemma 15)"
+    assert LEMMA15.reproduced((8, 3, bound))
+    assert LEMMA15.verdict((8, 3, bound + 1)) == "fails"
+
+
+@pytest.mark.parametrize("max_rounds,holds", [(200, True), (3, False)])
+def test_round_robin_carry_over_claim(max_rounds, holds):
+    # Round robin on a line of 10 needs 9 rounds (bound n·ecc = 90); a
+    # run cut off after 3 has no completion round and fails the claim.
+    network = InterferenceNetwork(with_complete_unreliable(line(10)))
+    report = run_equivalence_check(
+        network, make_round_robin_processes, max_rounds=max_rounds, seed=1
+    )
+    evidence = (network, report)
+    assert LEMMA1_ROUND_ROBIN.bound(evidence) == "completes ≤ 90 (Lemma 1)"
+    assert LEMMA1_ROUND_ROBIN.reproduced(evidence) is holds
 
 
 def test_reproduce_paper_prints_every_claim_id(capsys):

@@ -93,16 +93,3 @@ class TestDerived:
         union = g.classical_union()
         assert union.is_classical
         assert union.reliable_edges() == {(0, 1), (1, 2), (0, 2)}
-
-    def test_relabeled_isomorphism(self):
-        g = DualGraph(3, [(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)])
-        mapping = {0: 2, 1: 0, 2: 1}
-        h = g.relabeled(mapping)
-        assert h.source == 2
-        assert (2, 0) in h.reliable_edges()
-        assert h.unreliable_only_out(2) == {1}
-
-    def test_relabeled_requires_bijection(self):
-        g = DualGraph(2, [(0, 1)])
-        with pytest.raises(DualGraphError):
-            g.relabeled({0: 0, 1: 0})

@@ -8,7 +8,7 @@ from repro.adversaries import (
     FullDeliveryAdversary,
     NoDeliveryAdversary,
 )
-from repro.graphs import line, star, with_complete_unreliable
+from repro.graphs import line, with_complete_unreliable
 from repro.graphs.dualgraph import DualGraph
 from repro.sim import (
     BroadcastEngine,

@@ -67,7 +67,6 @@ ENGINES = ("reference", "fast")
 class TestChurnSchedule:
     def test_trivial_schedule(self):
         sched = ChurnSchedule()
-        assert sched.is_trivial
         assert sched.nodes_touched() == ()
 
     def test_events_are_sorted_and_frozen(self):

@@ -4,11 +4,9 @@ import pytest
 
 from repro.graphs import (
     clique,
-    directed_layered,
     grid,
     layered,
     line,
-    random_tree,
     ring,
     star,
     with_complete_unreliable,
@@ -68,23 +66,6 @@ class TestGrid:
         assert len(g.reliable_out(5)) == 4
 
 
-class TestRandomTree:
-    def test_is_tree(self):
-        g = random_tree(20, seed=3)
-        assert len(g.reliable_edges()) == 2 * 19  # undirected: both dirs
-        assert g.source_eccentricity >= 1
-
-    def test_deterministic_given_seed(self):
-        assert (
-            random_tree(20, seed=3).reliable_edges()
-            == random_tree(20, seed=3).reliable_edges()
-        )
-        assert (
-            random_tree(20, seed=3).reliable_edges()
-            != random_tree(20, seed=4).reliable_edges()
-        )
-
-
 class TestLayered:
     def test_layer_connectivity(self):
         g = layered([1, 2, 3])
@@ -114,15 +95,3 @@ class TestWithCompleteUnreliable:
     def test_not_classical(self):
         assert not with_complete_unreliable(line(4)).is_classical
 
-
-class TestDirectedLayered:
-    def test_forward_edges_only(self):
-        g = directed_layered([1, 2, 2])
-        assert not g.is_undirected
-        assert g.reliable_out(0) == {1, 2}
-        assert g.reliable_out(1) == {3, 4}
-        assert g.reliable_out(3) == frozenset()
-
-    def test_complete_unreliable_blanket(self):
-        g = directed_layered([1, 2], complete_unreliable=True)
-        assert g.all_out(1) == {0, 2}

@@ -6,7 +6,6 @@ import pytest
 
 from repro import broadcast
 from repro.adversaries import (
-    FlappingLinkAdversary,
     FullDeliveryAdversary,
     GreedyInterferer,
     NoDeliveryAdversary,
@@ -14,6 +13,7 @@ from repro.adversaries import (
 )
 from repro.core import round_robin_bound
 from repro.core.strong_select import build_schedule
+from repro.experiments.registry import build_adversary, build_graph
 from repro.graphs import (
     clique_bridge,
     gnp_dual,
@@ -21,7 +21,6 @@ from repro.graphs import (
     grid,
     layered_pairs,
     line,
-    random_tree,
     ring,
     star,
     with_complete_unreliable,
@@ -34,7 +33,7 @@ ADVERSARIES = [
     ("full", FullDeliveryAdversary),
     ("random", lambda: RandomDeliveryAdversary(0.4, seed=1)),
     ("greedy", GreedyInterferer),
-    ("flapping", lambda: FlappingLinkAdversary(2, 3)),
+    ("pivot", lambda: build_adversary("pivot", n=14)),
 ]
 
 
@@ -47,7 +46,7 @@ class TestAlgorithmsAcrossTopologies:
             ring(10),
             star(10),
             grid(3, 4),
-            random_tree(12, seed=2),
+            build_graph("pivot-layers", 12),
             gnp_dual(16, seed=3),
             with_complete_unreliable(line(10)),
             clique_bridge(10).graph,
@@ -58,7 +57,7 @@ class TestAlgorithmsAcrossTopologies:
             "ring",
             "star",
             "grid",
-            "tree",
+            "pivot-layers",
             "gnp",
             "hard-line",
             "clique-bridge",

@@ -1,4 +1,4 @@
-"""Integration sweep: algorithms on the extended topology zoo.
+"""Integration sweep: algorithms on the registered topology kinds.
 
 Broadcast must complete on every structure (within each algorithm's
 proven round limit) under both benign and adversarial link behaviour —
@@ -9,34 +9,26 @@ import pytest
 
 from repro import broadcast
 from repro.adversaries import GreedyInterferer, RandomDeliveryAdversary
-from repro.graphs import (
-    caterpillar,
-    complete_binary_tree,
-    hypercube,
-    noisy_dual,
-    random_regular,
-)
-from repro.graphs.generators import line
+from repro.experiments.registry import build_graph
 
+#: ``(kind, n)`` rows over registered graph kinds, built at seed 3.
 TOPOLOGIES = [
-    ("hypercube", lambda: hypercube(4)),
-    ("binary-tree", lambda: complete_binary_tree(3)),
-    ("caterpillar", lambda: caterpillar(5, 2)),
-    ("random-regular", lambda: random_regular(16, 4, seed=3)),
-    ("noisy-line", lambda: noisy_dual(line(12), 0.8, seed=1)),
-    ("noisy-tree", lambda: noisy_dual(complete_binary_tree(3), 1.0,
-                                      seed=2)),
+    ("gnp", 16),
+    ("pivot-layers", 15),
+    ("grid", 16),
+    ("gray-zone", 16),
+    ("hard-line", 12),
+    ("layered-pairs", 15),
 ]
+IDS = [kind for kind, _ in TOPOLOGIES]
 
 ALGORITHMS = ["strong_select", "harmonic", "round_robin", "uniform"]
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
-@pytest.mark.parametrize(
-    "name,make", TOPOLOGIES, ids=[t[0] for t in TOPOLOGIES]
-)
-def test_completes_under_greedy_interferer(alg, name, make):
-    g = make()
+@pytest.mark.parametrize("kind,n", TOPOLOGIES, ids=IDS)
+def test_completes_under_greedy_interferer(alg, kind, n):
+    g = build_graph(kind, n, seed=3)
     trace = broadcast(
         g,
         alg,
@@ -47,11 +39,9 @@ def test_completes_under_greedy_interferer(alg, name, make):
     assert trace.completed
 
 
-@pytest.mark.parametrize(
-    "name,make", TOPOLOGIES, ids=[t[0] for t in TOPOLOGIES]
-)
-def test_completes_under_random_links(name, make):
-    g = make()
+@pytest.mark.parametrize("kind,n", TOPOLOGIES, ids=IDS)
+def test_completes_under_random_links(kind, n):
+    g = build_graph(kind, n, seed=3)
     trace = broadcast(
         g,
         "strong_select",
@@ -61,13 +51,11 @@ def test_completes_under_random_links(name, make):
     assert trace.completed
 
 
-@pytest.mark.parametrize(
-    "name,make", TOPOLOGIES, ids=[t[0] for t in TOPOLOGIES]
-)
-def test_round_robin_bound_holds_everywhere(name, make):
+@pytest.mark.parametrize("kind,n", TOPOLOGIES, ids=IDS)
+def test_round_robin_bound_holds_everywhere(kind, n):
     from repro.core import round_robin_bound
 
-    g = make()
+    g = build_graph(kind, n, seed=3)
     bound = round_robin_bound(g.n, g.source_eccentricity)
     trace = broadcast(
         g, "round_robin", adversary=GreedyInterferer(), seed=0

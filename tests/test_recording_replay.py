@@ -7,12 +7,7 @@ from repro.adversaries.scripted import ReplayAdversary, ScriptedDeliveries
 from repro.core import make_harmonic_processes, make_round_robin_processes
 from repro.graphs import gnp_dual, line, with_complete_unreliable
 from repro.sim import BroadcastEngine, EngineConfig, ScriptedProcess, run_broadcast
-from repro.sim.recording import (
-    load_trace,
-    save_trace,
-    trace_from_json,
-    trace_to_json,
-)
+from repro.sim.recording import trace_from_json, trace_to_json
 
 
 def recorded_run(network, processes, adversary, seed=0):
@@ -52,18 +47,6 @@ class TestSerialization:
         loaded = trace_from_json(trace_to_json(trace))
         assert loaded.rounds[0].receptions is None
         assert loaded.completion_round == trace.completion_round
-
-    def test_file_roundtrip(self, tmp_path):
-        g = line(4)
-        trace = run_broadcast(
-            g,
-            [ScriptedProcess(i, range(1, 40)) for i in range(4)],
-            max_rounds=10,
-        )
-        path = tmp_path / "trace.json"
-        save_trace(trace, str(path))
-        loaded = load_trace(str(path))
-        assert loaded.summary() == trace.summary()
 
     def test_version_check(self):
         import json

@@ -7,7 +7,6 @@ from repro.core.ssf import (
     SelectiveFamily,
     find_violation,
     full_family,
-    greedy_ssf,
     kautz_singleton_ssf,
     random_ssf,
     round_robin_family,
@@ -106,20 +105,6 @@ class TestKautzSingleton:
 
     def test_k1(self):
         assert kautz_singleton_ssf(10, 1).construction == "full"
-
-
-class TestGreedySSF:
-    def test_ground_truth_small(self):
-        fam = greedy_ssf(8, 3)
-        assert find_violation(fam) is None
-
-    def test_rejects_large_n(self):
-        with pytest.raises(ValueError):
-            greedy_ssf(50, 3)
-
-    def test_no_larger_than_round_robin(self):
-        fam = greedy_ssf(8, 2)
-        assert len(fam) <= 8 + 2  # greedy is near-optimal at this scale
 
 
 class TestVerification:

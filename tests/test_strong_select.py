@@ -83,15 +83,6 @@ class TestSchedule:
             12 * sched.f_n() * (1 << sched.s_max) * 256, rel=0.01
         )
 
-    def test_iteration_rounds(self):
-        sched = build_schedule(64, s_max=3)
-        for s in range(1, 4):
-            per_epoch = 1 << (s - 1)
-            expected = (
-                sched.family_size(s) * sched.epoch_length // per_epoch
-            )
-            assert sched.iteration_rounds(s) == expected
-
 
 class TestProcessBehaviour:
     def test_uninformed_process_is_silent(self):

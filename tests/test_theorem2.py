@@ -39,7 +39,11 @@ class TestAdversaryRules:
             make_round_robin_processes, layout, bridge_uid=3, max_rounds=100
         )
         receiver_round = trace.informed_round[layout.receiver]
-        bridge_isolation = trace.first_isolation_of(layout.bridge)
+        bridge_isolation = next(
+            rec.round_number
+            for rec in trace.rounds
+            if rec.is_isolation and layout.bridge in rec.senders
+        )
         assert receiver_round == bridge_isolation
 
 

@@ -29,12 +29,6 @@ class TestBasicQueries:
         )
         assert trace.completion_round is None
 
-    def test_informed_by(self):
-        trace = make_trace()
-        assert trace.informed_by(0) == {0}
-        assert trace.informed_by(2) == {0, 1, 2}
-        assert trace.informed_by(10) == {0, 1, 2, 3, 4}
-
     def test_isolation_rounds(self):
         trace = make_trace()
         # Round 1 is the only round with a single sender (the source).
@@ -44,11 +38,6 @@ class TestBasicQueries:
         trace = make_trace()
         counts = trace.sender_counts()
         assert counts == sorted(counts)
-
-    def test_first_isolation_of(self):
-        trace = make_trace()
-        assert trace.first_isolation_of(0) == 1
-        assert trace.first_isolation_of(4) is None
 
 
 class TestDensity:
