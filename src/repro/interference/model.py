@@ -70,7 +70,7 @@ def interference_outcomes(
     network: InterferenceNetwork,
     senders: Mapping[int, Message],
     collision_rule: CollisionRule,
-    cr4_choose_first: bool = False,
+    cr4_choose_first: bool,
 ) -> Dict[int, Reception]:
     """What each node observes in one round of the explicit-interference model.
 
