@@ -19,6 +19,10 @@ TOPOLOGIES = [
     ("gray-zone", 16),
     ("hard-line", 12),
     ("layered-pairs", 15),
+    ("line", 12),
+    ("ring", 12),
+    ("clique-bridge", 10),
+    ("clique-bridge-classical", 10),
 ]
 IDS = [kind for kind, _ in TOPOLOGIES]
 

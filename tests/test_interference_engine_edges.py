@@ -4,7 +4,9 @@ import pytest
 
 from repro.graphs.dualgraph import DualGraph
 from repro.interference import InterferenceEngine, InterferenceNetwork
+from repro.interference.model import interference_outcomes
 from repro.sim import CollisionRule
+from repro.sim.messages import Message
 from repro.sim.process import ScriptedProcess
 
 
@@ -134,3 +136,89 @@ class TestAsyncStartInInterferenceModel:
         net = net_line_with_interference()
         with pytest.raises(ValueError):
             InterferenceEngine(net, scripted({}, n=3))
+
+
+def one_round(rule, senders, choose_first=False):
+    """``interference_outcomes`` on the line network for one round."""
+    messages = {s: Message("m", sender=s, round_sent=1) for s in senders}
+    return interference_outcomes(
+        net_line_with_interference(), messages, rule, choose_first
+    )
+
+
+class TestOutcomeFunction:
+    """``interference_outcomes`` alone, under every collision rule.
+
+    The reference engine and the Lemma 1 simulation adversary both take
+    their per-round observations from it.
+    """
+
+    @pytest.mark.parametrize("rule", list(CollisionRule))
+    def test_every_node_gets_an_outcome(self, rule):
+        assert sorted(one_round(rule, [1])) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("rule", list(CollisionRule))
+    def test_lone_sender_reaches_transmission_neighbours(self, rule):
+        out = one_round(rule, [1])
+        for v in (0, 1, 2):
+            assert out[v].is_message and out[v].message.sender == 1
+        assert out[3].is_silence  # no edge 1-3 in either graph
+
+    @pytest.mark.parametrize("rule", list(CollisionRule))
+    def test_interference_only_arrival_is_silence(self, rule):
+        out = one_round(rule, [0], choose_first=True)
+        assert out[1].is_message and out[1].message.sender == 0
+        assert out[2].is_silence
+        assert out[3].is_silence
+
+    @pytest.mark.parametrize(
+        "rule,choose_first,expected",
+        [
+            (CollisionRule.CR1, False, "collision"),
+            (CollisionRule.CR2, False, "collision"),
+            (CollisionRule.CR3, False, "silence"),
+            (CollisionRule.CR4, False, "silence"),
+            (CollisionRule.CR4, True, 1),
+        ],
+    )
+    def test_interference_counts_toward_collision_but_is_never_received(
+        self, rule, choose_first, expected
+    ):
+        # Node 2: G_T arrival from 1, G_I-only arrival from 0.  Under CR4
+        # the lowest-uid pick is 1, never the lower but unreceivable 0.
+        out = one_round(rule, [0, 1], choose_first)[2]
+        if expected == "collision":
+            assert out.is_collision
+        elif expected == "silence":
+            assert out.is_silence
+        else:
+            assert out.is_message and out.message.sender == expected
+
+    @pytest.mark.parametrize(
+        "rule,choose_first,expected",
+        [
+            (CollisionRule.CR1, False, "collision"),
+            (CollisionRule.CR2, False, "collision"),
+            (CollisionRule.CR3, False, "silence"),
+            (CollisionRule.CR4, False, "silence"),
+            (CollisionRule.CR4, True, 1),
+        ],
+    )
+    def test_two_receivable_arrivals(self, rule, choose_first, expected):
+        # Node 2 has G_T arrivals from both 1 and 3.
+        out = one_round(rule, [1, 3], choose_first)[2]
+        if expected == "collision":
+            assert out.is_collision
+        elif expected == "silence":
+            assert out.is_silence
+        else:
+            assert out.is_message and out.message.sender == expected
+
+    @pytest.mark.parametrize("rule", list(CollisionRule))
+    def test_sender_observation(self, rule):
+        # Sender 0 also gets 2's interference over the G_I edge 0-2.
+        out = one_round(rule, [0, 2])[0]
+        if rule is CollisionRule.CR1:
+            assert out.is_collision
+        else:
+            assert out.is_message and out.message.sender == 0

@@ -196,6 +196,35 @@ class TestJsonlSink:
         ]
         assert [e["seq"] for e in events] == [0, 1]
 
+    def test_lines_are_the_make_event_envelope(self, tmp_path):
+        stream = tmp_path / "events.jsonl"
+        sink = JsonlTelemetry(stream)
+        sink.event("campaign_start", name="t", total=4)
+        sink.event("progress", done=2, total=4)
+        sink.close()
+        lines = stream.read_text(encoding="utf-8").splitlines()
+        for seq, (line, kind, fields) in enumerate(
+            zip(
+                lines,
+                ("campaign_start", "progress"),
+                ({"name": "t", "total": 4}, {"done": 2, "total": 4}),
+            )
+        ):
+            event = json.loads(line)
+            expected = make_event(kind, event["ts"], event["pid"], seq, fields)
+            assert line == json.dumps(expected, sort_keys=True)
+
+    def test_envelope_wins_over_event_fields(self, tmp_path):
+        stream = tmp_path / "events.jsonl"
+        sink = JsonlTelemetry(stream)
+        sink.event("progress", v=99, seq=42, pid=-1, done=1)
+        sink.close()
+        (event,) = read_events(tmp_path)
+        assert event["v"] == EVENT_SCHEMA_VERSION
+        assert event["seq"] == 0
+        assert event["pid"] != -1
+        assert event["done"] == 1
+
     def test_flush_emits_deltas_and_resets(self, tmp_path):
         stream = tmp_path / "events.jsonl"
         sink = JsonlTelemetry(stream)

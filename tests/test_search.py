@@ -6,7 +6,8 @@ import random
 import pytest
 
 from repro.adversaries.scripted import ReplayAdversary
-from repro.core.runner import make_processes
+from repro.core.runner import make_processes, suggested_round_limit
+from repro.experiments.spec import _coerce_engine, _coerce_mode, _coerce_rule
 from repro.search import (
     CandidateRecord,
     EvaluationContext,
@@ -81,6 +82,68 @@ class TestSearchSettings:
             algorithm="round_robin", graph_kind="line", n=4
         )
         assert settings.engine == "fast"
+
+    @pytest.mark.parametrize(
+        "field,value,coerce",
+        [
+            ("collision_rule", "CR9", _coerce_rule),
+            ("start_mode", "sideways", _coerce_mode),
+            ("engine", "warp", _coerce_engine),
+        ],
+    )
+    def test_rejects_with_the_spec_error_text(self, field, value, coerce):
+        with pytest.raises(ValueError) as from_spec:
+            coerce(value)
+        with pytest.raises(ValueError) as from_settings:
+            SearchSettings(
+                algorithm="round_robin", graph_kind="line", n=4,
+                **{field: value},
+            )
+        assert str(from_settings.value) == str(from_spec.value)
+
+    @pytest.mark.parametrize(
+        "field,value,canonical",
+        [
+            ("collision_rule", CollisionRule.CR2, "CR2"),
+            ("collision_rule", "cr3", "CR3"),
+            ("start_mode", StartMode.ASYNCHRONOUS, "asynchronous"),
+            ("start_mode", "Synchronous", "synchronous"),
+            ("engine", "REFERENCE", "reference"),
+        ],
+    )
+    def test_accepts_what_a_spec_accepts(self, field, value, canonical):
+        settings = SearchSettings(
+            algorithm="round_robin", graph_kind="line", n=4,
+            **{field: value},
+        )
+        spelled = SearchSettings(
+            algorithm="round_robin", graph_kind="line", n=4,
+            **{field: canonical},
+        )
+        assert getattr(settings, field) == canonical
+        assert settings.key == spelled.key
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["decay", "harmonic", "round_robin", "strong_select", "uniform"],
+    )
+    def test_round_cap_is_the_suggested_limit(self, algorithm):
+        settings = SearchSettings(
+            algorithm=algorithm, graph_kind="clique-bridge", n=10
+        )
+        ctx = EvaluationContext(settings)
+        assert ctx.round_cap == settings.round_cap(ctx.graph)
+        assert ctx.round_cap == suggested_round_limit(algorithm, ctx.graph)
+        assert make_space(settings).horizon == ctx.round_cap
+
+    def test_explicit_cap_wins(self):
+        settings = SearchSettings(
+            algorithm="round_robin", graph_kind="clique-bridge", n=10,
+            max_rounds=23,
+        )
+        ctx = EvaluationContext(settings)
+        assert ctx.round_cap == 23
+        assert make_space(settings).horizon == 23
 
 
 class TestEvaluation:
