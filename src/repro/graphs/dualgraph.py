@@ -20,8 +20,19 @@ unless stated otherwise.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from collections import defaultdict, deque
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 Edge = Tuple[int, int]
 
@@ -51,6 +62,10 @@ class DualGraph:
         DualGraphError: If ``E ⊄ E'``, an endpoint is out of range, a
             self-loop is present, or some node is unreachable from the
             source in ``G``.
+
+    A generator that already holds per-node neighbour sets builds through
+    :meth:`from_out_sets` instead; both constructors share one validated
+    core.
     """
 
     __slots__ = (
@@ -73,6 +88,47 @@ class DualGraph:
         undirected: bool = False,
         name: str = "",
     ) -> None:
+        reliable = self._out_sets(reliable_edges, undirected)
+        union = (
+            reliable
+            if all_edges is None
+            else self._out_sets(all_edges, undirected)
+        )
+        self._init(n, reliable, union, source, undirected, name)
+
+    @classmethod
+    def from_out_sets(
+        cls,
+        reliable_out: Sequence[AbstractSet[int]],
+        all_out: Optional[Sequence[AbstractSet[int]]] = None,
+        source: int = 0,
+        name: str = "",
+    ) -> "DualGraph":
+        """A dual graph from per-node out-neighbour sets.
+
+        ``reliable_out[v]`` holds ``v``'s out-neighbours in ``G`` and
+        ``all_out[v]`` (default: ``reliable_out[v]``) its out-neighbours
+        in ``G'``; ``n`` is ``len(reliable_out)``.  Runs the same checks,
+        with the same :class:`DualGraphError` texts, as the edge
+        constructor.  The network is undirected when the sets are
+        symmetric; :attr:`is_undirected` checks that on read.
+        """
+        graph = cls.__new__(cls)
+        reliable = dict(enumerate(reliable_out))
+        union = reliable if all_out is None else dict(enumerate(all_out))
+        graph._init(len(reliable_out), reliable, union, source, False, name)
+        return graph
+
+    def _init(
+        self,
+        n: int,
+        reliable: Mapping[int, AbstractSet[int]],
+        union: Mapping[int, AbstractSet[int]],
+        source: int,
+        undirected: bool,
+        name: str,
+    ) -> None:
+        """The one validated core behind both constructors."""
         if n < 1:
             raise DualGraphError(f"need at least one node, got n={n}")
         if not 0 <= source < n:
@@ -82,23 +138,22 @@ class DualGraph:
         self._name = name or f"dual-graph(n={n})"
         self._undirected = undirected
 
-        reliable = self._out_sets(reliable_edges, undirected)
-        union = (
-            reliable
-            if all_edges is None
-            else self._out_sets(all_edges, undirected)
+        self._reliable_out = self._validated(n, reliable)
+        self._all_out = (
+            self._reliable_out
+            if union is reliable
+            else self._validated(n, union)
         )
         missing = [
-            (u, v) for u in range(n) for v in sorted(reliable[u] - union[u])
+            (u, v)
+            for u in range(n)
+            for v in sorted(self._reliable_out[u] - self._all_out[u])
         ]
         if missing:
             raise DualGraphError(
                 f"reliable edges must be a subset of all edges; "
                 f"missing from E': {missing[:5]}"
             )
-
-        self._reliable_out = tuple(map(frozenset, reliable))
-        self._all_out = tuple(map(frozenset, union))
         self._unreliable_only_out = tuple(
             a - r for a, r in zip(self._all_out, self._reliable_out)
         )
@@ -114,21 +169,41 @@ class DualGraph:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    @staticmethod
     def _out_sets(
-        self, edges: Iterable[Edge], undirected: bool
-    ) -> List[set]:
-        """Per-node out-neighbour sets, validating each edge once."""
-        n = self._n
-        out: List[set] = [set() for _ in range(n)]
+        edges: Iterable[Edge], undirected: bool
+    ) -> Dict[int, Set[int]]:
+        """Out-neighbour sets keyed by tail node, unvalidated."""
+        out: Dict[int, Set[int]] = defaultdict(set)
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DualGraphError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise DualGraphError(f"self-loop ({u}, {v}) not allowed")
             out[u].add(v)
             if undirected:
                 out[v].add(u)
         return out
+
+    @staticmethod
+    def _validated(
+        n: int, out: Mapping[int, AbstractSet[int]]
+    ) -> Tuple[FrozenSet[int], ...]:
+        """Per-node frozen out-sets, rejecting the lowest out-of-range
+        edge, else the lowest self-loop."""
+        nodes = frozenset(range(n))
+        if any(t and (u not in nodes or not t <= nodes) for u, t in out.items()):
+            u, v = min(
+                (u, v)
+                for u, targets in out.items()
+                for v in targets
+                if u not in nodes or v not in nodes
+            )
+            raise DualGraphError(f"edge ({u}, {v}) out of range")
+        loops = [u for u, targets in out.items() if u in targets]
+        if loops:
+            u = min(loops)
+            raise DualGraphError(f"self-loop ({u}, {u}) not allowed")
+        empty: FrozenSet[int] = frozenset()
+        return tuple(
+            frozenset(out[u]) if u in out else empty for u in range(n)
+        )
 
     @staticmethod
     def _bfs_distances(
@@ -234,18 +309,16 @@ class DualGraph:
     # ------------------------------------------------------------------
     def classical_projection(self) -> "DualGraph":
         """The classical network using only the reliable edges (``G = G'``)."""
-        return DualGraph(
-            self._n,
-            self.reliable_edges(),
+        return DualGraph.from_out_sets(
+            self._reliable_out,
             source=self._source,
             name=f"{self._name}|classical-G",
         )
 
     def classical_union(self) -> "DualGraph":
         """The classical network in which every ``G'`` edge is reliable."""
-        return DualGraph(
-            self._n,
-            self.all_edges(),
+        return DualGraph.from_out_sets(
+            self._all_out,
             source=self._source,
             name=f"{self._name}|classical-G'",
         )

@@ -16,14 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.graphs.dualgraph import DualGraph, DualGraphError, Edge
-
-
-def _spanning_tree_edges(n: int, rng: random.Random) -> List[Edge]:
-    """A random recursive spanning tree over ``0..n-1`` rooted at 0."""
-    return [(rng.randrange(v), v) for v in range(1, n)]
 
 
 def gnp_dual(
@@ -52,23 +47,34 @@ def gnp_dual(
     if not (0.0 <= p_reliable <= 1.0 and 0.0 <= p_unreliable <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     rng = random.Random(seed)
-    reliable = set()
-    for u, v in _spanning_tree_edges(n, rng):
-        reliable.add((min(u, v), max(u, v)))
-    unreliable = set()
-    for u, v in itertools.combinations(range(n), 2):
-        if (u, v) in reliable:
-            continue
-        if rng.random() < p_reliable:
-            reliable.add((u, v))
-        elif rng.random() < p_unreliable:
-            unreliable.add((u, v))
-    return DualGraph(
-        n,
-        reliable,
-        itertools.chain(reliable, unreliable),
+    # A random recursive spanning tree rooted at 0: node v hangs off
+    # parent[v] < v.
+    parent = [-1] + [rng.randrange(v) for v in range(1, n)]
+    reliable: List[Set[int]] = [set() for _ in range(n)]
+    unreliable: List[Set[int]] = [set() for _ in range(n)]
+    for v in range(1, n):
+        reliable[parent[v]].add(v)
+        reliable[v].add(parent[v])
+    draw = rng.random
+    # Pairs in combinations(range(n), 2) order; a pair is visited once,
+    # so only a tree edge can already be reliable.
+    for u in range(n - 1):
+        reliable_u = reliable[u]
+        unreliable_u = unreliable[u]
+        for v in range(u + 1, n):
+            if parent[v] == u:
+                continue
+            if draw() < p_reliable:
+                reliable_u.add(v)
+                reliable[v].add(u)
+            elif draw() < p_unreliable:
+                unreliable_u.add(v)
+                unreliable[v].add(u)
+    reliable_out = list(map(frozenset, reliable))
+    return DualGraph.from_out_sets(
+        reliable_out,
+        [r.union(x) for r, x in zip(reliable_out, unreliable)],
         source=source,
-        undirected=True,
         name=f"gnp-dual(n={n},pr={p_reliable},pu={p_unreliable},seed={seed})",
     )
 
