@@ -43,15 +43,15 @@ class RandomDeliveryAdversary(Adversary):
     def choose_deliveries(
         self, view: AdversaryView
     ) -> Dict[int, FrozenSet[int]]:
+        # One coin per unreliable link, senders and targets ascending.
+        unreliable = view.topology.unreliable_sorted
+        draw = self._rng.random
+        p = self.p
         out: Dict[int, FrozenSet[int]] = {}
         for sender in sorted(view.senders):
-            targets = frozenset(
-                t
-                for t in sorted(view.network.unreliable_only_out(sender))
-                if self._rng.random() < self.p
-            )
+            targets = [t for t in unreliable[sender] if draw() < p]
             if targets:
-                out[sender] = targets
+                out[sender] = frozenset(targets)
         return out
 
     def resolve_cr4(

@@ -7,7 +7,7 @@ share it across runs, and an engine built without one compiles its own.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.graphs.dualgraph import DualGraph
 
@@ -24,10 +24,11 @@ class CompiledTopology:
 
     Instances are immutable after construction and engines only read
     them, so one compiled topology is safe to share across any number
-    of sequential engine instances.  The one exception is
-    :attr:`unreliable_mask`, derived on first read and then cached:
-    only the greedy adversary reads it, and a workload that recompiles
-    per seed should not pay for it unread.  A topology is bound to the
+    of sequential engine instances.  The exceptions are
+    :attr:`unreliable_mask` and :attr:`unreliable_sorted`, derived on
+    first read and then cached: only the greedy adversary reads the
+    first and only the random adversary the second, and a workload that
+    recompiles per seed should not pay for either unread.  A topology is bound to the
     graph object it was compiled from; the engines reject a mismatched
     pair.
 
@@ -42,6 +43,8 @@ class CompiledTopology:
             transmission from ``v`` is guaranteed to reach.
         unreliable_mask: Per-node bitmask of unreliable-only
             out-neighbours (lazy, see above).
+        unreliable_sorted: Per-node sorted tuple of unreliable-only
+            out-neighbours (lazy, see above).
     """
 
     __slots__ = (
@@ -51,6 +54,7 @@ class CompiledTopology:
         "bit",
         "reach_mask",
         "_unreliable_mask",
+        "_unreliable_sorted",
     )
 
     def __init__(self, graph: DualGraph) -> None:
@@ -68,6 +72,7 @@ class CompiledTopology:
             for v in graph.nodes
         ]
         self._unreliable_mask: Optional[List[int]] = None
+        self._unreliable_sorted: Optional[List[Tuple[int, ...]]] = None
 
     @property
     def unreliable_mask(self) -> List[int]:
@@ -81,6 +86,17 @@ class CompiledTopology:
                 for targets in self.unreliable_only_seq
             ]
         return self._unreliable_mask
+
+    @property
+    def unreliable_sorted(self) -> List[Tuple[int, ...]]:
+        """Per-node sorted tuple of unreliable-only out-neighbours, in
+        the order an adversary draws per-link coins (built on first
+        read, then cached)."""
+        if self._unreliable_sorted is None:
+            self._unreliable_sorted = [
+                tuple(sorted(targets)) for targets in self.unreliable_only_seq
+            ]
+        return self._unreliable_sorted
 
 
 def compile_topology(graph: DualGraph) -> CompiledTopology:

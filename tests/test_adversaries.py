@@ -1,5 +1,7 @@
 """Unit tests for the adversary implementations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from repro.core.runner import broadcast
 from repro.experiments.registry import ADVERSARIES, build_adversary
 from repro.graphs import (
     DualGraph,
+    gnp_dual,
     line,
     pivot_layers,
     with_complete_unreliable,
@@ -98,6 +101,74 @@ class TestSimpleAdversaries:
         arrivals = [msg(3), msg(1)]
         assert adv_silence.resolve_cr4(v, 2, arrivals) is None
         assert adv_first.resolve_cr4(v, 2, arrivals).sender == 1
+
+def sorted_generator_deliveries(rng, p, view):
+    """Random deliveries as drawn before the compiled sorted tuples: one
+    ``sorted(...)`` per sender per call, coins in that order."""
+    out = {}
+    for sender in sorted(view.senders):
+        targets = frozenset(
+            t
+            for t in sorted(view.network.unreliable_only_out(sender))
+            if rng.random() < p
+        )
+        if targets:
+            out[sender] = targets
+    return out
+
+
+class TestRandomDeliveryStream:
+    @pytest.mark.parametrize("p, seed", [(0.5, 7), (0.1, 0), (1.0, 3)])
+    def test_deliveries_match_sorted_generator(self, p, seed):
+        g = gnp_dual(60, seed=2)
+        topology = compile_topology(g)
+        adv = RandomDeliveryAdversary(p=p, seed=seed)
+        reference = random.Random(seed)
+        picker = random.Random(11)
+        for rnd in range(1, 21):
+            chosen = picker.sample(range(g.n), picker.randint(0, 30))
+            view = AdversaryView(
+                round_number=rnd,
+                network=g,
+                topology=topology,
+                senders={v: msg(v) for v in chosen},
+                informed=frozenset(chosen),
+                active=frozenset(g.nodes),
+                proc={v: v for v in g.nodes},
+            )
+            expected = sorted_generator_deliveries(reference, p, view)
+            assert adv.choose_deliveries(view) == expected
+        # Same number of coins drawn, so the streams stay in step.
+        assert adv._rng.getstate() == reference.getstate()
+
+    def test_sorted_tuples_match_unreliable_only_out(self):
+        g = gnp_dual(60, seed=2)
+        topology = compile_topology(g)
+        assert topology.unreliable_sorted == [
+            tuple(sorted(g.unreliable_only_out(v))) for v in g.nodes
+        ]
+
+    def test_sorted_tuples_built_on_first_read(self):
+        g = gnp_dual(60, seed=2)
+        topology = compile_topology(g)
+        assert topology._unreliable_sorted is None
+        view = AdversaryView(
+            round_number=1,
+            network=g,
+            topology=topology,
+            senders={0: msg(0)},
+            informed=frozenset([0]),
+            active=frozenset(g.nodes),
+            proc={v: v for v in g.nodes},
+        )
+        NoDeliveryAdversary().choose_deliveries(view)
+        GreedyInterferer().choose_deliveries(view)
+        assert topology._unreliable_sorted is None
+        RandomDeliveryAdversary(p=0.5).choose_deliveries(view)
+        first = topology._unreliable_sorted
+        assert first is not None
+        assert topology.unreliable_sorted is first
+
 
 class TestFixedAssignmentAdversary:
     def test_installs_mapping(self):
