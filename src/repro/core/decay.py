@@ -22,6 +22,7 @@ Theorem 4 experiment demonstrates exactly that.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Optional
 
@@ -29,8 +30,10 @@ from repro.sim.messages import Message
 from repro.sim.process import Process, ProcessContext
 
 
+@functools.lru_cache(maxsize=None)
 def phase_length(n: int) -> int:
-    """Slots per Decay phase: ``⌈log₂ n⌉ + 1``."""
+    """Slots per Decay phase: ``⌈log₂ n⌉ + 1`` (memoised: every
+    ``decide_send`` asks)."""
     if n < 1:
         raise ValueError("need n >= 1")
     return max(1, math.ceil(math.log2(max(n, 2)))) + 1
