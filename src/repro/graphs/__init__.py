@@ -19,7 +19,6 @@ from repro.graphs.dualgraph import DualGraph, DualGraphError
 from repro.graphs.generators import (
     clique,
     grid,
-    layered,
     line,
     ring,
     star,
@@ -42,7 +41,6 @@ __all__ = [
     "gnp_dual",
     "gray_zone",
     "grid",
-    "layered",
     "layered_pairs",
     "line",
     "pivot_layers",

@@ -3,7 +3,7 @@
 These generators cover the workloads used throughout the paper's discussion
 and our benchmarks: classical graphs (``G = G'``), their dual variants with
 a complete ``G'``, and the usual structural families (lines, rings, cliques,
-stars, grids, layered graphs).
+stars, grids).
 
 Every generator returns a validated :class:`~repro.graphs.dualgraph.DualGraph`
 with source node 0 unless documented otherwise.
@@ -12,7 +12,7 @@ with source node 0 unless documented otherwise.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from repro.graphs.dualgraph import DualGraph, Edge
 
@@ -71,44 +71,6 @@ def grid(rows: int, cols: int) -> DualGraph:
                 reliable.append((node(r, c), node(r + 1, c)))
     return DualGraph(
         n, reliable, undirected=True, name=f"grid({rows}x{cols})"
-    )
-
-
-def layered(
-    layer_sizes: Sequence[int],
-    complete_within: bool = True,
-    name: str = "",
-) -> DualGraph:
-    """An undirected layered graph with complete inter-layer bipartite links.
-
-    Layer 0 must have size 1 (the source).  Consecutive layers are fully
-    connected; within a layer, nodes form a clique when ``complete_within``.
-    This is the scaffolding for the Theorem-12 construction and for the
-    "layered network" intuition in Section 7's analysis.
-    """
-    if not layer_sizes or layer_sizes[0] != 1:
-        raise ValueError("layer_sizes must start with a singleton source layer")
-    boundaries = [0]
-    for size in layer_sizes:
-        if size < 1:
-            raise ValueError("layer sizes must be positive")
-        boundaries.append(boundaries[-1] + size)
-    n = boundaries[-1]
-    layers = [
-        list(range(boundaries[i], boundaries[i + 1]))
-        for i in range(len(layer_sizes))
-    ]
-    reliable: List[Edge] = []
-    for layer in layers:
-        if complete_within:
-            reliable.extend(itertools.combinations(layer, 2))
-    for a, b in zip(layers, layers[1:]):
-        reliable.extend(itertools.product(a, b))
-    return DualGraph(
-        n,
-        reliable,
-        undirected=True,
-        name=name or f"layered(sizes={list(layer_sizes)})",
     )
 
 

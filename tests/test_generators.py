@@ -5,7 +5,6 @@ import pytest
 from repro.graphs import (
     clique,
     grid,
-    layered,
     line,
     ring,
     star,
@@ -64,24 +63,6 @@ class TestGrid:
         # Corner has 2 neighbours; interior has 4.
         assert len(g.reliable_out(0)) == 2
         assert len(g.reliable_out(5)) == 4
-
-
-class TestLayered:
-    def test_layer_connectivity(self):
-        g = layered([1, 2, 3])
-        assert g.n == 6
-        # Source connects to both layer-1 nodes.
-        assert g.reliable_out(0) == {1, 2}
-        # Layer-1 nodes connect to each other and all of layer 2.
-        assert g.reliable_out(1) == {0, 2, 3, 4, 5}
-
-    def test_requires_singleton_source_layer(self):
-        with pytest.raises(ValueError):
-            layered([2, 2])
-
-    def test_no_intra_layer_edges_option(self):
-        g = layered([1, 2], complete_within=False)
-        assert 2 not in g.reliable_out(1)
 
 
 class TestWithCompleteUnreliable:
