@@ -70,6 +70,7 @@ def gnp_dual(
             elif draw() < p_unreliable:
                 unreliable_u.add(v)
                 unreliable[v].add(u)
+    # Frozen here, so DualGraph keeps these sets rather than copying them.
     reliable_out = list(map(frozenset, reliable))
     return DualGraph.from_out_sets(
         reliable_out,
