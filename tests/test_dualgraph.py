@@ -194,10 +194,25 @@ class TestPerNodeConstruction:
                 "missing from E': [(1, 2)]",
             ),
             (
+                (5, [(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1)], 0, True),
+                (
+                    [{1}, {0, 2}, {1, 3}, {2, 4}, {3}],
+                    [{1}, {0}, set(), set(), set()],
+                ),
+                "reliable edges must be a subset of all edges; "
+                "missing from E': [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4)]",
+            ),
+            (
                 (3, [(0, 1)]),
                 ([{1}, set(), set()],),
                 "nodes [2] unreachable from source 0 in the reliable graph G",
             ),
+            (
+                (2, [(0, 1)], None, 4),
+                ([{1}, set()], None, 4),
+                "source 4 out of range for n=2",
+            ),
+            ((0, []), ([],), "need at least one node, got n=0"),
         ],
         ids=[
             "out-of-range",
@@ -206,7 +221,10 @@ class TestPerNodeConstruction:
             "self-loop",
             "lowest-self-loop",
             "subset",
+            "subset-undirected",
             "unreachable",
+            "source",
+            "empty",
         ],
     )
     def test_same_error_text(self, edge_args, node_args, text):
@@ -215,27 +233,6 @@ class TestPerNodeConstruction:
         with pytest.raises(DualGraphError) as by_nodes:
             DualGraph.from_out_sets(*node_args)
         assert str(by_edges.value) == str(by_nodes.value) == text
-
-    def test_subset_message_lists_both_directions(self):
-        path = [(0, 1), (1, 2), (2, 3), (3, 4)]
-        with pytest.raises(DualGraphError) as by_edges:
-            DualGraph(5, path, [(0, 1)], undirected=True)
-        reliable = [{1}, {0, 2}, {1, 3}, {2, 4}, {3}]
-        with pytest.raises(DualGraphError) as by_nodes:
-            DualGraph.from_out_sets(reliable, [{1}, {0}, set(), set(), set()])
-        assert str(by_edges.value) == str(by_nodes.value)
-
-    def test_source_and_size_checks(self):
-        with pytest.raises(DualGraphError) as by_edges:
-            DualGraph(2, [(0, 1)], source=4)
-        with pytest.raises(DualGraphError) as by_nodes:
-            DualGraph.from_out_sets([{1}, set()], source=4)
-        assert str(by_edges.value) == str(by_nodes.value)
-        with pytest.raises(DualGraphError) as by_edges:
-            DualGraph(0, [])
-        with pytest.raises(DualGraphError) as by_nodes:
-            DualGraph.from_out_sets([])
-        assert str(by_edges.value) == str(by_nodes.value)
 
     @pytest.mark.parametrize(
         "build",
