@@ -132,8 +132,7 @@ def test_sweep_resume_after_interrupt(
 
 
 #: 64 cheap cells (2 algorithms × 8 sizes × 2 adversaries × 2 rules) ×
-#: 2 seeds: at least 16 dispatch units per worker for up to 4 workers,
-#: so the runner's derived chunk size exceeds 1.
+#: 2 seeds: at least 16 dispatch units per worker for up to 4 workers.
 CHUNK_GRID = ExperimentSpec(
     name="chunk-grid",
     algorithms=["round_robin", ("harmonic", {"T": 2})],
@@ -145,11 +144,8 @@ CHUNK_GRID = ExperimentSpec(
 
 
 def test_sweep_chunked_dispatch_covers_grid(benchmark):
-    """Chunked ``imap_unordered`` (the runner's derived chunk size,
-    here above 1) neither drops nor duplicates tasks."""
-    runner = SweepRunner(CHUNK_GRID, workers=WORKERS)
-    units = runner._plan_units(list(CHUNK_GRID.tasks()))
-    assert runner._dispatch_chunksize(len(units)) > 1
+    """Many more dispatch units than workers, one future each, come
+    back in completion order without dropping or duplicating a task."""
 
     def run():
         result = SweepRunner(CHUNK_GRID, workers=WORKERS).run()

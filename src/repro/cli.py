@@ -59,6 +59,7 @@ from repro.experiments import (
     load_specs,
 )
 from repro.experiments.registry import ADVERSARIES, CHURNS, GRAPHS
+from repro.experiments.runner import WorkerLostError
 
 
 def _warn_health(health, source: str, noun: str) -> None:
@@ -264,10 +265,11 @@ def cmd_sweep(args) -> int:
                 merge_event_files(args.results)
         else:
             result = runner.run()
-    except ValueError as exc:
+    except (ValueError, WorkerLostError) as exc:
         # Bad worker counts, unknown graph/adversary kinds, duplicate
         # task keys, campaign fingerprint mismatches: user input
-        # problems, not crashes.
+        # problems, not crashes.  A twice-lost worker pool names the
+        # lost units; the records written so far resume.
         raise SystemExit(str(exc))
 
     _warn_health(result.health, args.results, "task")
@@ -367,7 +369,7 @@ def cmd_search(args) -> int:
             verify=args.verify,
             store=_store_backend(args),
         )
-    except ValueError as exc:
+    except (ValueError, WorkerLostError) as exc:
         raise SystemExit(str(exc))
 
     _warn_health(result.health, args.results, "candidate")

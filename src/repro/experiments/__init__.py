@@ -18,10 +18,11 @@ first-class workload::
     report = CampaignReport.from_records(result.records)
     print(report.render())  # one row per cell: every axis but the seed
 
-Sweeps fan out over ``multiprocessing``, persist each finished run as a
-JSON line, and resume by key after interruption.  Records are
-deterministic: the same spec yields identical results for any worker
-count.
+Sweeps fan out over worker processes (one future per cell batch on the
+runner's :class:`~repro.experiments.runner.WorkerPool`, which survives
+one worker loss), persist each finished run as a JSON line, and resume
+by key after interruption.  Records are deterministic: the same spec
+yields identical results for any worker count.
 """
 
 from repro.experiments.registry import (

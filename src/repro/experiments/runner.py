@@ -1,18 +1,22 @@
 """The sweep executor: fan a task grid out over worker processes.
 
 :func:`execute_batch` is the unit of work — a module-level function
-taking and returning picklable values, so a ``multiprocessing`` pool can
-run it anywhere — and :func:`execute_task` is a batch of one.
+taking and returning picklable values, so a worker process can run it
+anywhere — and :func:`execute_task` is a batch of one.
 :class:`SweepRunner` expands one or more
 :class:`~repro.experiments.spec.ExperimentSpec`\\ s, skips tasks whose
 records already sit in the results store (resume-by-key), groups the
 remaining tasks into one :class:`~repro.experiments.spec.CellBatch` per
-science cell (every axis except the seed), and streams the batches
-through ``imap_unordered``.  Each worker builds a cell's graph, derives
-its round cap and compiles its engine topology
-(:class:`~repro.sim.topology.CompiledTopology`) once, then runs the
-cell's seeds in a tight loop — amortising setup that otherwise dominates
-seeds-heavy cells (``benchmarks/bench_sweep.py`` measures the win).
+science cell (every axis except the seed), and submits each batch to a
+:class:`WorkerPool` as its own future.  Each worker builds a cell's
+graph and compiles its engine topology
+(:class:`~repro.sim.topology.CompiledTopology`) once
+(:func:`compile_cell`), derives its round cap, then runs the cell's
+seeds in a tight loop (:func:`run_engine`) — amortising setup that
+otherwise dominates seeds-heavy cells (``benchmarks/bench_sweep.py``
+measures the win).  The adversary search
+(:mod:`repro.search.evaluate`) runs its candidates through the same
+pool, cell setup and run step.
 
 Invariants:
 
@@ -20,7 +24,7 @@ Invariants:
   key, and the final record list is key-sorted, so the same spec
   produces the identical
   :class:`~repro.experiments.results.SweepResult` records for any
-  worker count, chunking, batch split, engine choice, or resume
+  worker count, completion order, batch split, engine choice, or resume
   history.
 * **Batching is pure scheduling** — the per-seed loop inside a batch
   hoists only graph/cap/topology construction, and only when the
@@ -46,6 +50,11 @@ Invariants:
   signature of a hard kill mid-write — by skipping (and counting)
   what does not parse on load and starting the next append on a
   fresh line.
+* **Worker loss is survived once** — a worker that dies mid-unit
+  breaks the pool; :class:`WorkerPool` starts one fresh pool and
+  resubmits every unit that has not returned.  A second loss raises
+  :class:`WorkerLostError` naming the lost units; the records already
+  appended stay on disk, so re-running the same command resumes.
 * **Engine transparency** — every collision-rule/adversary combination
   runs on the engine the task names; the engines are proven
   trace-equivalent, so the record is the same either way (only its
@@ -54,19 +63,27 @@ Invariants:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.context import BaseContext
 from typing import (
+    Any,
     Callable,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
+from repro.adversaries.base import Adversary
 from repro.core.runner import make_processes, suggested_round_limit
 from repro.obs.telemetry import Stopwatch, Telemetry, current, set_telemetry
 from repro.experiments.registry import (
@@ -85,6 +102,7 @@ from repro.experiments.spec import (
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import EngineConfig, StartMode, build_engine
 from repro.sim.topology import CompiledTopology, compile_topology
+from repro.sim.trace import ExecutionTrace
 from repro.store import ResultStore, StoreHealth, open_store
 
 #: Called after each finished task with (result, done_count, total).
@@ -175,6 +193,39 @@ class _ProgressEmitter:
         )
 
 
+def compile_cell(cell: Any) -> CompiledTopology:
+    """Build a cell's graph and compile its engine topology.
+
+    ``cell`` names ``graph_kind``, ``n``, ``seed`` and ``graph_params``
+    (a :class:`~repro.experiments.spec.RunTask` or a search cell).
+    """
+    telemetry = current()
+    with telemetry.span("graph_build"):
+        graph = build_graph(
+            cell.graph_kind,
+            cell.n,
+            seed=cell.seed,
+            **dict(cell.graph_params),
+        )
+    with telemetry.span("topology_compile"):
+        return compile_topology(graph)
+
+
+def run_engine(
+    cell: Any,
+    topology: CompiledTopology,
+    adversary: Adversary,
+    config: EngineConfig,
+) -> ExecutionTrace:
+    """Run a cell's ``algorithm`` against ``adversary``; the trace."""
+    processes = make_processes(
+        cell.algorithm, topology.graph.n, **dict(cell.algorithm_params)
+    )
+    return build_engine(
+        topology.graph, processes, adversary, config, topology=topology
+    ).run()
+
+
 def _execute_on(
     task: RunTask, topology: CompiledTopology, max_rounds: int
 ) -> RunResult:
@@ -184,9 +235,6 @@ def _execute_on(
         task.adversary_kind,
         seed=task.derived_seed,
         **dict(task.adversary_params),
-    )
-    processes = make_processes(
-        task.algorithm, graph.n, **dict(task.algorithm_params)
     )
     # The churn schedule is built from the task's key-derived seed and
     # its *resolved* round cap, so rate-based schedules cover the whole
@@ -206,11 +254,8 @@ def _execute_on(
         engine=task.engine,
         churn=churn,
     )
-    engine = build_engine(
-        graph, processes, adversary, config, topology=topology
-    )
     with current().span("engine_run"):
-        trace = engine.run()
+        trace = run_engine(task, topology, adversary, config)
     return RunResult(
         key=task.key,
         sweep=task.sweep,
@@ -249,32 +294,19 @@ def execute_batch(batch: CellBatch) -> List[RunResult]:
     (``gnp``, ``gray-zone``) rebuild all three per seed, so a record
     never depends on the batch its task ran in.
     """
-    telemetry = current()
     share = not graph_seed_dependent(batch.tasks[0].graph_kind)
     topology: Optional[CompiledTopology] = None
-    default_cap: Optional[int] = None
     results: List[RunResult] = []
     for task in batch.tasks:
         if topology is None or not share:
-            with telemetry.span("graph_build"):
-                graph = build_graph(
-                    task.graph_kind,
-                    task.n,
-                    seed=task.seed,
-                    **dict(task.graph_params),
-                )
-            with telemetry.span("topology_compile"):
-                topology = compile_topology(graph)
-            default_cap = None
-        max_rounds = task.max_rounds
-        if max_rounds is None:
-            if default_cap is None:
-                default_cap = suggested_round_limit(
+            topology = compile_cell(task)
+            max_rounds = task.max_rounds
+            if max_rounds is None:
+                max_rounds = suggested_round_limit(
                     task.algorithm, topology.graph
                 )
-            max_rounds = default_cap
         results.append(_execute_on(task, topology, max_rounds))
-    _heartbeat(telemetry, len(results))
+    _heartbeat(current(), len(results))
     return results
 
 
@@ -404,8 +436,9 @@ class SweepRunner:
                 workers=self.workers,
             )
         emitter = _ProgressEmitter(telemetry, total)
+        results = self._execute(pending)
         try:
-            for result in self._execute(pending):
+            for result in results:
                 records[result.key] = result
                 if store is not None:
                     with telemetry.span("store_append"):
@@ -414,6 +447,9 @@ class SweepRunner:
                     progress(result, len(records), total)
                 emitter.update(len(records))
         finally:
+            # Closing the generator now (not when the traceback lets
+            # it go) aborts the pool, so an error here stops the grid.
+            results.close()
             if store is not None:
                 with telemetry.span("store_flush"):
                     store.close()
@@ -436,21 +472,6 @@ class SweepRunner:
             health=health,
         )
 
-    def _dispatch_chunksize(self, n_units: int) -> int:
-        """Dispatch units (cell batches) per pool chunk.
-
-        Derived to give each worker several chunks — large enough to
-        amortise pickling, small enough to keep stragglers short.  It is
-        capped at the per-worker fair share, so a resumed sweep with
-        only a few pending units (e.g. 9 pending on 2 workers) still
-        spreads across every worker instead of collapsing into one
-        oversized chunk and serialising.
-        """
-        fair_share = max(1, n_units // self.workers)
-        return min(
-            max(1, n_units // (self.workers * 8)), fair_share
-        )
-
     def _plan_units(self, pending: Sequence[RunTask]) -> List[CellBatch]:
         """Plan the batched dispatch units for the pending tasks.
 
@@ -471,7 +492,7 @@ class SweepRunner:
             sub for batch in batches for sub in batch.split(max_size)
         ]
 
-    def _execute(self, pending: Sequence[RunTask]):
+    def _execute(self, pending: Sequence[RunTask]) -> Iterator[RunResult]:
         """Yield one :class:`RunResult` per pending task.
 
         Results stream back in completion order (a sub-batch's seeds
@@ -483,21 +504,21 @@ class SweepRunner:
             for unit in units:
                 yield from execute_batch(unit)
             return
-        chunksize = self._dispatch_chunksize(len(units))
-        ctx = pool_context()
         # Spawn-started workers re-import everything and would lose the
         # campaign's sink; the initializer hands them its stream path
         # (fork workers inherit the sink and the initializer no-ops).
         sink_path = getattr(current(), "path", None)
-        with ctx.Pool(
+        with WorkerPool(
             self.workers,
             initializer=_init_worker_telemetry,
             initargs=(
                 str(sink_path) if sink_path is not None else None,
             ),
         ) as pool:
-            for out in pool.imap_unordered(
-                execute_batch, units, chunksize=chunksize
+            for _, out in pool.run(
+                execute_batch,
+                units,
+                label=lambda b: f"{b.cell_key} seeds {[t.seed for t in b.tasks]}",
             ):
                 yield from out
 
@@ -512,6 +533,103 @@ def pool_context() -> BaseContext:
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
+class WorkerLostError(RuntimeError):
+    """Worker processes died twice in one :meth:`WorkerPool.run`."""
+
+
+class WorkerPool:
+    """The one process pool of sweeps and searches.
+
+    :meth:`run` submits each unit as its own future and yields
+    ``(index, result)`` pairs in completion order.  The executor starts
+    on first use and serves every :meth:`run` until :meth:`close`.  If
+    a worker dies (``SIGKILL``, the OOM killer), one fresh executor
+    reruns every unit that has not returned; a second loss raises
+    :class:`WorkerLostError`.  A consumer that stops early aborts the
+    pool: queued units are cancelled and the workers terminated.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        initializer: Optional[Callable[..., None]] = None,
+        initargs: Tuple = (),
+    ) -> None:
+        self._start = functools.partial(
+            ProcessPoolExecutor,
+            workers,
+            mp_context=pool_context(),
+            initializer=initializer,
+            initargs=initargs,
+        )
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def run(
+        self,
+        fn: Callable[[Any], Any],
+        units: Iterable[Any],
+        label: Callable[[Any], str] = repr,
+    ) -> Iterator[Tuple[int, Any]]:
+        """Yield ``(index, fn(unit))`` per unit; ``label`` names lost ones."""
+        pending = dict(enumerate(units))
+        try:
+            for _ in range(2):
+                if pending:
+                    yield from self._pass(fn, pending)
+        except BaseException:
+            self.close(abort=True)
+            raise
+        if pending:
+            lost = [label(unit) for unit in pending.values()]
+            more = f" and {len(lost) - 5} more" if len(lost) > 5 else ""
+            raise WorkerLostError(
+                f"worker processes died twice; {len(lost)} unit(s) lost: "
+                f"{', '.join(lost[:5])}{more}. Finished results are kept "
+                "in the results store; re-running the same command "
+                "resumes from it."
+            )
+
+    def _pass(
+        self, fn: Callable[[Any], Any], pending: Dict[int, Any]
+    ) -> Iterator[Tuple[int, Any]]:
+        """Run ``pending`` on one executor, dropping what returns."""
+        if self._executor is None:
+            self._executor = self._start()
+        futures = {}
+        try:
+            for index, unit in pending.items():
+                futures[self._executor.submit(fn, unit)] = index
+        except BrokenProcessPool:
+            pass
+        for future in as_completed(futures):
+            if not isinstance(future.exception(), BrokenProcessPool):
+                index = futures[future]
+                yield index, future.result()
+                del pending[index]
+        if pending:  # the executor broke: the next pass starts afresh
+            self.close()
+
+    def close(self, abort: bool = False) -> None:
+        """Shut the executor down after its running units finish, or
+        (``abort``) cancel queued units and terminate the workers."""
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        # Nothing public stops a running unit, so an abort terminates
+        # the workers, read from the table ``shutdown`` drops.
+        workers = list((executor._processes or {}).values()) if abort else []
+        executor.shutdown(wait=not abort, cancel_futures=abort)
+        for proc in workers:
+            proc.terminate()
+            proc.join()
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        self.close(abort=exc_type is not None)
 
 
 def run_sweep(

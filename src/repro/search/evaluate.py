@@ -2,9 +2,10 @@
 
 A *search cell* (:class:`SearchSettings`) is everything of a sweep task
 except the adversary — algorithm, graph, collision rule, start mode,
-engine seed, round cap.  Evaluation mirrors the batched sweep runner's
-per-cell economics: the graph is built and its
-:class:`~repro.sim.topology.CompiledTopology` compiled **once** per
+engine seed, round cap.  Evaluation uses the sweep runner's cell setup
+and run step (:func:`~repro.experiments.runner.compile_cell`,
+:func:`~repro.experiments.runner.run_engine`): the graph is built and
+its :class:`~repro.sim.topology.CompiledTopology` compiled **once** per
 :class:`EvaluationContext`, then every candidate genome runs against the
 shared pair — on the bitmask fast engine by default (CR4 genomes
 included; ``settings.engine="reference"`` forces the baseline).
@@ -12,12 +13,13 @@ included; ``settings.engine="reference"`` forces the baseline).
 candidate.
 
 :class:`PopulationEvaluator` adds the population fan-out: each genome
-runs alone, and ``workers > 1`` spreads candidates over a process pool
-whose workers each build the context once (pool initializer) and stream
-scores back in submission order.  Scores are deterministic and
-independent of the worker count (every run uses the cell's derived
-engine seed), so resume-by-key files stay valid across invocations —
-the same invariant the sweep runner keeps.
+runs alone, and ``workers > 1`` submits one genome per future to the
+sweep's :class:`~repro.experiments.runner.WorkerPool`, whose workers
+each build the context once (pool initializer).  Scores come back in
+completion order and are put back in submission order by index.  They
+are deterministic and independent of the worker count (every run uses
+the cell's derived engine seed), so resume-by-key files stay valid
+across invocations — the same invariant the sweep runner keeps.
 
 The objective is **stall**: a completed broadcast scores its completion
 round, and an execution still incomplete at the round cap scores
@@ -31,9 +33,8 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.runner import make_processes, suggested_round_limit
-from repro.experiments.registry import build_graph
-from repro.experiments.runner import pool_context
+from repro.core.runner import suggested_round_limit
+from repro.experiments.runner import WorkerPool, compile_cell, run_engine
 from repro.experiments.spec import (
     Params,
     _coerce_engine,
@@ -45,8 +46,8 @@ from repro.experiments.spec import (
 from repro.graphs.dualgraph import DualGraph
 from repro.search.genome import StrategyGenome
 from repro.sim.collision import CollisionRule
-from repro.sim.engine import EngineConfig, StartMode, build_engine
-from repro.sim.topology import CompiledTopology, compile_topology
+from repro.sim.engine import EngineConfig, StartMode
+from repro.sim.topology import CompiledTopology
 from repro.sim.trace import ExecutionTrace
 
 
@@ -162,14 +163,7 @@ class EvaluationContext:
     ) -> None:
         self.settings = settings
         if topology is None:
-            topology = compile_topology(
-                build_graph(
-                    settings.graph_kind,
-                    settings.n,
-                    seed=settings.seed,
-                    **dict(settings.graph_params),
-                )
-            )
+            topology = compile_cell(settings)
         self.topology: CompiledTopology = topology
         self.graph: DualGraph = topology.graph
         self.rule = CollisionRule[settings.collision_rule]
@@ -206,26 +200,19 @@ class EvaluationContext:
         record_receptions: bool = False,
     ) -> Tuple[ExecutionTrace, str]:
         """Run one genome and return its trace and the engine used."""
-        adversary = genome.build_adversary()
         if engine is None:
             engine = self.settings.engine
-        processes = make_processes(
-            self.settings.algorithm,
-            self.graph.n,
-            **dict(self.settings.algorithm_params),
-        )
-        eng = build_engine(
-            self.graph,
-            processes,
-            adversary,
+        trace = run_engine(
+            self.settings,
+            self.topology,
+            genome.build_adversary(),
             self._config(
                 engine,
                 record=record_receptions,
                 churn=self._churn_for(genome),
             ),
-            topology=self.topology,
         )
-        return eng.run(), engine
+        return trace, engine
 
     def evaluate(self, genome: StrategyGenome) -> CandidateScore:
         """Score one genome (see the module docstring's objective)."""
@@ -277,20 +264,15 @@ def verify_replay(
     trace, _ = ctx.run_genome(
         genome, engine="reference", record_receptions=True
     )
-    processes = make_processes(
-        settings.algorithm, ctx.graph.n, **dict(settings.algorithm_params)
-    )
-    replay_engine = build_engine(
-        ctx.graph,
-        processes,
+    replay = run_engine(
+        settings,
+        ctx.topology,
         ReplayAdversary(trace, strict=True),
         # The replay must run under the same churn schedule — crashes
         # are engine state, not adversary behaviour, so the replay
         # adversary alone cannot reproduce them.
         ctx._config("reference", churn=ctx._churn_for(genome)),
-        topology=ctx.topology,
     )
-    replay = replay_engine.run()
     return (
         replay.completed == trace.completed
         and replay.informed_round == trace.informed_round
@@ -329,10 +311,12 @@ class PopulationEvaluator:
         workers: Worker process count; ``1`` evaluates in-process
             against a single shared :class:`EvaluationContext`.
         context: Optional prebuilt in-process context to share (pool
-            workers always build their own in the initializer).
+            workers always build their own in the pool initializer).
 
-    The pool (and the in-process context, unless injected) is created
-    lazily on the first :meth:`evaluate` call and reused across
+    ``workers > 1`` fans each batch out over one
+    :class:`~repro.experiments.runner.WorkerPool`, one genome per
+    future.  The pool (and the in-process context, unless injected) is
+    created lazily on the first :meth:`evaluate` call and reused across
     batches; call :meth:`close` (or use as a context manager) when
     done.
     """
@@ -348,7 +332,9 @@ class PopulationEvaluator:
         self.settings = settings
         self.workers = workers
         self._ctx = context
-        self._pool = None
+        self._pool = WorkerPool(
+            workers, initializer=_init_worker, initargs=(settings,)
+        )
 
     def evaluate(
         self, genomes: Sequence[StrategyGenome]
@@ -360,23 +346,18 @@ class PopulationEvaluator:
             if self._ctx is None:
                 self._ctx = EvaluationContext(self.settings)
             return [self._ctx.evaluate(g) for g in genomes]
-        if self._pool is None:
-            self._pool = pool_context().Pool(
-                self.workers,
-                initializer=_init_worker,
-                initargs=(self.settings,),
+        scores = dict(
+            self._pool.run(
+                _evaluate_remote,
+                genomes,
+                label=lambda genome: f"genome {genome.fingerprint}",
             )
-        chunk = max(1, len(genomes) // (self.workers * 2))
-        return list(
-            self._pool.imap(_evaluate_remote, genomes, chunksize=chunk)
         )
+        return [scores[index] for index in range(len(genomes))]
 
     def close(self) -> None:
-        """Release the worker pool, if one was created."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
+        """Release the worker pool, if one was started."""
+        self._pool.close()
 
     def __enter__(self) -> "PopulationEvaluator":
         return self

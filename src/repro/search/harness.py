@@ -136,8 +136,9 @@ def run_search(
     # One graph build and one topology compile serve the whole search:
     # the genome space's compiled topology backs the searcher, the
     # in-process evaluation context and the final replay certification
-    # (pool workers, when used, build their own context once each in
-    # the pool initializer).
+    # (worker processes, when used, build their own context once each
+    # in the WorkerPool initializer, and the pool lives until the
+    # evaluator closes).
     context = EvaluationContext(settings, topology=space.topology)
     evaluator_obj = PopulationEvaluator(
         settings, workers=workers, context=context

@@ -320,20 +320,6 @@ class TestCompiledTopology:
         assert topology.reliable_out_seq[1] == (0, 2)
 
 
-class TestChunkCap:
-    def test_derived_chunksize_spreads_few_pending(self):
-        runner = SweepRunner(grid_spec(), workers=2)
-        # 9 pending units on 2 workers: at most the fair share of 4
-        # per chunk, so both workers stay busy.
-        assert runner._dispatch_chunksize(9) <= 4
-        assert runner._dispatch_chunksize(1) == 1
-
-    def test_derived_chunksize_with_plenty_pending(self):
-        runner = SweepRunner(grid_spec(), workers=2)
-        # ~8 chunks per worker: 1000 units // (2 workers * 8).
-        assert runner._dispatch_chunksize(1000) == 62
-
-
 class TestObserverBatching:
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_batching_with_observer_processes(self, engine):
