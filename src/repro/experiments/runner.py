@@ -63,14 +63,12 @@ Invariants:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.context import BaseContext
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -104,6 +102,9 @@ from repro.sim.engine import EngineConfig, StartMode, build_engine
 from repro.sim.topology import CompiledTopology, compile_topology
 from repro.sim.trace import ExecutionTrace
 from repro.store import ResultStore, StoreHealth, open_store
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Called after each finished task with (result, done_count, total).
 ProgressCallback = Callable[[RunResult, int, int], None]
@@ -557,20 +558,16 @@ class WorkerPool:
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple = (),
     ) -> None:
-        self._start = functools.partial(
-            ProcessPoolExecutor,
-            workers,
-            mp_context=pool_context(),
-            initializer=initializer,
-            initargs=initargs,
-        )
+        self.workers = workers
+        self._initializer = initializer
+        self._initargs = initargs
         self._executor: Optional[ProcessPoolExecutor] = None
 
     def run(
         self,
         fn: Callable[[Any], Any],
         units: Iterable[Any],
-        label: Callable[[Any], str] = repr,
+        label: Callable[[Any], str],
     ) -> Iterator[Tuple[int, Any]]:
         """Yield ``(index, fn(unit))`` per unit; ``label`` names lost ones."""
         pending = dict(enumerate(units))
@@ -586,17 +583,27 @@ class WorkerPool:
             more = f" and {len(lost) - 5} more" if len(lost) > 5 else ""
             raise WorkerLostError(
                 f"worker processes died twice; {len(lost)} unit(s) lost: "
-                f"{', '.join(lost[:5])}{more}. Finished results are kept "
-                "in the results store; re-running the same command "
-                "resumes from it."
+                f"{', '.join(lost[:5])}{more}. Results already written to "
+                "a results store stay there; re-running the same command "
+                "resumes from them."
             )
 
     def _pass(
         self, fn: Callable[[Any], Any], pending: Dict[int, Any]
     ) -> Iterator[Tuple[int, Any]]:
         """Run ``pending`` on one executor, dropping what returns."""
+        # Imported on first use: in-process sweeps and searches never
+        # pay the executor's imports in start-up time and memory.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         if self._executor is None:
-            self._executor = self._start()
+            self._executor = ProcessPoolExecutor(
+                self.workers,
+                mp_context=pool_context(),
+                initializer=self._initializer,
+                initargs=self._initargs,
+            )
         futures = {}
         try:
             for index, unit in pending.items():
