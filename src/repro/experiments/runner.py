@@ -12,7 +12,7 @@ science cell (every axis except the seed), and submits each batch to a
 graph and compiles its engine topology
 (:class:`~repro.sim.topology.CompiledTopology`) once
 (:func:`compile_cell`), derives its round cap, then runs the cell's
-seeds in a tight loop (:func:`run_engine`) — amortising setup that
+seeds in a tight loop (:func:`cell_engine`) — amortising setup that
 otherwise dominates seeds-heavy cells (``benchmarks/bench_sweep.py``
 measures the win).  The adversary search
 (:mod:`repro.search.evaluate`) runs its candidates through the same
@@ -66,9 +66,10 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.context import BaseContext
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -98,13 +99,9 @@ from repro.experiments.spec import (
     plan_batches,
 )
 from repro.sim.collision import CollisionRule
-from repro.sim.engine import EngineConfig, StartMode, build_engine
+from repro.sim.engine import BroadcastEngine, EngineConfig, StartMode, build_engine
 from repro.sim.topology import CompiledTopology, compile_topology
-from repro.sim.trace import ExecutionTrace
 from repro.store import ResultStore, StoreHealth, open_store
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 #: Called after each finished task with (result, done_count, total).
 ProgressCallback = Callable[[RunResult, int, int], None]
@@ -212,19 +209,19 @@ def compile_cell(cell: Any) -> CompiledTopology:
         return compile_topology(graph)
 
 
-def run_engine(
+def cell_engine(
     cell: Any,
     topology: CompiledTopology,
     adversary: Adversary,
     config: EngineConfig,
-) -> ExecutionTrace:
-    """Run a cell's ``algorithm`` against ``adversary``; the trace."""
+) -> BroadcastEngine:
+    """The engine that runs a cell's ``algorithm`` against ``adversary``."""
     processes = make_processes(
         cell.algorithm, topology.graph.n, **dict(cell.algorithm_params)
     )
     return build_engine(
         topology.graph, processes, adversary, config, topology=topology
-    ).run()
+    )
 
 
 def _execute_on(
@@ -255,8 +252,9 @@ def _execute_on(
         engine=task.engine,
         churn=churn,
     )
+    engine = cell_engine(task, topology, adversary, config)
     with current().span("engine_run"):
-        trace = run_engine(task, topology, adversary, config)
+        trace = engine.run()
     return RunResult(
         key=task.key,
         sweep=task.sweep,
@@ -573,64 +571,51 @@ class WorkerPool:
         pending = dict(enumerate(units))
         try:
             for _ in range(2):
-                if pending:
-                    yield from self._pass(fn, pending)
+                if self._executor is None:
+                    self._executor = ProcessPoolExecutor(
+                        self.workers,
+                        mp_context=pool_context(),
+                        initializer=self._initializer,
+                        initargs=self._initargs,
+                    )
+                futures = {}
+                try:
+                    for index, unit in pending.items():
+                        futures[self._executor.submit(fn, unit)] = index
+                except BrokenProcessPool:
+                    pass  # a worker died mid-submission: rerun the rest
+                for future in as_completed(futures):
+                    if not isinstance(future.exception(), BrokenProcessPool):
+                        yield futures[future], future.result()
+                        del pending[futures[future]]
+                if not pending:
+                    return
+                self.close()  # the executor broke: the rerun starts afresh
         except BaseException:
             self.close(abort=True)
             raise
-        if pending:
-            lost = [label(unit) for unit in pending.values()]
-            more = f" and {len(lost) - 5} more" if len(lost) > 5 else ""
-            raise WorkerLostError(
-                f"worker processes died twice; {len(lost)} unit(s) lost: "
-                f"{', '.join(lost[:5])}{more}. Results already written to "
-                "a results store stay there; re-running the same command "
-                "resumes from them."
-            )
-
-    def _pass(
-        self, fn: Callable[[Any], Any], pending: Dict[int, Any]
-    ) -> Iterator[Tuple[int, Any]]:
-        """Run ``pending`` on one executor, dropping what returns."""
-        # Imported on first use: in-process sweeps and searches never
-        # pay the executor's imports in start-up time and memory.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                self.workers,
-                mp_context=pool_context(),
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        futures = {}
-        try:
-            for index, unit in pending.items():
-                futures[self._executor.submit(fn, unit)] = index
-        except BrokenProcessPool:
-            pass
-        for future in as_completed(futures):
-            if not isinstance(future.exception(), BrokenProcessPool):
-                index = futures[future]
-                yield index, future.result()
-                del pending[index]
-        if pending:  # the executor broke: the next pass starts afresh
-            self.close()
+        lost = [label(unit) for unit in pending.values()]
+        more = f" and {len(lost) - 5} more" if len(lost) > 5 else ""
+        raise WorkerLostError(
+            f"worker processes died twice; {len(lost)} unit(s) lost: "
+            f"{', '.join(lost[:5])}{more}. Results already written to "
+            "a results store stay there; re-running the same command "
+            "resumes from them."
+        )
 
     def close(self, abort: bool = False) -> None:
         """Shut the executor down after its running units finish, or
         (``abort``) cancel queued units and terminate the workers."""
         executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        # Nothing public stops a running unit, so an abort terminates
-        # the workers, read from the table ``shutdown`` drops.
-        workers = list((executor._processes or {}).values()) if abort else []
-        executor.shutdown(wait=not abort, cancel_futures=abort)
-        for proc in workers:
-            proc.terminate()
-            proc.join()
+        if executor is not None:
+            # Nothing public stops a running unit, so an abort
+            # terminates the workers, read from the table ``shutdown``
+            # drops.
+            procs = list((executor._processes or {}).values()) if abort else []
+            executor.shutdown(wait=not abort, cancel_futures=abort)
+            for proc in procs:
+                proc.terminate()
+                proc.join()
 
     def __enter__(self) -> "WorkerPool":
         return self

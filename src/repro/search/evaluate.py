@@ -4,7 +4,7 @@ A *search cell* (:class:`SearchSettings`) is everything of a sweep task
 except the adversary — algorithm, graph, collision rule, start mode,
 engine seed, round cap.  Evaluation uses the sweep runner's cell setup
 and run step (:func:`~repro.experiments.runner.compile_cell`,
-:func:`~repro.experiments.runner.run_engine`): the graph is built and
+:func:`~repro.experiments.runner.cell_engine`): the graph is built and
 its :class:`~repro.sim.topology.CompiledTopology` compiled **once** per
 :class:`EvaluationContext`, then every candidate genome runs against the
 shared pair — on the bitmask fast engine by default (CR4 genomes
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.runner import suggested_round_limit
-from repro.experiments.runner import WorkerPool, compile_cell, run_engine
+from repro.experiments.runner import WorkerPool, cell_engine, compile_cell
 from repro.experiments.spec import (
     Params,
     _coerce_engine,
@@ -202,7 +202,7 @@ class EvaluationContext:
         """Run one genome and return its trace and the engine used."""
         if engine is None:
             engine = self.settings.engine
-        trace = run_engine(
+        trace = cell_engine(
             self.settings,
             self.topology,
             genome.build_adversary(),
@@ -211,7 +211,7 @@ class EvaluationContext:
                 record=record_receptions,
                 churn=self._churn_for(genome),
             ),
-        )
+        ).run()
         return trace, engine
 
     def evaluate(self, genome: StrategyGenome) -> CandidateScore:
@@ -264,7 +264,7 @@ def verify_replay(
     trace, _ = ctx.run_genome(
         genome, engine="reference", record_receptions=True
     )
-    replay = run_engine(
+    replay = cell_engine(
         settings,
         ctx.topology,
         ReplayAdversary(trace, strict=True),
@@ -272,7 +272,7 @@ def verify_replay(
         # are engine state, not adversary behaviour, so the replay
         # adversary alone cannot reproduce them.
         ctx._config("reference", churn=ctx._churn_for(genome)),
-    )
+    ).run()
     return (
         replay.completed == trace.completed
         and replay.informed_round == trace.informed_round
