@@ -16,8 +16,8 @@ Invariants the rest of the subsystem builds on:
 * **Key-derived seeds** — each task's engine seed is
   ``crc32(science_key)``: derived, not assigned, so no two grid cells
   share an RNG stream even when they share a sweep seed, and the
-  derivation is independent of worker count, chunking and resume
-  history (``zlib.crc32`` is stable across processes and Python
+  derivation is independent of worker count, completion order and
+  resume history (``zlib.crc32`` is stable across processes and Python
   versions, unlike ``hash``).
 * **Engine neutrality** — the ``engine`` axis selects an
   *implementation* (reference or bitmask fast path), not an experiment
