@@ -566,8 +566,9 @@ class WorkerPool:
         label: Callable[[Any], str],
     ) -> Iterator[Tuple[int, Any]]:
         """Yield ``(index, fn(unit))`` per unit; ``label`` names lost ones."""
-        # Imported here: at module level it adds ~17 ms and ~0.9 MB to
-        # every CLI start and in-process sweep that never starts a pool.
+        # Imported here, so CLI starts and in-process sweeps, which
+        # never start a pool, do not pay for these imports (they pull
+        # in logging and multiprocessing's queues).
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
