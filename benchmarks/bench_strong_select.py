@@ -12,21 +12,24 @@ Every bound is read through the Theorem 2 and Theorem 10 claims of
 
 import functools
 
-from repro import broadcast
-from repro.adversaries import GreedyInterferer
-from repro.analysis import best_fit, render_table
-from repro.analysis.claims import (
-    THEOREM2,
-    THEOREM10,
-    Observation,
-    theorem2_observation,
-)
+from repro.analysis import CampaignReport, best_fit, render_table
+from repro.analysis.claims import THEOREM2, THEOREM10, theorem2_observation
 from repro.core.runner import make_processes
 from repro.core.strong_select import build_schedule
-from repro.graphs import gnp_dual
+from repro.experiments import ExperimentSpec, SweepRunner
 from repro.lowerbounds import theorem2_lower_bound
 
 NS = [16, 32, 64, 128]
+
+#: Strong Select on random duals against the greedy interferer
+#: (CR4 + asynchronous start), graph seed 1.
+RANDOM_DUALS = ExperimentSpec(
+    name="strong-select-random-duals",
+    algorithms=["strong_select"],
+    graphs=[("gnp", n) for n in NS],
+    adversaries=["greedy"],
+    seeds=[1],
+)
 
 
 def strong_select_worst(n: int, variant: str):
@@ -99,21 +102,21 @@ def test_strong_select_random_duals(benchmark, table_out):
     """Average-case behaviour on random duals: far below the bound."""
 
     def run():
-        out = {}
-        for n in NS:
-            trace = broadcast(
-                gnp_dual(n, seed=1),
-                "strong_select",
-                adversary=GreedyInterferer(),
-                seed=1,
-            )
-            assert trace.completed
-            out[n] = trace.completion_round
-        return out
+        result = SweepRunner(RANDOM_DUALS).run()
+        assert not result.failures, [r.key for r in result.failures]
+        return {
+            cell.n: cell
+            for cell in CampaignReport.from_records(result.records).ordered()
+        }
 
-    rounds = benchmark.pedantic(run, rounds=1, iterations=1)
+    cells = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
-        [n, rounds[n], build_schedule(n).round_bound()] for n in NS
+        [
+            n,
+            f"{cells[n].observation().worst:.0f}",
+            build_schedule(n).round_bound(),
+        ]
+        for n in NS
     ]
     table_out(
         render_table(
@@ -122,7 +125,5 @@ def test_strong_select_random_duals(benchmark, table_out):
             title="Strong Select on random duals",
         )
     )
-    for n in NS:
-        assert THEOREM10.reproduced(
-            Observation("strong_select", "gnp", n, rounds[n])
-        )
+    for cell in cells.values():
+        assert THEOREM10.reproduced(cell.observation()), cell.key

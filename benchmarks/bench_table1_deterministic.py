@@ -18,16 +18,27 @@ their claims in :mod:`repro.analysis.claims`.
 """
 
 from repro import broadcast
-from repro.adversaries import FixedAssignmentAdversary, GreedyInterferer
-from repro.analysis import best_fit, render_table
-from repro.analysis.claims import THEOREM10, THEOREM12, Observation
+from repro.adversaries import FixedAssignmentAdversary
+from repro.analysis import CampaignReport, best_fit, render_table
+from repro.analysis.claims import THEOREM10, THEOREM12
 from repro.core import make_round_robin_processes
 from repro.core.strong_select import build_schedule
-from repro.graphs import clique_bridge, line, with_complete_unreliable
+from repro.experiments import ExperimentSpec, SweepRunner
+from repro.graphs import clique_bridge
 from repro.lowerbounds import theorem12_construction
 from repro.sim import CollisionRule, StartMode
 
 NS = [9, 17, 33, 65]
+
+#: Strong Select on the line with a complete unreliable overlay,
+#: against the greedy interferer (CR4 + asynchronous start).
+DUAL_UPPER = ExperimentSpec(
+    name="table1-dual-strong-select",
+    algorithms=["strong_select"],
+    graphs=[("hard-line", n) for n in NS],
+    adversaries=["greedy"],
+    seeds=[0],
+)
 
 
 def classical_round_robin_rounds(n: int) -> int:
@@ -58,22 +69,17 @@ def classical_round_robin_rounds(n: int) -> int:
     return trace.completion_round
 
 
-def dual_strong_select_rounds(n: int) -> int:
-    g = with_complete_unreliable(line(n))
-    trace = broadcast(
-        g, "strong_select", adversary=GreedyInterferer(), seed=0,
-    )
-    assert trace.completed
-    return trace.completion_round
-
-
 def run_experiment():
+    result = SweepRunner(DUAL_UPPER).run()
+    assert not result.failures, [r.key for r in result.failures]
+    dual_upper = {
+        cell.n: cell
+        for cell in CampaignReport.from_records(result.records).ordered()
+    }
     classical = {}
-    dual_upper = {}
     dual_lower = {}
     for n in NS:
         classical[n] = classical_round_robin_rounds(n)
-        dual_upper[n] = dual_strong_select_rounds(n)
         dual_lower[n] = theorem12_construction(
             make_round_robin_processes, n
         )
@@ -88,7 +94,8 @@ def test_table1_rows(benchmark, table_out):
         [
             n,
             f"{classical[n]} (O(n): {n})",
-            f"{dual_upper[n]} (X={build_schedule(n).round_bound()})",
+            f"{dual_upper[n].observation().worst:.0f} "
+            f"(X={build_schedule(n).round_bound()})",
             f"{dual_lower[n].total_rounds} "
             f"(≥{dual_lower[n].paper_total_guarantee:.0f})",
         ]
@@ -112,9 +119,7 @@ def test_table1_rows(benchmark, table_out):
         # constant-diameter network (within 2n).
         assert classical[n] <= 2 * n
         # Row 2: Strong Select stays within its Theorem-10 bound.
-        assert THEOREM10.reproduced(
-            Observation("strong_select", "hard-line", n, dual_upper[n])
-        )
+        assert THEOREM10.reproduced(dual_upper[n].observation())
         # Row 3: the Theorem-12 witness meets the paper's guarantee.
         assert THEOREM12.reproduced(dual_lower[n])
         # Separation: unreliability costs real rounds.

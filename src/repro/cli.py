@@ -16,13 +16,16 @@ Usage (module form)::
     python -m repro lowerbound --theorem 12 --n 33 --algorithm round_robin
 
 Everything the CLI can do is a thin layer over the library API; the CLI
-exists so experiments are reproducible from shell history alone.  Sweeps
-go through :mod:`repro.experiments`: they fan out over worker processes,
-and with ``--results`` they persist each run as a JSON line and resume
-by key after an interruption.  The flush cadence is the store backend's
-own (jsonl: every record, sharded: every 64); ``--seeds`` is the sweep's
-seed axis, and ``repro search --engine`` names ``fast`` or
-``reference``.
+exists so experiments are reproducible from shell history alone.  Every
+run goes through :mod:`repro.experiments`: ``repro run`` and ``repro
+profile`` are one sweep task each, named by the same inline flags as
+``repro sweep`` (one builder, :func:`_inline_spec`), so the same flags
+give the same task key, the same key-derived seeds and the same record.
+Sweeps fan out over worker processes, and with ``--results`` they
+persist each run as a JSON line and resume by key after an
+interruption.  The flush cadence is the store backend's own (jsonl:
+every record, sharded: every 64); ``--seeds`` is the sweep's seed axis,
+and ``repro search --engine`` names ``fast`` or ``reference``.
 """
 
 from __future__ import annotations
@@ -36,13 +39,7 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from repro.analysis import CampaignReport, best_fit, render_table
-from repro.core.runner import (
-    ALGORITHMS,
-    algorithm_names,
-    broadcast,
-    make_processes,
-    suggested_round_limit,
-)
+from repro.core.runner import ALGORITHMS, algorithm_names, make_processes
 from repro.sim.engine import ENGINE_NAMES
 from repro.sim.faults import REJOIN_POLICIES
 from repro.store import STORE_BACKENDS
@@ -50,16 +47,13 @@ from repro.experiments import (
     ExperimentSpec,
     SweepRunner,
     adversary_kinds,
-    build_adversary,
-    build_churn,
-    build_graph,
     churn_kinds,
     curve_key_of,
     graph_kinds,
     load_specs,
 )
 from repro.experiments.registry import ADVERSARIES, CHURNS, GRAPHS
-from repro.experiments.runner import WorkerLostError
+from repro.experiments.runner import WorkerLostError, run_task
 
 
 def _warn_health(health, source: str, noun: str) -> None:
@@ -80,87 +74,34 @@ def _store_backend(args) -> Optional[str]:
     return None if choice == "auto" else choice
 
 
-def _build_graph_or_exit(name: str, n: int, seed: int):
-    try:
-        return build_graph(name, n, seed=seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+#: ``repro run``'s churn flags, by churn kind: factory param -> flag.
+#: ``repro profile`` has ``--churn`` alone (factory defaults), and
+#: ``repro sweep`` has no churn flags.
+_CHURN_FLAGS = {
+    "rate": {
+        "crash_rate": "crash_rate",
+        "recover_rate": "recover_rate",
+        "rejoin": "rejoin",
+    },
+    "window": {
+        "count": "churn_count",
+        "start": "churn_start",
+        "length": "churn_length",
+        "rejoin": "rejoin",
+    },
+}
 
 
-def _adversary_params(adversary: str, args, n: int) -> dict:
-    """The extra factory params an inline CLI adversary choice needs."""
-    if adversary == "random":
-        return {"p": args.p}
-    if adversary == "pivot":
-        # PivotAdversary is built from the pivot-layers layout for the
-        # run's network size.
-        return {"n": n}
-    return {}
+def _inline_spec(args) -> ExperimentSpec:
+    """The one-spec grid that the inline flags of ``run``, ``profile``
+    and ``sweep`` name.
 
-
-def _build_adversary_or_exit(args, n: int):
-    params = _adversary_params(args.adversary, args, n)
-    try:
-        return build_adversary(args.adversary, seed=args.seed, **params)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def _build_churn_or_exit(args, n: int, max_rounds: int):
-    """Resolve the run's churn schedule from the inline flags."""
-    params = {}
-    if args.churn == "rate":
-        params = {
-            "crash_rate": args.crash_rate,
-            "recover_rate": args.recover_rate,
-            "rejoin": args.rejoin,
-        }
-    elif args.churn == "window":
-        params = {
-            "count": args.churn_count,
-            "start": args.churn_start,
-            "length": args.churn_length,
-            "rejoin": args.rejoin,
-        }
-    try:
-        return build_churn(
-            args.churn, n=n, rounds=max_rounds, seed=args.seed, **params
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def cmd_run(args) -> int:
-    graph = _build_graph_or_exit(args.graph, args.n, args.seed)
-    # Resolve the round cap up front: a rate-based churn schedule must
-    # cover the whole horizon the run can reach.
-    max_rounds = args.max_rounds
-    if max_rounds is None:
-        max_rounds = suggested_round_limit(args.algorithm, graph)
-    trace = broadcast(
-        graph,
-        args.algorithm,
-        adversary=_build_adversary_or_exit(args, args.n),
-        seed=args.seed,
-        max_rounds=max_rounds,
-        engine=args.engine,
-        churn=_build_churn_or_exit(args, graph.n, max_rounds),
-    )
-    if args.json:
-        print(trace.to_json())
-    else:
-        print(
-            render_table(
-                ["quantity", "value"],
-                list(trace.summary().items()),
-                title=f"{args.algorithm} on {graph.name}",
-            )
-        )
-    return 0 if trace.completed else 1
-
-
-def _legacy_spec(args) -> ExperimentSpec:
-    """Build a one-spec grid from the sweep subcommand's inline flags."""
+    ``run`` and ``profile`` give one ``--n`` and ``--seed`` where
+    ``sweep`` gives ``--sizes`` and ``--seeds``, so the same flags name
+    the same task key, and hence the same record, under all three.  An
+    axis a subcommand has no flag for (``--cr`` outside ``profile``,
+    ``--churn`` outside ``run`` and ``profile``) takes the spec default.
+    """
     if args.graph not in graph_kinds():
         raise SystemExit(
             f"unknown graph {args.graph!r}; choose from {graph_kinds()}"
@@ -170,7 +111,11 @@ def _legacy_spec(args) -> ExperimentSpec:
             f"unknown adversary {args.adversary!r}; "
             f"choose from {adversary_kinds()}"
         )
-    sizes = [int(s) for s in args.sizes.split(",")]
+    if hasattr(args, "sizes"):
+        sizes = [int(s) for s in args.sizes.split(",")]
+        seeds = [int(s) for s in args.seeds.split(",")]
+    else:
+        sizes, seeds = [args.n], [args.seed]
     if args.adversary == "pivot" and len(sizes) > 1:
         # The pivot adversary is built per network size; one spec entry
         # cannot cover a size grid.  Spec files can (one adversary
@@ -180,16 +125,53 @@ def _legacy_spec(args) -> ExperimentSpec:
             "(its layout is built per network size); use a spec file "
             "for grids"
         )
-    params = _adversary_params(args.adversary, args, sizes[0])
-    return ExperimentSpec(
-        name=f"{args.algorithm}-{args.graph}",
-        algorithms=[args.algorithm],
-        graphs=[(args.graph, n) for n in sizes],
-        adversaries=[(args.adversary, params)],
-        engines=[args.engine or "reference"],
-        seeds=[int(s) for s in args.seeds.split(",")],
-        max_rounds=args.max_rounds,
-    )
+    # PivotAdversary is built from the pivot-layers layout of the size.
+    params = {"random": {"p": args.p}, "pivot": {"n": sizes[0]}}
+    churn = getattr(args, "churn", "none")
+    churn_params = {
+        param: getattr(args, flag)
+        for param, flag in _CHURN_FLAGS.get(churn, {}).items()
+        if hasattr(args, flag)
+    }
+    try:
+        return ExperimentSpec(
+            name=f"{args.algorithm}-{args.graph}",
+            algorithms=[args.algorithm],
+            graphs=[(args.graph, n) for n in sizes],
+            adversaries=[(args.adversary, params.get(args.adversary, {}))],
+            collision_rules=[getattr(args, "cr", "CR4")],
+            engines=[args.engine or "reference"],
+            churns=[(churn, churn_params)],
+            seeds=seeds,
+            max_rounds=args.max_rounds,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
+def cmd_run(args) -> int:
+    """Run one task through the sweep's run step; print its key, its
+    record and its trace summary."""
+    (task,) = _inline_spec(args).tasks()
+    try:
+        record, trace = run_task(task)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    summary = trace.summary()
+    if args.json:
+        summary.update(key=task.key, record=record.to_dict())
+        print(json.dumps(summary, indent=2, sort_keys=True))
+    else:
+        print(
+            render_table(
+                ["quantity", "value"],
+                list(summary.items()),
+                title=f"{args.algorithm} on {trace.network_name}",
+            )
+        )
+        print(f"key: {task.key}")
+        print(f"record: {json.dumps(record.to_dict(), sort_keys=True)}")
+    return 0 if trace.completed else 1
 
 
 def _print_growth_fits(report: CampaignReport) -> None:
@@ -223,10 +205,10 @@ def cmd_sweep(args) -> int:
             ]
         title = f"sweep spec {args.spec}"
     else:
-        specs = [_legacy_spec(args)]
+        specs = [_inline_spec(args)]
         title = (
             f"{args.algorithm} on {args.graph}, adversary="
-            f"{args.adversary}, seeds={[int(s) for s in args.seeds.split(',')]}"
+            f"{args.adversary}, seeds={list(specs[0].seeds)}"
         )
 
     sink = None
@@ -512,27 +494,11 @@ def cmd_progress(args) -> int:
 
 def cmd_profile(args) -> int:
     """Run one cell under instrumentation; print timings + counters."""
-    from repro.experiments import ExperimentSpec
     from repro.obs import profile_task
 
+    (task,) = _inline_spec(args).tasks()
     try:
-        spec = ExperimentSpec(
-            name="profile",
-            algorithms=(args.algorithm,),
-            graphs=((args.graph, args.n),),
-            adversaries=(
-                (
-                    args.adversary,
-                    _adversary_params(args.adversary, args, args.n),
-                ),
-            ),
-            collision_rules=(args.cr,),
-            engines=(args.engine,),
-            churns=(args.churn,),
-            seeds=(args.seed,),
-            max_rounds=args.max_rounds,
-        )
-        report = profile_task(spec.tasks()[0])
+        report = profile_task(task)
     except ValueError as exc:
         raise SystemExit(str(exc))
     if args.json:

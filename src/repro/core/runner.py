@@ -1,6 +1,7 @@
-"""High-level convenience API: run a named algorithm on a network.
+"""The algorithm registry and the trace-level library helper.
 
-This is the entry point most downstream users want::
+:func:`broadcast` runs a named algorithm on live network and adversary
+objects and returns the trace, for examples and trace-level benches::
 
     from repro import broadcast
     from repro.graphs import gnp_dual
@@ -10,8 +11,10 @@ This is the entry point most downstream users want::
                       adversary=GreedyInterferer(), seed=7)
     print(trace.completion_round)
 
-Algorithms are registered by name; ``make_processes`` exposes the factory
-directly for callers that need to customise processes before running.
+The CLI runs experiment tasks instead, ``repro run`` included
+(:func:`repro.experiments.runner.run_task`): each has a key, a record
+and key-derived seeds.  ``make_processes`` exposes the algorithm
+factories directly for callers that customise processes before running.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.core.strong_select import (
 )
 from repro.core.uniform import make_uniform_processes
 from repro.graphs.dualgraph import DualGraph
-from repro.sim.engine import EngineConfig, build_engine
+from repro.sim.engine import run_broadcast
 from repro.sim.process import Process
 from repro.sim.trace import ExecutionTrace
 
@@ -222,13 +225,13 @@ def broadcast(
             ``collision_rule=CollisionRule.CR1``,
             ``start_mode=StartMode.SYNCHRONOUS``, ``engine="fast"``).
     """
-    processes = make_processes(
-        algorithm, network.n, **(algorithm_params or {})
-    )
     if max_rounds is None:
         max_rounds = suggested_round_limit(algorithm, network)
-    config = EngineConfig(
-        seed=seed, max_rounds=max_rounds, **config_kwargs
+    return run_broadcast(
+        network,
+        make_processes(algorithm, network.n, **(algorithm_params or {})),
+        adversary,
+        seed=seed,
+        max_rounds=max_rounds,
+        **config_kwargs,
     )
-    engine = build_engine(network, processes, adversary, config)
-    return engine.run()

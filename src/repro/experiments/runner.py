@@ -3,6 +3,8 @@
 :func:`execute_batch` is the unit of work — a module-level function
 taking and returning picklable values, so a worker process can run it
 anywhere — and :func:`execute_task` is a batch of one.
+:func:`run_task` runs one task through the same cell setup and run
+step and also returns its trace; ``repro run`` prints both.
 :class:`SweepRunner` expands one or more
 :class:`~repro.experiments.spec.ExperimentSpec`\\ s, skips tasks whose
 records already sit in the results store (resume-by-key), groups the
@@ -97,7 +99,9 @@ from repro.experiments.spec import (
     plan_batches,
 )
 from repro.sim.collision import CollisionRule
-from repro.sim.engine import BroadcastEngine, EngineConfig, StartMode, build_engine
+from repro.sim.engine import (
+    BroadcastEngine, EngineConfig, ExecutionTrace, StartMode, build_engine,
+)
 from repro.sim.topology import CompiledTopology, compile_topology
 from repro.store import ResultStore, StoreHealth, open_store
 
@@ -222,9 +226,17 @@ def cell_engine(
     )
 
 
+def _round_cap(task: RunTask, topology: CompiledTopology) -> int:
+    """The task's ``max_rounds``, or its algorithm's proven-bound limit
+    on the built graph."""
+    if task.max_rounds is not None:
+        return task.max_rounds
+    return suggested_round_limit(task.algorithm, topology.graph)
+
+
 def _execute_on(
     task: RunTask, topology: CompiledTopology, max_rounds: int
-) -> RunResult:
+) -> Tuple[RunResult, ExecutionTrace]:
     """Run one task on its cell's compiled topology and round cap."""
     graph = topology.graph
     adversary = build_adversary(
@@ -253,7 +265,7 @@ def _execute_on(
     engine = cell_engine(task, topology, adversary, config)
     with current().span("engine_run"):
         trace = engine.run()
-    return RunResult(
+    record = RunResult(
         key=task.key,
         sweep=task.sweep,
         algorithm=task.algorithm,
@@ -271,6 +283,17 @@ def _execute_on(
         engine=task.engine,
         churn_kind=task.churn_kind,
     )
+    return record, trace
+
+
+def run_task(task: RunTask) -> Tuple[RunResult, ExecutionTrace]:
+    """Run one task and return its record together with its trace.
+
+    The same cell setup and run step a sweep dispatches, for callers
+    that want the round-by-round trace as well (``repro run``).
+    """
+    topology = compile_cell(task)
+    return _execute_on(task, topology, _round_cap(task, topology))
 
 
 def execute_task(task: RunTask) -> RunResult:
@@ -297,12 +320,8 @@ def execute_batch(batch: CellBatch) -> List[RunResult]:
     for task in batch.tasks:
         if topology is None or not share:
             topology = compile_cell(task)
-            max_rounds = task.max_rounds
-            if max_rounds is None:
-                max_rounds = suggested_round_limit(
-                    task.algorithm, topology.graph
-                )
-        results.append(_execute_on(task, topology, max_rounds))
+            max_rounds = _round_cap(task, topology)
+        results.append(_execute_on(task, topology, max_rounds)[0])
     _heartbeat(current(), len(results))
     return results
 
