@@ -111,22 +111,6 @@ def _inline_spec(args) -> ExperimentSpec:
             f"unknown adversary {args.adversary!r}; "
             f"choose from {adversary_kinds()}"
         )
-    if hasattr(args, "sizes"):
-        sizes = [int(s) for s in args.sizes.split(",")]
-        seeds = [int(s) for s in args.seeds.split(",")]
-    else:
-        sizes, seeds = [args.n], [args.seed]
-    if args.adversary == "pivot" and len(sizes) > 1:
-        # The pivot adversary is built per network size; one spec entry
-        # cannot cover a size grid.  Spec files can (one adversary
-        # entry per size); the inline form takes a single --sizes.
-        raise SystemExit(
-            "--adversary pivot needs a single --sizes value "
-            "(its layout is built per network size); use a spec file "
-            "for grids"
-        )
-    # PivotAdversary is built from the pivot-layers layout of the size.
-    params = {"random": {"p": args.p}, "pivot": {"n": sizes[0]}}
     churn = getattr(args, "churn", "none")
     churn_params = {
         param: getattr(args, flag)
@@ -134,6 +118,23 @@ def _inline_spec(args) -> ExperimentSpec:
         if hasattr(args, flag)
     }
     try:
+        if hasattr(args, "sizes"):
+            sizes = [int(s) for s in args.sizes.split(",")]
+            seeds = [int(s) for s in args.seeds.split(",")]
+        else:
+            sizes, seeds = [args.n], [args.seed]
+        if args.adversary == "pivot" and len(sizes) > 1:
+            # The pivot adversary is built per network size; one spec
+            # entry cannot cover a size grid.  Spec files can (one
+            # adversary entry per size); the inline form takes a single
+            # --sizes.
+            raise SystemExit(
+                "--adversary pivot needs a single --sizes value "
+                "(its layout is built per network size); use a spec "
+                "file for grids"
+            )
+        # PivotAdversary is built from the pivot-layers layout of the size.
+        params = {"random": {"p": args.p}, "pivot": {"n": sizes[0]}}
         return ExperimentSpec(
             name=f"{args.algorithm}-{args.graph}",
             algorithms=[args.algorithm],

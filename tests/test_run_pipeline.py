@@ -124,9 +124,18 @@ def test_run_prints_key_and_record(capsys):
     assert record["key"] == key
 
 
-def test_run_bad_algorithm_is_an_error():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--graph", "line", "--n", "8", "--algorithm", "nope"],
+        ["sweep", "--graph", "line", "--sizes", "8,x", "--seeds", "0"],
+        ["sweep", "--graph", "line", "--sizes", "8", "--seeds", "0,0"],
+    ],
+    ids=["unknown-algorithm", "bad-size", "repeated-seed"],
+)
+def test_bad_inline_flags_are_a_clean_error(argv):
     with pytest.raises(SystemExit):
-        main(["run", "--graph", "line", "--n", "8", "--algorithm", "nope"])
+        main(argv)
 
 
 #: Every subcommand's options, as they stood before ``run`` and
