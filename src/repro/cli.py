@@ -74,20 +74,22 @@ def _store_backend(args) -> Optional[str]:
     return None if choice == "auto" else choice
 
 
-#: ``repro run``'s churn flags, by churn kind: factory param -> flag.
-#: ``repro profile`` has ``--churn`` alone (factory defaults), and
-#: ``repro sweep`` has no churn flags.
+#: ``repro run``'s churn flags, by churn kind: factory param ->
+#: (flag, default).  ``run``'s parser takes its defaults from here, and
+#: a subcommand without the flags (``profile``) gets the same defaults,
+#: so ``--churn`` names the same task key under both.  ``repro sweep``
+#: has no churn flags.
 _CHURN_FLAGS = {
     "rate": {
-        "crash_rate": "crash_rate",
-        "recover_rate": "recover_rate",
-        "rejoin": "rejoin",
+        "crash_rate": ("crash_rate", 0.02),
+        "recover_rate": ("recover_rate", 0.2),
+        "rejoin": ("rejoin", "uninformed"),
     },
     "window": {
-        "count": "churn_count",
-        "start": "churn_start",
-        "length": "churn_length",
-        "rejoin": "rejoin",
+        "count": ("churn_count", 1),
+        "start": ("churn_start", 2),
+        "length": ("churn_length", 4),
+        "rejoin": ("rejoin", "uninformed"),
     },
 }
 
@@ -100,7 +102,9 @@ def _inline_spec(args) -> ExperimentSpec:
     ``sweep`` gives ``--sizes`` and ``--seeds``, so the same flags name
     the same task key, and hence the same record, under all three.  An
     axis a subcommand has no flag for (``--cr`` outside ``profile``,
-    ``--churn`` outside ``run`` and ``profile``) takes the spec default.
+    ``--churn`` outside ``run`` and ``profile``) takes the spec default,
+    and a churn flag it has not (``profile``) its ``_CHURN_FLAGS``
+    default.
     """
     if args.graph not in graph_kinds():
         raise SystemExit(
@@ -113,9 +117,8 @@ def _inline_spec(args) -> ExperimentSpec:
         )
     churn = getattr(args, "churn", "none")
     churn_params = {
-        param: getattr(args, flag)
-        for param, flag in _CHURN_FLAGS.get(churn, {}).items()
-        if hasattr(args, flag)
+        param: getattr(args, flag, default)
+        for param, (flag, default) in _CHURN_FLAGS.get(churn, {}).items()
     }
     try:
         if hasattr(args, "sizes"):
@@ -301,22 +304,11 @@ def cmd_list(args) -> int:
 def _search_settings(args) -> "SearchSettings":  # noqa: F821
     from repro.search import SearchSettings
 
+    # Accept underscore spellings of registered hyphenated kinds.  An
+    # unknown kind or algorithm is the search's own ValueError.
     kind = args.graph
-    if kind not in graph_kinds():
-        # Accept underscore spellings of registered hyphenated kinds.
-        dashed = kind.replace("_", "-")
-        if dashed in graph_kinds():
-            kind = dashed
-        else:
-            raise SystemExit(
-                f"unknown graph {args.graph!r}; choose from "
-                f"{graph_kinds()}"
-            )
-    if args.algorithm not in algorithm_names():
-        raise SystemExit(
-            f"unknown algorithm {args.algorithm!r}; choose from "
-            f"{algorithm_names()}"
-        )
+    if kind not in graph_kinds() and kind.replace("_", "-") in graph_kinds():
+        kind = kind.replace("_", "-")
     return SearchSettings(
         algorithm=args.algorithm,
         graph_kind=kind,
@@ -640,33 +632,39 @@ def build_parser() -> argparse.ArgumentParser:
         "list`); schedules derive deterministically from --seed",
     )
     run.add_argument(
-        "--crash-rate", type=float, default=0.02,
+        "--crash-rate", type=float,
         help="per-round crash probability for --churn rate",
     )
     run.add_argument(
-        "--recover-rate", type=float, default=0.2,
+        "--recover-rate", type=float,
         help="per-round recovery probability for --churn rate",
     )
     run.add_argument(
         "--rejoin", choices=list(REJOIN_POLICIES),
-        default="uninformed",
         help="recovery policy: uninformed loses the payload on crash "
         "(must be re-informed), informed keeps it (stable storage)",
     )
     run.add_argument(
-        "--churn-count", type=int, default=1,
+        "--churn-count", type=int,
         help="nodes taken down by --churn window",
     )
     run.add_argument(
-        "--churn-start", type=int, default=2,
+        "--churn-start", type=int,
         help="first down round for --churn window",
     )
     run.add_argument(
-        "--churn-length", type=int, default=4,
+        "--churn-length", type=int,
         help="rounds the window nodes stay down",
     )
     run.add_argument("--json", action="store_true")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(
+        func=cmd_run,
+        **{
+            flag: default
+            for flags in _CHURN_FLAGS.values()
+            for flag, default in flags.values()
+        },
+    )
 
     # No prefix matching: ``--seed`` must not silently mean ``--seeds``.
     sweep = sub.add_parser(

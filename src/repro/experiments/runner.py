@@ -13,12 +13,14 @@ science cell (every axis except the seed), and submits each batch to a
 :class:`WorkerPool` as its own future.  Each worker builds a cell's
 graph and compiles its engine topology
 (:class:`~repro.sim.topology.CompiledTopology`) once
-(:func:`compile_cell`), derives its round cap, then runs the cell's
-seeds in a tight loop (:func:`cell_engine`) — amortising setup that
-otherwise dominates seeds-heavy cells (``benchmarks/bench_sweep.py``
-measures the win).  The adversary search
-(:mod:`repro.search.evaluate`) runs its candidates through the same
-pool, cell setup and run step.
+(:func:`compile_cell`), derives its round cap (:func:`round_cap`),
+then runs the cell's seeds in a tight loop (:func:`cell_engine`, which
+builds the engine and its config from the cell) — amortising setup
+that otherwise dominates seeds-heavy cells
+(``benchmarks/bench_sweep.py`` measures the win).  The adversary
+search (:mod:`repro.search`) runs its candidates through the same
+pool, cell setup, round cap and run step, and resumes and persists
+them through the same :class:`StoreSession`.
 
 Invariants:
 
@@ -35,12 +37,12 @@ Invariants:
   kinds rebuild per seed), so a record never depends on which batch
   its task ran in.  ``tests/test_batching.py`` asserts this.
 * **Durable resume** — with ``results_path`` set, each record is
-  appended to the sweep's result store (:mod:`repro.store`: a single
-  JSON-lines file by default, a sharded campaign directory on request)
-  the moment its result reaches the parent process, so an interrupted
-  sweep leaves a valid prefix.  Durability cadence is the backend's own
-  policy: the default JSONL backend flushes every record, the sharded
-  backend every 64.
+  appended (:class:`StoreSession`) to the sweep's result store
+  (:mod:`repro.store`: a single JSON-lines file by default, a sharded
+  campaign directory on request) the moment its result reaches the
+  parent process, so an interrupted sweep leaves a valid prefix.
+  Durability cadence is the backend's own policy: the default JSONL
+  backend flushes every record, the sharded backend every 64.
   *Resume* granularity is per task: pending tasks are filtered by key
   before batches are planned, so whatever a kill left on disk,
   re-running executes exactly the missing seeds.
@@ -98,10 +100,12 @@ from repro.experiments.spec import (
     RunTask,
     plan_batches,
 )
+from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import (
     BroadcastEngine, EngineConfig, ExecutionTrace, StartMode, build_engine,
 )
+from repro.sim.faults import ChurnSchedule
 from repro.sim.topology import CompiledTopology, compile_topology
 from repro.store import ResultStore, StoreHealth, open_store
 
@@ -211,27 +215,45 @@ def compile_cell(cell: Any) -> CompiledTopology:
         return compile_topology(graph)
 
 
+def round_cap(cell: Any, graph: DualGraph) -> int:
+    """A cell's round cap on its built ``graph``: its ``max_rounds``,
+    or its algorithm's proven-bound limit when unset."""
+    if cell.max_rounds is not None:
+        return cell.max_rounds
+    return suggested_round_limit(cell.algorithm, graph)
+
+
 def cell_engine(
     cell: Any,
     topology: CompiledTopology,
     adversary: Adversary,
-    config: EngineConfig,
+    max_rounds: int,
+    churn: Optional[ChurnSchedule] = None,
+    engine: Optional[str] = None,
+    record_receptions: bool = False,
 ) -> BroadcastEngine:
-    """The engine that runs a cell's ``algorithm`` against ``adversary``."""
+    """The engine that runs a cell's ``algorithm`` against ``adversary``.
+
+    ``cell`` (a :class:`~repro.experiments.spec.RunTask` or a search
+    cell) also names the collision rule, start mode, derived seed and
+    engine of its :class:`~repro.sim.engine.EngineConfig`; ``engine``
+    overrides the last.
+    """
     processes = make_processes(
         cell.algorithm, topology.graph.n, **dict(cell.algorithm_params)
+    )
+    config = EngineConfig(
+        collision_rule=CollisionRule[cell.collision_rule],
+        start_mode=StartMode(cell.start_mode),
+        max_rounds=max_rounds,
+        seed=cell.derived_seed,
+        record_receptions=record_receptions,
+        engine=engine or cell.engine,
+        churn=churn,
     )
     return build_engine(
         topology.graph, processes, adversary, config, topology=topology
     )
-
-
-def _round_cap(task: RunTask, topology: CompiledTopology) -> int:
-    """The task's ``max_rounds``, or its algorithm's proven-bound limit
-    on the built graph."""
-    if task.max_rounds is not None:
-        return task.max_rounds
-    return suggested_round_limit(task.algorithm, topology.graph)
 
 
 def _execute_on(
@@ -254,15 +276,7 @@ def _execute_on(
         seed=task.derived_seed,
         **dict(task.churn_params),
     )
-    config = EngineConfig(
-        collision_rule=CollisionRule[task.collision_rule],
-        start_mode=StartMode(task.start_mode),
-        max_rounds=max_rounds,
-        seed=task.derived_seed,
-        engine=task.engine,
-        churn=churn,
-    )
-    engine = cell_engine(task, topology, adversary, config)
+    engine = cell_engine(task, topology, adversary, max_rounds, churn)
     with current().span("engine_run"):
         trace = engine.run()
     record = RunResult(
@@ -293,7 +307,7 @@ def run_task(task: RunTask) -> Tuple[RunResult, ExecutionTrace]:
     that want the round-by-round trace as well (``repro run``).
     """
     topology = compile_cell(task)
-    return _execute_on(task, topology, _round_cap(task, topology))
+    return _execute_on(task, topology, round_cap(task, topology.graph))
 
 
 def execute_task(task: RunTask) -> RunResult:
@@ -320,10 +334,45 @@ def execute_batch(batch: CellBatch) -> List[RunResult]:
     for task in batch.tasks:
         if topology is None or not share:
             topology = compile_cell(task)
-            max_rounds = _round_cap(task, topology)
+            max_rounds = round_cap(task, topology.graph)
         results.append(_execute_on(task, topology, max_rounds)[0])
     _heartbeat(current(), len(results))
     return results
+
+
+class StoreSession:
+    """How a campaign resumes and persists, for sweeps and searches.
+
+    Wraps the store a campaign opened, or ``None`` when it has no
+    results path.  :attr:`claimed` is the resume set, loaded under a
+    ``resume_scan`` span; :meth:`append` persists one record under
+    ``store_append``; leaving the ``with`` block closes (and so
+    flushes) the store under ``store_flush``.  :attr:`health` is the
+    store's damage report, clean when there is no store.
+    """
+
+    def __init__(self, store: Optional[ResultStore]) -> None:
+        self._store = store
+        self._telemetry = current()
+        self.claimed: Dict[str, Any] = {}
+        self.health = StoreHealth() if store is None else store.health
+        if store is not None:
+            with self._telemetry.span("resume_scan"):
+                self.claimed = store.claim_keys()
+
+    def append(self, record: Any) -> None:
+        """Persist one finished record (a no-op without a store)."""
+        if self._store is not None:
+            with self._telemetry.span("store_append"):
+                self._store.append(record)
+
+    def __enter__(self) -> "StoreSession":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self._store is not None:
+            with self._telemetry.span("store_flush"):
+                self._store.close()
 
 
 class SweepRunner:
@@ -431,44 +480,38 @@ class SweepRunner:
         watch = Stopwatch()
         telemetry = current()
         tasks = self.tasks()
-        done: Dict[str, RunResult] = {}
-        store = self.open_store(tasks)
-        if store is not None:
-            with telemetry.span("resume_scan"):
-                on_disk = store.claim_keys()
-            done = {
-                t.key: on_disk[t.key] for t in tasks if t.key in on_disk
-            }
-        pending = [t for t in tasks if t.key not in done]
-
-        records = dict(done)
+        session = StoreSession(self.open_store(tasks))
+        records = {
+            t.key: session.claimed[t.key]
+            for t in tasks
+            if t.key in session.claimed
+        }
+        resumed = len(records)
+        pending = [t for t in tasks if t.key not in records]
         total = len(tasks)
         if telemetry.enabled:
             telemetry.event(
                 "campaign_start",
                 name=self.specs[0].name,
                 total=total,
-                resumed=len(done),
+                resumed=resumed,
                 workers=self.workers,
             )
         emitter = _ProgressEmitter(telemetry, total)
         results = self._execute(pending)
-        try:
-            for result in results:
-                records[result.key] = result
-                if store is not None:
-                    with telemetry.span("store_append"):
-                        store.append(result)
-                if progress is not None:
-                    progress(result, len(records), total)
-                emitter.update(len(records))
-        finally:
-            # Closing the generator now (not when the traceback lets
-            # it go) aborts the pool, so an error here stops the grid.
-            results.close()
-            if store is not None:
-                with telemetry.span("store_flush"):
-                    store.close()
+        with session:
+            try:
+                for result in results:
+                    records[result.key] = result
+                    session.append(result)
+                    if progress is not None:
+                        progress(result, len(records), total)
+                    emitter.update(len(records))
+            finally:
+                # Closing the generator now (not when the traceback
+                # lets it go) aborts the pool, so an error here stops
+                # the grid.
+                results.close()
 
         elapsed = watch.elapsed()
         if telemetry.enabled:
@@ -479,13 +522,12 @@ class SweepRunner:
                 elapsed=elapsed,
             )
             telemetry.flush()
-        health = store.health if store is not None else StoreHealth()
         return SweepResult(
             records=list(records.values()),
             executed=len(pending),
-            resumed=len(done),
+            resumed=resumed,
             elapsed=elapsed,
-            health=health,
+            health=session.health,
         )
 
     def _plan_units(self, pending: Sequence[RunTask]) -> List[CellBatch]:

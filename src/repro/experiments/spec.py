@@ -42,7 +42,9 @@ shell history alone; the format is documented field by field in
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
 import zlib
 from dataclasses import dataclass
@@ -468,6 +470,12 @@ class ExperimentSpec:
     seeds: Tuple[int, ...] = (0,)
     max_rounds: Optional[int] = None
 
+    #: The grid axes, outermost first: the nesting order of :meth:`tasks`.
+    _AXES = (
+        "algorithms", "graphs", "adversaries", "collision_rules",
+        "start_modes", "engines", "churns", "seeds",
+    )
+
     def __post_init__(self) -> None:
         object.__setattr__(
             self,
@@ -513,51 +521,25 @@ class ExperimentSpec:
             ),
         )
         object.__setattr__(self, "seeds", _coerce_seeds(self.seeds))
-        if not (
-            self.algorithms
-            and self.graphs
-            and self.adversaries
-            and self.collision_rules
-            and self.start_modes
-            and self.engines
-            and self.churns
-            and self.seeds
-        ):
+        if not all(getattr(self, axis) for axis in self._AXES):
             raise ValueError(
                 "spec needs at least one entry on every axis "
-                "(algorithms, graphs, adversaries, collision_rules, "
-                "start_modes, engines, churns, seeds)"
+                f"({', '.join(self._AXES)})"
             )
         # Repeated axis entries expand to tasks with identical keys, so
         # they would overwrite each other's records and make a resumed
         # sweep report completion after running only the unique cells.
         # Reject them at construction with the offending entries named.
-        self._reject_duplicates("seeds", self.seeds, str)
-        self._reject_duplicates(
-            "algorithms", self.algorithms, lambda a: a.label
-        )
-        self._reject_duplicates(
-            "graphs", self.graphs, lambda g: g.label
-        )
-        self._reject_duplicates(
-            "adversaries", self.adversaries, lambda a: a.label
-        )
-        self._reject_duplicates(
-            "collision_rules", self.collision_rules, str
-        )
-        self._reject_duplicates("start_modes", self.start_modes, str)
-        self._reject_duplicates("engines", self.engines, str)
-        self._reject_duplicates(
-            "churns", self.churns, lambda c: c.label
-        )
+        for axis in self._AXES:
+            self._reject_duplicates(axis, getattr(self, axis))
 
-    def _reject_duplicates(self, axis, entries, label) -> None:
+    def _reject_duplicates(self, axis, entries) -> None:
         """Raise if an axis repeats an entry (keys would collide)."""
         seen: set = set()
         dupes: List[str] = []
         for entry in entries:
             if entry in seen:
-                dupes.append(label(entry))
+                dupes.append(str(getattr(entry, "label", entry)))
             seen.add(entry)
         if dupes:
             raise ValueError(
@@ -572,58 +554,31 @@ class ExperimentSpec:
     @property
     def size(self) -> int:
         """Number of tasks the grid expands to."""
-        return (
-            len(self.algorithms)
-            * len(self.graphs)
-            * len(self.adversaries)
-            * len(self.collision_rules)
-            * len(self.start_modes)
-            * len(self.engines)
-            * len(self.churns)
-            * len(self.seeds)
-        )
+        return math.prod(len(getattr(self, axis)) for axis in self._AXES)
 
     def tasks(self) -> List[RunTask]:
         """Expand the grid to its ordered task list."""
-        out: List[RunTask] = []
-        for alg in self.algorithms:
-            for graph in self.graphs:
-                for adv in self.adversaries:
-                    for rule in self.collision_rules:
-                        for mode in self.start_modes:
-                            for engine in self.engines:
-                                for churn in self.churns:
-                                    for seed in self.seeds:
-                                        out.append(
-                                            RunTask(
-                                                sweep=self.name,
-                                                algorithm=alg.name,
-                                                algorithm_params=(
-                                                    alg.params
-                                                ),
-                                                graph_kind=graph.kind,
-                                                n=graph.n,
-                                                graph_params=(
-                                                    graph.params
-                                                ),
-                                                adversary_kind=adv.kind,
-                                                adversary_params=(
-                                                    adv.params
-                                                ),
-                                                collision_rule=rule,
-                                                start_mode=mode,
-                                                seed=seed,
-                                                max_rounds=(
-                                                    self.max_rounds
-                                                ),
-                                                engine=engine,
-                                                churn_kind=churn.kind,
-                                                churn_params=(
-                                                    churn.params
-                                                ),
-                                            )
-                                        )
-        return out
+        grid = itertools.product(*(getattr(self, a) for a in self._AXES))
+        return [
+            RunTask(
+                sweep=self.name,
+                algorithm=alg.name,
+                algorithm_params=alg.params,
+                graph_kind=graph.kind,
+                n=graph.n,
+                graph_params=graph.params,
+                adversary_kind=adv.kind,
+                adversary_params=adv.params,
+                collision_rule=rule,
+                start_mode=mode,
+                seed=seed,
+                max_rounds=self.max_rounds,
+                engine=engine,
+                churn_kind=churn.kind,
+                churn_params=churn.params,
+            )
+            for alg, graph, adv, rule, mode, engine, churn, seed in grid
+        ]
 
     # ------------------------------------------------------------------
     # Serialization
@@ -655,18 +610,7 @@ class ExperimentSpec:
             "max_rounds": self.max_rounds,
         }
 
-    _FIELDS = (
-        "name",
-        "algorithms",
-        "graphs",
-        "adversaries",
-        "collision_rules",
-        "start_modes",
-        "engines",
-        "churns",
-        "seeds",
-        "max_rounds",
-    )
+    _FIELDS = ("name",) + _AXES + ("max_rounds",)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ExperimentSpec":

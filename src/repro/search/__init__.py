@@ -20,7 +20,8 @@ rule) cell::
 
 Candidates are scored through the standard engines — the fast bitmask
 engine per genome by default — fan out over worker processes, persist
-as JSON lines with resume-by-key, and the best genome replay-certifies
+to a result store (a JSON-lines file or a campaign directory) with
+resume-by-key, and the best genome replay-certifies
 through
 :class:`~repro.adversaries.scripted.ReplayAdversary` — see
 ``docs/SEARCH.md``.

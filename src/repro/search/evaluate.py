@@ -33,8 +33,9 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.runner import suggested_round_limit
-from repro.experiments.runner import WorkerPool, cell_engine, compile_cell
+from repro.experiments.runner import (
+    WorkerPool, cell_engine, compile_cell, round_cap,
+)
 from repro.experiments.spec import (
     Params,
     _coerce_engine,
@@ -45,8 +46,6 @@ from repro.experiments.spec import (
 )
 from repro.graphs.dualgraph import DualGraph
 from repro.search.genome import StrategyGenome
-from repro.sim.collision import CollisionRule
-from repro.sim.engine import EngineConfig, StartMode
 from repro.sim.topology import CompiledTopology
 from repro.sim.trace import ExecutionTrace
 
@@ -113,16 +112,6 @@ class SearchSettings:
         """The engine seed, derived from the cell key like sweep tasks."""
         return zlib.crc32(self.key.encode("utf-8"))
 
-    def round_cap(self, graph: DualGraph) -> int:
-        """The cell's round cap on its built ``graph``.
-
-        ``max_rounds`` when set, else the algorithm's proven-bound limit
-        (:func:`repro.core.runner.suggested_round_limit`).
-        """
-        if self.max_rounds is not None:
-            return self.max_rounds
-        return suggested_round_limit(self.algorithm, graph)
-
 
 @dataclass(frozen=True)
 class CandidateScore:
@@ -166,21 +155,7 @@ class EvaluationContext:
             topology = compile_cell(settings)
         self.topology: CompiledTopology = topology
         self.graph: DualGraph = topology.graph
-        self.rule = CollisionRule[settings.collision_rule]
-        self.round_cap: int = settings.round_cap(self.graph)
-
-    def _config(
-        self, engine: str, record: bool = False, churn=None
-    ) -> EngineConfig:
-        return EngineConfig(
-            collision_rule=self.rule,
-            start_mode=StartMode(self.settings.start_mode),
-            max_rounds=self.round_cap,
-            seed=self.settings.derived_seed,
-            record_receptions=record,
-            engine=engine,
-            churn=churn,
-        )
+        self.round_cap: int = round_cap(settings, self.graph)
 
     def _churn_for(self, genome: StrategyGenome):
         """The genome's compiled churn schedule, or ``None``.
@@ -200,17 +175,15 @@ class EvaluationContext:
         record_receptions: bool = False,
     ) -> Tuple[ExecutionTrace, str]:
         """Run one genome and return its trace and the engine used."""
-        if engine is None:
-            engine = self.settings.engine
+        engine = engine or self.settings.engine
         trace = cell_engine(
             self.settings,
             self.topology,
             genome.build_adversary(),
-            self._config(
-                engine,
-                record=record_receptions,
-                churn=self._churn_for(genome),
-            ),
+            self.round_cap,
+            self._churn_for(genome),
+            engine,
+            record_receptions,
         ).run()
         return trace, engine
 
@@ -268,10 +241,12 @@ def verify_replay(
         settings,
         ctx.topology,
         ReplayAdversary(trace, strict=True),
+        ctx.round_cap,
         # The replay must run under the same churn schedule — crashes
         # are engine state, not adversary behaviour, so the replay
         # adversary alone cannot reproduce them.
-        ctx._config("reference", churn=ctx._churn_for(genome)),
+        ctx._churn_for(genome),
+        "reference",
     ).run()
     return (
         replay.completed == trace.completed

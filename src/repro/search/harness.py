@@ -5,7 +5,7 @@
     settings ──► GenomeSpace ──► Searcher.ask ──► PopulationEvaluator
                      ▲                               │ (parallel,
                      │         Searcher.tell ◄───────┘  shared topology)
-                     └──────── JSONL persistence / resume-by-key
+                     └──────── StoreSession: resume-by-key, appends
 
 Determinism contract: for fixed (settings, searcher kind, seed) the
 candidate sequence, every score, and therefore the returned best are
@@ -23,6 +23,7 @@ import random
 from typing import Callable, List, Optional
 
 from repro.experiments.registry import build_graph
+from repro.experiments.runner import StoreSession, round_cap
 from repro.obs.telemetry import Stopwatch, current
 from repro.search.evaluate import (
     CandidateScore,
@@ -42,7 +43,7 @@ from repro.search.persist import (
 )
 from repro.search.searchers import build_searcher
 from repro.sim.collision import CollisionRule
-from repro.store import StoreHealth, open_store
+from repro.store import open_store
 
 #: Called after each evaluated batch with (best_so_far, done, total).
 ProgressCallback = Callable[[CandidateScore, int, int], None]
@@ -64,7 +65,7 @@ def make_space(settings: SearchSettings) -> GenomeSpace:
     )
     return GenomeSpace(
         graph,
-        horizon=settings.round_cap(graph),
+        horizon=round_cap(settings, graph),
         cr4_genes=CollisionRule[settings.collision_rule] is CollisionRule.CR4,
         churn_genes=settings.churn_genes,
     )
@@ -121,12 +122,6 @@ def run_search(
         if results_path
         else None
     )
-    with telemetry.span("resume_scan"):
-        on_disk = (
-            result_store.claim_keys()
-            if result_store is not None
-            else {}
-        )
 
     best: Optional[CandidateScore] = None
     best_ordinal = -1
@@ -140,10 +135,9 @@ def run_search(
     # in the WorkerPool initializer, and the pool lives until the
     # evaluator closes).
     context = EvaluationContext(settings, topology=space.topology)
-    evaluator_obj = PopulationEvaluator(
+    with StoreSession(result_store) as session, PopulationEvaluator(
         settings, workers=workers, context=context
-    )
-    try:
+    ) as evaluator_obj:
         while ordinal < budget.evaluations:
             count = min(
                 budget.batch_size, budget.evaluations - ordinal
@@ -161,7 +155,7 @@ def run_search(
             scores: List[Optional[CandidateScore]] = [None] * count
             fresh_idx: List[int] = []
             for i, (genome, key) in enumerate(zip(genomes, keys)):
-                record = on_disk.get(key)
+                record = session.claimed.get(key)
                 if (
                     record is not None
                     and record.fingerprint == genome.fingerprint
@@ -177,13 +171,11 @@ def run_search(
             for i, score in zip(fresh_idx, fresh_scores):
                 scores[i] = score
                 executed += 1
-                if result_store is not None:
-                    with telemetry.span("store_append"):
-                        result_store.append(
-                            CandidateRecord.from_score(
-                                score, keys[i], ordinal + i, searcher
-                            )
-                        )
+                session.append(
+                    CandidateRecord.from_score(
+                        score, keys[i], ordinal + i, searcher
+                    )
+                )
             batch = [s for s in scores if s is not None]
             searcher_obj.tell(batch)
             for i, score in enumerate(batch):
@@ -193,15 +185,7 @@ def run_search(
             ordinal += count
             if progress is not None and best is not None:
                 progress(best, ordinal, budget.evaluations)
-    finally:
-        evaluator_obj.close()
-        if result_store is not None:
-            with telemetry.span("store_flush"):
-                result_store.close()
 
-    health = (
-        result_store.health if result_store is not None else StoreHealth()
-    )
     assert best is not None  # budget >= 1 guarantees one batch ran
     result = SearchResult(
         settings=settings,
@@ -211,7 +195,7 @@ def run_search(
         best_ordinal=best_ordinal,
         executed=executed,
         resumed=resumed,
-        health=health,
+        health=session.health,
         elapsed=watch.elapsed(),
     )
     if verify:

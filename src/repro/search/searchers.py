@@ -35,6 +35,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.adversaries.base import AdversaryView
 from repro.adversaries.interferers import GreedyInterferer
 from repro.core.runner import Registry, make_processes
+from repro.experiments.runner import round_cap
 from repro.lowerbounds.sandbox import SandboxProcess
 from repro.search.evaluate import CandidateScore, SearchSettings
 from repro.search.genome import GenomeSpace, StrategyGenome
@@ -186,7 +187,7 @@ class GreedyLookaheadSearch(Searcher):
         graph = self.space.graph
         settings = self.settings
         n = graph.n
-        cap = min(settings.round_cap(graph), self.space.horizon)
+        cap = min(round_cap(settings, graph), self.space.horizon)
         rule = CollisionRule[settings.collision_rule]
 
         processes = make_processes(

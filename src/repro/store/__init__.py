@@ -25,7 +25,11 @@ Backends (see ``docs/STORAGE.md`` for the matrix):
 
 Every backend shares resume-by-key, torn-write damage accounting
 (:class:`~repro.store.base.StoreHealth`), the validator hook, and a
-flush cadence of its own (jsonl: every record, sharded: every 64).
+flush cadence of its own (jsonl: every record, always; sharded: every
+64 by default, its ``flush_every`` knob).  Sweeps and searches drive
+their store through one session,
+:class:`repro.experiments.runner.StoreSession`: the resume scan, the
+appends and the closing flush.
 """
 
 from __future__ import annotations
@@ -36,23 +40,13 @@ from typing import Optional
 from repro.store.base import (
     ParseFn,
     RawRecord,
-    Record,
     ResultStore,
     StoreHealth,
     StoreMismatchError,
     ValidatorFn,
 )
-from repro.store.jsonl import (
-    JsonlStore,
-    append_jsonl_line,
-    iter_jsonl,
-    open_for_append,
-    scan_jsonl,
-    write_jsonl_atomic,
-)
+from repro.store.jsonl import JsonlStore
 from repro.store.sharded import (
-    MANIFEST_NAME,
-    SHARDED_FORMAT,
     ShardedStore,
     merge_store,
     read_manifest,
@@ -118,25 +112,15 @@ def open_store(
 
 __all__ = [
     "JsonlStore",
-    "MANIFEST_NAME",
-    "ParseFn",
     "RawRecord",
-    "Record",
     "ResultStore",
-    "SHARDED_FORMAT",
     "STORE_BACKENDS",
     "ShardedStore",
     "StoreHealth",
     "StoreMismatchError",
-    "ValidatorFn",
-    "append_jsonl_line",
     "detect_backend",
-    "iter_jsonl",
     "merge_store",
-    "open_for_append",
     "open_store",
     "read_manifest",
-    "scan_jsonl",
     "shard_index",
-    "write_jsonl_atomic",
 ]

@@ -79,12 +79,6 @@ class StoreHealth:
         """Total records lost to damage or distrust on load."""
         return self.skipped_lines + self.rejected_records
 
-    def merge(self, other: "StoreHealth") -> "StoreHealth":
-        """Fold another health report into this one (returns self)."""
-        self.skipped_lines += other.skipped_lines
-        self.rejected_records += other.rejected_records
-        return self
-
     def warning(self, source: str, noun: str = "task") -> Optional[str]:
         """The unified CLI warning line, or ``None`` when clean.
 

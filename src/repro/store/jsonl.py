@@ -6,8 +6,8 @@ each task finishes so an interrupted campaign leaves a valid prefix.
 Every results file written before this module existed loads and
 resumes unchanged through :class:`JsonlStore`.
 
-The module-level helpers (:func:`scan_jsonl`, :func:`open_for_append`,
-:func:`append_jsonl_line`) are the one implementation of torn-line
+The module-level helpers (:func:`iter_jsonl`, :func:`scan_jsonl`,
+:func:`open_for_append`) are the one implementation of torn-line
 skipping and tail healing; the sharded backend reuses them per shard.
 """
 
@@ -26,54 +26,23 @@ from repro.store.base import (
 )
 
 
-def scan_jsonl(
-    path: str,
-    parse: ParseFn,
-    records: Dict[str, Record],
-    health: StoreHealth,
-    validator: Optional[ValidatorFn] = None,
-) -> Dict[str, Record]:
-    """Fill a keyed record map from one JSON-lines file, counting damage.
-
-    The single generic loop behind every JSONL-shaped load in the
-    package: ``parse`` turns one decoded document into a record
-    carrying a ``.key``; unparsable or incomplete lines — an
-    interrupted run's final line may be torn — bump
-    ``health.skipped_lines`` instead of raising; records failing the
-    optional ``validator`` bump ``health.rejected_records``; when a key
-    appears twice the later record wins.  Missing files leave
-    ``records`` untouched.  Returns ``records``.
-    """
-    if not os.path.exists(path):
-        return records
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = parse(json.loads(line))
-                key = record.key
-            except (ValueError, KeyError, TypeError):
-                health.skipped_lines += 1
-                continue  # torn or foreign line — re-run its task
-            if validator is not None and not validator(record):
-                health.rejected_records += 1
-                continue  # distrusted record — re-run its task
-            records[key] = record
-    return records
-
-
 def iter_jsonl(
     path: str,
     parse: ParseFn,
     health: StoreHealth,
     validator: Optional[ValidatorFn] = None,
 ) -> Iterator[Record]:
-    """Stream one JSON-lines file's records in storage order.
+    """Stream one JSON-lines file's records in storage order, counting
+    damage.
 
-    Same damage/validator semantics as :func:`scan_jsonl`, but O(1)
-    memory: nothing is accumulated, duplicates are *not* collapsed.
+    The single generic loop behind every JSONL-shaped load in the
+    package: ``parse`` turns one decoded document into a record
+    carrying a ``.key``; unparsable or incomplete lines — an
+    interrupted run's final line may be torn — bump
+    ``health.skipped_lines`` instead of raising; records failing the
+    optional ``validator`` bump ``health.rejected_records``.  O(1)
+    memory: nothing is accumulated, duplicates are *not* collapsed.  A
+    missing file yields nothing.
     """
     if not os.path.exists(path):
         return
@@ -87,11 +56,25 @@ def iter_jsonl(
                 record.key  # a keyless record is foreign
             except (ValueError, KeyError, TypeError):
                 health.skipped_lines += 1
-                continue
+                continue  # torn or foreign line — re-run its task
             if validator is not None and not validator(record):
                 health.rejected_records += 1
-                continue
+                continue  # distrusted record — re-run its task
             yield record
+
+
+def scan_jsonl(
+    path: str,
+    parse: ParseFn,
+    records: Dict[str, Record],
+    health: StoreHealth,
+    validator: Optional[ValidatorFn] = None,
+) -> Dict[str, Record]:
+    """Fold one JSON-lines file into a keyed record map (later
+    duplicates win) through :func:`iter_jsonl`.  Returns ``records``."""
+    for record in iter_jsonl(path, parse, health, validator):
+        records[record.key] = record
+    return records
 
 
 def open_for_append(path: str) -> TextIO:
@@ -112,18 +95,6 @@ def open_for_append(path: str) -> TextIO:
     if torn_tail:
         f.write("\n")
     return f
-
-
-def append_jsonl_line(f: TextIO, record: Record) -> None:
-    """Write one record as a JSON line and flush it to disk.
-
-    The historical per-record-flush appender (every write durable
-    immediately).  Works for any record exposing ``to_dict()``; stores
-    wanting an explicit batching policy go through
-    :class:`JsonlStore` with ``flush_every`` instead.
-    """
-    f.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-    f.flush()
 
 
 def write_jsonl_atomic(path: str, records: Iterable[Any]) -> int:
@@ -149,13 +120,13 @@ def write_jsonl_atomic(path: str, records: Iterable[Any]) -> int:
 class JsonlStore(ResultStore):
     """The single-file JSON-lines backend (default).
 
+    Every append is flushed at once, so each record is durable the
+    moment it is written.
+
     Args:
         path: The results file.
         parse: Record codec (document → record with ``.key``).
         validator: Optional load-time validator hook.
-        flush_every: Flush after every N appends.  The default ``1``
-            reproduces the historical behaviour exactly: every record
-            durable the moment it is written.
         fsync: Additionally ``os.fsync`` on every flush, trading
             throughput for power-loss durability (default off — the
             historical behaviour flushed the userspace buffer only).
@@ -168,20 +139,13 @@ class JsonlStore(ResultStore):
         path: str,
         parse: ParseFn,
         validator: Optional[ValidatorFn] = None,
-        flush_every: int = 1,
         fsync: bool = False,
     ) -> None:
-        """Validate the flush policy and remember the codec."""
+        """Remember the path, the codec and the fsync policy."""
         super().__init__(parse, validator)
-        if flush_every < 1:
-            raise ValueError(
-                f"flush_every must be >= 1, got {flush_every}"
-            )
         self.path = path
-        self.flush_every = flush_every
         self.fsync = fsync
         self._file: Optional[TextIO] = None
-        self._unflushed = 0
         self._appended = 0
 
     def claim_keys(self) -> Dict[str, Record]:
@@ -199,16 +163,14 @@ class JsonlStore(ResultStore):
         )
 
     def append(self, record: Record) -> None:
-        """Append one record, healing a torn tail on first write."""
+        """Append and flush one record, healing a torn tail first."""
         if self._file is None:
             self._file = open_for_append(self.path)
         self._file.write(
             json.dumps(record.to_dict(), sort_keys=True) + "\n"
         )
         self._appended += 1
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
         """Flush the append handle (and optionally fsync)."""
@@ -216,7 +178,6 @@ class JsonlStore(ResultStore):
             self._file.flush()
             if self.fsync:
                 os.fsync(self._file.fileno())
-        self._unflushed = 0
 
     def manifest(self) -> Dict[str, Any]:
         """Backend, path and append count (cheap: no file scan)."""

@@ -103,6 +103,10 @@ class TestRun:
         )
         assert rc == 0
 
+    def test_bad_window_churn_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="length >= 1"):
+            main(["run", "--churn", "window", "--churn-length", "0"])
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -638,11 +642,3 @@ class TestParser:
 
     def test_search_engine_defaults_to_fast(self):
         assert build_parser().parse_args(["search"]).engine == "fast"
-
-
-class TestProfile:
-    def test_window_churn_without_params_exits_cleanly(self):
-        with pytest.raises(
-            SystemExit, match="bad parameters for churn kind 'window'"
-        ):
-            main(["profile", "--churn", "window"])

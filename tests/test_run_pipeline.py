@@ -69,6 +69,18 @@ def test_profile_result_is_the_run_record(flags, n, seed, capsys):
     assert _line(profile["result"]) == _line(run["record"])
 
 
+@pytest.mark.parametrize("churn", ["rate", "window"])
+def test_profile_churn_result_is_the_run_record(churn, capsys):
+    # profile has --churn but none of run's churn flags: both must
+    # fill them from the same defaults, so key and record agree.
+    cell = ["--graph", "line", "--n", "8", "--algorithm", "round_robin",
+            "--adversary", "none", "--churn", churn, "--seed", "1"]
+    run = _json_of(capsys, ["run", *cell, "--json"])
+    profile = _json_of(capsys, ["profile", *cell, "--json"])
+    assert f"churn-{churn}(" in run["key"]
+    assert _line(profile["result"]) == _line(run["record"])
+
+
 def test_churn_run_record_is_the_spec_task_record(capsys):
     doc = _json_of(
         capsys,

@@ -7,6 +7,7 @@ import pytest
 
 from repro.adversaries.scripted import ReplayAdversary
 from repro.core.runner import make_processes, suggested_round_limit
+from repro.experiments.runner import round_cap
 from repro.experiments.spec import _coerce_engine, _coerce_mode, _coerce_rule
 from repro.search import (
     CandidateRecord,
@@ -25,7 +26,7 @@ from repro.search import (
 from repro.search.persist import candidate_key
 from repro.sim.engine import EngineConfig, StartMode, build_engine
 from repro.sim.collision import CollisionRule
-from repro.store import open_store
+from repro.store import StoreMismatchError, open_store
 
 CELL = SearchSettings(
     algorithm="round_robin", graph_kind="clique-bridge", n=10
@@ -132,7 +133,7 @@ class TestSearchSettings:
             algorithm=algorithm, graph_kind="clique-bridge", n=10
         )
         ctx = EvaluationContext(settings)
-        assert ctx.round_cap == settings.round_cap(ctx.graph)
+        assert ctx.round_cap == round_cap(settings, ctx.graph)
         assert ctx.round_cap == suggested_round_limit(algorithm, ctx.graph)
         assert make_space(settings).horizon == ctx.round_cap
 
@@ -350,6 +351,42 @@ class TestRunSearch:
 
     def test_searcher_kinds(self):
         assert {"random", "local", "greedy"} <= set(searcher_kinds())
+
+
+class TestShardedSearchCampaign:
+    """A search persisted to a sharded campaign directory."""
+
+    def search(self, root, seed=3):
+        return run_search(
+            CELL, searcher="local",
+            budget=SearchBudget(evaluations=8, batch_size=4), seed=seed,
+            results_path=str(root), store="sharded",
+        )
+
+    def test_rerun_resumes_every_candidate(self, tmp_path):
+        root = tmp_path / "camp"
+        first = self.search(root)
+        assert (first.executed, first.resumed) == (8, 0)
+        assert (root / "manifest.json").exists()
+        again = self.search(root)
+        assert (again.executed, again.resumed) == (0, 8)
+        assert again.best == first.best
+
+    def test_other_search_seed_is_refused(self, tmp_path):
+        root = tmp_path / "camp"
+        self.search(root)
+        with pytest.raises(StoreMismatchError):
+            self.search(root, seed=4)
+
+    def test_torn_shard_line_is_counted(self, tmp_path):
+        root = tmp_path / "camp"
+        self.search(root)
+        shard = sorted(root.glob("shard-*.jsonl"))[0]
+        with open(shard, "a", encoding="utf-8") as f:
+            f.write('{"key": "torn-fragm')
+        again = self.search(root)
+        assert again.health.skipped_lines == 1
+        assert (again.executed, again.resumed) == (0, 8)
 
 
 class TestReplayCertification:

@@ -109,13 +109,6 @@ class TestStoreHealth:
         assert "1 validator-rejected record(s)" in text
         assert "candidates were re-run" in text
 
-    def test_merge_accumulates(self):
-        health = StoreHealth(skipped_lines=1)
-        health.merge(StoreHealth(skipped_lines=2, rejected_records=3))
-        assert health.skipped_lines == 3
-        assert health.rejected_records == 3
-        assert health.issues == 6
-
 
 class TestBackendRoundTrip:
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -401,8 +394,8 @@ class TestFlushPolicy:
 
     def test_flush_every_validated(self, tmp_path):
         with pytest.raises(ValueError):
-            JsonlStore(
-                str(tmp_path / "r.jsonl"),
+            ShardedStore(
+                str(tmp_path / "camp"),
                 RunResult.from_dict,
                 flush_every=0,
             )
