@@ -181,9 +181,9 @@ class EvaluationContext:
             self.topology,
             genome.build_adversary(),
             self.round_cap,
-            self._churn_for(genome),
-            engine,
-            record_receptions,
+            churn=self._churn_for(genome),
+            engine=engine,
+            record_receptions=record_receptions,
         ).run()
         return trace, engine
 
@@ -245,8 +245,8 @@ def verify_replay(
         # The replay must run under the same churn schedule — crashes
         # are engine state, not adversary behaviour, so the replay
         # adversary alone cannot reproduce them.
-        ctx._churn_for(genome),
-        "reference",
+        churn=ctx._churn_for(genome),
+        engine="reference",
     ).run()
     return (
         replay.completed == trace.completed

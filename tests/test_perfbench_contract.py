@@ -11,7 +11,6 @@ program would otherwise only show up when the benchmark runs.
 import ast
 import importlib
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -25,7 +24,6 @@ _spec = importlib.util.spec_from_file_location(
     "perfbench_layers", PERFBENCH / "layers.py"
 )
 layers = importlib.util.module_from_spec(_spec)
-sys.modules["perfbench_layers"] = layers
 _spec.loader.exec_module(layers)
 
 
