@@ -241,14 +241,13 @@ def cmd_sweep(args) -> int:
             store=_store_backend(args),
         )
         if sink is not None:
-            from repro.obs import merge_event_files, use
+            from repro.obs import use
 
             try:
                 with use(sink):
                     result = runner.run()
             finally:
                 sink.close()
-                merge_event_files(args.results)
         else:
             result = runner.run()
     except (ValueError, WorkerLostError) as exc:
@@ -485,19 +484,36 @@ def cmd_progress(args) -> int:
         progress = read_progress(args.results)
 
 
+#: The record fields ``repro profile`` names its cell by, in order.
+_PROFILE_CELL = (
+    "algorithm", "graph_kind", "n", "adversary_kind", "collision_rule",
+    "engine", "seed",
+)
+
+
 def cmd_profile(args) -> int:
     """Run one cell under instrumentation; print timings + counters."""
-    from repro.obs import profile_task
+    from repro.experiments.runner import profile_task
+    from repro.obs import perf_document, perf_tables
 
     (task,) = _inline_spec(args).tasks()
     try:
-        report = profile_task(task)
+        telemetry, result = profile_task(task)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    record = result.to_dict()
+    doc = perf_document(telemetry.spans, telemetry.counters)
+    doc["result"] = record
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return 0
+    print("cell: " + " ".join(f"{key}={record[key]}" for key in _PROFILE_CELL))
+    status = "completed" if record["completed"] else "cut off"
+    print(f"rounds: {record['rounds']} ({status})")
+    for table in perf_tables(doc):
+        if table:
+            print()
+            print(table)
     return 0
 
 

@@ -59,6 +59,11 @@ Invariants:
   resubmits every unit that has not returned.  A second loss raises
   :class:`WorkerLostError` naming the lost units; the records already
   appended stay on disk, so re-running the same command resumes.
+* **One telemetry writer** — pool workers record telemetry in memory
+  and hand it back with each finished unit (:class:`WorkerPool`); the
+  sweep's own process folds it into its sink and emits one
+  ``heartbeat`` per unit, so a campaign's ``events.jsonl`` has a single
+  writer and a unit rerun after a worker loss is counted once.
 * **Engine transparency** — every collision-rule/adversary combination
   runs on the engine the task names; the engines are proven
   trace-equivalent, so the record is the same either way (only its
@@ -86,7 +91,15 @@ from typing import (
 
 from repro.adversaries.base import Adversary
 from repro.core.runner import make_processes, suggested_round_limit
-from repro.obs.telemetry import Stopwatch, Telemetry, current, set_telemetry
+from repro.obs.telemetry import (
+    RecordingTelemetry,
+    Stopwatch,
+    Telemetry,
+    current,
+    replay,
+    set_telemetry,
+    use,
+)
 from repro.experiments.registry import (
     build_adversary,
     build_churn,
@@ -113,67 +126,15 @@ from repro.store import ResultStore, StoreHealth, open_store
 ProgressCallback = Callable[[RunResult, int, int], None]
 
 
-class _WorkerStats:
-    """Per-process heartbeat state: a clock and a cumulative tally."""
+class _CampaignEvents:
+    """A sweep's live ``progress`` and ``heartbeat`` events.
 
-    __slots__ = ("watch", "tasks_done")
-
-    def __init__(self) -> None:
-        self.watch = Stopwatch()
-        self.tasks_done = 0
-
-
-#: pid → heartbeat state; cleared on the first heartbeat after a fork
-#: so a child never reports the parent's clock or tally as its own.
-_WORKER_STATS: Dict[int, _WorkerStats] = {}
-
-
-def _heartbeat(telemetry: Telemetry, tasks_done: int) -> None:
-    """Emit one worker heartbeat (pid, cumulative tasks, tasks/s).
-
-    Called from the worker side after each finished dispatch unit.  The
-    trailing ``flush()`` also pushes the engine-counter deltas
-    accumulated since the last heartbeat into the sink as a ``stats``
-    event, so perf panels can sum per-worker contributions.  A no-op
-    without an enabled sink.
-    """
-    if not telemetry.enabled:
-        return
-    pid = os.getpid()
-    stats = _WORKER_STATS.get(pid)
-    if stats is None:
-        _WORKER_STATS.clear()  # drop state inherited through fork
-        stats = _WORKER_STATS[pid] = _WorkerStats()
-    stats.tasks_done += tasks_done
-    elapsed = stats.watch.elapsed()
-    rate = stats.tasks_done / elapsed if elapsed > 0.0 else 0.0
-    telemetry.event(
-        "heartbeat", tasks_done=stats.tasks_done, rate=rate
-    )
-    telemetry.flush()
-
-
-def _init_worker_telemetry(target: Optional[str]) -> None:
-    """Pool initializer: ensure workers have a telemetry sink.
-
-    Fork-started workers inherit the parent's sink (whose pid check
-    diverts their writes to a sibling stream, see
-    :mod:`repro.obs.jsonl`), so they need nothing here; spawn-started
-    workers start with the null default and install their own
-    ``worker=True`` sink against the campaign's stream path.
-    """
-    if target is not None and not current().enabled:
-        from repro.obs.jsonl import JsonlTelemetry
-
-        set_telemetry(JsonlTelemetry(target, worker=True))
-
-
-class _ProgressEmitter:
-    """Rate-limited ``progress`` events for the live campaign stream.
-
-    At most ~2 events per second, except that the terminal state
-    (``done == total``) always emits — a finished campaign's stream
-    must end on the true count.
+    ``progress`` is rate-limited to ~2 events per second, except that
+    the terminal state (``done == total``) always emits — a finished
+    campaign's stream must end on the true count.  Each finished
+    dispatch unit emits one ``heartbeat`` naming the ``worker`` (pid)
+    that ran it, with that worker's cumulative task count and tasks/s
+    since the sweep started.
     """
 
     _MIN_INTERVAL = 0.5
@@ -183,8 +144,9 @@ class _ProgressEmitter:
         self._total = total
         self._watch = Stopwatch()
         self._last = -self._MIN_INTERVAL
+        self._tasks_done: Dict[int, int] = {}
 
-    def update(self, done: int) -> None:
+    def progress(self, done: int) -> None:
         """Emit ``done``/total if the rate limit (or the end) allows."""
         if not self._telemetry.enabled:
             return
@@ -195,6 +157,25 @@ class _ProgressEmitter:
         self._telemetry.event(
             "progress", done=done, total=self._total
         )
+
+    def heartbeat(self, worker: int, tasks: int) -> None:
+        """Report one finished unit of ``tasks`` tasks run by ``worker``.
+
+        The trailing ``flush()`` also writes the counters and spans
+        gathered since the last heartbeat as one ``stats`` event, so a
+        killed campaign's stream still sums the units that finished.
+        """
+        done = self._tasks_done[worker] = (
+            self._tasks_done.get(worker, 0) + tasks
+        )
+        elapsed = self._watch.elapsed()
+        self._telemetry.event(
+            "heartbeat",
+            worker=worker,
+            tasks_done=done,
+            rate=done / elapsed if elapsed > 0.0 else 0.0,
+        )
+        self._telemetry.flush()
 
 
 def compile_cell(cell: Any) -> CompiledTopology:
@@ -336,8 +317,16 @@ def execute_batch(batch: CellBatch) -> List[RunResult]:
             topology = compile_cell(task)
             max_rounds = round_cap(task, topology.graph)
         results.append(_execute_on(task, topology, max_rounds)[0])
-    _heartbeat(current(), len(results))
     return results
+
+
+def profile_task(task: RunTask) -> Tuple[RecordingTelemetry, RunResult]:
+    """Run one task under a fresh
+    :class:`~repro.obs.telemetry.RecordingTelemetry`; return the
+    recording and the task's record (``repro profile``)."""
+    telemetry = RecordingTelemetry()
+    with use(telemetry):
+        return telemetry, execute_task(task)
 
 
 class StoreSession:
@@ -497,8 +486,8 @@ class SweepRunner:
                 resumed=resumed,
                 workers=self.workers,
             )
-        emitter = _ProgressEmitter(telemetry, total)
-        results = self._execute(pending)
+        events = _CampaignEvents(telemetry, total)
+        results = self._execute(pending, events)
         with session:
             try:
                 for result in results:
@@ -506,7 +495,7 @@ class SweepRunner:
                     session.append(result)
                     if progress is not None:
                         progress(result, len(records), total)
-                    emitter.update(len(records))
+                    events.progress(len(records))
             finally:
                 # Closing the generator now (not when the traceback
                 # lets it go) aborts the pool, so an error here stops
@@ -550,34 +539,33 @@ class SweepRunner:
             sub for batch in batches for sub in batch.split(max_size)
         ]
 
-    def _execute(self, pending: Sequence[RunTask]) -> Iterator[RunResult]:
+    def _execute(
+        self, pending: Sequence[RunTask], events: _CampaignEvents
+    ) -> Iterator[RunResult]:
         """Yield one :class:`RunResult` per pending task.
 
         Results stream back in completion order (a sub-batch's seeds
         stay contiguous); :meth:`run` re-establishes the canonical key
-        order, so scheduling never leaks into results.
+        order, so scheduling never leaks into results.  With telemetry
+        on, each finished unit sends one heartbeat through ``events``.
         """
         units = self._plan_units(pending)
+        beat = current().enabled
         if self.workers == 1 or len(units) <= 1:
             for unit in units:
-                yield from execute_batch(unit)
+                out = execute_batch(unit)
+                if beat:
+                    events.heartbeat(os.getpid(), len(out))
+                yield from out
             return
-        # Spawn-started workers re-import everything and would lose the
-        # campaign's sink; the initializer hands them its stream path
-        # (fork workers inherit the sink and the initializer no-ops).
-        sink_path = getattr(current(), "path", None)
-        with WorkerPool(
-            self.workers,
-            initializer=_init_worker_telemetry,
-            initargs=(
-                str(sink_path) if sink_path is not None else None,
-            ),
-        ) as pool:
-            for _, out in pool.run(
+        with WorkerPool(self.workers) as pool:
+            for _, out, worker in pool.run(
                 execute_batch,
                 units,
                 label=lambda b: f"{b.cell_key} seeds {[t.seed for t in b.tasks]}",
             ):
+                if beat:
+                    events.heartbeat(worker, len(out))
                 yield from out
 
 
@@ -593,6 +581,34 @@ def pool_context() -> BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
+def _start_worker(
+    record: bool,
+    initializer: Optional[Callable[..., None]],
+    initargs: Tuple,
+) -> None:
+    """Pool initializer: replace the sink a worker inherited, then run
+    the caller's initializer.
+
+    A forked worker inherits the parent's sink object, a spawned one
+    the null default; either way it now records in memory when the
+    parent's sink is enabled (``record``), and discards otherwise.
+    """
+    set_telemetry(RecordingTelemetry() if record else None)
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _recorded(
+    fn: Callable[[Any], Any], unit: Any
+) -> Tuple[Any, int, Telemetry]:
+    """Run one unit in a worker; return its result, the worker's pid
+    and the telemetry recorded since the worker's last unit returned
+    (its start-up included, for the first)."""
+    result = fn(unit)
+    recording = set_telemetry(RecordingTelemetry())
+    return result, os.getpid(), recording
+
+
 class WorkerLostError(RuntimeError):
     """Worker processes died twice in one :meth:`WorkerPool.run`."""
 
@@ -601,12 +617,21 @@ class WorkerPool:
     """The one process pool of sweeps and searches.
 
     :meth:`run` submits each unit as its own future and yields
-    ``(index, result)`` pairs in completion order.  The executor starts
-    on first use and serves every :meth:`run` until :meth:`close`.  If
-    a worker dies (``SIGKILL``, the OOM killer), one fresh executor
-    reruns every unit that has not returned; a second loss raises
-    :class:`WorkerLostError`.  A consumer that stops early aborts the
-    pool: queued units are cancelled and the workers terminated.
+    ``(index, result, worker)`` triples in completion order.  The
+    executor starts on first use and serves every :meth:`run` until
+    :meth:`close`.  If a worker dies (``SIGKILL``, the OOM killer), one
+    fresh executor reruns every unit that has not returned; a second
+    loss raises :class:`WorkerLostError`.  A consumer that stops early
+    aborts the pool: queued units are cancelled and the workers
+    terminated.
+
+    Workers never write telemetry.  When the sink installed as the pool
+    is built is enabled, each worker records in memory and every
+    returned unit carries what it recorded, which :meth:`run` folds
+    into that sink (:func:`~repro.obs.telemetry.replay`) and ``worker``
+    names the worker's pid; otherwise ``worker`` is ``None``.  Only
+    returned units are folded, so a unit rerun after a worker loss is
+    counted once.
     """
 
     def __init__(
@@ -619,14 +644,16 @@ class WorkerPool:
         self._initializer = initializer
         self._initargs = initargs
         self._executor = None
+        self._sink: Telemetry = current()
 
     def run(
         self,
         fn: Callable[[Any], Any],
         units: Iterable[Any],
         label: Callable[[Any], str],
-    ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(index, fn(unit))`` per unit; ``label`` names lost ones."""
+    ) -> Iterator[Tuple[int, Any, Optional[int]]]:
+        """Yield ``(index, fn(unit), worker)`` per unit; ``label`` names
+        lost ones."""
         # Imported here, so CLI starts and in-process sweeps, which
         # never start a pool, do not pay for these imports (they pull
         # in logging and multiprocessing's queues).
@@ -634,25 +661,33 @@ class WorkerPool:
         from concurrent.futures.process import BrokenProcessPool
 
         pending = dict(enumerate(units))
+        record = self._sink.enabled
+        call = (_recorded, fn) if record else (fn,)
         try:
             for _ in range(2):
                 if self._executor is None:
                     self._executor = ProcessPoolExecutor(
                         self.workers,
                         mp_context=pool_context(),
-                        initializer=self._initializer,
-                        initargs=self._initargs,
+                        initializer=_start_worker,
+                        initargs=(record, self._initializer, self._initargs),
                     )
                 futures = {}
                 try:
                     for index, unit in pending.items():
-                        futures[self._executor.submit(fn, unit)] = index
+                        futures[self._executor.submit(*call, unit)] = index
                 except BrokenProcessPool:
                     pass  # a worker died mid-submission: rerun the rest
                 for future in as_completed(futures):
-                    if not isinstance(future.exception(), BrokenProcessPool):
-                        yield futures[future], future.result()
-                        del pending[futures[future]]
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        continue
+                    index, result = futures[future], future.result()
+                    worker = None
+                    if record:
+                        result, worker, recording = result
+                        replay(recording, self._sink)
+                    yield index, result, worker
+                    del pending[index]
                 if not pending:
                     return
                 self.close()  # the executor broke: the rerun starts afresh

@@ -10,15 +10,17 @@ The observability layer the sweep/search/engine stack reports through:
   elapsed-time primitive for every layer outside this package (rule
   RPR008).
 * :mod:`repro.obs.events` — the schema-versioned ``events.jsonl``
-  envelope, tolerant readers, the worker-stream merge and the
-  :func:`environment_metadata` host fingerprint.
-* :mod:`repro.obs.jsonl` — :class:`JsonlTelemetry`, the fork-safe
-  durable sink behind ``repro sweep --events``.
+  envelope, the tolerant reader and the :func:`environment_metadata`
+  host fingerprint.
+* :mod:`repro.obs.jsonl` — :class:`JsonlTelemetry`, the durable sink
+  behind ``repro sweep --events``.  Only the campaign's own process
+  writes it: pool workers record in memory and hand their telemetry
+  back with each finished unit, and the parent folds it into its sink
+  (:func:`replay`).
 * :mod:`repro.obs.progress` — folding events into
   :class:`CampaignProgress` (``repro progress``) and
-  :func:`perf_summary` (the ``repro report`` perf panel).
-* :mod:`repro.obs.profile` — :func:`profile_task` and
-  :class:`ProfileReport` behind ``repro profile``.
+  :func:`perf_summary`; :func:`perf_tables` renders spans and counters
+  for the ``repro report`` perf panel and ``repro profile``.
 
 The layer's contract: telemetry is **off by default** and enabling it
 **never changes trace bytes** — it only observes.  ``tests/test_obs.py``
@@ -33,19 +35,17 @@ from repro.obs.events import (
     events_path,
     iter_events,
     make_event,
-    merge_event_files,
-    read_events,
     validate_event,
-    worker_event_paths,
 )
 from repro.obs.jsonl import JsonlTelemetry
-from repro.obs.profile import ProfileReport, profile_task
 from repro.obs.progress import (
     STALE_WORKER_SECONDS,
     CampaignProgress,
     WorkerStatus,
     fold_events,
+    perf_document,
     perf_summary,
+    perf_tables,
     read_progress,
     render_perf_panel,
 )
@@ -58,6 +58,7 @@ from repro.obs.telemetry import (
     Stopwatch,
     Telemetry,
     current,
+    replay,
     set_telemetry,
     use,
 )
@@ -70,7 +71,6 @@ __all__ = [
     "CampaignProgress",
     "JsonlTelemetry",
     "NullTelemetry",
-    "ProfileReport",
     "RecordingTelemetry",
     "Span",
     "SpanStats",
@@ -83,14 +83,13 @@ __all__ = [
     "fold_events",
     "iter_events",
     "make_event",
-    "merge_event_files",
+    "perf_document",
     "perf_summary",
-    "profile_task",
-    "read_events",
+    "perf_tables",
     "read_progress",
     "render_perf_panel",
+    "replay",
     "set_telemetry",
     "use",
     "validate_event",
-    "worker_event_paths",
 ]

@@ -1,10 +1,11 @@
 """The ``events.jsonl`` schema and file handling.
 
 A campaign's telemetry stream is a sidecar JSON-lines file beside its
-result store (:func:`events_path`): the parent process writes
-``events.jsonl``; pool workers write sibling ``events-<pid>.jsonl``
-files that :func:`merge_event_files` folds back in when the sweep
-closes.  Every line is one event object carrying a fixed envelope::
+result store (:func:`events_path`), written by the campaign's own
+process alone: pool workers hand their telemetry back with each
+finished unit instead of writing files (see
+:class:`~repro.experiments.runner.WorkerPool`).  Every line is one
+event object carrying a fixed envelope::
 
     {"v": 1, "kind": "heartbeat", "ts": 1754650000.123,
      "pid": 4242, "seq": 17, ...free-form fields...}
@@ -15,13 +16,14 @@ closes.  Every line is one event object carrying a fixed envelope::
   ``heartbeat``, ``stats``, ``engine_run``, ``campaign_end``, …).
   Consumers ignore kinds they do not know, so adding kinds is not a
   schema bump.
-* ``ts`` — wall-clock epoch seconds at emission.  Events are telemetry
+* ``ts`` — wall-clock epoch seconds at writing (a pool worker's
+  events are stamped when the parent folds them in).  Events are telemetry
   *about* a run, never inputs to one: no trace byte ever derives from
   an event, which is why wall time is legal here (and only here —
   rules RPR003/RPR008 police the other layers).
-* ``pid``/``seq`` — emitting process and its per-process sequence
-  number; ``(ts, pid, seq)`` is the canonical total order
-  :func:`merge_event_files` sorts by.
+* ``pid``/``seq`` — the writing process and its sequence number, so
+  file order is ``seq`` order.  A ``heartbeat`` names the pool worker
+  it reports on in its own ``worker`` field.
 
 Reading is tolerant by design (the same policy as the result stores in
 :mod:`repro.store`): a torn final line — the signature of a hard kill
@@ -34,7 +36,7 @@ import json
 import os
 import platform
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Union
 
 #: Version stamped into (and required of) every event line.
 EVENT_SCHEMA_VERSION = 1
@@ -98,21 +100,6 @@ def events_path(results: _PathLike) -> Path:
     return path.with_name(path.name + ".events.jsonl")
 
 
-def worker_event_paths(path: _PathLike) -> List[Path]:
-    """Unmerged worker streams beside the main stream at ``path``.
-
-    Workers write ``<stem>-<pid>.jsonl`` siblings (see
-    :mod:`repro.obs.jsonl`); sorted for deterministic merge input
-    order.
-    """
-    main = Path(path)
-    return sorted(
-        p
-        for p in main.parent.glob(f"{main.stem}-*.jsonl")
-        if p != main
-    )
-
-
 def iter_events(path: _PathLike) -> Iterator[Dict[str, object]]:
     """Yield the valid events of one stream file, skipping damage.
 
@@ -133,59 +120,6 @@ def iter_events(path: _PathLike) -> Iterator[Dict[str, object]]:
                 yield validate_event(json.loads(line))
             except ValueError:
                 continue
-
-
-def _event_order(event: Dict[str, object]) -> Tuple[float, int, int]:
-    """The canonical total order key: ``(ts, pid, seq)``."""
-    return (
-        float(event["ts"]),  # type: ignore[arg-type]
-        int(event["pid"]),  # type: ignore[call-overload]
-        int(event["seq"]),  # type: ignore[call-overload]
-    )
-
-
-def read_events(results: _PathLike) -> List[Dict[str, object]]:
-    """All events of a campaign, main and worker streams, in order.
-
-    Reads without merging, so a *live* campaign's progress (parent
-    stream plus still-growing worker streams) is visible before the
-    sweep's closing merge consolidates the files.
-    """
-    main = events_path(results)
-    events = list(iter_events(main))
-    for worker in worker_event_paths(main):
-        events.extend(iter_events(worker))
-    events.sort(key=_event_order)
-    return events
-
-
-def merge_event_files(results: _PathLike) -> int:
-    """Fold worker event streams into the campaign's main stream.
-
-    Rewrites ``events.jsonl`` atomically (temp file + ``os.replace``)
-    with every event of every stream in ``(ts, pid, seq)`` order, then
-    removes the worker files.  Idempotent: with no worker files left
-    the main stream is simply re-sorted in place.  Returns the total
-    event count in the merged stream.
-    """
-    main = events_path(results)
-    workers = worker_event_paths(main)
-    events = list(iter_events(main))
-    for worker in workers:
-        events.extend(iter_events(worker))
-    if not events and not workers:
-        return 0
-    events.sort(key=_event_order)
-    tmp = main.with_name(main.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        for event in events:
-            f.write(json.dumps(event, sort_keys=True) + "\n")
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, main)
-    for worker in workers:
-        worker.unlink(missing_ok=True)
-    return len(events)
 
 
 def environment_metadata() -> Dict[str, object]:

@@ -1,11 +1,13 @@
 """Folding ``events.jsonl`` into campaign progress and perf summaries.
 
 This module is the read side of the telemetry stream: it turns the raw
-event list (:func:`repro.obs.events.read_events`) into the structures
+events (:func:`repro.obs.events.iter_events`) into the structures
 the CLI consumers render — :class:`CampaignProgress` for
 ``repro progress`` (done/total, throughput, ETA, per-worker liveness)
 and :func:`perf_summary` for the perf panel of ``repro report``
 (summed ``stats`` deltas and campaign phase spans).
+:func:`perf_tables` renders spans and counters for that panel and for
+``repro profile`` alike.
 
 Folding is forward-only and tolerant: unknown event kinds are skipped
 (the schema contract in :mod:`repro.obs.events`), and a half-written
@@ -17,9 +19,10 @@ progress`` tail needs.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.obs.events import read_events
+from repro.obs.events import events_path, iter_events
+from repro.obs.telemetry import SpanStats
 
 #: A worker whose last heartbeat is older than this many seconds is
 #: rendered as stale by ``repro progress`` (likely dead or wedged).
@@ -146,11 +149,11 @@ class CampaignProgress:
 def fold_events(
     events: Iterable[Dict[str, object]],
 ) -> CampaignProgress:
-    """Fold an ordered event sequence into a :class:`CampaignProgress`.
+    """Fold an event sequence, in stream order, into a :class:`CampaignProgress`.
 
-    Later events win (the sequence is expected in ``(ts, pid, seq)``
-    order, as :func:`~repro.obs.events.read_events` yields it); a
-    stream with no ``campaign_end`` folds to a live, unfinished state.
+    Later events win; a stream with no ``campaign_end`` folds to a
+    live, unfinished state.  A ``heartbeat`` reports on the worker its
+    ``worker`` field names (the envelope ``pid`` is the writer).
     """
     progress = CampaignProgress()
     for event in events:
@@ -170,7 +173,7 @@ def fold_events(
             if total:
                 progress.total = total
         elif kind == "heartbeat":
-            pid = int(event.get("pid", 0))  # type: ignore[call-overload]
+            pid = int(event.get("worker", 0))  # type: ignore[call-overload]
             progress.workers[pid] = WorkerStatus(
                 pid=pid,
                 tasks_done=int(event.get("tasks_done", 0)),  # type: ignore[call-overload]
@@ -190,20 +193,21 @@ def fold_events(
 
 
 def read_progress(results: _PathLike) -> CampaignProgress:
-    """Fold the campaign at ``results`` (main + worker streams)."""
-    return fold_events(read_events(results))
+    """Fold the events stream of the campaign at ``results``."""
+    return fold_events(iter_events(events_path(results)))
 
 
-def _merge_span(
-    spans: Dict[str, Dict[str, float]],
-    name: str,
-    count: float,
-    seconds: float,
-) -> None:
-    """Accumulate one span delta into the summary aggregate."""
-    agg = spans.setdefault(name, {"count": 0.0, "seconds": 0.0})
-    agg["count"] += count
-    agg["seconds"] += seconds
+def perf_document(
+    spans: Mapping[str, SpanStats], counters: Mapping[str, object]
+) -> Dict[str, object]:
+    """The ``spans`` and ``counters`` of a perf document, names sorted."""
+    return {
+        "spans": {
+            name: dict(stats.to_dict(), mean=stats.mean)
+            for name, stats in sorted(spans.items())
+        },
+        "counters": dict(sorted(counters.items())),
+    }
 
 
 def perf_summary(results: _PathLike) -> Dict[str, object]:
@@ -217,59 +221,40 @@ def perf_summary(results: _PathLike) -> Dict[str, object]:
          "engine_runs": <count of engine_run events>,
          "events": <total event count>}
 
-    ``stats`` events are deltas (each flush resets the emitting sink's
+    ``stats`` events are deltas (each flush resets the sink's
     aggregates), so summation — not last-wins — is the correct fold.
     """
     counters: Dict[str, float] = {}
-    spans: Dict[str, Dict[str, float]] = {}
+    spans: Dict[str, SpanStats] = {}
     engine_runs = 0
     total_events = 0
-    for event in read_events(results):
+    for event in iter_events(events_path(results)):
         total_events += 1
         kind = event.get("kind")
         if kind == "stats":
             raw_counters = event.get("counters")
             if isinstance(raw_counters, dict):
                 for name, value in raw_counters.items():
-                    counters[name] = counters.get(name, 0.0) + float(value)
+                    counters[name] = counters.get(name, 0) + value
             raw_spans = event.get("spans")
             if isinstance(raw_spans, dict):
                 for name, stats in raw_spans.items():
                     if isinstance(stats, dict):
-                        _merge_span(
-                            spans,
-                            name,
-                            float(stats.get("count", 0.0)),
+                        spans.setdefault(name, SpanStats()).add(
                             float(stats.get("seconds", 0.0)),
+                            int(stats.get("count", 0)),
                         )
         elif kind == "engine_run":
             engine_runs += 1
-    span_doc: Dict[str, object] = {}
-    for name in sorted(spans):
-        agg = spans[name]
-        count = agg["count"]
-        span_doc[name] = {
-            "count": int(count),
-            "seconds": agg["seconds"],
-            "mean": agg["seconds"] / count if count else 0.0,
-        }
-    return {
-        "counters": {
-            name: (
-                int(counters[name])
-                if counters[name] == int(counters[name])
-                else counters[name]
-            )
-            for name in sorted(counters)
-        },
-        "spans": span_doc,
-        "engine_runs": engine_runs,
-        "events": total_events,
-    }
+    summary = perf_document(spans, counters)
+    summary.update(engine_runs=engine_runs, events=total_events)
+    return summary
 
 
 def _format_rows(rows: List[Tuple[str, ...]], header: Tuple[str, ...]) -> str:
-    """Left-aligned fixed-width table used by the perf/profile renders."""
+    """Left-aligned fixed-width table (``""`` when there are no rows)."""
+    if not rows:
+        return ""
     table = [header] + rows
     widths = [
         max(len(row[col]) for row in table)
@@ -285,34 +270,44 @@ def _format_rows(rows: List[Tuple[str, ...]], header: Tuple[str, ...]) -> str:
     return "\n".join(lines)
 
 
-def render_perf_panel(perf: Dict[str, object]) -> str:
-    """Render a :func:`perf_summary` document as the report perf panel."""
-    lines = ["== Performance (events.jsonl) =="]
+def perf_tables(perf: Mapping[str, object]) -> Tuple[str, str]:
+    """The phase table and the counter table of a perf document.
+
+    Each is ``""`` when the document has no rows for it.  The
+    ``repro report`` perf panel and ``repro profile`` both print these.
+    """
     spans = perf.get("spans")
-    if isinstance(spans, dict) and spans:
-        rows = []
-        for name in sorted(spans):
-            stats = spans[name]
-            if not isinstance(stats, dict):
-                continue
-            rows.append(
-                (
-                    name,
-                    str(int(stats.get("count", 0))),
-                    f"{float(stats.get('seconds', 0.0)):.4f}",
-                    f"{float(stats.get('mean', 0.0)) * 1e3:.3f}",
-                )
-            )
-        lines.append(
-            _format_rows(rows, ("phase", "count", "total s", "mean ms"))
-        )
     counters = perf.get("counters")
-    if isinstance(counters, dict) and counters:
-        rows = [
+    span_rows: List[Tuple[str, ...]] = []
+    if isinstance(spans, dict):
+        span_rows = [
+            (
+                name,
+                str(int(stats["count"])),
+                f"{float(stats['seconds']):.4f}",
+                f"{float(stats['mean']) * 1e3:.3f}",
+            )
+            for name, stats in sorted(spans.items())
+        ]
+    counter_rows: List[Tuple[str, ...]] = []
+    if isinstance(counters, dict):
+        counter_rows = [
             (name, str(counters[name])) for name in sorted(counters)
         ]
-        lines.append("")
-        lines.append(_format_rows(rows, ("counter", "total")))
+    return (
+        _format_rows(span_rows, ("phase", "count", "total s", "mean ms")),
+        _format_rows(counter_rows, ("counter", "total")),
+    )
+
+
+def render_perf_panel(perf: Mapping[str, object]) -> str:
+    """Render a :func:`perf_summary` document as the report perf panel."""
+    span_table, counter_table = perf_tables(perf)
+    lines = ["== Performance (events.jsonl) =="]
+    if span_table:
+        lines.append(span_table)
+    if counter_table:
+        lines += ["", counter_table]
     lines.append("")
     lines.append(
         f"engine runs: {perf.get('engine_runs', 0)}   "

@@ -21,8 +21,10 @@ Three invariants make instrumentation safe to leave in hot paths:
   the determinism audit has one surface to read.
 * **Process-scoped, not thread-scoped** — the sweep layer fans out via
   processes, so one module-level current telemetry per process is the
-  right granularity (forked workers inherit it; the JSONL sink diverts
-  their writes by pid, see :mod:`repro.obs.jsonl`).
+  right granularity.  A pool worker records into its own
+  :class:`RecordingTelemetry` and hands it back with each finished
+  unit; the parent folds it into its own sink (:func:`replay`), so
+  only the campaign's own process writes a stream.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ class Stopwatch:
 class SpanRecorder(Protocol):
     """What a :class:`Span` needs from its owning telemetry."""
 
-    def record_span(self, name: str, seconds: float) -> None:
-        """Fold one finished span occurrence into the aggregate."""
+    def record_span(self, name: str, seconds: float, count: int = 1) -> None:
+        """Fold ``count`` finished occurrences totalling ``seconds`` in."""
         ...  # pragma: no cover - protocol signature
 
 
@@ -130,6 +132,10 @@ class Telemetry(Protocol):
         """A context manager timing one occurrence of phase ``name``."""
         ...  # pragma: no cover - protocol signature
 
+    def record_span(self, name: str, seconds: float, count: int = 1) -> None:
+        """Fold ``count`` finished occurrences of ``name`` in."""
+        ...  # pragma: no cover - protocol signature
+
     def event(self, kind: str, **fields: object) -> None:
         """Emit one free-form event (heartbeats, campaign markers)."""
         ...  # pragma: no cover - protocol signature
@@ -160,6 +166,10 @@ class NullTelemetry:
     def span(self, name: str) -> _NullSpan:
         """The shared inert span (no allocation, no clock read)."""
         return _NULL_SPAN
+
+    def record_span(self, name: str, seconds: float, count: int = 1) -> None:
+        """Discard the span occurrences."""
+        return None
 
     def event(self, kind: str, **fields: object) -> None:
         """Discard the event."""
@@ -220,12 +230,12 @@ class RecordingTelemetry:
         """A live timing span feeding :attr:`spans`."""
         return Span(self, name)
 
-    def record_span(self, name: str, seconds: float) -> None:
-        """Fold one finished span occurrence into :attr:`spans`."""
+    def record_span(self, name: str, seconds: float, count: int = 1) -> None:
+        """Fold ``count`` finished occurrences into :attr:`spans`."""
         stats = self.spans.get(name)
         if stats is None:
             stats = self.spans[name] = SpanStats()
-        stats.add(seconds)
+        stats.add(seconds, count)
 
     def event(self, kind: str, **fields: object) -> None:
         """Append the event (``kind`` key included) to :attr:`events`."""
@@ -240,6 +250,22 @@ class RecordingTelemetry:
     def close(self) -> None:
         """Nothing held, nothing released."""
         return None
+
+
+def replay(recording: RecordingTelemetry, sink: Telemetry) -> None:
+    """Fold what ``recording`` captured into ``sink``.
+
+    Counters add, span aggregates merge and events are re-emitted in
+    their recorded order — how the parent of a worker pool takes in
+    the telemetry each finished unit hands back.
+    """
+    for name, value in recording.counters.items():
+        sink.count(name, value)
+    for name, stats in recording.spans.items():
+        sink.record_span(name, stats.seconds, stats.count)
+    for event in recording.events:
+        fields = dict(event)
+        sink.event(str(fields.pop("kind")), **fields)
 
 
 #: The process-wide null default (shared; NullTelemetry is stateless).

@@ -321,13 +321,14 @@ class PopulationEvaluator:
             if self._ctx is None:
                 self._ctx = EvaluationContext(self.settings)
             return [self._ctx.evaluate(g) for g in genomes]
-        scores = dict(
-            self._pool.run(
+        scores = {
+            index: score
+            for index, score, _ in self._pool.run(
                 _evaluate_remote,
                 genomes,
                 label=lambda genome: f"genome {genome.fingerprint}",
             )
-        )
+        }
         return [scores[index] for index in range(len(genomes))]
 
     def close(self) -> None:

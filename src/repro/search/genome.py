@@ -339,9 +339,12 @@ class GenomeSpace:
     #: Legal crash targets: every node except the source.
     _crashable: Tuple[int, ...] = field(init=False)
 
-    #: ``graph`` compiled once; the search harness shares it with the
-    #: evaluation context and the greedy searcher reads its masks.
-    topology: CompiledTopology = field(init=False, repr=False, compare=False)
+    #: ``graph`` compiled once (compiled here unless given); the search
+    #: harness shares it with the evaluation context and the greedy
+    #: searcher reads its masks.
+    topology: Optional[CompiledTopology] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -354,7 +357,8 @@ class GenomeSpace:
         self._crashable = tuple(
             v for v in self.graph.nodes if v != self.graph.source
         )
-        self.topology = compile_topology(self.graph)
+        if self.topology is None:
+            self.topology = compile_topology(self.graph)
 
     # ------------------------------------------------------------------
     # Sampling

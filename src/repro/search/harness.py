@@ -22,8 +22,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional
 
-from repro.experiments.registry import build_graph
-from repro.experiments.runner import StoreSession, round_cap
+from repro.experiments.runner import StoreSession, compile_cell, round_cap
 from repro.obs.telemetry import Stopwatch, current
 from repro.search.evaluate import (
     CandidateScore,
@@ -55,19 +54,17 @@ def make_space(settings: SearchSettings) -> GenomeSpace:
     The horizon is the cell's round cap (every round the engine can
     execute gets a delivery gene slot); CR4 resolution genes are on
     exactly under CR4 — the only rule where they exist; crash genes
-    follow ``settings.churn_genes``.
+    follow ``settings.churn_genes``.  The cell is built and compiled
+    once (:func:`~repro.experiments.runner.compile_cell`), and the space
+    keeps that compiled topology.
     """
-    graph = build_graph(
-        settings.graph_kind,
-        settings.n,
-        seed=settings.seed,
-        **dict(settings.graph_params),
-    )
+    topology = compile_cell(settings)
     return GenomeSpace(
-        graph,
-        horizon=round_cap(settings, graph),
+        topology.graph,
+        horizon=round_cap(settings, topology.graph),
         cr4_genes=CollisionRule[settings.collision_rule] is CollisionRule.CR4,
         churn_genes=settings.churn_genes,
+        topology=topology,
     )
 
 
@@ -106,8 +103,7 @@ def run_search(
     """
     watch = Stopwatch()
     telemetry = current()
-    with telemetry.span("graph_build"):
-        space = make_space(settings)
+    space = make_space(settings)
     searcher_obj = build_searcher(searcher, space, settings)
     rng = random.Random(f"{settings.key}/{searcher}/r{seed}")
 

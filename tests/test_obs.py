@@ -3,18 +3,22 @@
 The load-bearing guarantee is differential: enabling telemetry must
 never change a single trace byte, on any engine, churn included.  The
 rest covers the event schema round-trip, the JSONL sink (delta flushes,
-worker streams, merge), the progress/perf folds, and the CLI consumers
-(``repro progress``, ``repro profile``, ``repro list --json``).
+torn lines), the one-writer stream of a pooled sweep, the progress/perf
+folds, and the CLI consumers (``repro progress``, ``repro profile``,
+``repro list --json``).
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from conftest import corpus_graph
 from repro.cli import main
 from repro.core.runner import broadcast
-from repro.experiments import ExperimentSpec
+from repro.experiments import ExperimentSpec, SweepRunner
+from repro.experiments.runner import profile_task
 from repro.experiments.registry import build_adversary, build_churn
 from repro.obs import (
     ENVELOPE_FIELDS,
@@ -22,22 +26,18 @@ from repro.obs import (
     NULL_TELEMETRY,
     JsonlTelemetry,
     NullTelemetry,
-    ProfileReport,
     RecordingTelemetry,
     current,
     events_path,
     fold_events,
+    iter_events,
     make_event,
-    merge_event_files,
     perf_summary,
-    profile_task,
-    read_events,
     read_progress,
     render_perf_panel,
     set_telemetry,
     use,
     validate_event,
-    worker_event_paths,
 )
 from repro.sim import CollisionRule
 
@@ -189,7 +189,7 @@ class TestJsonlSink:
         sink.event("campaign_start", name="t", total=4)
         sink.event("progress", done=2, total=4)
         sink.close()
-        events = read_events(tmp_path)
+        events = list(iter_events(stream))
         assert [e["kind"] for e in events] == [
             "campaign_start",
             "progress",
@@ -219,7 +219,7 @@ class TestJsonlSink:
         sink = JsonlTelemetry(stream)
         sink.event("progress", v=99, seq=42, pid=-1, done=1)
         sink.close()
-        (event,) = read_events(tmp_path)
+        (event,) = iter_events(stream)
         assert event["v"] == EVENT_SCHEMA_VERSION
         assert event["seq"] == 0
         assert event["pid"] != -1
@@ -234,7 +234,7 @@ class TestJsonlSink:
         with sink.span("phase"):
             pass
         sink.close()
-        stats = [e for e in read_events(tmp_path) if e["kind"] == "stats"]
+        stats = [e for e in iter_events(stream) if e["kind"] == "stats"]
         assert [e["counters"] for e in stats] == [
             {"engine.rounds": 5},
             {"engine.rounds": 7},
@@ -251,34 +251,6 @@ class TestJsonlSink:
         sink.close()
         assert not stream.exists()
 
-    def test_worker_sink_diverts_to_pid_stream(self, tmp_path):
-        stream = tmp_path / "events.jsonl"
-        worker = JsonlTelemetry(stream, worker=True)
-        worker.event("heartbeat", tasks_done=1, rate=1.0)
-        worker.close()
-        assert not stream.exists()
-        (worker_file,) = worker_event_paths(stream)
-        assert worker_file.name.startswith("events-")
-        # Pre-merge reads still see the worker's events.
-        assert [e["kind"] for e in read_events(tmp_path)] == ["heartbeat"]
-
-    def test_merge_folds_workers_and_is_idempotent(self, tmp_path):
-        stream = tmp_path / "events.jsonl"
-        parent = JsonlTelemetry(stream)
-        parent.event("campaign_start", name="t", total=2)
-        parent.close()
-        worker = JsonlTelemetry(stream, worker=True)
-        worker.event("heartbeat", tasks_done=2, rate=4.0)
-        worker.close()
-        count = merge_event_files(tmp_path)
-        assert count == 2
-        assert worker_event_paths(stream) == []
-        kinds = {e["kind"] for e in read_events(tmp_path)}
-        assert kinds == {"campaign_start", "heartbeat"}
-        # Second merge: nothing to fold, same stream, same count.
-        assert merge_event_files(tmp_path) == 2
-        assert len(read_events(tmp_path)) == 2
-
     def test_torn_final_line_is_skipped(self, tmp_path):
         stream = tmp_path / "events.jsonl"
         sink = JsonlTelemetry(stream)
@@ -286,7 +258,7 @@ class TestJsonlSink:
         sink.close()
         with open(stream, "a", encoding="utf-8") as f:
             f.write('{"v": 1, "kind": "progress", "ts"')  # hard kill
-        assert [e["done"] for e in read_events(tmp_path)] == [1]
+        assert [e["done"] for e in iter_events(stream)] == [1]
 
 
 def _synthetic_events(finished):
@@ -301,15 +273,15 @@ def _synthetic_events(finished):
         make_event(
             "heartbeat",
             ts=102.0,
-            pid=7,
-            seq=0,
-            fields={"tasks_done": 4, "rate": 2.0},
+            pid=1,
+            seq=1,
+            fields={"worker": 7, "tasks_done": 4, "rate": 2.0},
         ),
         make_event(
             "progress",
             ts=104.0,
             pid=1,
-            seq=1,
+            seq=2,
             fields={"done": 8, "total": 10},
         ),
     ]
@@ -319,7 +291,7 @@ def _synthetic_events(finished):
                 "campaign_end",
                 ts=105.0,
                 pid=1,
-                seq=2,
+                seq=3,
                 fields={"done": 10, "total": 10, "elapsed": 5.0},
             )
         )
@@ -523,12 +495,76 @@ class TestProfileApi:
             seeds=(0,),
         )
         (task,) = spec.tasks()
-        report = profile_task(task)
-        assert isinstance(report, ProfileReport)
+        telemetry, record = profile_task(task)
+        assert isinstance(telemetry, RecordingTelemetry)
         # Profiling restores the ambient null sink afterwards.
         assert current() is NULL_TELEMETRY
-        assert report.counters["engine.rounds"] >= 1
-        assert "engine_run" in report.spans
-        rendered = report.render()
-        assert "rounds:" in rendered
-        assert report.to_dict()["result"]["algorithm"] == "round_robin"
+        assert telemetry.counters["engine.rounds"] == record.rounds >= 1
+        assert telemetry.spans["engine_run"].count == 1
+        assert record.algorithm == "round_robin"
+
+
+TINY_SWEEP = Path(__file__).resolve().parents[1] / "examples/specs/tiny_sweep.json"
+
+
+class TestOneWriter:
+    """A pooled ``--events`` sweep: one stream, written by the sweep."""
+
+    def _sweep(self, tmp_path, workers):
+        results = tmp_path / f"w{workers}" / "results.jsonl"
+        assert main(
+            [
+                "sweep", "--spec", str(TINY_SWEEP), "--workers",
+                str(workers), "--results", str(results), "--events",
+            ]
+        ) == 0
+        return results
+
+    def test_pooled_stream_matches_serial(self, capsys, tmp_path):
+        serial = self._sweep(tmp_path, 1)
+        pooled = self._sweep(tmp_path, 2)
+        capsys.readouterr()
+        assert sorted(p.name for p in pooled.parent.iterdir()) == [
+            "results.jsonl", "results.jsonl.events.jsonl",
+        ]
+        events = list(iter_events(events_path(pooled)))
+        # Every line was written by this process; a worker that wrote
+        # a stream of its own would show up under its own pid.
+        assert {e["pid"] for e in events} == {os.getpid()}
+        heartbeats = [e for e in events if e["kind"] == "heartbeat"]
+        assert heartbeats
+        assert os.getpid() not in {e["worker"] for e in heartbeats}
+        assert sum(
+            max(e["tasks_done"] for e in heartbeats if e["worker"] == w)
+            for w in {e["worker"] for e in heartbeats}
+        ) == 24
+        # An in-process sweep names its own pid.
+        assert {
+            e["worker"]
+            for e in iter_events(events_path(serial))
+            if e["kind"] == "heartbeat"
+        } == {os.getpid()}
+        want, got = perf_summary(str(serial)), perf_summary(str(pooled))
+        assert got["counters"] == want["counters"]
+        assert got["engine_runs"] == want["engine_runs"] == 24
+
+    def test_pool_folds_worker_telemetry_into_recording(self):
+        spec = ExperimentSpec(
+            name="fold",
+            algorithms=("round_robin",),
+            graphs=(("line", 6), ("line", 7)),
+            adversaries=(("none", {}),),
+            seeds=(0, 1, 2),
+        )
+        sinks = []
+        for workers in (1, 2):
+            sinks.append(RecordingTelemetry())
+            with use(sinks[-1]):
+                SweepRunner(spec, workers=workers).run()
+        serial, pooled = sinks
+        assert pooled.counters == serial.counters
+        # Split cells rebuild per unit, so only the run spans agree.
+        assert pooled.spans["engine_run"].count == spec.size
+        assert serial.spans["engine_run"].count == spec.size
+        runs = [e for e in pooled.events if e["kind"] == "engine_run"]
+        assert len(runs) == spec.size

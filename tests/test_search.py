@@ -9,6 +9,7 @@ from repro.adversaries.scripted import ReplayAdversary
 from repro.core.runner import make_processes, suggested_round_limit
 from repro.experiments.runner import round_cap
 from repro.experiments.spec import _coerce_engine, _coerce_mode, _coerce_rule
+from repro.obs import RecordingTelemetry, use
 from repro.search import (
     CandidateRecord,
     EvaluationContext,
@@ -340,6 +341,15 @@ class TestRunSearch:
         )
         assert result.health.skipped_lines == 1
         assert load_candidates(str(path))[1].skipped_lines == 1
+
+    def test_cell_built_and_compiled_once(self):
+        telemetry = RecordingTelemetry()
+        with use(telemetry):
+            run_search(
+                CELL, searcher="random", budget=self.budget(), verify=True
+            )
+        assert telemetry.spans["graph_build"].count == 1
+        assert telemetry.spans["topology_compile"].count == 1
 
     def test_unknown_searcher_rejected(self):
         with pytest.raises(ValueError, match="unknown searcher"):

@@ -4,8 +4,8 @@ Each scenario runs in a fresh interpreter under a timeout, so a parent
 that waits forever on a lost unit fails its test instead of stalling the
 suite.  The scenario registers test algorithms at runtime (fork workers
 inherit them): round robin that SIGKILLs its own worker — once per
-scenario, or every time — and round robin that leaves one marker file
-per run.  The killers never kill the scenario's own process, so the same
+scenario, at a worker's third task, or every time — and round robin
+that leaves one marker file per run.  The killers never kill the scenario's own process, so the same
 scenario can run its ``workers=1`` reference in-process.
 """
 
@@ -48,6 +48,18 @@ PRELUDE = textwrap.dedent(
         return make_processes("round_robin", n)
 
 
+    RUNS = 0
+
+
+    def kill_third(n, **params):
+        global RUNS
+        if os.getpid() != PARENT:
+            RUNS += 1
+            if RUNS == 3:
+                kill_once(n)
+        return make_processes("round_robin", n)
+
+
     def kill_always(n, **params):
         if os.getpid() != PARENT:
             os.kill(os.getpid(), signal.SIGKILL)
@@ -74,6 +86,7 @@ PRELUDE = textwrap.dedent(
 
 
     register_algorithm("kill_once", kill_once)
+    register_algorithm("kill_third", kill_third)
     register_algorithm("kill_always", kill_always)
     register_algorithm("marked", marked)
     '''
@@ -116,6 +129,45 @@ def test_sweep_survives_one_worker_loss(tmp_path):
         tmp_path,
     )
     assert out == {"killed": True, "disk": 16, "equal": True}
+
+
+def test_events_count_each_task_once_after_worker_loss(tmp_path):
+    out = run_scenario(
+        '''
+        from repro.obs import (
+            JsonlTelemetry, RecordingTelemetry, events_path, perf_summary, use,
+        )
+
+        spec = ExperimentSpec(
+            name="loss", algorithms=["kill_third"], graphs=[("line", 8)],
+            adversaries=["random"], seeds=range(16),
+        )
+        path = os.path.join(MARKERS, "records.jsonl")
+        sink = JsonlTelemetry(events_path(path))
+        try:
+            with use(sink):
+                SweepRunner(spec, workers=2, results_path=path).run()
+        finally:
+            sink.close()
+        serial = RecordingTelemetry()
+        with use(serial):
+            SweepRunner(spec, workers=1).run()
+        perf = perf_summary(path)
+        print(json.dumps({
+            "killed": os.path.exists(os.path.join(MARKERS, "killed")),
+            "engine_runs": perf["engine_runs"],
+            "counters": {
+                k: v for k, v in perf["counters"].items()
+                if k.startswith("engine.")
+            },
+            "serial": serial.counters,
+        }))
+        ''',
+        tmp_path,
+    )
+    assert out["killed"]
+    assert out["engine_runs"] == 16
+    assert out["counters"] == out["serial"]
 
 
 def test_sweep_lost_twice_raises_resume_error(tmp_path):
