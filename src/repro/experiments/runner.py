@@ -144,7 +144,7 @@ class _CampaignEvents:
         self._total = total
         self._watch = Stopwatch()
         self._last = -self._MIN_INTERVAL
-        self._tasks_done: Dict[int, int] = {}
+        self._tasks_done: Dict[Optional[int], int] = {}
 
     def progress(self, done: int) -> None:
         """Emit ``done``/total if the rate limit (or the end) allows."""
@@ -158,13 +158,16 @@ class _CampaignEvents:
             "progress", done=done, total=self._total
         )
 
-    def heartbeat(self, worker: int, tasks: int) -> None:
-        """Report one finished unit of ``tasks`` tasks run by ``worker``.
+    def heartbeat(self, worker: Optional[int], tasks: int) -> None:
+        """Report one finished unit of ``tasks`` tasks run by ``worker``
+        (``None`` only with telemetry off, as the pool yields it).
 
         The trailing ``flush()`` also writes the counters and spans
         gathered since the last heartbeat as one ``stats`` event, so a
         killed campaign's stream still sums the units that finished.
         """
+        if not self._telemetry.enabled:
+            return
         done = self._tasks_done[worker] = (
             self._tasks_done.get(worker, 0) + tasks
         )
@@ -546,16 +549,14 @@ class SweepRunner:
 
         Results stream back in completion order (a sub-batch's seeds
         stay contiguous); :meth:`run` re-establishes the canonical key
-        order, so scheduling never leaks into results.  With telemetry
-        on, each finished unit sends one heartbeat through ``events``.
+        order, so scheduling never leaks into results.  Each finished
+        unit sends one heartbeat through ``events``.
         """
         units = self._plan_units(pending)
-        beat = current().enabled
         if self.workers == 1 or len(units) <= 1:
             for unit in units:
                 out = execute_batch(unit)
-                if beat:
-                    events.heartbeat(os.getpid(), len(out))
+                events.heartbeat(os.getpid(), len(out))
                 yield from out
             return
         with WorkerPool(self.workers) as pool:
@@ -564,8 +565,7 @@ class SweepRunner:
                 units,
                 label=lambda b: f"{b.cell_key} seeds {[t.seed for t in b.tasks]}",
             ):
-                if beat:
-                    events.heartbeat(worker, len(out))
+                events.heartbeat(worker, len(out))
                 yield from out
 
 

@@ -153,7 +153,9 @@ def fold_events(
 
     Later events win; a stream with no ``campaign_end`` folds to a
     live, unfinished state.  A ``heartbeat`` reports on the worker its
-    ``worker`` field names (the envelope ``pid`` is the writer).
+    ``worker`` field names (the envelope ``pid`` is the writer); a
+    heartbeat with no ``worker`` field, as streams written before the
+    field existed have, was written by that worker, so its ``pid`` names it.
     """
     progress = CampaignProgress()
     for event in events:
@@ -173,7 +175,7 @@ def fold_events(
             if total:
                 progress.total = total
         elif kind == "heartbeat":
-            pid = int(event.get("worker", 0))  # type: ignore[call-overload]
+            pid = int(event.get("worker", event.get("pid", 0)))  # type: ignore[call-overload]
             progress.workers[pid] = WorkerStatus(
                 pid=pid,
                 tasks_done=int(event.get("tasks_done", 0)),  # type: ignore[call-overload]

@@ -34,7 +34,7 @@ from repro.adversaries.base import AdversaryView
 from repro.adversaries.scripted import ScriptedDeliveries
 from repro.graphs.dualgraph import DualGraph
 from repro.sim.messages import Message
-from repro.sim.topology import CompiledTopology, compile_topology
+from repro.sim.topology import CompiledTopology
 
 #: ``((round, ((sender, (targets...)), ...)), ...)`` — sorted, deduped.
 DeliveryTable = Tuple[Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]], ...]
@@ -305,8 +305,11 @@ class GenomeSpace:
     """Sampling and mutation operators over one graph's strategy space.
 
     Args:
-        graph: The dual graph — defines the legal delivery targets
-            (each sender's unreliable-only out-neighbours).
+        topology: The compiled dual graph.  Its ``graph`` defines the
+            legal delivery targets (each sender's unreliable-only
+            out-neighbours); the search harness shares the compiled
+            form with the evaluation context and the greedy searcher
+            reads its masks.
         horizon: Rounds the delivery schedules cover (normally the
             evaluation round cap).
         search_proc: Whether genomes explore the proc assignment (the
@@ -326,12 +329,15 @@ class GenomeSpace:
             *random* genome carries any deliveries.
     """
 
-    graph: DualGraph
+    topology: CompiledTopology = field(repr=False, compare=False)
     horizon: int
     search_proc: bool = True
     cr4_genes: bool = False
     churn_genes: bool = False
     delivery_rate: float = 0.2
+    #: ``topology.graph``.
+    graph: DualGraph = field(init=False)
+
     #: Nodes with at least one unreliable-only out-neighbour, with their
     #: sorted target tuples (the only slots worth generating genes for).
     _slots: List[Tuple[int, Tuple[int, ...]]] = field(init=False)
@@ -339,16 +345,10 @@ class GenomeSpace:
     #: Legal crash targets: every node except the source.
     _crashable: Tuple[int, ...] = field(init=False)
 
-    #: ``graph`` compiled once (compiled here unless given); the search
-    #: harness shares it with the evaluation context and the greedy
-    #: searcher reads its masks.
-    topology: Optional[CompiledTopology] = field(
-        default=None, repr=False, compare=False
-    )
-
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        self.graph = self.topology.graph
         self._slots = [
             (v, tuple(sorted(self.graph.unreliable_only_out(v))))
             for v in self.graph.nodes
@@ -357,8 +357,6 @@ class GenomeSpace:
         self._crashable = tuple(
             v for v in self.graph.nodes if v != self.graph.source
         )
-        if self.topology is None:
-            self.topology = compile_topology(self.graph)
 
     # ------------------------------------------------------------------
     # Sampling

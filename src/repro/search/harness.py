@@ -60,11 +60,10 @@ def make_space(settings: SearchSettings) -> GenomeSpace:
     """
     topology = compile_cell(settings)
     return GenomeSpace(
-        topology.graph,
+        topology,
         horizon=round_cap(settings, topology.graph),
         cr4_genes=CollisionRule[settings.collision_rule] is CollisionRule.CR4,
         churn_genes=settings.churn_genes,
-        topology=topology,
     )
 
 

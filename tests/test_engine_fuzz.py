@@ -47,6 +47,7 @@ from repro.sim import (
     validate_execution,
 )
 from repro.sim.faults import REJOIN_POLICIES
+from repro.sim.topology import compile_topology
 
 pytestmark = pytest.mark.fuzz
 
@@ -85,8 +86,8 @@ ADVERSARIES = ("none", "full", "random", "greedy", "pivot", "genome")
 def make_fuzz_adversary(kind, seed, graph, horizon):
     """A fresh adversary of ``kind``, deterministic in its arguments."""
     if kind == "genome":
-        space = GenomeSpace(graph, horizon=max(1, horizon),
-                            cr4_genes=True)
+        space = GenomeSpace(compile_topology(graph),
+                            horizon=max(1, horizon), cr4_genes=True)
         return space.random(random.Random(seed)).build_adversary()
     if kind == "pivot":
         return build_adversary("pivot", seed=seed, n=graph.n)

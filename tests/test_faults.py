@@ -581,9 +581,10 @@ class TestChurnGenes:
 
     def test_mutations_preserve_churn_genes(self):
         from repro.search.genome import GenomeSpace
+        from repro.sim.topology import compile_topology
 
         space = GenomeSpace(
-            corpus_graph("clique-bridge", 9), horizon=12,
+            compile_topology(corpus_graph("clique-bridge", 9)), horizon=12,
             cr4_genes=True, churn_genes=True,
         )
         rng = random.Random(11)

@@ -321,6 +321,24 @@ class TestProgressFold:
         assert "done in 5.0s" in line
         assert "workers 1/1" in line
 
+    def test_heartbeat_without_worker_field_names_its_writer(self):
+        # Streams written before heartbeats carried ``worker`` had each
+        # worker write its own heartbeats, so the envelope pid names it.
+        events = _synthetic_events(finished=False) + [
+            make_event(
+                "heartbeat",
+                ts=103.0,
+                pid=pid,
+                seq=0,
+                fields={"tasks_done": tasks, "rate": 1.0},
+            )
+            for pid, tasks in ((11, 3), (12, 5))
+        ]
+        progress = fold_events(events)
+        assert sorted(progress.workers) == [7, 11, 12]
+        assert progress.workers[11].tasks_done == 3
+        assert progress.workers[12].tasks_done == 5
+
     def test_empty_stream_folds_to_zero_state(self, tmp_path):
         progress = read_progress(str(tmp_path / "never_ran.jsonl"))
         assert (progress.done, progress.total) == (0, 0)
@@ -472,6 +490,7 @@ class TestCliConsumers:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "cell: algorithm=round_robin" in out
+        assert "rounds: " in out and "(completed)" in out
         assert "engine_run" in out
         assert "engine.rounds" in out
         assert main(argv + ["--json"]) == 0

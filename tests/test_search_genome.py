@@ -13,6 +13,7 @@ from repro.search import (
     StrategyGenome,
 )
 from repro.sim.messages import Message
+from repro.sim.topology import compile_topology
 
 
 def view_stub(rnd):
@@ -105,7 +106,7 @@ class TestGenomeCR4Adversary:
 class TestGenomeSpace:
     def space(self, **kw):
         return GenomeSpace(
-            clique_bridge(8).graph, horizon=6, **kw
+            compile_topology(clique_bridge(8).graph), horizon=6, **kw
         )
 
     def test_random_genomes_are_legal(self):
@@ -146,7 +147,7 @@ class TestGenomeSpace:
 
     def test_no_proc_search_keeps_default(self):
         space = GenomeSpace(
-            with_complete_unreliable(line(5)),
+            compile_topology(with_complete_unreliable(line(5))),
             horizon=4,
             search_proc=False,
         )
@@ -156,4 +157,4 @@ class TestGenomeSpace:
 
     def test_horizon_validated(self):
         with pytest.raises(ValueError, match="horizon"):
-            GenomeSpace(line(4), horizon=0)
+            GenomeSpace(compile_topology(line(4)), horizon=0)
