@@ -13,7 +13,12 @@ numbers themselves:
   synthetic patterns and the Harmonic executions' own patterns);
 * ``lemma1-rr``: round robin's interference-model completion round,
   bound label and verdict at the sizes ``benchmarks/bench_interference.py``
-  runs.
+  runs;
+* ``theorem2-search``: ``repro search --compare-theorem2``'s numbers for
+  the cells of ``docs/SEARCH.md``'s Theorem 2 table (greedy searcher,
+  budget 3 in one batch, search seed 0): the scripted worst case, the
+  search's best stall, their ratio, and :data:`THEOREM2`'s bound label
+  and verdict on the search's observation.
 
 The file is generated once, by ``python tests/test_golden_claims.py``,
 from the code it pins; it is not rewritten to follow a change.
@@ -31,11 +36,23 @@ import pytest
 from repro import broadcast
 from repro.adversaries import GreedyInterferer
 from repro.analysis import busy_round_count, front_loaded_pattern, wakeup_pattern_of
-from repro.analysis.claims import CLAIMS, LEMMA1_ROUND_ROBIN, LEMMA15
+from repro.analysis.claims import (
+    CLAIMS,
+    LEMMA1_ROUND_ROBIN,
+    LEMMA15,
+    THEOREM2,
+    Observation,
+)
 from repro.core import make_round_robin_processes, round_robin_bound
 from repro.core.harmonic import completion_bound
 from repro.graphs import clique_bridge, line, with_complete_unreliable
 from repro.interference import InterferenceNetwork, run_equivalence_check
+from repro.search import (
+    SearchBudget,
+    SearchSettings,
+    run_search,
+    theorem2_comparison,
+)
 from repro.sim import CollisionRule
 
 GOLDEN = Path(__file__).parent / "golden" / "claims.json"
@@ -116,11 +133,46 @@ def lemma1_round_robin_rows() -> List[Dict[str, Any]]:
     return rows
 
 
+#: The cells of ``docs/SEARCH.md``'s Theorem 2 table, and its search.
+THEOREM2_SEARCH_CELLS = [
+    (algorithm, n) for algorithm in ("round_robin", "strong_select") for n in (9, 17)
+]
+THEOREM2_SEARCH_BUDGET = SearchBudget(evaluations=3, batch_size=3)
+
+
+def theorem2_search_rows() -> List[Dict[str, Any]]:
+    rows = []
+    for algorithm, n in THEOREM2_SEARCH_CELLS:
+        result = run_search(
+            SearchSettings(algorithm=algorithm, graph_kind="clique-bridge", n=n),
+            searcher="greedy",
+            budget=THEOREM2_SEARCH_BUDGET,
+            seed=0,
+        )
+        comparison = theorem2_comparison(result)
+        observation = Observation(
+            algorithm, "clique-bridge", n, result.best.objective
+        )
+        rows.append(
+            {
+                "algorithm": algorithm,
+                "n": n,
+                "scripted": comparison.scripted_worst,
+                "search": result.best.objective,
+                "ratio": comparison.ratio,
+                "bound": THEOREM2.bound(observation),
+                "verdict": THEOREM2.verdict(observation),
+            }
+        )
+    return rows
+
+
 def measure() -> Dict[str, Any]:
     return {
         "claims": condensed_rows(),
         "lemma15": lemma15_rows(),
         "lemma1-rr": lemma1_round_robin_rows(),
+        "theorem2-search": theorem2_search_rows(),
     }
 
 
@@ -136,7 +188,9 @@ def test_every_printed_claim_is_pinned_in_order():
     assert [row["id"] for row in PINS["claims"]] == [c.id for c in CLAIMS]
 
 
-@pytest.mark.parametrize("section", ["claims", "lemma15", "lemma1-rr"])
+@pytest.mark.parametrize(
+    "section", ["claims", "lemma15", "lemma1-rr", "theorem2-search"]
+)
 def test_claim_numbers_unchanged(measured, section):
     assert measured[section] == PINS[section]
 
@@ -146,6 +200,7 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
     sys.stdout.write(
-        f"wrote {len(doc['claims'])} claims, {len(doc['lemma15'])} Lemma 15 "
-        f"and {len(doc['lemma1-rr'])} Lemma 1 rows to {GOLDEN}\n"
+        f"wrote {len(doc['claims'])} claims, {len(doc['lemma15'])} Lemma 15, "
+        f"{len(doc['lemma1-rr'])} Lemma 1 and {len(doc['theorem2-search'])} "
+        f"Theorem 2 search rows to {GOLDEN}\n"
     )
