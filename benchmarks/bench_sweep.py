@@ -4,8 +4,9 @@ Four measured properties of :mod:`repro.experiments` and its storage
 layer :mod:`repro.store`:
 
 1. Throughput: fanning a 100-run (algorithm × graph × seed) grid over
-   worker processes completes faster than the serial baseline, with
-   identical records (the determinism guarantee).
+   worker processes completes faster than the serial baseline (each
+   side timed as the best of :data:`SCALING_REPEATS` alternating runs),
+   with identical records (the determinism guarantee).
 2. Durability: a sweep interrupted mid-run — simulated by truncating
    the JSON-lines results file to a prefix plus a torn final line —
    resumes by key and re-executes only the missing tasks.
@@ -48,15 +49,23 @@ GRID = ExperimentSpec(
 )
 
 
+#: Each side of the scaling comparison is timed as the best of this many
+#: runs, serial and parallel alternating, so one slow episode of a
+#: shared host's vCPUs cannot decide the comparison on its own.
+SCALING_REPEATS = 3
+
+
 def run_scaling_experiment():
-    timings = {}
+    timings = {workers: float("inf") for workers in (1, WORKERS)}
     records = {}
-    for workers in (1, WORKERS):
-        started = time.perf_counter()
-        result = SweepRunner(GRID, workers=workers).run()
-        timings[workers] = time.perf_counter() - started
-        records[workers] = result.records
-        assert not result.failures, [r.key for r in result.failures]
+    for _ in range(SCALING_REPEATS):
+        for workers in timings:
+            started = time.perf_counter()
+            result = SweepRunner(GRID, workers=workers).run()
+            elapsed = time.perf_counter() - started
+            timings[workers] = min(timings[workers], elapsed)
+            records[workers] = result.records
+            assert not result.failures, [r.key for r in result.failures]
     return timings, records
 
 
@@ -79,7 +88,8 @@ def test_sweep_parallel_speedup(benchmark, table_out):
                 ],
             ],
             title=f"Sweep scaling: {GRID.size}-run grid "
-            f"(harmonic vs greedy, clique-bridge)",
+            f"(harmonic vs greedy, clique-bridge; best of "
+            f"{SCALING_REPEATS})",
         )
     )
     # The acceptance claim: the fan-out beats the serial baseline.

@@ -19,7 +19,10 @@ longest importable module prefix is imported and the rest resolved by
 The same two checks cover the code: every ``.py`` file under ``src/``,
 ``benchmarks/``, ``examples/`` and ``scripts/`` may only cite
 resolvable backticked ``repro.…`` names (the Sphinx ``~repro.…`` form
-included) and ``*.md`` files that exist.
+included) and ``*.md`` files that exist.  Finally, ``docs/SEARCH.md``'s
+Theorem 2 table must equal the ``theorem2-search`` rows pinned in
+``tests/golden/claims.json``, and the section's documented command must
+run the pinned search (greedy, budget 3 in one batch, search seed 0).
 
 Usage: ``python scripts/check_docs.py`` (exit status 0 = clean).
 """
@@ -27,6 +30,7 @@ Usage: ``python scripts/check_docs.py`` (exit status 0 = clean).
 from __future__ import annotations
 
 import importlib
+import json
 import pathlib
 import re
 import sys
@@ -48,6 +52,19 @@ FLAG = re.compile(r"(--[a-z][a-z0-9-]*)")
 LINK = re.compile(r"\[[^\]]*\]\(([^)#]+)(?:#[^)]*)?\)")
 CITED = re.compile(r"`~?(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 MARKDOWN = re.compile(r"(?<![\w*/.-])((?:[\w-]+/)*[\w-]+\.md)\b")
+
+SEARCH_DOC = ROOT / "docs" / "SEARCH.md"
+GOLDEN_CLAIMS = ROOT / "tests" / "golden" / "claims.json"
+THEOREM2_SECTION = "## Search vs. Theorem 2"
+#: The search ``tests/test_golden_claims.py`` runs for its
+#: ``theorem2-search`` pins; the documented command must name it.
+THEOREM2_SEARCH = {
+    "--searcher": "greedy",
+    "--budget": "3",
+    "--batch-size": "3",
+    "--search-seed": "0",
+}
+TABLE_ROW = re.compile(r"^\| [a-z_]+ \| \d+ \|.*$", re.MULTILINE)
 
 
 def known_flags() -> dict:
@@ -155,6 +172,46 @@ def check_markdown_mentions(path: pathlib.Path, text: str):
     return problems
 
 
+def pinned_theorem2_rows() -> list:
+    """The pinned Theorem 2 search rows, as SEARCH.md prints them."""
+    pins = json.loads(GOLDEN_CLAIMS.read_text(encoding="utf-8"))
+    return [
+        f"| {r['algorithm']} | {r['n']} | {r['scripted']} | {r['search']} "
+        f"| {r['ratio']:.2f} | {r['bound']} | {r['verdict']} |"
+        for r in pins["theorem2-search"]
+    ]
+
+
+def check_theorem2_table(text: str):
+    """SEARCH.md's Theorem 2 table is the pins, from the pinned search."""
+    start = text.find(THEOREM2_SECTION)
+    if start < 0:
+        return [f"{SEARCH_DOC.name}: no {THEOREM2_SECTION!r} section"]
+    end = text.find("\n## ", start + 1)
+    section = text[start : end if end >= 0 else len(text)]
+    problems = []
+    if TABLE_ROW.findall(section) != pinned_theorem2_rows():
+        problems.append(
+            f"{SEARCH_DOC.name}: the Theorem 2 table differs from the "
+            f"theorem2-search pins in {GOLDEN_CLAIMS.name}"
+        )
+    searches = [
+        dict(zip(argv, argv[1:]))
+        for block in FENCE.findall(section)
+        for _, argv in command_lines(block)
+        if argv[:1] == ["search"]
+    ]
+    if not any(
+        THEOREM2_SEARCH.items() <= search.items() for search in searches
+    ):
+        flags = " ".join(f"{k} {v}" for k, v in THEOREM2_SEARCH.items())
+        problems.append(
+            f"{SEARCH_DOC.name}: the Theorem 2 section documents no "
+            f"`repro search {flags}` command"
+        )
+    return problems
+
+
 def main() -> int:
     flags_by_sub = known_flags()
     problems = []
@@ -174,6 +231,7 @@ def main() -> int:
             str(path.relative_to(ROOT)), text, code_cited
         )
         problems += check_markdown_mentions(path, text)
+    problems += check_theorem2_table(SEARCH_DOC.read_text(encoding="utf-8"))
     for sub in sorted(set(flags_by_sub) - documented):
         problems.append(
             f"subcommand `repro {sub}` appears in no documented "
@@ -188,7 +246,8 @@ def main() -> int:
         f"with repro --help ({', '.join(sorted(flags_by_sub))}); "
         f"{len(cited)} cited repro names resolve; {len(CODE_FILES)} code "
         f"files cite {len(code_cited)} resolvable repro names and only "
-        "existing markdown files"
+        "existing markdown files; the SEARCH.md Theorem 2 table matches "
+        "its pins"
     )
     return 0
 

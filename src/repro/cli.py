@@ -317,7 +317,6 @@ def _search_settings(args) -> "SearchSettings":  # noqa: F821
         seed=args.seed,
         max_rounds=args.max_rounds,
         engine=args.engine,
-        churn_genes=getattr(args, "churn_genes", False),
     )
 
 
@@ -808,15 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
         "ReplayAdversary on the reference engine (--no-verify skips)",
     )
     search.add_argument(
-        "--churn-genes", action="store_true",
-        help="let genomes carry crash genes (node, round, down-for): "
-        "the adversary co-optimises crash/recovery timing alongside "
-        "edge deliveries; the source is never crashed",
-    )
-    search.add_argument(
         "--compare-theorem2", action="store_true",
         help="on clique-bridge cells, also print the found worst case "
-        "next to the Theorem 2 bound and scripted-adversary stall",
+        "next to the scripted-adversary stall, with the Theorem 2 "
+        "claim's bound and verdict",
     )
     search.add_argument("--json", action="store_true")
     search.set_defaults(func=cmd_search)

@@ -55,7 +55,6 @@ from repro.search.persist import (
 )
 from repro.search.searchers import (
     GreedyLookaheadSearch,
-    LocalMutationSearch,
     RandomRestartSearch,
     Searcher,
     build_searcher,
@@ -73,7 +72,6 @@ __all__ = [
     "GenomeCR4Adversary",
     "GenomeSpace",
     "GreedyLookaheadSearch",
-    "LocalMutationSearch",
     "PopulationEvaluator",
     "RandomRestartSearch",
     "SearchBudget",

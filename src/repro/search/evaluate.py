@@ -70,10 +70,6 @@ class SearchSettings:
     #: The engine candidates are scored on (one of ``ENGINE_NAMES``);
     #: scores are identical on either, so it is not part of the key.
     engine: str = "fast"
-    #: When true, genomes carry crash genes and every evaluation runs
-    #: under the genome's compiled churn schedule — the adversary
-    #: co-optimises crash timing alongside edge deliveries.
-    churn_genes: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -101,10 +97,6 @@ class SearchSettings:
         ]
         if self.max_rounds is not None:
             parts.append(f"cap{self.max_rounds}")
-        # Emitted only when enabled so every pre-churn cell keeps its
-        # key — and therefore its resume-by-key store — unchanged.
-        if self.churn_genes:
-            parts.append("churn")
         return "/".join(parts)
 
     @property
@@ -157,17 +149,6 @@ class EvaluationContext:
         self.graph: DualGraph = topology.graph
         self.round_cap: int = round_cap(settings, self.graph)
 
-    def _churn_for(self, genome: StrategyGenome):
-        """The genome's compiled churn schedule, or ``None``.
-
-        Gene-free genomes (every genome when ``churn_genes`` is off)
-        compile to ``None``, so the evaluation is byte-identical to the
-        pre-churn code path.  The cell's source is always protected.
-        """
-        return genome.churn_schedule(
-            self.graph.n, protect=(self.graph.source,)
-        )
-
     def run_genome(
         self,
         genome: StrategyGenome,
@@ -181,7 +162,6 @@ class EvaluationContext:
             self.topology,
             genome.build_adversary(),
             self.round_cap,
-            churn=self._churn_for(genome),
             engine=engine,
             record_receptions=record_receptions,
         ).run()
@@ -242,10 +222,6 @@ def verify_replay(
         ctx.topology,
         ReplayAdversary(trace, strict=True),
         ctx.round_cap,
-        # The replay must run under the same churn schedule — crashes
-        # are engine state, not adversary behaviour, so the replay
-        # adversary alone cannot reproduce them.
-        churn=ctx._churn_for(genome),
         engine="reference",
     ).run()
     return (

@@ -14,12 +14,12 @@ round and sender node, not by execution state.  Entries for rounds past
 the end of the execution, or for nodes that do not transmit in their
 round, are simply unused (``ScriptedDeliveries`` filters by the actual
 sender set) — so every genome in the space is legal for every execution,
-which is what makes blind mutation safe.
+which is what makes blind sampling safe.
 
-:class:`GenomeSpace` is the mutation/sampling companion: it knows the
-graph's unreliable edges (the only legal delivery targets) and the
-search horizon, and provides rng-driven ``random`` and ``mutate``
-operators for the searchers in :mod:`repro.search.searchers`.
+:class:`GenomeSpace` is the sampling companion: it knows the graph's
+unreliable edges (the only legal delivery targets) and the search
+horizon, and draws rng-driven ``random`` genomes for the ``random``
+searcher in :mod:`repro.search.searchers` and the engine fuzz suite.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ DeliveryTable = Tuple[Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]], ...]
 
 #: ``((round, node, preferred_sender_uid), ...)`` — sorted.
 CR4Table = Tuple[Tuple[int, int, int], ...]
-
-#: ``((node, crash_round, down_for), ...)`` — sorted crash genes.
-ChurnTable = Tuple[Tuple[int, int, int], ...]
 
 
 def _freeze_deliveries(table) -> DeliveryTable:
@@ -89,22 +86,12 @@ class StrategyGenome:
             arrivals, silence otherwise.  Nodes/rounds without a gene
             resolve to silence (the base-class default; gene-free
             genomes never consult a resolver at all).
-        churn: Crash genes ``(node, crash_round, down_for)``: the node
-            crashes at ``crash_round`` and recovers ``down_for`` rounds
-            later, under the ``"uninformed"`` rejoin policy (the crash
-            revokes payload custody — the adversary's strongest
-            resolution).  :meth:`churn_schedule` compiles the genes
-            into a legal :class:`~repro.sim.faults.ChurnSchedule`,
-            silently dropping genes that conflict (already-down node,
-            protected node, out-of-range round) so blind mutation stays
-            safe, exactly like tolerant CR4 genes.
     """
 
     horizon: int
     deliveries: DeliveryTable = ()
     proc: Optional[Tuple[int, ...]] = None
     cr4: CR4Table = ()
-    churn: ChurnTable = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -120,15 +107,6 @@ class StrategyGenome:
             tuple(
                 sorted(
                     (int(r), int(v), int(u)) for r, v, u in self.cr4
-                )
-            ),
-        )
-        object.__setattr__(
-            self,
-            "churn",
-            tuple(
-                sorted(
-                    (int(v), int(r), int(d)) for v, r, d in self.churn
                 )
             ),
         )
@@ -153,51 +131,12 @@ class StrategyGenome:
         """The CR4 genes as a ``(round, node) → preferred uid`` dict."""
         return {(rnd, node): uid for rnd, node, uid in self.cr4}
 
-    def churn_schedule(self, n: int, protect: Tuple[int, ...] = (0,)):
-        """Compile the crash genes into a legal churn schedule.
-
-        Returns ``None`` for gene-free genomes — the evaluation then
-        runs exactly as before churn genes existed, keeping every
-        pre-churn score and fingerprint valid.  Genes are applied in
-        crash-round order; a gene whose node is protected (normally the
-        source — crashing it forever is a degenerate worst case, not a
-        strategy), out of range, or still down from an earlier gene is
-        dropped rather than rejected, so any mutation of the table
-        stays evaluable.
-        """
-        from repro.sim.faults import ChurnSchedule
-
-        if not self.churn:
-            return None
-        protected = set(protect)
-        crashes: Dict[int, List[int]] = {}
-        recoveries: Dict[int, List[int]] = {}
-        down_until: Dict[int, int] = {}
-        for node, crash_round, down_for in sorted(
-            self.churn, key=lambda g: (g[1], g[0])
-        ):
-            if node in protected or not 0 <= node < n:
-                continue
-            if crash_round < 1 or crash_round <= down_until.get(node, 0):
-                continue
-            recovery_round = crash_round + max(1, down_for)
-            crashes.setdefault(crash_round, []).append(node)
-            recoveries.setdefault(recovery_round, []).append(node)
-            down_until[node] = recovery_round
-        if not crashes:
-            return None
-        return ChurnSchedule(
-            crashes={r: tuple(vs) for r, vs in crashes.items()},
-            recoveries={r: tuple(vs) for r, vs in recoveries.items()},
-            rejoin="uninformed",
-        )
-
     # ------------------------------------------------------------------
     # Identity and serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
         """The genome as one JSON-serialisable document."""
-        doc = {
+        return {
             "horizon": self.horizon,
             "deliveries": [
                 [rnd, [[s, list(ts)] for s, ts in row]]
@@ -206,12 +145,6 @@ class StrategyGenome:
             "proc": None if self.proc is None else list(self.proc),
             "cr4": [list(gene) for gene in self.cr4],
         }
-        # Omitted when empty so every pre-churn genome keeps its
-        # serialised form — and therefore its fingerprint and any
-        # persisted resume-by-key score — byte for byte.
-        if self.churn:
-            doc["churn"] = [list(gene) for gene in self.churn]
-        return doc
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "StrategyGenome":
@@ -226,7 +159,6 @@ class StrategyGenome:
                 None if doc.get("proc") is None else tuple(doc["proc"])
             ),
             cr4=tuple(tuple(g) for g in doc.get("cr4", ())),
-            churn=tuple(tuple(g) for g in doc.get("churn", ())),
         )
 
     @property
@@ -277,10 +209,10 @@ class GenomeCR4Adversary(GenomeAdversary):
 
     A gene ``(round, node, uid)`` delivers the arrival sent by process
     ``uid`` when it is among the arrivals and falls back to silence when
-    it is not — a mutated gene can legally reference a process that ends
+    it is not — a sampled gene can legally reference a process that ends
     up not transmitting, so tolerance (unlike
     :class:`~repro.adversaries.scripted.ReplayAdversary` strict mode) is
-    what keeps blind mutation safe.
+    what keeps blind sampling safe.
     """
 
     def __init__(self, genome: StrategyGenome) -> None:
@@ -302,7 +234,7 @@ class GenomeCR4Adversary(GenomeAdversary):
 
 @dataclass
 class GenomeSpace:
-    """Sampling and mutation operators over one graph's strategy space.
+    """Random sampling over one graph's strategy space.
 
     Args:
         topology: The compiled dual graph.  Its ``graph`` defines the
@@ -320,11 +252,6 @@ class GenomeSpace:
             resolver); the mask engines score gene-carrying genomes
             through their CR4 consult paths, so the genes cost extra
             work only on rounds that actually collide.
-        churn_genes: Whether genomes carry crash genes
-            ``(node, crash_round, down_for)`` — the adversary then
-            co-optimises crash timing alongside edge deliveries.  The
-            source node is never a crash target (see
-            :meth:`StrategyGenome.churn_schedule`).
         delivery_rate: Probability that a (round, sender) slot of a
             *random* genome carries any deliveries.
     """
@@ -333,7 +260,6 @@ class GenomeSpace:
     horizon: int
     search_proc: bool = True
     cr4_genes: bool = False
-    churn_genes: bool = False
     delivery_rate: float = 0.2
     #: ``topology.graph``.
     graph: DualGraph = field(init=False)
@@ -341,9 +267,6 @@ class GenomeSpace:
     #: Nodes with at least one unreliable-only out-neighbour, with their
     #: sorted target tuples (the only slots worth generating genes for).
     _slots: List[Tuple[int, Tuple[int, ...]]] = field(init=False)
-
-    #: Legal crash targets: every node except the source.
-    _crashable: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -354,9 +277,6 @@ class GenomeSpace:
             for v in self.graph.nodes
             if self.graph.unreliable_only_out(v)
         ]
-        self._crashable = tuple(
-            v for v in self.graph.nodes if v != self.graph.source
-        )
 
     # ------------------------------------------------------------------
     # Sampling
@@ -393,121 +313,9 @@ class GenomeSpace:
                     cr4.append(
                         (rnd, rng.randrange(n), rng.randrange(n))
                     )
-        churn: List[Tuple[int, int, int]] = []
-        if self.churn_genes and self._crashable:
-            for _ in range(max(1, self.graph.n // 2)):
-                if rng.random() < self.delivery_rate:
-                    churn.append(self._random_churn_gene(rng))
         return StrategyGenome(
             horizon=self.horizon,
             deliveries=_freeze_deliveries(table),
             proc=self._random_proc(rng) if self.search_proc else None,
             cr4=tuple(cr4),
-            churn=tuple(churn),
-        )
-
-    def _random_churn_gene(
-        self, rng: random.Random
-    ) -> Tuple[int, int, int]:
-        node = self._crashable[rng.randrange(len(self._crashable))]
-        crash_round = rng.randrange(1, self.horizon + 1)
-        down_for = 1 + rng.randrange(max(1, self.horizon // 4))
-        return (node, crash_round, down_for)
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def mutate(
-        self, genome: StrategyGenome, rng: random.Random
-    ) -> StrategyGenome:
-        """One local move: toggle a delivery, swap procs, or edit a gene."""
-        ops = [self._mutate_delivery]
-        if self.search_proc:
-            ops.append(self._mutate_proc)
-        if self.cr4_genes:
-            ops.append(self._mutate_cr4)
-        if self.churn_genes and self._crashable:
-            ops.append(self._mutate_churn)
-        return ops[rng.randrange(len(ops))](genome, rng)
-
-    def _mutate_delivery(
-        self, genome: StrategyGenome, rng: random.Random
-    ) -> StrategyGenome:
-        if not self._slots:
-            return genome
-        table = {
-            rnd: {s: set(ts) for s, ts in row.items()}
-            for rnd, row in genome.delivery_map().items()
-        }
-        rnd = rng.randrange(1, self.horizon + 1)
-        sender, targets = self._slots[rng.randrange(len(self._slots))]
-        target = targets[rng.randrange(len(targets))]
-        row = table.setdefault(rnd, {})
-        slot = row.setdefault(sender, set())
-        if target in slot:
-            slot.discard(target)
-        else:
-            slot.add(target)
-        return StrategyGenome(
-            horizon=genome.horizon,
-            deliveries=_freeze_deliveries(table),
-            proc=genome.proc,
-            cr4=genome.cr4,
-            churn=genome.churn,
-        )
-
-    def _mutate_proc(
-        self, genome: StrategyGenome, rng: random.Random
-    ) -> StrategyGenome:
-        n = self.graph.n
-        proc = list(
-            genome.proc if genome.proc is not None else range(n)
-        )
-        i, j = rng.randrange(n), rng.randrange(n)
-        proc[i], proc[j] = proc[j], proc[i]
-        return StrategyGenome(
-            horizon=genome.horizon,
-            deliveries=genome.deliveries,
-            proc=tuple(proc),
-            cr4=genome.cr4,
-            churn=genome.churn,
-        )
-
-    def _mutate_cr4(
-        self, genome: StrategyGenome, rng: random.Random
-    ) -> StrategyGenome:
-        n = self.graph.n
-        genes = list(genome.cr4)
-        if genes and rng.random() < 0.5:
-            genes.pop(rng.randrange(len(genes)))
-        else:
-            genes.append(
-                (
-                    rng.randrange(1, self.horizon + 1),
-                    rng.randrange(n),
-                    rng.randrange(n),
-                )
-            )
-        return StrategyGenome(
-            horizon=genome.horizon,
-            deliveries=genome.deliveries,
-            proc=genome.proc,
-            cr4=tuple(genes),
-            churn=genome.churn,
-        )
-
-    def _mutate_churn(
-        self, genome: StrategyGenome, rng: random.Random
-    ) -> StrategyGenome:
-        genes = list(genome.churn)
-        if genes and rng.random() < 0.5:
-            genes.pop(rng.randrange(len(genes)))
-        else:
-            genes.append(self._random_churn_gene(rng))
-        return StrategyGenome(
-            horizon=genome.horizon,
-            deliveries=genome.deliveries,
-            proc=genome.proc,
-            cr4=genome.cr4,
-            churn=tuple(genes),
         )

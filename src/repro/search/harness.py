@@ -3,9 +3,12 @@
 :func:`run_search` wires the pieces of the subsystem together::
 
     settings ──► GenomeSpace ──► Searcher.ask ──► PopulationEvaluator
-                     ▲                               │ (parallel,
-                     │         Searcher.tell ◄───────┘  shared topology)
-                     └──────── StoreSession: resume-by-key, appends
+                                                     │ (parallel,
+                                                     ▼  shared topology)
+                               StoreSession: resume-by-key, appends
+
+The searchers only ask: neither ``random`` nor ``greedy`` reads scores,
+so the loop itself keeps the best candidate.
 
 Determinism contract: for fixed (settings, searcher kind, seed) the
 candidate sequence, every score, and therefore the returned best are
@@ -53,17 +56,16 @@ def make_space(settings: SearchSettings) -> GenomeSpace:
 
     The horizon is the cell's round cap (every round the engine can
     execute gets a delivery gene slot); CR4 resolution genes are on
-    exactly under CR4 — the only rule where they exist; crash genes
-    follow ``settings.churn_genes``.  The cell is built and compiled
-    once (:func:`~repro.experiments.runner.compile_cell`), and the space
-    keeps that compiled topology.
+    exactly under CR4 — the only rule where they exist.  The cell is
+    built and compiled once
+    (:func:`~repro.experiments.runner.compile_cell`), and the space keeps
+    that compiled topology.
     """
     topology = compile_cell(settings)
     return GenomeSpace(
         topology,
         horizon=round_cap(settings, topology.graph),
         cr4_genes=CollisionRule[settings.collision_rule] is CollisionRule.CR4,
-        churn_genes=settings.churn_genes,
     )
 
 
@@ -172,7 +174,6 @@ def run_search(
                     )
                 )
             batch = [s for s in scores if s is not None]
-            searcher_obj.tell(batch)
             for i, score in enumerate(batch):
                 if best is None or score.objective > best.objective:
                     best = score

@@ -1,22 +1,18 @@
 """The pluggable search strategies over adversary-genome space.
 
-All searchers speak one *ask/tell* protocol so the harness
+All searchers speak one *ask* protocol so the harness
 (:mod:`repro.search.harness`) owns batching, parallel evaluation,
-budget accounting and persistence:
+budget accounting, persistence and the best candidate so far:
+:meth:`Searcher.ask` returns the next batch of candidate genomes,
+drawing all randomness from the harness-supplied rng (which makes the
+whole search deterministic for a fixed seed, and lets a resumed run
+regenerate the identical candidate sequence).  No searcher reads
+scores.
 
-* :meth:`Searcher.ask` returns the next batch of candidate genomes,
-  drawing all randomness from the harness-supplied rng (which makes the
-  whole search deterministic for a fixed seed, and lets a resumed run
-  regenerate the identical candidate sequence);
-* :meth:`Searcher.tell` feeds the evaluated scores back, in ask order.
-
-Three strategies, in increasing use of structure:
+Two strategies, in increasing use of structure:
 
 * :class:`RandomRestartSearch` — i.i.d. samples from the genome space;
   the unbiased baseline every smarter searcher must beat.
-* :class:`LocalMutationSearch` — a (1+1)-style hill climber: each batch
-  mutates the incumbent, and ``tell`` adopts any candidate at least as
-  good (neutral drift crosses plateaus).
 * :class:`GreedyLookaheadSearch` — constructs a genome round by round
   against a live population of
   :class:`~repro.lowerbounds.sandbox.SandboxProcess` copies: at each
@@ -30,14 +26,14 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.adversaries.base import AdversaryView
 from repro.adversaries.interferers import GreedyInterferer
 from repro.core.runner import Registry, make_processes
 from repro.experiments.runner import round_cap
 from repro.lowerbounds.sandbox import SandboxProcess
-from repro.search.evaluate import CandidateScore, SearchSettings
+from repro.search.evaluate import SearchSettings
 from repro.search.genome import GenomeSpace, StrategyGenome
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.engine import StartMode
@@ -65,9 +61,6 @@ class Searcher(abc.ABC):
     ) -> List[StrategyGenome]:
         """Produce the next ``count`` candidates, in evaluation order."""
 
-    def tell(self, scored: Sequence[CandidateScore]) -> None:
-        """Receive the scores of the last ask, in ask order."""
-
 
 class RandomRestartSearch(Searcher):
     """Independent uniform samples — the no-structure baseline."""
@@ -79,40 +72,6 @@ class RandomRestartSearch(Searcher):
     ) -> List[StrategyGenome]:
         """Sample ``count`` fresh genomes."""
         return [self.space.random(rng) for _ in range(count)]
-
-
-class LocalMutationSearch(Searcher):
-    """(1+1)-style local search: mutate the incumbent, keep the best."""
-
-    kind = "local"
-
-    def __init__(
-        self, space: GenomeSpace, settings: SearchSettings
-    ) -> None:
-        super().__init__(space, settings)
-        self._incumbent: Optional[CandidateScore] = None
-
-    def ask(
-        self, rng: random.Random, count: int
-    ) -> List[StrategyGenome]:
-        """Mutations of the incumbent (first batch: a random seed)."""
-        if self._incumbent is None:
-            seed_genome = self.space.random(rng)
-            return [seed_genome] + [
-                self.space.mutate(seed_genome, rng)
-                for _ in range(count - 1)
-            ]
-        parent = self._incumbent.genome
-        return [self.space.mutate(parent, rng) for _ in range(count)]
-
-    def tell(self, scored: Sequence[CandidateScore]) -> None:
-        """Adopt any candidate at least as good as the incumbent."""
-        for score in scored:
-            if (
-                self._incumbent is None
-                or score.objective >= self._incumbent.objective
-            ):
-                self._incumbent = score
 
 
 class GreedyLookaheadSearch(Searcher):
@@ -156,7 +115,7 @@ class GreedyLookaheadSearch(Searcher):
         self._interferer = GreedyInterferer()
 
     # ------------------------------------------------------------------
-    # Ask/tell
+    # Ask
     # ------------------------------------------------------------------
     def _next_proc(self, rng: random.Random) -> Tuple[int, ...]:
         n = self.space.graph.n
@@ -409,10 +368,6 @@ SEARCHERS: Registry[Searcher] = Registry(
         RandomRestartSearch.kind: (
             RandomRestartSearch,
             "independent random genomes (restart baseline)",
-        ),
-        LocalMutationSearch.kind: (
-            LocalMutationSearch,
-            "(1+1) hill climber mutating the incumbent genome",
         ),
         GreedyLookaheadSearch.kind: (
             GreedyLookaheadSearch,

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro.analysis.claims import THEOREM2, Observation
 from repro.cli import build_parser, main
 from repro.lowerbounds.theorem2 import DETERMINISTIC_ALGORITHMS
 
@@ -401,19 +402,41 @@ class TestSearch:
         assert doc["replay_verified"] is True
         assert doc["best_genome"]["horizon"] >= 1
 
-    def test_search_compare_theorem2(self, capsys):
-        rc = main(self.ARGS + ["--compare-theorem2"])
-        assert rc == 0
+    def test_search_compare_theorem2_reads_the_claim(self, capsys):
+        """Text and JSON carry THEOREM2's own bound label and verdict
+        for the search's observation; nothing re-derives ``n − 3``."""
+        assert main(self.ARGS + ["--compare-theorem2", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        observation = Observation(
+            "round_robin", "clique-bridge", 10, doc["best_objective"]
+        )
+        bound = THEOREM2.bound(observation)
+        verdict = THEOREM2.verdict(observation)
+        assert bound == "worst case > 7 (Thm 2)"
+        row = doc["theorem2"]
+        assert (row["bound"], row["verdict"]) == (bound, verdict)
+        assert row["search_best"] == doc["best_objective"]
+        assert "theorem_bound" not in row
+
+        assert main(self.ARGS + ["--compare-theorem2"]) == 0
         out = capsys.readouterr().out
         assert "search vs Theorem 2" in out
-        assert "theorem 2 bound (n-3)" in out
+        cells = dict(
+            [part.strip() for part in line.split("|")[1:3]]
+            for line in out.splitlines()
+            if line.startswith("| ")
+        )
+        assert cells["theorem 2 bound"] == bound
+        assert cells["theorem 2 verdict"] == verdict
 
-    def test_search_compare_theorem2_in_json(self, capsys):
-        rc = main(self.ARGS + ["--compare-theorem2", "--json"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["theorem2"]["theorem_bound"] == 7  # n=10
-        assert doc["theorem2"]["search_best"] == doc["best_objective"]
+    def test_search_compare_theorem2_outside_claim_scope(self, capsys):
+        """A randomized algorithm lies outside THEOREM2's ``covers``:
+        no scripted baseline, bound or verdict."""
+        args = ["harmonic" if a == "round_robin" else a for a in self.ARGS]
+        assert main(args + ["--compare-theorem2", "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)["theorem2"]
+        assert row["scripted_worst"] is None
+        assert (row["bound"], row["verdict"]) == (None, None)
 
     def test_search_compare_theorem2_warns_off_family(self, capsys):
         rc = main(

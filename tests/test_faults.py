@@ -1,6 +1,6 @@
 """Fault injection (``repro.sim.faults``) across every layer.
 
-The churn subsystem's contract has four parts, each pinned here:
+The churn subsystem's contract has three parts, each pinned here:
 
 * **Schedule data** — :class:`ChurnSchedule` validates its event state
   machine at construction and round-trips through JSON; the generators
@@ -17,8 +17,6 @@ The churn subsystem's contract has four parts, each pinned here:
   (failure-free entries keep their pre-churn spelling), a registry of
   kinds, and per-record ``churn_kind`` that reports route into a
   separate "under churn" table.
-* **Search genes** — genomes compile crash genes into legal schedules
-  tolerantly, so blind mutation stays safe.
 
 The spec/runner duplicate-key rejections (duplicate seeds silently
 collapsing resume keys) ride along here because the churn axis is what
@@ -27,7 +25,6 @@ made the silent-collapse failure mode visible.
 
 import dataclasses
 import json
-import random
 
 import pytest
 
@@ -45,7 +42,6 @@ from repro.experiments import (
     plan_batches,
     run_sweep,
 )
-from repro.search.genome import StrategyGenome
 from repro.sim import (
     ChurnSchedule,
     CollisionRule,
@@ -538,115 +534,3 @@ class TestChurnReport:
         assert report.ordered(churned=True) == []
         assert "under churn" not in report.render(title="t")
         assert "churn_cells" not in report.to_dict()
-
-
-# ----------------------------------------------------------------------
-# Search genes
-# ----------------------------------------------------------------------
-class TestChurnGenes:
-    def test_gene_free_genome_compiles_to_none(self):
-        genome = StrategyGenome(horizon=10)
-        assert genome.churn_schedule(8) is None
-
-    def test_genes_compile_to_legal_schedule(self):
-        genome = StrategyGenome(
-            horizon=10, churn=((3, 2, 4), (5, 1, 2))
-        )
-        sched = genome.churn_schedule(8)
-        assert sched.crashes == {1: (5,), 2: (3,)}
-        assert sched.recoveries == {3: (5,), 6: (3,)}
-        assert sched.rejoin == "uninformed"
-
-    def test_protected_and_out_of_range_genes_dropped(self):
-        genome = StrategyGenome(
-            horizon=10, churn=((0, 2, 3), (99, 2, 3), (4, 0, 3))
-        )
-        assert genome.churn_schedule(8, protect=(0,)) is None
-
-    def test_conflicting_genes_dropped_not_rejected(self):
-        # Second gene crashes node 2 while the first still has it down.
-        genome = StrategyGenome(
-            horizon=10, churn=((2, 2, 5), (2, 4, 1))
-        )
-        sched = genome.churn_schedule(8)
-        assert sched.crashes == {2: (2,)}
-        assert sched.recoveries == {7: (2,)}
-
-    def test_serialisation_omits_empty_churn(self):
-        bare = StrategyGenome(horizon=5)
-        assert "churn" not in bare.to_dict()
-        geney = StrategyGenome(horizon=5, churn=((1, 2, 3),))
-        clone = StrategyGenome.from_dict(geney.to_dict())
-        assert clone == geney
-
-    def test_mutations_preserve_churn_genes(self):
-        from repro.search.genome import GenomeSpace
-        from repro.sim.topology import compile_topology
-
-        space = GenomeSpace(
-            compile_topology(corpus_graph("clique-bridge", 9)), horizon=12,
-            cr4_genes=True, churn_genes=True,
-        )
-        rng = random.Random(11)
-        genome = space.random(rng)
-        while not genome.churn:
-            genome = space.mutate(genome, rng)
-        seen_with_churn = 0
-        for _ in range(40):
-            genome = space.mutate(genome, rng)
-            seen_with_churn += bool(genome.churn)
-        # Churn genes survive delivery/proc/cr4 mutations; only the
-        # churn op itself may pop the last gene.
-        assert seen_with_churn > 0
-
-
-class TestChurnSearchCell:
-    def settings(self, **kw):
-        from repro.search import SearchSettings
-
-        return SearchSettings(
-            algorithm="round_robin", graph_kind="clique-bridge", n=9,
-            collision_rule="CR2", **kw,
-        )
-
-    def test_churn_genes_extend_the_cell_key(self):
-        plain = self.settings()
-        churny = self.settings(churn_genes=True)
-        assert churny.key == plain.key + "/churn"
-        assert "churn" not in plain.key
-
-    def test_fast_and_reference_agree_on_churn_genomes(self):
-        from repro.search.evaluate import EvaluationContext
-        from repro.search.harness import make_space
-
-        settings = self.settings(churn_genes=True)
-        ctx = EvaluationContext(settings)
-        space = make_space(settings)
-        assert space.churn_genes
-        rng = random.Random(5)
-        genomes = [space.random(rng) for _ in range(6)]
-        fast = [ctx.evaluate(g) for g in genomes]
-        assert {s.engine for s in fast} == {"fast"}
-        reference = [
-            ctx.run_genome(g, engine="reference")[0] for g in genomes
-        ]
-        assert [s.completion_round for s in fast] == [
-            t.completion_round for t in reference
-        ]
-
-    def test_churn_genome_replay_certifies(self):
-        from repro.search.evaluate import (
-            EvaluationContext,
-            verify_replay,
-        )
-        from repro.search.harness import make_space
-
-        settings = self.settings(churn_genes=True)
-        ctx = EvaluationContext(settings)
-        space = make_space(settings)
-        rng = random.Random(9)
-        genome = space.random(rng)
-        while not genome.churn:
-            genome = space.mutate(genome, rng)
-        assert ctx._churn_for(genome) is not None
-        assert verify_replay(settings, genome, context=ctx)

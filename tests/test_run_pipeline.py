@@ -166,8 +166,8 @@ OPTIONS = {
     ],
     "list": ["--help", "--json", "-h"],
     "search": [
-        "--algorithm", "--batch-size", "--budget", "--churn-genes",
-        "--compare-theorem2", "--cr", "--engine", "--graph", "--help",
+        "--algorithm", "--batch-size", "--budget", "--compare-theorem2",
+        "--cr", "--engine", "--graph", "--help",
         "--json", "--max-rounds", "--n", "--no-verify", "--results",
         "--search-seed", "--searcher", "--seed", "--start-mode",
         "--store", "--verify", "--workers", "-h",
