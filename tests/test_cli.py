@@ -402,22 +402,17 @@ class TestSearch:
         assert doc["replay_verified"] is True
         assert doc["best_genome"]["horizon"] >= 1
 
-    def test_search_compare_theorem2_reads_the_claim(self, capsys):
-        """Text and JSON carry THEOREM2's own bound label and verdict
-        for the search's observation; nothing re-derives ``n − 3``."""
-        assert main(self.ARGS + ["--compare-theorem2", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    @staticmethod
+    def theorem2_reading(best_objective):
+        """THEOREM2's bound label and verdict for this cell's search."""
         observation = Observation(
-            "round_robin", "clique-bridge", 10, doc["best_objective"]
+            "round_robin", "clique-bridge", 10, best_objective
         )
-        bound = THEOREM2.bound(observation)
-        verdict = THEOREM2.verdict(observation)
-        assert bound == "worst case > 7 (Thm 2)"
-        row = doc["theorem2"]
-        assert (row["bound"], row["verdict"]) == (bound, verdict)
-        assert row["search_best"] == doc["best_objective"]
-        assert "theorem_bound" not in row
+        return THEOREM2.bound(observation), THEOREM2.verdict(observation)
 
+    def test_search_compare_theorem2(self, capsys):
+        """The text table carries THEOREM2's own bound label and verdict
+        for the search's observation; nothing re-derives ``n − 3``."""
         assert main(self.ARGS + ["--compare-theorem2"]) == 0
         out = capsys.readouterr().out
         assert "search vs Theorem 2" in out
@@ -426,8 +421,24 @@ class TestSearch:
             for line in out.splitlines()
             if line.startswith("| ")
         )
+        bound, verdict = self.theorem2_reading(
+            int(cells["best objective (rounds)"])
+        )
+        assert bound == "worst case > 7 (Thm 2)"
         assert cells["theorem 2 bound"] == bound
         assert cells["theorem 2 verdict"] == verdict
+        assert cells["search best"] == cells["best objective (rounds)"]
+
+    def test_search_compare_theorem2_in_json(self, capsys):
+        """The JSON ``theorem2`` block carries the same claim reading."""
+        assert main(self.ARGS + ["--compare-theorem2", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        bound, verdict = self.theorem2_reading(doc["best_objective"])
+        assert bound == "worst case > 7 (Thm 2)"
+        row = doc["theorem2"]
+        assert (row["bound"], row["verdict"]) == (bound, verdict)
+        assert row["search_best"] == doc["best_objective"]
+        assert "theorem_bound" not in row
 
     def test_search_compare_theorem2_outside_claim_scope(self, capsys):
         """A randomized algorithm lies outside THEOREM2's ``covers``:

@@ -14,7 +14,10 @@ from repro.obs import RecordingTelemetry, use
 from repro.search import (
     CandidateRecord,
     EvaluationContext,
+    GenomeSpace,
+    GreedyLookaheadSearch,
     PopulationEvaluator,
+    RandomRestartSearch,
     SearchBudget,
     SearchSettings,
     StrategyGenome,
@@ -26,6 +29,7 @@ from repro.search import (
     theorem2_comparison,
 )
 from repro.search.persist import candidate_key
+from repro.search.searchers import SEARCHERS
 from repro.sim.engine import EngineConfig, StartMode, build_engine
 from repro.sim.collision import CollisionRule
 from repro.store import StoreMismatchError, open_store
@@ -360,8 +364,100 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="already registered"):
             register_searcher("random", object)
 
+    def test_ask_only_searcher_plugs_in(self):
+        """A registered searcher needs only ``ask``: the harness keeps
+        the best candidate itself (first of equal objectives)."""
+        pool = [
+            make_space(CELL).random(random.Random(f"pool{i}"))
+            for i in range(5)
+        ]
+        objectives = [
+            EvaluationContext(CELL).evaluate(g).objective for g in pool
+        ]
+        first_best = objectives.index(max(objectives))
+        pool.append(pool[first_best])  # a tie in the second batch
+
+        class PoolSearch(RandomRestartSearch):
+            def ask(self, rng, count):
+                taken, pool[:count] = pool[:count], []
+                return taken
+
+        register_searcher("test-pool", PoolSearch)
+        try:
+            result = run_search(
+                CELL, searcher="test-pool", budget=self.budget(6)
+            )
+        finally:
+            del SEARCHERS._factories["test-pool"]
+            del SEARCHERS._descriptions["test-pool"]
+        assert result.best.objective == max(objectives)
+        assert result.best_ordinal == first_best
+
+    def test_short_batch_rejected(self):
+        class ShortSearch(RandomRestartSearch):
+            def ask(self, rng, count):
+                return super().ask(rng, count - 1)
+
+        register_searcher("test-short", ShortSearch)
+        try:
+            with pytest.raises(
+                RuntimeError, match=r"returned 3 candidates for ask\(4\)"
+            ):
+                run_search(CELL, searcher="test-short", budget=self.budget())
+        finally:
+            del SEARCHERS._factories["test-short"]
+            del SEARCHERS._descriptions["test-short"]
+
+    def test_progress_after_every_batch(self):
+        seen = []
+        result = run_search(
+            CELL, searcher="random", budget=self.budget(10), seed=2,
+            progress=lambda best, done, total: seen.append(
+                (done, total, best.objective)
+            ),
+        )
+        assert [(done, total) for done, total, _ in seen] == [
+            (4, 10), (8, 10), (10, 10)
+        ]
+        objectives = [objective for _, _, objective in seen]
+        assert objectives == sorted(objectives)
+        assert objectives[-1] == result.best.objective
+
     def test_searcher_kinds(self):
         assert {"random", "greedy"} <= set(searcher_kinds())
+
+
+class TestSearchers:
+    """The two built-in searchers' ``ask`` streams."""
+
+    def test_random_asks_independent_space_samples(self):
+        space = make_space(CELL)
+        asked = RandomRestartSearch(space, CELL).ask(random.Random(3), 4)
+        rng = random.Random(3)
+        assert asked == [space.random(rng) for _ in range(4)]
+
+    def test_greedy_proc_plans(self):
+        """Identity, then reversal, then rng-drawn permutations."""
+        space = make_space(CELL)
+        procs = [
+            g.proc
+            for g in GreedyLookaheadSearch(space, CELL).ask(
+                random.Random(0), 3
+            )
+        ]
+        n = CELL.n
+        assert procs[:2] == [tuple(range(n)), tuple(reversed(range(n)))]
+        assert sorted(procs[2]) == list(range(n))
+
+    def test_greedy_without_proc_search_keeps_identity(self):
+        full = make_space(CELL)
+        space = GenomeSpace(
+            full.topology, horizon=full.horizon, search_proc=False
+        )
+        genomes = GreedyLookaheadSearch(space, CELL).ask(
+            random.Random(0), 3
+        )
+        assert {g.proc for g in genomes} == {tuple(range(CELL.n))}
 
 
 class TestShardedSearchCampaign:

@@ -61,6 +61,25 @@ class TestStrategyGenome:
         assert g.proc_mapping() == {0: 1, 1: 0}
         assert StrategyGenome(horizon=1).proc_mapping() is None
 
+    def test_cr4_genes_canonicalised(self):
+        a = StrategyGenome(horizon=4, cr4=((3, 1, 2), (1, 0, 4)))
+        b = StrategyGenome(horizon=4, cr4=[["1", "0", "4"], [3, 1, 2]])
+        assert a.cr4 == ((1, 0, 4), (3, 1, 2))
+        assert a == b
+        assert a.fingerprint == b.fingerprint
+
+    def test_cr4_map_view(self):
+        g = StrategyGenome(horizon=4, cr4=((3, 1, 2), (1, 0, 4)))
+        assert g.cr4_map() == {(1, 0): 4, (3, 1): 2}
+        assert StrategyGenome(horizon=4).cr4_map() == {}
+
+    def test_from_dict_defaults_optional_genes(self):
+        g = StrategyGenome.from_dict(
+            {"horizon": 3, "deliveries": [[2, [[0, [1]]]]]}
+        )
+        assert g == StrategyGenome(horizon=3, deliveries={2: {0: [1]}})
+        assert (g.proc, g.cr4) == (None, ())
+
     def test_adversary_class_tracks_cr4_genes(self):
         plain = StrategyGenome(horizon=2).build_adversary()
         genes = StrategyGenome(
@@ -126,6 +145,19 @@ class TestGenomeSpace:
         a = [space.random(random.Random(7)) for _ in range(5)]
         b = [space.random(random.Random(7)) for _ in range(5)]
         assert a == b
+
+    def test_cr4_genes_legal_and_only_when_enabled(self):
+        rng = random.Random(4)
+        space = self.space(cr4_genes=True)
+        genomes = [space.random(rng) for _ in range(20)]
+        assert any(g.cr4 for g in genomes)
+        n = space.graph.n
+        for g in genomes:
+            for rnd, node, uid in g.cr4:
+                assert 1 <= rnd <= space.horizon
+                assert 0 <= node < n and 0 <= uid < n
+        plain = self.space()
+        assert not any(plain.random(rng).cr4 for _ in range(20))
 
     def test_no_proc_search_keeps_default(self):
         space = GenomeSpace(
