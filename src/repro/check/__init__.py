@@ -1,71 +1,37 @@
-"""``repro.check`` — the repository's AST invariant checker.
+"""``repro check`` — the repository's AST invariant checker.
 
-The test suite can only probe the repo's correctness contracts
-dynamically (trace byte-equality across engines, key-derived RNG
-streams, the stdlib-only runtime, iteration-order determinism); this
-package rejects violations *statically*, at diff time, with an
-extensible rule engine:
+The test suite probes the determinism contract behind "same key ⇒
+same record bytes" dynamically (golden pins, engine differentials,
+fuzzing); this package rejects, at diff time, the violations those
+suites can miss:
 
-* :mod:`repro.check.rules` — the :class:`Rule` protocol, the
-  per-code registry, and the shared :class:`FileContext`.
-* :mod:`repro.check.rulepack` — the first-party rules RPR001–RPR006
-  (importing :mod:`repro.check` registers them).
-* :mod:`repro.check.engine` — single-pass per-file dispatch,
-  suppression handling, and the multi-file driver.
-* :mod:`repro.check.findings` — the finding/suppression data model.
-* :mod:`repro.check.report` — human and versioned-JSON renderers.
+* :mod:`repro.check.rules` — :class:`Finding`, the per-file
+  :class:`FileContext` and the :class:`ContractRule` base.
+* :mod:`repro.check.rulepack` — the rules themselves, as the
+  ``RULES`` tuple.
+* :mod:`repro.check.engine` — single-pass per-file dispatch, the
+  multi-file driver and the report.
 
-CLI: ``repro check [paths] [--json]`` — see docs/CHECKS.md for the
-rule catalogue and the suppression policy.
+CLI: ``repro check [paths]`` — see docs/CHECKS.md for the rule
+catalogue.
 """
 
-from repro.check import rulepack  # noqa: F401  (registers RPR001-006)
 from repro.check.engine import (
     CheckReport,
     check_file,
     check_paths,
     check_source,
-    iter_python_files,
     scope_of,
 )
-from repro.check.findings import Finding, Suppression, scan_suppressions
-from repro.check.report import (
-    REPORT_VERSION,
-    render_human,
-    render_json,
-    render_rule_list,
-)
-from repro.check.rules import (
-    ContractRule,
-    FileContext,
-    Rule,
-    all_rules,
-    known_codes,
-    register_rule,
-    rule_catalogue,
-    rule_codes,
-)
+from repro.check.rulepack import RULES
+from repro.check.rules import Finding
 
 __all__ = [
     "CheckReport",
-    "ContractRule",
-    "FileContext",
     "Finding",
-    "REPORT_VERSION",
-    "Rule",
-    "Suppression",
-    "all_rules",
+    "RULES",
     "check_file",
     "check_paths",
     "check_source",
-    "iter_python_files",
-    "known_codes",
-    "register_rule",
-    "render_human",
-    "render_json",
-    "render_rule_list",
-    "rule_catalogue",
-    "rule_codes",
-    "scan_suppressions",
     "scope_of",
 ]

@@ -1,12 +1,8 @@
 """The per-file walker and multi-file driver behind ``repro check``.
 
-One AST traversal per file: the engine maintains the positional state
-rules need (enclosing function/class names, tracked-module alias
-table) on a shared
-:class:`~repro.check.rules.FileContext` and dispatches each node to
-the rules that declared interest in its class.  Findings then pass
-through the suppression filter (``# repro: noqa(RPR0xx): why`` on the
-finding's line).
+One AST traversal per file: the engine maintains the tracked-module
+alias table on a shared :class:`~repro.check.rules.FileContext` and
+dispatches each node to the rules that declared interest in its class.
 
 Everything is deterministic by construction: files are visited in
 sorted order, rules in code order, and findings are sorted before
@@ -21,21 +17,16 @@ import dataclasses
 import pathlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.check.findings import (
-    INVALID_SUPPRESSION,
-    PARSE_ERROR,
-    Finding,
-    Suppression,
-    scan_suppressions,
-    suppressions_by_line,
-)
+from repro.check.rulepack import RULES
 from repro.check.rules import (
     TRACKED_MODULES,
+    ContractRule,
     FileContext,
-    Rule,
-    all_rules,
-    known_codes,
+    Finding,
 )
+
+#: Code reported when a checked file does not parse as Python.
+PARSE_ERROR = "RPR900"
 
 
 def scope_of(path: pathlib.Path) -> Optional[str]:
@@ -56,10 +47,12 @@ def scope_of(path: pathlib.Path) -> Optional[str]:
 class _Walker:
     """Single-pass dispatcher: one AST walk feeds every rule."""
 
-    def __init__(self, ctx: FileContext, rules: Sequence[Rule]) -> None:
+    def __init__(
+        self, ctx: FileContext, rules: Sequence[ContractRule]
+    ) -> None:
         self.ctx = ctx
         self.findings: List[Finding] = []
-        self._interest: Dict[type, List[Rule]] = {}
+        self._interest: Dict[type, List[ContractRule]] = {}
         for rule in rules:
             for node_type in rule.interests:
                 self._interest.setdefault(node_type, []).append(rule)
@@ -82,150 +75,53 @@ class _Walker:
                         f"{module}.{alias.name}"
                     )
 
-    def _dispatch(self, node: ast.AST) -> None:
-        for rule in self._interest.get(type(node), ()):
-            self.findings.extend(rule.inspect(node, self.ctx))
-
     def walk(self, node: ast.AST) -> None:
         """Visit ``node`` and its children in document order."""
-        ctx = self.ctx
+        for rule in self._interest.get(type(node), ()):
+            self.findings.extend(rule.inspect(node, self.ctx))
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             # Rules see the import before the alias lands so RPR002
             # reports the import statement itself; calls resolved
             # later in document order see the alias.
-            self._dispatch(node)
             self._record_imports(node)
             return
-
-        self._dispatch(node)
-
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            ctx.function_stack.append(node.name)
-            for child in ast.iter_child_nodes(node):
-                self.walk(child)
-            ctx.function_stack.pop()
-        elif isinstance(node, ast.Lambda):
-            ctx.function_stack.append("<lambda>")
-            for child in ast.iter_child_nodes(node):
-                self.walk(child)
-            ctx.function_stack.pop()
-        elif isinstance(node, ast.ClassDef):
-            ctx.class_stack.append(node.name)
-            for child in ast.iter_child_nodes(node):
-                self.walk(child)
-            ctx.class_stack.pop()
-        else:
-            for child in ast.iter_child_nodes(node):
-                self.walk(child)
-
-
-def _apply_suppressions(
-    findings: List[Finding],
-    suppressions: List[Suppression],
-    path: str,
-) -> Tuple[List[Finding], int]:
-    """Drop findings covered by valid suppressions; flag invalid ones.
-
-    Returns the kept findings plus the number suppressed.  A
-    suppression must carry a justification and name only known codes
-    to take effect; otherwise it is inert and reported as RPR000.
-    """
-    codes = known_codes()
-    by_line = suppressions_by_line(suppressions)
-    kept: List[Finding] = []
-    suppressed = 0
-    for sup in suppressions:
-        unknown = sorted(set(sup.codes) - codes)
-        if not sup.valid:
-            kept.append(
-                Finding(
-                    path=path,
-                    line=sup.line,
-                    col=1,
-                    code=INVALID_SUPPRESSION,
-                    message=(
-                        "suppression has no justification text "
-                        "(write `# repro: noqa(CODE): reason`); it "
-                        "suppresses nothing"
-                    ),
-                )
-            )
-        elif unknown:
-            kept.append(
-                Finding(
-                    path=path,
-                    line=sup.line,
-                    col=1,
-                    code=INVALID_SUPPRESSION,
-                    message=(
-                        "suppression names unknown rule code(s) "
-                        f"{', '.join(unknown)}; it suppresses nothing"
-                    ),
-                )
-            )
-    for finding in findings:
-        covered = any(
-            sup.valid
-            and not (set(sup.codes) - codes)
-            and finding.code in sup.codes
-            for sup in by_line.get(finding.line, [])
-        )
-        if covered:
-            suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, suppressed
+        for child in ast.iter_child_nodes(node):
+            self.walk(child)
 
 
 def check_source(
-    source: str,
-    path: str,
-    scope: Optional[str],
-    rules: Optional[Sequence[Rule]] = None,
-) -> Tuple[List[Finding], int]:
-    """Check one in-memory source; returns (findings, suppressed).
+    source: str, path: str, scope: Optional[str]
+) -> List[Finding]:
+    """Check one in-memory source; returns its findings.
 
     The unit the fixture tests drive directly; :func:`check_file`
     adds I/O and scope detection on top.
     """
-    selected = [
-        rule
-        for rule in (all_rules() if rules is None else rules)
-        if rule.applies_to(scope)
-    ]
     try:
         tree = ast.parse(source)
     except (SyntaxError, ValueError) as exc:
         line = getattr(exc, "lineno", 1) or 1
-        return (
-            [
-                Finding(
-                    path=path,
-                    line=line,
-                    col=1,
-                    code=PARSE_ERROR,
-                    message=f"file does not parse: {exc}",
-                )
-            ],
-            0,
-        )
-    ctx = FileContext(
-        path=path, scope=scope, lines=source.splitlines()
+        return [
+            Finding(
+                path=path,
+                line=line,
+                col=1,
+                code=PARSE_ERROR,
+                message=f"file does not parse: {exc}",
+            )
+        ]
+    walker = _Walker(
+        FileContext(path=path, scope=scope),
+        [rule for rule in RULES if rule.applies_to(scope)],
     )
-    walker = _Walker(ctx, selected)
     walker.walk(tree)
-    return _apply_suppressions(
-        walker.findings, scan_suppressions(source), path
-    )
+    return walker.findings
 
 
-def check_file(
-    path: pathlib.Path, rules: Optional[Sequence[Rule]] = None
-) -> Tuple[List[Finding], int]:
-    """Check one file on disk; returns (findings, suppressed)."""
-    display = path.as_posix()
+def check_file(path: pathlib.Path) -> List[Finding]:
+    """Check one file on disk; returns its findings."""
     source = path.read_text(encoding="utf-8")
-    return check_source(source, display, scope_of(path), rules)
+    return check_source(source, path.as_posix(), scope_of(path))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,28 +129,29 @@ class CheckReport:
     """The outcome of one ``repro check`` invocation.
 
     Attributes:
-        findings: Surviving findings, sorted by (path, line, col,
-            code).
+        findings: Every finding, sorted by (path, line, col, code).
         files_checked: Number of Python files visited.
-        suppressed: Findings silenced by valid justified noqa
-            comments.
     """
 
     findings: Tuple[Finding, ...]
     files_checked: int
-    suppressed: int
 
     @property
     def clean(self) -> bool:
-        """Whether no finding survived suppression."""
+        """Whether the checked files carry no finding."""
         return not self.findings
 
-    def counts(self) -> Dict[str, int]:
-        """Surviving findings per rule code."""
-        out: Dict[str, int] = {}
-        for finding in self.findings:
-            out[finding.code] = out.get(finding.code, 0) + 1
-        return out
+    def render(self) -> str:
+        """The terminal form: findings, then a one-line summary."""
+        lines = [f.render() for f in self.findings]
+        if self.clean:
+            lines.append(f"repro check: {self.files_checked} file(s) clean")
+        else:
+            lines.append(
+                f"repro check: {len(self.findings)} finding(s) in "
+                f"{self.files_checked} file(s)"
+            )
+        return "\n".join(lines)
 
 
 def iter_python_files(
@@ -281,20 +178,10 @@ def iter_python_files(
     return sorted(dict.fromkeys(out))
 
 
-def check_paths(
-    paths: Sequence[pathlib.Path],
-    rules: Optional[Sequence[Rule]] = None,
-) -> CheckReport:
+def check_paths(paths: Sequence[pathlib.Path]) -> CheckReport:
     """Run the rule pack over ``paths`` (files and/or directories)."""
-    findings: List[Finding] = []
-    suppressed = 0
     files = iter_python_files(paths)
-    for file_path in files:
-        file_findings, file_suppressed = check_file(file_path, rules)
-        findings.extend(file_findings)
-        suppressed += file_suppressed
+    findings = [f for path in files for f in check_file(path)]
     return CheckReport(
-        findings=tuple(sorted(findings)),
-        files_checked=len(files),
-        suppressed=suppressed,
+        findings=tuple(sorted(findings)), files_checked=len(files)
     )

@@ -1,36 +1,23 @@
-"""The rule interface and registry behind ``repro check``.
+"""The finding, per-file context and rule base behind ``repro check``.
 
 A *rule* encodes one statically-checkable repository contract (see
-docs/CHECKS.md for the catalogue).  Rules are objects satisfying the
-:class:`Rule` protocol: they carry a unique ``RPR0xx`` code, the
-contract text they enforce, the documented fix, an optional scope (the
-first-level ``repro`` subpackages they apply to), and a tuple of
-:mod:`ast` node classes they want to see.  The engine walks each file's
-AST exactly once and dispatches every node to the rules interested in
-its class — adding a rule never adds a traversal.
+docs/CHECKS.md for the catalogue).  Rules subclass
+:class:`ContractRule`: they carry a unique ``RPR0xx`` code, an optional
+scope (the first-level ``repro`` subpackages they apply to), and a
+tuple of :mod:`ast` node classes they want to see.  The engine walks
+each file's AST exactly once and dispatches every node to the rules
+interested in its class.
 
 Rules never mutate the tree and never see files outside their scope;
-everything position-dependent they need (enclosing function/class,
-alias table) is maintained by the engine on the shared
-:class:`FileContext`.
+the alias table they resolve calls against is maintained by the engine
+on the shared :class:`FileContext`.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Set,
-    Tuple,
-    TypeVar,
-)
-
-from repro.check.findings import Finding
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Modules whose names/aliases the engine tracks on
 #: :attr:`FileContext.aliases` — the vocabulary rules resolve calls
@@ -45,6 +32,30 @@ TRACKED_MODULES = (
 )
 
 
+@dataclasses.dataclass(frozen=True, order=True)
+class Finding:
+    """One rule violation at one source location.
+
+    Attributes:
+        path: Display path of the offending file (as given to the
+            checker, normalised to POSIX separators).
+        line: 1-based source line.
+        col: 1-based source column.
+        code: The rule code (``RPR002`` … or ``RPR900``).
+        message: Human-readable description of the violation.
+    """
+
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
+
+    def render(self) -> str:
+        """The one-line ``path:line:col: CODE message`` form."""
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+
+
 @dataclasses.dataclass
 class FileContext:
     """Per-file state the engine maintains while walking the AST.
@@ -56,25 +67,13 @@ class FileContext:
             ``repro`` package — in which case *every* rule applies
             (this is how the test fixture corpus exercises scoped
             rules).
-        lines: The file's source lines (1-based access via
-            ``lines[line - 1]``).
-        function_stack: Names of enclosing ``def``/``lambda`` scopes,
-            outermost first.
-        class_stack: Names of enclosing classes, outermost first.
         aliases: Local name → dotted origin for tracked modules, e.g.
             ``{"rnd": "random", "datetime": "datetime.datetime"}``.
     """
 
     path: str
     scope: Optional[str]
-    lines: List[str]
-    function_stack: List[str] = dataclasses.field(default_factory=list)
-    class_stack: List[str] = dataclasses.field(default_factory=list)
     aliases: Dict[str, str] = dataclasses.field(default_factory=dict)
-
-    def in_function(self, name: str) -> bool:
-        """Whether any enclosing function is called ``name``."""
-        return name in self.function_stack
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """The dotted name of an expression, aliases expanded.
@@ -96,47 +95,21 @@ class FileContext:
         return ".".join(reversed(parts))
 
 
-class Rule(Protocol):
-    """The contract every registered rule satisfies.
+class ContractRule:
+    """Base of every rule: its code, scope and node interests.
+
+    Subclasses set the class attributes and implement
+    :meth:`inspect`; :meth:`finding` builds a correctly-located
+    :class:`Finding` from an AST node.
 
     Attributes:
         code: Unique ``RPR0xx`` identifier.
-        name: Short kebab-ish rule name for reports.
-        contract: The repository contract the rule enforces (rendered
-            in ``repro check --list-rules`` and docs/CHECKS.md).
-        fix: The documented way to bring violating code into
-            compliance.
         scopes: First-level ``repro`` subpackages the rule applies to,
             or ``None`` for the whole tree.
         interests: The :mod:`ast` node classes the rule inspects.
     """
 
-    code: str
-    name: str
-    contract: str
-    fix: str
-    scopes: Optional[Tuple[str, ...]]
-    interests: Tuple[type, ...]
-
-    def inspect(
-        self, node: ast.AST, ctx: FileContext
-    ) -> Iterator[Finding]:
-        """Yield findings for one dispatched node."""
-        ...  # pragma: no cover - protocol signature
-
-
-class ContractRule:
-    """Convenience base carrying the static rule metadata.
-
-    Subclasses set the class attributes and implement
-    :meth:`inspect`; :meth:`finding` builds a correctly-located
-    :class:`Finding` from an AST node.
-    """
-
     code: str = "RPR???"
-    name: str = ""
-    contract: str = ""
-    fix: str = ""
     scopes: Optional[Tuple[str, ...]] = None
     interests: Tuple[type, ...] = ()
 
@@ -166,74 +139,5 @@ class ContractRule:
     def inspect(
         self, node: ast.AST, ctx: FileContext
     ) -> Iterator[Finding]:
-        """Yield findings for one dispatched node (default: none)."""
-        return iter(())
-
-
-_RULES: Dict[str, Rule] = {}
-
-#: Meta codes the engine itself reports; they appear in the catalogue
-#: but have no Rule object and cannot be suppressed.
-META_CODES: Dict[str, str] = {
-    "RPR000": "suppression comment without a justification, or naming "
-    "a code no registered rule owns (the suppression is inert)",
-    "RPR900": "file does not parse as Python (nothing else was checked)",
-}
-
-
-_R = TypeVar("_R", bound="ContractRule")
-
-
-def register_rule(rule_cls: type[_R]) -> type[_R]:
-    """Register an instance of ``rule_cls`` under its code.
-
-    Used as a class decorator on :class:`ContractRule` subclasses;
-    duplicate codes are an error so every finding maps to exactly one
-    documented contract.
-    """
-    rule = rule_cls()
-    if rule.code in _RULES or rule.code in META_CODES:
-        raise ValueError(f"duplicate rule code {rule.code!r}")
-    _RULES[rule.code] = rule
-    return rule_cls
-
-
-def all_rules() -> Tuple[Rule, ...]:
-    """Every registered rule, code-sorted (deterministic dispatch)."""
-    return tuple(_RULES[code] for code in sorted(_RULES))
-
-
-def rule_codes() -> Tuple[str, ...]:
-    """The sorted registered codes (meta codes excluded)."""
-    return tuple(sorted(_RULES))
-
-
-def known_codes() -> Set[str]:
-    """Registered plus meta codes — the vocabulary suppressions may use."""
-    return set(_RULES) | set(META_CODES)
-
-
-def rule_catalogue() -> Dict[str, Dict[str, str]]:
-    """``code → {name, contract, fix, scopes}`` for reports and docs."""
-    catalogue: Dict[str, Dict[str, str]] = {}
-    for code in sorted(_RULES):
-        rule = _RULES[code]
-        scopes = (
-            "repro (all packages)"
-            if rule.scopes is None
-            else ", ".join(rule.scopes)
-        )
-        catalogue[code] = {
-            "name": rule.name,
-            "contract": rule.contract,
-            "fix": rule.fix,
-            "scopes": scopes,
-        }
-    for code, text in sorted(META_CODES.items()):
-        catalogue[code] = {
-            "name": "meta",
-            "contract": text,
-            "fix": "",
-            "scopes": "reported by the engine itself",
-        }
-    return catalogue
+        """Yield findings for one dispatched node."""
+        raise NotImplementedError

@@ -520,22 +520,14 @@ def cmd_check(args) -> int:
     """Run the AST invariant checker (see docs/CHECKS.md)."""
     import pathlib
 
-    from repro.check import (
-        check_paths,
-        render_human,
-        render_json,
-        render_rule_list,
-    )
+    from repro.check import check_paths
 
-    if args.list_rules:
-        print(render_rule_list())
-        return 0
     paths = [pathlib.Path(p) for p in (args.paths or ["src/repro"])]
     try:
         report = check_paths(paths)
     except FileNotFoundError as exc:
         raise SystemExit(str(exc))
-    print(render_json(report) if args.json else render_human(report))
+    print(report.render())
     return 0 if report.clean else 1
 
 
@@ -558,20 +550,16 @@ def cmd_lowerbound(args) -> int:
         from repro.analysis.claims import THEOREM2, theorem2_observation
 
         res = theorem2_lower_bound(factory, args.n)
+        observation = theorem2_observation(args.algorithm, res)
         print(
             render_table(
                 ["quantity", "value"],
                 [
                     ["n", res.n],
                     ["worst-case rounds", res.worst_rounds],
-                    ["paper bound (n-3)", res.theorem_bound],
+                    ["theorem 2 bound", THEOREM2.bound(observation)],
                     ["worst bridge identity", res.worst_bridge_uid],
-                    [
-                        "bound holds",
-                        THEOREM2.reproduced(
-                            theorem2_observation(args.algorithm, res)
-                        ),
-                    ],
+                    ["theorem 2 verdict", THEOREM2.verdict(observation)],
                 ],
                 title=f"Theorem 2 vs {args.algorithm}",
             )
@@ -917,18 +905,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="statically check the determinism/import/timer "
-        "contracts (AST rules RPR001-RPR008, see docs/CHECKS.md)",
+        help="statically check the determinism and stdlib-only "
+        "contracts (AST rules, see docs/CHECKS.md)",
     )
     check.add_argument(
         "paths", nargs="*",
         help="files or directories to check (default: src/repro)",
     )
-    check.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue (code, contract, fix, scope)",
-    )
-    check.add_argument("--json", action="store_true")
     check.set_defaults(func=cmd_check)
 
     lb = sub.add_parser(

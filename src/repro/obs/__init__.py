@@ -7,8 +7,7 @@ The observability layer the sweep/search/engine stack reports through:
   default, the in-memory :class:`RecordingTelemetry`, and the
   process-wide :func:`current`/:func:`set_telemetry`/:func:`use`
   installation points.  :class:`Stopwatch` is the sanctioned
-  elapsed-time primitive for every layer outside this package (rule
-  RPR008).
+  elapsed-time primitive for every layer outside this package.
 * :mod:`repro.obs.events` — the schema-versioned ``events.jsonl``
   envelope, the tolerant reader and the :func:`environment_metadata`
   host fingerprint.

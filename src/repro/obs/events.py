@@ -19,8 +19,8 @@ event object carrying a fixed envelope::
 * ``ts`` — wall-clock epoch seconds at writing (a pool worker's
   events are stamped when the parent folds them in).  Events are telemetry
   *about* a run, never inputs to one: no trace byte ever derives from
-  an event, which is why wall time is legal here (and only here —
-  rules RPR003/RPR008 police the other layers).
+  an event, which is why wall time is legal here (rule RPR003 rejects
+  it in the packages that build traces and records).
 * ``pid``/``seq`` — the writing process and its sequence number, so
   file order is ``seq`` order.  A ``heartbeat`` names the pool worker
   it reports on in its own ``worker`` field.

@@ -15,10 +15,10 @@ Three invariants make instrumentation safe to leave in hot paths:
   object.  Enabling any sink never changes trace bytes: telemetry only
   *observes* (``tests/test_obs.py`` holds the differential proof, and
   ``benchmarks/bench_obs.py`` the <=5 % overhead contract).
-* **Wall clocks live here** — ``repro check`` rule RPR008 confines
-  ``time.perf_counter``/``monotonic`` to this package, so elapsed-time
-  measurement elsewhere goes through :class:`Stopwatch` or spans and
-  the determinism audit has one surface to read.
+* **Wall clocks live here** — elapsed-time measurement elsewhere goes
+  through :class:`Stopwatch` or spans; ``repro check`` rule RPR003
+  rejects a raw ``time.perf_counter``/``monotonic`` read in the
+  packages that build traces and records.
 * **Process-scoped, not thread-scoped** — the sweep layer fans out via
   processes, so one module-level current telemetry per process is the
   right granularity.  A pool worker records into its own
@@ -38,9 +38,8 @@ from typing import Dict, Iterator, List, Optional, Protocol
 class Stopwatch:
     """Elapsed wall-time measurement for layers outside ``repro.obs``.
 
-    The sanctioned replacement for ad-hoc ``time.perf_counter()`` pairs
-    (rule RPR008): construction starts the clock, :meth:`elapsed`
-    reads it.  Elapsed values feed human-facing fields only — never
+    The sanctioned replacement for ad-hoc ``time.perf_counter()``
+    pairs: construction starts the clock, :meth:`elapsed` reads it.  Elapsed values feed human-facing fields only — never
     trace state.
     """
 

@@ -34,8 +34,8 @@ Everything is deterministic: a schedule is plain data, and the
 rate-driven generator :func:`generate_churn` draws every coin from one
 ``random.Random`` seeded from the run's own seed (namespaced so the
 churn stream never correlates with the adversary's or the processes'
-streams).  Ambient randomness and constant seeds are banned here by
-rule RPR007 of ``repro check``.
+streams).  ``tests/test_faults.py`` and the golden records fail when
+that seed is a constant or the stream is not seeded at all.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -480,7 +481,11 @@ class TestLowerBound:
         assert rc == 0
         out = capsys.readouterr().out
         assert f"Theorem 2 vs {algorithm}" in out
-        assert "True" in out  # bound holds
+        assert "worst case > 7 (Thm 2)" in out
+        # THEOREM2's verdict cell reads exactly "reached".
+        assert re.search(
+            r"^\| theorem 2 verdict +\| reached +\|$", out, re.MULTILINE
+        )
 
     @pytest.mark.parametrize("algorithm", DETERMINISTIC_ALGORITHMS)
     def test_theorem11(self, capsys, algorithm):

@@ -180,7 +180,7 @@ OPTIONS = {
         "--graph", "--help", "--json", "--max-rounds", "--n", "--p",
         "--seed", "-h",
     ],
-    "check": ["--help", "--json", "--list-rules", "-h"],
+    "check": ["--help", "-h"],
     "lowerbound": ["--algorithm", "--help", "--n", "--theorem", "-h"],
 }
 

@@ -243,6 +243,22 @@ class TestSweepDifferential:
             layouts.append(shard_keys)
         assert layouts[0] == layouts[1]
 
+    def test_repeated_sharded_sweep_is_byte_identical(self, tmp_path):
+        # The same sweep run twice writes the same bytes: no wall clock
+        # or entropy read may reach the manifest or a shard.
+        spec = tiny_spec(seeds=range(2))
+        roots = [tmp_path / "first", tmp_path / "second"]
+        for root in roots:
+            run_sweep(
+                spec, workers=1, results_path=str(root), store="sharded"
+            )
+        names = sorted(os.listdir(roots[0]))
+        assert "manifest.json" in names
+        assert sorted(os.listdir(roots[1])) == names
+        for name in names:
+            first, second = (root / name for root in roots)
+            assert first.read_bytes() == second.read_bytes(), name
+
     def test_shard_index_is_pure_key_hash(self):
         assert shard_index("a/key", 8) == shard_index("a/key", 8)
         spread = {shard_index(f"k{i}", 8) for i in range(256)}
