@@ -1,9 +1,8 @@
 """The rule pack: each rule catches one defect the test suite misses.
 
-A violation of each rule, planted at a live site in its scope, changes
-a trace, a persisted byte or the stdlib-only import contract while
-tier-1 and the fuzz suite still pass (docs/CHECKS.md names each
-defect and its site):
+Each rule flags a violation that can change a trace, a persisted byte
+or the stdlib-only import contract where tier-1 and the fuzz suite do
+not look (docs/CHECKS.md names each defect and a live site for it):
 
 * **RPR002** — a NumPy/SciPy import the import-gate test does not
   execute (function-local, on a path its sweep skips).
