@@ -1,14 +1,9 @@
-"""RPR003 failing fixture: wall clocks, timers and entropy sources."""
+"""RPR003 failing fixture: wall clocks and entropy sources."""
 
 import os
 import time
 import uuid
-from time import monotonic
 
 
 def stamp():
     return time.time(), uuid.uuid4().hex, os.urandom(8)
-
-
-def budget_left(started, budget):
-    return monotonic() - started < budget

@@ -35,7 +35,7 @@ class TestRulePack:
         "code, count",
         [
             ("RPR002", 4),
-            ("RPR003", 4),
+            ("RPR003", 3),
             ("RPR004", 2),
             ("RPR005", 3),
         ],
@@ -129,6 +129,116 @@ class TestScientificImport:
         assert findings == []
 
 
+class TestWallClockEntropy:
+    """RPR003 flags each clock, timer and entropy read, however it is
+    imported, and leaves seeded and key-derived values alone."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import time\nt = time.time()\n",
+            "import time\nt = time.time_ns()\n",
+            "import time\nt = time.perf_counter()\n",
+            "from time import monotonic\nt = monotonic()\n",
+            "import datetime\nt = datetime.datetime.now()\n",
+            "from datetime import date\nt = date.today()\n",
+            "import os\nb = os.urandom(8)\n",
+            "import uuid\nu = uuid.uuid4()\n",
+            "import secrets\nb = secrets.token_bytes(8)\n",
+            "import random\nr = random.SystemRandom()\n",
+        ],
+    )
+    def test_flagged(self, source):
+        findings = check_source(source, "x.py", scope=None)
+        assert codes(findings) == ["RPR003"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import time\ntime.sleep(0)\n",
+            "import random\nr = random.Random(7)\n",
+            "import os\np = os.path.join('a', 'b')\n",
+            "def time():\n    return 0\nt = time()\n",
+            "t = 'time.time()'\n",
+        ],
+    )
+    def test_clean(self, source):
+        findings = check_source(source, "x.py", scope=None)
+        assert findings == []
+
+
+class TestUnorderedIteration:
+    """RPR004 flags a loop or comprehension straight over a set
+    expression, and nothing that is sorted first."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "for x in {1, 2}:\n    pass\n",
+            "for x in {y for y in ys}:\n    pass\n",
+            "for x in set(ys):\n    pass\n",
+            "for x in frozenset(ys):\n    pass\n",
+            "out = [x for x in a.union(b)]\n",
+            "out = {x: 1 for x in a.intersection(b)}\n",
+            "out = (x for x in a.difference(b))\n",
+            "out = [x for x in a.symmetric_difference(b)]\n",
+            "async def f():\n    async for x in set(ys):\n        pass\n",
+        ],
+    )
+    def test_flagged(self, source):
+        findings = check_source(source, "x.py", scope=None)
+        assert codes(findings) == ["RPR004"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "for x in sorted(set(ys)):\n    pass\n",
+            "out = [x for x in sorted(a.union(b))]\n",
+            "for x in list(ys):\n    pass\n",
+            "for x in {1: 2}:\n    pass\n",
+            "out = len(set(ys))\n",
+        ],
+    )
+    def test_clean(self, source):
+        findings = check_source(source, "x.py", scope=None)
+        assert findings == []
+
+
+class TestFloatEquality:
+    """RPR005 flags ``==``/``!=`` with a float operand on either side,
+    once per comparison, and no ordering or integer comparison."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "ok = p == 0.5\n",
+            "ok = 0.5 == p\n",
+            "ok = x != -1.0\n",
+            "ok = x == +2.0\n",
+            "ok = raw == float(raw)\n",
+            "ok = 0 < p == 0.5\n",
+            "ok = p == 0.5 == q\n",
+        ],
+    )
+    def test_flagged(self, source):
+        findings = check_source(source, "x.py", scope=None)
+        assert codes(findings) == ["RPR005"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "ok = p < 0.5\n",
+            "ok = steps == 1\n",
+            "ok = p is None\n",
+            "ok = x == '0.5'\n",
+            "import math\nok = math.isclose(p, 0.5)\n",
+        ],
+    )
+    def test_clean(self, source):
+        findings = check_source(source, "x.py", scope=None)
+        assert findings == []
+
+
 class TestScoping:
     def test_scope_of(self):
         assert scope_of(pathlib.Path("src/repro/sim/engine.py")) == "sim"
@@ -213,6 +323,13 @@ class TestCli:
         assert rc == 1
         out = capsys.readouterr().out
         assert "RPR003" in out
+
+    @pytest.mark.parametrize("code", CODES)
+    def test_fail_fixture_exits_one_with_its_code(self, code, capsys):
+        rc = main(["check", str(FIXTURES / f"{code.lower()}_fail.py")])
+        assert rc == 1
+        found = set(re.findall(r"RPR\d{3}", capsys.readouterr().out))
+        assert found == {code}
 
     def test_missing_path_is_an_error(self):
         with pytest.raises(SystemExit):
