@@ -436,6 +436,32 @@ class TestSearchers:
         rng = random.Random(3)
         assert asked == [space.random(rng) for _ in range(4)]
 
+    def test_random_draws_pinned(self):
+        """``GenomeSpace.random``'s coins, pinned on a gnp n = 20 CR4
+        cell: changing any draw (target subsets, delivery rate, CR4
+        genes, proc shuffle) moves these fingerprints and the best
+        candidate of a random search."""
+        cell = SearchSettings(
+            algorithm="round_robin",
+            graph_kind="gnp",
+            n=20,
+            collision_rule="CR4",
+        )
+        space = make_space(cell)
+        rng = random.Random(3)
+        assert [space.random(rng).fingerprint for _ in range(4)] == [
+            "e67c740b", "79ffb48e", "de33b645", "028568e6",
+        ]
+        result = run_search(
+            cell,
+            searcher="random",
+            budget=SearchBudget(evaluations=8, batch_size=4),
+            seed=0,
+        )
+        best = result.best
+        assert (best.genome.fingerprint, best.objective) == ("1a9aa58c", 37)
+        assert result.best_ordinal == 2
+
     def test_greedy_proc_plans(self):
         """Identity, then reversal, then rng-drawn permutations."""
         space = make_space(CELL)
