@@ -108,10 +108,6 @@ class RunningSummary:
     value — memory O(distinct values), not O(observations).  A 10⁶-run
     campaign whose completion rounds span a few hundred values costs a
     few hundred dict entries.
-
-    Accumulators also :meth:`merge`, so per-shard partial summaries
-    combine associatively (Chan et al.'s parallel Welford update) —
-    the shape a sharded or multi-host reducer needs.
     """
 
     __slots__ = ("count", "_mean", "_m2", "_min", "_max", "_counts")
@@ -142,39 +138,6 @@ class RunningSummary:
         """Fold a stream of observations in (returns self)."""
         for v in values:
             self.add(v)
-        return self
-
-    def merge(self, other: "RunningSummary") -> "RunningSummary":
-        """Combine another accumulator into this one (returns self).
-
-        Associative and order-insensitive up to floating-point
-        rounding — per-shard partials merged in any order agree with
-        one sequential pass to well below the CI's resolution.
-        """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            self._counts = dict(other._counts)
-            return self
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._mean += delta * other.count / total
-        self._m2 += (
-            other._m2 + delta * delta * self.count * other.count / total
-        )
-        self.count = total
-        assert other._min is not None and other._max is not None
-        if self._min is None or other._min < self._min:
-            self._min = other._min
-        if self._max is None or other._max > self._max:
-            self._max = other._max
-        for v, c in other._counts.items():
-            self._counts[v] = self._counts.get(v, 0) + c
         return self
 
     @property

@@ -17,7 +17,6 @@ by comparing the two engines observation-for-observation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
@@ -28,7 +27,9 @@ from repro.sim.messages import (
     Message,
     Reception,
     SILENCE,
+    carries_payload,
     received,
+    source_input,
 )
 from repro.sim.process import Process, ProcessContext
 from repro.sim.trace import ExecutionTrace, RoundRecord
@@ -135,7 +136,6 @@ class InterferenceEngine:
         synchronous_start: bool = False,
         max_rounds: int = 1_000_000,
         seed: int = 0,
-        payload: object = "broadcast-message",
         cr4_choose_first: bool = False,
     ) -> None:
         if len(processes) != network.n:
@@ -144,17 +144,12 @@ class InterferenceEngine:
         self.collision_rule = collision_rule
         self.synchronous_start = synchronous_start
         self.max_rounds = max_rounds
-        self.payload = payload
         self.cr4_choose_first = cr4_choose_first
         self.process_at: Dict[int, Process] = {
             v: p for v, p in zip(range(network.n), processes)
         }
         self._contexts = {
-            v: ProcessContext(
-                round_number=0,
-                rng=random.Random(f"{seed}:{p.uid}"),
-                n=network.n,
-            )
+            v: ProcessContext.seeded(seed, p.uid, network.n)
             for v, p in self.process_at.items()
         }
         self._active: set = set()
@@ -175,9 +170,7 @@ class InterferenceEngine:
     def run(self) -> ExecutionTrace:
         source = self.network.source
         sp = self.process_at[source]
-        sp.on_broadcast_input(
-            Message(payload=self.payload, sender=sp.uid, round_sent=0)
-        )
+        sp.on_broadcast_input(source_input(sp.uid))
         self.trace.informed_round[source] = 0
         if self.synchronous_start:
             for v in range(self.network.n):
@@ -204,21 +197,18 @@ class InterferenceEngine:
             )
             newly_informed: List[int] = []
             newly_active: List[int] = []
+            informed_round = self.trace.informed_round
             for v, rec in receptions.items():
-                proc = self.process_at[v]
                 if v not in self._active:
                     if rec.is_message:
                         newly_active.append(v)
                         self._activate(v)
                     else:
                         continue
-                # Silence, collisions and payload-free messages are inert
-                # (the Process contract): only the payload is delivered.
-                if rec.is_message and rec.message.payload == self.payload:
-                    if self.trace.informed_round[v] is None:
-                        self.trace.informed_round[v] = rnd
-                        newly_informed.append(v)
-                    proc.deliver(self._contexts[v], rec)
+                self.process_at[v].deliver(self._contexts[v], rec)
+                if informed_round[v] is None and carries_payload(rec):
+                    informed_round[v] = rnd
+                    newly_informed.append(v)
 
             self.trace.rounds.append(
                 RoundRecord(

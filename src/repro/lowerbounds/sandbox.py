@@ -18,16 +18,9 @@ seeds).
 from __future__ import annotations
 
 import copy
-import random
 from typing import Optional
 
-from repro.sim.messages import (
-    COLLISION,
-    Message,
-    Reception,
-    SILENCE,
-    received,
-)
+from repro.sim.messages import Message, Reception, source_input
 from repro.sim.process import Process, ProcessContext
 
 
@@ -37,28 +30,16 @@ class SandboxProcess:
     Args:
         process: The automaton to drive (the sandbox takes ownership).
         n: System size passed through the context.
-        payload: The broadcast payload; message custody is tracked exactly
-            as the real engine does (a received message informs the copy
-            only when it carries the payload).
-        seed: Seed for the context PRNG (only consulted by probabilistic
-            automata, which the constructions do not support; present for
-            interface completeness).
+        seed: Engine seed of the context's RNG stream
+            (:meth:`~repro.sim.process.ProcessContext.seeded`), so a
+            sandbox draws exactly what the engine's copy of the process
+            would.  Only probabilistic automata draw; the lower-bound
+            constructions drive deterministic ones.
     """
 
-    def __init__(
-        self,
-        process: Process,
-        n: int,
-        payload: object,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, process: Process, n: int, seed: int = 0) -> None:
         self.process = process
-        self.payload = payload
-        self.ctx = ProcessContext(
-            round_number=0,
-            rng=random.Random(f"sandbox:{seed}:{process.uid}"),
-            n=n,
-        )
+        self.ctx = ProcessContext.seeded(seed, process.uid, n)
 
     @property
     def uid(self) -> int:
@@ -83,9 +64,7 @@ class SandboxProcess:
 
     def give_broadcast_input(self) -> None:
         """Deliver the payload from the environment (source only)."""
-        self.process.on_broadcast_input(
-            Message(payload=self.payload, sender=self.uid, round_sent=0)
-        )
+        self.process.on_broadcast_input(source_input(self.uid))
 
     def would_send(self, round_number: int) -> Optional[Message]:
         """Query the automaton's transmission decision for a round.
@@ -97,20 +76,10 @@ class SandboxProcess:
         return self.process.decide_send(self.ctx)
 
     def feed(self, round_number: int, reception: Reception) -> None:
-        """Deliver one observation for the given round."""
+        """Deliver one observation for the given round.
+
+        Custody transfers exactly as in the engines: through
+        :meth:`~repro.sim.process.Process.deliver`.
+        """
         self.ctx.round_number = round_number
-        msg = reception.message
-        if msg is not None and msg.payload != self.payload:
-            # A payload-free message is inert and must not transfer
-            # custody, mirroring BroadcastEngine._deliver.
-            return
         self.process.deliver(self.ctx, reception)
-
-    def feed_silence(self, round_number: int) -> None:
-        self.feed(round_number, SILENCE)
-
-    def feed_collision(self, round_number: int) -> None:
-        self.feed(round_number, COLLISION)
-
-    def feed_message(self, round_number: int, message: Message) -> None:
-        self.feed(round_number, received(message))

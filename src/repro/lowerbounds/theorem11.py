@@ -55,13 +55,11 @@ from repro.graphs.constructions import PivotLayersLayout, pivot_layers
 from repro.lowerbounds.sandbox import SandboxProcess
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import BroadcastEngine, EngineConfig, StartMode
-from repro.sim.messages import Message
+from repro.sim.messages import SILENCE, Message, received
 from repro.sim.process import Process
 from repro.sim.trace import ExecutionTrace
 
 AlgorithmFactory = Callable[[int], Sequence[Process]]
-
-_PAYLOAD = "thm11-broadcast-payload"
 
 
 @dataclass
@@ -122,11 +120,11 @@ def _first_send_after(
     """
     probe = pristine.clone()
     probe.activate(activation_round)
-    probe.feed_message(activation_round, activation_msg)
+    probe.feed(activation_round, received(activation_msg))
     for r in range(activation_round + 1, activation_round + horizon + 1):
         if probe.would_send(r) is not None:
             return r
-        probe.feed_silence(r)
+        probe.feed(r, SILENCE)
     return activation_round + horizon + 1
 
 
@@ -167,9 +165,7 @@ def theorem11_lower_bound(
     processes = list(algorithm_factory(total_n))
     if sorted(p.uid for p in processes) != list(range(total_n)):
         raise ValueError("factory must produce uids 0..n-1")
-    sandboxes = {
-        p.uid: SandboxProcess(p, total_n, _PAYLOAD) for p in processes
-    }
+    sandboxes = {p.uid: SandboxProcess(p, total_n) for p in processes}
 
     result = Theorem11Result(
         n=total_n,
@@ -254,12 +250,10 @@ def theorem11_lower_bound(
             # reliable deliveries arrive as computed; all else is
             # adversarial silence.
             for uid in active:
-                if uid in senders:
-                    sandboxes[uid].feed_message(rnd, senders[uid])
-                elif uid in delivered:
-                    sandboxes[uid].feed_message(rnd, delivered[uid])
-                else:
-                    sandboxes[uid].feed_silence(rnd)
+                msg = senders.get(uid, delivered.get(uid))
+                sandboxes[uid].feed(
+                    rnd, SILENCE if msg is None else received(msg)
+                )
             if len(senders) == 1:
                 lone_uid = next(iter(senders))
                 if lone_uid in pending:
@@ -277,7 +271,7 @@ def theorem11_lower_bound(
         result.layer_uids.append(members)
         for uid in members:
             sandboxes[uid].activate(rnd)
-            sandboxes[uid].feed_message(rnd, last_lone_msg)
+            sandboxes[uid].feed(rnd, received(last_lone_msg))
             active.append(uid)
             layer_of_uid[uid] = k + 1
 

@@ -43,13 +43,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lowerbounds.sandbox import SandboxProcess
-from repro.sim.messages import Message
+from repro.sim.messages import COLLISION, SILENCE, Message, Reception, received
 from repro.sim.process import Process
 
 #: Factory building the n deterministic processes of the algorithm.
 AlgorithmFactory = Callable[[int], Sequence[Process]]
-
-_PAYLOAD = "thm12-broadcast-payload"
 
 
 class ConstructionError(RuntimeError):
@@ -149,7 +147,7 @@ class _Theorem12Driver:
         self.max_stages = max_stages
         # Canonical sandbox per identity; synchronous start.
         self.sandbox: Dict[int, SandboxProcess] = {
-            p.uid: SandboxProcess(p, n, _PAYLOAD) for p in processes
+            p.uid: SandboxProcess(p, n) for p in processes
         }
         for sb in self.sandbox.values():
             sb.activate(0)
@@ -171,23 +169,11 @@ class _Theorem12Driver:
                 out[uid] = msg
         return out
 
-    def _feed_all_collision(self, rnd: int, extra=()) -> None:
+    def _feed_all(self, rnd: int, reception: Reception, extra=()) -> None:
         for sb in self.sandbox.values():
-            sb.feed_collision(rnd)
+            sb.feed(rnd, reception)
         for sb in extra:
-            sb.feed_collision(rnd)
-
-    def _feed_all_silence(self, rnd: int, extra=()) -> None:
-        for sb in self.sandbox.values():
-            sb.feed_silence(rnd)
-        for sb in extra:
-            sb.feed_silence(rnd)
-
-    def _feed_all_message(self, rnd: int, msg: Message, extra=()) -> None:
-        for sb in self.sandbox.values():
-            sb.feed_message(rnd, msg)
-        for sb in extra:
-            sb.feed_message(rnd, msg)
+            sb.feed(rnd, reception)
 
     # ------------------------------------------------------------------
     # Stage 0: the preamble α₀
@@ -209,12 +195,12 @@ class _Theorem12Driver:
                 )
             self.round = rnd
             if not senders:
-                self._feed_all_silence(rnd)
+                self._feed_all(rnd, SILENCE)
             elif len(senders) == 1:
                 (msg,) = senders.values()
-                self._feed_all_message(rnd, msg)
+                self._feed_all(rnd, received(msg))
             else:
-                self._feed_all_collision(rnd)
+                self._feed_all(rnd, COLLISION)
         self.result.preamble_rounds = self.round
 
     # ------------------------------------------------------------------
@@ -244,12 +230,12 @@ class _Theorem12Driver:
         assigned_copies: Dict[int, SandboxProcess] = {
             i: self.sandbox[i].clone() for i in candidates
         }
-        for i, copy_ in assigned_copies.items():
-            copy_.feed_message(rnd0, msg0)  # assigned: informed in round 0
+        for copy_ in assigned_copies.values():
+            copy_.feed(rnd0, received(msg0))  # assigned: informed in round 0
         for uid in unassigned_ids:
-            self.sandbox[uid].feed_silence(rnd0)  # unassigned: hears ⊥
+            self.sandbox[uid].feed(rnd0, SILENCE)  # unassigned: hears ⊥
         for a in self.assigned_ids:
-            self.sandbox[a].feed_message(rnd0, msg0)
+            self.sandbox[a].feed(rnd0, received(msg0))
 
         # --- Candidate-set construction phase.
         C: Set[int] = set(candidates)
@@ -271,12 +257,12 @@ class _Theorem12Driver:
                 # unassigned, forcing a collision everyone observes.
                 removed = sorted(N)[:2]
                 C_next = C - set(removed)
-                outcome = ("collision", None)
+                outcome, ak_only = COLLISION, False
             elif len(s_send) >= len(C) / 2:
                 # Case II: at least half would send if assigned; keep only
                 # those, so the eventual pair collides with itself.
                 C_next = set(s_send)
-                outcome = ("collision", None)
+                outcome, ak_only = COLLISION, False
             else:
                 # Case III: survivors send in neither perspective.
                 C_next = C - set(s_send) - N
@@ -284,15 +270,13 @@ class _Theorem12Driver:
                 for uid in background | N:
                     actual[uid] = u_send[uid]
                 if not actual:
-                    outcome = ("silence", None)
+                    outcome, ak_only = SILENCE, False
                 elif len(actual) >= 2:
-                    outcome = ("collision", None)
+                    outcome, ak_only = COLLISION, False
                 else:
                     (lone_uid, lone_msg) = next(iter(actual.items()))
-                    if lone_uid in self.assigned_ids:
-                        outcome = ("ak-message", lone_msg)
-                    else:
-                        outcome = ("global-message", lone_msg)
+                    outcome = received(lone_msg)
+                    ak_only = lone_uid in self.assigned_ids
 
             if len(C_next) < 2:
                 break  # do not commit this round; choose the pair now
@@ -305,24 +289,15 @@ class _Theorem12Driver:
                 if i not in C:
                     del assigned_copies[i]
 
-            kind, lone_msg = outcome
-            if kind == "collision":
-                self._feed_all_collision(rnd, extra=assigned_copies.values())
-            elif kind == "silence":
-                self._feed_all_silence(rnd, extra=assigned_copies.values())
-            elif kind == "global-message":
-                assert lone_msg is not None
-                self._feed_all_message(
-                    rnd, lone_msg, extra=assigned_copies.values()
-                )
-            else:  # "ak-message": reaches exactly A_k ∪ {i, i'}
-                assert lone_msg is not None
+            if ak_only:  # a lone A_k message reaches exactly A_k ∪ {i, i'}
                 for a in self.assigned_ids:
-                    self.sandbox[a].feed_message(rnd, lone_msg)
+                    self.sandbox[a].feed(rnd, outcome)
                 for uid in unassigned_ids:
-                    self.sandbox[uid].feed_silence(rnd)
+                    self.sandbox[uid].feed(rnd, SILENCE)
                 for copy_ in assigned_copies.values():
-                    copy_.feed_message(rnd, lone_msg)
+                    copy_.feed(rnd, outcome)
+            else:
+                self._feed_all(rnd, outcome, extra=assigned_copies.values())
 
         # --- Choose the pair and make its assigned copies canonical.
         pair = tuple(sorted(C)[:2])
@@ -350,21 +325,23 @@ class _Theorem12Driver:
             self.round = rnd
             continuation += 1
             if not senders:
-                self._feed_all_silence(rnd)
+                self._feed_all(rnd, SILENCE)
             elif len(senders) >= 2:
-                self._feed_all_collision(rnd)
+                self._feed_all(rnd, COLLISION)
             else:
                 (lone_uid, lone_msg) = next(iter(senders.items()))
                 if lone_uid in self.assigned_ids:
                     # Rule 2: reaches exactly A_k ∪ {i, i'}.
                     for uid in everyone:
-                        if uid in a_union_pair:
-                            self.sandbox[uid].feed_message(rnd, lone_msg)
-                        else:
-                            self.sandbox[uid].feed_silence(rnd)
+                        self.sandbox[uid].feed(
+                            rnd,
+                            received(lone_msg)
+                            if uid in a_union_pair
+                            else SILENCE,
+                        )
                 else:
                     # Rule 3: a lone unassigned sender reaches everyone.
-                    self._feed_all_message(rnd, lone_msg)
+                    self._feed_all(rnd, received(lone_msg))
 
         self.assigned_ids.extend(pair)
         self.result.stages.append(

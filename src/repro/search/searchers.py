@@ -37,10 +37,7 @@ from repro.search.evaluate import SearchSettings
 from repro.search.genome import GenomeSpace, StrategyGenome
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.engine import StartMode
-from repro.sim.messages import Message, Reception, SILENCE
-
-#: The payload the evaluation engines broadcast (their default).
-_PAYLOAD = "broadcast-message"
+from repro.sim.messages import Message, Reception, SILENCE, carries_payload
 
 
 class Searcher(abc.ABC):
@@ -88,29 +85,23 @@ class GreedyLookaheadSearch(Searcher):
     lexicographically most stalling pattern is committed and becomes the
     genome's delivery gene for that round.
 
-    The sandbox population uses the same per-process RNG streams as the
-    evaluation engine, and every ``decide_send`` is consulted exactly
-    once per round on the authoritative copies (scoring only queries
-    clones), so the constructed genome's lookahead simulation matches
-    its engine evaluation even for randomized algorithms.
-
-    Args:
-        space: The genome space (graph + horizon).
-        settings: The search cell.
-        random_patterns: Extra rng-drawn delivery patterns scored per
-            round, on top of the three structured candidates.
+    The sandbox population is seeded with the cell's engine seed
+    (``settings.derived_seed``), so each copy has the evaluation
+    engine's per-process RNG stream, and every ``decide_send`` is
+    consulted exactly once per round on the authoritative copies
+    (scoring only queries clones), so the constructed genome's lookahead
+    simulation matches its engine evaluation even for randomized
+    algorithms.
     """
 
     kind = "greedy"
 
-    def __init__(
-        self,
-        space: GenomeSpace,
-        settings: SearchSettings,
-        random_patterns: int = 2,
-    ) -> None:
+    #: Extra rng-drawn delivery patterns scored per round, on top of the
+    #: three structured candidates.
+    RANDOM_PATTERNS = 2
+
+    def __init__(self, space: GenomeSpace, settings: SearchSettings) -> None:
         super().__init__(space, settings)
-        self.random_patterns = random_patterns
         self._plan = 0  # proc-assignment plan counter across asks
         self._interferer = GreedyInterferer()
 
@@ -155,13 +146,10 @@ class GreedyLookaheadSearch(Searcher):
         by_uid = {p.uid: p for p in processes}
         proc_map = dict(enumerate(proc))
         eseed = settings.derived_seed
-        sandboxes: Dict[int, SandboxProcess] = {}
-        for node in graph.nodes:
-            sb = SandboxProcess(by_uid[proc[node]], n, _PAYLOAD)
-            # Match the engine's per-process RNG stream so the lookahead
-            # simulation and the engine evaluation see identical draws.
-            sb.ctx.rng = random.Random(f"{eseed}:{proc[node]}")
-            sandboxes[node] = sb
+        sandboxes = {
+            node: SandboxProcess(by_uid[proc[node]], n, eseed)
+            for node in graph.nodes
+        }
 
         source = graph.source
         sandboxes[source].give_broadcast_input()
@@ -230,7 +218,7 @@ class GreedyLookaheadSearch(Searcher):
                 if graph.unreliable_only_out(s)
             },
         ]
-        for _ in range(self.random_patterns if senders else 0):
+        for _ in range(self.RANDOM_PATTERNS if senders else 0):
             candidates.append(_random_pattern(graph, senders, rng))
         best_score: Optional[Tuple[int, int, int]] = None
         best: Dict[int, FrozenSet[int]] = {}
@@ -274,9 +262,7 @@ class GreedyLookaheadSearch(Searcher):
         threat = sum(
             1
             for node, rec in next_receptions.items()
-            if node not in informed_after
-            and rec.is_message
-            and rec.message.payload == _PAYLOAD
+            if node not in informed_after and carries_payload(rec)
         )
         return (new_informed, threat, new_active)
 
@@ -328,7 +314,8 @@ def _commit_round(
     Mirrors the engine's phase 4: active nodes the round did not reach
     observe silence, sleeping nodes wake only on a message reception
     (activation delivered before the message), and payload custody
-    transfers exactly as :meth:`SandboxProcess.feed` implements.
+    transfers through :meth:`~repro.sim.process.Process.deliver`, as in
+    the engines.
     """
     touched = sorted(set(receptions) | active)
     for node in touched:

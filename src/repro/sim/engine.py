@@ -17,17 +17,16 @@ message reception (receiving ``⊥``/``⊤`` does not wake a sleeping
 process, matching "activates each process the first time it receives a
 message").
 
-The broadcast payload is delivered to the source process before round 1.
-By convention the payload must not be ``None``; a process that transmits
-without holding the payload sends a ``None``-payload message (such
-transmissions convey information and cause collisions but do not inform —
-this is exactly the behaviour the Theorem 12 construction exploits).
+The broadcast payload (:data:`~repro.sim.messages.PAYLOAD`) is delivered
+to the source process before round 1.  A process that transmits without
+holding the payload sends a ``None``-payload message (such transmissions
+convey information and cause collisions but do not inform — this is
+exactly the behaviour the Theorem 12 construction exploits).
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import (
@@ -43,7 +42,13 @@ from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.faults import ChurnSchedule
 from repro.obs.telemetry import current as _current_telemetry
-from repro.sim.messages import Message, Reception, SILENCE
+from repro.sim.messages import (
+    Message,
+    Reception,
+    SILENCE,
+    carries_payload,
+    source_input,
+)
 from repro.sim.process import Process, ProcessContext
 from repro.sim.topology import CompiledTopology, compile_topology
 from repro.sim.trace import ExecutionTrace, RoundRecord
@@ -112,8 +117,6 @@ class BroadcastEngine:
         adversary: The adversary (default: never delivers on unreliable
             links).
         config: Execution parameters.
-        payload: The broadcast content handed to the source before round 1
-            (must not be ``None``).
         topology: Optional pre-compiled
             :class:`~repro.sim.topology.CompiledTopology` for
             ``network``; compiled on construction when omitted.  The
@@ -128,11 +131,8 @@ class BroadcastEngine:
         processes: Sequence[Process],
         adversary: Optional[Adversary] = None,
         config: Optional[EngineConfig] = None,
-        payload: object = "broadcast-message",
         topology: Optional[CompiledTopology] = None,
     ) -> None:
-        if payload is None:
-            raise ValueError("broadcast payload must not be None")
         if topology is not None and topology.graph is not network:
             raise ValueError(
                 "topology was compiled for a different graph object"
@@ -147,7 +147,6 @@ class BroadcastEngine:
         self.network = network
         self.adversary = adversary if adversary is not None else NoDeliveryAdversary()
         self.config = config if config is not None else EngineConfig()
-        self.payload = payload
         # Telemetry is captured at construction (the process-wide sink
         # at that moment); it only observes — counters/events never
         # feed trace state, so enabling a sink cannot change a trace.
@@ -166,12 +165,9 @@ class BroadcastEngine:
         #: node → process uid
         self.proc_map = dict(proc_map)
 
+        seed, n = self.config.seed, network.n
         self._contexts: Dict[int, ProcessContext] = {
-            node: ProcessContext(
-                round_number=0,
-                rng=random.Random(f"{self.config.seed}:{p.uid}"),
-                n=network.n,
-            )
+            node: ProcessContext.seeded(seed, p.uid, n)
             for node, p in self.process_at.items()
         }
         self._active: set = set()
@@ -320,9 +316,7 @@ class BroadcastEngine:
                 self._crash_node(node)
         source = self.network.source
         source_proc = self.process_at[source]
-        source_proc.on_broadcast_input(
-            Message(payload=self.payload, sender=source_proc.uid, round_sent=0)
-        )
+        source_proc.on_broadcast_input(source_input(source_proc.uid))
         self._mark_informed(source, 0)
         if self.config.start_mode is StartMode.SYNCHRONOUS:
             for node in self.network.nodes:
@@ -519,13 +513,10 @@ class BroadcastEngine:
                     self._activate(node)
                 else:
                     continue  # sleeping processes observe nothing
-            process = self.process_at[node]
-            was_informed = informed_round[node] is not None
-            self._deliver(node, process, reception)
-            if not was_informed and informed_round[node] is None:
-                if process.has_message and self._carries_payload(reception):
-                    self._mark_informed(node, rnd)
-                    newly_informed.append(node)
+            self.process_at[node].deliver(self._contexts[node], reception)
+            if informed_round[node] is None and carries_payload(reception):
+                self._mark_informed(node, rnd)
+                newly_informed.append(node)
 
         if obs_on:
             telemetry.count("engine.rounds")
@@ -548,23 +539,6 @@ class BroadcastEngine:
         )
         self.trace.rounds.append(record)
         return record
-
-    # Both helpers test ``reception.message is not None``: the cheap
-    # attribute-level spelling of Reception.is_message (a MESSAGE
-    # reception always carries a message; the other kinds never do).
-    def _carries_payload(self, reception: Reception) -> bool:
-        msg = reception.message
-        return msg is not None and msg.payload == self.payload
-
-    def _deliver(
-        self, node: int, process: Process, reception: Reception
-    ) -> None:
-        # A payload-free message is inert (the Process contract) and must
-        # not reach Process.deliver, which would transfer custody.
-        msg = reception.message
-        if msg is not None and msg.payload != self.payload:
-            return
-        process.deliver(self._contexts[node], reception)
 
     # ------------------------------------------------------------------
     # Public API
@@ -598,7 +572,6 @@ def build_engine(
     processes: Sequence[Process],
     adversary: Optional[Adversary] = None,
     config: Optional[EngineConfig] = None,
-    payload: object = "broadcast-message",
     topology: Optional[CompiledTopology] = None,
 ) -> BroadcastEngine:
     """Instantiate the engine selected by ``config.engine``.
@@ -614,15 +587,13 @@ def build_engine(
     config = config if config is not None else EngineConfig()
     if config.engine == "reference":
         return BroadcastEngine(
-            network, processes, adversary, config, payload,
-            topology=topology,
+            network, processes, adversary, config, topology=topology
         )
     if config.engine == "fast":
         from repro.sim.fast_engine import FastBroadcastEngine
 
         return FastBroadcastEngine(
-            network, processes, adversary, config, payload,
-            topology=topology,
+            network, processes, adversary, config, topology=topology
         )
     raise ValueError(
         f"unknown engine {config.engine!r}; known: {list(ENGINE_NAMES)}"

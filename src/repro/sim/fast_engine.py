@@ -25,12 +25,12 @@ of per-node message lists:
   :class:`~repro.sim.process.Process` contract (``deliver`` is final),
   so without reception recording the engine visits only the *reached*
   nodes each round instead of every active node.
-* The per-message reference path is kept for the two places set algebra
-  cannot express: CR4 collisions at non-senders whose adversary has a
-  real resolver (it must be consulted with the full arrival list,
-  reconstructed in the reference engine's exact order) and
-  payload-identity custody tracking (which already operates on single
-  delivered messages).  An adversary whose class keeps the base
+* The per-message reference path is kept where set algebra cannot
+  express the outcome: CR4 collisions at non-senders whose adversary has
+  a real resolver (it must be consulted with the full arrival list,
+  reconstructed in the reference engine's exact order).  Payload custody
+  needs no engine code: :meth:`~repro.sim.process.Process.deliver` owns
+  it for every driver.  An adversary whose class keeps the base
   resolver (:attr:`~repro.adversaries.base.Adversary.cr4_always_silent`,
   inferred per class) is never consulted: its CR4 collisions at
   non-senders resolve to silence by mask test, as under CR3.  The
@@ -49,7 +49,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.engine import BroadcastEngine
-from repro.sim.messages import COLLISION, Message, Reception, SILENCE, received
+from repro.sim.messages import (
+    COLLISION,
+    Message,
+    Reception,
+    SILENCE,
+    carries_payload,
+    received,
+)
 from repro.sim.process import Process, ProcessContext
 from repro.sim.trace import RoundRecord
 
@@ -202,7 +209,6 @@ class FastBroadcastEngine(BroadcastEngine):
         newly_active: List[int] = []
         informed_round = self.trace.informed_round
         process_at = self.process_at
-        deliver = self._deliver
         sender_msg = senders.get
         active_mask = self._active_mask
         cr1 = rule is CollisionRule.CR1
@@ -299,13 +305,10 @@ class FastBroadcastEngine(BroadcastEngine):
                     continue  # sleeping processes observe nothing
             elif not is_message:
                 continue  # inert delivery (the Process contract)
-            process = process_at[node]
-            was_informed = informed_round[node] is not None
-            deliver(node, process, reception)
-            if not was_informed and informed_round[node] is None:
-                if process.has_message and self._carries_payload(reception):
-                    self._mark_informed(node, rnd)
-                    newly_informed.append(node)
+            process_at[node].deliver(contexts[node], reception)
+            if informed_round[node] is None and carries_payload(reception):
+                self._mark_informed(node, rnd)
+                newly_informed.append(node)
 
         if obs_on:
             telemetry.count("engine.rounds")

@@ -12,6 +12,11 @@ This module defines:
   carries the payload plus bookkeeping metadata (sender, round) used by the
   trace machinery, never by the algorithms themselves.
 * :class:`Reception` — the tagged union of the three outcomes above.
+* The broadcast contract every round driver shares: the one payload
+  (:data:`PAYLOAD`), the source's round-0 input (:func:`source_input`)
+  and the custody predicate (:func:`carries_payload`).  Custody itself
+  is recorded by :meth:`repro.sim.process.Process.deliver`, the one
+  entry point every driver calls, which applies the predicate.
 """
 
 from __future__ import annotations
@@ -103,3 +108,25 @@ COLLISION = Reception(ReceptionKind.COLLISION)
 def received(message: Message) -> Reception:
     """Build a message reception."""
     return Reception(ReceptionKind.MESSAGE, message)
+
+
+#: The broadcast message's content (Section 3): one fixed value handed to
+#: the source before round 1, never interpreted by an algorithm.
+PAYLOAD = "broadcast-message"
+
+
+def source_input(uid: int) -> Message:
+    """The environment's round-0 input to the source process ``uid``."""
+    return Message(payload=PAYLOAD, sender=uid, round_sent=0)
+
+
+def carries_payload(reception: Reception) -> bool:
+    """Whether ``reception`` hands its receiver the broadcast payload.
+
+    Silence, collision notifications and payload-free messages (a
+    process transmitting before it holds the payload sends a ``None``
+    payload) do not.  ``.message is not None`` is the cheap spelling of
+    :attr:`Reception.is_message`: only a MESSAGE reception carries one.
+    """
+    msg = reception.message
+    return msg is not None and msg.payload == PAYLOAD

@@ -12,10 +12,17 @@ Concretely, subclasses implement one hook,
 "transmit this round", returning ``None`` means "listen".
 
 The end-of-round observation reaches the process only through the final
-:meth:`Process.deliver`, which records custody of the broadcast payload.
-Silence, collision notifications and payload-free messages are inert: no
-process can observe them, so an engine may skip delivering them.  Both
-engines rely on this, and ``Process.__init_subclass__`` enforces it.
+:meth:`Process.deliver`, the owner of payload custody: every round
+driver (both engines, the explicit-interference engine, the lower-bound
+sandboxes and the greedy searcher's lookahead) hands observations to it,
+and it takes custody exactly when
+:func:`~repro.sim.messages.carries_payload` holds.  Silence, collision
+notifications and payload-free messages are inert: no process can
+observe them, so a driver may skip delivering them.  The fast engine
+relies on this, and ``Process.__init_subclass__`` enforces it.
+
+:meth:`ProcessContext.seeded` is the one constructor of a process's
+round-0 context and so of its private RNG stream.
 
 Activation follows the paper's two start rules: under *synchronous start*
 all processes are active from round 1; under *asynchronous start* a process
@@ -30,7 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.sim.messages import Message, Reception
+from repro.sim.messages import Message, Reception, carries_payload
 
 
 @dataclass
@@ -53,6 +60,16 @@ class ProcessContext:
     round_number: int
     rng: random.Random
     n: int
+
+    @classmethod
+    def seeded(cls, seed: int, uid: int, n: int) -> "ProcessContext":
+        """The round-0 context of process ``uid`` under master ``seed``.
+
+        The RNG is seeded with the string ``f"{seed}:{uid}"``: one
+        independent stream per process, the same in every driver that
+        is given the same seed.
+        """
+        return cls(0, random.Random(f"{seed}:{uid}"), n)
 
 
 class Process(abc.ABC):
@@ -161,12 +178,13 @@ class Process(abc.ABC):
         self._first_message_round = None
 
     def deliver(self, ctx: ProcessContext, reception: Reception) -> None:
-        """Engine entry point: record custody of a received message.
+        """Driver entry point: take custody of a received payload.
 
-        Engines never pass a payload-free message here (it would transfer
-        custody); silence and collision notifications are no-ops.
+        Only a reception that :func:`~repro.sim.messages.carries_payload`
+        informs; silence, collision notifications and payload-free
+        messages are no-ops.
         """
-        if reception.is_message and not self._has_message:
+        if not self._has_message and carries_payload(reception):
             self._has_message = True
             self._message = reception.message
             self._first_message_round = ctx.round_number

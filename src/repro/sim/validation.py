@@ -17,6 +17,10 @@ and (under the ``"uninformed"`` rejoin policy) payload custody must be
 re-earned after every crash.  A trace that records churn events without
 a schedule to check them against is rejected outright.
 
+It reads the payload value (:data:`~repro.sim.messages.PAYLOAD`) but
+spells out its own custody comparison rather than calling the drivers'
+:func:`~repro.sim.messages.carries_payload`.
+
 Requires traces recorded with ``record_receptions=True``.
 """
 
@@ -28,6 +32,7 @@ from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import StartMode
 from repro.sim.faults import ChurnSchedule
+from repro.sim.messages import PAYLOAD
 from repro.sim.trace import ExecutionTrace
 
 
@@ -36,7 +41,6 @@ def validate_execution(
     network: DualGraph,
     collision_rule: CollisionRule,
     start_mode: StartMode,
-    payload: object = "broadcast-message",
     churn: Optional[ChurnSchedule] = None,
 ) -> List[str]:
     """Check a recorded execution against the model semantics.
@@ -46,7 +50,6 @@ def validate_execution(
         network: The dual graph the execution ran on.
         collision_rule: The collision rule in force.
         start_mode: The start rule in force.
-        payload: The broadcast payload handed to the source.
         churn: The fault-injection schedule the execution ran under,
             if any; required whenever the trace records crash or
             recovery events.
@@ -231,7 +234,7 @@ def validate_execution(
             carries = (
                 rec.is_message
                 and rec.message is not None
-                and rec.message.payload == payload
+                and rec.message.payload == PAYLOAD
             )
             if not carries:
                 flag(rnd, f"node {v} marked informed without the payload")

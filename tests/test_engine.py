@@ -51,10 +51,6 @@ class TestBasicExecution:
         with pytest.raises(ValueError):
             run_broadcast(line(3), procs, max_rounds=5)
 
-    def test_none_payload_rejected(self):
-        with pytest.raises(ValueError):
-            BroadcastEngine(line(3), scripted(3), payload=None)
-
 
 class TestStartModes:
     def test_async_only_source_starts(self):

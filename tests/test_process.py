@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.runner import algorithm_names, make_processes
-from repro.sim.messages import Message, SILENCE, received
+from repro.sim.messages import COLLISION, PAYLOAD, Message, SILENCE, received
 from repro.sim.process import (
     Process,
     ProcessContext,
@@ -29,7 +29,7 @@ class TestLifecycle:
 
     def test_broadcast_input_marks_source(self):
         p = SilentProcess(uid=0)
-        p.on_broadcast_input(Message("payload", 0, 0))
+        p.on_broadcast_input(Message(PAYLOAD, 0, 0))
         assert p.has_message
         assert p.first_message_round == 0
 
@@ -42,16 +42,44 @@ class TestLifecycle:
     def test_deliver_records_first_message_round(self):
         p = SilentProcess(uid=1)
         p.on_activate(ctx(0))
-        p.deliver(ctx(7), received(Message("payload", 0, 7)))
+        p.deliver(ctx(7), received(Message(PAYLOAD, 0, 7)))
         assert p.first_message_round == 7
         # A later message does not overwrite it.
-        p.deliver(ctx(9), received(Message("payload", 2, 9)))
+        p.deliver(ctx(9), received(Message(PAYLOAD, 2, 9)))
         assert p.first_message_round == 7
 
     def test_silence_does_not_inform(self):
         p = SilentProcess(uid=1)
         p.deliver(ctx(3), SILENCE)
         assert not p.has_message
+
+    @pytest.mark.parametrize(
+        "reception",
+        [
+            COLLISION,
+            received(Message(None, 0, 3)),
+            received(Message("other-content", 0, 3)),
+        ],
+        ids=["collision", "payload-free", "foreign-payload"],
+    )
+    def test_deliver_takes_custody_only_of_the_payload(self, reception):
+        """Process.deliver owns custody: every reception but a message
+        carrying PAYLOAD leaves the process uninformed."""
+        p = SilentProcess(uid=1)
+        p.deliver(ctx(3), reception)
+        assert not p.has_message
+        assert p.message is None
+        assert p.first_message_round is None
+
+
+class TestSeededContext:
+    def test_stream_is_the_seed_uid_string(self):
+        c = ProcessContext.seeded(7, 3, 12)
+        assert (c.round_number, c.n) == (0, 12)
+        expected = random.Random("7:3")
+        assert [c.rng.random() for _ in range(3)] == [
+            expected.random() for _ in range(3)
+        ]
 
     def test_outgoing_requires_message(self):
         p = SilentProcess(uid=1)
@@ -60,18 +88,18 @@ class TestLifecycle:
 
     def test_outgoing_restamps(self):
         p = SilentProcess(uid=1)
-        p.deliver(ctx(2), received(Message("payload", 0, 2)))
+        p.deliver(ctx(2), received(Message(PAYLOAD, 0, 2)))
         msg = p.outgoing(ctx(5), level=3)
         assert msg.sender == 1
         assert msg.round_sent == 5
-        assert msg.payload == "payload"
+        assert msg.payload == PAYLOAD
         assert msg.meta["level"] == 3
 
 
 class TestScriptedProcess:
     def test_sends_only_in_scripted_rounds_with_message(self):
         p = ScriptedProcess(uid=2, send_rounds=[3, 5])
-        p.deliver(ctx(1), received(Message("payload", 0, 1)))
+        p.deliver(ctx(1), received(Message(PAYLOAD, 0, 1)))
         assert p.decide_send(ctx(2)) is None
         assert p.decide_send(ctx(3)) is not None
         assert p.decide_send(ctx(4)) is None

@@ -2,44 +2,52 @@
 
 from repro.core import make_round_robin_processes, make_strong_select_processes
 from repro.lowerbounds.sandbox import SandboxProcess
-from repro.sim.messages import Message
-
-
-PAYLOAD = "sandbox-payload"
+from repro.sim.messages import PAYLOAD, Message, received
+from repro.sim.process import ProcessContext
 
 
 class TestSandboxDriving:
     def test_custody_on_payload_message(self):
         p = make_round_robin_processes(4)[1]
-        sb = SandboxProcess(p, 4, PAYLOAD)
+        sb = SandboxProcess(p, 4)
         sb.activate(0)
         assert not sb.informed
-        sb.feed_message(3, Message(PAYLOAD, sender=0, round_sent=3))
+        sb.feed(3, received(Message(PAYLOAD, sender=0, round_sent=3)))
         assert sb.informed
         assert sb.process.first_message_round == 3
 
     def test_no_custody_on_payload_free_message(self):
         p = make_round_robin_processes(4)[1]
-        sb = SandboxProcess(p, 4, PAYLOAD)
+        sb = SandboxProcess(p, 4)
         sb.activate(0)
-        sb.feed_message(3, Message(None, sender=0, round_sent=3))
+        sb.feed(3, received(Message(None, sender=0, round_sent=3)))
         assert not sb.informed
 
     def test_round_robin_schedule_through_sandbox(self):
         n = 4
         p = make_round_robin_processes(n)[2]
-        sb = SandboxProcess(p, n, PAYLOAD)
+        sb = SandboxProcess(p, n)
         sb.activate(0)
-        sb.feed_message(1, Message(PAYLOAD, 0, 1))
+        sb.feed(1, received(Message(PAYLOAD, 0, 1)))
         # uid 2 sends when (r-1) % 4 == 2, i.e. rounds 3, 7, ...
         assert sb.would_send(2) is None
         assert sb.would_send(3) is not None
         assert sb.would_send(4) is None
         assert sb.would_send(7) is not None
 
+    def test_seed_selects_the_engine_stream(self):
+        """A sandbox seeded with an engine seed draws what the engine's
+        context for the same process draws."""
+        p = make_round_robin_processes(4)[1]
+        sb = SandboxProcess(p, 4, 9)
+        engine_rng = ProcessContext.seeded(9, p.uid, 4).rng
+        assert [sb.ctx.rng.random() for _ in range(3)] == [
+            engine_rng.random() for _ in range(3)
+        ]
+
     def test_would_send_is_repeatable_for_deterministic_processes(self):
         p = make_strong_select_processes(8)[0]
-        sb = SandboxProcess(p, 8, PAYLOAD)
+        sb = SandboxProcess(p, 8)
         sb.activate(0)
         sb.give_broadcast_input()
         for r in range(1, 30):
@@ -51,24 +59,24 @@ class TestSandboxDriving:
 class TestCloning:
     def test_clone_is_independent(self):
         p = make_round_robin_processes(4)[1]
-        sb = SandboxProcess(p, 4, PAYLOAD)
+        sb = SandboxProcess(p, 4)
         sb.activate(0)
         clone = sb.clone()
-        clone.feed_message(2, Message(PAYLOAD, 0, 2))
+        clone.feed(2, received(Message(PAYLOAD, 0, 2)))
         assert clone.informed
         assert not sb.informed
 
     def test_strong_select_clone_shares_schedule(self):
         procs = make_strong_select_processes(8)
-        sb = SandboxProcess(procs[3], 8, PAYLOAD)
+        sb = SandboxProcess(procs[3], 8)
         clone = sb.clone()
         assert clone.process.schedule is sb.process.schedule
 
     def test_clone_preserves_behaviour(self):
         procs = make_strong_select_processes(8)
-        sb = SandboxProcess(procs[2], 8, PAYLOAD)
+        sb = SandboxProcess(procs[2], 8)
         sb.activate(0)
-        sb.feed_message(1, Message(PAYLOAD, 0, 1))
+        sb.feed(1, received(Message(PAYLOAD, 0, 1)))
         clone = sb.clone()
         for r in range(2, 40):
             assert (sb.would_send(r) is None) == (clone.would_send(r) is None)

@@ -22,6 +22,7 @@ from repro.core.harmonic import completion_bound, default_T
 from repro.core.strong_select import build_schedule
 from repro.experiments import ExperimentSpec, run_sweep
 from repro.experiments.results import RunResult
+from repro.search import SearchBudget, SearchSettings, run_search
 from repro.store import (
     JsonlStore,
     RawRecord,
@@ -244,20 +245,57 @@ class TestSweepDifferential:
         assert layouts[0] == layouts[1]
 
     def test_repeated_sharded_sweep_is_byte_identical(self, tmp_path):
-        # The same sweep run twice writes the same bytes: no wall clock
-        # or entropy read may reach the manifest or a shard.
+        # The same campaign run twice writes the same bytes: no wall
+        # clock or entropy read may reach a manifest, a shard or a
+        # results file.  Covers a sweep, a greedy search and a random
+        # search, each into fresh JSONL files and sharded directories.
         spec = tiny_spec(seeds=range(2))
-        roots = [tmp_path / "first", tmp_path / "second"]
-        for root in roots:
-            run_sweep(
-                spec, workers=1, results_path=str(root), store="sharded"
-            )
-        names = sorted(os.listdir(roots[0]))
-        assert "manifest.json" in names
-        assert sorted(os.listdir(roots[1])) == names
-        for name in names:
-            first, second = (root / name for root in roots)
-            assert first.read_bytes() == second.read_bytes(), name
+        cell = SearchSettings(
+            algorithm="round_robin",
+            graph_kind="clique-bridge",
+            n=9,
+            collision_rule="CR4",
+        )
+        budget = SearchBudget(evaluations=4, batch_size=2)
+
+        def write(campaign, path, backend):
+            if campaign == "sweep":
+                run_sweep(spec, workers=1, results_path=path, store=backend)
+            else:
+                run_search(
+                    cell, searcher=campaign, budget=budget, seed=0,
+                    results_path=path, store=backend,
+                )
+
+        for campaign in ("sweep", "greedy", "random"):
+            for backend in BACKENDS:
+                roots = [
+                    tmp_path / campaign / backend / run
+                    for run in ("first", "second")
+                ]
+                for root in roots:
+                    root.mkdir(parents=True)
+                    target = root / (
+                        "results.jsonl" if backend == "jsonl" else "camp"
+                    )
+                    write(campaign, str(target), backend)
+                files = [
+                    sorted(
+                        str(p.relative_to(root))
+                        for p in root.rglob("*")
+                        if p.is_file()
+                    )
+                    for root in roots
+                ]
+                label = f"{campaign}/{backend}"
+                assert files[0] == files[1], label
+                if backend == "sharded":
+                    assert "camp/manifest.json" in files[0], label
+                for name in files[0]:
+                    first, second = (root / name for root in roots)
+                    assert first.read_bytes() == second.read_bytes(), (
+                        f"{label}: {name}"
+                    )
 
     def test_shard_index_is_pure_key_hash(self):
         assert shard_index("a/key", 8) == shard_index("a/key", 8)
@@ -431,18 +469,6 @@ class TestRunningSummary:
         )
         assert running.median() == batch.median
         assert_summary_close(running.summary(), batch)
-
-    def test_merge_matches_concatenation(self):
-        rng = random.Random(11)
-        a = [rng.uniform(0, 9) for _ in range(123)]
-        b = [rng.uniform(0, 9) for _ in range(77)]
-        merged = RunningSummary().update(a).merge(
-            RunningSummary().update(b)
-        )
-        batch = summarize(a + b)
-        assert merged.count == batch.count
-        assert math.isclose(merged.mean, batch.mean)
-        assert math.isclose(merged.stdev, batch.stdev)
 
     def test_empty_summary_raises(self):
         with pytest.raises(ValueError):
