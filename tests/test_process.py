@@ -71,16 +71,6 @@ class TestLifecycle:
         assert p.message is None
         assert p.first_message_round is None
 
-
-class TestSeededContext:
-    def test_stream_is_the_seed_uid_string(self):
-        c = ProcessContext.seeded(7, 3, 12)
-        assert (c.round_number, c.n) == (0, 12)
-        expected = random.Random("7:3")
-        assert [c.rng.random() for _ in range(3)] == [
-            expected.random() for _ in range(3)
-        ]
-
     def test_outgoing_requires_message(self):
         p = SilentProcess(uid=1)
         with pytest.raises(RuntimeError, match="no message"):
@@ -94,6 +84,16 @@ class TestSeededContext:
         assert msg.round_sent == 5
         assert msg.payload == PAYLOAD
         assert msg.meta["level"] == 3
+
+
+class TestSeededContext:
+    def test_stream_is_the_seed_uid_string(self):
+        c = ProcessContext.seeded(7, 3, 12)
+        assert (c.round_number, c.n) == (0, 12)
+        expected = random.Random("7:3")
+        assert [c.rng.random() for _ in range(3)] == [
+            expected.random() for _ in range(3)
+        ]
 
 
 class TestScriptedProcess:
