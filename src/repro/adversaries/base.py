@@ -10,6 +10,11 @@ Per Section 2.1, an adversary may control three things:
 3. Under collision rule CR4, the resolution at each non-sending node where
    two or more messages arrive: silence, or any one of the arrivals.
 
+Choice 1 is :meth:`Adversary.assign_processes`; the engine hands the
+mapping back once through :meth:`Adversary.on_execution_start`.
+Choices 2 and 3 are made each round from an :class:`AdversaryView`: the
+round, the network, the senders and the informed set.
+
 An *adversary class* restricts what the adversary observes when making
 these choices.  The implementations in this package range from oblivious
 (random deliveries) to fully adaptive (the scripted lower-bound
@@ -42,6 +47,9 @@ if TYPE_CHECKING:
 class AdversaryView:
     """What the adversary sees when making its per-round choices.
 
+    The ``proc`` mapping is not repeated here: it is fixed before round 1
+    and handed over once through :meth:`Adversary.on_execution_start`.
+
     Attributes:
         round_number: Current 1-based round.
         network: The dual graph (the adversary knows the topology).
@@ -52,12 +60,6 @@ class AdversaryView:
             this round.
         informed: Nodes whose process currently holds the broadcast payload
             (before this round's deliveries).
-        active: Nodes whose process is awake this round.
-        proc: The node → process-uid assignment in force.
-        crashed: Nodes currently down under fault injection
-            (:class:`~repro.sim.faults.ChurnSchedule`); empty in
-            failure-free runs.  Transmissions toward them dissolve, so
-            an adaptive adversary can avoid wasting deliveries there.
     """
 
     round_number: int
@@ -65,9 +67,6 @@ class AdversaryView:
     topology: "CompiledTopology"
     senders: Mapping[int, Message]
     informed: FrozenSet[int]
-    active: FrozenSet[int]
-    proc: Mapping[int, int]
-    crashed: FrozenSet[int] = frozenset()
 
 
 class Adversary(abc.ABC):

@@ -66,8 +66,9 @@ class ScriptedDeliveries(Adversary):
 class ReplayAdversary(Adversary):
     """Replays the adversary choices recorded in an execution trace.
 
-    Deliveries are replayed per round (senders absent in the new
-    execution are dropped); CR4 resolutions are replayed by matching the
+    The recorded node → uid assignment is reused.  Deliveries are
+    replayed per round (senders absent in the new execution are
+    dropped); CR4 resolutions are replayed by matching the
     recorded reception at each node — silence stays silence, a delivered
     message is re-delivered when the same sender transmits again.
 
@@ -75,7 +76,6 @@ class ReplayAdversary(Adversary):
         trace: The recorded execution (must carry receptions if CR4
             resolutions should be replayed; deliveries alone need only
             the default records).
-        replay_proc: Reuse the recorded node → uid assignment.
         strict: Treat divergence from the recorded execution as an
             error: a recorded CR4 message reception whose sender's
             message is *not* among the new execution's arrivals raises
@@ -89,7 +89,6 @@ class ReplayAdversary(Adversary):
     def __init__(
         self,
         trace: ExecutionTrace,
-        replay_proc: bool = True,
         strict: bool = False,
     ) -> None:
         self._deliveries: Dict[int, Dict[int, FrozenSet[int]]] = {
@@ -99,12 +98,10 @@ class ReplayAdversary(Adversary):
         self._receptions = {
             rec.round_number: rec.receptions for rec in trace.rounds
         }
-        self._proc = dict(trace.proc) if replay_proc else None
+        self._proc = dict(trace.proc)
         self._strict = strict
 
     def assign_processes(self, network, uids):
-        if self._proc is None:
-            return super().assign_processes(network, uids)
         if sorted(self._proc.values()) != sorted(uids):
             raise ValueError(
                 "recorded proc mapping does not cover the uid set"

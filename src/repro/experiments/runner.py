@@ -428,22 +428,12 @@ class SweepRunner:
         directory refuses records from a *different* spec instead of
         silently interleaving two campaigns.  Stable across worker
         counts, batch splits and resume histories by construction.
+        ``tasks`` is :meth:`tasks` output, whose keys are already
+        unique.
         """
         if tasks is None:
             tasks = self.tasks()
         keys = sorted(t.key for t in tasks)
-        # A fingerprint over non-unique keys would hash colliding tasks
-        # into one campaign identity; refuse before any worker runs
-        # (externally-assembled task lists bypass the spec-level and
-        # ``tasks()`` duplicate checks, so this is the last gate).
-        dupes = sorted(
-            {k for k, nxt in zip(keys, keys[1:]) if k == nxt}
-        )
-        if dupes:
-            raise ValueError(
-                f"non-unique task keys {dupes[:5]}: colliding tasks "
-                "would overwrite each other's resume records"
-            )
         digest = hashlib.sha256("\n".join(keys).encode("utf-8"))
         return digest.hexdigest()[:16]
 

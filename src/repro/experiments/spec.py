@@ -166,14 +166,13 @@ class RunTask:
     churn_kind: str = "none"
     churn_params: Params = ()
 
-    def _key_parts(self, with_seed: bool) -> List[str]:
-        """The shared key-segment list behind every key flavour.
+    def _key_parts(self) -> List[str]:
+        """The key segments behind :attr:`science_key`.
 
-        One builder keeps :attr:`science_key`, :attr:`key` and
-        :attr:`cell_key` from drifting apart when a grid axis is added:
-        a new axis lands in all of them (or in none) by construction.
-        Only the ``cap`` and ``eng-`` segments may follow the seed;
-        :func:`cell_key_of` relies on that to drop the seed again.
+        :attr:`key` appends the engine and :attr:`cell_key` strips the
+        seed, so a new grid axis lands in every key flavour by
+        construction.  Only the ``cap`` and ``eng-`` segments may follow
+        the seed; :func:`cell_key_of` relies on that to drop the seed.
         """
         parts = [
             self.sweep,
@@ -192,8 +191,7 @@ class RunTask:
                 f"churn-{self.churn_kind}"
                 f"{_fmt_params(self.churn_params)}"
             )
-        if with_seed:
-            parts.append(f"s{self.seed}")
+        parts.append(f"s{self.seed}")
         if self.max_rounds is not None:
             parts.append(f"cap{self.max_rounds}")
         return parts
@@ -206,7 +204,7 @@ class RunTask:
         therefore a derived seed: the engine is an implementation
         choice, proven trace-equivalent, and must not change results.
         """
-        return "/".join(self._key_parts(with_seed=True))
+        return "/".join(self._key_parts())
 
     @property
     def key(self) -> str:
@@ -233,12 +231,10 @@ class RunTask:
         them (:func:`plan_batches` /
         :func:`repro.experiments.runner.execute_batch`).  This is a
         grouping handle only — persistence and resume stay keyed by
-        the per-seed :attr:`key`.
+        the per-seed :attr:`key`.  It is :func:`cell_key_of` of
+        :attr:`key`, the one definition reports use for stored keys too.
         """
-        parts = self._key_parts(with_seed=False)
-        if self.engine != "reference":
-            parts.append(f"eng-{self.engine}")
-        return "/".join(parts)
+        return cell_key_of(self.key)
 
     @property
     def derived_seed(self) -> int:
@@ -261,8 +257,8 @@ _SEED_SEGMENT = re.compile(r"/s-?\d+(?=(?:/cap\d+)?(?:/eng-[^/]*)?$)")
 def cell_key_of(key: str) -> str:
     """The science cell of a task key: the key without its seed segment.
 
-    The result equals :attr:`RunTask.cell_key` of the task that owns
-    ``key``, so records fold into exactly the cells the runner
+    This is the only definition of a cell: :attr:`RunTask.cell_key`
+    calls it, so records fold into exactly the cells the runner
     batched.  A key with no seed segment is its own cell.
     """
     return _SEED_SEGMENT.sub("", key, count=1)
@@ -340,20 +336,12 @@ def plan_batches(tasks: Sequence[RunTask]) -> List[CellBatch]:
     and each batch keeps its tasks in input order — so for a freshly
     expanded spec every batch is the cell's seed axis in seed order,
     while a resumed sweep yields batches holding only the missing
-    seeds.
+    seeds.  Keys are not re-checked for uniqueness here: that is decided
+    where tasks come in (the spec's per-axis duplicate check and
+    :meth:`repro.experiments.runner.SweepRunner.tasks`).
     """
     groups: Dict[str, List[RunTask]] = {}
-    seen_keys: set = set()
     for task in tasks:
-        # A key collision here means two tasks would overwrite each
-        # other's records and silently satisfy each other's resume
-        # check — fail loudly before any work is dispatched.
-        if task.key in seen_keys:
-            raise ValueError(
-                f"duplicate task key {task.key!r}: two tasks would "
-                "share one resume-by-key record"
-            )
-        seen_keys.add(task.key)
         groups.setdefault(task.cell_key, []).append(task)
     return [CellBatch(tuple(group)) for group in groups.values()]
 

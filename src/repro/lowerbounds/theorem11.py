@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.adversaries.base import FixedAssignmentAdversary
 from repro.adversaries.interferers import PivotAdversary
 from repro.graphs.constructions import PivotLayersLayout, pivot_layers
 from repro.lowerbounds.sandbox import SandboxProcess
@@ -299,19 +300,6 @@ def worst_case_proc_mapping(
     return mapping
 
 
-class _MappedPivotAdversary(PivotAdversary):
-    """PivotAdversary that also installs a fixed proc mapping."""
-
-    def __init__(self, layout: PivotLayersLayout, mapping: Dict[int, int]):
-        super().__init__(layout)
-        self._mapping = mapping
-
-    def assign_processes(self, network, uids):
-        if sorted(self._mapping.values()) != sorted(uids):
-            raise ValueError("mapping does not cover the uid set")
-        return dict(self._mapping)
-
-
 def verify_with_engine(
     algorithm_factory: AlgorithmFactory,
     layout: PivotLayersLayout,
@@ -332,8 +320,8 @@ def verify_with_engine(
     if max_rounds <= 0:
         max_rounds = total + 16
     processes = list(algorithm_factory(layout.graph.n))
-    adversary = _MappedPivotAdversary(
-        layout, worst_case_proc_mapping(layout, result)
+    adversary = FixedAssignmentAdversary(
+        worst_case_proc_mapping(layout, result), PivotAdversary(layout)
     )
     config = EngineConfig(
         collision_rule=CollisionRule.CR4,

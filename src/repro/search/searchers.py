@@ -144,7 +144,6 @@ class GreedyLookaheadSearch(Searcher):
             settings.algorithm, n, **dict(settings.algorithm_params)
         )
         by_uid = {p.uid: p for p in processes}
-        proc_map = dict(enumerate(proc))
         eseed = settings.derived_seed
         sandboxes = {
             node: SandboxProcess(by_uid[proc[node]], n, eseed)
@@ -171,8 +170,7 @@ class GreedyLookaheadSearch(Searcher):
                 if msg is not None:
                     senders[node] = msg
             chosen = self._choose_pattern(
-                rnd, senders, sandboxes, informed, active, rule, rng,
-                proc_map,
+                rnd, senders, sandboxes, informed, active, rule, rng
             )
             if chosen:
                 script[rnd] = chosen
@@ -197,7 +195,6 @@ class GreedyLookaheadSearch(Searcher):
         active: set,
         rule: CollisionRule,
         rng: random.Random,
-        proc: Dict[int, int],
     ) -> Dict[int, FrozenSet[int]]:
         graph = self.space.graph
         view = AdversaryView(
@@ -206,8 +203,6 @@ class GreedyLookaheadSearch(Searcher):
             topology=self.space.topology,
             senders=senders,
             informed=frozenset(informed),
-            active=frozenset(active),
-            proc=proc,
         )
         candidates = [
             {},

@@ -191,24 +191,16 @@ class BroadcastEngine:
         self._unreliable_only_seq: List[FrozenSet[int]] = (
             topology.unreliable_only_seq
         )
-        self._context_seq: List[ProcessContext] = [
-            self._contexts[v] for v in network.nodes
-        ]
-        # Incrementally maintained views of the informed/active sets; the
-        # frozenset snapshots handed to AdversaryView are rebuilt only in
-        # rounds where the underlying set actually changed.
+        # The informed set and its frozenset snapshot for AdversaryView,
+        # rebuilt only in rounds where the set actually changed.
         self._informed_set: set = set()
         self._informed_view: FrozenSet[int] = frozenset()
         self._informed_dirty = False
         self._active_sorted: List[int] = []
-        self._active_view: FrozenSet[int] = frozenset()
-        self._active_dirty = False
         # Fault injection (config.churn): currently-crashed nodes plus
         # the was-it-active-at-crash memory the "informed" rejoin
         # policy needs to resume a node where it stopped.
         self._crashed: set = set()
-        self._crashed_view: FrozenSet[int] = frozenset()
-        self._crashed_dirty = False
         self._crash_was_active: Dict[int, bool] = {}
 
     # ------------------------------------------------------------------
@@ -223,7 +215,6 @@ class BroadcastEngine:
         """
         self._active.add(node)
         insort(self._active_sorted, node)
-        self._active_dirty = True
 
     def _deactivate(self, node: int) -> None:
         """Remove ``node`` from the active set (no process hook runs)."""
@@ -233,7 +224,6 @@ class BroadcastEngine:
             self._active_sorted[idx] == node
         ):
             del self._active_sorted[idx]
-        self._active_dirty = True
 
     def _activate(self, node: int) -> None:
         if node in self._active:
@@ -263,7 +253,6 @@ class BroadcastEngine:
         if was_active:
             self._deactivate(node)
         self._crashed.add(node)
-        self._crashed_dirty = True
         churn = self.config.churn
         if churn is not None and churn.rejoin == "uninformed":
             if node in self._informed_set:
@@ -282,7 +271,6 @@ class BroadcastEngine:
         under asynchronous start (the model's normal wake rule).
         """
         self._crashed.discard(node)
-        self._crashed_dirty = True
         was_active = self._crash_was_active.pop(node, False)
         churn = self.config.churn
         if churn is not None and churn.rejoin == "informed" and was_active:
@@ -336,18 +324,6 @@ class BroadcastEngine:
             self._informed_dirty = False
         return self._informed_view
 
-    def _active_nodes(self) -> FrozenSet[int]:
-        if self._active_dirty:
-            self._active_view = frozenset(self._active)
-            self._active_dirty = False
-        return self._active_view
-
-    def _crashed_nodes(self) -> FrozenSet[int]:
-        if self._crashed_dirty:
-            self._crashed_view = frozenset(self._crashed)
-            self._crashed_dirty = False
-        return self._crashed_view
-
     def _decide_senders(self, rnd: int) -> Dict[int, Message]:
         """Phase 1: advance every context and collect the round's senders.
 
@@ -356,7 +332,7 @@ class BroadcastEngine:
         insertion order is ascending node order — the fast engine relies
         on this to reconstruct identical CR4 arrival lists.
         """
-        for ctx in self._context_seq:
+        for ctx in self._contexts.values():
             ctx.round_number = rnd
         senders: Dict[int, Message] = {}
         for node in self._active_sorted:
@@ -369,9 +345,9 @@ class BroadcastEngine:
                         ) -> AdversaryView:
         """Phase 2 (view): what the adversary observes this round.
 
-        The view shares the engine's live mappings (adversaries must
-        treat it as read-only); the informed/active snapshots come from
-        the incrementally maintained caches.
+        The view shares the engine's live senders mapping (adversaries
+        must treat it as read-only); the informed snapshot comes from the
+        incrementally maintained cache.
         """
         return AdversaryView(
             round_number=rnd,
@@ -379,9 +355,6 @@ class BroadcastEngine:
             topology=self._topology,
             senders=senders,
             informed=self._informed_nodes(),
-            active=self._active_nodes(),
-            proc=self.proc_map,
-            crashed=self._crashed_nodes(),
         )
 
     def _validated_deliveries(

@@ -71,6 +71,15 @@ class ProcessContext:
         """
         return cls(0, random.Random(f"{seed}:{uid}"), n)
 
+    def __deepcopy__(self, memo: object) -> "ProcessContext":
+        # Copy the RNG state as one tuple: the default deepcopy walks the
+        # 625-word Mersenne Twister state element by element and rebuilds
+        # the generator through a seedless ``Random()``, which reads OS
+        # entropy first.
+        rng = random.Random(0)
+        rng.setstate(self.rng.getstate())
+        return ProcessContext(self.round_number, rng, self.n)
+
 
 class Process(abc.ABC):
     """Base class for all protocol automata.

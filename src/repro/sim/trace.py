@@ -13,7 +13,6 @@ about.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -145,7 +144,3 @@ class ExecutionTrace:
             doc["crash_events"] = crash_events
             doc["recovery_events"] = recovery_events
         return doc
-
-    def to_json(self) -> str:
-        """Serialise the summary to JSON."""
-        return json.dumps(self.summary(), indent=2, sort_keys=True)

@@ -45,8 +45,6 @@ def view_for(network, senders, informed=frozenset([0]), rnd=1):
         topology=compile_topology(network),
         senders=senders,
         informed=frozenset(informed),
-        active=frozenset(network.nodes),
-        proc={v: v for v in network.nodes},
     )
 
 
@@ -133,8 +131,6 @@ class TestRandomDeliveryStream:
                 topology=topology,
                 senders={v: msg(v) for v in chosen},
                 informed=frozenset(chosen),
-                active=frozenset(g.nodes),
-                proc={v: v for v in g.nodes},
             )
             expected = sorted_generator_deliveries(reference, p, view)
             assert adv.choose_deliveries(view) == expected
@@ -158,8 +154,6 @@ class TestRandomDeliveryStream:
             topology=topology,
             senders={0: msg(0)},
             informed=frozenset([0]),
-            active=frozenset(g.nodes),
-            proc={v: v for v in g.nodes},
         )
         NoDeliveryAdversary().choose_deliveries(view)
         GreedyInterferer().choose_deliveries(view)

@@ -408,6 +408,11 @@ class TestCellKey:
              "sw/rr/line:n6/none/CR1-asynchronous"),
             ("sw/rr/line:n6/none/CR1-asynchronous/s-3/cap9/eng-fast",
              "sw/rr/line:n6/none/CR1-asynchronous/cap9/eng-fast"),
+            # Fault injection: the churn segment precedes the seed.
+            ("sw/rr/line:n6/none/CR4-asynchronous"
+             "/churn-window(count=1,length=2,start=2)/s7/cap200",
+             "sw/rr/line:n6/none/CR4-asynchronous"
+             "/churn-window(count=1,length=2,start=2)/cap200"),
             # A sweep named like a seed keeps its segment.
             ("s1/rr/line:n6/none/CR1-asynchronous/s1",
              "s1/rr/line:n6/none/CR1-asynchronous"),

@@ -39,7 +39,6 @@ from repro.experiments import (
     SweepRunner,
     build_churn,
     churn_kinds,
-    plan_batches,
     run_sweep,
 )
 from repro.sim import (
@@ -476,18 +475,6 @@ class TestDuplicateRejection:
                 store="sharded",
             )
         assert not camp.exists()
-
-    def test_plan_batches_rejects_colliding_tasks(self):
-        task = spec_with(None, seeds=(0,)).tasks()[0]
-        with pytest.raises(ValueError, match="duplicate task key"):
-            plan_batches([task, task])
-
-    def test_fingerprint_rejects_colliding_tasks(self):
-        spec = spec_with(None, seeds=(0,))
-        runner = SweepRunner(spec)
-        task = spec.tasks()[0]
-        with pytest.raises(ValueError, match="non-unique task keys"):
-            runner.fingerprint([task, task])
 
     def test_fingerprint_is_stable_for_unique_tasks(self):
         spec = spec_with(["none", ("rate", {"crash_rate": 0.1})])

@@ -72,6 +72,23 @@ class TestCloning:
         clone = sb.clone()
         assert clone.process.schedule is sb.process.schedule
 
+    def test_clone_copies_the_rng_stream(self):
+        """A clone draws what its original would draw next, and drawing
+        on the clone leaves the original's stream in place."""
+        p = make_round_robin_processes(4)[1]
+        sb = SandboxProcess(p, 4, 9)
+        sb.ctx.rng.random()
+        clone = sb.clone()
+        assert clone.ctx.rng is not sb.ctx.rng
+        clone_draws = [clone.ctx.rng.random() for _ in range(5)]
+        assert clone_draws == [sb.ctx.rng.random() for _ in range(5)]
+        ahead = sb.clone()
+        ahead.ctx.rng.random()
+        expected = ProcessContext.seeded(9, p.uid, 4).rng
+        for _ in range(6):
+            expected.random()
+        assert sb.ctx.rng.random() == expected.random()
+
     def test_clone_preserves_behaviour(self):
         procs = make_strong_select_processes(8)
         sb = SandboxProcess(procs[2], 8)
