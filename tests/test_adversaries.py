@@ -371,6 +371,32 @@ class TestCR4Silence:
         if kind not in ("none", "full"):
             assert counters["reference"]["engine.cr4_consults"] > 0
 
+    @pytest.mark.parametrize("engine", ("reference", "fast"))
+    def test_consults_are_resolver_calls(self, engine):
+        """``engine.cr4_consults`` equals the resolver's own call count."""
+
+        class Counting(DeliverLowest, GreedyInterferer):
+            calls = 0
+
+            def resolve_cr4(self, view, node, arrivals):
+                self.calls += 1
+                return super().resolve_cr4(view, node, arrivals)
+
+        adversary = Counting()
+        telemetry = RecordingTelemetry()
+        with use(telemetry):
+            broadcast(
+                corpus_graph("clique-bridge", 17),
+                "harmonic",
+                adversary=adversary,
+                seed=0,
+                engine=engine,
+                collision_rule=CollisionRule.CR4,
+                max_rounds=60,
+            )
+        assert adversary.calls > 0
+        assert telemetry.counters["engine.cr4_consults"] == adversary.calls
+
     def test_inferred_per_class(self):
         for cls in (
             RandomDeliveryAdversary,

@@ -104,6 +104,128 @@ class TestTraceNeutrality:
         assert run_event["rounds"] == len(trace.rounds)
 
 
+#: Every ``engine.*`` counter, in the order of the pinned tuples below
+#: (the reference engine emits all but the last).
+COUNTER_NAMES = (
+    "engine.rounds",
+    "engine.senders",
+    "engine.delivered",
+    "engine.collisions",
+    "engine.silences",
+    "engine.crashed_drops",
+    "engine.cr4_consults",
+    "engine.cr4_fallbacks",
+)
+
+#: Harmonic on gnp n=17 (seed 3, 60 rounds), keyed by (adversary, rule,
+#: churn, recording): the reference engine's counters, then the fast
+#: engine's.  Both adversaries collide on this cell; only the random
+#: one defines a CR4 resolver the fast engine consults.
+COUNTER_PINS = {
+    ("greedy", "CR1", "none", False):
+        ((60, 529, 9, 938, 0, 0, 0), (60, 529, 9, 938, 0, 0, 0, 0)),
+    ("greedy", "CR1", "none", True):
+        ((60, 529, 9, 938, 73, 0, 0), (60, 529, 9, 938, 73, 0, 0, 0)),
+    ("greedy", "CR1", "rate", False):
+        ((60, 375, 91, 670, 0, 71, 0), (60, 375, 91, 670, 0, 71, 0, 0)),
+    ("greedy", "CR1", "rate", True):
+        ((60, 375, 91, 670, 165, 71, 0), (60, 375, 91, 670, 165, 71, 0, 0)),
+    ("greedy", "CR2", "none", False):
+        ((60, 529, 537, 410, 0, 0, 0), (60, 529, 537, 410, 0, 0, 0, 0)),
+    ("greedy", "CR2", "none", True):
+        ((60, 529, 537, 410, 73, 0, 0), (60, 529, 537, 410, 73, 0, 0, 0)),
+    ("greedy", "CR2", "rate", False):
+        ((60, 375, 387, 374, 0, 71, 0), (60, 375, 387, 374, 0, 71, 0, 0)),
+    ("greedy", "CR2", "rate", True):
+        ((60, 375, 387, 374, 165, 71, 0), (60, 375, 387, 374, 165, 71, 0, 0)),
+    ("greedy", "CR3", "none", False):
+        ((60, 529, 537, 0, 410, 0, 0), (60, 529, 537, 0, 410, 0, 0, 0)),
+    ("greedy", "CR3", "none", True):
+        ((60, 529, 537, 0, 483, 0, 0), (60, 529, 537, 0, 483, 0, 0, 0)),
+    ("greedy", "CR3", "rate", False):
+        ((60, 375, 387, 0, 374, 71, 0), (60, 375, 387, 0, 374, 71, 0, 0)),
+    ("greedy", "CR3", "rate", True):
+        ((60, 375, 387, 0, 539, 71, 0), (60, 375, 387, 0, 539, 71, 0, 0)),
+    ("greedy", "CR4", "none", False):
+        ((60, 529, 537, 0, 410, 0, 410), (60, 529, 537, 0, 410, 0, 0, 0)),
+    ("greedy", "CR4", "none", True):
+        ((60, 529, 537, 0, 483, 0, 410), (60, 529, 537, 0, 483, 0, 0, 0)),
+    ("greedy", "CR4", "rate", False):
+        ((60, 375, 387, 0, 374, 71, 374), (60, 375, 387, 0, 374, 71, 0, 0)),
+    ("greedy", "CR4", "rate", True):
+        ((60, 375, 387, 0, 539, 71, 374), (60, 375, 387, 0, 539, 71, 0, 0)),
+    ("random", "CR1", "none", False):
+        ((60, 816, 14, 996, 0, 0, 0), (60, 816, 14, 996, 0, 0, 0, 0)),
+    ("random", "CR1", "none", True):
+        ((60, 816, 14, 996, 10, 0, 0), (60, 816, 14, 996, 10, 0, 0, 0)),
+    ("random", "CR1", "rate", False):
+        ((60, 631, 86, 827, 0, 87, 0), (60, 631, 86, 827, 0, 87, 0, 0)),
+    ("random", "CR1", "rate", True):
+        ((60, 631, 86, 827, 13, 87, 0), (60, 631, 86, 827, 13, 87, 0, 0)),
+    ("random", "CR2", "none", False):
+        ((60, 816, 829, 181, 0, 0, 0), (60, 816, 829, 181, 0, 0, 0, 0)),
+    ("random", "CR2", "none", True):
+        ((60, 816, 829, 181, 10, 0, 0), (60, 816, 829, 181, 10, 0, 0, 0)),
+    ("random", "CR2", "rate", False):
+        ((60, 631, 651, 262, 0, 87, 0), (60, 631, 651, 262, 0, 87, 0, 0)),
+    ("random", "CR2", "rate", True):
+        ((60, 631, 651, 262, 13, 87, 0), (60, 631, 651, 262, 13, 87, 0, 0)),
+    ("random", "CR3", "none", False):
+        ((60, 816, 829, 0, 181, 0, 0), (60, 816, 829, 0, 181, 0, 0, 0)),
+    ("random", "CR3", "none", True):
+        ((60, 816, 829, 0, 191, 0, 0), (60, 816, 829, 0, 191, 0, 0, 0)),
+    ("random", "CR3", "rate", False):
+        ((60, 631, 651, 0, 262, 87, 0), (60, 631, 651, 0, 262, 87, 0, 0)),
+    ("random", "CR3", "rate", True):
+        ((60, 631, 651, 0, 275, 87, 0), (60, 631, 651, 0, 275, 87, 0, 0)),
+    ("random", "CR4", "none", False):
+        ((60, 816, 829, 0, 181, 0, 181), (60, 816, 829, 0, 181, 0, 181, 181)),
+    ("random", "CR4", "none", True):
+        ((60, 816, 829, 0, 191, 0, 181), (60, 816, 829, 0, 191, 0, 181, 181)),
+    ("random", "CR4", "rate", False):
+        ((60, 631, 651, 0, 262, 87, 262), (60, 631, 651, 0, 262, 87, 262, 262)),
+    ("random", "CR4", "rate", True):
+        ((60, 631, 651, 0, 275, 87, 262), (60, 631, 651, 0, 275, 87, 262, 262)),
+}
+
+
+def _counters(engine, adversary, rule, churn_kind, recording):
+    graph = corpus_graph("gnp", 17, seed=3)
+    telemetry = RecordingTelemetry()
+    with use(telemetry):
+        broadcast(
+            graph,
+            "harmonic",
+            adversary=build_adversary(adversary, seed=3),
+            seed=3,
+            engine=engine,
+            collision_rule=CollisionRule[rule],
+            max_rounds=60,
+            churn=build_churn(churn_kind, n=17, rounds=60, seed=3),
+            record_receptions=recording,
+        )
+    return {
+        name: value
+        for name, value in telemetry.counters.items()
+        if name.startswith("engine.")
+    }
+
+
+class TestEngineCounters:
+    """Each engine's full counter dict, pinned value by value: a
+    counting site that miscounts moves a pin even where traces do not."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        sorted(COUNTER_PINS),
+        ids=lambda cell: "-".join(map(str, cell)),
+    )
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_counters_pinned(self, engine, cell):
+        expected = COUNTER_PINS[cell][ENGINES.index(engine)]
+        assert _counters(engine, *cell) == dict(zip(COUNTER_NAMES, expected))
+
+
 class TestTelemetryInstall:
     def test_default_is_the_null_sink(self):
         assert current() is NULL_TELEMETRY
