@@ -9,19 +9,26 @@ modification: all messages sent by ``u`` with ``{u, v} ∈ G_I`` *reach*
 ``u``'s message — if the only message reaching ``v`` came over an
 interference-only edge, ``v`` hears ``⊥``.
 
-:class:`InterferenceEngine` simulates this model directly.  Lemma 1 shows
-any dual-graph algorithm retains its round bound here; the reduction
-adversary lives in :mod:`repro.interference.reduction` and is validated
-by comparing the two engines observation-for-observation.
+:func:`interference_outcomes` states one round of the model on its own,
+independently of the dual-graph engines.  :class:`InterferenceEngine`
+simulates the model directly: it is a
+:class:`~repro.sim.engine.BroadcastEngine` whose round skeleton is
+unchanged and whose ``_resolve`` takes every node's observation from
+:func:`interference_outcomes`.  Lemma 1 shows any dual-graph algorithm
+retains its round bound here; the reduction adversary lives in
+:mod:`repro.interference.reduction` and is validated by comparing the
+two engines observation-for-observation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from repro.adversaries.base import AdversaryView
 from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule
+from repro.sim.engine import BroadcastEngine, EngineConfig, StartMode
 from repro.sim.messages import (
     COLLISION,
     Message,
@@ -29,10 +36,8 @@ from repro.sim.messages import (
     SILENCE,
     carries_payload,
     received,
-    source_input,
 )
-from repro.sim.process import Process, ProcessContext
-from repro.sim.trace import ExecutionTrace, RoundRecord
+from repro.sim.process import Process
 
 
 @dataclass(frozen=True)
@@ -119,14 +124,19 @@ def interference_outcomes(
     return outcomes
 
 
-class InterferenceEngine:
+class InterferenceEngine(BroadcastEngine):
     """Synchronous-round execution in the explicit-interference model.
 
-    Each round's observations come from :func:`interference_outcomes`.
-    The model is static, so the only adversarial freedom left is the CR4
+    The round skeleton is :class:`~repro.sim.engine.BroadcastEngine`'s;
+    only resolution differs: each round's observations come from
+    :func:`interference_outcomes` and every node's is recorded.  The
+    model is static, so the only adversarial freedom left is the CR4
     resolution; ``cr4_choose_first`` picks the lowest-uid receivable
-    message, ``False`` resolves to silence.
+    message, ``False`` resolves to silence.  ``processes[i]`` runs at
+    node ``i``.
     """
+
+    engine_name = "interference"
 
     def __init__(
         self,
@@ -138,91 +148,49 @@ class InterferenceEngine:
         seed: int = 0,
         cr4_choose_first: bool = False,
     ) -> None:
-        if len(processes) != network.n:
-            raise ValueError("need one process per node")
-        self.network = network
-        self.collision_rule = collision_rule
-        self.synchronous_start = synchronous_start
-        self.max_rounds = max_rounds
-        self.cr4_choose_first = cr4_choose_first
-        self.process_at: Dict[int, Process] = {
-            v: p for v, p in zip(range(network.n), processes)
-        }
-        self._contexts = {
-            v: ProcessContext.seeded(seed, p.uid, network.n)
-            for v, p in self.process_at.items()
-        }
-        self._active: set = set()
-        self._round = 0
-        self.trace = ExecutionTrace(
-            network_name=f"interference({network.graph.name})",
-            n=network.n,
-            proc={v: p.uid for v, p in self.process_at.items()},
-            informed_round={v: None for v in range(network.n)},
+        super().__init__(
+            network.graph,
+            processes,
+            config=EngineConfig(
+                collision_rule=collision_rule,
+                start_mode=(
+                    StartMode.SYNCHRONOUS
+                    if synchronous_start
+                    else StartMode.ASYNCHRONOUS
+                ),
+                max_rounds=max_rounds,
+                seed=seed,
+                record_receptions=True,
+            ),
         )
+        self.interference_network = network
+        self.cr4_choose_first = cr4_choose_first
+        self.trace.network_name = f"interference({network.graph.name})"
 
-    def _activate(self, node: int) -> None:
-        if node in self._active:
-            return
-        self._active.add(node)
-        self.process_at[node].on_activate(self._contexts[node])
-
-    def run(self) -> ExecutionTrace:
-        source = self.network.source
-        sp = self.process_at[source]
-        sp.on_broadcast_input(source_input(sp.uid))
-        self.trace.informed_round[source] = 0
-        if self.synchronous_start:
-            for v in range(self.network.n):
-                self._activate(v)
-        else:
-            self._activate(source)
-
-        while self._round < self.max_rounds:
-            self._round += 1
-            rnd = self._round
-            senders: Dict[int, Message] = {}
-            for v in sorted(self._active):
-                ctx = self._contexts[v]
-                ctx.round_number = rnd
-                msg = self.process_at[v].decide_send(ctx)
-                if msg is not None:
-                    senders[v] = msg
-            for v in range(self.network.n):
-                self._contexts[v].round_number = rnd
-
-            receptions = interference_outcomes(
-                self.network, senders, self.collision_rule,
-                self.cr4_choose_first,
-            )
-            newly_informed: List[int] = []
-            newly_active: List[int] = []
-            informed_round = self.trace.informed_round
-            for v, rec in receptions.items():
-                if v not in self._active:
-                    if rec.is_message:
-                        newly_active.append(v)
-                        self._activate(v)
-                    else:
-                        continue
-                self.process_at[v].deliver(self._contexts[v], rec)
-                if informed_round[v] is None and carries_payload(rec):
-                    informed_round[v] = rnd
-                    newly_informed.append(v)
-
-            self.trace.rounds.append(
-                RoundRecord(
-                    round_number=rnd,
-                    senders=dict(senders),
-                    unreliable_deliveries={},
-                    newly_informed=tuple(newly_informed),
-                    newly_active=tuple(newly_active),
-                    receptions=dict(receptions),
-                )
-            )
-            if all(
-                r is not None for r in self.trace.informed_round.values()
-            ):
-                self.trace.completed = True
-                break
-        return self.trace
+    def _resolve(
+        self,
+        rnd: int,
+        senders: Dict[int, Message],
+        deliveries: Dict[int, FrozenSet[int]],
+        view: AdversaryView,
+    ) -> Tuple[Optional[Dict[int, Reception]], List[int], List[int]]:
+        receptions = interference_outcomes(
+            self.interference_network,
+            senders,
+            self.config.collision_rule,
+            self.cr4_choose_first,
+        )
+        newly_informed: List[int] = []
+        newly_active: List[int] = []
+        informed_round = self.trace.informed_round
+        for node, reception in receptions.items():
+            if node not in self._active:
+                if reception.message is None:
+                    continue  # sleeping processes observe nothing
+                newly_active.append(node)
+                self._activate(node)
+            self.process_at[node].deliver(self._contexts[node], reception)
+            if informed_round[node] is None and carries_payload(reception):
+                self._mark_informed(node, rnd)
+                newly_informed.append(node)
+        return receptions, newly_informed, newly_active

@@ -9,12 +9,13 @@ at construction) and calls through the protocol.
 
 Three invariants make instrumentation safe to leave in hot paths:
 
-* **Off by default, cheap when off** — the process default is
-  :class:`NullTelemetry`, whose ``enabled`` flag lets hot loops hoist a
-  single boolean and whose methods are no-ops sharing one inert span
-  object.  Enabling any sink never changes trace bytes: telemetry only
-  *observes* (``tests/test_obs.py`` holds the differential proof, and
-  ``benchmarks/bench_obs.py`` the <=5 % overhead contract).
+* **Off by default, cheap when on** — the process default is
+  :class:`NullTelemetry`, whose methods are no-ops sharing one inert
+  span object.  Hot loops tally in local integers whatever the sink
+  and test ``enabled`` once per round to fold the tallies, so an
+  enabled sink costs <=5 % (``benchmarks/bench_obs.py``).  Enabling
+  any sink never changes trace bytes: telemetry only *observes*
+  (``tests/test_obs.py`` holds the differential proof).
 * **Wall clocks live here** — elapsed-time measurement elsewhere goes
   through :class:`Stopwatch` or spans; ``repro check`` rule RPR003
   rejects a raw ``time.perf_counter``/``monotonic`` read in the
@@ -117,8 +118,8 @@ class Telemetry(Protocol):
     """The instrumentation surface every sink implements.
 
     Attributes:
-        enabled: Hot loops hoist this once per round/phase and skip
-            their counting entirely when it is ``False``.
+        enabled: Hot loops test this once per round/phase and skip
+            folding their tallies into counters when it is ``False``.
     """
 
     enabled: bool
@@ -151,9 +152,9 @@ class Telemetry(Protocol):
 class NullTelemetry:
     """The default sink: everything is a no-op and ``enabled`` is False.
 
-    Instrumented hot paths are written so that under this sink the
-    entire per-item cost is one hoisted boolean test — the contract
-    ``benchmarks/bench_obs.py`` measures.
+    Instrumented hot paths skip their per-round fold under this sink
+    with one ``enabled`` test; ``benchmarks/bench_obs.py`` measures what
+    an enabled sink costs beyond it.
     """
 
     enabled: bool = False

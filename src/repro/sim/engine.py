@@ -11,6 +11,11 @@ synchronous rounds ``1, 2, …``.  Each round:
    collision rule in force (CR1–CR4; CR4 consults the adversary).
 4. Observations are delivered and processes update state.
 
+:meth:`BroadcastEngine._step` runs this round for every engine.  A
+subclass supplies only the phases that differ: ``_decide_senders``
+(phase 1) and ``_resolve`` (phases 3 and 4, which also tallies the
+round's telemetry counters).
+
 Start rules: under *synchronous start* every process is active from round
 1; under *asynchronous start* a process activates on its first actual
 message reception (receiving ``⊥``/``⊤`` does not wake a sleeping
@@ -35,6 +40,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from repro.adversaries.base import Adversary, AdversaryView, NoDeliveryAdversary
@@ -43,6 +49,7 @@ from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.faults import ChurnSchedule
 from repro.obs.telemetry import current as _current_telemetry
 from repro.sim.messages import (
+    COLLISION,
     Message,
     Reception,
     SILENCE,
@@ -124,6 +131,9 @@ class BroadcastEngine:
             and shares it across every seed.  Must have been compiled
             from this exact ``network`` object.
     """
+
+    #: The engine the ``engine_run`` telemetry event names.
+    engine_name = "reference"
 
     def __init__(
         self,
@@ -383,15 +393,46 @@ class BroadcastEngine:
         return deliveries
 
     def _step(self) -> RoundRecord:
+        """One round of Section 2.1: churn, decisions, the adversary's
+        deliveries, then :meth:`_resolve`; appends the round's record."""
         self._round += 1
         rnd = self._round
-        network = self.network
-        recording = self.config.record_receptions
-
         crashed_now, recovered_now = self._apply_churn(rnd)
         senders = self._decide_senders(rnd)
         view = self._adversary_view(rnd, senders)
         deliveries = self._validated_deliveries(view, senders)
+        receptions, newly_informed, newly_active = self._resolve(
+            rnd, senders, deliveries, view
+        )
+        record = RoundRecord(
+            round_number=rnd,
+            senders=senders,
+            unreliable_deliveries=deliveries,
+            newly_informed=tuple(newly_informed),
+            newly_active=tuple(newly_active),
+            receptions=receptions,
+            crashed=crashed_now,
+            recovered=recovered_now,
+        )
+        self.trace.rounds.append(record)
+        return record
+
+    def _resolve(
+        self,
+        rnd: int,
+        senders: Dict[int, Message],
+        deliveries: Dict[int, FrozenSet[int]],
+        view: AdversaryView,
+    ) -> Tuple[Optional[Dict[int, Reception]], List[int], List[int]]:
+        """Phases 3 and 4: arrivals, resolution and delivery.
+
+        Returns the round's recorded receptions (``None`` unless
+        recording), the newly informed and the newly active nodes, in
+        ascending node order.  Each outcome is tallied in the branch
+        that decides it and folded into the telemetry once per round.
+        """
+        network = self.network
+        recording = self.config.record_receptions
 
         # Phase 3: arrivals (only nodes actually reached get a list).
         arrivals: Dict[int, List[Message]] = {}
@@ -408,25 +449,12 @@ class BroadcastEngine:
         # only nodes that are awake or reached need resolving (a sleeping
         # node with no arrivals observes nothing by definition); with
         # recording on, every node's observation goes into the record.
+        consults = 0
+
         def cr4(node: int, msgs: List[Message]) -> Optional[Message]:
+            nonlocal consults
+            consults += 1
             return self.adversary.resolve_cr4(view, node, msgs)
-
-        # Observability: one hoisted boolean when disabled; when a sink
-        # is installed the round tallies local ints and folds them into
-        # counters once per round.  Pure observation — the resolver
-        # wrapper delegates unchanged, so trace bytes cannot move.
-        telemetry = self._telemetry
-        obs_on = telemetry.enabled
-        obs_delivered = obs_collisions = obs_silences = obs_drops = 0
-        consults = [0]
-
-        def counted_cr4(
-            node: int, msgs: List[Message]
-        ) -> Optional[Message]:
-            consults[0] += 1
-            return cr4(node, msgs)
-
-        cr4_resolver = counted_cr4 if obs_on else cr4
 
         if recording:
             candidates: Sequence[int] = network.nodes
@@ -446,13 +474,14 @@ class BroadcastEngine:
         informed_round = self.trace.informed_round
         rule = self.config.collision_rule
         crashed_set = self._crashed
+        delivered = collisions = silences = drops = 0
         for node in candidates:
             if node in crashed_set:
                 # A crashed radio hears nothing and is never consulted
                 # for — arrivals at its position dissolve (recorded as
                 # silence), and no message can wake it.
-                if obs_on and node in arrivals:
-                    obs_drops += 1
+                if node in arrivals:
+                    drops += 1
                 if receptions is not None:
                     receptions[node] = SILENCE
                 continue
@@ -462,6 +491,8 @@ class BroadcastEngine:
                 # Fast path: a non-sender nothing reached hears silence
                 # under every collision rule.
                 reception = SILENCE
+                is_message = False
+                silences += 1
             else:
                 reception = resolve_reception(
                     rule,
@@ -469,19 +500,20 @@ class BroadcastEngine:
                     own_message is not None,
                     own_message,
                     node_arrivals,
-                    cr4_resolver=cr4_resolver,
+                    cr4_resolver=cr4,
                 )
+                # The cheap spelling of Reception.is_message.
+                is_message = reception.message is not None
+                if is_message:
+                    delivered += 1
+                elif reception is COLLISION:
+                    collisions += 1
+                else:
+                    silences += 1
             if receptions is not None:
                 receptions[node] = reception
-            if obs_on:
-                if reception.is_message:
-                    obs_delivered += 1
-                elif reception.is_collision:
-                    obs_collisions += 1
-                else:
-                    obs_silences += 1
             if node not in self._active:
-                if reception.is_message:
+                if is_message:
                     newly_active.append(node)
                     self._activate(node)
                 else:
@@ -491,27 +523,16 @@ class BroadcastEngine:
                 self._mark_informed(node, rnd)
                 newly_informed.append(node)
 
-        if obs_on:
-            telemetry.count("engine.rounds")
-            telemetry.count("engine.senders", len(senders))
-            telemetry.count("engine.delivered", obs_delivered)
-            telemetry.count("engine.collisions", obs_collisions)
-            telemetry.count("engine.silences", obs_silences)
-            telemetry.count("engine.crashed_drops", obs_drops)
-            telemetry.count("engine.cr4_consults", consults[0])
-
-        record = RoundRecord(
-            round_number=rnd,
-            senders=senders,
-            unreliable_deliveries=deliveries,
-            newly_informed=tuple(newly_informed),
-            newly_active=tuple(newly_active),
-            receptions=receptions,
-            crashed=crashed_now,
-            recovered=recovered_now,
-        )
-        self.trace.rounds.append(record)
-        return record
+        if self._telemetry.enabled:
+            count = self._telemetry.count
+            count("engine.rounds")
+            count("engine.senders", len(senders))
+            count("engine.delivered", delivered)
+            count("engine.collisions", collisions)
+            count("engine.silences", silences)
+            count("engine.crashed_drops", drops)
+            count("engine.cr4_consults", consults)
+        return receptions, newly_informed, newly_active
 
     # ------------------------------------------------------------------
     # Public API
@@ -529,7 +550,7 @@ class BroadcastEngine:
         if self._telemetry.enabled:
             self._telemetry.event(
                 "engine_run",
-                engine=self.config.engine,
+                engine=self.engine_name,
                 n=self.network.n,
                 rounds=self._round,
                 completed=self.trace.completed,

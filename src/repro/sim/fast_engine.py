@@ -4,8 +4,11 @@
 semantics of :class:`~repro.sim.engine.BroadcastEngine` — it is a
 drop-in subclass producing **bit-identical traces** (the differential
 harness in ``tests/test_fast_engine_equivalence.py`` asserts this seed
-for seed) — but resolves each round with Python-int set algebra instead
-of per-node message lists:
+for seed).  The round skeleton (churn, the adversary, the record) is
+the base class's; the subclass overrides only its two phase hooks:
+``_decide_senders`` walks cached active (node, process, context)
+triples, and ``_resolve`` resolves each round with Python-int set
+algebra instead of per-node message lists:
 
 * Node sets (active, reached, multiply-reached) are single Python ints
   with bit ``v`` standing for node ``v``; adjacency is precompiled to a
@@ -35,6 +38,10 @@ of per-node message lists:
   inferred per class) is never consulted: its CR4 collisions at
   non-senders resolve to silence by mask test, as under CR3.  The
   reference engine still consults it.
+* Telemetry tallies come from the branches that decide them:
+  collisions and deliveries are counted where they resolve, silences
+  are the visited live nodes minus both, and CR4 consults are the
+  fallbacks (each calls the resolver exactly once).
 
 Because the semantics are identical, the engines are interchangeable
 for every collision rule and adversary:
@@ -45,8 +52,9 @@ a task names.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.adversaries.base import AdversaryView
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.engine import BroadcastEngine
 from repro.sim.messages import (
@@ -58,7 +66,6 @@ from repro.sim.messages import (
     received,
 )
 from repro.sim.process import Process, ProcessContext
-from repro.sim.trace import RoundRecord
 
 
 class FastBroadcastEngine(BroadcastEngine):
@@ -69,6 +76,8 @@ class FastBroadcastEngine(BroadcastEngine):
     reference engine; only the internal per-round resolution differs.
     See the module docstring for the algebra.
     """
+
+    engine_name = "fast"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -111,34 +120,37 @@ class FastBroadcastEngine(BroadcastEngine):
             self._triples_dirty = False
         return self._triples
 
-    def _step(self) -> RoundRecord:
-        self._round += 1
-        rnd = self._round
-        network = self.network
-        recording = self.config.record_receptions
-        rule = self.config.collision_rule
-        bit = self._bit
-        reach_mask = self._reach_mask
-        contexts = self._contexts
+    def _decide_senders(self, rnd: int) -> Dict[int, Message]:
+        """Phase 1 over the active nodes only.
 
-        crashed_now, recovered_now = self._apply_churn(rnd)
-        crashed_mask = self._crashed_mask
-
-        # Phase 1: decisions.  Only active contexts advance here; a
-        # sleeping process's context is observed solely at wake-up, so
-        # its round counter is refreshed then (`wake` below).  Ascending
-        # node order gives `senders` the insertion order the reference
-        # engine guarantees.
+        A sleeping process's context is observed solely at wake-up, so
+        its round counter is refreshed then (:meth:`_resolve`).
+        Ascending node order gives ``senders`` the insertion order the
+        reference engine guarantees.
+        """
         senders: Dict[int, Message] = {}
         for node, process, ctx in self._active_triples():
             ctx.round_number = rnd
             msg = process.decide_send(ctx)
             if msg is not None:
                 senders[node] = msg
+        return senders
 
-        # Phase 2: adversary (shared with the reference engine).
-        view = self._adversary_view(rnd, senders)
-        deliveries = self._validated_deliveries(view, senders)
+    def _resolve(
+        self,
+        rnd: int,
+        senders: Dict[int, Message],
+        deliveries: Dict[int, FrozenSet[int]],
+        view: AdversaryView,
+    ) -> Tuple[Optional[Dict[int, Reception]], List[int], List[int]]:
+        """Phases 3 and 4 by mask algebra (see the module docstring)."""
+        network = self.network
+        recording = self.config.record_receptions
+        rule = self.config.collision_rule
+        bit = self._bit
+        reach_mask = self._reach_mask
+        contexts = self._contexts
+        crashed_mask = self._crashed_mask
 
         # Phase 3: arrival algebra.  After the pass, bit v of
         # reached_once means "some message reached v" and bit v of
@@ -183,25 +195,6 @@ class FastBroadcastEngine(BroadcastEngine):
         def cr4(node: int, msgs: List[Message]) -> Optional[Message]:
             return self.adversary.resolve_cr4(view, node, msgs)
 
-        # Observability (reference-engine parity: one hoisted boolean
-        # when off, per-visit tallies when on, nothing feeding trace
-        # state).  Counters are implementation-level — the mask path
-        # visits a different candidate set than the reference loop, so
-        # per-engine totals are comparable only within an engine.
-        telemetry = self._telemetry
-        obs_on = telemetry.enabled
-        obs_delivered = obs_collisions = obs_silences = 0
-        obs_fallbacks = 0
-        consults = [0]
-
-        def counted_cr4(
-            node: int, msgs: List[Message]
-        ) -> Optional[Message]:
-            consults[0] += 1
-            return cr4(node, msgs)
-
-        cr4_resolver = counted_cr4 if obs_on else cr4
-
         receptions: Optional[Dict[int, Reception]] = (
             {} if recording else None
         )
@@ -227,6 +220,10 @@ class FastBroadcastEngine(BroadcastEngine):
             # Crashed radios hear nothing: their positions never need a
             # visit.
             pending = reached_once & ~crashed_mask
+        # Every visited live node hears silence unless it is tallied
+        # as a delivery or a collision below.
+        visited = pending & ~crashed_mask
+        delivered = collisions = fallbacks = 0
 
         while pending:
             low = pending & -pending
@@ -249,6 +246,7 @@ class FastBroadcastEngine(BroadcastEngine):
                 if own is not None:
                     if cr1:
                         reception = COLLISION
+                        collisions += 1
                     else:
                         reception = sender_rec.get(node)
                         if reception is None:
@@ -256,14 +254,15 @@ class FastBroadcastEngine(BroadcastEngine):
                             sender_rec[node] = reception
                 elif collision_on_multi:  # CR1/CR2 non-sender
                     reception = COLLISION
+                    collisions += 1
                 elif silence_on_multi:  # CR3, or CR4 with the base resolver
                     reception = SILENCE
                 else:
                     # CR4 with a real adversary resolver: rebuild the
                     # arrival list in reference order (ascending sender
-                    # node) and defer to the shared resolution path.
-                    if obs_on:
-                        obs_fallbacks += 1
+                    # node) and defer to the shared resolution path,
+                    # which consults the resolver exactly once here.
+                    fallbacks += 1
                     arrivals = [
                         msg
                         for s, msg in senders.items()
@@ -275,7 +274,7 @@ class FastBroadcastEngine(BroadcastEngine):
                         False,
                         None,
                         arrivals,
-                        cr4_resolver=cr4_resolver,
+                        cr4_resolver=cr4,
                     )
             else:
                 # Exactly one arrival: a lone sender hears itself (CR1's
@@ -285,53 +284,36 @@ class FastBroadcastEngine(BroadcastEngine):
 
             if receptions is not None:
                 receptions[node] = reception
-            if obs_on:
-                if reception.message is not None:
-                    obs_delivered += 1
-                elif reception.is_collision:
-                    obs_collisions += 1
-                else:
-                    obs_silences += 1
-            # `.message is not None` is the cheap attribute-level spelling
-            # of Reception.is_message (a MESSAGE reception always carries
-            # a message; the other kinds never do).
-            is_message = reception.message is not None
+            # `.message is None` is the cheap attribute-level spelling
+            # of "not Reception.is_message".  A sleeping process
+            # observes nothing else, and an awake one's delivery of
+            # anything else is inert (the Process contract).
+            if reception.message is None:
+                continue
+            delivered += 1
             if not active_mask & b:
-                if is_message:
-                    contexts[node].round_number = rnd  # wake mid-round
-                    newly_active.append(node)
-                    self._activate(node)
-                else:
-                    continue  # sleeping processes observe nothing
-            elif not is_message:
-                continue  # inert delivery (the Process contract)
+                contexts[node].round_number = rnd  # wake mid-round
+                newly_active.append(node)
+                self._activate(node)
             process_at[node].deliver(contexts[node], reception)
             if informed_round[node] is None and carries_payload(reception):
                 self._mark_informed(node, rnd)
                 newly_informed.append(node)
 
-        if obs_on:
-            telemetry.count("engine.rounds")
-            telemetry.count("engine.senders", len(senders))
-            telemetry.count("engine.delivered", obs_delivered)
-            telemetry.count("engine.collisions", obs_collisions)
-            telemetry.count("engine.silences", obs_silences)
-            telemetry.count(
-                "engine.crashed_drops",
-                bin(reached_once & crashed_mask).count("1"),
+        if self._telemetry.enabled:
+            count = self._telemetry.count
+            count("engine.rounds")
+            count("engine.senders", len(senders))
+            count("engine.delivered", delivered)
+            count("engine.collisions", collisions)
+            count(
+                "engine.silences",
+                visited.bit_count() - delivered - collisions,
             )
-            telemetry.count("engine.cr4_consults", consults[0])
-            telemetry.count("engine.cr4_fallbacks", obs_fallbacks)
-
-        record = RoundRecord(
-            round_number=rnd,
-            senders=senders,
-            unreliable_deliveries=deliveries,
-            newly_informed=tuple(newly_informed),
-            newly_active=tuple(newly_active),
-            receptions=receptions,
-            crashed=crashed_now,
-            recovered=recovered_now,
-        )
-        self.trace.rounds.append(record)
-        return record
+            count(
+                "engine.crashed_drops",
+                (reached_once & crashed_mask).bit_count(),
+            )
+            count("engine.cr4_consults", fallbacks)
+            count("engine.cr4_fallbacks", fallbacks)
+        return receptions, newly_informed, newly_active

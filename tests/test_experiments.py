@@ -1,6 +1,7 @@
 """Tests for the declarative parallel sweep subsystem."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -394,12 +395,21 @@ class TestCellKey:
             seeds=[1, 12],
             max_rounds=200,
         )
-        tasks = {task.key: task for task in spec.tasks()}
         records = run_sweep(spec).records
         assert len(records) == spec.size == 8
-        for record in records:
-            assert record.cell_key == tasks[record.key].cell_key
-        assert len({r.cell_key for r in records}) == 4
+        assert {r.key for r in records} == {t.key for t in spec.tasks()}
+        prefix = (
+            "cells/harmonic(T=2)/gnp:n10(p_reliable=0.5)/random(p=0.5)"
+            "/CR4-asynchronous"
+        )
+        churn = "/churn-window(count=1,length=2,start=2)"
+        # Each of the four cells holds both seeds.
+        assert Counter(r.cell_key for r in records) == {
+            prefix + "/cap200": 2,
+            prefix + "/cap200/eng-fast": 2,
+            prefix + churn + "/cap200": 2,
+            prefix + churn + "/cap200/eng-fast": 2,
+        }
 
     @pytest.mark.parametrize(
         "key, cell",

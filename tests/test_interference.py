@@ -14,6 +14,7 @@ from repro.interference import (
     InterferenceNetwork,
     run_equivalence_check,
 )
+from repro.obs import RecordingTelemetry, use
 from repro.sim import CollisionRule
 from repro.sim.process import ScriptedProcess
 
@@ -83,6 +84,21 @@ class TestInterferenceSemantics:
         )
         trace = eng.run()
         assert trace.rounds[0].receptions[2].is_collision
+
+
+    def test_run_event_names_the_interference_engine(self):
+        # The interference model resolves without the engine tallies:
+        # a run emits its engine_run event and no engine.* counter.
+        telemetry = RecordingTelemetry()
+        with use(telemetry):
+            trace = InterferenceEngine(
+                InterferenceNetwork(line(3)), scripted(3), max_rounds=10
+            ).run()
+        (event,) = telemetry.events
+        assert event["kind"] == "engine_run"
+        assert event["engine"] == "interference"
+        assert event["rounds"] == len(trace.rounds)
+        assert not [c for c in telemetry.counters if c.startswith("engine.")]
 
 
 ALGOS = [
