@@ -6,9 +6,10 @@ Two measurements back the contract stated in docs/OBSERVABILITY.md:
   the reference workload under an enabled in-memory
   ``RecordingTelemetry`` and under the null sink, alternating, best of
   7 each; the on/off ratio must stay <= 1.05 on both engines.  The
-  engines tally each reception in the branch that resolves it and fold
-  the tallies into counters once per round, so a sink adds little to
-  a round; with it off, the fold is one skipped test per round.  The
+  engines count each reception in the branch that resolves it, add
+  the counts to the run's tallies once per round and fold them into
+  the sink once per run, so a sink adds little to a round; with it
+  off, the tallying is one skipped test per round.  The
   fast engine's ratio on the cr4-greedy cell (harmonic T=4, greedy,
   CR4, clique-bridge n=129) is printed too, for information.
 * **Primitive throughput.**  Raw calls/s of the disabled ``count()``

@@ -137,6 +137,7 @@ class InterferenceEngine(BroadcastEngine):
     """
 
     engine_name = "interference"
+    counter_names = ()
 
     def __init__(
         self,

@@ -11,9 +11,10 @@ Three invariants make instrumentation safe to leave in hot paths:
 
 * **Off by default, cheap when on** — the process default is
   :class:`NullTelemetry`, whose methods are no-ops sharing one inert
-  span object.  Hot loops tally in local integers whatever the sink
-  and test ``enabled`` once per round to fold the tallies, so an
-  enabled sink costs <=5 % (``benchmarks/bench_obs.py``).  Enabling
+  span object.  Hot loops count in local integers whatever the sink
+  and test ``enabled`` once per round to keep tallies, which they
+  fold into the sink once per run, so an enabled sink costs <=5 %
+  (``benchmarks/bench_obs.py``).  Enabling
   any sink never changes trace bytes: telemetry only *observes*
   (``tests/test_obs.py`` holds the differential proof).
 * **Wall clocks live here** — elapsed-time measurement elsewhere goes
@@ -118,8 +119,8 @@ class Telemetry(Protocol):
     """The instrumentation surface every sink implements.
 
     Attributes:
-        enabled: Hot loops test this once per round/phase and skip
-            folding their tallies into counters when it is ``False``.
+        enabled: Hot loops test this once per round/phase and keep
+            no tallies for the sink when it is ``False``.
     """
 
     enabled: bool
@@ -152,9 +153,9 @@ class Telemetry(Protocol):
 class NullTelemetry:
     """The default sink: everything is a no-op and ``enabled`` is False.
 
-    Instrumented hot paths skip their per-round fold under this sink
-    with one ``enabled`` test; ``benchmarks/bench_obs.py`` measures what
-    an enabled sink costs beyond it.
+    Instrumented hot paths skip their per-round tallying under this
+    sink with one ``enabled`` test; ``benchmarks/bench_obs.py``
+    measures what an enabled sink costs beyond it.
     """
 
     enabled: bool = False

@@ -14,7 +14,7 @@ synchronous rounds ``1, 2, …``.  Each round:
 :meth:`BroadcastEngine._step` runs this round for every engine.  A
 subclass supplies only the phases that differ: ``_decide_senders``
 (phase 1) and ``_resolve`` (phases 3 and 4, which also tallies the
-round's telemetry counters).
+round's telemetry counters for :meth:`BroadcastEngine.run` to fold).
 
 Start rules: under *synchronous start* every process is active from round
 1; under *asynchronous start* a process activates on its first actual
@@ -134,6 +134,17 @@ class BroadcastEngine:
 
     #: The engine the ``engine_run`` telemetry event names.
     engine_name = "reference"
+    #: The ``engine.*`` counters :meth:`_resolve` tallies while a sink
+    #: is enabled; :meth:`run` folds them into the sink once per run.
+    counter_names: Tuple[str, ...] = (
+        "engine.rounds",
+        "engine.senders",
+        "engine.delivered",
+        "engine.collisions",
+        "engine.silences",
+        "engine.crashed_drops",
+        "engine.cr4_consults",
+    )
 
     def __init__(
         self,
@@ -161,6 +172,7 @@ class BroadcastEngine:
         # at that moment); it only observes — counters/events never
         # feed trace state, so enabling a sink cannot change a trace.
         self._telemetry = _current_telemetry()
+        self._tallies: Dict[str, int] = dict.fromkeys(self.counter_names, 0)
 
         by_uid = {p.uid: p for p in processes}
         proc_map = self.adversary.assign_processes(network, uids)
@@ -428,8 +440,9 @@ class BroadcastEngine:
 
         Returns the round's recorded receptions (``None`` unless
         recording), the newly informed and the newly active nodes, in
-        ascending node order.  Each outcome is tallied in the branch
-        that decides it and folded into the telemetry once per round.
+        ascending node order.  Each outcome is counted in the branch
+        that decides it and, while a sink is enabled, added to the
+        run's tallies once per round.
         """
         network = self.network
         recording = self.config.record_receptions
@@ -524,14 +537,14 @@ class BroadcastEngine:
                 newly_informed.append(node)
 
         if self._telemetry.enabled:
-            count = self._telemetry.count
-            count("engine.rounds")
-            count("engine.senders", len(senders))
-            count("engine.delivered", delivered)
-            count("engine.collisions", collisions)
-            count("engine.silences", silences)
-            count("engine.crashed_drops", drops)
-            count("engine.cr4_consults", consults)
+            tallies = self._tallies
+            tallies["engine.rounds"] += 1
+            tallies["engine.senders"] += len(senders)
+            tallies["engine.delivered"] += delivered
+            tallies["engine.collisions"] += collisions
+            tallies["engine.silences"] += silences
+            tallies["engine.crashed_drops"] += drops
+            tallies["engine.cr4_consults"] += consults
         return receptions, newly_informed, newly_active
 
     # ------------------------------------------------------------------
@@ -547,8 +560,12 @@ class BroadcastEngine:
             if self.config.stop_when_informed and self._all_informed():
                 break
         self.trace.completed = self._all_informed()
-        if self._telemetry.enabled:
-            self._telemetry.event(
+        telemetry = self._telemetry
+        if telemetry.enabled:
+            for name, value in self._tallies.items():
+                telemetry.count(name, value)
+            self._tallies = dict.fromkeys(self.counter_names, 0)
+            telemetry.event(
                 "engine_run",
                 engine=self.engine_name,
                 n=self.network.n,

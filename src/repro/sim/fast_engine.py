@@ -78,6 +78,7 @@ class FastBroadcastEngine(BroadcastEngine):
     """
 
     engine_name = "fast"
+    counter_names = BroadcastEngine.counter_names + ("engine.cr4_fallbacks",)
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -301,19 +302,17 @@ class FastBroadcastEngine(BroadcastEngine):
                 newly_informed.append(node)
 
         if self._telemetry.enabled:
-            count = self._telemetry.count
-            count("engine.rounds")
-            count("engine.senders", len(senders))
-            count("engine.delivered", delivered)
-            count("engine.collisions", collisions)
-            count(
-                "engine.silences",
-                visited.bit_count() - delivered - collisions,
+            tallies = self._tallies
+            tallies["engine.rounds"] += 1
+            tallies["engine.senders"] += len(senders)
+            tallies["engine.delivered"] += delivered
+            tallies["engine.collisions"] += collisions
+            tallies["engine.silences"] += (
+                visited.bit_count() - delivered - collisions
             )
-            count(
-                "engine.crashed_drops",
-                (reached_once & crashed_mask).bit_count(),
-            )
-            count("engine.cr4_consults", fallbacks)
-            count("engine.cr4_fallbacks", fallbacks)
+            tallies["engine.crashed_drops"] += (
+                reached_once & crashed_mask
+            ).bit_count()
+            tallies["engine.cr4_consults"] += fallbacks
+            tallies["engine.cr4_fallbacks"] += fallbacks
         return receptions, newly_informed, newly_active
