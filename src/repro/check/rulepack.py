@@ -8,15 +8,16 @@ not look (docs/CHECKS.md names each defect and a live site for it):
   execute (function-local, on a path its sweep skips).
 * **RPR003** — a wall-clock, timer or entropy read in the packages that
   produce traces and persisted bytes.
-* **RPR004** — iteration straight over a set expression in trace code,
-  whose hash order the tests' small node ids hide.
+* **RPR004** — iteration over a set expression, or over a local bound
+  only to one, in trace code, whose hash order the tests' small node
+  ids hide.
 * **RPR005** — a ``==``/``!=`` against a float in trace or search code.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.check.rules import ContractRule, FileContext, Finding
 
@@ -128,11 +129,67 @@ def _is_unordered_expr(node: ast.AST, ctx: FileContext) -> Optional[str]:
     return None
 
 
-class UnorderedIteration(ContractRule):
-    """RPR004: a loop straight over a set expression must be sorted.
+def _own_scope(func: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of a function body outside nested defs and classes."""
+    pending = list(ast.iter_child_nodes(func))
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            pending.extend(ast.iter_child_nodes(node))
 
-    Only syntactic set expressions are seen: a set bound to a name and
-    iterated later (``list(touched)``) passes.
+
+def _set_locals(
+    nodes: List[ast.AST], params: Set[str], ctx: FileContext
+) -> Dict[str, str]:
+    """Locals whose every binding is a set expression, described.
+
+    Augmented assignments (``touched |= more``) keep a set a set; any
+    other binding (a parameter, a plain assignment of something else,
+    a loop target, ``global``) disqualifies the name.
+    """
+    described: Dict[str, str] = {}
+    other: Set[str] = set(params)
+    neutral: Set[int] = set()
+    for node in nodes:
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            other.update(node.names)
+        elif isinstance(node, ast.AugAssign):
+            neutral.add(id(node.target))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            what = (
+                _is_unordered_expr(node.value, ctx)
+                if node.value is not None
+                else None
+            )
+            for target in targets:
+                if isinstance(target, ast.Name) and what is not None:
+                    described.setdefault(target.id, what)
+                    neutral.add(id(target))
+    for node in nodes:
+        if (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and id(node) not in neutral
+        ):
+            other.add(node.id)
+    return {
+        name: what for name, what in described.items() if name not in other
+    }
+
+
+class UnorderedIteration(ContractRule):
+    """RPR004: iteration over a set must be sorted.
+
+    Flags a ``for`` loop or comprehension straight over a set
+    expression, and a loop, comprehension, ``list(name)`` or
+    ``tuple(name)`` over a local that its function binds only to set
+    expressions.
     """
 
     code = "RPR004"
@@ -141,12 +198,18 @@ class UnorderedIteration(ContractRule):
         ast.For,
         ast.AsyncFor,
         ast.comprehension,
+        ast.FunctionDef,
+        ast.AsyncFunctionDef,
     )
 
     def inspect(
         self, node: ast.AST, ctx: FileContext
     ) -> Iterator[Finding]:
-        """Flag a ``for`` or comprehension iterating a set expression."""
+        """Flag a ``for`` or comprehension iterating a set expression,
+        or, for a function, each iteration over a set-bound local."""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from self._named_sets(node, ctx)
+            return
         assert isinstance(
             node, (ast.For, ast.AsyncFor, ast.comprehension)
         )
@@ -158,6 +221,48 @@ class UnorderedIteration(ContractRule):
                 f"iterating {described} directly is "
                 "hash-order-dependent; wrap it in sorted(...)",
             )
+
+    def _named_sets(
+        self,
+        func: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+        ctx: FileContext,
+    ) -> Iterator[Finding]:
+        args = func.args
+        params = {
+            a.arg
+            for a in (
+                *args.posonlyargs,
+                *args.args,
+                *args.kwonlyargs,
+                args.vararg,
+                args.kwarg,
+            )
+            if a is not None
+        }
+        nodes = list(_own_scope(func))
+        sets = _set_locals(nodes, params, ctx)
+        if not sets:
+            return
+        for node in nodes:
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                iterated = node.iter
+            elif (
+                isinstance(node, ast.Call)
+                and ctx.resolve(node.func) in ("list", "tuple")
+                and len(node.args) == 1
+                and not node.keywords
+            ):
+                iterated = node.args[0]
+            else:
+                continue
+            if isinstance(iterated, ast.Name) and iterated.id in sets:
+                yield self.finding(
+                    ctx,
+                    iterated,
+                    f"iterating {iterated.id!r}, bound to "
+                    f"{sets[iterated.id]}, is hash-order-dependent; "
+                    "wrap it in sorted(...)",
+                )
 
 
 def _is_float_operand(node: ast.AST) -> bool:

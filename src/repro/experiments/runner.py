@@ -215,13 +215,15 @@ def cell_engine(
     churn: Optional[ChurnSchedule] = None,
     engine: Optional[str] = None,
     record_receptions: bool = False,
+    seed: Optional[int] = None,
 ) -> BroadcastEngine:
     """The engine that runs a cell's ``algorithm`` against ``adversary``.
 
     ``cell`` (a :class:`~repro.experiments.spec.RunTask` or a search
     cell) also names the collision rule, start mode, derived seed and
     engine of its :class:`~repro.sim.engine.EngineConfig`; ``engine``
-    overrides the last.
+    overrides the last, and ``seed``, the cell's derived seed when the
+    caller has already derived it, spares a second derivation.
     """
     processes = make_processes(
         cell.algorithm, topology.graph.n, **dict(cell.algorithm_params)
@@ -230,7 +232,7 @@ def cell_engine(
         collision_rule=CollisionRule[cell.collision_rule],
         start_mode=StartMode(cell.start_mode),
         max_rounds=max_rounds,
-        seed=cell.derived_seed,
+        seed=cell.derived_seed if seed is None else seed,
         record_receptions=record_receptions,
         engine=engine or cell.engine,
         churn=churn,
@@ -245,9 +247,10 @@ def _execute_on(
 ) -> Tuple[RunResult, ExecutionTrace]:
     """Run one task on its cell's compiled topology and round cap."""
     graph = topology.graph
+    key, seed = task.key_and_seed()
     adversary = build_adversary(
         task.adversary_kind,
-        seed=task.derived_seed,
+        seed=seed,
         **dict(task.adversary_params),
     )
     # The churn schedule is built from the task's key-derived seed and
@@ -257,14 +260,16 @@ def _execute_on(
         task.churn_kind,
         n=graph.n,
         rounds=max_rounds,
-        seed=task.derived_seed,
+        seed=seed,
         **dict(task.churn_params),
     )
-    engine = cell_engine(task, topology, adversary, max_rounds, churn)
+    engine = cell_engine(
+        task, topology, adversary, max_rounds, churn, seed=seed
+    )
     with current().span("engine_run"):
         trace = engine.run()
     record = RunResult(
-        key=task.key,
+        key=key,
         sweep=task.sweep,
         algorithm=task.algorithm,
         graph_kind=task.graph_kind,
@@ -406,22 +411,34 @@ class SweepRunner:
         self.results_path = results_path
         self.store = store
 
-    def tasks(self) -> List[RunTask]:
-        """The combined, ordered task list of all specs."""
+    def tasks(self, keys: Optional[List[str]] = None) -> List[RunTask]:
+        """The combined, ordered task list of all specs.
+
+        Each task's key is derived once, for the duplicate-key check;
+        a ``keys`` list receives them, in task order, so the caller
+        need not derive them again.
+        """
         out: List[RunTask] = []
         seen: Dict[str, str] = {}
         for spec in self.specs:
             for task in spec.tasks():
-                if task.key in seen:
+                key = task.key
+                if key in seen:
                     raise ValueError(
-                        f"duplicate task key {task.key!r} "
-                        f"(specs {seen[task.key]!r} and {spec.name!r})"
+                        f"duplicate task key {key!r} "
+                        f"(specs {seen[key]!r} and {spec.name!r})"
                     )
-                seen[task.key] = spec.name
+                seen[key] = spec.name
                 out.append(task)
+        if keys is not None:
+            keys.extend(seen)
         return out
 
-    def fingerprint(self, tasks: Optional[List[RunTask]] = None) -> str:
+    def fingerprint(
+        self,
+        tasks: Optional[List[RunTask]] = None,
+        keys: Optional[List[str]] = None,
+    ) -> str:
         """A stable campaign fingerprint: hash of the sorted task keys.
 
         Written into manifest-carrying store backends so a campaign
@@ -429,22 +446,25 @@ class SweepRunner:
         silently interleaving two campaigns.  Stable across worker
         counts, batch splits and resume histories by construction.
         ``tasks`` is :meth:`tasks` output, whose keys are already
-        unique.
+        unique; ``keys``, when given, are their keys.
         """
-        if tasks is None:
-            tasks = self.tasks()
-        keys = sorted(t.key for t in tasks)
-        digest = hashlib.sha256("\n".join(keys).encode("utf-8"))
+        if keys is None:
+            if tasks is None:
+                tasks = self.tasks()
+            keys = [t.key for t in tasks]
+        digest = hashlib.sha256("\n".join(sorted(keys)).encode("utf-8"))
         return digest.hexdigest()[:16]
 
     def open_store(
-        self, tasks: Optional[List[RunTask]] = None
+        self,
+        tasks: Optional[List[RunTask]] = None,
+        keys: Optional[List[str]] = None,
     ) -> Optional[ResultStore]:
         """The result store behind ``results_path`` (``None`` if unset).
 
         Opens the path through :func:`repro.store.open_store` with the
         ``store`` backend (``None``: auto-detection) and this sweep's
-        spec fingerprint.
+        spec fingerprint (of ``tasks`` or their ``keys``).
         """
         if not self.results_path:
             return None
@@ -452,7 +472,7 @@ class SweepRunner:
             self.results_path,
             parse=RunResult.from_dict,
             backend=self.store,
-            fingerprint=self.fingerprint(tasks),
+            fingerprint=self.fingerprint(tasks, keys),
         )
 
     def run(
@@ -461,15 +481,22 @@ class SweepRunner:
         """Execute all pending tasks and return the aggregated result."""
         watch = Stopwatch()
         telemetry = current()
-        tasks = self.tasks()
-        session = StoreSession(self.open_store(tasks))
-        records = {
-            t.key: session.claimed[t.key]
-            for t in tasks
-            if t.key in session.claimed
-        }
+        # Each task's key is derived once, here, and handed to every
+        # step of planning that needs it.
+        keys: List[str] = []
+        tasks = self.tasks(keys)
+        session = StoreSession(self.open_store(tasks, keys))
+        claimed = session.claimed
+        records: Dict[str, Any] = {}
+        pending: List[RunTask] = []
+        pending_keys: List[str] = []
+        for key, task in zip(keys, tasks):
+            if key in claimed:
+                records[key] = claimed[key]
+            else:
+                pending.append(task)
+                pending_keys.append(key)
         resumed = len(records)
-        pending = [t for t in tasks if t.key not in records]
         total = len(tasks)
         if telemetry.enabled:
             telemetry.event(
@@ -480,7 +507,7 @@ class SweepRunner:
                 workers=self.workers,
             )
         events = _CampaignEvents(telemetry, total)
-        results = self._execute(pending, events)
+        results = self._execute(pending, pending_keys, events)
         with session:
             try:
                 for result in results:
@@ -512,8 +539,13 @@ class SweepRunner:
             health=session.health,
         )
 
-    def _plan_units(self, pending: Sequence[RunTask]) -> List[CellBatch]:
-        """Plan the batched dispatch units for the pending tasks.
+    def _plan_units(
+        self,
+        pending: Sequence[RunTask],
+        keys: Optional[Sequence[str]] = None,
+    ) -> List[CellBatch]:
+        """Plan the batched dispatch units for the pending tasks (whose
+        keys are ``keys``, when the caller has them).
 
         One batch per science cell, except that with a pool in play
         oversized cells are split so the sweep always yields at least
@@ -522,7 +554,7 @@ class SweepRunner:
         sub-batch re-runs the cell setup once, so amortisation is
         preserved within sub-batches.
         """
-        batches = plan_batches(pending)
+        batches = plan_batches(pending, keys)
         if self.workers <= 1 or not pending:
             return batches
         # ceil-divide: the largest batch size that still yields at
@@ -533,16 +565,19 @@ class SweepRunner:
         ]
 
     def _execute(
-        self, pending: Sequence[RunTask], events: _CampaignEvents
+        self,
+        pending: Sequence[RunTask],
+        keys: Sequence[str],
+        events: _CampaignEvents,
     ) -> Iterator[RunResult]:
-        """Yield one :class:`RunResult` per pending task.
+        """Yield one :class:`RunResult` per pending task (keys ``keys``).
 
         Results stream back in completion order (a sub-batch's seeds
         stay contiguous); :meth:`run` re-establishes the canonical key
         order, so scheduling never leaks into results.  Each finished
         unit sends one heartbeat through ``events``.
         """
-        units = self._plan_units(pending)
+        units = self._plan_units(pending, keys)
         if self.workers == 1 or len(units) <= 1:
             for unit in units:
                 out = execute_batch(unit)

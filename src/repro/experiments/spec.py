@@ -216,10 +216,18 @@ class RunTask:
         The engine is appended only when it is not the reference engine,
         keeping keys (and results files) from older sweeps valid.
         """
-        key = self.science_key
+        return self._key_of(self.science_key)
+
+    def _key_of(self, science_key: str) -> str:
         if self.engine != "reference":
-            key = f"{key}/eng-{self.engine}"
-        return key
+            return f"{science_key}/eng-{self.engine}"
+        return science_key
+
+    def key_and_seed(self) -> Tuple[str, int]:
+        """:attr:`key` and :attr:`derived_seed` from one derivation of
+        :attr:`science_key`, for callers that need both."""
+        science_key = self.science_key
+        return self._key_of(science_key), seed_of(science_key)
 
     @property
     def cell_key(self) -> str:
@@ -246,7 +254,12 @@ class RunTask:
         :attr:`science_key` rather than :attr:`key` makes the seed —
         and hence the run — independent of the engine choice.
         """
-        return zlib.crc32(self.science_key.encode("utf-8"))
+        return seed_of(self.science_key)
+
+
+def seed_of(science_key: str) -> int:
+    """The engine seed of a science key (:attr:`RunTask.derived_seed`)."""
+    return zlib.crc32(science_key.encode("utf-8"))
 
 
 #: A key's seed segment: ``/s<seed>``, followed by nothing but the
@@ -283,8 +296,9 @@ def curve_key_of(cell_key: str, graph_kind: str, n: int) -> str:
 class CellBatch:
     """All pending tasks of one science cell, dispatched as one unit.
 
-    The tasks share every grid axis except the seed (validated at
-    construction), in their original spec order.  A batch is a frozen
+    The tasks share every grid axis except the seed (checked at
+    construction unless the cell is given), in their original spec
+    order.  A batch is a frozen
     tuple of primitives like the tasks themselves, so it pickles
     cheaply to ``multiprocessing`` workers, where
     :func:`repro.experiments.runner.execute_batch` builds the cell's
@@ -292,22 +306,25 @@ class CellBatch:
     """
 
     tasks: Tuple[RunTask, ...]
+    #: The science cell every task shares.  Left empty, it is derived
+    #: from the tasks, which must then all share it; :func:`plan_batches`
+    #: and :meth:`split` pass the cell they grouped the tasks by.
+    cell_key: str = ""
 
     def __post_init__(self) -> None:
-        """Freeze the task tuple and reject mixed-cell batches."""
+        """Freeze the task tuple; derive the cell key if not given,
+        rejecting mixed-cell batches."""
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.tasks:
             raise ValueError("a batch needs at least one task")
+        if self.cell_key:
+            return
         cells = {t.cell_key for t in self.tasks}
         if len(cells) != 1:
             raise ValueError(
                 f"batch mixes science cells: {sorted(cells)}"
             )
-
-    @property
-    def cell_key(self) -> str:
-        """The science cell shared by every task in the batch."""
-        return self.tasks[0].cell_key
+        object.__setattr__(self, "cell_key", cells.pop())
 
     def split(self, max_size: int) -> List["CellBatch"]:
         """Chop the batch into sub-batches of at most ``max_size`` tasks.
@@ -321,7 +338,7 @@ class CellBatch:
         if max_size < 1:
             raise ValueError(f"max_size must be >= 1, got {max_size}")
         return [
-            CellBatch(self.tasks[i:i + max_size])
+            CellBatch(self.tasks[i:i + max_size], self.cell_key)
             for i in range(0, len(self.tasks), max_size)
         ]
 
@@ -329,21 +346,27 @@ class CellBatch:
         return len(self.tasks)
 
 
-def plan_batches(tasks: Sequence[RunTask]) -> List[CellBatch]:
+def plan_batches(
+    tasks: Sequence[RunTask], keys: Optional[Sequence[str]] = None
+) -> List[CellBatch]:
     """Group an ordered task list into one :class:`CellBatch` per cell.
 
     Batches appear in the order their cells first appear in ``tasks``,
     and each batch keeps its tasks in input order — so for a freshly
     expanded spec every batch is the cell's seed axis in seed order,
     while a resumed sweep yields batches holding only the missing
-    seeds.  Keys are not re-checked for uniqueness here: that is decided
-    where tasks come in (the spec's per-axis duplicate check and
-    :meth:`repro.experiments.runner.SweepRunner.tasks`).
+    seeds.  ``keys``, when given, are the tasks' keys in the same order
+    (a caller that derived them passes them on instead of paying for a
+    second derivation).  Keys are not re-checked for uniqueness here:
+    that is decided where tasks come in (the spec's per-axis duplicate
+    check and :meth:`repro.experiments.runner.SweepRunner.tasks`).
     """
+    if keys is None:
+        keys = [t.key for t in tasks]
     groups: Dict[str, List[RunTask]] = {}
-    for task in tasks:
-        groups.setdefault(task.cell_key, []).append(task)
-    return [CellBatch(tuple(group)) for group in groups.values()]
+    for key, task in zip(keys, tasks):
+        groups.setdefault(cell_key_of(key), []).append(task)
+    return [CellBatch(tuple(group), cell) for cell, group in groups.items()]
 
 
 def _coerce_entry(entry, cls, field: str, noun: str):

@@ -159,7 +159,8 @@ class BroadcastEngine:
                 "topology was compiled for a different graph object"
             )
         uids = [p.uid for p in processes]
-        if len(set(uids)) != len(uids):
+        by_uid = dict(zip(uids, processes))
+        if len(by_uid) != len(uids):
             raise ValueError("process uids must be distinct")
         if len(processes) != network.n:
             raise ValueError(
@@ -174,11 +175,12 @@ class BroadcastEngine:
         self._telemetry = _current_telemetry()
         self._tallies: Dict[str, int] = dict.fromkeys(self.counter_names, 0)
 
-        by_uid = {p.uid: p for p in processes}
         proc_map = self.adversary.assign_processes(network, uids)
-        if sorted(proc_map) != list(network.nodes) or sorted(
+        # The uids are distinct, so n nodes mapped onto exactly the uid
+        # set is a bijection.
+        if sorted(proc_map) != list(network.nodes) or set(
             proc_map.values()
-        ) != sorted(uids):
+        ) != by_uid.keys():
             raise ValueError("adversary returned an invalid proc mapping")
         #: node → process
         self.process_at: Dict[int, Process] = {
@@ -189,8 +191,8 @@ class BroadcastEngine:
 
         seed, n = self.config.seed, network.n
         self._contexts: Dict[int, ProcessContext] = {
-            node: ProcessContext.seeded(seed, p.uid, n)
-            for node, p in self.process_at.items()
+            node: ProcessContext.seeded(seed, uid, n)
+            for node, uid in proc_map.items()
         }
         self._active: set = set()
         self._round = 0

@@ -22,7 +22,10 @@ observe them, so a driver may skip delivering them.  The fast engine
 relies on this, and ``Process.__init_subclass__`` enforces it.
 
 :meth:`ProcessContext.seeded` is the one constructor of a process's
-round-0 context and so of its private RNG stream.
+round-0 context and so of its private RNG stream.  The stream's
+``random.Random`` is built on the process's first draw, from the same
+seed string, so automata that never draw (Round Robin, Strong Select)
+never pay for one and every drawn stream is unchanged.
 
 Activation follows the paper's two start rules: under *synchronous start*
 all processes are active from round 1; under *asynchronous start* a process
@@ -34,8 +37,9 @@ from __future__ import annotations
 
 import abc
 import random
+import weakref
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, cast
 
 from repro.sim.messages import Message, Reception, carries_payload
 
@@ -67,18 +71,65 @@ class ProcessContext:
 
         The RNG is seeded with the string ``f"{seed}:{uid}"``: one
         independent stream per process, the same in every driver that
-        is given the same seed.
+        is given the same seed.  It is built on first use: until then
+        ``rng`` is a stand-in whose first attribute read builds the
+        generator and installs it as ``rng``.
         """
-        return cls(0, random.Random(f"{seed}:{uid}"), n)
+        ctx = cls(0, cast(random.Random, None), n)
+        ctx.rng = cast(random.Random, _UndrawnRandom(ctx, f"{seed}:{uid}"))
+        return ctx
 
     def __deepcopy__(self, memo: object) -> "ProcessContext":
-        # Copy the RNG state as one tuple: the default deepcopy walks the
-        # 625-word Mersenne Twister state element by element and rebuilds
-        # the generator through a seedless ``Random()``, which reads OS
-        # entropy first.
-        rng = random.Random(0)
-        rng.setstate(self.rng.getstate())
-        return ProcessContext(self.round_number, rng, self.n)
+        rng = self.rng
+        copied = ProcessContext(self.round_number, rng, self.n)
+        if isinstance(rng, _UndrawnRandom):
+            # An undrawn stream stays undrawn, bound to the copy.
+            copied.rng = cast(random.Random, rng.bound_to(copied))
+        else:
+            # Copy the RNG state as one tuple: the default deepcopy walks
+            # the 625-word Mersenne Twister state element by element and
+            # rebuilds the generator through a seedless ``Random()``,
+            # which reads OS entropy first.
+            copied.rng = random.Random(0)
+            copied.rng.setstate(rng.getstate())
+        return copied
+
+
+class _UndrawnRandom:
+    """The RNG of a :meth:`ProcessContext.seeded` context before its
+    first draw.
+
+    The first read of any public attribute builds
+    ``random.Random(seed)`` and installs it as its context's ``rng``,
+    so every later draw through the context is a plain attribute read.
+    A caller that held on to the stand-in keeps drawing from that same
+    generator.  The context is held weakly, so a context and its
+    stand-in form no reference cycle.
+    """
+
+    __slots__ = ("_seed", "_ctx", "_rng")
+
+    def __init__(self, ctx: ProcessContext, seed: str) -> None:
+        self._seed = seed
+        self._ctx = weakref.ref(ctx)
+        self._rng: Optional[random.Random] = None
+
+    def bound_to(self, ctx: ProcessContext) -> "_UndrawnRandom":
+        """An undrawn copy of this stream installing itself in ``ctx``."""
+        return _UndrawnRandom(ctx, self._seed)
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("_"):
+            # Private and dunder probes (copy, pickle, unset slots) must
+            # not build the stream.
+            raise AttributeError(name)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+            ctx = self._ctx()
+            if ctx is not None and ctx.rng is self:
+                ctx.rng = rng
+        return getattr(rng, name)
 
 
 class Process(abc.ABC):

@@ -88,6 +88,13 @@ class TestPlanning:
             dict.fromkeys(t.cell_key for t in tasks)
         )
 
+    def test_given_keys_plan_the_same_batches(self):
+        tasks = grid_spec().tasks()
+        keyed = plan_batches(tasks, [t.key for t in tasks])
+        assert keyed == plan_batches(tasks)
+        # A batch built from its tasks alone derives the same cell.
+        assert keyed == [CellBatch(b.tasks) for b in keyed]
+
     def test_cell_key_drops_only_the_seed(self):
         a, b = grid_spec(seeds=[4, 9]).tasks()[:2]
         assert a.cell_key == b.cell_key

@@ -183,6 +183,16 @@ class TestUnorderedIteration:
             "out = (x for x in a.difference(b))\n",
             "out = [x for x in a.symmetric_difference(b)]\n",
             "async def f():\n    async for x in set(ys):\n        pass\n",
+            # A local bound only to set expressions, iterated later.
+            "def f(a):\n    s = set(a)\n    for x in s:\n        pass\n",
+            "def f(a):\n    s = set(a)\n    s.update(a)\n    return list(s)\n",
+            "def f(a, b):\n    s = a.union(b)\n    return tuple(s)\n",
+            "def f(a):\n    s = {x for x in a}\n    return [x for x in s]\n",
+            "def f(a):\n    s = set()\n    s |= a\n    return list(s)\n",
+            "def f(a):\n    s: set = frozenset(a)\n    return list(s)\n",
+            "def f(a):\n    if (s := set(a)):\n        return list(s)\n",
+            "class C:\n    def m(self, a):\n        s = {1}\n"
+            "        return list(s)\n",
         ],
     )
     def test_flagged(self, source):
@@ -197,11 +207,34 @@ class TestUnorderedIteration:
             "for x in list(ys):\n    pass\n",
             "for x in {1: 2}:\n    pass\n",
             "out = len(set(ys))\n",
+            "def f(a):\n    s = set(a)\n    return sorted(s)\n",
+            "def f(a):\n    s = set(a)\n    return len(s)\n",
+            "def f(s):\n    return list(s)\n",
+            "def f(a):\n    s = list(a)\n    return list(s)\n",
+            "def f(a):\n    s = set(a)\n    s = sorted(s)\n    return list(s)\n",
+            "def f(a):\n    for s in a:\n        pass\n"
+            "    s = set(a)\n    return list(s)\n",
+            "def f(a):\n    global s\n    s = set(a)\n    return list(s)\n",
+            "def f(a):\n    s = set(a)\n    def g(s):\n"
+            "        return list(s)\n    return g\n",
+            "s = set(ys)\nout = list(s)\n",
         ],
     )
     def test_clean(self, source):
         findings = check_source(source, "x.py", scope=None)
         assert findings == []
+
+    def test_engine_plant_is_flagged(self):
+        """``sorted(touched)`` → ``list(touched)`` in the reference
+        engine's ``_resolve`` changes its traces; the rule sees it."""
+        path = SRC_REPRO / "sim" / "engine.py"
+        source = path.read_text(encoding="utf-8")
+        assert source.count("sorted(touched)") == 1
+        planted = source.replace("sorted(touched)", "list(touched)")
+        assert check_source(source, "engine.py", scope="sim") == []
+        findings = check_source(planted, "engine.py", scope="sim")
+        assert codes(findings) == ["RPR004"]
+        assert "'touched'" in findings[0].message
 
 
 class TestFloatEquality:

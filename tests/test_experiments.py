@@ -24,6 +24,7 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.analysis import CampaignReport
+from repro.experiments.spec import RunTask
 from repro.store import open_store
 
 
@@ -365,6 +366,54 @@ class TestSweepRunner:
         )
         assert len(seen) == spec.size
         assert seen[-1][1:] == (spec.size, spec.size)
+
+
+class TestKeyDerivationBudget:
+    """A sweep derives each task's key once to plan it and once where
+    it runs, so re-deriving keys fails here rather than in a benchmark."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = [0]
+        raw = RunTask._key_parts
+
+        def counted(task):
+            calls[0] += 1
+            return raw(task)
+
+        monkeypatch.setattr(RunTask, "_key_parts", counted)
+        return calls
+
+    @staticmethod
+    def spec():
+        return tiny_spec(
+            algorithms=["round_robin", "decay"],
+            engines=["reference", "fast"],
+            seeds=range(3),
+        )
+
+    @pytest.mark.parametrize("store", ["jsonl", "sharded"])
+    def test_fresh_sweep_derives_each_key_twice(
+        self, tmp_path, derivations, store
+    ):
+        spec = self.spec()
+        result = run_sweep(
+            spec, results_path=str(tmp_path / "camp"), store=store
+        )
+        assert result.executed == spec.size
+        assert derivations[0] <= 2 * spec.size
+
+    @pytest.mark.parametrize("store", ["jsonl", "sharded"])
+    def test_full_resume_derives_each_key_once(
+        self, tmp_path, derivations, store
+    ):
+        spec = self.spec()
+        path = str(tmp_path / "camp")
+        run_sweep(spec, results_path=path, store=store)
+        derivations[0] = 0
+        result = run_sweep(spec, results_path=path, store=store)
+        assert result.resumed == spec.size
+        assert derivations[0] <= spec.size
 
 
 class TestSweepResult:

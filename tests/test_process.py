@@ -1,10 +1,12 @@
 """Unit tests for the Process automaton base class."""
 
+import copy
 import random
 
 import pytest
 
-from repro.core.runner import algorithm_names, make_processes
+from repro.core.runner import algorithm_names, broadcast, make_processes
+from repro.graphs import line
 from repro.sim.messages import COLLISION, PAYLOAD, Message, SILENCE, received
 from repro.sim.process import (
     Process,
@@ -86,14 +88,97 @@ class TestLifecycle:
         assert msg.meta["level"] == 3
 
 
+def stream(seed, uid, count, skip=0):
+    """Draws ``skip`` to ``skip + count`` of process ``uid``'s stream."""
+    rng = random.Random(f"{seed}:{uid}")
+    return [rng.random() for _ in range(skip + count)][skip:]
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """The seed of every ``random.Random`` built while the test runs."""
+    seeds = []
+
+    class Counting(random.Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    return seeds
+
+
 class TestSeededContext:
     def test_stream_is_the_seed_uid_string(self):
         c = ProcessContext.seeded(7, 3, 12)
         assert (c.round_number, c.n) == (0, 12)
-        expected = random.Random("7:3")
-        assert [c.rng.random() for _ in range(3)] == [
-            expected.random() for _ in range(3)
-        ]
+        assert [c.rng.random() for _ in range(3)] == stream(7, 3, 3)
+
+    def test_rng_is_built_on_the_first_draw(self, constructed):
+        c = ProcessContext.seeded(7, 3, 12)
+        assert constructed == []
+        assert not isinstance(c.rng, random.Random)
+        c.rng.random()
+        assert constructed == ["7:3"]
+        # Installed: later draws read a plain generator.
+        assert isinstance(c.rng, random.Random)
+        c.rng.random()
+        assert constructed == ["7:3"]
+
+    def test_held_rng_keeps_one_stream(self):
+        c = ProcessContext.seeded(7, 3, 12)
+        r = c.rng
+        draws = [r.random(), c.rng.random(), r.random(), c.rng.random()]
+        assert draws == stream(7, 3, 4)
+
+    def test_deepcopy_before_the_first_draw(self, constructed):
+        c = ProcessContext.seeded(7, 3, 12)
+        d = copy.deepcopy(c)
+        assert constructed == []
+        assert not isinstance(d.rng, random.Random)
+        assert [d.rng.random() for _ in range(3)] == stream(7, 3, 3)
+        # The original is untouched by the copy's draws.
+        assert not isinstance(c.rng, random.Random)
+        assert [c.rng.random() for _ in range(3)] == stream(7, 3, 3)
+
+    def test_deepcopy_of_a_held_undrawn_rng_is_independent(self):
+        c = ProcessContext.seeded(7, 3, 12)
+        r = c.rng
+        d = copy.deepcopy(c)
+        assert r.random() == stream(7, 3, 1)[0]
+        assert c.rng.random() == stream(7, 3, 1, skip=1)[0]
+        assert d.rng.random() == stream(7, 3, 1)[0]
+
+    def test_deepcopy_after_the_first_draw(self):
+        c = ProcessContext.seeded(7, 3, 12)
+        c.rng.random()
+        c.rng.random()
+        d = copy.deepcopy(c)
+        assert d.rng is not c.rng
+        assert [d.rng.random() for _ in range(3)] == stream(7, 3, 3, skip=2)
+        assert [c.rng.random() for _ in range(3)] == stream(7, 3, 3, skip=2)
+
+
+class TestRngConstruction:
+    """Only a process that draws pays for its generator."""
+
+    def test_round_robin_builds_no_generator(self, constructed):
+        trace = broadcast(line(8), "round_robin", seed=5)
+        assert trace.completed
+        assert constructed == []
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_decay_builds_one_per_drawing_process(self, constructed, engine):
+        trace = broadcast(line(8), "decay", seed=5, engine=engine)
+        assert trace.completed
+        # A Decay process draws once after each of its transmissions.
+        senders = {
+            trace.proc[node]
+            for record in trace.rounds
+            for node in record.senders
+        }
+        assert 0 < len(senders) < 8
+        assert sorted(constructed) == sorted(f"5:{uid}" for uid in senders)
 
 
 class TestScriptedProcess:

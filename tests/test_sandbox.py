@@ -1,5 +1,7 @@
 """Unit tests for the manually driven sandbox processes."""
 
+import random
+
 from repro.core import make_round_robin_processes, make_strong_select_processes
 from repro.lowerbounds.sandbox import SandboxProcess
 from repro.sim.messages import PAYLOAD, Message, received
@@ -88,6 +90,17 @@ class TestCloning:
         for _ in range(6):
             expected.random()
         assert sb.ctx.rng.random() == expected.random()
+
+    def test_clone_of_an_undrawn_context_stays_undrawn(self):
+        p = make_round_robin_processes(4)[1]
+        sb = SandboxProcess(p, 4, 9)
+        clone = sb.clone()
+        assert not isinstance(clone.ctx.rng, random.Random)
+        assert not isinstance(sb.ctx.rng, random.Random)
+        expected = random.Random(f"9:{p.uid}")
+        draws = [expected.random() for _ in range(3)]
+        assert [clone.ctx.rng.random() for _ in range(3)] == draws
+        assert [sb.ctx.rng.random() for _ in range(3)] == draws
 
     def test_clone_preserves_behaviour(self):
         procs = make_strong_select_processes(8)
