@@ -8,7 +8,7 @@ Two measurements back the contract stated in docs/OBSERVABILITY.md:
   enough broadcasts for about 100 ms per side, alternating off/on
   broadcast by broadcast, so a change of host speed within a sample
   moves both sides alike.  Each sample gives one on/off ratio; the
-  median of 7 must stay <= 1.05 on both engines.  The
+  median of 15 must stay <= 1.05 on both engines.  The
   engines count each reception in the branch that resolves it, add
   the counts to the run's tallies once per round and fold them into
   the sink once per run, so a sink adds little to a round; with it
@@ -34,7 +34,7 @@ from repro.experiments.registry import build_adversary, build_graph
 from repro.obs import NullTelemetry, RecordingTelemetry, use
 from repro.sim.collision import CollisionRule
 
-_REPS = 7
+_REPS = 15
 _SAMPLE_S = 0.1  # timed broadcasts per side of one sample, in seconds
 _LIMIT = 0.05  # the <=5% enabled-telemetry overhead contract
 

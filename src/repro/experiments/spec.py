@@ -216,18 +216,16 @@ class RunTask:
         The engine is appended only when it is not the reference engine,
         keeping keys (and results files) from older sweeps valid.
         """
-        return self._key_of(self.science_key)
-
-    def _key_of(self, science_key: str) -> str:
-        if self.engine != "reference":
-            return f"{science_key}/eng-{self.engine}"
-        return science_key
+        return self.key_and_seed()[0]
 
     def key_and_seed(self) -> Tuple[str, int]:
         """:attr:`key` and :attr:`derived_seed` from one derivation of
         :attr:`science_key`, for callers that need both."""
         science_key = self.science_key
-        return self._key_of(science_key), seed_of(science_key)
+        key = science_key
+        if self.engine != "reference":
+            key = f"{science_key}/eng-{self.engine}"
+        return key, zlib.crc32(science_key.encode("utf-8"))
 
     @property
     def cell_key(self) -> str:
@@ -254,12 +252,7 @@ class RunTask:
         :attr:`science_key` rather than :attr:`key` makes the seed —
         and hence the run — independent of the engine choice.
         """
-        return seed_of(self.science_key)
-
-
-def seed_of(science_key: str) -> int:
-    """The engine seed of a science key (:attr:`RunTask.derived_seed`)."""
-    return zlib.crc32(science_key.encode("utf-8"))
+        return self.key_and_seed()[1]
 
 
 #: A key's seed segment: ``/s<seed>``, followed by nothing but the
@@ -298,11 +291,10 @@ class CellBatch:
 
     The tasks share every grid axis except the seed (checked at
     construction unless the cell is given), in their original spec
-    order.  A batch is a frozen
-    tuple of primitives like the tasks themselves, so it pickles
-    cheaply to ``multiprocessing`` workers, where
-    :func:`repro.experiments.runner.execute_batch` builds the cell's
-    shared setup once and runs the seed loop against it.
+    order.  A batch is a frozen tuple of primitives like the tasks
+    themselves, so it pickles cheaply to ``multiprocessing`` workers,
+    where :func:`repro.experiments.runner.execute_batch` builds the
+    cell's shared setup once and runs the seed loop against it.
     """
 
     tasks: Tuple[RunTask, ...]
