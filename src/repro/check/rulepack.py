@@ -129,9 +129,11 @@ def _is_unordered_expr(node: ast.AST, ctx: FileContext) -> Optional[str]:
     return None
 
 
-def _own_scope(func: ast.AST) -> Iterator[ast.AST]:
+def _own_scope(
+    func: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+) -> Iterator[ast.AST]:
     """The nodes of a function body outside nested defs and classes."""
-    pending = list(ast.iter_child_nodes(func))
+    pending: List[ast.AST] = list(func.body)
     while pending:
         node = pending.pop()
         yield node
@@ -227,17 +229,8 @@ class UnorderedIteration(ContractRule):
         func: Union[ast.FunctionDef, ast.AsyncFunctionDef],
         ctx: FileContext,
     ) -> Iterator[Finding]:
-        args = func.args
         params = {
-            a.arg
-            for a in (
-                *args.posonlyargs,
-                *args.args,
-                *args.kwonlyargs,
-                args.vararg,
-                args.kwarg,
-            )
-            if a is not None
+            a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)
         }
         nodes = list(_own_scope(func))
         sets = _set_locals(nodes, params, ctx)

@@ -485,7 +485,7 @@ class SweepRunner:
         # step of planning that needs it.
         keys: List[str] = []
         tasks = self.tasks(keys)
-        session = StoreSession(self.open_store(tasks, keys))
+        session = StoreSession(self.open_store(keys=keys))
         claimed = session.claimed
         records: Dict[str, Any] = {}
         pending: List[RunTask] = []

@@ -84,7 +84,7 @@ class ProcessContext:
         copied = ProcessContext(self.round_number, rng, self.n)
         if isinstance(rng, _UndrawnRandom):
             # An undrawn stream stays undrawn, bound to the copy.
-            copied.rng = cast(random.Random, rng.bound_to(copied))
+            copied.rng = cast(random.Random, _UndrawnRandom(copied, rng._seed))
         else:
             # Copy the RNG state as one tuple: the default deepcopy walks
             # the 625-word Mersenne Twister state element by element and
@@ -113,10 +113,6 @@ class _UndrawnRandom:
         self._seed = seed
         self._ctx = weakref.ref(ctx)
         self._rng: Optional[random.Random] = None
-
-    def bound_to(self, ctx: ProcessContext) -> "_UndrawnRandom":
-        """An undrawn copy of this stream installing itself in ``ctx``."""
-        return _UndrawnRandom(ctx, self._seed)
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("_"):
