@@ -356,6 +356,34 @@ class TestRunSearch:
         assert telemetry.spans["graph_build"].count == 1
         assert telemetry.spans["topology_compile"].count == 1
 
+    def test_greedy_construction_emits_no_engine_telemetry(self):
+        """Only scored runs reach the sink: one ``engine_run`` per
+        executed evaluation (cell engine) plus the replay
+        certification's two reference runs, and the ``engine.*``
+        counters are theirs alone — constructing a greedy candidate
+        folds nothing."""
+        cell = SearchSettings(
+            algorithm="harmonic",
+            graph_kind="clique-bridge",
+            n=9,
+            collision_rule="CR4",
+        )
+        telemetry = RecordingTelemetry()
+        with use(telemetry):
+            result = run_search(
+                cell,
+                searcher="greedy",
+                budget=SearchBudget(evaluations=4, batch_size=2),
+                seed=0,
+                verify=True,
+            )
+        runs = [e for e in telemetry.events if e["kind"] == "engine_run"]
+        assert result.executed == 4
+        assert [e["engine"] for e in runs] == ["fast"] * 4 + ["reference"] * 2
+        assert telemetry.counters["engine.rounds"] == sum(
+            e["rounds"] for e in runs
+        )
+
     def test_unknown_searcher_rejected(self):
         with pytest.raises(ValueError, match="unknown searcher"):
             run_search(CELL, searcher="nope", budget=self.budget())
