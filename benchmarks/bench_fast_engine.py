@@ -16,6 +16,7 @@ engine (parity, not speedup) — no silent cherry-picking.
 """
 
 import gc
+import statistics
 import time
 
 from repro.analysis import render_table
@@ -29,9 +30,11 @@ HEADLINE = "sparse-200 (headline)"
 #: headline row is the sparse 200-node workload of the ≥2x claim: a
 #: long execution on a sparse line where the reference engine pays a
 #: full Θ(n) resolution-and-delivery scan every round while the fast
-#: engine touches only reached nodes.  Expensive rows get fewer reps.
+#: engine touches only reached nodes.  Expensive rows get fewer reps,
+#: but at least 3, so each row's median speedup outvotes a rep that
+#: host load disturbed; the gated headline gets 5.
 WORKLOADS = [
-    (HEADLINE, "uniform", "line", 200, "none", CollisionRule.CR3, 1, 2),
+    (HEADLINE, "uniform", "line", 200, "none", CollisionRule.CR3, 1, 5),
     ("sparse-200 round-robin", "round_robin", "line", 200, "none",
      CollisionRule.CR3, 1, 5),
     ("sparse-200 strong-select", "strong_select", "gnp", 200, "none",
@@ -65,6 +68,7 @@ def run_comparison():
     for (label, algorithm, graph_kind, n, adversary, rule, seed,
          reps) in WORKLOADS:
         times = {"reference": [], "fast": []}
+        ratios = []
         rounds = {}
         for _ in range(reps):
             # Alternate engines within each rep so drift on a shared box
@@ -75,9 +79,13 @@ def run_comparison():
                 )
                 times[engine].append(elapsed)
                 rounds[engine] = trace.completion_round
+            ratios.append(times["reference"][-1] / times["fast"][-1])
         ref = min(times["reference"])
         fast = min(times["fast"])
-        speedup = ref / fast
+        # The speedup is taken within each rep, never across reps, so
+        # host load that comes and goes hits both sides of one ratio
+        # alike; the median of the reps' ratios drops a disturbed rep.
+        speedup = statistics.median(ratios)
         measured[label] = (speedup, rounds)
         rows.append(
             [
@@ -110,7 +118,7 @@ def test_fast_engine_speedup(benchmark, table_out):
             ],
             rows,
             title="Fast engine vs reference (single process, best-of "
-            "per row)",
+            "times, median within-rep speedup per row)",
         )
     )
     # Same science on every workload: identical completion rounds.

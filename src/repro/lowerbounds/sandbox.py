@@ -1,11 +1,14 @@
-"""Manually driven process copies for lower-bound constructions.
+"""Manually driven process copies for the Theorem 11 and 12 constructions.
 
 The adversary arguments in Sections 4 and 6 reason about *families* of
 executions that share prefixes and differ only in the ``proc`` mapping.
 Simulating them efficiently requires driving process automata by hand —
 querying "would you send in round r?" and feeding each copy the exact
 observation the construction dictates — and cloning automata at branch
-points.
+points.  Only the Theorem 11 and 12 constructions
+(:mod:`repro.lowerbounds.theorem11`, :mod:`repro.lowerbounds.theorem12`)
+drive them; everything else, the greedy adversary search included,
+runs rounds on an engine.
 
 This requires the processes to be **deterministic** automata whose
 ``decide_send`` is a pure function of their state (true for Strong
@@ -30,16 +33,16 @@ class SandboxProcess:
     Args:
         process: The automaton to drive (the sandbox takes ownership).
         n: System size passed through the context.
-        seed: Engine seed of the context's RNG stream
-            (:meth:`~repro.sim.process.ProcessContext.seeded`), so a
-            sandbox draws exactly what the engine's copy of the process
-            would.  Only probabilistic automata draw; the lower-bound
-            constructions drive deterministic ones.
+
+    The context is the engine's at the default seed
+    (:meth:`~repro.sim.process.ProcessContext.seeded`), so a sandbox
+    draws what an engine copy of the process run with ``seed=0`` would.
+    The constructions drive deterministic automata, which never draw.
     """
 
-    def __init__(self, process: Process, n: int, seed: int = 0) -> None:
+    def __init__(self, process: Process, n: int) -> None:
         self.process = process
-        self.ctx = ProcessContext.seeded(seed, process.uid, n)
+        self.ctx = ProcessContext.seeded(0, process.uid, n)
 
     @property
     def uid(self) -> int:

@@ -13,31 +13,31 @@ Two strategies, in increasing use of structure:
 
 * :class:`RandomRestartSearch` — i.i.d. samples from the genome space;
   the unbiased baseline every smarter searcher must beat.
-* :class:`GreedyLookaheadSearch` — constructs a genome round by round
-  against a live population of
-  :class:`~repro.lowerbounds.sandbox.SandboxProcess` copies: at each
-  round it scores a small set of delivery patterns one round ahead on
-  ``clone()``\\ d populations and commits the most stalling one.  Each
-  ``ask`` varies the proc assignment (identity, reversal, then random
-  permutations) — the identity-placement lever behind Theorem 2.
+* :class:`GreedyLookaheadSearch` — constructs a genome by one engine
+  run on the cell whose adversary, at each round, scores a small set of
+  delivery patterns one round ahead on forks of that engine and
+  commits the most stalling one.  Each ``ask`` varies the proc
+  assignment (identity, reversal, then random permutations) — the
+  identity-placement lever behind Theorem 2.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.adversaries.base import AdversaryView
+from repro.adversaries.base import (
+    Adversary, AdversaryView, FixedAssignmentAdversary,
+)
 from repro.adversaries.interferers import GreedyInterferer
-from repro.core.runner import Registry, make_processes
-from repro.experiments.runner import round_cap
-from repro.lowerbounds.sandbox import SandboxProcess
+from repro.core.runner import Registry
+from repro.experiments.runner import cell_engine, round_cap
+from repro.obs.telemetry import NULL_TELEMETRY, use
 from repro.search.evaluate import SearchSettings
 from repro.search.genome import GenomeSpace, StrategyGenome
-from repro.sim.collision import CollisionRule, resolve_reception
-from repro.sim.engine import StartMode
-from repro.sim.messages import Message, Reception, SILENCE, carries_payload
+from repro.sim.engine import BroadcastEngine
+from repro.sim.messages import Message
 
 
 class Searcher(abc.ABC):
@@ -74,24 +74,26 @@ class RandomRestartSearch(Searcher):
 class GreedyLookaheadSearch(Searcher):
     """Round-by-round greedy construction with one-round lookahead.
 
-    For each round the searcher knows the exact sender set (it drives a
-    sandbox copy of every process), enumerates a small candidate set of
-    delivery patterns — no deliveries, the
+    A candidate is built by one engine run on the cell
+    (:func:`~repro.experiments.runner.cell_engine`, the cell's engine,
+    seed and round cap), whose adversary is :class:`_Lookahead`: each
+    round it sees the actual senders, enumerates a small candidate set
+    of delivery patterns — no deliveries, the
     :class:`~repro.adversaries.interferers.GreedyInterferer` collision
     pattern, full delivery, plus a few random patterns — and scores each
-    by cloning the whole population, applying the pattern's receptions,
-    and measuring (nodes informed now, nodes the algorithm would inform
-    next round if the adversary then stays quiet, nodes woken).  The
-    lexicographically most stalling pattern is committed and becomes the
-    genome's delivery gene for that round.
+    on a :meth:`~repro.sim.engine.BroadcastEngine.fork` of the run by
+    (nodes informed now, nodes the algorithm would inform next round if
+    the adversary then stays quiet, nodes woken).  The lexicographically
+    most stalling pattern (the first among equals) is the round's
+    delivery, and the run's recorded deliveries are the genome's
+    delivery genes.
 
-    The sandbox population is seeded with the cell's engine seed
-    (``settings.derived_seed``), so each copy has the evaluation
-    engine's per-process RNG stream, and every ``decide_send`` is
-    consulted exactly once per round on the authoritative copies
-    (scoring only queries clones), so the constructed genome's lookahead
-    simulation matches its engine evaluation even for randomized
-    algorithms.
+    Construction and evaluation execute the same rounds with the same
+    per-process RNG streams, and scoring only steps forks, so a
+    constructed genome's evaluation replays its construction run even
+    for randomized algorithms.  The construction run reports no
+    telemetry: the sink's ``engine.*`` counters describe scored
+    candidates only.
     """
 
     kind = "greedy"
@@ -103,7 +105,6 @@ class GreedyLookaheadSearch(Searcher):
     def __init__(self, space: GenomeSpace, settings: SearchSettings) -> None:
         super().__init__(space, settings)
         self._plan = 0  # proc-assignment plan counter across asks
-        self._interferer = GreedyInterferer()
 
     # ------------------------------------------------------------------
     # Ask
@@ -128,83 +129,45 @@ class GreedyLookaheadSearch(Searcher):
             for _ in range(count)
         ]
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     def _construct(
         self, proc: Tuple[int, ...], rng: random.Random
     ) -> StrategyGenome:
-        graph = self.space.graph
-        settings = self.settings
-        n = graph.n
-        cap = min(round_cap(settings, graph), self.space.horizon)
-        rule = CollisionRule[settings.collision_rule]
-
-        processes = make_processes(
-            settings.algorithm, n, **dict(settings.algorithm_params)
-        )
-        by_uid = {p.uid: p for p in processes}
-        eseed = settings.derived_seed
-        sandboxes = {
-            node: SandboxProcess(by_uid[proc[node]], n, eseed)
-            for node in graph.nodes
-        }
-
-        source = graph.source
-        sandboxes[source].give_broadcast_input()
-        informed = {source}
-        active: set = set()
-        if StartMode(settings.start_mode) is StartMode.SYNCHRONOUS:
-            for node in graph.nodes:
-                sandboxes[node].activate(0)
-                active.add(node)
-        else:
-            sandboxes[source].activate(0)
-            active.add(source)
-
-        script: Dict[int, Dict[int, FrozenSet[int]]] = {}
-        for rnd in range(1, cap + 1):
-            senders: Dict[int, Message] = {}
-            for node in sorted(active):
-                msg = sandboxes[node].would_send(rnd)
-                if msg is not None:
-                    senders[node] = msg
-            chosen = self._choose_pattern(
-                rnd, senders, sandboxes, informed, active, rule, rng
+        space, settings = self.space, self.settings
+        cap = min(round_cap(settings, space.graph), space.horizon)
+        lookahead = _Lookahead(rng)
+        with use(NULL_TELEMETRY):
+            engine = cell_engine(
+                settings,
+                space.topology,
+                FixedAssignmentAdversary(dict(enumerate(proc)), lookahead),
+                cap,
             )
-            if chosen:
-                script[rnd] = chosen
-            receptions = _resolve_round(graph, senders, chosen, rule)
-            _commit_round(
-                rnd, receptions, sandboxes, informed, active
-            )
-            if len(informed) == n:
-                break
+        lookahead.engine = engine
+        trace = engine.run()
         return StrategyGenome(
-            horizon=self.space.horizon,
-            deliveries=script,
+            horizon=space.horizon,
+            deliveries={
+                r.round_number: r.unreliable_deliveries for r in trace.rounds
+            },
             proc=proc,
         )
 
-    def _choose_pattern(
-        self,
-        rnd: int,
-        senders: Dict[int, Message],
-        sandboxes: Dict[int, SandboxProcess],
-        informed: set,
-        active: set,
-        rule: CollisionRule,
-        rng: random.Random,
+
+class _Lookahead(Adversary):
+    """The construction run's adversary (see
+    :class:`GreedyLookaheadSearch`); ``engine`` is the run that consults
+    it.  CR4 collisions resolve to silence (the base resolver)."""
+
+    def __init__(self, rng: random.Random) -> None:
+        self.engine: Optional[BroadcastEngine] = None
+        self._rng = rng
+        self._interferer = GreedyInterferer()
+
+    def choose_deliveries(
+        self, view: AdversaryView
     ) -> Dict[int, FrozenSet[int]]:
-        graph = self.space.graph
-        view = AdversaryView(
-            round_number=rnd,
-            network=graph,
-            topology=self.space.topology,
-            senders=senders,
-            informed=frozenset(informed),
-        )
-        candidates = [
+        graph, senders = view.network, view.senders
+        candidates: List[Dict[int, FrozenSet[int]]] = [
             {},
             self._interferer.choose_deliveries(view),
             {
@@ -213,120 +176,28 @@ class GreedyLookaheadSearch(Searcher):
                 if graph.unreliable_only_out(s)
             },
         ]
-        for _ in range(self.RANDOM_PATTERNS if senders else 0):
-            candidates.append(_random_pattern(graph, senders, rng))
-        best_score: Optional[Tuple[int, int, int]] = None
-        best: Dict[int, FrozenSet[int]] = {}
-        for pattern in candidates:
-            score = self._lookahead_score(
-                rnd, senders, pattern, sandboxes, informed, active, rule
-            )
-            if best_score is None or score < best_score:
-                best_score, best = score, pattern
-        return best
+        extra = GreedyLookaheadSearch.RANDOM_PATTERNS if senders else 0
+        for _ in range(extra):
+            candidates.append(_random_pattern(graph, senders, self._rng))
+        return min(candidates, key=lambda p: self._score(view, p))
 
-    def _lookahead_score(
-        self,
-        rnd: int,
-        senders: Dict[int, Message],
-        pattern: Dict[int, FrozenSet[int]],
-        sandboxes: Dict[int, SandboxProcess],
-        informed: set,
-        active: set,
-        rule: CollisionRule,
+    def _score(
+        self, view: AdversaryView, pattern: Dict[int, FrozenSet[int]]
     ) -> Tuple[int, int, int]:
         """(informed now, informed next round if quiet, woken) — min wins."""
-        graph = self.space.graph
-        receptions = _resolve_round(graph, senders, pattern, rule)
-        clones = {node: sb.clone() for node, sb in sandboxes.items()}
-        informed_after = set(informed)
-        active_after = set(active)
-        _commit_round(
-            rnd, receptions, clones, informed_after, active_after
-        )
-        new_informed = len(informed_after) - len(informed)
-        new_active = len(active_after) - len(active)
+        assert self.engine is not None
+        fork = self.engine.fork()
+        rnd = view.round_number
+        _, informed, woken = fork._resolve(rnd, view.senders, pattern, view)
         # One round ahead: what would the algorithm achieve in rnd+1 if
         # the adversary then withholds every unreliable delivery?
-        next_senders: Dict[int, Message] = {}
-        for node in sorted(active_after):
-            msg = clones[node].would_send(rnd + 1)
-            if msg is not None:
-                next_senders[node] = msg
-        next_receptions = _resolve_round(graph, next_senders, {}, rule)
-        threat = sum(
-            1
-            for node, rec in next_receptions.items()
-            if node not in informed_after and carries_payload(rec)
-        )
-        return (new_informed, threat, new_active)
-
-
-# ----------------------------------------------------------------------
-# Round mechanics shared by construction and scoring
-# ----------------------------------------------------------------------
-def _resolve_round(
-    graph,
-    senders: Dict[int, Message],
-    deliveries: Dict[int, FrozenSet[int]],
-    rule: CollisionRule,
-) -> Dict[int, Reception]:
-    """Per-node receptions for one round, mirroring the engine's phases.
-
-    Nodes the round does not touch (no arrivals) are omitted; callers
-    treat them as silence, exactly like the engine's fast path.
-    """
-    arrivals: Dict[int, List[Message]] = {}
-    setdefault = arrivals.setdefault
-    for sender, msg in senders.items():
-        setdefault(sender, []).append(msg)
-        for target in graph.reliable_out(sender):
-            setdefault(target, []).append(msg)
-        for target in deliveries.get(sender, ()):
-            setdefault(target, []).append(msg)
-    return {
-        node: resolve_reception(
-            rule,
-            node,
-            node in senders,
-            senders.get(node),
-            msgs,
-            cr4_resolver=None,
-        )
-        for node, msgs in arrivals.items()
-    }
-
-
-def _commit_round(
-    rnd: int,
-    receptions: Dict[int, Reception],
-    sandboxes: Dict[int, SandboxProcess],
-    informed: set,
-    active: set,
-) -> None:
-    """Deliver one round's outcome to a sandbox population in place.
-
-    Mirrors the engine's phase 4: active nodes the round did not reach
-    observe silence, sleeping nodes wake only on a message reception
-    (activation delivered before the message), and payload custody
-    transfers through :meth:`~repro.sim.process.Process.deliver`, as in
-    the engines.
-    """
-    touched = sorted(set(receptions) | active)
-    for node in touched:
-        reception = receptions.get(node, SILENCE)
-        if node not in active:
-            if not reception.is_message:
-                continue  # sleeping processes observe nothing
-            sandboxes[node].activate(rnd)
-            active.add(node)
-        sandboxes[node].feed(rnd, reception)
-        if node not in informed and sandboxes[node].informed:
-            informed.add(node)
+        next_senders = fork._decide_senders(rnd + 1)
+        _, threat, _ = fork._resolve(rnd + 1, next_senders, {}, view)
+        return (len(informed), len(threat), len(woken))
 
 
 def _random_pattern(
-    graph, senders: Dict[int, Message], rng: random.Random
+    graph, senders: Mapping[int, Message], rng: random.Random
 ) -> Dict[int, FrozenSet[int]]:
     """An rng-drawn legal delivery pattern over the actual senders."""
     chosen: Dict[int, FrozenSet[int]] = {}
@@ -353,7 +224,7 @@ SEARCHERS: Registry[Searcher] = Registry(
         ),
         GreedyLookaheadSearch.kind: (
             GreedyLookaheadSearch,
-            "round-by-round construction, sandbox-clone lookahead",
+            "round-by-round construction, engine-fork lookahead",
         ),
     },
 )

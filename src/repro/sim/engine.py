@@ -15,6 +15,9 @@ synchronous rounds ``1, 2, …``.  Each round:
 subclass supplies only the phases that differ: ``_decide_senders``
 (phase 1) and ``_resolve`` (phases 3 and 4, which also tallies the
 round's telemetry counters for :meth:`BroadcastEngine.run` to fold).
+:meth:`BroadcastEngine.fork` copies a run's state, so an adversary
+can play out alternatives on these phases (the greedy search's
+lookahead) without touching the run.
 
 Start rules: under *synchronous start* every process is active from round
 1; under *asynchronous start* a process activates on its first actual
@@ -31,6 +34,7 @@ exactly the behaviour the Theorem 12 construction exploits).
 
 from __future__ import annotations
 
+import copy
 import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -575,6 +579,27 @@ class BroadcastEngine:
                 completed=self.trace.completed,
             )
         return self.trace
+
+    def fork(self) -> "BroadcastEngine":
+        """A copy of the run state that can be stepped on its own.
+
+        The fork shares the graph, the compiled topology and every
+        sequence derived from it, the adversary, the config and the
+        telemetry sink, and copies the rest: processes, contexts, the
+        active, informed and crash state, the pending tallies and
+        ``trace.informed_round``.  Its trace starts with no recorded
+        rounds, so nothing the fork executes reaches this engine's
+        trace.  An adversary that keeps state across rounds sees the
+        fork's rounds too.
+        """
+        topology = self._topology
+        shared = [
+            self.network, topology, self.adversary, self.config,
+            self._telemetry,
+        ] + [getattr(topology, name) for name in topology.__slots__]
+        memo = {id(obj): obj for obj in shared}
+        memo[id(self.trace.rounds)] = []
+        return copy.deepcopy(self, memo)
 
     def _all_informed(self) -> bool:
         return len(self._informed_set) == self.network.n

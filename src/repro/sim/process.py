@@ -13,8 +13,8 @@ Concretely, subclasses implement one hook,
 
 The end-of-round observation reaches the process only through the final
 :meth:`Process.deliver`, the owner of payload custody: every round
-driver (both engines, the explicit-interference engine, the lower-bound
-sandboxes and the greedy searcher's lookahead) hands observations to it,
+driver (both engines, the explicit-interference engine and the
+lower-bound sandboxes) hands observations to it,
 and it takes custody exactly when
 :func:`~repro.sim.messages.carries_payload` holds.  Silence, collision
 notifications and payload-free messages are inert: no process can

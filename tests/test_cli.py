@@ -3,6 +3,8 @@
 import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -681,3 +683,34 @@ class TestParser:
 
     def test_search_engine_defaults_to_fast(self):
         assert build_parser().parse_args(["search"]).engine == "fast"
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early (``repro ... | head -1``) ends
+    the command quietly: no traceback, and Python's EPIPE status 1."""
+
+    TINY_SPEC = (
+        pathlib.Path(__file__).parent.parent
+        / "examples" / "specs" / "tiny_sweep.json"
+    )
+
+    @pytest.mark.parametrize("command", ["sweep", "list"])
+    def test_exits_quietly(self, tmp_path, command):
+        argv = {
+            "sweep": [
+                "sweep", "--spec", str(self.TINY_SPEC),
+                "--results", str(tmp_path / "tiny.jsonl"),
+            ],
+            "list": ["list"],
+        }[command]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # The reader is gone before the command writes its first line.
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == ""

@@ -293,3 +293,113 @@ class TestPayloadCustody:
             assert traces[engine].informed_round[2] is None
             assert not procs[2].has_message
         assert traces["fast"].rounds == traces["reference"].rounds
+
+
+def _forkable(engine, algorithm, seed):
+    """A recording engine on a 9-node line with complete unreliable
+    links under the greedy interferer (a stateless adversary, which a
+    fork shares)."""
+    from repro.adversaries import GreedyInterferer
+    from repro.core.runner import make_processes
+    from repro.sim import build_engine
+
+    graph = with_complete_unreliable(line(9))
+    config = EngineConfig(
+        collision_rule=CollisionRule.CR4,
+        max_rounds=60,
+        seed=seed,
+        record_receptions=True,
+        engine=engine,
+    )
+    return build_engine(
+        graph, make_processes(algorithm, graph.n), GreedyInterferer(), config
+    )
+
+
+def _advance(engine, rounds):
+    """Set ``engine`` up and execute its first ``rounds`` rounds."""
+    engine._setup()
+    engine._started = True
+    for _ in range(rounds):
+        engine._step()
+
+
+class TestFork:
+    """``BroadcastEngine.fork``: a copy of the run state that steps on
+    its own without touching the engine it was forked from."""
+
+    FORK_ROUND = 5
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("algorithm", ["round_robin", "harmonic", "decay"])
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_parent_trace_equals_an_unforked_run(self, engine, algorithm, seed):
+        parent = _forkable(engine, algorithm, seed)
+        _advance(parent, self.FORK_ROUND)
+        fork = parent.fork()
+        fork_trace = fork.run()
+        parent_trace = parent.run()
+        assert parent_trace.num_rounds > self.FORK_ROUND
+        assert parent_trace == _forkable(engine, algorithm, seed).run()
+        # Same state, same streams: the fork ran the parent's own rounds.
+        assert fork_trace.rounds == parent_trace.rounds[self.FORK_ROUND:]
+        assert fork_trace.informed_round == parent_trace.informed_round
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_randomized_contexts_had_drawn_at_the_fork(self, engine):
+        import random
+
+        parent = _forkable(engine, "harmonic", 0)
+        _advance(parent, self.FORK_ROUND)
+        drawn = [
+            node
+            for node, ctx in parent._contexts.items()
+            if isinstance(ctx.rng, random.Random)
+        ]
+        assert drawn
+        fork = parent.fork()
+        for node in drawn:
+            assert fork._contexts[node].rng is not parent._contexts[node].rng
+            assert (
+                fork._contexts[node].rng.getstate()
+                == parent._contexts[node].rng.getstate()
+            )
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_fork_rounds_never_reach_the_parent(self, engine):
+        parent = _forkable(engine, "round_robin", 0)
+        _advance(parent, self.FORK_ROUND)
+        rounds = list(parent.trace.rounds)
+        informed = dict(parent.trace.informed_round)
+        fork = parent.fork()
+        assert fork.trace.rounds == []
+        fork.run()
+        assert fork.trace.completed
+        assert [r.round_number for r in fork.trace.rounds][0] == (
+            self.FORK_ROUND + 1
+        )
+        assert parent.trace.rounds == rounds
+        assert parent.trace.informed_round == informed
+        assert parent._round == self.FORK_ROUND
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_fork_shares_what_a_run_never_mutates(self, engine):
+        parent = _forkable(engine, "harmonic", 0)
+        _advance(parent, self.FORK_ROUND)
+        fork = parent.fork()
+        for name in (
+            "network", "adversary", "config", "_telemetry", "_topology",
+            "_reliable_out_seq", "_unreliable_only_seq",
+        ):
+            assert getattr(fork, name) is getattr(parent, name), name
+        for node, process in parent.process_at.items():
+            assert fork.process_at[node] is not process
+            assert fork._contexts[node] is not parent._contexts[node]
+        assert fork._active is not parent._active
+        assert fork._active == parent._active
+        if engine == "fast":
+            assert fork._reach_mask is parent._reach_mask
+            assert fork._bit is parent._bit
+            for (v, process, ctx) in fork._active_triples():
+                assert process is fork.process_at[v]
+                assert ctx is fork._contexts[v]

@@ -37,12 +37,12 @@ class TestSandboxDriving:
         assert sb.would_send(4) is None
         assert sb.would_send(7) is not None
 
-    def test_seed_selects_the_engine_stream(self):
-        """A sandbox seeded with an engine seed draws what the engine's
-        context for the same process draws."""
+    def test_draws_the_engine_stream_at_the_default_seed(self):
+        """A sandbox draws what the engine's context for the same
+        process draws at the default engine seed."""
         p = make_round_robin_processes(4)[1]
-        sb = SandboxProcess(p, 4, 9)
-        engine_rng = ProcessContext.seeded(9, p.uid, 4).rng
+        sb = SandboxProcess(p, 4)
+        engine_rng = ProcessContext.seeded(0, p.uid, 4).rng
         assert [sb.ctx.rng.random() for _ in range(3)] == [
             engine_rng.random() for _ in range(3)
         ]
@@ -78,7 +78,7 @@ class TestCloning:
         """A clone draws what its original would draw next, and drawing
         on the clone leaves the original's stream in place."""
         p = make_round_robin_processes(4)[1]
-        sb = SandboxProcess(p, 4, 9)
+        sb = SandboxProcess(p, 4)
         sb.ctx.rng.random()
         clone = sb.clone()
         assert clone.ctx.rng is not sb.ctx.rng
@@ -86,18 +86,18 @@ class TestCloning:
         assert clone_draws == [sb.ctx.rng.random() for _ in range(5)]
         ahead = sb.clone()
         ahead.ctx.rng.random()
-        expected = ProcessContext.seeded(9, p.uid, 4).rng
+        expected = ProcessContext.seeded(0, p.uid, 4).rng
         for _ in range(6):
             expected.random()
         assert sb.ctx.rng.random() == expected.random()
 
     def test_clone_of_an_undrawn_context_stays_undrawn(self):
         p = make_round_robin_processes(4)[1]
-        sb = SandboxProcess(p, 4, 9)
+        sb = SandboxProcess(p, 4)
         clone = sb.clone()
         assert not isinstance(clone.ctx.rng, random.Random)
         assert not isinstance(sb.ctx.rng, random.Random)
-        expected = random.Random(f"9:{p.uid}")
+        expected = random.Random(f"0:{p.uid}")
         draws = [expected.random() for _ in range(3)]
         assert [clone.ctx.rng.random() for _ in range(3)] == draws
         assert [sb.ctx.rng.random() for _ in range(3)] == draws
