@@ -1,13 +1,17 @@
 """Unit tests for the BroadcastEngine round semantics."""
 
+import random
+
 import pytest
 
 from conftest import scripted_processes as scripted
 from repro.adversaries import (
     Adversary,
     FullDeliveryAdversary,
+    GreedyInterferer,
     NoDeliveryAdversary,
 )
+from repro.core.runner import make_processes
 from repro.graphs import line, with_complete_unreliable
 from repro.graphs.dualgraph import DualGraph
 from repro.sim import (
@@ -17,6 +21,7 @@ from repro.sim import (
     ScriptedProcess,
     SilentProcess,
     StartMode,
+    build_engine,
     run_broadcast,
 )
 
@@ -299,10 +304,6 @@ def _forkable(engine, algorithm, seed):
     """A recording engine on a 9-node line with complete unreliable
     links under the greedy interferer (a stateless adversary, which a
     fork shares)."""
-    from repro.adversaries import GreedyInterferer
-    from repro.core.runner import make_processes
-    from repro.sim import build_engine
-
     graph = with_complete_unreliable(line(9))
     config = EngineConfig(
         collision_rule=CollisionRule.CR4,
@@ -347,8 +348,6 @@ class TestFork:
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_randomized_contexts_had_drawn_at_the_fork(self, engine):
-        import random
-
         parent = _forkable(engine, "harmonic", 0)
         _advance(parent, self.FORK_ROUND)
         drawn = [
