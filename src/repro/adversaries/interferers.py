@@ -17,7 +17,7 @@ These adversaries actively try to slow broadcast down:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import Dict, FrozenSet
 
 from repro.adversaries.base import Adversary, AdversaryView
 from repro.graphs.constructions import PivotLayersLayout
@@ -90,8 +90,7 @@ class PivotAdversary(Adversary):
 
     Invariants maintained on a :class:`PivotLayersLayout` network whose
     per-layer pivot nodes carry adversarially chosen process identities
-    (the identity choice is made by the Theorem-11 driver, which passes a
-    per-layer pivot node table here):
+    (the identity choice is made by the Theorem-11 driver):
 
     * Unreliable links stay silent by default, so a lone non-pivot sender
       in the frontier layer informs nobody new (its reliable out-edges are
@@ -102,21 +101,15 @@ class PivotAdversary(Adversary):
       reliable delivery there.
     * CR4 collisions resolve to silence.
 
-    Args:
-        layout: The pivot-layer network layout.
-        pivots: For each layer index ``k`` (0-based), the node in layer
-            ``k`` that owns the reliable edges into layer ``k+1``.  In the
-            :func:`~repro.graphs.constructions.pivot_layers` construction
-            this is the first node of each layer.
+    The pivot of layer ``k`` is the node of layer ``k`` that owns the
+    reliable edges into layer ``k+1``: in the
+    :func:`~repro.graphs.constructions.pivot_layers` construction, the
+    first node of each layer.
     """
 
-    def __init__(
-        self, layout: PivotLayersLayout, pivots: Optional[Sequence[int]] = None
-    ) -> None:
+    def __init__(self, layout: PivotLayersLayout) -> None:
         self.layout = layout
-        if pivots is None:
-            pivots = [layer[0] for layer in layout.layers]
-        self.pivots = list(pivots)
+        self.pivots = [layer[0] for layer in layout.layers]
         self._layer_of: Dict[int, int] = {}
         for k, layer in enumerate(layout.layers):
             for v in layer:

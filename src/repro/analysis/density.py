@@ -58,13 +58,10 @@ def busy_rounds(
     ]
 
 
-def busy_round_count(
-    wakeup_pattern: Sequence[int],
-    T: int,
-    horizon: Optional[int] = None,
-) -> int:
-    """Number of busy rounds (compare against Lemma 15's ``n·T·H(n)``)."""
-    return len(busy_rounds(wakeup_pattern, T, horizon))
+def busy_round_count(wakeup_pattern: Sequence[int], T: int) -> int:
+    """Number of busy rounds up to :func:`busy_rounds`' default horizon
+    (compare against Lemma 15's ``n·T·H(n)``)."""
+    return len(busy_rounds(wakeup_pattern, T))
 
 
 def front_loaded_pattern(n: int, T: int) -> List[int]:

@@ -17,10 +17,10 @@ Usage (module form)::
 
 Everything the CLI can do is a thin layer over the library API; the CLI
 exists so experiments are reproducible from shell history alone.  Every
-run goes through :mod:`repro.experiments`: ``repro run`` and ``repro
-profile`` are one sweep task each, named by the same inline flags as
-``repro sweep`` (one builder, :func:`_inline_spec`), so the same flags
-give the same task key, the same key-derived seeds and the same record.
+run goes through :mod:`repro.experiments`: ``repro run`` is one sweep
+task, named by the same inline flags as ``repro sweep`` (one builder,
+:func:`_inline_spec`), so the same flags give the same task key, the
+same key-derived seeds and the same record.
 Sweeps fan out over worker processes, and with ``--results`` they
 persist each run as a JSON line and resume by key after an
 interruption.  The flush cadence is the store backend's own (jsonl:
@@ -70,41 +70,34 @@ def _warn_health(health, source: str, noun: str) -> None:
 
 def _store_backend(args) -> Optional[str]:
     """The ``--store`` choice, with ``auto`` mapped to detection."""
-    choice = getattr(args, "store", "auto")
-    return None if choice == "auto" else choice
+    return None if args.store == "auto" else args.store
 
 
-#: ``repro run``'s churn flags, by churn kind: factory param ->
-#: (flag, default).  ``run``'s parser takes its defaults from here, and
-#: a subcommand without the flags (``profile``) gets the same defaults,
-#: so ``--churn`` names the same task key under both.  ``repro sweep``
-#: has no churn flags.
+#: ``repro run``'s churn flags, by churn kind: factory param -> flag.
+#: ``repro sweep`` has no churn flags.
 _CHURN_FLAGS = {
     "rate": {
-        "crash_rate": ("crash_rate", 0.02),
-        "recover_rate": ("recover_rate", 0.2),
-        "rejoin": ("rejoin", "uninformed"),
+        "crash_rate": "crash_rate",
+        "recover_rate": "recover_rate",
+        "rejoin": "rejoin",
     },
     "window": {
-        "count": ("churn_count", 1),
-        "start": ("churn_start", 2),
-        "length": ("churn_length", 4),
-        "rejoin": ("rejoin", "uninformed"),
+        "count": "churn_count",
+        "start": "churn_start",
+        "length": "churn_length",
+        "rejoin": "rejoin",
     },
 }
 
 
 def _inline_spec(args) -> ExperimentSpec:
-    """The one-spec grid that the inline flags of ``run``, ``profile``
-    and ``sweep`` name.
+    """The one-spec grid that the inline flags of ``run`` and ``sweep``
+    name.
 
-    ``run`` and ``profile`` give one ``--n`` and ``--seed`` where
-    ``sweep`` gives ``--sizes`` and ``--seeds``, so the same flags name
-    the same task key, and hence the same record, under all three.  An
-    axis a subcommand has no flag for (``--cr`` outside ``profile``,
-    ``--churn`` outside ``run`` and ``profile``) takes the spec default,
-    and a churn flag it has not (``profile``) its ``_CHURN_FLAGS``
-    default.
+    ``run`` gives one ``--n`` and ``--seed`` where ``sweep`` gives
+    ``--sizes`` and ``--seeds``, so the same flags name the same task
+    key, and hence the same record, under both.  An axis ``sweep`` has
+    no flag for (``--cr``, ``--churn``) takes the spec default.
     """
     if args.graph not in graph_kinds():
         raise SystemExit(
@@ -117,8 +110,8 @@ def _inline_spec(args) -> ExperimentSpec:
         )
     churn = getattr(args, "churn", "none")
     churn_params = {
-        param: getattr(args, flag, default)
-        for param, (flag, default) in _CHURN_FLAGS.get(churn, {}).items()
+        param: getattr(args, flag)
+        for param, flag in _CHURN_FLAGS.get(churn, {}).items()
     }
     try:
         if hasattr(args, "sizes"):
@@ -154,16 +147,22 @@ def _inline_spec(args) -> ExperimentSpec:
 
 
 def cmd_run(args) -> int:
-    """Run one task through the sweep's run step; print its key, its
-    record and its trace summary."""
+    """Run one task through the sweep's run step under a recording
+    telemetry sink; print its trace summary, its phase and counter
+    tables, its key and its record."""
+    from repro.obs import RecordingTelemetry, perf_document, perf_tables, use
+
     (task,) = _inline_spec(args).tasks()
+    telemetry = RecordingTelemetry()
     try:
-        record, trace = run_task(task)
+        with use(telemetry):
+            record, trace = run_task(task)
     except ValueError as exc:
         raise SystemExit(str(exc))
     summary = trace.summary()
+    perf = perf_document(telemetry.spans, telemetry.counters)
     if args.json:
-        summary.update(key=task.key, record=record.to_dict())
+        summary.update(key=task.key, record=record.to_dict(), perf=perf)
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
         print(
@@ -173,6 +172,11 @@ def cmd_run(args) -> int:
                 title=f"{args.algorithm} on {trace.network_name}",
             )
         )
+        for table in perf_tables(perf):
+            if table:
+                print()
+                print(table)
+        print()
         print(f"key: {task.key}")
         print(f"record: {json.dumps(record.to_dict(), sort_keys=True)}")
     return 0 if trace.completed else 1
@@ -393,9 +397,7 @@ def cmd_merge(args) -> int:
     from repro.store import RawRecord, merge_store, open_store
 
     try:
-        source = open_store(
-            args.results, parse=RawRecord, backend=_store_backend(args)
-        )
+        source = open_store(args.results, parse=RawRecord)
         count = merge_store(source, args.out)
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc))
@@ -414,11 +416,7 @@ def cmd_report(args) -> int:
     from repro.store import open_store
 
     try:
-        store = open_store(
-            args.results,
-            parse=RunResult.from_dict,
-            backend=_store_backend(args),
-        )
+        store = open_store(args.results, parse=RunResult.from_dict)
         report = CampaignReport.from_store(store)
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc))
@@ -481,39 +479,6 @@ def cmd_progress(args) -> int:
             return 0
         time.sleep(args.interval)
         progress = read_progress(args.results)
-
-
-#: The record fields ``repro profile`` names its cell by, in order.
-_PROFILE_CELL = (
-    "algorithm", "graph_kind", "n", "adversary_kind", "collision_rule",
-    "engine", "seed",
-)
-
-
-def cmd_profile(args) -> int:
-    """Run one cell under instrumentation; print timings + counters."""
-    from repro.experiments.runner import profile_task
-    from repro.obs import perf_document, perf_tables
-
-    (task,) = _inline_spec(args).tasks()
-    try:
-        telemetry, result = profile_task(task)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    record = result.to_dict()
-    doc = perf_document(telemetry.spans, telemetry.counters)
-    doc["result"] = record
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    print("cell: " + " ".join(f"{key}={record[key]}" for key in _PROFILE_CELL))
-    status = "completed" if record["completed"] else "cut off"
-    print(f"rounds: {record['rounds']} ({status})")
-    for table in perf_tables(doc):
-        if table:
-            print()
-            print(table)
-    return 0
 
 
 def cmd_check(args) -> int:
@@ -622,6 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--p", type=float, default=0.5,
                      help="delivery probability for --adversary random")
+    run.add_argument(
+        "--cr", default="CR4", choices=["CR1", "CR2", "CR3", "CR4"],
+        help="collision rule",
+    )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--max-rounds", type=int, default=None)
     run.add_argument(
@@ -635,39 +604,32 @@ def build_parser() -> argparse.ArgumentParser:
         "list`); schedules derive deterministically from --seed",
     )
     run.add_argument(
-        "--crash-rate", type=float,
+        "--crash-rate", type=float, default=0.02,
         help="per-round crash probability for --churn rate",
     )
     run.add_argument(
-        "--recover-rate", type=float,
+        "--recover-rate", type=float, default=0.2,
         help="per-round recovery probability for --churn rate",
     )
     run.add_argument(
-        "--rejoin", choices=list(REJOIN_POLICIES),
+        "--rejoin", choices=list(REJOIN_POLICIES), default="uninformed",
         help="recovery policy: uninformed loses the payload on crash "
         "(must be re-informed), informed keeps it (stable storage)",
     )
     run.add_argument(
-        "--churn-count", type=int,
+        "--churn-count", type=int, default=1,
         help="nodes taken down by --churn window",
     )
     run.add_argument(
-        "--churn-start", type=int,
+        "--churn-start", type=int, default=2,
         help="first down round for --churn window",
     )
     run.add_argument(
-        "--churn-length", type=int,
+        "--churn-length", type=int, default=4,
         help="rounds the window nodes stay down",
     )
     run.add_argument("--json", action="store_true")
-    run.set_defaults(
-        func=cmd_run,
-        **{
-            flag: default
-            for flags in _CHURN_FLAGS.values()
-            for flag, default in flags.values()
-        },
-    )
+    run.set_defaults(func=cmd_run)
 
     # No prefix matching: ``--seed`` must not silently mean ``--seeds``.
     sweep = sub.add_parser(
@@ -818,10 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="destination JSONL file; existing records there are "
         "kept and updated by key (idempotent, key-sorted, atomic)",
     )
-    merge.add_argument(
-        "--store", choices=list(STORE_BACKENDS), default="auto",
-        help="source backend (auto: detect from the path/manifest)",
-    )
     merge.set_defaults(func=cmd_merge)
 
     report = sub.add_parser(
@@ -833,10 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--results", required=True,
         help="campaign to report on: results file or campaign "
         "directory under any store backend",
-    )
-    report.add_argument(
-        "--store", choices=list(STORE_BACKENDS), default="auto",
-        help="store backend (auto: detect from the path/manifest)",
     )
     report.add_argument("--json", action="store_true")
     report.set_defaults(func=cmd_report)
@@ -866,42 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="poll interval in seconds for --follow",
     )
     prog.set_defaults(func=cmd_progress)
-
-    profile = sub.add_parser(
-        "profile",
-        help="run one experiment cell under instrumentation and print "
-        "its phase-timing and engine-counter tables",
-    )
-    profile.add_argument("--graph", default="gnp",
-                         help=f"{graph_kinds()}")
-    profile.add_argument("--n", type=int, default=32)
-    profile.add_argument(
-        "--algorithm", default="strong_select",
-        help=f"{algorithm_names()}",
-    )
-    profile.add_argument(
-        "--adversary", default="greedy", help=f"{adversary_kinds()}"
-    )
-    profile.add_argument(
-        "--p", type=float, default=0.5,
-        help="delivery probability for --adversary random",
-    )
-    profile.add_argument(
-        "--cr", default="CR4", choices=["CR1", "CR2", "CR3", "CR4"],
-        help="collision rule for the profiled cell",
-    )
-    profile.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default="reference",
-        help="execution engine to profile",
-    )
-    profile.add_argument(
-        "--churn", default="none",
-        help=f"fault-injection kind: {churn_kinds()}",
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--max-rounds", type=int, default=None)
-    profile.add_argument("--json", action="store_true")
-    profile.set_defaults(func=cmd_profile)
 
     check = sub.add_parser(
         "check",

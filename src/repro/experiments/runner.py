@@ -98,7 +98,6 @@ from repro.obs.telemetry import (
     current,
     replay,
     set_telemetry,
-    use,
 )
 from repro.experiments.registry import (
     build_adversary,
@@ -326,15 +325,6 @@ def execute_batch(batch: CellBatch) -> List[RunResult]:
             max_rounds = round_cap(task, topology.graph)
         results.append(_execute_on(task, topology, max_rounds)[0])
     return results
-
-
-def profile_task(task: RunTask) -> Tuple[RecordingTelemetry, RunResult]:
-    """Run one task under a fresh
-    :class:`~repro.obs.telemetry.RecordingTelemetry`; return the
-    recording and the task's record (``repro profile``)."""
-    telemetry = RecordingTelemetry()
-    with use(telemetry):
-        return telemetry, execute_task(task)
 
 
 class StoreSession:

@@ -134,7 +134,6 @@ def theorem11_lower_bound(
     layout: Optional[PivotLayersLayout] = None,
     n: Optional[int] = None,
     max_rounds: int = 0,
-    scoring_horizon: int = 0,
 ) -> Theorem11Result:
     """Compute the adversarial broadcast time on the pivot-layer network.
 
@@ -147,8 +146,9 @@ def theorem11_lower_bound(
         layout: The network layout to use.
         n: Approximate node count for an auto-built layout.
         max_rounds: Safety cap (default ``64·n^{3/2} + 1024``).
-        scoring_horizon: How far ahead the layer-population greedy looks
-            when scoring identities (default ``8·n + 256``).
+
+    The layer-population greedy looks ``8·n + 256`` rounds ahead when
+    scoring identities.
     """
     if (layout is None) == (n is None):
         raise ValueError("give exactly one of layout / n")
@@ -160,8 +160,7 @@ def theorem11_lower_bound(
     total_n = layout.graph.n
     if max_rounds <= 0:
         max_rounds = int(64 * total_n**1.5) + 1024
-    if scoring_horizon <= 0:
-        scoring_horizon = 8 * total_n + 256
+    scoring_horizon = 8 * total_n + 256
 
     processes = list(algorithm_factory(total_n))
     if sorted(p.uid for p in processes) != list(range(total_n)):
@@ -304,21 +303,19 @@ def verify_with_engine(
     algorithm_factory: AlgorithmFactory,
     layout: PivotLayersLayout,
     result: Theorem11Result,
-    max_rounds: int = 0,
 ) -> ExecutionTrace:
     """Replay the computed worst case in the real engine.
 
     Runs the algorithm on the actual network under the runtime
-    :class:`PivotAdversary` with the worst-case ``proc`` mapping and
-    returns the trace; callers assert the trace's completion round equals
+    :class:`PivotAdversary` with the worst-case ``proc`` mapping, capped
+    16 rounds past ``result.total_rounds``, and returns the trace;
+    callers assert the trace's completion round equals
     ``result.total_rounds``.
     """
     if not result.completed:
         raise ValueError("cannot verify an incomplete result")
     total = result.total_rounds
     assert total is not None
-    if max_rounds <= 0:
-        max_rounds = total + 16
     processes = list(algorithm_factory(layout.graph.n))
     adversary = FixedAssignmentAdversary(
         worst_case_proc_mapping(layout, result), PivotAdversary(layout)
@@ -326,7 +323,7 @@ def verify_with_engine(
     config = EngineConfig(
         collision_rule=CollisionRule.CR4,
         start_mode=StartMode.ASYNCHRONOUS,
-        max_rounds=max_rounds,
+        max_rounds=total + 16,
         seed=0,
     )
     engine = BroadcastEngine(layout.graph, processes, adversary, config)

@@ -79,7 +79,6 @@ def theorem4_experiment(
     n: int,
     trials: int = 50,
     max_rounds: Optional[int] = None,
-    base_seed: int = 0,
 ) -> Theorem4Result:
     """Estimate per-``k`` success probabilities under the restricted class.
 
@@ -91,7 +90,9 @@ def theorem4_experiment(
         trials: Monte-Carlo repetitions per bridge identity.
         max_rounds: Per-execution cap (default ``n``; we only need rounds
             up to ``n − 3``).
-        base_seed: Offset applied to all engine seeds.
+
+    Trial ``t`` against bridge identity ``b`` runs at engine seed
+    ``t·7919 + b``.
     """
     if n < 4:
         raise ValueError("theorem 4 experiment needs n >= 4")
@@ -110,7 +111,7 @@ def theorem4_experiment(
                 collision_rule=CollisionRule.CR1,
                 start_mode=StartMode.SYNCHRONOUS,
                 max_rounds=max_rounds,
-                seed=base_seed + trial * 7919 + bridge_uid,
+                seed=trial * 7919 + bridge_uid,
             )
             engine = BroadcastEngine(
                 layout.graph, processes, adversary, config

@@ -19,7 +19,7 @@ The observability layer the sweep/search/engine stack reports through:
 * :mod:`repro.obs.progress` — folding events into
   :class:`CampaignProgress` (``repro progress``) and
   :func:`perf_summary`; :func:`perf_tables` renders spans and counters
-  for the ``repro report`` perf panel and ``repro profile``.
+  for the ``repro report`` perf panel and ``repro run``.
 
 The layer's contract: telemetry is **off by default** and enabling it
 **never changes trace bytes** — it only observes.  ``tests/test_obs.py``

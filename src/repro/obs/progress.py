@@ -7,7 +7,7 @@ the CLI consumers render — :class:`CampaignProgress` for
 and :func:`perf_summary` for the perf panel of ``repro report``
 (summed ``stats`` deltas and campaign phase spans).
 :func:`perf_tables` renders spans and counters for that panel and for
-``repro profile`` alike.
+``repro run`` alike.
 
 Folding is forward-only and tolerant: unknown event kinds are skipped
 (the schema contract in :mod:`repro.obs.events`), and a half-written
@@ -276,7 +276,7 @@ def perf_tables(perf: Mapping[str, object]) -> Tuple[str, str]:
     """The phase table and the counter table of a perf document.
 
     Each is ``""`` when the document has no rows for it.  The
-    ``repro report`` perf panel and ``repro profile`` both print these.
+    ``repro report`` perf panel and ``repro run`` both print these.
     """
     spans = perf.get("spans")
     counters = perf.get("counters")

@@ -210,7 +210,7 @@ class SpanStats:
 
 
 class RecordingTelemetry:
-    """In-memory sink for tests and ``repro profile``.
+    """In-memory sink for tests and ``repro run``.
 
     Counters and span aggregates accumulate in plain dicts;
     events append to a list.  Nothing touches the filesystem.

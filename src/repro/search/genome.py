@@ -252,15 +252,17 @@ class GenomeSpace:
             resolver); the mask engines score gene-carrying genomes
             through their CR4 consult paths, so the genes cost extra
             work only on rounds that actually collide.
-        delivery_rate: Probability that a (round, sender) slot of a
-            *random* genome carries any deliveries.
     """
+
+    #: Probability that a (round, sender) slot of a *random* genome
+    #: carries any deliveries (and, with CR4 genes, that a round carries
+    #: a resolution gene).
+    DELIVERY_RATE = 0.2
 
     topology: CompiledTopology = field(repr=False, compare=False)
     horizon: int
     search_proc: bool = True
     cr4_genes: bool = False
-    delivery_rate: float = 0.2
     #: ``topology.graph``.
     graph: DualGraph = field(init=False)
 
@@ -301,7 +303,7 @@ class GenomeSpace:
             row = {
                 v: self._random_targets(rng, targets)
                 for v, targets in self._slots
-                if rng.random() < self.delivery_rate
+                if rng.random() < self.DELIVERY_RATE
             }
             if row:
                 table[rnd] = row
@@ -309,7 +311,7 @@ class GenomeSpace:
         if self.cr4_genes:
             n = self.graph.n
             for rnd in range(1, self.horizon + 1):
-                if rng.random() < self.delivery_rate:
+                if rng.random() < self.DELIVERY_RATE:
                     cr4.append(
                         (rnd, rng.randrange(n), rng.randrange(n))
                     )

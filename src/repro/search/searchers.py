@@ -14,9 +14,9 @@ Two strategies, in increasing use of structure:
 * :class:`RandomRestartSearch` — i.i.d. samples from the genome space;
   the unbiased baseline every smarter searcher must beat.
 * :class:`GreedyLookaheadSearch` — constructs a genome by one engine
-  run on the cell whose adversary, at each round, scores a small set of
-  delivery patterns one round ahead on forks of that engine and
-  commits the most stalling one.  Each ``ask`` varies the proc
+  run on the cell whose adversary, at each round, resolves a small set
+  of delivery patterns on forks of that engine and commits the one
+  that informs the fewest nodes.  Each ``ask`` varies the proc
   assignment (identity, reversal, then random permutations) — the
   identity-placement lever behind Theorem 2.
 """
@@ -72,7 +72,7 @@ class RandomRestartSearch(Searcher):
 
 
 class GreedyLookaheadSearch(Searcher):
-    """Round-by-round greedy construction with one-round lookahead.
+    """Round-by-round greedy construction, scored on engine forks.
 
     A candidate is built by one engine run on the cell
     (:func:`~repro.experiments.runner.cell_engine`, the cell's engine,
@@ -81,12 +81,11 @@ class GreedyLookaheadSearch(Searcher):
     of delivery patterns — no deliveries, the
     :class:`~repro.adversaries.interferers.GreedyInterferer` collision
     pattern, full delivery, plus a few random patterns — and scores each
-    on a :meth:`~repro.sim.engine.BroadcastEngine.fork` of the run by
-    (nodes informed now, nodes the algorithm would inform next round if
-    the adversary then stays quiet, nodes woken).  The lexicographically
-    most stalling pattern (the first among equals) is the round's
-    delivery, and the run's recorded deliveries are the genome's
-    delivery genes.
+    by the nodes it informs when a
+    :meth:`~repro.sim.engine.BroadcastEngine.fork` of the run resolves
+    the round under it.  The pattern that informs the fewest (the first
+    among equals) is the round's delivery, and the run's recorded
+    deliveries are the genome's delivery genes.
 
     Construction and evaluation execute the same rounds with the same
     per-process RNG streams, and scoring only steps forks, so a
@@ -183,17 +182,14 @@ class _Lookahead(Adversary):
 
     def _score(
         self, view: AdversaryView, pattern: Dict[int, FrozenSet[int]]
-    ) -> Tuple[int, int, int]:
-        """(informed now, informed next round if quiet, woken) — min wins."""
+    ) -> Tuple[int]:
+        """(nodes the pattern informs this round,) — min wins."""
         assert self.engine is not None
         fork = self.engine.fork()
-        rnd = view.round_number
-        _, informed, woken = fork._resolve(rnd, view.senders, pattern, view)
-        # One round ahead: what would the algorithm achieve in rnd+1 if
-        # the adversary then withholds every unreliable delivery?
-        next_senders = fork._decide_senders(rnd + 1)
-        _, threat, _ = fork._resolve(rnd + 1, next_senders, {}, view)
-        return (len(informed), len(threat), len(woken))
+        _, informed, _ = fork._resolve(
+            view.round_number, view.senders, pattern, view
+        )
+        return (len(informed),)
 
 
 def _random_pattern(
@@ -224,7 +220,8 @@ SEARCHERS: Registry[Searcher] = Registry(
         ),
         GreedyLookaheadSearch.kind: (
             GreedyLookaheadSearch,
-            "round-by-round construction, engine-fork lookahead",
+            "round-by-round lookahead: each round commits the delivery "
+            "pattern that informs the fewest nodes on an engine fork",
         ),
     },
 )

@@ -4,8 +4,8 @@ The load-bearing guarantee is differential: enabling telemetry must
 never change a single trace byte, on any engine, churn included.  The
 rest covers the event schema round-trip, the JSONL sink (delta flushes,
 torn lines), the one-writer stream of a pooled sweep, the progress/perf
-folds, and the CLI consumers (``repro progress``, ``repro profile``,
-``repro list --json``).
+folds, and the CLI consumers (``repro progress``, ``repro run``'s perf
+tables, ``repro list --json``).
 """
 
 import json
@@ -18,7 +18,6 @@ from conftest import corpus_graph
 from repro.cli import main
 from repro.core.runner import broadcast
 from repro.experiments import ExperimentSpec, SweepRunner
-from repro.experiments.runner import profile_task
 from repro.experiments.registry import build_adversary, build_churn
 from repro.obs import (
     ENVELOPE_FIELDS,
@@ -603,46 +602,43 @@ class TestCliConsumers:
             assert key in doc
         assert "line" in doc["graphs"]
 
-    def test_profile_human_and_json(self, capsys):
-        argv = [
-            "profile", "--graph", "line", "--n", "8",
-            "--algorithm", "round_robin", "--adversary", "none",
-            "--cr", "CR2", "--engine", "reference", "--seed", "0",
-        ]
-        assert main(argv) == 0
+
+class TestRunPerf:
+    """``repro run`` runs its task under a recording sink and prints
+    the phase and counter tables of that one run."""
+
+    ARGV = [
+        "run", "--graph", "line", "--n", "8",
+        "--algorithm", "round_robin", "--adversary", "none",
+        "--cr", "CR2", "--engine", "reference", "--seed", "0",
+    ]
+
+    def test_tables_print_before_the_record(self, capsys):
+        assert main(self.ARGV) == 0
         out = capsys.readouterr().out
-        assert "cell: algorithm=round_robin" in out
-        assert "rounds: " in out and "(completed)" in out
-        assert "engine_run" in out
-        assert "engine.rounds" in out
-        assert main(argv + ["--json"]) == 0
+        assert "phase" in out and "engine_run" in out
+        assert "counter" in out and "engine.rounds" in out
+        # The record line stays last.
+        assert out.index("engine.rounds") < out.index("key: ")
+        assert out.rstrip("\n").splitlines()[-1].startswith("record: ")
+
+    def test_json_perf_document(self, capsys):
+        assert main(self.ARGV + ["--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["result"]["completed"] is True
-        assert doc["counters"]["engine.rounds"] >= 1
-        assert doc["spans"]["engine_run"]["count"] == 1
+        perf = doc["perf"]
+        assert doc["record"]["completed"] is True
+        assert perf["counters"]["engine.rounds"] == doc["record"]["rounds"]
+        assert doc["record"]["rounds"] >= 1
+        assert perf["spans"]["engine_run"]["count"] == 1
 
-    def test_profile_unknown_graph_is_an_error(self):
-        with pytest.raises(SystemExit):
-            main(["profile", "--graph", "nope"])
-
-
-class TestProfileApi:
-    def test_profile_task_runs_under_recording(self):
-        spec = ExperimentSpec(
-            name="p",
-            algorithms=("round_robin",),
-            graphs=(("line", 8),),
-            adversaries=(("none", {}),),
-            seeds=(0,),
-        )
-        (task,) = spec.tasks()
-        telemetry, record = profile_task(task)
-        assert isinstance(telemetry, RecordingTelemetry)
-        # Profiling restores the ambient null sink afterwards.
+    def test_restores_the_ambient_null_sink(self, capsys):
         assert current() is NULL_TELEMETRY
-        assert telemetry.counters["engine.rounds"] == record.rounds >= 1
-        assert telemetry.spans["engine_run"].count == 1
-        assert record.algorithm == "round_robin"
+        assert main(self.ARGV) == 0
+        assert current() is NULL_TELEMETRY
+
+    def test_profile_is_an_unknown_subcommand(self):
+        with pytest.raises(SystemExit):
+            main(["profile", "--graph", "line"])
 
 
 TINY_SWEEP = Path(__file__).resolve().parents[1] / "examples/specs/tiny_sweep.json"

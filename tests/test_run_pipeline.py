@@ -1,9 +1,9 @@
-"""``repro run`` and ``repro profile`` are one sweep task each.
+"""``repro run`` is one sweep task.
 
 The same inline flags must name the same task key and produce the same
-record under ``run``, ``profile`` and an inline ``sweep``: the record
-``repro run --json`` prints is byte-identical to the line ``repro
-sweep`` writes to its results file.
+record under ``run`` and an inline ``sweep``: the record ``repro run
+--json`` prints is byte-identical to the line ``repro sweep`` writes to
+its results file.
 """
 
 import json
@@ -14,7 +14,7 @@ from repro.cli import build_parser, main
 from repro.experiments import ExperimentSpec
 from repro.experiments.runner import execute_task, run_task
 
-#: (flags shared by run/profile/sweep, --n, --seed) of one cell each.
+#: (flags shared by run/sweep, --n, --seed) of one cell each.
 CELLS = [
     pytest.param(
         ["--graph", "gnp", "--algorithm", "harmonic",
@@ -58,49 +58,59 @@ def test_run_record_is_the_sweep_line(flags, n, seed, capsys, tmp_path):
     assert doc["total_transmissions"] == doc["record"]["total_transmissions"]
 
 
-@pytest.mark.parametrize("flags,n,seed", CELLS)
-def test_profile_result_is_the_run_record(flags, n, seed, capsys):
-    cell = [*flags, "--n", str(n), "--seed", str(seed)]
-    run = _json_of(capsys, ["run", *cell, "--json"])
-    profile = _json_of(
-        capsys,
-        ["profile", *cell, "--cr", "CR4", "--engine", "reference", "--json"],
-    )
-    assert _line(profile["result"]) == _line(run["record"])
-
-
-@pytest.mark.parametrize("churn", ["rate", "window"])
-def test_profile_churn_result_is_the_run_record(churn, capsys):
-    # profile has --churn but none of run's churn flags: both must
-    # fill them from the same defaults, so key and record agree.
-    cell = ["--graph", "line", "--n", "8", "--algorithm", "round_robin",
-            "--adversary", "none", "--churn", churn, "--seed", "1"]
-    run = _json_of(capsys, ["run", *cell, "--json"])
-    profile = _json_of(capsys, ["profile", *cell, "--json"])
-    assert f"churn-{churn}(" in run["key"]
-    assert _line(profile["result"]) == _line(run["record"])
-
-
-def test_churn_run_record_is_the_spec_task_record(capsys):
-    doc = _json_of(
-        capsys,
-        ["run", "--graph", "line", "--n", "8", "--algorithm", "round_robin",
-         "--adversary", "none", "--churn", "window", "--churn-count", "2",
-         "--churn-start", "2", "--churn-length", "3", "--seed", "1",
-         "--json"],
-    )
+def _line_task(**axes):
+    """The one task of a round_robin line n=8 spec at seed 1."""
     spec = ExperimentSpec(
         name="round_robin-line",
         algorithms=["round_robin"],
         graphs=[("line", 8)],
         adversaries=["none"],
+        seeds=[1],
+        **axes,
+    )
+    (task,) = spec.tasks()
+    return task
+
+
+LINE_CELL = ["--graph", "line", "--n", "8", "--algorithm", "round_robin",
+             "--adversary", "none", "--seed", "1"]
+
+
+def test_run_cr_record_is_the_spec_task_record(capsys):
+    doc = _json_of(capsys, ["run", *LINE_CELL, "--cr", "CR2", "--json"])
+    task = _line_task(collision_rules=["CR2"])
+    assert doc["key"] == task.key
+    assert _line(doc["record"]) == _line(execute_task(task).to_dict())
+
+
+@pytest.mark.parametrize(
+    "churn,params",
+    [
+        ("rate",
+         {"crash_rate": 0.02, "recover_rate": 0.2, "rejoin": "uninformed"}),
+        ("window",
+         {"count": 1, "start": 2, "length": 4, "rejoin": "uninformed"}),
+    ],
+)
+def test_run_churn_defaults_name_the_spec_task(churn, params, capsys):
+    doc = _json_of(capsys, ["run", *LINE_CELL, "--churn", churn, "--json"])
+    task = _line_task(churns=[(churn, params)])
+    assert doc["key"] == task.key
+    assert _line(doc["record"]) == _line(execute_task(task).to_dict())
+
+
+def test_churn_run_record_is_the_spec_task_record(capsys):
+    doc = _json_of(
+        capsys,
+        ["run", *LINE_CELL, "--churn", "window", "--churn-count", "2",
+         "--churn-start", "2", "--churn-length", "3", "--json"],
+    )
+    task = _line_task(
         churns=[
             ("window",
              {"count": 2, "start": 2, "length": 3, "rejoin": "uninformed"}),
         ],
-        seeds=[1],
     )
-    (task,) = spec.tasks()
     assert doc["key"] == task.key
     assert _line(doc["record"]) == _line(execute_task(task).to_dict())
     assert doc["crash_events"] == 2
@@ -150,14 +160,14 @@ def test_bad_inline_flags_are_a_clean_error(argv):
         main(argv)
 
 
-#: Every subcommand's options, as they stood before ``run`` and
-#: ``profile`` became sweep tasks: sharing one builder adds none.
+#: Every subcommand's options.  The read-only ``merge`` and ``report``
+#: detect their store backend and take no ``--store``.
 OPTIONS = {
     "run": [
         "--adversary", "--algorithm", "--churn", "--churn-count",
-        "--churn-length", "--churn-start", "--crash-rate", "--engine",
-        "--graph", "--help", "--json", "--max-rounds", "--n", "--p",
-        "--recover-rate", "--rejoin", "--seed", "-h",
+        "--churn-length", "--churn-start", "--cr", "--crash-rate",
+        "--engine", "--graph", "--help", "--json", "--max-rounds", "--n",
+        "--p", "--recover-rate", "--rejoin", "--seed", "-h",
     ],
     "sweep": [
         "--adversary", "--algorithm", "--engine", "--events", "--graph",
@@ -172,14 +182,9 @@ OPTIONS = {
         "--search-seed", "--searcher", "--seed", "--start-mode",
         "--store", "--verify", "--workers", "-h",
     ],
-    "merge": ["--help", "--out", "--results", "--store", "-h"],
-    "report": ["--help", "--json", "--results", "--store", "-h"],
+    "merge": ["--help", "--out", "--results", "-h"],
+    "report": ["--help", "--json", "--results", "-h"],
     "progress": ["--follow", "--help", "--interval", "--json", "-h"],
-    "profile": [
-        "--adversary", "--algorithm", "--churn", "--cr", "--engine",
-        "--graph", "--help", "--json", "--max-rounds", "--n", "--p",
-        "--seed", "-h",
-    ],
     "check": ["--help", "-h"],
     "lowerbound": ["--algorithm", "--help", "--n", "--theorem", "-h"],
 }
