@@ -34,9 +34,10 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.analysis import CampaignReport, best_fit, render_table
 from repro.core.runner import ALGORITHMS, algorithm_names, make_processes
@@ -452,6 +453,16 @@ def cmd_report(args) -> int:
     return 1 if store.health.issues else 0
 
 
+def _seconds(text: str) -> float:
+    """argparse type: a finite, non-negative number of seconds."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number of seconds, got {text!r}"
+        )
+    return value
+
+
 def cmd_progress(args) -> int:
     """Render a campaign's progress from its events.jsonl stream."""
     import time
@@ -496,6 +507,15 @@ def cmd_check(args) -> int:
     return 0 if report.clean else 1
 
 
+def _drive(driver: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Run a lower-bound driver; a ``ValueError`` (an ``--n`` its
+    construction cannot take) exits with its one-line message."""
+    try:
+        return driver(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def cmd_lowerbound(args) -> int:
     from repro.lowerbounds import (
         theorem2_lower_bound,
@@ -514,7 +534,7 @@ def cmd_lowerbound(args) -> int:
     if args.theorem == 2:
         from repro.analysis.claims import THEOREM2, theorem2_observation
 
-        res = theorem2_lower_bound(factory, args.n)
+        res = _drive(theorem2_lower_bound, factory, args.n)
         observation = theorem2_observation(args.algorithm, res)
         print(
             render_table(
@@ -531,7 +551,7 @@ def cmd_lowerbound(args) -> int:
         )
         return 0
     if args.theorem == 11:
-        res = theorem11_lower_bound(factory, n=args.n)
+        res = _drive(theorem11_lower_bound, factory, n=args.n)
         print(
             render_table(
                 ["quantity", "value"],
@@ -548,7 +568,7 @@ def cmd_lowerbound(args) -> int:
         return 0
     if args.theorem == 12:
         n = args.n if args.n % 2 else args.n + 1
-        res = theorem12_construction(factory, n)
+        res = _drive(theorem12_construction, factory, n)
         print(
             render_table(
                 ["quantity", "value"],
@@ -816,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
         "finishes",
     )
     prog.add_argument(
-        "--interval", type=float, default=1.0,
+        "--interval", type=_seconds, default=1.0,
         help="poll interval in seconds for --follow",
     )
     prog.set_defaults(func=cmd_progress)

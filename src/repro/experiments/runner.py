@@ -9,18 +9,20 @@ step and also returns its trace; ``repro run`` prints both.
 :class:`~repro.experiments.spec.ExperimentSpec`\\ s, skips tasks whose
 records already sit in the results store (resume-by-key), groups the
 remaining tasks into one :class:`~repro.experiments.spec.CellBatch` per
-science cell (every axis except the seed), and submits each batch to a
-:class:`WorkerPool` as its own future.  Each worker builds a cell's
-graph and compiles its engine topology
+science cell (every axis except the seed), and hands the batches to a
+:class:`WorkerPool`, which runs them in-process with one worker (or
+one unit) and otherwise submits each as its own future.  Each batch
+builds its cell's graph and compiles its engine topology
 (:class:`~repro.sim.topology.CompiledTopology`) once
 (:func:`compile_cell`), derives its round cap (:func:`round_cap`),
 then runs the cell's seeds in a tight loop (:func:`cell_engine`, which
 builds the engine and its config from the cell) — amortising setup
 that otherwise dominates seeds-heavy cells
 (``benchmarks/bench_sweep.py`` measures the win).  The adversary
-search (:mod:`repro.search`) runs its candidates through the same
-pool, cell setup, round cap and run step, and resumes and persists
-them through the same :class:`StoreSession`.
+search (:mod:`repro.search`) hands the same pool ``(settings,
+genome)`` units, runs them through the same cell setup, round cap and
+run step, and resumes and persists them through the same
+:class:`StoreSession`.
 
 Invariants:
 
@@ -368,9 +370,9 @@ class SweepRunner:
     Args:
         specs: One :class:`ExperimentSpec` or a sequence of them (their
             task keys must be disjoint; spec names namespace the keys).
-        workers: Worker process count.  ``1`` runs in-process (no pool),
-            which is also the fallback when only one dispatch unit is
-            pending.
+        workers: Worker process count of the sweep's
+            :class:`WorkerPool` (:attr:`pool`), which runs the units
+            in-process when it is ``1`` or only one unit is pending.
         results_path: Optional results location — a JSON-lines file
             (default backend) or a campaign directory (sharded
             backend).  Existing records are loaded and their
@@ -395,9 +397,7 @@ class SweepRunner:
         self.specs: List[ExperimentSpec] = list(specs)
         if not self.specs:
             raise ValueError("need at least one spec")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        self.pool = WorkerPool(workers)
         self.results_path = results_path
         self.store = store
 
@@ -494,7 +494,7 @@ class SweepRunner:
                 name=self.specs[0].name,
                 total=total,
                 resumed=resumed,
-                workers=self.workers,
+                workers=self.pool.workers,
             )
         events = _CampaignEvents(telemetry, total)
         results = self._execute(pending, pending_keys, events)
@@ -545,11 +545,12 @@ class SweepRunner:
         preserved within sub-batches.
         """
         batches = plan_batches(pending, keys)
-        if self.workers <= 1 or not pending:
+        workers = self.pool.workers
+        if workers <= 1 or not pending:
             return batches
         # ceil-divide: the largest batch size that still yields at
         # least workers * 2 units when cells alone are too few.
-        max_size = -(-len(pending) // (self.workers * 2))
+        max_size = -(-len(pending) // (workers * 2))
         return [
             sub for batch in batches for sub in batch.split(max_size)
         ]
@@ -568,13 +569,7 @@ class SweepRunner:
         unit sends one heartbeat through ``events``.
         """
         units = self._plan_units(pending, keys)
-        if self.workers == 1 or len(units) <= 1:
-            for unit in units:
-                out = execute_batch(unit)
-                events.heartbeat(os.getpid(), len(out))
-                yield from out
-            return
-        with WorkerPool(self.workers) as pool:
+        with self.pool as pool:
             for _, out, worker in pool.run(
                 execute_batch,
                 units,
@@ -596,21 +591,14 @@ def pool_context() -> BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _start_worker(
-    record: bool,
-    initializer: Optional[Callable[..., None]],
-    initargs: Tuple,
-) -> None:
-    """Pool initializer: replace the sink a worker inherited, then run
-    the caller's initializer.
+def _start_worker(record: bool) -> None:
+    """Pool initializer: replace the sink a worker inherited.
 
     A forked worker inherits the parent's sink object, a spawned one
     the null default; either way it now records in memory when the
     parent's sink is enabled (``record``), and discards otherwise.
     """
     set_telemetry(RecordingTelemetry() if record else None)
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _recorded(
@@ -629,19 +617,21 @@ class WorkerLostError(RuntimeError):
 
 
 class WorkerPool:
-    """The one process pool of sweeps and searches.
+    """The one dispatch path of sweeps and searches.
 
-    :meth:`run` submits each unit as its own future and yields
-    ``(index, result, worker)`` triples in completion order.  The
-    executor starts on first use and serves every :meth:`run` until
-    :meth:`close`.  If a worker dies (``SIGKILL``, the OOM killer), one
-    fresh executor reruns every unit that has not returned; a second
-    loss raises :class:`WorkerLostError`.  A consumer that stops early
-    aborts the pool: queued units are cancelled and the workers
-    terminated.
+    :meth:`run` yields ``(index, result, worker)`` for each unit.  With
+    one worker, or at most one unit, it runs the units in the calling
+    process, in order, and ``worker`` is that process's pid; no
+    executor starts.  Otherwise it submits each unit as its own future
+    and yields in completion order.  The executor starts on first use
+    and serves every :meth:`run` until :meth:`close`.  If a worker dies
+    (``SIGKILL``, the OOM killer), one fresh executor reruns every unit
+    that has not returned; a second loss raises
+    :class:`WorkerLostError`.  A consumer that stops early aborts the
+    pool: queued units are cancelled and the workers terminated.
 
-    Workers never write telemetry.  When the sink installed as the pool
-    is built is enabled, each worker records in memory and every
+    Workers never write telemetry.  When the sink installed as the
+    executor starts is enabled, each worker records in memory and every
     returned unit carries what it recorded, which :meth:`run` folds
     into that sink (:func:`~repro.obs.telemetry.replay`) and ``worker``
     names the worker's pid; otherwise ``worker`` is ``None``.  Only
@@ -649,17 +639,13 @@ class WorkerPool:
     counted once.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple = (),
-    ) -> None:
+    _sink: Telemetry
+
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._initializer = initializer
-        self._initargs = initargs
         self._executor = None
-        self._sink: Telemetry = current()
 
     def run(
         self,
@@ -669,24 +655,29 @@ class WorkerPool:
     ) -> Iterator[Tuple[int, Any, Optional[int]]]:
         """Yield ``(index, fn(unit), worker)`` per unit; ``label`` names
         lost ones."""
-        # Imported here, so CLI starts and in-process sweeps, which
-        # never start a pool, do not pay for these imports (they pull
-        # in logging and multiprocessing's queues).
+        pending = dict(enumerate(units))
+        if self.workers == 1 or len(pending) <= 1:
+            for index, unit in pending.items():
+                yield index, fn(unit), os.getpid()
+            return
+        # Imported here, so CLI starts and in-process runs, which never
+        # start an executor, do not pay for these imports (they pull in
+        # logging and multiprocessing's queues).
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
-        pending = dict(enumerate(units))
-        record = self._sink.enabled
-        call = (_recorded, fn) if record else (fn,)
         try:
             for _ in range(2):
                 if self._executor is None:
+                    self._sink = current()
                     self._executor = ProcessPoolExecutor(
                         self.workers,
                         mp_context=pool_context(),
                         initializer=_start_worker,
-                        initargs=(record, self._initializer, self._initargs),
+                        initargs=(self._sink.enabled,),
                     )
+                record = self._sink.enabled
+                call = (_recorded, fn) if record else (fn,)
                 futures = {}
                 try:
                     for index, unit in pending.items():

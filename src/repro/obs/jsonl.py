@@ -8,16 +8,20 @@ Telemetry` protocol against one append-only JSON-lines stream:
   kill loses at most the line being written — the same torn-line
   posture the result stores take, and the tolerant reader in
   :mod:`repro.obs.events` heals it.
-* **Counters and spans** aggregate in memory (one dict update
-  per call — cheap enough for per-round engine counters) and reach the
+* **Counters and spans** aggregate in memory exactly as in
+  :class:`~repro.obs.telemetry.RecordingTelemetry`, whose ``count``,
+  ``span`` and ``record_span`` this sink inherits (one dict update per
+  call — cheap enough for per-round engine counters), and reach the
   file as a single ``stats`` event per :meth:`flush`, as *deltas*:
   each flush resets the aggregates, so consumers sum ``stats`` events
   instead of taking the last.
 * **One writer** — the sink belongs to the process that built it.
   Sweep and search pools never write through it: the
-  :class:`~repro.experiments.runner.WorkerPool` initializer replaces the
-  sink a worker inherits, and the parent folds each finished unit's
-  telemetry back in (:func:`~repro.obs.telemetry.replay`).
+  :class:`~repro.experiments.runner.WorkerPool` initializer only swaps
+  the sink a worker inherits for an in-memory one, and the parent
+  folds each finished unit's telemetry back in
+  (:func:`~repro.obs.telemetry.replay`).  A pool with one worker runs
+  its units in the parent, which writes their telemetry directly.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, Optional, TextIO, Union
+from typing import Optional, TextIO, Union
 
 from repro.obs.events import make_event
-from repro.obs.telemetry import Span, SpanStats
+from repro.obs.telemetry import RecordingTelemetry
 
 
-class JsonlTelemetry:
+class JsonlTelemetry(RecordingTelemetry):
     """Append events to a JSON-lines stream; aggregate stats in memory.
 
     Args:
@@ -40,31 +44,15 @@ class JsonlTelemetry:
             :func:`~repro.obs.events.events_path` of the campaign's
             results location).  Parent directories are created on
             first write.
+
+    Events go to the stream, never to the inherited ``events`` list.
     """
 
-    enabled: bool = True
-
     def __init__(self, path: Union[str, Path]) -> None:
+        super().__init__()
         self.path = Path(path)
         self._file: Optional[TextIO] = None
         self._seq = 0
-        self._counters: Dict[str, int] = {}
-        self._spans: Dict[str, SpanStats] = {}
-
-    def count(self, name: str, value: int = 1) -> None:
-        """Add ``value`` to the in-memory counter ``name``."""
-        self._counters[name] = self._counters.get(name, 0) + value
-
-    def span(self, name: str) -> Span:
-        """A live timing span feeding the in-memory aggregates."""
-        return Span(self, name)
-
-    def record_span(self, name: str, seconds: float, count: int = 1) -> None:
-        """Fold ``count`` finished occurrences into the aggregates."""
-        stats = self._spans.get(name)
-        if stats is None:
-            stats = self._spans[name] = SpanStats()
-        stats.add(seconds, count)
 
     def event(self, kind: str, **fields: object) -> None:
         """Write one event line and flush it to disk immediately."""
@@ -83,12 +71,12 @@ class JsonlTelemetry:
         flushing (each sweep heartbeat calls this) stays quiet between
         bursts of engine work.
         """
-        if not (self._counters or self._spans):
+        if not (self.counters or self.spans):
             return
-        counters = self._counters
-        spans = {name: stats.to_dict() for name, stats in self._spans.items()}
-        self._counters = {}
-        self._spans = {}
+        counters = self.counters
+        spans = {name: stats.to_dict() for name, stats in self.spans.items()}
+        self.counters = {}
+        self.spans = {}
         self.event("stats", counters=counters, spans=spans)
 
     def close(self) -> None:

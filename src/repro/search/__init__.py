@@ -30,8 +30,8 @@ through
 from repro.search.evaluate import (
     CandidateScore,
     EvaluationContext,
-    PopulationEvaluator,
     SearchSettings,
+    evaluate_genomes,
     verify_replay,
 )
 from repro.search.compare import (
@@ -72,7 +72,6 @@ __all__ = [
     "GenomeCR4Adversary",
     "GenomeSpace",
     "GreedyLookaheadSearch",
-    "PopulationEvaluator",
     "RandomRestartSearch",
     "SearchBudget",
     "SearchResult",
@@ -80,6 +79,7 @@ __all__ = [
     "Searcher",
     "StrategyGenome",
     "build_searcher",
+    "evaluate_genomes",
     "genome_fingerprint_validator",
     "make_space",
     "search_fingerprint",

@@ -12,14 +12,18 @@ included; ``settings.engine="reference"`` forces the baseline).
 ``benchmarks/bench_search.py`` measures the win over rebuilding per
 candidate.
 
-:class:`PopulationEvaluator` adds the population fan-out: each genome
-runs alone, and ``workers > 1`` submits one genome per future to the
-sweep's :class:`~repro.experiments.runner.WorkerPool`, whose workers
-each build the context once (pool initializer).  Scores come back in
-completion order and are put back in submission order by index.  They
-are deterministic and independent of the worker count (every run uses
-the cell's derived engine seed), so resume-by-key files stay valid
-across invocations — the same invariant the sweep runner keeps.
+:func:`cell_context` keeps one such context per process, for the last
+cell asked for: :func:`~repro.search.harness.run_search` clears it at
+the start, so the genome space, in-process scoring and the replay
+check of one search share one compile, and forked pool workers
+inherit it.  :func:`evaluate_genomes` scores a population on the
+sweep's :class:`~repro.experiments.runner.WorkerPool`, one
+``(settings, genome)`` unit each (:func:`evaluate_unit`); the pool
+runs them in-process with one worker.  Scores come back in submission
+order.  They are deterministic and independent of the worker count
+(every run uses the cell's derived engine seed), so resume-by-key
+files stay valid across invocations — the same invariant the sweep
+runner keeps.
 
 The objective is **stall**: a completed broadcast scores its completion
 round, and an execution still incomplete at the round cap scores
@@ -29,6 +33,7 @@ maximising the objective searches for worst cases under the cap.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -132,21 +137,13 @@ class EvaluationContext:
 
     Instances are cheap to evaluate against and safe to reuse across any
     number of sequential candidate evaluations (the engines only read
-    the compiled topology).  ``topology`` optionally injects the cell's
-    already-compiled topology (the harness compiles one for the genome
-    space and shares it here) instead of rebuilding and recompiling.
+    the compiled topology).
     """
 
-    def __init__(
-        self,
-        settings: SearchSettings,
-        topology: Optional[CompiledTopology] = None,
-    ) -> None:
+    def __init__(self, settings: SearchSettings) -> None:
         self.settings = settings
-        if topology is None:
-            topology = compile_cell(settings)
-        self.topology: CompiledTopology = topology
-        self.graph: DualGraph = topology.graph
+        self.topology: CompiledTopology = compile_cell(settings)
+        self.graph: DualGraph = self.topology.graph
         self.round_cap: int = round_cap(settings, self.graph)
 
     def run_genome(
@@ -195,11 +192,43 @@ def score_from_trace(
     )
 
 
-def verify_replay(
+@functools.lru_cache(maxsize=1)
+def cell_context(settings: SearchSettings) -> EvaluationContext:
+    """This process's context for ``settings``, built on a miss.
+
+    One slot: a search asks for one cell, so its genome space, its
+    in-process scores and its replay check share one build and
+    compile.  ``cell_context.cache_clear()`` starts afresh.
+    """
+    return EvaluationContext(settings)
+
+
+def evaluate_unit(
+    unit: Tuple[SearchSettings, StrategyGenome]
+) -> CandidateScore:
+    """Score one ``(settings, genome)`` pool unit."""
+    settings, genome = unit
+    return cell_context(settings).evaluate(genome)
+
+
+def evaluate_genomes(
+    pool: WorkerPool,
     settings: SearchSettings,
-    genome: StrategyGenome,
-    context: Optional[EvaluationContext] = None,
-) -> bool:
+    genomes: Sequence[StrategyGenome],
+) -> List[CandidateScore]:
+    """Score ``genomes`` on ``pool``, in the order given."""
+    scores = {
+        index: score
+        for index, score, _ in pool.run(
+            evaluate_unit,
+            [(settings, genome) for genome in genomes],
+            label=lambda unit: f"genome {unit[1].fingerprint}",
+        )
+    }
+    return [scores[index] for index in range(len(genomes))]
+
+
+def verify_replay(settings: SearchSettings, genome: StrategyGenome) -> bool:
     """Replay-certify a genome on the reference engine.
 
     Runs the genome with reception recording on the reference engine,
@@ -207,13 +236,12 @@ def verify_replay(
     :class:`~repro.adversaries.scripted.ReplayAdversary`, and checks the
     two executions agree round for round (senders, deliveries, informing
     rounds, completion).  This is the self-certification property search
-    results inherit from the recording machinery.  ``context``
-    optionally reuses an existing cell context instead of rebuilding
-    the graph and topology.
+    results inherit from the recording machinery.  The cell comes from
+    :func:`cell_context`.
     """
     from repro.adversaries.scripted import ReplayAdversary
 
-    ctx = context if context is not None else EvaluationContext(settings)
+    ctx = cell_context(settings)
     trace, _ = ctx.run_genome(
         genome, engine="reference", record_receptions=True
     )
@@ -235,84 +263,3 @@ def verify_replay(
             for a, b in zip(replay.rounds, trace.rounds)
         )
     )
-
-
-# ----------------------------------------------------------------------
-# Parallel fan-out
-# ----------------------------------------------------------------------
-_WORKER_CTX: Optional[EvaluationContext] = None
-
-
-def _init_worker(settings: SearchSettings) -> None:
-    """Pool initializer: build the shared cell context once per worker."""
-    global _WORKER_CTX
-    _WORKER_CTX = EvaluationContext(settings)
-
-
-def _evaluate_remote(genome: StrategyGenome) -> CandidateScore:
-    assert _WORKER_CTX is not None, "pool initializer did not run"
-    return _WORKER_CTX.evaluate(genome)
-
-
-class PopulationEvaluator:
-    """Evaluate genome batches against one cell, optionally in parallel.
-
-    Args:
-        settings: The search cell.
-        workers: Worker process count; ``1`` evaluates in-process
-            against a single shared :class:`EvaluationContext`.
-        context: Optional prebuilt in-process context to share (pool
-            workers always build their own in the pool initializer).
-
-    ``workers > 1`` fans each batch out over one
-    :class:`~repro.experiments.runner.WorkerPool`, one genome per
-    future.  The pool (and the in-process context, unless injected) is
-    created lazily on the first :meth:`evaluate` call and reused across
-    batches; call :meth:`close` (or use as a context manager) when
-    done.
-    """
-
-    def __init__(
-        self,
-        settings: SearchSettings,
-        workers: int = 1,
-        context: Optional[EvaluationContext] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.settings = settings
-        self.workers = workers
-        self._ctx = context
-        self._pool = WorkerPool(
-            workers, initializer=_init_worker, initargs=(settings,)
-        )
-
-    def evaluate(
-        self, genomes: Sequence[StrategyGenome]
-    ) -> List[CandidateScore]:
-        """Score a batch, preserving submission order (deterministic)."""
-        if not genomes:
-            return []
-        if self.workers == 1 or len(genomes) == 1:
-            if self._ctx is None:
-                self._ctx = EvaluationContext(self.settings)
-            return [self._ctx.evaluate(g) for g in genomes]
-        scores = {
-            index: score
-            for index, score, _ in self._pool.run(
-                _evaluate_remote,
-                genomes,
-                label=lambda genome: f"genome {genome.fingerprint}",
-            )
-        }
-        return [scores[index] for index in range(len(genomes))]
-
-    def close(self) -> None:
-        """Release the worker pool, if one was started."""
-        self._pool.close()
-
-    def __enter__(self) -> "PopulationEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

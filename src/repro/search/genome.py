@@ -236,6 +236,9 @@ class GenomeCR4Adversary(GenomeAdversary):
 class GenomeSpace:
     """Random sampling over one graph's strategy space.
 
+    Every sampled genome carries a shuffled proc assignment, the
+    identity-placement lever behind Theorem 2.
+
     Args:
         topology: The compiled dual graph.  Its ``graph`` defines the
             legal delivery targets (each sender's unreliable-only
@@ -244,9 +247,6 @@ class GenomeSpace:
             reads its masks.
         horizon: Rounds the delivery schedules cover (normally the
             evaluation round cap).
-        search_proc: Whether genomes explore the proc assignment (the
-            identity-placement lever behind Theorem 2).  When false, all
-            genomes keep ``proc=None``.
         cr4_genes: Whether genomes carry CR4 resolution genes.  Only
             useful under CR4 (no other rule ever consults the
             resolver); the mask engines score gene-carrying genomes
@@ -261,7 +261,6 @@ class GenomeSpace:
 
     topology: CompiledTopology = field(repr=False, compare=False)
     horizon: int
-    search_proc: bool = True
     cr4_genes: bool = False
     #: ``topology.graph``.
     graph: DualGraph = field(init=False)
@@ -318,6 +317,6 @@ class GenomeSpace:
         return StrategyGenome(
             horizon=self.horizon,
             deliveries=_freeze_deliveries(table),
-            proc=self._random_proc(rng) if self.search_proc else None,
+            proc=self._random_proc(rng),
             cr4=tuple(cr4),
         )

@@ -2,9 +2,9 @@
 
 :func:`run_search` wires the pieces of the subsystem together::
 
-    settings ──► GenomeSpace ──► Searcher.ask ──► PopulationEvaluator
-                                                     │ (parallel,
-                                                     ▼  shared topology)
+    settings ──► GenomeSpace ──► Searcher.ask ──► WorkerPool
+                                                     │ ((settings, genome)
+                                                     ▼  units, one compile)
                                StoreSession: resume-by-key, appends
 
 The searchers only ask: neither ``random`` nor ``greedy`` reads scores,
@@ -25,13 +25,13 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional
 
-from repro.experiments.runner import StoreSession, compile_cell, round_cap
+from repro.experiments.runner import StoreSession, WorkerPool
 from repro.obs.telemetry import Stopwatch, current
 from repro.search.evaluate import (
     CandidateScore,
-    EvaluationContext,
-    PopulationEvaluator,
     SearchSettings,
+    cell_context,
+    evaluate_genomes,
     verify_replay,
 )
 from repro.search.genome import GenomeSpace
@@ -56,15 +56,14 @@ def make_space(settings: SearchSettings) -> GenomeSpace:
 
     The horizon is the cell's round cap (every round the engine can
     execute gets a delivery gene slot); CR4 resolution genes are on
-    exactly under CR4 — the only rule where they exist.  The cell is
-    built and compiled once
-    (:func:`~repro.experiments.runner.compile_cell`), and the space keeps
-    that compiled topology.
+    exactly under CR4 — the only rule where they exist.  The space keeps
+    the compiled topology of the process's cell context
+    (:func:`~repro.search.evaluate.cell_context`).
     """
-    topology = compile_cell(settings)
+    context = cell_context(settings)
     return GenomeSpace(
-        topology,
-        horizon=round_cap(settings, topology.graph),
+        context.topology,
+        horizon=context.round_cap,
         cr4_genes=CollisionRule[settings.collision_rule] is CollisionRule.CR4,
     )
 
@@ -104,6 +103,13 @@ def run_search(
     """
     watch = Stopwatch()
     telemetry = current()
+    pool = WorkerPool(workers)
+    # One graph build and one topology compile serve the whole search:
+    # the genome space, in-process scores and the replay check share
+    # the cell context, and forked pool workers inherit it.  Clearing
+    # it first makes every search build its cell afresh, under the
+    # sink installed for it.
+    cell_context.cache_clear()
     space = make_space(settings)
     searcher_obj = build_searcher(searcher, space, settings)
     rng = random.Random(f"{settings.key}/{searcher}/r{seed}")
@@ -125,16 +131,7 @@ def run_search(
     executed = 0
     resumed = 0
     ordinal = 0
-    # One graph build and one topology compile serve the whole search:
-    # the genome space's compiled topology backs the searcher, the
-    # in-process evaluation context and the final replay certification
-    # (worker processes, when used, build their own context once each
-    # in the WorkerPool initializer, and the pool lives until the
-    # evaluator closes).
-    context = EvaluationContext(settings, topology=space.topology)
-    with StoreSession(result_store) as session, PopulationEvaluator(
-        settings, workers=workers, context=context
-    ) as evaluator_obj:
+    with StoreSession(result_store) as session, pool:
         while ordinal < budget.evaluations:
             count = min(
                 budget.batch_size, budget.evaluations - ordinal
@@ -162,8 +159,8 @@ def run_search(
                 else:
                     fresh_idx.append(i)
             with telemetry.span("engine_run"):
-                fresh_scores = evaluator_obj.evaluate(
-                    [genomes[i] for i in fresh_idx]
+                fresh_scores = evaluate_genomes(
+                    pool, settings, [genomes[i] for i in fresh_idx]
                 )
             for i, score in zip(fresh_idx, fresh_scores):
                 scores[i] = score
@@ -195,7 +192,5 @@ def run_search(
         elapsed=watch.elapsed(),
     )
     if verify:
-        result.replay_verified = verify_replay(
-            settings, best.genome, context=context
-        )
+        result.replay_verified = verify_replay(settings, best.genome)
     return result

@@ -111,7 +111,7 @@ class GreedyLookaheadSearch(Searcher):
     def _next_proc(self, rng: random.Random) -> Tuple[int, ...]:
         n = self.space.graph.n
         plan, self._plan = self._plan, self._plan + 1
-        if plan == 0 or not self.space.search_proc:
+        if plan == 0:
             return tuple(range(n))
         if plan == 1:
             return tuple(reversed(range(n)))

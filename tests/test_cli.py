@@ -514,6 +514,18 @@ class TestLowerBound:
                  "--algorithm", "harmonic"]
             )
 
+    @pytest.mark.parametrize(
+        "theorem, n, message",
+        [
+            ("2", "2", "clique_bridge needs n >= 3"),
+            ("12", "1", "theorem 12 construction needs n >= 5"),
+        ],
+    )
+    def test_too_small_n_exits_with_one_line(self, theorem, n, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["lowerbound", "--theorem", theorem, "--n", n])
+        assert exc.value.code == message
+
 
 class TestStoreCommands:
     def spec_file(self, tmp_path, seeds=3):
@@ -683,6 +695,16 @@ class TestParser:
 
     def test_search_engine_defaults_to_fast(self):
         assert build_parser().parse_args(["search"]).engine == "fast"
+
+    @pytest.mark.parametrize("interval", ["-1", "nan", "inf"])
+    def test_progress_rejects_bad_interval(self, tmp_path, capsys, interval):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["progress", str(tmp_path / "camp.jsonl"), "--follow",
+                 "--interval", interval]
+            )
+        assert exc.value.code == 2
+        assert "--interval" in capsys.readouterr().err
 
 
 class TestClosedPipe:

@@ -8,19 +8,18 @@ import pytest
 from repro.adversaries.scripted import ReplayAdversary
 from repro.analysis.claims import THEOREM2
 from repro.core.runner import make_processes, suggested_round_limit
-from repro.experiments.runner import round_cap
+from repro.experiments.runner import WorkerPool, round_cap
 from repro.experiments.spec import _coerce_engine, _coerce_mode, _coerce_rule
 from repro.obs import RecordingTelemetry, use
 from repro.search import (
     CandidateRecord,
     EvaluationContext,
-    GenomeSpace,
     GreedyLookaheadSearch,
-    PopulationEvaluator,
     RandomRestartSearch,
     SearchBudget,
     SearchSettings,
     StrategyGenome,
+    evaluate_genomes,
     genome_fingerprint_validator,
     make_space,
     register_searcher,
@@ -221,11 +220,12 @@ class TestEvaluation:
         space = make_space(CELL)
         rng = random.Random(2)
         genomes = [space.random(rng) for _ in range(8)]
-        with PopulationEvaluator(CELL, workers=2) as para:
-            parallel = para.evaluate(genomes)
-        with PopulationEvaluator(CELL, workers=1) as seri:
-            serial = seri.evaluate(genomes)
+        with WorkerPool(2) as para:
+            parallel = evaluate_genomes(para, CELL, genomes)
+        with WorkerPool(1) as seri:
+            serial = evaluate_genomes(seri, CELL, genomes)
         assert parallel == serial
+        assert [s.genome for s in parallel] == genomes
 
 
 class TestRunSearch:
@@ -502,16 +502,6 @@ class TestSearchers:
         n = CELL.n
         assert procs[:2] == [tuple(range(n)), tuple(reversed(range(n)))]
         assert sorted(procs[2]) == list(range(n))
-
-    def test_greedy_without_proc_search_keeps_identity(self):
-        full = make_space(CELL)
-        space = GenomeSpace(
-            full.topology, horizon=full.horizon, search_proc=False
-        )
-        genomes = GreedyLookaheadSearch(space, CELL).ask(
-            random.Random(0), 3
-        )
-        assert {g.proc for g in genomes} == {tuple(range(CELL.n))}
 
 
 class TestShardedSearchCampaign:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.graphs import line, with_complete_unreliable
+from repro.graphs import line
 from repro.graphs.constructions import clique_bridge
 from repro.search import (
     GenomeAdversary,
@@ -158,15 +158,6 @@ class TestGenomeSpace:
                 assert 0 <= node < n and 0 <= uid < n
         plain = self.space()
         assert not any(plain.random(rng).cr4 for _ in range(20))
-
-    def test_no_proc_search_keeps_default(self):
-        space = GenomeSpace(
-            compile_topology(with_complete_unreliable(line(5))),
-            horizon=4,
-            search_proc=False,
-        )
-        g = space.random(random.Random(1))
-        assert g.proc is None
 
     def test_horizon_validated(self):
         with pytest.raises(ValueError, match="horizon"):

@@ -1,20 +1,26 @@
-"""Worker loss and early exit in the worker pool of sweeps and searches.
+"""Worker loss, early exit, in-process dispatch and kill-and-resume in
+the worker pool of sweeps and searches.
 
 Each scenario runs in a fresh interpreter under a timeout, so a parent
 that waits forever on a lost unit fails its test instead of stalling the
 suite.  The scenario registers test algorithms at runtime (fork workers
 inherit them): round robin that SIGKILLs its own worker — once per
 scenario, at a worker's third task, or every time — and round robin
-that leaves one marker file per run.  The killers never kill the scenario's own process, so the same
-scenario can run its ``workers=1`` reference in-process.
+that leaves one marker file per run.  The killers never kill the
+scenario's own process, so the same scenario can run its ``workers=1``
+reference in-process.  The kill-and-resume scenarios kill the sweep's
+own process instead, with its pool workers (``die``).
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -77,6 +83,18 @@ PRELUDE = textwrap.dedent(
         return sum(name.startswith("ran-") for name in os.listdir(MARKERS))
 
 
+    def die():
+        """SIGKILL this process's pool workers, then this process: the
+        whole campaign dies at once, as under the OOM killer.  (An
+        orphaned worker would wait for work forever, holding the
+        scenario's output pipes open.)"""
+        import multiprocessing
+
+        for worker in multiprocessing.active_children():
+            os.kill(worker.pid, signal.SIGKILL)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
     def on_disk(path):
         store = open_store(path, parse=RunResult.from_dict)
         try:
@@ -93,19 +111,27 @@ PRELUDE = textwrap.dedent(
 )
 
 
-def run_scenario(body: str, tmp_path: Path, timeout: float = 60.0) -> dict:
-    """Run ``body`` after the prelude in a fresh interpreter; its JSON."""
+def run_scenario(
+    body: str,
+    tmp_path: Path,
+    timeout: float = 60.0,
+    args: tuple = (),
+    returncode: int = 0,
+) -> dict:
+    """Run ``body`` after the prelude in a fresh interpreter, with
+    ``tmp_path`` and ``args`` as its arguments; its JSON (``{}`` when
+    it prints none).  It must exit with ``returncode``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
         [sys.executable, "-c", PRELUDE + textwrap.dedent(body),
-         str(tmp_path)],
+         str(tmp_path), *args],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    assert proc.returncode == returncode, proc.stderr
+    return json.loads(proc.stdout) if proc.stdout else {}
 
 
 def test_sweep_survives_one_worker_loss(tmp_path):
@@ -235,7 +261,8 @@ def test_cli_prints_resume_error_without_traceback(tmp_path):
 def test_search_survives_one_worker_loss(tmp_path):
     out = run_scenario(
         '''
-        from repro.search import PopulationEvaluator, SearchSettings, make_space
+        from repro.experiments.runner import WorkerPool
+        from repro.search import SearchSettings, evaluate_genomes, make_space
 
         cell = SearchSettings(
             algorithm="kill_once", graph_kind="clique-bridge", n=10
@@ -243,10 +270,10 @@ def test_search_survives_one_worker_loss(tmp_path):
         space = make_space(cell)
         rng = random.Random(2)
         genomes = [space.random(rng) for _ in range(8)]
-        with PopulationEvaluator(cell, workers=2) as para:
-            parallel = para.evaluate(genomes)
-        with PopulationEvaluator(cell, workers=1) as seri:
-            serial = seri.evaluate(genomes)
+        with WorkerPool(2) as para:
+            parallel = evaluate_genomes(para, cell, genomes)
+        with WorkerPool(1) as seri:
+            serial = evaluate_genomes(seri, cell, genomes)
         print(json.dumps({
             "killed": os.path.exists(os.path.join(MARKERS, "killed")),
             "equal": parallel == serial,
@@ -289,3 +316,164 @@ def test_raising_progress_callback_stops_the_grid(tmp_path):
     assert len(out["at_raise"]) == 1
     assert out["final"] - out["at_raise"][0] < 8
     assert out["final"] < out["units"]
+
+
+def test_in_process_runs_start_no_executor(tmp_path):
+    """One worker, or one unit, runs in the calling process: no pool
+    worker starts and ``concurrent.futures`` is never imported."""
+    out = run_scenario(
+        '''
+        import multiprocessing
+
+        from repro.search import SearchBudget, SearchSettings, run_search
+
+        before = "concurrent.futures" in sys.modules
+        grid = ExperimentSpec(
+            name="serial", algorithms=["round_robin"],
+            graphs=[("line", 6), ("line", 8)],
+            adversaries=["random"], seeds=range(3),
+        )
+        one_unit = ExperimentSpec(
+            name="single", algorithms=["round_robin"],
+            graphs=[("line", 6)], adversaries=["random"], seeds=[0],
+        )
+        cell = SearchSettings(
+            algorithm="round_robin", graph_kind="clique-bridge", n=9
+        )
+        records = [
+            len(SweepRunner(grid, workers=1).run().records),
+            len(SweepRunner(one_unit, workers=2).run().records),
+        ]
+        executed = [
+            run_search(
+                cell, budget=SearchBudget(evaluations=4, batch_size=4),
+                workers=1,
+            ).executed,
+            run_search(
+                cell, budget=SearchBudget(evaluations=3, batch_size=1),
+                workers=2,
+            ).executed,
+        ]
+        print(json.dumps({
+            "before": before,
+            "after": "concurrent.futures" in sys.modules,
+            "children": len(multiprocessing.active_children()),
+            "records": records,
+            "executed": executed,
+        }))
+        ''',
+        tmp_path,
+    )
+    assert out == {
+        "before": False, "after": False, "children": 0,
+        "records": [6, 1], "executed": [4, 3],
+    }
+
+
+#: The kill-and-resume campaign: 96 tasks in 6 cells, so a 2-worker
+#: sweep has several units in flight and a sharded store (which flushes
+#: every 64 appends) flushes once before the kill point.
+RESUME_PRELUDE = '''
+from repro.cli import main as repro_main
+
+STORE, WORKERS = sys.argv[2], int(sys.argv[3])
+SPEC = ExperimentSpec(
+    name="resume", algorithms=["round_robin", ("harmonic", {"T": 2})],
+    graphs=[("line", 6), ("line", 9), ("clique-bridge", 9)],
+    adversaries=["random"], seeds=range(16),
+)
+
+
+def campaign(name):
+    return os.path.join(
+        MARKERS, name if STORE == "sharded" else name + ".jsonl"
+    )
+
+
+def sweep(path, progress=None):
+    return SweepRunner(
+        SPEC, workers=WORKERS, results_path=path, store=STORE
+    ).run(progress=progress)
+
+
+def merged(path):
+    """The bytes ``repro merge`` writes for the campaign at ``path``."""
+    import contextlib, io
+
+    out = path + ".merged"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert repro_main(["merge", "--results", path, "--out", out]) == 0
+    with open(out, "rb") as f:
+        return f.read()
+'''
+
+#: Each way of killing the sweep's own process with SIGKILL.
+KILLS = {
+    # From the progress callback, after the 70th record is appended.
+    "after-k": '''
+        def progress(result, done, total):
+            if done == 70:
+                die()
+
+        sweep(campaign("killed"), progress)
+    ''',
+    # Inside the sharded store's first flush (at its 64th append),
+    # after one dirty shard reached the OS and before the others did.
+    "mid-flush": '''
+        from repro.store.sharded import ShardedStore
+
+        def flush(self):
+            self._files[min(self._dirty)].flush()
+            die()
+
+        ShardedStore.flush = flush
+        sweep(campaign("killed"))
+    ''',
+}
+
+
+@pytest.mark.parametrize(
+    "kill, store, workers",
+    [
+        (kill, store, workers)
+        for kill in KILLS
+        for store in ("jsonl", "sharded")
+        for workers in (1, 2)
+        if kill == "after-k" or store == "sharded"
+    ],
+)
+def test_sweep_killed_then_resumed_merges_like_uninterrupted(
+    tmp_path, kill, store, workers
+):
+    """A SIGKILLed sweep resumes exactly the missing tasks, and the
+    resumed campaign merges to the bytes of an uninterrupted one."""
+    args = (store, str(workers))
+    run_scenario(
+        RESUME_PRELUDE + textwrap.dedent(KILLS[kill]),
+        tmp_path, args=args, returncode=-signal.SIGKILL,
+    )
+    out = run_scenario(
+        RESUME_PRELUDE + textwrap.dedent(
+            '''
+            killed = campaign("killed")
+            on_disk_after_kill = len(on_disk(killed))
+            resumed = sweep(killed)
+            whole = sweep(campaign("whole"))
+            print(json.dumps({
+                "on_disk": on_disk_after_kill,
+                "resumed": resumed.resumed,
+                "executed": resumed.executed,
+                "whole": whole.executed,
+                "same_merge": merged(killed) == merged(campaign("whole")),
+            }))
+            '''
+        ),
+        tmp_path, args=args,
+    )
+    assert 0 < out["on_disk"] < 96
+    if kill == "after-k" and store == "jsonl":
+        assert out["on_disk"] == 70  # the JSONL store flushes per record
+    assert out["resumed"] == out["on_disk"]
+    assert out["executed"] == 96 - out["on_disk"]
+    assert out["whole"] == 96
+    assert out["same_merge"]
