@@ -507,11 +507,11 @@ def cmd_check(args) -> int:
     return 0 if report.clean else 1
 
 
-def _drive(driver: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """Run a lower-bound driver; a ``ValueError`` (an ``--n`` its
-    construction cannot take) exits with its one-line message."""
+def _construct(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Run a lower-bound construction; a ``ValueError`` (an ``--n`` it
+    cannot take) exits with its one-line message."""
     try:
-        return driver(*args, **kwargs)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise SystemExit(str(exc))
 
@@ -534,7 +534,7 @@ def cmd_lowerbound(args) -> int:
     if args.theorem == 2:
         from repro.analysis.claims import THEOREM2, theorem2_observation
 
-        res = _drive(theorem2_lower_bound, factory, args.n)
+        res = _construct(theorem2_lower_bound, factory, args.n)
         observation = theorem2_observation(args.algorithm, res)
         print(
             render_table(
@@ -551,7 +551,7 @@ def cmd_lowerbound(args) -> int:
         )
         return 0
     if args.theorem == 11:
-        res = _drive(theorem11_lower_bound, factory, n=args.n)
+        res = _construct(theorem11_lower_bound, factory, n=args.n)
         print(
             render_table(
                 ["quantity", "value"],
@@ -568,7 +568,7 @@ def cmd_lowerbound(args) -> int:
         return 0
     if args.theorem == 12:
         n = args.n if args.n % 2 else args.n + 1
-        res = _drive(theorem12_construction, factory, n)
+        res = _construct(theorem12_construction, factory, n)
         print(
             render_table(
                 ["quantity", "value"],
