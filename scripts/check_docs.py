@@ -22,7 +22,7 @@ resolvable backticked ``repro.…`` names (the Sphinx ``~repro.…`` form
 included) and ``*.md`` files that exist.  Finally, ``docs/SEARCH.md``'s
 Theorem 2 table must equal the ``theorem2-search`` rows pinned in
 ``tests/golden/claims.json``, and the section's documented command must
-run the pinned search (greedy, budget 3 in one batch, search seed 0).
+run the pinned search (greedy, budget 3, search seed 0).
 
 Usage: ``python scripts/check_docs.py`` (exit status 0 = clean).
 """
@@ -61,7 +61,6 @@ THEOREM2_SECTION = "## Search vs. Theorem 2"
 THEOREM2_SEARCH = {
     "--searcher": "greedy",
     "--budget": "3",
-    "--batch-size": "3",
     "--search-seed": "0",
 }
 TABLE_ROW = re.compile(r"^\| [a-z_]+ \| \d+ \|.*$", re.MULTILINE)

@@ -4,8 +4,9 @@ One :class:`Claim` per result the reproduction checks, and the only place
 one of them is read against a measurement:
 :meth:`~repro.analysis.report.CampaignReport.reference_rows` emits a row per
 claim whose scope covers a cell, ``examples/reproduce_paper.py`` loops over
-:data:`CLAIMS`, ``repro lowerbound --theorem 2`` prints Theorem 2's reading,
-and the paper benches assert :meth:`Claim.reproduced`.
+:data:`CLAIMS`, ``repro lowerbound --theorem 2``, ``11`` and ``12`` print
+their theorem's reading, and the paper benches assert
+:meth:`Claim.reproduced`.
 Verdicts call the drivers' own quantities; every bound is taken at the
 built network's size.
 
@@ -31,7 +32,7 @@ from repro.core.harmonic import busy_round_bound, completion_bound, default_T
 from repro.core.ssf import kautz_singleton_ssf
 from repro.core.strong_select import build_schedule
 from repro.experiments import ExperimentSpec, run_sweep
-from repro.graphs import clique_bridge, gnp_dual, pivot_layers
+from repro.graphs import PivotLayersLayout, clique_bridge, gnp_dual, pivot_layers
 from repro.graphs.broadcastability import broadcast_number
 from repro.lowerbounds import (
     theorem2_lower_bound,
@@ -45,6 +46,8 @@ from repro.lowerbounds.theorem2 import (
     THEOREM2_GRAPHS,
     Theorem2Result,
 )
+from repro.lowerbounds.theorem11 import AlgorithmFactory, Theorem11Result
+from repro.sim.trace import ExecutionTrace
 
 
 @dataclass(frozen=True)
@@ -168,12 +171,21 @@ def _thm10_bound(o: Observation) -> int:
     return build_schedule(o.n).round_bound()
 
 
+def theorem11_evidence(
+    algorithm_factory: AlgorithmFactory, layout: PivotLayersLayout
+) -> Tuple[Theorem11Result, ExecutionTrace]:
+    """:data:`THEOREM11`'s evidence on ``layout``: the driver's worst case
+    and its engine replay."""
+    result = theorem11_lower_bound(algorithm_factory, layout=layout)
+    return result, verify_with_engine(algorithm_factory, layout, result)
+
+
 def _thm11():
-    layout = pivot_layers(5, 5)
-    result = theorem11_lower_bound(make_round_robin_processes, layout=layout)
-    replay = verify_with_engine(make_round_robin_processes, layout, result)
+    result, replay = evidence = theorem11_evidence(
+        make_round_robin_processes, pivot_layers(5, 5)
+    )
     agree = "=" if replay.completion_round == result.total_rounds else "≠"
-    return (result, replay), f"{result.total_rounds} (n={result.n}, replay {agree})"
+    return evidence, f"{result.total_rounds} (n={result.n}, replay {agree})"
 
 
 def _thm11_verdict(evidence) -> str:

@@ -24,8 +24,8 @@ same key-derived seeds and the same record.
 Sweeps fan out over worker processes, and with ``--results`` they
 persist each run as a JSON line and resume by key after an
 interruption.  The flush cadence is the store backend's own (jsonl:
-every record, sharded: every 64); ``--seeds`` is the sweep's seed axis,
-and ``repro search --engine`` names ``fast`` or ``reference``.
+every record, sharded: every 64), and ``--seeds`` is the sweep's seed
+axis.
 """
 
 from __future__ import annotations
@@ -305,46 +305,32 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _search_settings(args) -> "SearchSettings":  # noqa: F821
-    from repro.search import SearchSettings
-
-    # Accept underscore spellings of registered hyphenated kinds.  An
-    # unknown kind or algorithm is the search's own ValueError.
-    kind = args.graph
-    if kind not in graph_kinds() and kind.replace("_", "-") in graph_kinds():
-        kind = kind.replace("_", "-")
-    return SearchSettings(
-        algorithm=args.algorithm,
-        graph_kind=kind,
-        n=args.n,
-        collision_rule=args.cr,
-        start_mode=args.start_mode,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
-        engine=args.engine,
-    )
-
-
 def cmd_search(args) -> int:
     from repro.search import (
-        SearchBudget,
+        SearchSettings,
         run_search,
         supports_theorem2,
         theorem2_comparison,
     )
 
-    settings = _search_settings(args)
+    # An unknown graph kind or algorithm is the search's own ValueError.
+    settings = SearchSettings(
+        algorithm=args.algorithm,
+        graph_kind=args.graph,
+        n=args.n,
+        collision_rule=args.cr,
+        start_mode=args.start_mode,
+        seed=args.seed,
+        max_rounds=args.max_rounds,
+    )
     try:
         result = run_search(
             settings,
             searcher=args.searcher,
-            budget=SearchBudget(
-                evaluations=args.budget, batch_size=args.batch_size
-            ),
+            budget=args.budget,
             seed=args.search_seed,
             workers=args.workers,
             results_path=args.results,
-            verify=args.verify,
             store=_store_backend(args),
         )
     except (ValueError, WorkerLostError) as exc:
@@ -368,13 +354,10 @@ def cmd_search(args) -> int:
             doc["theorem2"] = dataclasses.asdict(comparison)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        rows = result.table_rows()
-        if result.replay_verified is not None:
-            rows.append(["replay verified", result.replay_verified])
         print(
             render_table(
                 ["quantity", "value"],
-                rows,
+                result.table_rows(),
                 title=f"adversary search: {args.searcher} vs "
                 f"{settings.algorithm} on {settings.graph_kind} "
                 f"(n={settings.n}, {settings.collision_rule}, "
@@ -390,13 +373,21 @@ def cmd_search(args) -> int:
                     title="search vs Theorem 2",
                 )
             )
-    return 0 if result.replay_verified is not False else 1
+    return 0 if result.replay_verified else 1
+
+
+def _require_results(path: str) -> None:
+    """Exit with one line when a read-only command's ``--results`` names
+    nothing: opening it would start an empty store."""
+    if not os.path.exists(path):
+        raise SystemExit(f"no results at {path}")
 
 
 def cmd_merge(args) -> int:
     """Fold a campaign store into one canonical JSONL results file."""
     from repro.store import RawRecord, merge_store, open_store
 
+    _require_results(args.results)
     try:
         source = open_store(args.results, parse=RawRecord)
         count = merge_store(source, args.out)
@@ -416,6 +407,7 @@ def cmd_report(args) -> int:
     from repro.experiments import RunResult
     from repro.store import open_store
 
+    _require_results(args.results)
     try:
         store = open_store(args.results, parse=RunResult.from_dict)
         report = CampaignReport.from_store(store)
@@ -517,11 +509,8 @@ def _construct(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
 
 
 def cmd_lowerbound(args) -> int:
-    from repro.lowerbounds import (
-        theorem2_lower_bound,
-        theorem11_lower_bound,
-        theorem12_construction,
-    )
+    from repro.analysis.claims import THEOREM2, THEOREM11, THEOREM12
+    from repro.lowerbounds import theorem2_lower_bound, theorem12_construction
     from repro.lowerbounds.theorem2 import DETERMINISTIC_ALGORITHMS
 
     if args.algorithm not in DETERMINISTIC_ALGORITHMS:
@@ -532,59 +521,50 @@ def cmd_lowerbound(args) -> int:
     factory = functools.partial(make_processes, args.algorithm)
 
     if args.theorem == 2:
-        from repro.analysis.claims import THEOREM2, theorem2_observation
+        from repro.analysis.claims import theorem2_observation
 
         res = _construct(theorem2_lower_bound, factory, args.n)
-        observation = theorem2_observation(args.algorithm, res)
-        print(
-            render_table(
-                ["quantity", "value"],
-                [
-                    ["n", res.n],
-                    ["worst-case rounds", res.worst_rounds],
-                    ["theorem 2 bound", THEOREM2.bound(observation)],
-                    ["worst bridge identity", res.worst_bridge_uid],
-                    ["theorem 2 verdict", THEOREM2.verdict(observation)],
-                ],
-                title=f"Theorem 2 vs {args.algorithm}",
-            )
+        evidence = theorem2_observation(args.algorithm, res)
+        claim, rows = THEOREM2, [
+            ["n", res.n],
+            ["worst-case rounds", res.worst_rounds],
+            ["worst bridge identity", res.worst_bridge_uid],
+        ]
+    elif args.theorem == 11:
+        from repro.analysis.claims import theorem11_evidence
+        from repro.lowerbounds.theorem11 import pivot_layout_for
+
+        res, replay = evidence = _construct(
+            lambda: theorem11_evidence(factory, pivot_layout_for(args.n))
         )
-        return 0
-    if args.theorem == 11:
-        res = _construct(theorem11_lower_bound, factory, n=args.n)
-        print(
-            render_table(
-                ["quantity", "value"],
-                [
-                    ["n", res.n],
-                    ["layers x width", f"{res.num_layers} x {res.width}"],
-                    ["total rounds", res.total_rounds],
-                    ["rounds / n^1.5",
-                     f"{res.normalized:.3f}" if res.normalized else "—"],
-                ],
-                title=f"Theorem 11 vs {args.algorithm}",
-            )
-        )
-        return 0
-    if args.theorem == 12:
+        claim, rows = THEOREM11, [
+            ["n", res.n],
+            ["layers x width", f"{res.num_layers} x {res.width}"],
+            ["total rounds", res.total_rounds],
+            ["engine replay rounds", replay.completion_round],
+        ]
+    else:
         n = args.n if args.n % 2 else args.n + 1
-        res = _construct(theorem12_construction, factory, n)
-        print(
-            render_table(
-                ["quantity", "value"],
-                [
-                    ["n", res.n],
-                    ["certified rounds", res.total_rounds],
-                    ["stages", len(res.stages)],
-                    ["min early-stage rounds", res.min_early_stage_rounds],
-                    ["paper total guarantee",
-                     f"{res.paper_total_guarantee:.0f}"],
-                ],
-                title=f"Theorem 12 vs {args.algorithm}",
-            )
+        res = evidence = _construct(theorem12_construction, factory, n)
+        claim, rows = THEOREM12, [
+            ["n", res.n],
+            ["certified rounds", res.total_rounds],
+            ["stages", len(res.stages)],
+            ["min early-stage rounds", res.min_early_stage_rounds],
+        ]
+    label = f"theorem {args.theorem}"
+    rows += [
+        [f"{label} bound", claim.bound(evidence)],
+        [f"{label} verdict", claim.verdict(evidence)],
+    ]
+    print(
+        render_table(
+            ["quantity", "value"],
+            rows,
+            title=f"Theorem {args.theorem} vs {args.algorithm}",
         )
-        return 0
-    raise SystemExit("supported theorems: 2, 11, 12")
+    )
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -739,10 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="total candidate evaluations (across resumes)",
     )
     search.add_argument(
-        "--batch-size", type=int, default=8,
-        help="candidates generated and evaluated per iteration",
-    )
-    search.add_argument(
         "--seed", type=int, default=0,
         help="cell seed: engine randomness derives from it",
     )
@@ -765,16 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", choices=list(STORE_BACKENDS), default="auto",
         help="result-store backend behind --results (see "
         "docs/STORAGE.md)",
-    )
-    search.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default="fast",
-        help="evaluation engine (CR4 genomes included; reference "
-        "forces the baseline); scores are identical either way",
-    )
-    search.add_argument(
-        "--verify", action=argparse.BooleanOptionalAction, default=True,
-        help="replay-certify the best genome through a strict "
-        "ReplayAdversary on the reference engine (--no-verify skips)",
     )
     search.add_argument(
         "--compare-theorem2", action="store_true",

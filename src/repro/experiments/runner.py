@@ -221,9 +221,10 @@ def cell_engine(
     """The engine that runs a cell's ``algorithm`` against ``adversary``.
 
     ``cell`` (a :class:`~repro.experiments.spec.RunTask` or a search
-    cell) also names the collision rule, start mode, derived seed and
-    engine of its :class:`~repro.sim.engine.EngineConfig`; ``engine``
-    overrides the last, and ``seed``, the cell's derived seed when the
+    cell) also names the collision rule, start mode and derived seed of
+    its :class:`~repro.sim.engine.EngineConfig`, and a task its engine;
+    ``engine`` overrides the task's (a search cell names none, so its
+    callers pass one), and ``seed``, the cell's derived seed when the
     caller has already derived it, spares a second derivation.
     """
     processes = make_processes(

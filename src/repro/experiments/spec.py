@@ -535,6 +535,13 @@ class ExperimentSpec:
         # Reject them at construction with the offending entries named.
         for axis in self._AXES:
             self._reject_duplicates(axis, getattr(self, axis))
+        # A negative cap would run no round and write a ``/cap-1`` key
+        # that ``cell_key_of`` cannot strip the seed from.
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ValueError(
+                f"spec {self.name!r}: max_rounds must be >= 0, "
+                f"got {self.max_rounds}"
+            )
 
     def _reject_duplicates(self, axis, entries) -> None:
         """Raise if an axis repeats an entry (keys would collide)."""

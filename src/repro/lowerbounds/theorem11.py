@@ -129,6 +129,12 @@ def _first_send_after(
     return activation_round + horizon + 1
 
 
+def pivot_layout_for(n: int) -> PivotLayersLayout:
+    """The ``√n × √n`` pivot-layer layout for about ``n`` nodes."""
+    width = max(1, math.isqrt(n))
+    return pivot_layers(max(2, (n - 1) // width + 1), width)
+
+
 def theorem11_lower_bound(
     algorithm_factory: AlgorithmFactory,
     layout: Optional[PivotLayersLayout] = None,
@@ -154,9 +160,7 @@ def theorem11_lower_bound(
         raise ValueError("give exactly one of layout / n")
     if layout is None:
         assert n is not None
-        width = max(1, math.isqrt(n))
-        num_layers = max(2, (n - 1) // width + 1)
-        layout = pivot_layers(num_layers, width)
+        layout = pivot_layout_for(n)
     total_n = layout.graph.n
     if max_rounds <= 0:
         max_rounds = int(64 * total_n**1.5) + 1024

@@ -8,21 +8,22 @@ resolutions, all encoded as a replayable
 maximise broadcast stall against a fixed (algorithm, graph, collision
 rule) cell::
 
-    from repro.search import SearchBudget, SearchSettings, run_search
+    from repro.search import SearchSettings, run_search
 
     result = run_search(
         SearchSettings(algorithm="round_robin",
                        graph_kind="clique-bridge", n=16),
         searcher="greedy",
-        budget=SearchBudget(evaluations=8),
+        budget=8,
     )
     print(result.best.objective)   # worst stall found, in rounds
 
-Candidates are scored through the standard engines — the fast bitmask
-engine per genome by default — fan out over worker processes, persist
-to a result store (a JSON-lines file or a campaign directory) with
-resume-by-key, and the best genome replay-certifies
-through
+A search's inputs are its cell, its searcher, its seed and an integer
+budget.  Candidates are constructed and scored on the fast bitmask
+engine (:data:`~repro.search.evaluate.SEARCH_ENGINE`), fan out over
+worker processes, persist to a result store (a JSON-lines file or a
+campaign directory) with resume-by-key, and the best genome is
+replay-certified on the reference engine through
 :class:`~repro.adversaries.scripted.ReplayAdversary` — see
 ``docs/SEARCH.md``.
 """
@@ -48,7 +49,6 @@ from repro.search.genome import (
 from repro.search.harness import make_space, run_search
 from repro.search.persist import (
     CandidateRecord,
-    SearchBudget,
     SearchResult,
     genome_fingerprint_validator,
     search_fingerprint,
@@ -73,7 +73,6 @@ __all__ = [
     "GenomeSpace",
     "GreedyLookaheadSearch",
     "RandomRestartSearch",
-    "SearchBudget",
     "SearchResult",
     "SearchSettings",
     "Searcher",

@@ -7,10 +7,9 @@ and run step (:func:`~repro.experiments.runner.compile_cell`,
 :func:`~repro.experiments.runner.cell_engine`): the graph is built and
 its :class:`~repro.sim.topology.CompiledTopology` compiled **once** per
 :class:`EvaluationContext`, then every candidate genome runs against the
-shared pair — on the bitmask fast engine by default (CR4 genomes
-included; ``settings.engine="reference"`` forces the baseline).
-``benchmarks/bench_search.py`` measures the win over rebuilding per
-candidate.
+shared pair on :data:`SEARCH_ENGINE`, the bitmask fast engine (CR4
+genomes included).  ``benchmarks/bench_search.py`` measures the win
+over rebuilding per candidate.
 
 :func:`cell_context` keeps one such context per process, for the last
 cell asked for: :func:`~repro.search.harness.run_search` clears it at
@@ -43,7 +42,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import (
     Params,
-    _coerce_engine,
     _coerce_mode,
     _coerce_rule,
     _fmt_params,
@@ -52,7 +50,10 @@ from repro.experiments.spec import (
 from repro.graphs.dualgraph import DualGraph
 from repro.search.genome import StrategyGenome
 from repro.sim.topology import CompiledTopology
-from repro.sim.trace import ExecutionTrace
+
+#: The engine every candidate is constructed and scored on.  Scores are
+#: identical on the reference engine, which :func:`verify_replay` runs.
+SEARCH_ENGINE = "fast"
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,6 @@ class SearchSettings:
     start_mode: str = "synchronous"
     seed: int = 0
     max_rounds: Optional[int] = None
-    #: The engine candidates are scored on (one of ``ENGINE_NAMES``);
-    #: scores are identical on either, so it is not part of the key.
-    engine: str = "fast"
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -87,7 +85,6 @@ class SearchSettings:
             self, "collision_rule", _coerce_rule(self.collision_rule)
         )
         object.__setattr__(self, "start_mode", _coerce_mode(self.start_mode))
-        object.__setattr__(self, "engine", _coerce_engine(self.engine))
 
     @property
     def key(self) -> str:
@@ -121,7 +118,6 @@ class CandidateScore:
         completed: Whether broadcast finished within the cap.
         completion_round: The completion round (``None`` if capped).
         rounds: Rounds actually executed.
-        engine: The engine implementation that ran the evaluation.
     """
 
     genome: StrategyGenome
@@ -129,7 +125,6 @@ class CandidateScore:
     completed: bool
     completion_round: Optional[int]
     rounds: int
-    engine: str
 
 
 class EvaluationContext:
@@ -146,50 +141,27 @@ class EvaluationContext:
         self.graph: DualGraph = self.topology.graph
         self.round_cap: int = round_cap(settings, self.graph)
 
-    def run_genome(
-        self,
-        genome: StrategyGenome,
-        engine: Optional[str] = None,
-        record_receptions: bool = False,
-    ) -> Tuple[ExecutionTrace, str]:
-        """Run one genome and return its trace and the engine used."""
-        engine = engine or self.settings.engine
+    def evaluate(self, genome: StrategyGenome) -> CandidateScore:
+        """Score one genome (see the module docstring's objective)."""
         trace = cell_engine(
             self.settings,
             self.topology,
             genome.build_adversary(),
             self.round_cap,
-            engine=engine,
-            record_receptions=record_receptions,
+            engine=SEARCH_ENGINE,
         ).run()
-        return trace, engine
-
-    def evaluate(self, genome: StrategyGenome) -> CandidateScore:
-        """Score one genome (see the module docstring's objective)."""
-        trace, engine = self.run_genome(genome)
-        return score_from_trace(genome, trace, self.round_cap, engine)
-
-
-def score_from_trace(
-    genome: StrategyGenome,
-    trace: ExecutionTrace,
-    round_cap: int,
-    engine: str,
-) -> CandidateScore:
-    """Fold one finished trace into the candidate's deterministic score."""
-    objective = (
-        trace.completion_round
-        if trace.completed and trace.completion_round is not None
-        else round_cap + 1
-    )
-    return CandidateScore(
-        genome=genome,
-        objective=objective,
-        completed=trace.completed,
-        completion_round=trace.completion_round,
-        rounds=trace.num_rounds,
-        engine=engine,
-    )
+        objective = (
+            trace.completion_round
+            if trace.completed and trace.completion_round is not None
+            else self.round_cap + 1
+        )
+        return CandidateScore(
+            genome=genome,
+            objective=objective,
+            completed=trace.completed,
+            completion_round=trace.completion_round,
+            rounds=trace.num_rounds,
+        )
 
 
 @functools.lru_cache(maxsize=1)
@@ -242,9 +214,14 @@ def verify_replay(settings: SearchSettings, genome: StrategyGenome) -> bool:
     from repro.adversaries.scripted import ReplayAdversary
 
     ctx = cell_context(settings)
-    trace, _ = ctx.run_genome(
-        genome, engine="reference", record_receptions=True
-    )
+    trace = cell_engine(
+        settings,
+        ctx.topology,
+        genome.build_adversary(),
+        ctx.round_cap,
+        engine="reference",
+        record_receptions=True,
+    ).run()
     replay = cell_engine(
         settings,
         ctx.topology,

@@ -8,7 +8,10 @@
                                StoreSession: resume-by-key, appends
 
 The searchers only ask: neither ``random`` nor ``greedy`` reads scores,
-so the loop itself keeps the best candidate.
+so the loop itself keeps the best candidate.  It asks for
+``max(8, 2 * workers)`` candidates at a time, at least two pool units
+per worker as a sweep plans them, and replay-certifies the best genome
+on the reference engine at the end.
 
 Determinism contract: for fixed (settings, searcher kind, seed) the
 candidate sequence, every score, and therefore the returned best are
@@ -23,7 +26,7 @@ degrades to extra work, never to wrong results).
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.experiments.runner import StoreSession, WorkerPool
 from repro.obs.telemetry import Stopwatch, current
@@ -37,7 +40,6 @@ from repro.search.evaluate import (
 from repro.search.genome import GenomeSpace
 from repro.search.persist import (
     CandidateRecord,
-    SearchBudget,
     SearchResult,
     candidate_key,
     genome_fingerprint_validator,
@@ -46,10 +48,6 @@ from repro.search.persist import (
 from repro.search.searchers import build_searcher
 from repro.sim.collision import CollisionRule
 from repro.store import open_store
-
-#: Called after each evaluated batch with (best_so_far, done, total).
-ProgressCallback = Callable[[CandidateScore, int, int], None]
-
 
 def make_space(settings: SearchSettings) -> GenomeSpace:
     """The genome space induced by a search cell.
@@ -71,21 +69,22 @@ def make_space(settings: SearchSettings) -> GenomeSpace:
 def run_search(
     settings: SearchSettings,
     searcher: str = "random",
-    budget: SearchBudget = SearchBudget(evaluations=64),
+    budget: int = 64,
     seed: int = 0,
     workers: int = 1,
     results_path: Optional[str] = None,
-    verify: bool = False,
-    progress: Optional[ProgressCallback] = None,
     store: Optional[str] = None,
 ) -> SearchResult:
-    """Run one adversary search and return its best candidate.
+    """Run one adversary search and return its replay-certified best
+    candidate.
 
     Args:
         settings: The search cell (algorithm, graph, CR, start mode …).
         searcher: Registered searcher kind
             (:func:`repro.search.searchers.searcher_kinds`).
-        budget: Evaluation budget and batch size.
+        budget: Total candidate evaluations, at least 1 (across
+            resumes: persisted candidates count against it, so
+            re-running a finished search evaluates nothing).
         seed: Search seed driving candidate generation (the engine seed
             is derived from the cell, independently — two searches with
             different seeds explore differently but score identically).
@@ -94,16 +93,15 @@ def run_search(
             a campaign directory; previously persisted candidates are
             resumed by key instead of re-evaluated, and fresh scores
             are appended as they arrive.
-        verify: Also replay-certify the best genome through a strict
-            :class:`~repro.adversaries.scripted.ReplayAdversary` on the
-            reference engine (:attr:`SearchResult.replay_verified`).
-        progress: Optional callback after each batch.
         store: Result-store backend name (``"jsonl"`` or
             ``"sharded"``); ``None``/``"auto"`` detects from the path.
     """
+    if budget < 1:
+        raise ValueError(f"budget needs >= 1 evaluation, got {budget}")
     watch = Stopwatch()
     telemetry = current()
     pool = WorkerPool(workers)
+    batch = max(8, 2 * workers)
     # One graph build and one topology compile serve the whole search:
     # the genome space, in-process scores and the replay check share
     # the cell context, and forked pool workers inherit it.  Clearing
@@ -132,10 +130,8 @@ def run_search(
     resumed = 0
     ordinal = 0
     with StoreSession(result_store) as session, pool:
-        while ordinal < budget.evaluations:
-            count = min(
-                budget.batch_size, budget.evaluations - ordinal
-            )
+        while ordinal < budget:
+            count = min(batch, budget - ordinal)
             genomes = searcher_obj.ask(rng, count)
             if len(genomes) != count:
                 raise RuntimeError(
@@ -170,27 +166,23 @@ def run_search(
                         score, keys[i], ordinal + i, searcher
                     )
                 )
-            batch = [s for s in scores if s is not None]
-            for i, score in enumerate(batch):
+            for i, score in enumerate(scores):
+                assert score is not None
                 if best is None or score.objective > best.objective:
                     best = score
                     best_ordinal = ordinal + i
             ordinal += count
-            if progress is not None and best is not None:
-                progress(best, ordinal, budget.evaluations)
 
     assert best is not None  # budget >= 1 guarantees one batch ran
-    result = SearchResult(
+    return SearchResult(
         settings=settings,
         searcher=searcher,
         seed=seed,
         best=best,
         best_ordinal=best_ordinal,
+        replay_verified=verify_replay(settings, best.genome),
         executed=executed,
         resumed=resumed,
         health=session.health,
         elapsed=watch.elapsed(),
     )
-    if verify:
-        result.replay_verified = verify_replay(settings, best.genome)
-    return result

@@ -1,4 +1,4 @@
-"""Budget accounting and result-store persistence for searches.
+"""Result-store persistence for searches.
 
 Search candidates persist through the same :mod:`repro.store` layer as
 sweep records — one keyed record per evaluated candidate, appended the
@@ -24,45 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.search.evaluate import CandidateScore, SearchSettings
+from repro.search.evaluate import (
+    SEARCH_ENGINE, CandidateScore, SearchSettings,
+)
 from repro.search.genome import StrategyGenome
 from repro.store.base import StoreHealth
 
 __all__ = [
     "CandidateRecord",
-    "SearchBudget",
     "SearchResult",
     "candidate_key",
     "genome_fingerprint_validator",
     "search_fingerprint",
 ]
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """How much work a search invocation may spend.
-
-    Attributes:
-        evaluations: Total candidate evaluations (across resumes: a
-            resumed run counts previously persisted candidates against
-            the same budget, so re-running a finished search is a
-            no-op).
-        batch_size: Candidates asked for (and evaluated, possibly in
-            parallel) per harness iteration.
-    """
-
-    evaluations: int
-    batch_size: int = 8
-
-    def __post_init__(self) -> None:
-        if self.evaluations < 1:
-            raise ValueError(
-                f"budget needs >= 1 evaluation, got {self.evaluations}"
-            )
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
 
 
 def candidate_key(
@@ -79,7 +53,12 @@ def candidate_key(
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """One evaluated candidate as persisted to the results file."""
+    """One evaluated candidate as persisted to the results file.
+
+    Its document still names the scoring engine,
+    :data:`~repro.search.evaluate.SEARCH_ENGINE`, under ``"engine"``, so
+    results files keep the bytes they had when the engine was a setting.
+    """
 
     key: str
     ordinal: int
@@ -90,7 +69,6 @@ class CandidateRecord:
     completed: bool
     completion_round: Optional[int]
     rounds: int
-    engine: str
 
     @classmethod
     def from_score(
@@ -111,7 +89,6 @@ class CandidateRecord:
             completed=score.completed,
             completion_round=score.completion_round,
             rounds=score.rounds,
-            engine=score.engine,
         )
 
     def to_score(self) -> CandidateScore:
@@ -122,7 +99,6 @@ class CandidateRecord:
             completed=self.completed,
             completion_round=self.completion_round,
             rounds=self.rounds,
-            engine=self.engine,
         )
 
     def to_dict(self) -> Dict:
@@ -137,7 +113,7 @@ class CandidateRecord:
             "completed": self.completed,
             "completion_round": self.completion_round,
             "rounds": self.rounds,
-            "engine": self.engine,
+            "engine": SEARCH_ENGINE,
         }
 
     @classmethod
@@ -157,7 +133,6 @@ class CandidateRecord:
                 else int(doc["completion_round"])
             ),
             rounds=int(doc["rounds"]),
-            engine=doc["engine"],
         )
 
 
@@ -199,6 +174,8 @@ class SearchResult:
             the cell's derived engine seed).
         best: The highest-objective candidate (ties: earliest ordinal).
         best_ordinal: Where in the ask sequence the best candidate sat.
+        replay_verified: Whether the best genome replay-certified
+            (:func:`repro.search.evaluate.verify_replay`).
         executed: Candidates evaluated by this invocation.
         resumed: Candidates whose scores were reused from disk.
         health: The result store's
@@ -206,9 +183,6 @@ class SearchResult:
             (unparsable or distrusted entries dropped on load), uniform
             with the sweep side.
         elapsed: Wall-clock seconds (excluded from equality).
-        replay_verified: ``None`` until
-            :func:`repro.search.evaluate.verify_replay` has certified
-            the best genome; then its boolean outcome.
     """
 
     settings: SearchSettings
@@ -216,13 +190,13 @@ class SearchResult:
     seed: int
     best: CandidateScore
     best_ordinal: int
+    replay_verified: bool
     executed: int = 0
     resumed: int = 0
     health: StoreHealth = field(
         default_factory=StoreHealth, compare=False
     )
     elapsed: float = field(default=0.0, compare=False)
-    replay_verified: Optional[bool] = None
 
     def summary(self) -> Dict:
         """A compact JSON-serialisable summary of the search."""
@@ -234,7 +208,7 @@ class SearchResult:
             "best_completed": self.best.completed,
             "best_completion_round": self.best.completion_round,
             "best_ordinal": self.best_ordinal,
-            "best_engine": self.best.engine,
+            "best_engine": SEARCH_ENGINE,
             "executed": self.executed,
             "resumed": self.resumed,
             "skipped_lines": self.health.skipped_lines,
@@ -253,5 +227,5 @@ class SearchResult:
             ["best found at candidate", self.best_ordinal],
             ["evaluations run", self.executed],
             ["evaluations resumed", self.resumed],
-            ["engine of best", self.best.engine],
+            ["replay verified", self.replay_verified],
         ]

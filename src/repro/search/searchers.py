@@ -34,7 +34,7 @@ from repro.adversaries.interferers import GreedyInterferer
 from repro.core.runner import Registry
 from repro.experiments.runner import cell_engine, round_cap
 from repro.obs.telemetry import NULL_TELEMETRY, use
-from repro.search.evaluate import SearchSettings
+from repro.search.evaluate import SEARCH_ENGINE, SearchSettings
 from repro.search.genome import GenomeSpace, StrategyGenome
 from repro.sim.engine import BroadcastEngine
 from repro.sim.messages import Message
@@ -75,8 +75,9 @@ class GreedyLookaheadSearch(Searcher):
     """Round-by-round greedy construction, scored on engine forks.
 
     A candidate is built by one engine run on the cell
-    (:func:`~repro.experiments.runner.cell_engine`, the cell's engine,
-    seed and round cap), whose adversary is :class:`_Lookahead`: each
+    (:func:`~repro.experiments.runner.cell_engine` on
+    :data:`~repro.search.evaluate.SEARCH_ENGINE`, with the cell's seed
+    and round cap), whose adversary is :class:`_Lookahead`: each
     round it sees the actual senders, enumerates a small candidate set
     of delivery patterns — no deliveries, the
     :class:`~repro.adversaries.interferers.GreedyInterferer` collision
@@ -140,6 +141,7 @@ class GreedyLookaheadSearch(Searcher):
                 space.topology,
                 FixedAssignmentAdversary(dict(enumerate(proc)), lookahead),
                 cap,
+                engine=SEARCH_ENGINE,
             )
         lookahead.engine = engine
         trace = engine.run()

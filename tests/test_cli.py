@@ -118,7 +118,6 @@ class TestRun:
         ["run", "--n", "8"],
         ["sweep", "--graph", "line", "--algorithm", "round_robin",
          "--sizes", "4", "--seeds", "0"],
-        ["search", "--n", "6", "--budget", "2"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -145,6 +144,26 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "growth fit" in out
         assert "completion rounds" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--sizes", "6", "--seeds", "0,1,2"],
+            ["run", "--n", "6"],
+        ],
+        ids=["sweep", "run"],
+    )
+    def test_negative_round_cap_exits_with_one_line(self, argv):
+        """A negative cap would split one cell per seed (``/cap-1``
+        keys); it is refused before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(
+                argv + ["--graph", "line", "--algorithm", "round_robin",
+                        "--adversary", "none", "--max-rounds", "-1"]
+            )
+        assert exc.value.code == (
+            "spec 'round_robin-line': max_rounds must be >= 0, got -1"
+        )
 
     def test_sweep_unknown_graph_rejected(self):
         with pytest.raises(SystemExit):
@@ -370,8 +389,7 @@ class TestSearch:
     ARGS = [
         "search", "--graph", "clique-bridge", "--n", "10",
         "--algorithm", "round_robin", "--cr", "CR1",
-        "--searcher", "random", "--budget", "4", "--batch-size", "2",
-        "--seed", "0",
+        "--searcher", "random", "--budget", "4", "--seed", "0",
     ]
 
     def test_basic_search(self, capsys):
@@ -379,16 +397,9 @@ class TestSearch:
         assert rc == 0
         out = capsys.readouterr().out
         assert "best objective" in out
-        assert "True" in out  # replay verified by default
-
-    def test_underscore_graph_spelling_accepted(self, capsys):
-        rc = main(
-            ["search", "--graph", "clique_bridge", "--n", "9",
-             "--algorithm", "round_robin", "--budget", "2",
-             "--no-verify"]
+        assert re.search(
+            r"^\| replay verified +\| True +\|$", out, re.MULTILINE
         )
-        assert rc == 0
-        assert "clique-bridge" in capsys.readouterr().out
 
     def test_search_resumes_from_results(self, capsys, tmp_path):
         results = str(tmp_path / "search.jsonl")
@@ -456,7 +467,7 @@ class TestSearch:
         rc = main(
             ["search", "--graph", "line", "--n", "6",
              "--algorithm", "round_robin", "--budget", "2",
-             "--no-verify", "--compare-theorem2"]
+             "--compare-theorem2"]
         )
         assert rc == 0
         assert "skipped" in capsys.readouterr().err
@@ -491,12 +502,19 @@ class TestLowerBound:
 
     @pytest.mark.parametrize("algorithm", DETERMINISTIC_ALGORITHMS)
     def test_theorem11(self, capsys, algorithm):
+        """THEOREM11 reads the driver's worst case and its engine
+        replay at the CLI's size: superlinear, replayed exactly."""
         rc = main(
-            ["lowerbound", "--theorem", "11", "--n", "20",
+            ["lowerbound", "--theorem", "11", "--n", "17",
              "--algorithm", algorithm]
         )
         assert rc == 0
-        assert f"Theorem 11 vs {algorithm}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"Theorem 11 vs {algorithm}" in out
+        cells = self.cells(out)
+        assert cells["engine replay rounds"] == cells["total rounds"]
+        assert cells["theorem 11 bound"] == "> 2n = 34"
+        assert cells["theorem 11 verdict"] == "holds"
 
     @pytest.mark.parametrize("algorithm", DETERMINISTIC_ALGORITHMS)
     def test_theorem12(self, capsys, algorithm):
@@ -505,7 +523,21 @@ class TestLowerBound:
              "--algorithm", algorithm]
         )
         assert rc == 0
-        assert f"Theorem 12 vs {algorithm}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"Theorem 12 vs {algorithm}" in out
+        cells = self.cells(out)
+        assert int(cells["certified rounds"]) >= 8
+        assert cells["theorem 12 bound"] == "≥ 8"
+        assert cells["theorem 12 verdict"] == "holds"
+
+    @staticmethod
+    def cells(out):
+        """The quantity -> value cells of a rendered table."""
+        return dict(
+            [part.strip() for part in line.split("|")[1:3]]
+            for line in out.splitlines()
+            if line.startswith("| ")
+        )
 
     def test_randomized_algorithm_rejected(self):
         with pytest.raises(SystemExit):
@@ -601,6 +633,23 @@ class TestStoreCommands:
         assert decoded["records"] == 3
         assert decoded["cells"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["merge", "--results", "nope", "--out", "x.jsonl"],
+            ["report", "--results", "no/such/dir/"],
+        ],
+        ids=["merge", "report"],
+    )
+    def test_missing_results_exit_with_one_line(
+        self, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == f"no results at {argv[2]}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_empty_store_exits_zero(self, capsys, tmp_path):
         # A valid-but-empty campaign is a normal state (a store opened
         # before its first sweep lands a record); the nonzero exit is
@@ -686,15 +735,14 @@ class TestParser:
         "argv",
         [
             ["search", "--flush-every", "1"],
-            ["search", "--engine", "auto"],
+            ["search", "--engine", "fast"],
+            ["search", "--batch-size", "4"],
+            ["search", "--no-verify"],
         ],
     )
     def test_search_rejects_removed_settings(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
-
-    def test_search_engine_defaults_to_fast(self):
-        assert build_parser().parse_args(["search"]).engine == "fast"
 
     @pytest.mark.parametrize("interval", ["-1", "nan", "inf"])
     def test_progress_rejects_bad_interval(self, tmp_path, capsys, interval):

@@ -140,6 +140,11 @@ class TestSpec:
         assert capped.key != uncapped.key
         assert "cap3" in capped.key
 
+    def test_negative_max_rounds_rejected(self):
+        with pytest.raises(ValueError, match="max_rounds must be >= 0"):
+            tiny_spec(max_rounds=-1)
+        assert tiny_spec(max_rounds=0).tasks()[0].key.endswith("/s0/cap0")
+
     def test_load_specs_single_and_list(self, tmp_path):
         single = tmp_path / "one.json"
         single.write_text(json.dumps(tiny_spec().to_dict()))

@@ -16,7 +16,7 @@ numbers themselves:
   runs;
 * ``theorem2-search``: ``repro search --compare-theorem2``'s numbers for
   the cells of ``docs/SEARCH.md``'s Theorem 2 table (greedy searcher,
-  budget 3 in one batch, search seed 0): the scripted worst case, the
+  budget 3, search seed 0): the scripted worst case, the
   search's best stall, their ratio, and :data:`THEOREM2`'s bound label
   and verdict on the search's observation.
 
@@ -48,7 +48,6 @@ from repro.core.harmonic import completion_bound
 from repro.graphs import clique_bridge, line, with_complete_unreliable
 from repro.interference import InterferenceNetwork, run_equivalence_check
 from repro.search import (
-    SearchBudget,
     SearchSettings,
     run_search,
     theorem2_comparison,
@@ -137,7 +136,7 @@ def lemma1_round_robin_rows() -> List[Dict[str, Any]]:
 THEOREM2_SEARCH_CELLS = [
     (algorithm, n) for algorithm in ("round_robin", "strong_select") for n in (9, 17)
 ]
-THEOREM2_SEARCH_BUDGET = SearchBudget(evaluations=3, batch_size=3)
+THEOREM2_SEARCH_BUDGET = 3
 
 
 def theorem2_search_rows() -> List[Dict[str, Any]]:

@@ -176,11 +176,10 @@ OPTIONS = {
     ],
     "list": ["--help", "--json", "-h"],
     "search": [
-        "--algorithm", "--batch-size", "--budget", "--compare-theorem2",
-        "--cr", "--engine", "--graph", "--help",
-        "--json", "--max-rounds", "--n", "--no-verify", "--results",
+        "--algorithm", "--budget", "--compare-theorem2", "--cr", "--graph",
+        "--help", "--json", "--max-rounds", "--n", "--results",
         "--search-seed", "--searcher", "--seed", "--start-mode",
-        "--store", "--verify", "--workers", "-h",
+        "--store", "--workers", "-h",
     ],
     "merge": ["--help", "--out", "--results", "-h"],
     "report": ["--help", "--json", "--results", "-h"],

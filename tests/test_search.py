@@ -8,15 +8,14 @@ import pytest
 from repro.adversaries.scripted import ReplayAdversary
 from repro.analysis.claims import THEOREM2
 from repro.core.runner import make_processes, suggested_round_limit
-from repro.experiments.runner import WorkerPool, round_cap
-from repro.experiments.spec import _coerce_engine, _coerce_mode, _coerce_rule
+from repro.experiments.runner import WorkerPool, cell_engine, round_cap
+from repro.experiments.spec import _coerce_mode, _coerce_rule
 from repro.obs import RecordingTelemetry, use
 from repro.search import (
     CandidateRecord,
     EvaluationContext,
     GreedyLookaheadSearch,
     RandomRestartSearch,
-    SearchBudget,
     SearchSettings,
     StrategyGenome,
     evaluate_genomes,
@@ -72,29 +71,12 @@ class TestSearchSettings:
                 algorithm="round_robin", graph_kind="line", n=4,
                 collision_rule="CR9",
             )
-        with pytest.raises(ValueError, match="engine"):
-            SearchSettings(
-                algorithm="round_robin", graph_kind="line", n=4,
-                engine="warp",
-            )
-        with pytest.raises(ValueError, match="engine"):
-            SearchSettings(
-                algorithm="round_robin", graph_kind="line", n=4,
-                engine="auto",
-            )
-
-    def test_engine_defaults_to_fast(self):
-        settings = SearchSettings(
-            algorithm="round_robin", graph_kind="line", n=4
-        )
-        assert settings.engine == "fast"
 
     @pytest.mark.parametrize(
         "field,value,coerce",
         [
             ("collision_rule", "CR9", _coerce_rule),
             ("start_mode", "sideways", _coerce_mode),
-            ("engine", "warp", _coerce_engine),
         ],
     )
     def test_rejects_with_the_spec_error_text(self, field, value, coerce):
@@ -114,7 +96,6 @@ class TestSearchSettings:
             ("collision_rule", "cr3", "CR3"),
             ("start_mode", StartMode.ASYNCHRONOUS, "asynchronous"),
             ("start_mode", "Synchronous", "synchronous"),
-            ("engine", "REFERENCE", "reference"),
         ],
     )
     def test_accepts_what_a_spec_accepts(self, field, value, canonical):
@@ -171,27 +152,31 @@ class TestEvaluation:
         assert not score.completed
         assert score.objective == 2  # cap + 1
 
+    @staticmethod
+    def reference_trace(ctx, genome):
+        """``genome``'s run of ``ctx``'s cell on the reference engine."""
+        return cell_engine(
+            ctx.settings,
+            ctx.topology,
+            genome.build_adversary(),
+            ctx.round_cap,
+            engine="reference",
+        ).run()
+
     def test_fast_and_reference_engines_agree(self):
         space = make_space(CELL)
         genome = space.random(random.Random(5))
-        auto = EvaluationContext(CELL).evaluate(genome)
-        ref = EvaluationContext(
-            SearchSettings(
-                algorithm="round_robin",
-                graph_kind="clique-bridge",
-                n=10,
-                engine="reference",
-            )
-        ).evaluate(genome)
-        assert auto.engine == "fast"
-        assert ref.engine == "reference"
-        assert auto.objective == ref.objective
-        assert auto.completion_round == ref.completion_round
+        ctx = EvaluationContext(CELL)
+        score = ctx.evaluate(genome)
+        ref = self.reference_trace(ctx, genome)
+        assert score.completed == ref.completed
+        assert score.completion_round == ref.completion_round
+        assert score.rounds == ref.num_rounds
 
     def test_cr4_genes_stay_on_fast_engine(self):
         """CR4 genomes with resolution genes score on the fast engine
         (its consult path serves the real resolver) and agree with an
-        explicit reference-engine evaluation."""
+        explicit reference-engine run."""
         cr4_cell = SearchSettings(
             algorithm="round_robin",
             graph_kind="clique-bridge",
@@ -199,21 +184,14 @@ class TestEvaluation:
             collision_rule="CR4",
         )
         ctx = EvaluationContext(cr4_cell)
-        plain = ctx.evaluate(StrategyGenome(horizon=4))
         genome = StrategyGenome(horizon=4, cr4=((1, 0, 1),))
-        genes = ctx.evaluate(genome)
-        assert plain.engine == "fast"
-        assert genes.engine == "fast"
-        ref = EvaluationContext(
-            SearchSettings(
-                algorithm="round_robin",
-                graph_kind="clique-bridge",
-                n=10,
-                collision_rule="CR4",
-                engine="reference",
-            )
-        ).evaluate(genome)
-        assert genes.objective == ref.objective
+        telemetry = RecordingTelemetry()
+        with use(telemetry):
+            genes = ctx.evaluate(genome)
+        (run,) = [e for e in telemetry.events if e["kind"] == "engine_run"]
+        assert run["engine"] == "fast"
+        ref = self.reference_trace(ctx, genome)
+        assert genes.completed == ref.completed
         assert genes.completion_round == ref.completion_round
 
     def test_parallel_matches_serial(self):
@@ -229,39 +207,36 @@ class TestEvaluation:
 
 
 class TestRunSearch:
-    def budget(self, n=8):
-        return SearchBudget(evaluations=n, batch_size=4)
-
     def test_deterministic_for_fixed_seed(self):
-        a = run_search(CELL, searcher="random", budget=self.budget(), seed=1)
-        b = run_search(CELL, searcher="random", budget=self.budget(), seed=1)
+        a = run_search(CELL, searcher="random", budget=8, seed=1)
+        b = run_search(CELL, searcher="random", budget=8, seed=1)
         assert a.best == b.best
         assert a.best_ordinal == b.best_ordinal
 
     def test_seed_changes_exploration(self):
-        a = run_search(CELL, searcher="random", budget=self.budget(), seed=1)
-        b = run_search(CELL, searcher="random", budget=self.budget(), seed=2)
+        a = run_search(CELL, searcher="random", budget=8, seed=1)
+        b = run_search(CELL, searcher="random", budget=8, seed=2)
         assert a.best.genome != b.best.genome
 
     def test_resume_by_key(self, tmp_path):
         path = str(tmp_path / "search.jsonl")
         first = run_search(
-            CELL, searcher="random", budget=self.budget(4), seed=3,
+            CELL, searcher="random", budget=4, seed=3,
             results_path=path,
         )
         assert (first.executed, first.resumed) == (4, 0)
         full = run_search(
-            CELL, searcher="random", budget=self.budget(8), seed=3,
+            CELL, searcher="random", budget=8, seed=3,
             results_path=path,
         )
         assert (full.executed, full.resumed) == (4, 4)
         fresh = run_search(
-            CELL, searcher="random", budget=self.budget(8), seed=3
+            CELL, searcher="random", budget=8, seed=3
         )
         assert full.best == fresh.best
         # A finished search re-runs as a pure resume.
         again = run_search(
-            CELL, searcher="random", budget=self.budget(8), seed=3,
+            CELL, searcher="random", budget=8, seed=3,
             results_path=path,
         )
         assert (again.executed, again.resumed) == (0, 8)
@@ -270,7 +245,7 @@ class TestRunSearch:
     def test_resume_distrusts_fingerprint_mismatch(self, tmp_path):
         path = str(tmp_path / "search.jsonl")
         run_search(
-            CELL, searcher="random", budget=self.budget(4), seed=5,
+            CELL, searcher="random", budget=4, seed=5,
             results_path=path,
         )
         records, _ = load_candidates(path)
@@ -285,12 +260,11 @@ class TestRunSearch:
             completed=False,
             completion_round=None,
             rounds=0,
-            engine="reference",
         )
         with open(path, "a", encoding="utf-8") as f:
             f.write(json.dumps(forged.to_dict(), sort_keys=True) + "\n")
         resumed = run_search(
-            CELL, searcher="random", budget=self.budget(4), seed=5,
+            CELL, searcher="random", budget=4, seed=5,
             results_path=path,
         )
         # The store-level validator rejects the internally inconsistent
@@ -305,7 +279,7 @@ class TestRunSearch:
     def test_resume_distrusts_wrong_genome_for_key(self, tmp_path):
         path = str(tmp_path / "search.jsonl")
         run_search(
-            CELL, searcher="random", budget=self.budget(4), seed=5,
+            CELL, searcher="random", budget=4, seed=5,
             results_path=path,
         )
         records, _ = load_candidates(path)
@@ -325,12 +299,11 @@ class TestRunSearch:
             completed=False,
             completion_round=None,
             rounds=0,
-            engine="reference",
         )
         with open(path, "a", encoding="utf-8") as f:
             f.write(json.dumps(wrong.to_dict(), sort_keys=True) + "\n")
         resumed = run_search(
-            CELL, searcher="random", budget=self.budget(4), seed=5,
+            CELL, searcher="random", budget=4, seed=5,
             results_path=path,
         )
         assert resumed.executed == 1
@@ -341,7 +314,7 @@ class TestRunSearch:
         path = tmp_path / "search.jsonl"
         path.write_text('{"key": "torn-fragm\n')
         result = run_search(
-            CELL, searcher="random", budget=self.budget(4), seed=0,
+            CELL, searcher="random", budget=4, seed=0,
             results_path=str(path),
         )
         assert result.health.skipped_lines == 1
@@ -350,9 +323,7 @@ class TestRunSearch:
     def test_cell_built_and_compiled_once(self):
         telemetry = RecordingTelemetry()
         with use(telemetry):
-            run_search(
-                CELL, searcher="random", budget=self.budget(), verify=True
-            )
+            run_search(CELL, searcher="random", budget=8)
         assert telemetry.spans["graph_build"].count == 1
         assert telemetry.spans["topology_compile"].count == 1
 
@@ -373,9 +344,8 @@ class TestRunSearch:
             result = run_search(
                 cell,
                 searcher="greedy",
-                budget=SearchBudget(evaluations=4, batch_size=2),
+                budget=4,
                 seed=0,
-                verify=True,
             )
         runs = [e for e in telemetry.events if e["kind"] == "engine_run"]
         assert result.executed == 4
@@ -386,7 +356,7 @@ class TestRunSearch:
 
     def test_unknown_searcher_rejected(self):
         with pytest.raises(ValueError, match="unknown searcher"):
-            run_search(CELL, searcher="nope", budget=self.budget())
+            run_search(CELL, searcher="nope", budget=8)
 
     def test_register_searcher_duplicate_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -397,7 +367,7 @@ class TestRunSearch:
         the best candidate itself (first of equal objectives)."""
         pool = [
             make_space(CELL).random(random.Random(f"pool{i}"))
-            for i in range(5)
+            for i in range(8)
         ]
         objectives = [
             EvaluationContext(CELL).evaluate(g).objective for g in pool
@@ -412,9 +382,7 @@ class TestRunSearch:
 
         register_searcher("test-pool", PoolSearch)
         try:
-            result = run_search(
-                CELL, searcher="test-pool", budget=self.budget(6)
-            )
+            result = run_search(CELL, searcher="test-pool", budget=9)
         finally:
             del SEARCHERS._factories["test-pool"]
             del SEARCHERS._descriptions["test-pool"]
@@ -429,27 +397,25 @@ class TestRunSearch:
         register_searcher("test-short", ShortSearch)
         try:
             with pytest.raises(
-                RuntimeError, match=r"returned 3 candidates for ask\(4\)"
+                RuntimeError, match=r"returned 7 candidates for ask\(8\)"
             ):
-                run_search(CELL, searcher="test-short", budget=self.budget())
+                run_search(CELL, searcher="test-short", budget=8)
         finally:
             del SEARCHERS._factories["test-short"]
             del SEARCHERS._descriptions["test-short"]
 
-    def test_progress_after_every_batch(self):
-        seen = []
-        result = run_search(
-            CELL, searcher="random", budget=self.budget(10), seed=2,
-            progress=lambda best, done, total: seen.append(
-                (done, total, best.objective)
-            ),
-        )
-        assert [(done, total) for done, total, _ in seen] == [
-            (4, 10), (8, 10), (10, 10)
-        ]
-        objectives = [objective for _, _, objective in seen]
-        assert objectives == sorted(objectives)
-        assert objectives[-1] == result.best.objective
+    def test_results_file_independent_of_workers(self, tmp_path):
+        """One worker asks for batches of 8, five for batches of 10:
+        the same candidates, scores and file bytes either way."""
+        results = []
+        for workers in (1, 5):
+            path = tmp_path / f"w{workers}.jsonl"
+            summary = run_search(
+                CELL, searcher="random", budget=20, seed=6,
+                workers=workers, results_path=str(path),
+            ).summary()
+            results.append((summary, path.read_bytes()))
+        assert results[0] == results[1]
 
     def test_searcher_kinds(self):
         assert {"random", "greedy"} <= set(searcher_kinds())
@@ -483,7 +449,7 @@ class TestSearchers:
         result = run_search(
             cell,
             searcher="random",
-            budget=SearchBudget(evaluations=8, batch_size=4),
+            budget=8,
             seed=0,
         )
         best = result.best
@@ -510,7 +476,7 @@ class TestShardedSearchCampaign:
     def search(self, root, seed=3):
         return run_search(
             CELL, searcher="random",
-            budget=SearchBudget(evaluations=8, batch_size=4), seed=seed,
+            budget=8, seed=seed,
             results_path=str(root), store="sharded",
         )
 
@@ -545,18 +511,21 @@ class TestReplayCertification:
 
     def test_best_genome_replays_bit_exactly(self):
         result = run_search(
-            CELL, searcher="random", budget=SearchBudget(evaluations=6),
-            seed=4, verify=True,
+            CELL, searcher="random", budget=6, seed=4,
         )
         assert result.replay_verified is True
         # Independently: running the best genome on the reference
         # engine, then replaying its recorded trace through a strict
         # ReplayAdversary, reproduces the reported round count.
         ctx = EvaluationContext(CELL)
-        trace, _ = ctx.run_genome(
-            result.best.genome, engine="reference",
+        trace = cell_engine(
+            CELL,
+            ctx.topology,
+            result.best.genome.build_adversary(),
+            ctx.round_cap,
+            engine="reference",
             record_receptions=True,
-        )
+        ).run()
         assert trace.completion_round == result.best.completion_round
         processes = make_processes("round_robin", ctx.graph.n)
         replay = build_engine(
@@ -583,7 +552,7 @@ class TestReplayCertification:
         )
         result = run_search(
             cr4_cell, searcher="random",
-            budget=SearchBudget(evaluations=4), seed=2, verify=True,
+            budget=4, seed=2,
         )
         assert result.replay_verified is True
 
@@ -604,9 +573,8 @@ class TestGreedyVsTheorem2:
         result = run_search(
             cell,
             searcher="greedy",
-            budget=SearchBudget(evaluations=3, batch_size=3),
+            budget=3,
             seed=0,
-            verify=True,
         )
         assert result.replay_verified is True
         comparison = theorem2_comparison(result)
@@ -633,7 +601,7 @@ class TestGreedyVsTheorem2:
             algorithm="strong_select_ks", graph_kind="clique-bridge", n=9
         )
         result = run_search(
-            cell, searcher="random", budget=SearchBudget(evaluations=2),
+            cell, searcher="random", budget=2,
             seed=0,
         )
         comparison = theorem2_comparison(result)
@@ -668,7 +636,7 @@ class TestGreedyVsTheorem2:
         result = run_search(
             cell,
             searcher="greedy",
-            budget=SearchBudget(evaluations=2, batch_size=2),
+            budget=2,
             seed=0,
         )
         best = result.best
@@ -684,9 +652,8 @@ class TestGreedyVsTheorem2:
         cell = SearchSettings(
             algorithm="round_robin", graph_kind="clique-bridge", n=10
         )
-        budget = SearchBudget(evaluations=2, batch_size=2)
-        a = run_search(cell, searcher="greedy", budget=budget, seed=1)
-        b = run_search(cell, searcher="greedy", budget=budget, seed=1)
+        a = run_search(cell, searcher="greedy", budget=2, seed=1)
+        b = run_search(cell, searcher="greedy", budget=2, seed=1)
         assert a.best == b.best
 
     def test_greedy_lookahead_matches_engine_for_randomized(self):
@@ -704,9 +671,8 @@ class TestGreedyVsTheorem2:
         result = run_search(
             cell,
             searcher="greedy",
-            budget=SearchBudget(evaluations=2, batch_size=2),
+            budget=2,
             seed=0,
-            verify=True,
         )
         assert result.replay_verified is True
 
@@ -736,6 +702,4 @@ class TestMakeSpace:
 class TestBudget:
     def test_validation(self):
         with pytest.raises(ValueError, match="evaluation"):
-            SearchBudget(evaluations=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            SearchBudget(evaluations=4, batch_size=0)
+            run_search(CELL, budget=0)

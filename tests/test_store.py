@@ -22,7 +22,7 @@ from repro.core.harmonic import completion_bound, default_T
 from repro.core.strong_select import build_schedule
 from repro.experiments import ExperimentSpec, run_sweep
 from repro.experiments.results import RunResult
-from repro.search import SearchBudget, SearchSettings, run_search
+from repro.search import SearchSettings, run_search
 from repro.store import (
     JsonlStore,
     RawRecord,
@@ -256,14 +256,13 @@ class TestSweepDifferential:
             n=9,
             collision_rule="CR4",
         )
-        budget = SearchBudget(evaluations=4, batch_size=2)
 
         def write(campaign, path, backend):
             if campaign == "sweep":
                 run_sweep(spec, workers=1, results_path=path, store=backend)
             else:
                 run_search(
-                    cell, searcher=campaign, budget=budget, seed=0,
+                    cell, searcher=campaign, budget=4, seed=0,
                     results_path=path, store=backend,
                 )
 

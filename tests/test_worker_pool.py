@@ -242,7 +242,7 @@ def test_cli_prints_resume_error_without_traceback(tmp_path):
              "--sizes", "5,6,7", "--seeds", "0,1", "--workers", "2"],
             ["search", "--graph", "line", "--n", "6",
              "--algorithm", "kill_always", "--searcher", "random",
-             "--budget", "4", "--batch-size", "4", "--workers", "2"],
+             "--budget", "4", "--workers", "2"],
         ):
             try:
                 main(argv)
@@ -325,7 +325,7 @@ def test_in_process_runs_start_no_executor(tmp_path):
         '''
         import multiprocessing
 
-        from repro.search import SearchBudget, SearchSettings, run_search
+        from repro.search import SearchSettings, run_search
 
         before = "concurrent.futures" in sys.modules
         grid = ExperimentSpec(
@@ -345,14 +345,8 @@ def test_in_process_runs_start_no_executor(tmp_path):
             len(SweepRunner(one_unit, workers=2).run().records),
         ]
         executed = [
-            run_search(
-                cell, budget=SearchBudget(evaluations=4, batch_size=4),
-                workers=1,
-            ).executed,
-            run_search(
-                cell, budget=SearchBudget(evaluations=3, batch_size=1),
-                workers=2,
-            ).executed,
+            run_search(cell, budget=4, workers=1).executed,
+            run_search(cell, budget=1, workers=2).executed,
         ]
         print(json.dumps({
             "before": before,
@@ -366,7 +360,7 @@ def test_in_process_runs_start_no_executor(tmp_path):
     )
     assert out == {
         "before": False, "after": False, "children": 0,
-        "records": [6, 1], "executed": [4, 3],
+        "records": [6, 1], "executed": [4, 1],
     }
 
 
