@@ -509,9 +509,16 @@ def _construct(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
 
 
 def cmd_lowerbound(args) -> int:
-    from repro.analysis.claims import THEOREM2, THEOREM11, THEOREM12
+    from repro.analysis.claims import (
+        THEOREM2,
+        THEOREM11,
+        THEOREM12,
+        theorem2_observation,
+        theorem11_evidence,
+    )
     from repro.lowerbounds import theorem2_lower_bound, theorem12_construction
     from repro.lowerbounds.theorem2 import DETERMINISTIC_ALGORITHMS
+    from repro.lowerbounds.theorem11 import pivot_layout_for
 
     if args.algorithm not in DETERMINISTIC_ALGORITHMS:
         raise SystemExit(
@@ -521,8 +528,6 @@ def cmd_lowerbound(args) -> int:
     factory = functools.partial(make_processes, args.algorithm)
 
     if args.theorem == 2:
-        from repro.analysis.claims import theorem2_observation
-
         res = _construct(theorem2_lower_bound, factory, args.n)
         evidence = theorem2_observation(args.algorithm, res)
         claim, rows = THEOREM2, [
@@ -531,9 +536,6 @@ def cmd_lowerbound(args) -> int:
             ["worst bridge identity", res.worst_bridge_uid],
         ]
     elif args.theorem == 11:
-        from repro.analysis.claims import theorem11_evidence
-        from repro.lowerbounds.theorem11 import pivot_layout_for
-
         res, replay = evidence = _construct(
             lambda: theorem11_evidence(factory, pivot_layout_for(args.n))
         )
